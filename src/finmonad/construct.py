@@ -1,7 +1,9 @@
 """The Eilenberg-Moore category of algebras, its coalgebra dual, and the
 Kleisli category, each packaged with its canonical adjunction.
 
-Canonical ids keep equality decidable across runs:
+Canonical ids keep equality decidable across runs. Base-category ids are
+written into them with the delimiters ``\\ | : → ⟨ ⟩`` backslash-escaped, so
+distinct data never share an id:
 
 * an algebra (X, chi: SX → X) gets the object id ``⟨X|chi⟩`` and an algebra
   morphism with underlying f gets ``⟨f:A→B⟩`` for algebra object ids A, B;
@@ -30,16 +32,28 @@ from .fincat import (
 from .monad import Comonad, Monad
 
 
+_DELIMITERS = frozenset("\\|:→⟨⟩")
+_ESCAPES = str.maketrans({c: "\\" + c for c in _DELIMITERS})
+
+
+def _escape(base_id: str) -> str:
+    """A base-category id with every delimiter of the id scheme escaped."""
+    if _DELIMITERS.isdisjoint(base_id):
+        return base_id
+    return base_id.translate(_ESCAPES)
+
+
 def _algebra_id(carrier: str, chi: str) -> str:
-    return f"⟨{carrier}|{chi}⟩"
+    return f"⟨{_escape(carrier)}|{_escape(chi)}⟩"
 
 
 def _algebra_morphism_id(f: str, src: str, tgt: str) -> str:
-    return f"⟨{f}:{src}→{tgt}⟩"
+    # src and tgt are (co)algebra ids, which are already escaped
+    return f"⟨{_escape(f)}:{src}→{tgt}⟩"
 
 
 def _kleisli_id(y: str, src: str, tgt: str) -> str:
-    return f"♯⟨{y}:{src}→{tgt}⟩"
+    return f"♯⟨{_escape(y)}:{_escape(src)}→{_escape(tgt)}⟩"
 
 
 class EmAlgebraCategory:

@@ -73,11 +73,18 @@ class BaseMismatch(FinMonadError):
 
 
 class EnumerationCapExceeded(FinMonadError):
-    """An enumeration would exceed the configured candidate budget."""
+    """An enumeration passed its candidate budget.
+
+    The functor and transformation searches count the candidate values
+    they try, that is the nodes they visit, and raise as soon as the count
+    passes the cap. The other enumerators size their candidate product
+    before they start and raise if it is over the cap. ``estimate`` is the
+    count that passed the cap.
+    """
 
     def __init__(self, estimate, cap):
         self.estimate = estimate
         self.cap = cap
         super().__init__(
-            f"enumeration needs about {estimate} candidate checks, cap is {cap}"
+            f"enumeration counted {estimate} candidates, cap is {cap}"
         )

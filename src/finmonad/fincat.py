@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import (
     CategoryValidationError,
@@ -168,17 +167,50 @@ class FinCategory:
                 f"{len(self.morphisms)} morphisms)")
 
 
+_CATEGORY_FIELDS = {"objects": list, "morphisms": list, "composition": list,
+                    "identities": dict}
+
+
+def _schema_violations(raw) -> list:
+    """The shape errors of a raw category: top level, fields and their types."""
+    def bad(kind, where, detail):
+        return Violation(kind, "law-category-structure", where=where,
+                         detail=detail)
+
+    if not isinstance(raw, dict):
+        return [bad("NotAnObject", type(raw).__name__,
+                    "a category must be a JSON object")]
+    out = [bad("UnknownField", str(k), "not a category field")
+           for k in raw if k not in _CATEGORY_FIELDS]
+    for name, types in _CATEGORY_FIELDS.items():
+        if name not in raw:
+            if name != "identities":
+                out.append(bad("MissingField", name, "required field"))
+        elif not isinstance(raw[name], types):
+            want = "an object" if types is dict else "a list"
+            out.append(bad("WrongFieldType", name, f"must be {want}"))
+    return out
+
+
 def validate_category(raw: dict, *, seed: int = 0) -> FinCategory:
     """Validate a raw category description and return the canonical value.
 
-    ``raw`` follows the JSON file format: ``objects``, ``morphisms``,
-    optional ``identities``, and a ``composition`` list of entries
-    ``{"first", "then", "equals"}`` meaning equals = then ∘ first.
-    Raises :class:`CategoryValidationError` listing every violated axiom
+    ``raw`` follows the JSON file format: an object with the lists
+    ``objects`` and ``morphisms``, an optional ``identities`` object, and
+    a ``composition`` list of entries ``{"first", "then", "equals"}``
+    meaning equals = then ∘ first; any other field is an error. Raises
+    :class:`CategoryValidationError` listing every violated axiom
     instance otherwise. Validating the raw form of a validated category
     yields an equal value.
     """
-    violations = []
+    violations = _schema_violations(raw)
+    if not isinstance(raw, dict):
+        raise CategoryValidationError(violations)
+    # Only well-typed fields are read. A malformed one reads as absent, so
+    # the checks below still report what else is wrong, and the schema
+    # violations are raised together with theirs.
+    raw = {k: v for k, v in raw.items()
+           if isinstance(v, _CATEGORY_FIELDS.get(k, ()))}
 
     objects = list(raw.get("objects", ()))
     seen_obj = set()
@@ -245,9 +277,9 @@ def validate_category(raw: dict, *, seed: int = 0) -> FinCategory:
             if name is None:
                 violations.append(Violation("MissingIdentity", "law-category-unit",
                                             where=x))
-            elif name not in by_id:
+            elif not isinstance(name, str) or name not in by_id:
                 violations.append(Violation("DanglingId", "law-category-structure",
-                                            where=name,
+                                            where=str(name),
                                             detail=f"identity of {x} not declared"))
             elif (by_id[name].src, by_id[name].tgt) != (x, x):
                 violations.append(Violation("MistypedIdentity", "law-category-unit",
@@ -633,72 +665,204 @@ def equal(x, y) -> bool:
 
 # ---------------------------------------------------------------------------
 # Enumeration
+#
+# Functors and transformations are found by one backtracking search. The
+# variables come in a fixed order, and each constraint is filed under the
+# last variable it mentions, so it is checked as soon as all of its
+# variables are assigned and a partial assignment that already breaks a
+# law is never extended. The cap bounds the candidate values tried over
+# the whole search, not the size of the product it prunes.
+
+
+class _Budget:
+    """Counts the candidate values tried; raises once the count passes the cap."""
+
+    __slots__ = ("cap", "used")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.used = 0
+
+    def spend(self, n: int) -> None:
+        self.used += n
+        if self.used > self.cap:
+            raise EnumerationCapExceeded(self.used, self.cap)
+
+
+def _backtrack(domains, checks, budget: _Budget) -> list:
+    """Every assignment of one value per variable that passes all checks.
+
+    ``domains[i]`` lists the candidate values of variable ``i``;
+    ``checks[i]`` holds predicates on the assignment list that mention
+    variable ``i`` and no later one. Solutions are tuples, in the
+    lexicographic order of domain positions. Every value of a domain is
+    tried whenever its variable is reached, so the budget is charged one
+    whole domain at a time. The search keeps its own stack, so the number
+    of variables is not bounded by the recursion limit.
+    """
+    n = len(domains)
+    if n == 0:
+        return [()]
+    assign = [None] * n
+    nxt = [0] * n  # per variable, the domain position to try next
+    out = []
+    budget.spend(len(domains[0]))
+    i = 0
+    while i >= 0:
+        k = nxt[i]
+        if k == len(domains[i]):
+            i -= 1
+            continue
+        nxt[i] = k + 1
+        assign[i] = domains[i][k]
+        for ok in checks[i]:
+            if not ok(assign):
+                break
+        else:
+            if i == n - 1:
+                out.append(tuple(assign))
+            else:
+                i += 1
+                nxt[i] = 0
+                budget.spend(len(domains[i]))
+    return out
+
+
+def _fan_out(branch, first_domain, cap: int, jobs: int) -> list:
+    """``branch(value, budget)`` for each choice of the first variable, via pmap.
+
+    Serial branches share one budget. Parallel branches each get their
+    own, and the summed count is checked once they are done, so whether
+    the cap is exceeded never depends on ``jobs``.
+    """
+    if jobs <= 1:
+        budgets = [_Budget(cap)] * len(first_domain)
+    else:
+        budgets = [_Budget(cap) for _ in first_domain]
+    groups = pmap(lambda k: branch(first_domain[k], budgets[k]),
+                  range(len(first_domain)), jobs=jobs)
+    if jobs > 1:
+        _Budget(cap).spend(sum(b.used for b in budgets))
+    return groups
 
 
 def enumerate_nat_trans(F: Functor, G: Functor, cap: int = DEFAULT_CAP) -> list:
-    """All natural transformations F → G, canonically ordered."""
+    """All natural transformations F → G, canonically ordered.
+
+    Components are chosen object by object in hom(F x, G x); the
+    naturality square of a morphism is checked as soon as both of its
+    components are chosen.
+    """
     if F.source != G.source or F.target != G.target:
         raise TypeMismatch("transformation between non-parallel functors")
-    objs = F.source.objects
-    cod = F.target
-    choices = [cod.hom(F.ob(x), G.ob(x)) for x in objs]
-    estimate = 1
-    for c in choices:
-        estimate *= len(c)
-        if estimate > cap:
-            raise EnumerationCapExceeded(estimate, cap)
-    out = []
-    for combo in product(*choices):
-        alpha = NatTrans(F, G, dict(zip(objs, combo)))
-        if not check_naturality(alpha):
-            out.append(alpha)
-    return out
+    C, D = F.source, F.target
+    objs = C.objects
+    # Components are target indices, so a composite is a table lookup.
+    index, table = D._index, D._table
+    fob, gob = F.object_map, G.object_map
+    domains = [tuple(index[h] for h in D.hom(fob[x], gob[x])) for x in objs]
+    if not all(domains):
+        return []
+    pos = {x: i for i, x in enumerate(objs)}
+    checks = [[] for _ in objs]
+    for m in C.morphisms:
+        if C.identities[m.src] == m.id:
+            continue
+        i, j = pos[m.src], pos[m.tgt]
+        fm, gm = index[F.morphism_map[m.id]], index[G.morphism_map[m.id]]
+        # the square of m: G m ∘ alpha_src = alpha_tgt ∘ F m
+        checks[max(i, j)].append(
+            lambda a, i=i, j=j, fm=fm, gm=gm: table[a[i]][gm] == table[fm][a[j]])
+    names = D.morphisms
+    return [NatTrans(F, G, {x: names[k].id for x, k in zip(objs, comps)})
+            for comps in _backtrack(domains, checks, _Budget(cap))]
+
+
+def _morphism_plan(cat: FinCategory) -> tuple:
+    """Search order and composition checks for the morphism images of
+    functors out of ``cat``.
+
+    Identities come first: their images are forced. Each freely chosen
+    morphism is followed by every composite of the morphisms placed so
+    far, whose check then fires at once. Returns ``(order, checks)``:
+    ``checks[i]`` lists the positions ``(f, g, h)`` with f;g = h whose
+    last position is ``i``. Pairs with an identity are left out, since the
+    forced identity images satisfy them.
+    """
+    order = [m.id for m in cat.morphisms if cat.is_identity(m.id)]
+    identities = set(order)
+    triples = [(f, g, cat.compose(f, g)) for f, g in cat.composable_pairs()
+               if f not in identities and g not in identities]
+    placed = set(order)
+    for m in cat.morphisms:
+        if m.id in placed:
+            continue
+        order.append(m.id)
+        placed.add(m.id)
+        grew = True
+        while grew:
+            grew = False
+            for f, g, h in triples:
+                if h not in placed and f in placed and g in placed:
+                    order.append(h)
+                    placed.add(h)
+                    grew = True
+    pos = {m: i for i, m in enumerate(order)}
+    checks = [[] for _ in order]
+    for f, g, h in triples:
+        i, j, k = pos[f], pos[g], pos[h]
+        checks[max(i, j, k)].append((i, j, k))
+    return order, checks
 
 
 def enumerate_functors(source: FinCategory, target: FinCategory,
                        cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
-    """All functors source → target, canonically ordered."""
+    """All functors source → target, canonically ordered.
+
+    Object images come first, keeping hom(F a, F b) inhabited for every
+    source morphism a → b. Then, for each object map, morphism images are
+    chosen in hom(F src, F tgt) with identities forced, and F(f;g) =
+    F f ; F g is checked as soon as all three images are chosen. ``jobs``
+    fans the search out over the image of the first object.
+    """
     objs = source.objects
     tobjs = target.objects
-    if not tobjs and objs:
-        return []
+    pos = {x: i for i, x in enumerate(objs)}
+    inhabited = set(target._hom)
+    obj_checks = [[] for _ in objs]
+    for i, j in sorted({(pos[m.src], pos[m.tgt]) for m in source.morphisms
+                        if m.src != m.tgt}):
+        obj_checks[max(i, j)].append(
+            lambda a, i=i, j=j: (a[i], a[j]) in inhabited)
 
-    n_objmaps = max(1, len(tobjs)) ** len(objs) if tobjs else 1
-    if n_objmaps > cap:
-        raise EnumerationCapExceeded(n_objmaps, cap)
+    # Morphism images are target indices, so a composite is a table lookup.
+    order, plan = _morphism_plan(source)
+    table = target._table
+    mor_checks = [[lambda a, f=f, g=g, h=h: table[a[f]][a[g]] == a[h]
+                   for f, g, h in group] for group in plan]
+    index = target._index
+    hom = {k: tuple(index[h] for h in v) for k, v in target._hom.items()}
+    ident = {x: (index[target.identity(x)],) for x in tobjs}
+    ends = [(source.src(m), source.tgt(m), source.is_identity(m)) for m in order]
+    names = [m.id for m in target.morphisms]
 
-    obj_maps = [dict(zip(objs, combo))
-                for combo in product(tobjs, repeat=len(objs))]
+    def functors_over(images, budget):
+        omap = dict(zip(objs, images))
+        domains = [ident[omap[a]] if forced else hom.get((omap[a], omap[b]), ())
+                   for a, b, forced in ends]
+        return [Functor(source, target, omap,
+                        {m: names[k] for m, k in zip(order, found)})
+                for found in _backtrack(domains, mor_checks, budget)]
 
-    estimate = 0
-    per_map_choices = []
-    for omap in obj_maps:
-        size = 1
-        choices = []
-        for m in source.morphisms:
-            h = target.hom(omap[m.src], omap[m.tgt])
-            choices.append((m.id, h))
-            size *= len(h)
-            if size == 0:
-                break
-        per_map_choices.append((omap, choices, size))
-        estimate += size
-        if estimate > cap:
-            raise EnumerationCapExceeded(estimate, cap)
+    def branch(first, budget):
+        domains = [(first,)] + [tobjs] * (len(objs) - 1)
+        return [F for images in _backtrack(domains, obj_checks, budget)
+                for F in functors_over(images, budget)]
 
-    def expand(item):
-        omap, choices, size = item
-        if size == 0:
-            return []
-        found = []
-        ids = [c[0] for c in choices]
-        for combo in product(*(c[1] for c in choices)):
-            F = Functor(source, target, omap, dict(zip(ids, combo)))
-            if not check_functor(F):
-                found.append(F)
-        return found
-
-    groups = pmap(expand, per_map_choices, jobs=jobs)
+    if objs:
+        groups = _fan_out(branch, tobjs, cap, jobs)
+    else:
+        groups = [functors_over((), _Budget(cap))]
     out = [F for group in groups for F in group]
     out.sort(key=lambda F: F.canonical_key())
     return out

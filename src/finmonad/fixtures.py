@@ -69,11 +69,13 @@ def m_z2() -> FinCategory:
 
 
 def one_object() -> FinCategory:
-    return validate_category({"objects": ["pt"], "morphisms": []})
+    return validate_category({"objects": ["pt"], "morphisms": [],
+                              "composition": []})
 
 
 def empty_category() -> FinCategory:
-    return validate_category({"objects": [], "morphisms": []})
+    return validate_category({"objects": [], "morphisms": [],
+                              "composition": []})
 
 
 # ---------------------------------------------------------------------------

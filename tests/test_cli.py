@@ -44,6 +44,33 @@ def test_validate_broken_category_exits_2(tmp_path, capsys):
     assert "MissingComposite" in out
 
 
+def rejected_kinds(path, capsys) -> list:
+    """Run ``validate`` on a file that must be refused; the error kinds."""
+    code, out = run_cli(["--format", "json", "validate", str(path)], capsys)
+    assert code == 2
+    return [c["witness"]["kind"] for c in json.loads(out)["checks"]
+            if c["status"] == "fail"]
+
+
+def test_validate_rejects_a_top_level_list(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"objects": ["a"], "morphisms": [],
+                                 "composition": []}]), encoding="utf-8")
+    assert rejected_kinds(path, capsys) == ["NotAnObject"]
+
+
+def test_validate_rejects_objects_given_as_a_string(tmp_path, capsys):
+    path = tmp_path / "string.json"
+    path.write_text(json.dumps({"objects": "ab", "morphisms": [],
+                                "composition": []}), encoding="utf-8")
+    assert rejected_kinds(path, capsys) == ["WrongFieldType"]
+
+
+def test_validate_rejects_a_monad_file(capsys):
+    kinds = rejected_kinds(fx("c1.json"), capsys)
+    assert set(kinds) == {"UnknownField", "MissingField"}
+
+
 def test_unparseable_file_exits_2(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json", encoding="utf-8")

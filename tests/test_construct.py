@@ -2,6 +2,7 @@
 
 from finmonad.adjunction import induced_monad
 from finmonad.construct import em_category, em_coalgebra_category, kleisli_category
+from finmonad.fincat import validate_category
 from finmonad.monad import identity_comonad, identity_monad
 
 
@@ -128,6 +129,29 @@ def test_algebra_ids_are_canonical(cor):
     assert em.category.objects == ("⟨0|id_0⟩", "⟨2|id_2⟩")
     kl = kleisli_category(cor.monads_c3["c1"])
     assert kl.category.identity("0") == "♯⟨id_0:0→0⟩"
+
+
+def test_constructed_ids_stay_distinct_when_base_ids_hold_delimiters():
+    # Unescaped, the algebras (a|b, c) and (a, b|c) of the identity monad
+    # would both be ⟨a|b|c⟩, and the Kleisli arrows u: p:q → r and
+    # u:p: q → r would both be ♯⟨u:p:q→r⟩.
+    identities = {"a|b": "c", "a": "b|c", "p:q": "i\\p", "q": "i:q", "r": "→r"}
+    morphisms = [{"id": i, "src": x, "tgt": x} for x, i in identities.items()]
+    morphisms += [{"id": "u", "src": "p:q", "tgt": "r"},
+                  {"id": "u:p", "src": "q", "tgt": "r"}]
+    base = validate_category({"objects": list(identities),
+                              "morphisms": morphisms,
+                              "identities": identities, "composition": []})
+    m = identity_monad(base)
+    em = em_category(m)
+    assert len(em.category.objects) == len(base.objects)
+    assert len(em.category.morphisms) == len(base.morphisms)
+    assert em.algebra_id("a|b", "c") != em.algebra_id("a", "b|c")
+    kl = kleisli_category(m)
+    assert len(kl.category.morphisms) == len(base.morphisms)
+    assert kl.kleisli_id("u", "p:q", "r") != kl.kleisli_id("u:p", "q", "r")
+    assert induced_monad(em.adj) == m
+    assert induced_monad(kl.adj) == m
 
 
 def test_two_runs_produce_identical_categories(cor):

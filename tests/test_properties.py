@@ -9,42 +9,11 @@ away from the handpicked fixtures.
 from itertools import product
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from oracles import posets
 
 from finmonad.fincat import opposite, validate_category
 from finmonad.jsonio import category_to_raw
 from finmonad.monad import enumerate_comonads, enumerate_monads
-
-
-@st.composite
-def posets(draw):
-    n = draw(st.integers(min_value=0, max_value=4))
-    labels = [f"x{i}" for i in range(n)]
-    below = {(labels[i], labels[j]): draw(st.booleans())
-             for i in range(n) for j in range(i + 1, n)}
-    # transitive closure over the index order keeps the relation a partial
-    # order (antisymmetry is free: edges only point up the index order)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    a, b, c = labels[i], labels[j], labels[k]
-                    if below.get((a, b)) and below.get((b, c)) \
-                            and not below.get((a, c)):
-                        below[(a, c)] = True
-                        changed = True
-    le = {(a, b) for (a, b), v in below.items() if v}
-    morphisms = [{"id": f"le_{a}_{b}", "src": a, "tgt": b} for a, b in sorted(le)]
-    comp = []
-    for a, b in sorted(le):
-        for b2, c in sorted(le):
-            if b2 == b:
-                comp.append({"first": f"le_{a}_{b}", "then": f"le_{b}_{c}",
-                             "equals": f"le_{a}_{c}"})
-    return validate_category({"objects": labels, "morphisms": morphisms,
-                              "composition": comp})
 
 
 def closure_count(cat):

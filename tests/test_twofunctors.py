@@ -2,6 +2,7 @@
 round trips."""
 
 import pytest
+from oracles import chain2_times_z2, transformation_monoid
 
 from finmonad.adjunction import CommutingSquareR, mate_right
 from finmonad.construct import em_category, em_coalgebra_category, kleisli_category
@@ -14,7 +15,7 @@ from finmonad.fincat import (
     whisker_right,
 )
 from finmonad.fixtures import thin_mixed_law
-from finmonad.monad import identity_comonad, identity_monad
+from finmonad.monad import enumerate_monads, identity_comonad, identity_monad
 from finmonad.twofunctors import (
     AdjLOneCell,
     MndBulletOneCell,
@@ -229,19 +230,25 @@ def test_joint_compatibility_base_mismatch(cor):
 
 
 def test_joint_compatibility_false_needs_two_laws(cor):
-    # scan the corpus for a pair with at least two laws; every fixture pair
-    # is thin or a Z2 variant with a unique law, so this is expected to skip
-    for _, _, S in cor.all_monads():
-        for _, _, T in cor.all_monads():
-            if S.base != T.base:
-                continue
-            laws = enumerate_dist_laws(S, T)
-            if len(laws) >= 2:
-                lm = lift_monad(laws[0])
-                ke = extend_monad(laws[1])
-                assert check_joint_compatibility(lm, ke) is False
-                return
-    pytest.skip("no fixture pair admits two distributive laws")
+    # Look for a pair of monads with at least two laws: the corpus, then
+    # every monad on T3 (all self-maps of a 3-set) and on C2×Z2.
+    spaces = {name: enumerate_monads(cat) for name, cat in (
+        ("T3", transformation_monoid(3)), ("C2×Z2", chain2_times_z2()))}
+    groups = [[m for _, _, m in cor.all_monads() if m.base == base]
+              for base in (cor.c2, cor.c3, cor.m_z2)]
+    for monads in groups + list(spaces.values()):
+        for S in monads:
+            for T in monads:
+                laws = enumerate_dist_laws(S, T)
+                if len(laws) >= 2:
+                    lm = lift_monad(laws[0])
+                    ke = extend_monad(laws[1])
+                    assert check_joint_compatibility(lm, ke) is False
+                    return
+    searched = ", ".join(f"{len(ms) ** 2} ordered pairs of the {len(ms)} "
+                         f"monads on {name}" for name, ms in spaces.items())
+    pytest.skip("no pair of monads admits two distributive laws; searched "
+                f"every corpus pair on a common base and {searched}")
 
 
 def test_psi_k_two_cells_for_mu_and_eta_pass(cor):
