@@ -28,6 +28,8 @@ from .fincat import (
     compose_functors,
     identity_functor,
     identity_nat,
+    opposite_functor,
+    opposite_nat,
     vcomp,
     whisker_left,
     whisker_right,
@@ -100,6 +102,12 @@ class Adjunction:
 
     def __repr__(self):
         return f"Adjunction({self.base!r} -> {self.upper!r})"
+
+
+def opposite_adjunction(a: Adjunction) -> Adjunction:
+    """R^op ⊣ L^op on the opposite categories: unit and counit swap."""
+    return Adjunction(opposite_functor(a.R), opposite_functor(a.L),
+                      opposite_nat(a.counit), opposite_nat(a.unit))
 
 
 def identity_adjunction(cat: FinCategory) -> Adjunction:

@@ -7,7 +7,9 @@ distinct data never share an id:
 
 * an algebra (X, chi: SX → X) gets the object id ``⟨X|chi⟩`` and an algebra
   morphism with underlying f gets ``⟨f:A→B⟩`` for algebra object ids A, B;
-* coalgebras (N, xi: N → GN) follow the same scheme;
+* coalgebras (N, xi: N → GN) follow the same scheme: they are built as
+  the algebras of the same tables on the opposite category, with each
+  morphism id written in the coalgebra direction;
 * a Kleisli morphism with underlying y: X → TY gets ``♯⟨y:X→Y⟩``. The
   target object is part of the id because T may identify carriers, in
   which case the underlying morphism alone does not determine it.
@@ -18,7 +20,7 @@ included) and every adjunction passes its triangle identities.
 
 from __future__ import annotations
 
-from .adjunction import Adjunction, induced_monad
+from .adjunction import Adjunction, induced_monad, opposite_adjunction
 from .errors import EnumerationCapExceeded
 from .fincat import (
     DEFAULT_CAP,
@@ -29,7 +31,7 @@ from .fincat import (
     compose_functors,
     identity_functor,
 )
-from .monad import Comonad, Monad
+from .monad import Comonad, Monad, monad_on_opposite
 
 
 _DELIMITERS = frozenset("\\|:→⟨⟩")
@@ -59,11 +61,11 @@ def _kleisli_id(y: str, src: str, tgt: str) -> str:
 class EmAlgebraCategory:
     """Algebras (X, chi) of a monad with the free/forgetful adjunction F ⊣ U."""
 
-    __slots__ = ("monad", "category", "U", "F", "adj",
-                 "_carrier", "_structure", "_underlying", "_by_pair", "_free")
+    __slots__ = ("monad", "category", "U", "F", "adj", "_carrier",
+                 "_structure", "_underlying", "_by_pair", "_free", "_name")
 
     def __init__(self, monad, category, U, F, adj, carrier, structure,
-                 underlying, by_pair, free):
+                 underlying, by_pair, free, name):
         self.monad = monad
         self.category = category
         self.U = U
@@ -74,6 +76,7 @@ class EmAlgebraCategory:
         self._underlying = underlying
         self._by_pair = by_pair
         self._free = free
+        self._name = name
 
     def algebra_objects(self):
         """(object id, carrier, structure map) in canonical order."""
@@ -103,13 +106,22 @@ class EmAlgebraCategory:
 
     def as_algebra_morphism(self, f: str, src: str, tgt: str):
         """The morphism id for underlying f between the two algebras, or None."""
-        mid = _algebra_morphism_id(f, src, tgt)
+        mid = self._name(f, src, tgt)
         return mid if self.category.has_morphism(mid) else None
 
 
 def em_category(m: Monad, cap: int = DEFAULT_CAP) -> EmAlgebraCategory:
     """Enumerate all algebras and algebra morphisms of a valid monad."""
     m.require_valid()
+    em = _em_category(m, cap, _algebra_morphism_id)
+    if induced_monad(em.adj) != m:
+        raise AssertionError("algebra adjunction does not induce its monad")
+    return em
+
+
+def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
+    """The algebra construction for a valid monad; ``name(f, A, B)`` is the
+    id of the algebra morphism A → B with underlying f."""
     base = m.base
     S = m.S
 
@@ -140,16 +152,15 @@ def em_category(m: Monad, cap: int = DEFAULT_CAP) -> EmAlgebraCategory:
                 # algebra morphism square: f ∘ chi = chi' ∘ S f
                 if base.compose(structure[a], f) != base.compose(S.mor(f), structure[b]):
                     continue
-                mid = _algebra_morphism_id(f, a, b)
+                mid = name(f, a, b)
                 morphisms.append(Morphism(mid, a, b))
                 underlying[mid] = f
 
-    identities = {a: _algebra_morphism_id(base.identity(carrier[a]), a, a)
-                  for a in objects}
+    identities = {a: name(base.identity(carrier[a]), a, a) for a in objects}
 
     def comp(f: Morphism, g: Morphism) -> str:
-        return _algebra_morphism_id(
-            base.compose(underlying[f.id], underlying[g.id]), f.src, g.tgt)
+        return name(base.compose(underlying[f.id], underlying[g.id]),
+                    f.src, g.tgt)
 
     category = assemble_category(objects, morphisms, identities, comp)
 
@@ -165,144 +176,76 @@ def em_category(m: Monad, cap: int = DEFAULT_CAP) -> EmAlgebraCategory:
         free[x] = a
     F = Functor(base, category,
                 free,
-                {mm.id: _algebra_morphism_id(S.mor(mm.id), free[mm.src], free[mm.tgt])
+                {mm.id: name(S.mor(mm.id), free[mm.src], free[mm.tgt])
                  for mm in base.morphisms})
 
     unit = NatTrans(identity_functor(base), compose_functors(U, F),
                     dict(m.eta.components))
     counit = NatTrans(compose_functors(F, U), identity_functor(category),
-                      {a: _algebra_morphism_id(structure[a], free[carrier[a]], a)
+                      {a: name(structure[a], free[carrier[a]], a)
                        for a in objects})
     adj = Adjunction(F, U, unit, counit)
 
-    em = EmAlgebraCategory(m, category, U, F, adj, carrier, structure,
-                           underlying, by_pair, free)
-    if induced_monad(adj) != m:
-        raise AssertionError("algebra adjunction does not induce its monad")
-    return em
+    return EmAlgebraCategory(m, category, U, F, adj, carrier, structure,
+                             underlying, by_pair, free, name)
 
 
 class EmCoalgebraCategory:
-    """Coalgebras (N, xi) of a comonad with the adjunction U ⊣ F (cofree)."""
+    """Coalgebras (N, xi) of a comonad with the adjunction U ⊣ F (cofree).
 
-    __slots__ = ("comonad", "category", "U", "F", "adj",
-                 "_carrier", "_structure", "_underlying", "_by_pair", "_cofree")
+    A view of the algebras of :func:`monad_on_opposite`: a coalgebra
+    (N, xi: N → GN) is an algebra of the same tables on the opposite
+    category, a coalgebra morphism A → B is an algebra morphism B → A, and
+    the category, U, F and the adjunction are the opposites of the algebra
+    ones (the algebra adjunction F ⊣ U turns into U ⊣ F).
+    """
 
-    def __init__(self, comonad, category, U, F, adj, carrier, structure,
-                 underlying, by_pair, cofree):
+    __slots__ = ("comonad", "category", "U", "F", "adj", "_em")
+
+    def __init__(self, comonad: Comonad, em: EmAlgebraCategory):
         self.comonad = comonad
-        self.category = category
-        self.U = U
-        self.F = F
-        self.adj = adj
-        self._carrier = carrier
-        self._structure = structure
-        self._underlying = underlying
-        self._by_pair = by_pair
-        self._cofree = cofree
+        self._em = em
+        self.adj = opposite_adjunction(em.adj)
+        self.U = self.adj.L
+        self.F = self.adj.R
+        self.category = self.U.source
 
     def coalgebra_objects(self):
-        return [(a, self._carrier[a], self._structure[a])
-                for a in self.category.objects]
+        return self._em.algebra_objects()
 
     def carrier(self, obj: str) -> str:
-        return self._carrier[obj]
+        return self._em.carrier(obj)
 
     def structure(self, obj: str) -> str:
-        return self._structure[obj]
+        return self._em.structure(obj)
 
     def coalgebra_id(self, carrier: str, xi: str) -> str:
-        return self._by_pair[(carrier, xi)]
+        return self._em.algebra_id(carrier, xi)
 
     def has_coalgebra(self, carrier: str, xi: str) -> bool:
-        return (carrier, xi) in self._by_pair
+        return self._em.has_algebra(carrier, xi)
 
     def coalgebras_with_carrier(self, carrier: str) -> list:
-        return [a for a in self.category.objects if self._carrier[a] == carrier]
+        return self._em.algebras_with_carrier(carrier)
 
     def cofree_coalgebra(self, x: str) -> str:
-        return self._cofree[x]
+        return self._em.free_algebra(x)
 
     def underlying(self, morph: str) -> str:
-        return self._underlying[morph]
+        return self._em.underlying(morph)
 
     def as_coalgebra_morphism(self, f: str, src: str, tgt: str):
-        mid = _algebra_morphism_id(f, src, tgt)
-        return mid if self.category.has_morphism(mid) else None
+        return self._em.as_algebra_morphism(f, tgt, src)
 
 
 def em_coalgebra_category(c: Comonad, cap: int = DEFAULT_CAP) -> EmCoalgebraCategory:
-    """Enumerate all coalgebras of a valid comonad; dual of :func:`em_category`."""
+    """Enumerate all coalgebras of a valid comonad: the algebras of the same
+    tables on the opposite category, with each morphism named in the
+    coalgebra direction."""
     c.require_valid()
-    base = c.base
-    G = c.G
-
-    estimate = sum(len(base.hom(x, G.ob(x))) for x in base.objects)
-    if estimate > cap:
-        raise EnumerationCapExceeded(estimate, cap)
-
-    carrier, structure, by_pair = {}, {}, {}
-    objects = []
-    for x in base.objects:
-        for xi in base.hom(x, G.ob(x)):
-            # counit law epsilon_X ∘ xi = id_X and comultiplication square
-            if base.compose(xi, c.epsilon.at(x)) != base.identity(x):
-                continue
-            if base.compose(xi, c.delta.at(x)) != base.compose(xi, G.mor(xi)):
-                continue
-            a = _algebra_id(x, xi)
-            objects.append(a)
-            carrier[a] = x
-            structure[a] = xi
-            by_pair[(x, xi)] = a
-
-    morphisms = []
-    underlying = {}
-    for a in objects:
-        for b in objects:
-            for f in base.hom(carrier[a], carrier[b]):
-                # coalgebra morphism square: xi' ∘ f = G f ∘ xi
-                if base.compose(f, structure[b]) != base.compose(structure[a], G.mor(f)):
-                    continue
-                mid = _algebra_morphism_id(f, a, b)
-                morphisms.append(Morphism(mid, a, b))
-                underlying[mid] = f
-
-    identities = {a: _algebra_morphism_id(base.identity(carrier[a]), a, a)
-                  for a in objects}
-
-    def comp(f: Morphism, g: Morphism) -> str:
-        return _algebra_morphism_id(
-            base.compose(underlying[f.id], underlying[g.id]), f.src, g.tgt)
-
-    category = assemble_category(objects, morphisms, identities, comp)
-
-    U = Functor(category, base,
-                {a: carrier[a] for a in objects},
-                {mm.id: underlying[mm.id] for mm in morphisms})
-
-    cofree = {}
-    for x in base.objects:
-        a = by_pair.get((G.ob(x), c.delta.at(x)))
-        if a is None:
-            raise AssertionError(f"cofree coalgebra on {x} is missing")
-        cofree[x] = a
-    F = Functor(base, category,
-                cofree,
-                {mm.id: _algebra_morphism_id(G.mor(mm.id), cofree[mm.src], cofree[mm.tgt])
-                 for mm in base.morphisms})
-
-    # U ⊣ F: unit embeds each coalgebra into its cofree one via xi,
-    # counit is epsilon downstairs.
-    unit = NatTrans(identity_functor(category), compose_functors(F, U),
-                    {a: _algebra_morphism_id(structure[a], a, cofree[carrier[a]])
-                     for a in objects})
-    counit = NatTrans(compose_functors(U, F), identity_functor(base),
-                      dict(c.epsilon.components))
-    adj = Adjunction(U, F, unit, counit)
-
-    return EmCoalgebraCategory(c, category, U, F, adj, carrier, structure,
-                               underlying, by_pair, cofree)
+    em = _em_category(monad_on_opposite(c), cap,
+                      lambda f, src, tgt: _algebra_morphism_id(f, tgt, src))
+    return EmCoalgebraCategory(c, em)
 
 
 class KleisliCategory:

@@ -62,7 +62,7 @@ class FinCategory:
     """
 
     __slots__ = ("objects", "morphisms", "identities",
-                 "_index", "_by_id", "_hom", "_by_src", "_table", "_key")
+                 "_index", "_by_id", "_hom", "_by_src", "_table", "_key", "_op")
 
     def __init__(self, objects, morphisms, identities, composition):
         self.objects = tuple(objects)
@@ -83,6 +83,7 @@ class FinCategory:
             table[self._index[f]][self._index[g]] = self._index[h]
         self._table = table
         self._key = None
+        self._op = None
 
     # -- lookups -----------------------------------------------------------
 
@@ -426,16 +427,21 @@ def assemble_category(objects, morphisms, identities, compose_fn, *,
 
 
 def opposite(cat: FinCategory) -> FinCategory:
-    """The category with the same cells and all arrows reversed."""
-    morphs = [Morphism(m.id, m.tgt, m.src) for m in cat.morphisms]
-    by_id = {m.id: m for m in morphs}
+    """The category with the same cells and all arrows reversed.
 
-    def comp(f, g):
+    The opposite of a valid category is valid, so it is built without
+    revalidation, and it is built once: ``opposite(opposite(cat))`` is
+    ``cat`` itself.
+    """
+    if cat._op is None:
         # g∘f in the opposite is f∘g in the original
-        return cat.compose(g.id, f.id)
-
-    del by_id
-    return assemble_category(cat.objects, morphs, cat.identities, comp)
+        op = FinCategory(cat.objects,
+                         [Morphism(m.id, m.tgt, m.src) for m in cat.morphisms],
+                         cat.identities,
+                         {(g, f): h for f, g, h in cat.composition_items()})
+        op._op = cat
+        cat._op = op
+    return cat._op
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +451,7 @@ def opposite(cat: FinCategory) -> FinCategory:
 class Functor:
     """A functor between finite categories, as explicit total maps."""
 
-    __slots__ = ("source", "target", "object_map", "morphism_map", "_key")
+    __slots__ = ("source", "target", "object_map", "morphism_map", "_key", "_op")
 
     def __init__(self, source: FinCategory, target: FinCategory,
                  object_map: dict, morphism_map: dict):
@@ -462,6 +468,7 @@ class Functor:
         self.object_map = {x: object_map[x] for x in source.objects}
         self.morphism_map = {m.id: morphism_map[m.id] for m in source.morphisms}
         self._key = None
+        self._op = None
 
     def ob(self, x: str) -> str:
         return self.object_map[x]
@@ -520,6 +527,16 @@ def identity_functor(cat: FinCategory) -> Functor:
                    {m.id: m.id for m in cat.morphisms})
 
 
+def opposite_functor(F: Functor) -> Functor:
+    """F^op: the same maps between the opposite categories, built once like
+    :func:`opposite`."""
+    if F._op is None:
+        F._op = Functor(opposite(F.source), opposite(F.target),
+                        F.object_map, F.morphism_map)
+        F._op._op = F
+    return F._op
+
+
 def compose_functors(F: Functor, G: Functor) -> Functor:
     """F∘G: apply G first, then F."""
     if G.target != F.source:
@@ -536,7 +553,7 @@ def compose_functors(F: Functor, G: Functor) -> Functor:
 class NatTrans:
     """A transformation between parallel functors, one component per object."""
 
-    __slots__ = ("source", "target", "components", "_key")
+    __slots__ = ("source", "target", "components", "_key", "_op")
 
     def __init__(self, source: Functor, target: Functor, components: dict):
         if source.source != target.source or source.target != target.target:
@@ -555,6 +572,7 @@ class NatTrans:
         self.target = target
         self.components = {x: components[x] for x in source.source.objects}
         self._key = None
+        self._op = None
 
     def at(self, x: str) -> str:
         return self.components[x]
@@ -597,6 +615,16 @@ def check_naturality(alpha: NatTrans) -> list:
             out.append(Violation("NaturalityViolation", "law-naturality",
                                  where=m.id, lhs=lhs, rhs=rhs))
     return out
+
+
+def opposite_nat(alpha: NatTrans) -> NatTrans:
+    """alpha^op: G^op → F^op for alpha: F → G, with the same components,
+    built once like :func:`opposite`."""
+    if alpha._op is None:
+        alpha._op = NatTrans(opposite_functor(alpha.target),
+                             opposite_functor(alpha.source), alpha.components)
+        alpha._op._op = alpha
+    return alpha._op
 
 
 def identity_nat(F: Functor) -> NatTrans:

@@ -1,11 +1,17 @@
 """Monads and comonads on finite categories, with exhaustive law checking
-and brute-force enumeration oracles.
+and enumeration.
 
 On a poset category a monad is exactly a closure operator (monotone,
 inflationary, idempotent) and a comonad an interior operator; the
-enumerators below do not assume thinness, though: multiplication and unit
+enumerator below does not assume thinness, though: multiplication and unit
 candidates are enumerated per object over hom-sets and filtered by
 naturality and the monad laws, so one-object monoid categories work too.
+
+A comonad on C is a monad on C^op with the same tables (Street, *The formal
+theory of monads*, 1972). The comonad side is read off the monad side that
+way: :func:`check_comonad_laws`, :func:`enumerate_comonads` and
+:func:`identity_comonad` go through :func:`monad_on_opposite` and
+:func:`comonad_on_opposite`, so there is one definition of each law.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .fincat import (
     identity_functor,
     identity_nat,
     opposite,
+    opposite_functor,
+    opposite_nat,
     vcomp,
     whisker_left,
     whisker_right,
@@ -153,27 +161,37 @@ def check_monad_laws(m: Monad) -> list:
     return out
 
 
+# A comonad on C is a monad on C^op with the same tables: its laws are the
+# monad laws there, renamed. Naturality is checked on the opposite
+# category, which reads each square from the other side.
+_COMONAD_NAMES = {
+    ("MultiplicationNotNatural", "law-naturality"):
+        ("ComultiplicationNotNatural", "law-naturality"),
+    ("UnitNotNatural", "law-naturality"):
+        ("CounitNotNatural", "law-naturality"),
+    ("MonadAssociativity", "law-monad-assoc"):
+        ("ComonadCoassociativity", "law-comonad-coassoc"),
+    ("MonadUnitLeft", "law-monad-unit-left"):
+        ("ComonadCounitLeft", "law-comonad-counit-left"),
+    ("MonadUnitRight", "law-monad-unit-right"):
+        ("ComonadCounitRight", "law-comonad-counit-right"),
+}
+
+
+def dual_violation(v: Violation, names: dict) -> Violation:
+    """A violation found on the opposite category, named through ``names``
+    and with the sides of a naturality square read back."""
+    kind, tag = names.get((v.kind, v.tag), (v.kind, v.tag))
+    lhs, rhs = (v.rhs, v.lhs) if v.tag == "law-naturality" else (v.lhs, v.rhs)
+    return Violation(kind, tag, where=v.where, lhs=lhs, rhs=rhs,
+                     detail=v.detail)
+
+
 def check_comonad_laws(c: Comonad) -> list:
-    out = []
-    for v in check_naturality(c.delta):
-        out.append(Violation("ComultiplicationNotNatural", "law-naturality",
-                             where=v.where, lhs=v.lhs, rhs=v.rhs))
-    for v in check_naturality(c.epsilon):
-        out.append(Violation("CounitNotNatural", "law-naturality",
-                             where=v.where, lhs=v.lhs, rhs=v.rhs))
-    # (delta G) ∘ delta = (G delta) ∘ delta
-    _compare("ComonadCoassociativity", "law-comonad-coassoc",
-             vcomp(c.delta, whisker_right(c.delta, c.G)),
-             vcomp(c.delta, whisker_left(c.G, c.delta)), out)
-    # (epsilon G) ∘ delta = id_G
-    _compare("ComonadCounitLeft", "law-comonad-counit-left",
-             vcomp(c.delta, whisker_right(c.epsilon, c.G)),
-             identity_nat(c.G), out)
-    # (G epsilon) ∘ delta = id_G
-    _compare("ComonadCounitRight", "law-comonad-counit-right",
-             vcomp(c.delta, whisker_left(c.G, c.epsilon)),
-             identity_nat(c.G), out)
-    return out
+    """Empty report iff delta/epsilon are natural and all three comonad laws
+    hold: the monad laws of :func:`monad_on_opposite`, renamed."""
+    return [dual_violation(v, _COMONAD_NAMES)
+            for v in check_monad_laws(monad_on_opposite(c))]
 
 
 def identity_monad(cat: FinCategory) -> Monad:
@@ -184,10 +202,7 @@ def identity_monad(cat: FinCategory) -> Monad:
 
 
 def identity_comonad(cat: FinCategory) -> Comonad:
-    Id = identity_functor(cat)
-    comps = {x: cat.identity(x) for x in cat.objects}
-    return Comonad(cat, Id, NatTrans(Id, compose_functors(Id, Id), comps),
-                   NatTrans(Id, Id, comps))
+    return comonad_on_opposite(identity_monad(opposite(cat)))
 
 
 def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
@@ -211,10 +226,9 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
 
     def monads_on(S: Functor) -> list:
         found = []
-        SS = compose_functors(S, S)
-        Id = identity_functor(cat)
-        for mu in enumerate_nat_trans(SS, S, cap=cap):
-            for eta in enumerate_nat_trans(Id, S, cap=cap):
+        etas = enumerate_nat_trans(identity_functor(cat), S, cap=cap)
+        for mu in enumerate_nat_trans(compose_functors(S, S), S, cap=cap):
+            for eta in etas:
                 m = Monad(cat, S, mu, eta)
                 if not check_monad_laws(m):
                     found.append(m)
@@ -228,41 +242,23 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
 
 def enumerate_comonads(cat: FinCategory, cap: int = DEFAULT_CAP,
                        jobs: int = 1) -> list:
-    """All comonads on the category; dual of :func:`enumerate_monads`."""
-    endos = enumerate_functors(cat, cat, cap=cap, jobs=jobs)
+    """All comonads on the category: the monads on its opposite, read back.
 
-    estimate = 0
-    for G in endos:
-        d_n = e_n = 1
-        for x in cat.objects:
-            d_n *= len(cat.hom(G.ob(x), G.ob(G.ob(x))))
-            e_n *= len(cat.hom(G.ob(x), x))
-        estimate += d_n * e_n
-        if estimate > cap:
-            raise EnumerationCapExceeded(estimate, cap)
-
-    def comonads_on(G: Functor) -> list:
-        found = []
-        GG = compose_functors(G, G)
-        Id = identity_functor(cat)
-        for delta in enumerate_nat_trans(G, GG, cap=cap):
-            for eps in enumerate_nat_trans(G, Id, cap=cap):
-                c = Comonad(cat, G, delta, eps)
-                if not check_comonad_laws(c):
-                    found.append(c)
-        return found
-
-    groups = pmap(comonads_on, endos, jobs=jobs)
-    out = [c for group in groups for c in group]
-    out.sort(key=lambda c: c.canonical_key())
-    return out
+    The candidate count, and so the cap verdict, is that of
+    :func:`enumerate_monads` on the opposite category.
+    """
+    return [comonad_on_opposite(m)
+            for m in enumerate_monads(opposite(cat), cap=cap, jobs=jobs)]
 
 
 def monad_on_opposite(c: Comonad) -> Monad:
     """The monad on the opposite category carried by a comonad (same tables)."""
-    op = opposite(c.base)
-    G = Functor(op, op, c.G.object_map, c.G.morphism_map)
-    GG = compose_functors(G, G)
-    mu = NatTrans(GG, G, c.delta.components)
-    eta = NatTrans(identity_functor(op), G, c.epsilon.components)
-    return Monad(op, G, mu, eta)
+    return Monad(opposite(c.base), opposite_functor(c.G),
+                 opposite_nat(c.delta), opposite_nat(c.epsilon))
+
+
+def comonad_on_opposite(m: Monad) -> Comonad:
+    """The comonad on the opposite category carried by a monad (same tables);
+    the inverse of :func:`monad_on_opposite`."""
+    return Comonad(opposite(m.base), opposite_functor(m.S),
+                   opposite_nat(m.mu), opposite_nat(m.eta))

@@ -28,6 +28,7 @@ case. The lifting/extension operations below always pass through the
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 from .adjunction import (
@@ -67,11 +68,20 @@ from .fincat import (
     enumerate_nat_trans,
     identity_functor,
     identity_nat,
+    opposite_functor,
+    opposite_nat,
     vcomp,
     whisker_left,
     whisker_right,
 )
-from .monad import Comonad, Monad
+from .monad import (
+    _COMONAD_NAMES,
+    Comonad,
+    Monad,
+    comonad_on_opposite,
+    dual_violation,
+    monad_on_opposite,
+)
 from .parallel import pmap
 from .report import Violation, entry
 
@@ -967,32 +977,46 @@ class LiftedComonad:
         return hash(self.canonical_key())
 
 
+# A monad lifting to the coalgebras of G is a comonad lifting, on the
+# opposite category, of S^op to the algebras of G^op. Its checks are those of
+# LiftedComonad there, renamed.
+_COLIFTING_NAMES = {
+    ("LiftingSquareBroken", "Eq-1510081654"):
+        ("LiftingSquareBroken", "Eq-1510081654"),
+    ("ComultiplicationNotOverBase", "law-mnd-2cell"):
+        ("MultiplicationNotOverBase", "law-comnd-2cell"),
+    ("CounitNotOverBase", "law-mnd-2cell"):
+        ("UnitNotOverBase", "law-comnd-2cell"),
+    **{new: old for old, new in _COMONAD_NAMES.items()},
+}
+_COLIFTING_DETAILS = {
+    "U∘Ghat = G∘U fails": "U∘Shat = S∘U fails",
+    "U delta_hat = delta U fails": "U mu_hat = mu U fails",
+    "U eps_hat = epsilon U fails": "U eta_hat = eta U fails",
+}
+
+
 class CoalgebraLifting:
     """A monad (Shat, mu_hat, eta_hat) on the coalgebras of G lying over the
-    monad S: U∘Shat = S∘U strictly, monad laws upstairs."""
+    monad S: U∘Shat = S∘U strictly, monad laws upstairs. Validated on
+    construction, as the comonad lifting it is on the opposite category."""
 
-    __slots__ = ("base", "co", "below", "shat", "mu_hat", "eta_hat")
+    __slots__ = ("base", "co", "below", "shat", "mu_hat", "eta_hat", "_op")
 
     def __init__(self, base: Comonad, co: EmCoalgebraCategory, below: Monad,
                  shat: Functor, mu_hat: NatTrans, eta_hat: NatTrans):
         if co.comonad != base:
             raise BaseMismatch("coalgebra category does not belong to the comonad")
-        if base.base != below.base:
-            raise BaseMismatch("monad and comonad live on different bases")
-        bad = []
-        if compose_functors(co.U, shat) != compose_functors(below.S, co.U):
-            bad.append(Violation("LiftingSquareBroken", "Eq-1510081654",
-                                 detail="U∘Shat = S∘U fails"))
-        if whisker_left(co.U, mu_hat) != whisker_right(below.mu, co.U):
-            bad.append(Violation("MultiplicationNotOverBase", "law-comnd-2cell",
-                                 detail="U mu_hat = mu U fails"))
-        if whisker_left(co.U, eta_hat) != whisker_right(below.eta, co.U):
-            bad.append(Violation("UnitNotOverBase", "law-comnd-2cell",
-                                 detail="U eta_hat = eta U fails"))
-        upstairs = Monad(co.category, shat, mu_hat, eta_hat)
-        bad.extend(upstairs.check())
-        if bad:
-            raise LawViolation(bad, context="coalgebra-side lifting")
+        try:
+            self._op = LiftedComonad(
+                co._em.monad, co._em, comonad_on_opposite(below),
+                opposite_functor(shat), opposite_nat(mu_hat),
+                opposite_nat(eta_hat))
+        except LawViolation as exc:
+            bad = [dual_violation(v, _COLIFTING_NAMES) for v in exc.violations]
+            bad = [replace(v, detail=_COLIFTING_DETAILS.get(v.detail, v.detail))
+                   for v in bad]
+            raise LawViolation(bad, context="coalgebra-side lifting") from None
         self.base = base
         self.co = co
         self.below = below
@@ -1095,6 +1119,12 @@ def lift_comonad(ml: MixedDistributiveLaw, em: EmAlgebraCategory = None) -> Lift
     """Lift G to the algebras of S along a valid mixed law psi: SG → GS."""
     ml.require_valid()
     em = em if em is not None else em_category(ml.S)
+    return LiftedComonad(ml.S, em, ml.G, *_comonad_lifting(ml, em))
+
+
+def _comonad_lifting(ml: MixedDistributiveLaw, em: EmAlgebraCategory) -> tuple:
+    """(Ghat, delta_hat, eps_hat) for a valid mixed law: the psi_E images of
+    the 1-cell (G, psi) and of delta^G and epsilon^G as 2-cells."""
     cell = MndOneCell(ml.S, ml.S, ml.G.G, ml.psi).require_valid()
     acell = psi_e_1cell(cell, em, em)
     comp_cell = mnd_compose(cell, cell)
@@ -1105,26 +1135,25 @@ def lift_comonad(ml: MixedDistributiveLaw, em: EmAlgebraCategory = None) -> Lift
     eps2 = MndTwoCell(cell, id_cell, ml.G.epsilon).require_valid()
     delta_pair = psi_e_2cell(delta2, em, em, acell, comp_acell)
     eps_pair = psi_e_2cell(eps2, em, em, acell, id_acell)
-    return LiftedComonad(ml.S, em, ml.G, acell.K, delta_pair.beta, eps_pair.beta)
+    return acell.K, delta_pair.beta, eps_pair.beta
+
+
+def _mixed_on_opposite(ml: MixedDistributiveLaw) -> MixedDistributiveLaw:
+    """psi: SG → GS read on the opposite category, as a mixed law from the
+    monad G^op to the comonad S^op with the same components."""
+    return MixedDistributiveLaw(monad_on_opposite(ml.G),
+                                comonad_on_opposite(ml.S), opposite_nat(ml.psi))
 
 
 def colift_monad(ml: MixedDistributiveLaw,
                  co: EmCoalgebraCategory = None) -> CoalgebraLifting:
-    """Lift S to the coalgebras of G along a valid mixed law."""
+    """Lift S to the coalgebras of G along a valid mixed law: the comonad
+    lifting of S^op to the algebras of G^op, read back."""
     ml.require_valid()
     co = co if co is not None else em_coalgebra_category(ml.G)
-    cell = CoMndOneCell(ml.G, ml.G, ml.S.S, ml.psi).require_valid()
-    acell = vec_psi_e_1cell(cell, co, co)
-    comp_cell = comnd_compose(cell, cell)
-    comp_acell = vec_psi_e_1cell(comp_cell, co, co)
-    id_cell = comnd_identity_cell(ml.G)
-    id_acell = vec_psi_e_1cell(id_cell, co, co)
-    mu2 = CoMndTwoCell(comp_cell, cell, ml.S.mu).require_valid()
-    eta2 = CoMndTwoCell(id_cell, cell, ml.S.eta).require_valid()
-    mu_pair = vec_psi_e_2cell(mu2, co, co, comp_acell, acell)
-    eta_pair = vec_psi_e_2cell(eta2, co, co, id_acell, acell)
-    return CoalgebraLifting(ml.G, co, ml.S, acell.J, mu_pair.alpha,
-                            eta_pair.alpha)
+    ghat, delta_hat, eps_hat = _comonad_lifting(_mixed_on_opposite(ml), co._em)
+    return CoalgebraLifting(ml.G, co, ml.S, opposite_functor(ghat),
+                            opposite_nat(delta_hat), opposite_nat(eps_hat))
 
 
 def extract_mixed_from_lifting(lc: LiftedComonad) -> MixedDistributiveLaw:
@@ -1136,10 +1165,9 @@ def extract_mixed_from_lifting(lc: LiftedComonad) -> MixedDistributiveLaw:
 
 
 def extract_mixed_from_colifting(cl: CoalgebraLifting) -> MixedDistributiveLaw:
-    """Recover psi = U rho_S from a monad lifting to coalgebras."""
-    sq = CommutingSquareL(cl.co.adj, cl.co.adj, cl.shat, cl.below.S)
-    rho = mate_left(sq)
-    psi = whisker_left(cl.co.U, rho)
+    """Recover psi = U rho_S from a monad lifting to coalgebras: the law
+    recovered from the comonad lifting it is on the opposite category."""
+    psi = opposite_nat(extract_mixed_from_lifting(cl._op).psi)
     return MixedDistributiveLaw(cl.below, cl.base, psi).require_valid()
 
 

@@ -1,21 +1,43 @@
-"""Brute-force oracles and small test categories.
+"""Brute-force oracles, reference constructions and small test categories.
 
 The oracles search the whole product space: every object map, then every
 product of hom-sets, each candidate filtered by the law checkers of
 :mod:`finmonad.fincat`. They are slow but plainly exhaustive, and the
-tests hold the backtracking enumerators of ``fincat`` to them.
+tests hold the backtracking enumerators of ``fincat`` to them. The
+comonad-side references at the end are the direct constructions that the
+library now reads off the monad side on the opposite category.
 """
 
 from itertools import product
 
 from hypothesis import strategies as st
 
+from finmonad.adjunction import Adjunction, CommutingSquareL, mate_left
+from finmonad.construct import _algebra_id, _algebra_morphism_id
 from finmonad.fincat import (
     Functor,
+    Morphism,
     NatTrans,
+    assemble_category,
     check_functor,
     check_naturality,
+    compose_functors,
+    identity_functor,
+    identity_nat,
     validate_category,
+    vcomp,
+    whisker_left,
+    whisker_right,
+)
+from finmonad.monad import Comonad, Monad
+from finmonad.report import Violation
+from finmonad.twofunctors import (
+    CoMndOneCell,
+    CoMndTwoCell,
+    comnd_compose,
+    comnd_identity_cell,
+    vec_psi_e_1cell,
+    vec_psi_e_2cell,
 )
 
 # ---------------------------------------------------------------------------
@@ -106,13 +128,13 @@ def chain2_times_z2():
 
 
 @st.composite
-def posets(draw):
-    """A random poset on up to four elements, as a thin category.
+def posets(draw, max_elements=4):
+    """A random poset on up to ``max_elements`` elements, as a thin category.
 
     It is the reflexive-transitive closure of a random relation that only
     points up the index order, so antisymmetry comes for free.
     """
-    n = draw(st.integers(min_value=0, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=max_elements))
     labels = [f"x{i}" for i in range(n)]
     below = {(labels[i], labels[j]): draw(st.booleans())
              for i in range(n) for j in range(i + 1, n)}
@@ -137,3 +159,219 @@ def posets(draw):
                              "equals": f"le_{a}_{c}"})
     return validate_category({"objects": labels, "morphisms": morphisms,
                               "composition": comp})
+
+
+# ---------------------------------------------------------------------------
+# Comonad-side references
+#
+# The library reads comonads, coalgebra categories and coalgebra-side
+# liftings off the monad side on the opposite category. These are the
+# direct constructions that reading replaced, written out by hand; the
+# duality tests hold the library to them.
+
+
+def ref_check_comonad_laws(c) -> list:
+    """Naturality of delta and epsilon, then the three comonad laws."""
+    out = []
+    for v in check_naturality(c.delta):
+        out.append(Violation("ComultiplicationNotNatural", "law-naturality",
+                             where=v.where, lhs=v.lhs, rhs=v.rhs))
+    for v in check_naturality(c.epsilon):
+        out.append(Violation("CounitNotNatural", "law-naturality",
+                             where=v.where, lhs=v.lhs, rhs=v.rhs))
+    # (delta G) ∘ delta = (G delta) ∘ delta
+    _first_diff("ComonadCoassociativity", "law-comonad-coassoc",
+                vcomp(c.delta, whisker_right(c.delta, c.G)),
+                vcomp(c.delta, whisker_left(c.G, c.delta)), out)
+    # (epsilon G) ∘ delta = id_G
+    _first_diff("ComonadCounitLeft", "law-comonad-counit-left",
+                vcomp(c.delta, whisker_right(c.epsilon, c.G)),
+                identity_nat(c.G), out)
+    # (G epsilon) ∘ delta = id_G
+    _first_diff("ComonadCounitRight", "law-comonad-counit-right",
+                vcomp(c.delta, whisker_left(c.G, c.epsilon)),
+                identity_nat(c.G), out)
+    return out
+
+
+def _first_diff(kind, tag, lhs, rhs, out) -> None:
+    for x in lhs.base.objects:
+        if lhs.at(x) != rhs.at(x):
+            out.append(Violation(kind, tag, where=x, lhs=lhs.at(x),
+                                 rhs=rhs.at(x)))
+            return
+
+
+def comonad_candidates(cat) -> list:
+    """Every (G, delta, epsilon) typed as a comonad, lawful or not."""
+    out = []
+    objs = cat.objects
+    for G in brute_functors(cat, cat):
+        GG = compose_functors(G, G)
+        Id = identity_functor(cat)
+        for deltas in product(*(cat.hom(G.ob(x), GG.ob(x)) for x in objs)):
+            delta = NatTrans(G, GG, dict(zip(objs, deltas)))
+            for epss in product(*(cat.hom(G.ob(x), x) for x in objs)):
+                out.append(Comonad(cat, G, delta,
+                                   NatTrans(G, Id, dict(zip(objs, epss)))))
+    return out
+
+
+def brute_comonads(cat) -> list:
+    """Every lawful candidate, in canonical order."""
+    found = [c for c in comonad_candidates(cat) if not ref_check_comonad_laws(c)]
+    found.sort(key=lambda c: c.canonical_key())
+    return found
+
+
+class RefCoalgebraCategory:
+    """Coalgebras (N, xi) of a comonad with the adjunction U ⊣ F (cofree)."""
+
+    def __init__(self, comonad, category, U, F, adj, carrier, structure,
+                 underlying, by_pair, cofree):
+        self.comonad = comonad
+        self.category = category
+        self.U = U
+        self.F = F
+        self.adj = adj
+        self._carrier = carrier
+        self._structure = structure
+        self._underlying = underlying
+        self._by_pair = by_pair
+        self._cofree = cofree
+
+    def coalgebra_objects(self):
+        return [(a, self._carrier[a], self._structure[a])
+                for a in self.category.objects]
+
+    def carrier(self, obj):
+        return self._carrier[obj]
+
+    def structure(self, obj):
+        return self._structure[obj]
+
+    def coalgebra_id(self, carrier, xi):
+        return self._by_pair[(carrier, xi)]
+
+    def has_coalgebra(self, carrier, xi):
+        return (carrier, xi) in self._by_pair
+
+    def coalgebras_with_carrier(self, carrier):
+        return [a for a in self.category.objects if self._carrier[a] == carrier]
+
+    def cofree_coalgebra(self, x):
+        return self._cofree[x]
+
+    def underlying(self, morph):
+        return self._underlying[morph]
+
+    def as_coalgebra_morphism(self, f, src, tgt):
+        mid = _algebra_morphism_id(f, src, tgt)
+        return mid if self.category.has_morphism(mid) else None
+
+
+def ref_em_coalgebra_category(c) -> RefCoalgebraCategory:
+    """All coalgebras and coalgebra morphisms of a valid comonad."""
+    c.require_valid()
+    base = c.base
+    G = c.G
+
+    carrier, structure, by_pair = {}, {}, {}
+    objects = []
+    for x in base.objects:
+        for xi in base.hom(x, G.ob(x)):
+            # counit law epsilon_X ∘ xi = id_X and comultiplication square
+            if base.compose(xi, c.epsilon.at(x)) != base.identity(x):
+                continue
+            if base.compose(xi, c.delta.at(x)) != base.compose(xi, G.mor(xi)):
+                continue
+            a = _algebra_id(x, xi)
+            objects.append(a)
+            carrier[a] = x
+            structure[a] = xi
+            by_pair[(x, xi)] = a
+
+    morphisms = []
+    underlying = {}
+    for a in objects:
+        for b in objects:
+            for f in base.hom(carrier[a], carrier[b]):
+                # coalgebra morphism square: xi' ∘ f = G f ∘ xi
+                if base.compose(f, structure[b]) != base.compose(structure[a], G.mor(f)):
+                    continue
+                mid = _algebra_morphism_id(f, a, b)
+                morphisms.append(Morphism(mid, a, b))
+                underlying[mid] = f
+
+    identities = {a: _algebra_morphism_id(base.identity(carrier[a]), a, a)
+                  for a in objects}
+
+    def comp(f, g):
+        return _algebra_morphism_id(
+            base.compose(underlying[f.id], underlying[g.id]), f.src, g.tgt)
+
+    category = assemble_category(objects, morphisms, identities, comp)
+
+    U = Functor(category, base,
+                {a: carrier[a] for a in objects},
+                {mm.id: underlying[mm.id] for mm in morphisms})
+
+    cofree = {x: by_pair[(G.ob(x), c.delta.at(x))] for x in base.objects}
+    F = Functor(base, category,
+                cofree,
+                {mm.id: _algebra_morphism_id(G.mor(mm.id), cofree[mm.src],
+                                             cofree[mm.tgt])
+                 for mm in base.morphisms})
+
+    # U ⊣ F: the unit embeds each coalgebra into its cofree one via xi,
+    # the counit is epsilon downstairs.
+    unit = NatTrans(identity_functor(category), compose_functors(F, U),
+                    {a: _algebra_morphism_id(structure[a], a, cofree[carrier[a]])
+                     for a in objects})
+    counit = NatTrans(compose_functors(U, F), identity_functor(base),
+                      dict(c.epsilon.components))
+    adj = Adjunction(U, F, unit, counit)
+
+    return RefCoalgebraCategory(c, category, U, F, adj, carrier, structure,
+                                underlying, by_pair, cofree)
+
+
+def ref_colift_monad(ml, co=None) -> tuple:
+    """(Shat, mu_hat, eta_hat): S lifted to the coalgebras of G through the
+    CoMnd cells of the mixed law and the vec psi_E action."""
+    ml.require_valid()
+    co = co if co is not None else ref_em_coalgebra_category(ml.G)
+    cell = CoMndOneCell(ml.G, ml.G, ml.S.S, ml.psi).require_valid()
+    acell = vec_psi_e_1cell(cell, co, co)
+    comp_cell = comnd_compose(cell, cell)
+    comp_acell = vec_psi_e_1cell(comp_cell, co, co)
+    id_cell = comnd_identity_cell(ml.G)
+    id_acell = vec_psi_e_1cell(id_cell, co, co)
+    mu2 = CoMndTwoCell(comp_cell, cell, ml.S.mu).require_valid()
+    eta2 = CoMndTwoCell(id_cell, cell, ml.S.eta).require_valid()
+    mu_pair = vec_psi_e_2cell(mu2, co, co, comp_acell, acell)
+    eta_pair = vec_psi_e_2cell(eta2, co, co, id_acell, acell)
+    return acell.J, mu_pair.alpha, eta_pair.alpha
+
+
+def ref_coalgebra_lifting_violations(co, below, shat, mu_hat, eta_hat) -> list:
+    """What a monad lifting to coalgebras must satisfy: U∘Shat = S∘U, mu_hat
+    and eta_hat over mu and eta, and the monad laws upstairs."""
+    bad = []
+    if compose_functors(co.U, shat) != compose_functors(below.S, co.U):
+        bad.append(Violation("LiftingSquareBroken", "Eq-1510081654",
+                             detail="U∘Shat = S∘U fails"))
+    if whisker_left(co.U, mu_hat) != whisker_right(below.mu, co.U):
+        bad.append(Violation("MultiplicationNotOverBase", "law-comnd-2cell",
+                             detail="U mu_hat = mu U fails"))
+    if whisker_left(co.U, eta_hat) != whisker_right(below.eta, co.U):
+        bad.append(Violation("UnitNotOverBase", "law-comnd-2cell",
+                             detail="U eta_hat = eta U fails"))
+    bad.extend(Monad(co.category, shat, mu_hat, eta_hat).check())
+    return bad
+
+
+def ref_extract_mixed_from_colifting(co, below, shat) -> NatTrans:
+    """psi = U rho_S, rho_S the mate of the colifting square."""
+    sq = CommutingSquareL(co.adj, co.adj, shat, below.S)
+    return whisker_left(co.U, mate_left(sq))

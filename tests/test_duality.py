@@ -1,0 +1,186 @@
+"""The comonad side read off the monad side on the opposite category,
+held to the direct constructions of ``tests/oracles.py``: law checks,
+enumeration, coalgebra categories and coalgebra-side liftings."""
+
+import pytest
+from hypothesis import given, settings
+from oracles import (
+    brute_comonads,
+    chain2_times_z2,
+    comonad_candidates,
+    cyclic,
+    posets,
+    ref_check_comonad_laws,
+    ref_coalgebra_lifting_violations,
+    ref_colift_monad,
+    ref_em_coalgebra_category,
+    ref_extract_mixed_from_colifting,
+    transformation_monoid,
+)
+
+from finmonad.adjunction import induced_comonad
+from finmonad.construct import em_coalgebra_category
+from finmonad.distlaw import enumerate_mixed_laws
+from finmonad.errors import LawViolation
+from finmonad.fincat import NatTrans, compose_functors, identity_functor
+from finmonad.fixtures import m_z2
+from finmonad.monad import (
+    check_comonad_laws,
+    enumerate_comonads,
+    enumerate_monads,
+    identity_comonad,
+)
+from finmonad.twofunctors import (
+    CoalgebraLifting,
+    colift_monad,
+    extract_mixed_from_colifting,
+)
+
+NON_THIN = {"M(Z2)": m_z2, "Z3": lambda: cyclic(3),
+            "T2": lambda: transformation_monoid(2), "C2xZ2": chain2_times_z2}
+
+
+def keys(values):
+    return [v.canonical_key() for v in values]
+
+
+def assert_laws_match(cat):
+    candidates = comonad_candidates(cat)
+    assert candidates
+    for c in candidates:
+        assert check_comonad_laws(c) == ref_check_comonad_laws(c)
+
+
+def assert_coalgebras_match(c):
+    co, ref = em_coalgebra_category(c), ref_em_coalgebra_category(c)
+    assert co.comonad == c
+    assert co.category == ref.category
+    assert co.category.objects == ref.category.objects
+    assert co.category.morphisms == ref.category.morphisms
+    assert (co.U, co.F, co.adj) == (ref.U, ref.F, ref.adj)
+    assert induced_comonad(co.adj) == c
+    assert co.coalgebra_objects() == ref.coalgebra_objects()
+    for a, x, xi in ref.coalgebra_objects():
+        assert (co.carrier(a), co.structure(a)) == (x, xi)
+        assert co.coalgebra_id(x, xi) == a
+        assert co.coalgebras_with_carrier(x) == ref.coalgebras_with_carrier(x)
+    for x in c.base.objects:
+        assert co.cofree_coalgebra(x) == ref.cofree_coalgebra(x)
+        for xi in c.base.out_of(x):
+            assert co.has_coalgebra(x, xi) == ref.has_coalgebra(x, xi)
+    for m in ref.category.morphisms:
+        assert co.underlying(m.id) == ref.underlying(m.id)
+    objs = ref.category.objects
+    for f in c.base.morphisms:
+        for a in objs:
+            for b in objs:
+                assert (co.as_coalgebra_morphism(f.id, a, b)
+                        == ref.as_coalgebra_morphism(f.id, a, b))
+
+
+@pytest.mark.parametrize("name", sorted(NON_THIN))
+def test_comonad_violations_match_reference(name):
+    assert_laws_match(NON_THIN[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(3))
+def test_comonad_violations_match_reference_on_posets(cat):
+    assert_laws_match(cat)
+
+
+@pytest.mark.parametrize("name", sorted(NON_THIN))
+def test_enumerated_comonads_match_reference(name):
+    cat = NON_THIN[name]()
+    found = enumerate_comonads(cat)
+    assert keys(found) == keys(brute_comonads(cat))
+    assert keys(enumerate_comonads(cat, jobs=2)) == keys(found)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(3))
+def test_enumerated_comonads_match_reference_on_posets(cat):
+    assert keys(enumerate_comonads(cat)) == keys(brute_comonads(cat))
+
+
+def test_identity_comonad_is_the_unit_tables(cor):
+    for cat in (cor.c3, cor.m_z2, cor.empty):
+        c = identity_comonad(cat)
+        Id = identity_functor(cat)
+        comps = {x: cat.identity(x) for x in cat.objects}
+        assert c.base == cat and c.G == Id
+        assert c.delta == NatTrans(Id, compose_functors(Id, Id), comps)
+        assert c.epsilon == NatTrans(Id, Id, comps)
+
+
+def test_coalgebra_categories_match_reference_on_the_corpus(cor):
+    for _, _, c in cor.all_comonads():
+        assert_coalgebras_match(c)
+
+
+@pytest.mark.parametrize("name", sorted(NON_THIN))
+def test_coalgebra_categories_match_reference_off_posets(name):
+    for c in enumerate_comonads(NON_THIN[name]()):
+        assert_coalgebras_match(c)
+
+
+def mixed_laws(cor):
+    for monads, comonads in ((cor.monads_c2, cor.comonads_c2),
+                             (cor.monads_c3, cor.comonads_c3)):
+        for S in monads.values():
+            for G in comonads.values():
+                yield from enumerate_mixed_laws(S, G)
+
+
+def test_colifts_match_reference(cor):
+    seen = 0
+    for ml in mixed_laws(cor):
+        cl = colift_monad(ml)
+        shat, mu_hat, eta_hat = ref_colift_monad(ml)
+        assert (cl.base, cl.below) == (ml.G, ml.S)
+        assert cl.shat == shat
+        assert cl.mu_hat == mu_hat and cl.eta_hat == eta_hat
+        psi = ref_extract_mixed_from_colifting(cl.co, cl.below, cl.shat)
+        assert extract_mixed_from_colifting(cl).psi == psi
+        seen += 1
+    assert seen > 11
+
+
+def colifting_violations(G, co, S, shat, mu_hat, eta_hat):
+    try:
+        CoalgebraLifting(G, co, S, shat, mu_hat, eta_hat)
+    except LawViolation as exc:
+        return list(exc.violations), str(exc)
+    return [], ""
+
+
+def test_invalid_coliftings_report_like_the_reference(cor):
+    """Wrong base monads on C3, and every (mu_hat, eta_hat) over the
+    identity lifting on M(Z2), fail with the reference's violations."""
+    cases = []
+    for ml in mixed_laws(cor):
+        if ml.S.base != cor.c3:
+            continue
+        cl = colift_monad(ml)
+        for S in cor.monads_c3.values():
+            cases.append((ml.G, cl.co, S, cl.shat, cl.mu_hat, cl.eta_hat))
+    G = identity_comonad(cor.m_z2)
+    co = em_coalgebra_category(G)
+    Id = identity_functor(co.category)
+    for S in enumerate_monads(cor.m_z2):
+        for mu in ("⟨e:⟨g|e⟩→⟨g|e⟩⟩", "⟨s:⟨g|e⟩→⟨g|e⟩⟩"):
+            for eta in ("⟨e:⟨g|e⟩→⟨g|e⟩⟩", "⟨s:⟨g|e⟩→⟨g|e⟩⟩"):
+                cases.append((G, co, S, Id,
+                              NatTrans(compose_functors(Id, Id), Id,
+                                       {"⟨g|e⟩": mu}),
+                              NatTrans(Id, Id, {"⟨g|e⟩": eta})))
+    failing = 0
+    for G, co, S, shat, mu_hat, eta_hat in cases:
+        got, message = colifting_violations(G, co, S, shat, mu_hat, eta_hat)
+        want = ref_coalgebra_lifting_violations(co, S, shat, mu_hat, eta_hat)
+        assert got == want
+        if want:
+            failing += 1
+            shown = "; ".join(v.describe() for v in want[:4])
+            assert message == "coalgebra-side lifting: " + shown
+    assert failing >= 10
