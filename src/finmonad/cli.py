@@ -455,7 +455,8 @@ def main(argv=None) -> int:
     except EnumerationCapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (FinMonadError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (FinMonadError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         rep = VerificationReport(args.command, [], args.seed, [
             entry("error", "chk-validation", False,
                   witness={"kind": type(exc).__name__, "message": str(exc)})])

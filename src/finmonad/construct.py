@@ -65,7 +65,7 @@ class EmAlgebraCategory:
                  "_structure", "_underlying", "_by_pair", "_free", "_name")
 
     def __init__(self, monad, category, U, F, adj, carrier, structure,
-                 underlying, by_pair, free, name):
+                 underlying, by_pair, free):
         self.monad = monad
         self.category = category
         self.U = U
@@ -76,7 +76,8 @@ class EmAlgebraCategory:
         self._underlying = underlying
         self._by_pair = by_pair
         self._free = free
-        self._name = name
+        # names the morphism A → B with underlying f
+        self._name = _algebra_morphism_id
 
     def algebra_objects(self):
         """(object id, carrier, structure map) in canonical order."""
@@ -186,8 +187,10 @@ def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
                        for a in objects})
     adj = Adjunction(F, U, unit, counit)
 
-    return EmAlgebraCategory(m, category, U, F, adj, carrier, structure,
-                             underlying, by_pair, free, name)
+    em = EmAlgebraCategory(m, category, U, F, adj, carrier, structure,
+                           underlying, by_pair, free)
+    em._name = name
+    return em
 
 
 class EmCoalgebraCategory:

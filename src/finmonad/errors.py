@@ -23,6 +23,19 @@ class CategoryValidationError(FinMonadError):
         super().__init__(f"invalid category: {shown}")
 
 
+class FileFormatError(FinMonadError):
+    """A monad, comonad or law file does not have the shape of its kind.
+
+    Carries every shape error (``.violations``): a top level that is not
+    an object, a missing or unknown field, or a field of the wrong type.
+    """
+
+    def __init__(self, violations, what):
+        self.violations = tuple(violations)
+        shown = "; ".join(v.describe() for v in self.violations)
+        super().__init__(f"invalid {what} file: {shown}")
+
+
 class TypeMismatch(FinMonadError):
     """Two values with different declared sources/targets were compared or combined."""
 

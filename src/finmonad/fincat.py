@@ -170,25 +170,29 @@ class FinCategory:
 
 _CATEGORY_FIELDS = {"objects": list, "morphisms": list, "composition": list,
                     "identities": dict}
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a path"}
 
 
-def _schema_violations(raw) -> list:
-    """The shape errors of a raw category: top level, fields and their types."""
+def schema_violations(raw, fields: dict, what: str, tag: str,
+                      optional=()) -> list:
+    """The shape errors of a raw file of one kind: a top level that is not
+    an object, unknown fields, missing required fields, and fields whose
+    value is not of the type (or tuple of types) ``fields`` gives them."""
     def bad(kind, where, detail):
-        return Violation(kind, "law-category-structure", where=where,
-                         detail=detail)
+        return Violation(kind, tag, where=where, detail=detail)
 
     if not isinstance(raw, dict):
         return [bad("NotAnObject", type(raw).__name__,
-                    "a category must be a JSON object")]
-    out = [bad("UnknownField", str(k), "not a category field")
-           for k in raw if k not in _CATEGORY_FIELDS]
-    for name, types in _CATEGORY_FIELDS.items():
+                    f"a {what} must be a JSON object")]
+    out = [bad("UnknownField", str(k), f"not a {what} field")
+           for k in raw if k not in fields]
+    for name, types in fields.items():
         if name not in raw:
-            if name != "identities":
+            if name not in optional:
                 out.append(bad("MissingField", name, "required field"))
         elif not isinstance(raw[name], types):
-            want = "an object" if types is dict else "a list"
+            want = " or ".join(_TYPE_NAMES[t] for t in
+                               (types if isinstance(types, tuple) else (types,)))
             out.append(bad("WrongFieldType", name, f"must be {want}"))
     return out
 
@@ -204,7 +208,9 @@ def validate_category(raw: dict, *, seed: int = 0) -> FinCategory:
     instance otherwise. Validating the raw form of a validated category
     yields an equal value.
     """
-    violations = _schema_violations(raw)
+    violations = schema_violations(raw, _CATEGORY_FIELDS, "category",
+                                   "law-category-structure",
+                                   optional=("identities",))
     if not isinstance(raw, dict):
         raise CategoryValidationError(violations)
     # Only well-typed fields are read. A malformed one reads as absent, so

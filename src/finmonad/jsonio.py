@@ -16,7 +16,9 @@ Law file: {"S": <path or inline monad>, "T": <...>, "phi": {obj: morph}};
 mixed law file: {"S": ..., "G": <comonad>, "psi": {...}}.
 
 Nested "category"/"S"/... values given as strings are paths resolved
-relative to the referring file.
+relative to the referring file. Every field shown is required and no
+other field is allowed; a file of the wrong shape raises
+:class:`FileFormatError`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 import os
 
 from .distlaw import DistributiveLaw, MixedDistributiveLaw, require_typable
-from .errors import BaseMismatch, ComponentMistyped, LawViolation
+from .errors import BaseMismatch, ComponentMistyped, FileFormatError, LawViolation
 from .fincat import (
     FinCategory,
     Functor,
@@ -33,6 +35,7 @@ from .fincat import (
     compose_functors,
     check_functor,
     identity_functor,
+    schema_violations,
     validate_category,
 )
 from .monad import Comonad, Monad
@@ -43,14 +46,28 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+_REF = (str, dict)  # a path, or the object inline
+_FIELDS = {
+    "monad": {"category": _REF, "endofunctor": dict, "mu": dict, "eta": dict},
+    "comonad": {"category": _REF, "endofunctor": dict, "delta": dict,
+                "epsilon": dict},
+    "law": {"S": _REF, "T": _REF, "phi": dict},
+    "mixed law": {"S": _REF, "G": _REF, "psi": dict},
+}
+
+
+def _require_shape(raw, what: str) -> None:
+    bad = schema_violations(raw, _FIELDS[what], what, "chk-validation")
+    if bad:
+        raise FileFormatError(bad, what)
+
+
 def _resolve(value, base_dir: str):
     """A string is a path relative to the referring file; a dict is inline."""
-    if isinstance(value, str):
-        path = value if os.path.isabs(value) else os.path.join(base_dir, value)
-        return _load_json(path), os.path.dirname(os.path.abspath(path))
     if isinstance(value, dict):
         return value, base_dir
-    raise ComponentMistyped(f"expected a path or inline object, got {value!r}")
+    path = value if os.path.isabs(value) else os.path.join(base_dir, value)
+    return _load_json(path), os.path.dirname(os.path.abspath(path))
 
 
 # -- categories --------------------------------------------------------------
@@ -107,6 +124,7 @@ def functor_to_raw(F: Functor) -> dict:
 
 
 def parse_monad(raw: dict, base_dir: str = ".", *, seed: int = 0) -> Monad:
+    _require_shape(raw, "monad")
     cat_raw, _ = _resolve(raw["category"], base_dir)
     cat = parse_category(cat_raw, seed=seed)
     S = parse_endofunctor(cat, raw["endofunctor"])
@@ -132,6 +150,7 @@ def monad_to_raw(m: Monad) -> dict:
 
 
 def parse_comonad(raw: dict, base_dir: str = ".", *, seed: int = 0) -> Comonad:
+    _require_shape(raw, "comonad")
     cat_raw, _ = _resolve(raw["category"], base_dir)
     cat = parse_category(cat_raw, seed=seed)
     G = parse_endofunctor(cat, raw["endofunctor"])
@@ -160,6 +179,7 @@ def comonad_to_raw(c: Comonad) -> dict:
 
 
 def parse_dist_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> DistributiveLaw:
+    _require_shape(raw, "law")
     s_raw, s_dir = _resolve(raw["S"], base_dir)
     t_raw, t_dir = _resolve(raw["T"], base_dir)
     S = parse_monad(s_raw, s_dir, seed=seed)
@@ -186,6 +206,7 @@ def dist_law_to_raw(dl: DistributiveLaw) -> dict:
 
 
 def parse_mixed_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> MixedDistributiveLaw:
+    _require_shape(raw, "mixed law")
     s_raw, s_dir = _resolve(raw["S"], base_dir)
     g_raw, g_dir = _resolve(raw["G"], base_dir)
     S = parse_monad(s_raw, s_dir, seed=seed)

@@ -161,36 +161,34 @@ def check_monad_laws(m: Monad) -> list:
     return out
 
 
-# A comonad on C is a monad on C^op with the same tables: its laws are the
-# monad laws there, renamed. Naturality is checked on the opposite
-# category, which reads each square from the other side.
-_COMONAD_NAMES = {
-    ("MultiplicationNotNatural", "law-naturality"):
-        ("ComultiplicationNotNatural", "law-naturality"),
-    ("UnitNotNatural", "law-naturality"):
-        ("CounitNotNatural", "law-naturality"),
-    ("MonadAssociativity", "law-monad-assoc"):
-        ("ComonadCoassociativity", "law-comonad-coassoc"),
-    ("MonadUnitLeft", "law-monad-unit-left"):
-        ("ComonadCounitLeft", "law-comonad-counit-left"),
-    ("MonadUnitRight", "law-monad-unit-right"):
-        ("ComonadCounitRight", "law-comonad-counit-right"),
+# A comonad on C is a monad on C^op with the same tables, so its laws are
+# the monad laws there under these names.
+COMONAD_NAMES = {
+    "MultiplicationNotNatural": "ComultiplicationNotNatural",
+    "UnitNotNatural": "CounitNotNatural",
+    "MonadAssociativity": "ComonadCoassociativity",
+    "law-monad-assoc": "law-comonad-coassoc",
+    "MonadUnitLeft": "ComonadCounitLeft",
+    "law-monad-unit-left": "law-comonad-counit-left",
+    "MonadUnitRight": "ComonadCounitRight",
+    "law-monad-unit-right": "law-comonad-counit-right",
 }
 
 
 def dual_violation(v: Violation, names: dict) -> Violation:
-    """A violation found on the opposite category, named through ``names``
-    and with the sides of a naturality square read back."""
-    kind, tag = names.get((v.kind, v.tag), (v.kind, v.tag))
+    """A violation found on the opposite category, read back: its kind, tag
+    and detail renamed through ``names``, and the two sides of a naturality
+    square swapped, since the opposite reads the square from the other end."""
     lhs, rhs = (v.rhs, v.lhs) if v.tag == "law-naturality" else (v.lhs, v.rhs)
-    return Violation(kind, tag, where=v.where, lhs=lhs, rhs=rhs,
-                     detail=v.detail)
+    return Violation(names.get(v.kind, v.kind), names.get(v.tag, v.tag),
+                     where=v.where, lhs=lhs, rhs=rhs,
+                     detail=names.get(v.detail, v.detail))
 
 
 def check_comonad_laws(c: Comonad) -> list:
     """Empty report iff delta/epsilon are natural and all three comonad laws
     hold: the monad laws of :func:`monad_on_opposite`, renamed."""
-    return [dual_violation(v, _COMONAD_NAMES)
+    return [dual_violation(v, COMONAD_NAMES)
             for v in check_monad_laws(monad_on_opposite(c))]
 
 

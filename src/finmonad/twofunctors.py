@@ -28,7 +28,6 @@ case. The lifting/extension operations below always pass through the
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import product
 
 from .adjunction import (
@@ -75,7 +74,7 @@ from .fincat import (
     whisker_right,
 )
 from .monad import (
-    _COMONAD_NAMES,
+    COMONAD_NAMES,
     Comonad,
     Monad,
     comonad_on_opposite,
@@ -978,18 +977,13 @@ class LiftedComonad:
 
 
 # A monad lifting to the coalgebras of G is a comonad lifting, on the
-# opposite category, of S^op to the algebras of G^op. Its checks are those of
-# LiftedComonad there, renamed.
+# opposite category, of S^op to the algebras of G^op: its checks are those of
+# LiftedComonad there, under these names.
 _COLIFTING_NAMES = {
-    ("LiftingSquareBroken", "Eq-1510081654"):
-        ("LiftingSquareBroken", "Eq-1510081654"),
-    ("ComultiplicationNotOverBase", "law-mnd-2cell"):
-        ("MultiplicationNotOverBase", "law-comnd-2cell"),
-    ("CounitNotOverBase", "law-mnd-2cell"):
-        ("UnitNotOverBase", "law-comnd-2cell"),
-    **{new: old for old, new in _COMONAD_NAMES.items()},
-}
-_COLIFTING_DETAILS = {
+    **{comonad: monad for monad, comonad in COMONAD_NAMES.items()},
+    "ComultiplicationNotOverBase": "MultiplicationNotOverBase",
+    "CounitNotOverBase": "UnitNotOverBase",
+    "law-mnd-2cell": "law-comnd-2cell",
     "U∘Ghat = G∘U fails": "U∘Shat = S∘U fails",
     "U delta_hat = delta U fails": "U mu_hat = mu U fails",
     "U eps_hat = epsilon U fails": "U eta_hat = eta U fails",
@@ -1014,8 +1008,6 @@ class CoalgebraLifting:
                 opposite_nat(eta_hat))
         except LawViolation as exc:
             bad = [dual_violation(v, _COLIFTING_NAMES) for v in exc.violations]
-            bad = [replace(v, detail=_COLIFTING_DETAILS.get(v.detail, v.detail))
-                   for v in bad]
             raise LawViolation(bad, context="coalgebra-side lifting") from None
         self.base = base
         self.co = co

@@ -78,6 +78,90 @@ def test_unparseable_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def error_report(args, capsys):
+    """Run a command that must reject its input file; the error witness."""
+    code, out = run_cli(["--format", "json"] + args, capsys)
+    assert code == 2
+    [check] = json.loads(out)["checks"]
+    return check["witness"]
+
+
+def write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_malformed_monad_files_are_named_errors(tmp_path, capsys):
+    listed = write(tmp_path, "list.json", [1, 2])
+    for cmd in (["em"], ["kleisli"], ["homiso"], ["distlaw", "enumerate"]):
+        args = cmd + [listed] * (2 if cmd[-1] == "enumerate" else 1)
+        witness = error_report(args, capsys)
+        assert witness["kind"] == "FileFormatError"
+        assert "NotAnObject" in witness["message"]
+    with open(fx("c1.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["category"] = fx("chain3.json")
+    raw["mu"] = [1]
+    raw["extra"] = {}
+    witness = error_report(["em", write(tmp_path, "mu.json", raw)], capsys)
+    assert witness == {"kind": "FileFormatError", "message":
+                       "invalid monad file: UnknownField at extra (not a monad "
+                       "field); WrongFieldType at mu (must be an object)"}
+    # a comonad file is not a monad file
+    witness = error_report(["em", fx("i1.json")], capsys)
+    assert "MissingField at mu" in witness["message"]
+
+
+def test_malformed_comonad_files_are_named_errors(tmp_path, capsys):
+    witness = error_report(["coem", write(tmp_path, "list.json", [1, 2])],
+                           capsys)
+    assert witness["kind"] == "FileFormatError"
+    raw = {"category": 3, "endofunctor": {}, "delta": {}}
+    witness = error_report(["coem", write(tmp_path, "c.json", raw)], capsys)
+    assert witness["message"] == (
+        "invalid comonad file: WrongFieldType at category (must be a path or "
+        "an object); MissingField at epsilon (required field)")
+
+
+def test_malformed_law_files_are_named_errors(tmp_path, capsys):
+    raw = {"category": [1], "endofunctor": 3}
+    path = write(tmp_path, "law.json", raw)
+    for cmd in (["distlaw", "check"], ["lift"], ["extend"], ["extract-em"],
+                ["extract-kleisli"]):
+        witness = error_report(cmd + [path], capsys)
+        assert witness["kind"] == "FileFormatError"
+        assert witness["message"].startswith(
+            "invalid law file: UnknownField at category")
+        assert "MissingField at phi" in witness["message"]
+    # a law whose S is a list
+    raw = {"S": "list.json", "T": fx("c1.json"), "phi": {}}
+    write(tmp_path, "list.json", [1])
+    witness = error_report(["lift", write(tmp_path, "s.json", raw)], capsys)
+    assert "invalid monad file: NotAnObject" in witness["message"]
+
+
+def test_malformed_mixed_law_files_are_named_errors(tmp_path, capsys):
+    witness = error_report(
+        ["mixedlaw", "check", write(tmp_path, "list.json", [1, 2])], capsys)
+    assert witness["message"] == ("invalid mixed law file: NotAnObject at list "
+                                  "(a mixed law must be a JSON object)")
+    raw = {"S": fx("c1.json"), "T": fx("i1.json"), "psi": {}}
+    witness = error_report(["mixedlaw", "check", write(tmp_path, "m.json", raw)],
+                           capsys)
+    assert witness["message"] == (
+        "invalid mixed law file: UnknownField at T (not a mixed law field); "
+        "MissingField at G (required field)")
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for cmd in ("validate", "em", "coem"):
+        assert error_report([cmd, str(path)], capsys)["kind"] == \
+            "UnicodeDecodeError"
+
+
 def test_monads_command(capsys):
     code, out = run_cli(["--format", "json", "monads", fx("chain3.json")], capsys)
     assert code == 0
