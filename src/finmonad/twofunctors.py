@@ -992,10 +992,11 @@ _COLIFTING_NAMES = {
 
 class CoalgebraLifting:
     """A monad (Shat, mu_hat, eta_hat) on the coalgebras of G lying over the
-    monad S: U∘Shat = S∘U strictly, monad laws upstairs. Validated on
-    construction, as the comonad lifting it is on the opposite category."""
+    monad S: U∘Shat = S∘U strictly, monad laws upstairs. It is held, and
+    validated on construction, as the comonad lifting it is on the opposite
+    category."""
 
-    __slots__ = ("base", "co", "below", "shat", "mu_hat", "eta_hat", "_op")
+    __slots__ = ("base", "co", "below", "_op")
 
     def __init__(self, base: Comonad, co: EmCoalgebraCategory, below: Monad,
                  shat: Functor, mu_hat: NatTrans, eta_hat: NatTrans):
@@ -1012,23 +1013,29 @@ class CoalgebraLifting:
         self.base = base
         self.co = co
         self.below = below
-        self.shat = shat
-        self.mu_hat = mu_hat
-        self.eta_hat = eta_hat
+
+    @property
+    def shat(self) -> Functor:
+        return opposite_functor(self._op.ghat)
+
+    @property
+    def mu_hat(self) -> NatTrans:
+        return opposite_nat(self._op.delta_hat)
+
+    @property
+    def eta_hat(self) -> NatTrans:
+        return opposite_nat(self._op.eps_hat)
 
     def as_monad(self) -> Monad:
         return Monad(self.co.category, self.shat, self.mu_hat, self.eta_hat)
 
     def canonical_key(self):
-        return (self.shat.canonical_key(), self.mu_hat.canonical_key(),
-                self.eta_hat.canonical_key())
+        return self._op.canonical_key()
 
     def __eq__(self, other):
         if not isinstance(other, CoalgebraLifting):
             return NotImplemented
-        return (self.base == other.base and self.below == other.below
-                and self.shat == other.shat and self.mu_hat == other.mu_hat
-                and self.eta_hat == other.eta_hat)
+        return self._op == other._op
 
     def __hash__(self):
         return hash(self.canonical_key())
@@ -1130,20 +1137,16 @@ def _comonad_lifting(ml: MixedDistributiveLaw, em: EmAlgebraCategory) -> tuple:
     return acell.K, delta_pair.beta, eps_pair.beta
 
 
-def _mixed_on_opposite(ml: MixedDistributiveLaw) -> MixedDistributiveLaw:
-    """psi: SG → GS read on the opposite category, as a mixed law from the
-    monad G^op to the comonad S^op with the same components."""
-    return MixedDistributiveLaw(monad_on_opposite(ml.G),
-                                comonad_on_opposite(ml.S), opposite_nat(ml.psi))
-
-
 def colift_monad(ml: MixedDistributiveLaw,
                  co: EmCoalgebraCategory = None) -> CoalgebraLifting:
     """Lift S to the coalgebras of G along a valid mixed law: the comonad
-    lifting of S^op to the algebras of G^op, read back."""
+    lifting of S^op to the algebras of G^op along psi read on the opposite
+    category (a mixed law from G^op to S^op), read back."""
     ml.require_valid()
     co = co if co is not None else em_coalgebra_category(ml.G)
-    ghat, delta_hat, eps_hat = _comonad_lifting(_mixed_on_opposite(ml), co._em)
+    op_law = MixedDistributiveLaw(monad_on_opposite(ml.G),
+                                  comonad_on_opposite(ml.S), opposite_nat(ml.psi))
+    ghat, delta_hat, eps_hat = _comonad_lifting(op_law, co._em)
     return CoalgebraLifting(ml.G, co, ml.S, opposite_functor(ghat),
                             opposite_nat(delta_hat), opposite_nat(eps_hat))
 
