@@ -105,9 +105,15 @@ class Adjunction:
 
 
 def opposite_adjunction(a: Adjunction) -> Adjunction:
-    """R^op ⊣ L^op on the opposite categories: unit and counit swap."""
-    return Adjunction(opposite_functor(a.R), opposite_functor(a.L),
-                      opposite_nat(a.counit), opposite_nat(a.unit))
+    """R^op ⊣ L^op on the opposite categories: unit and counit swap.
+
+    Its triangle identities are those of ``a`` read backwards, so they are
+    not checked a second time.
+    """
+    op = object.__new__(Adjunction)
+    op.L, op.R = opposite_functor(a.R), opposite_functor(a.L)
+    op.unit, op.counit = opposite_nat(a.counit), opposite_nat(a.unit)
+    return op
 
 
 def identity_adjunction(cat: FinCategory) -> Adjunction:

@@ -156,6 +156,8 @@ class FinCategory:
         return self._key
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FinCategory):
             return NotImplemented
         return self.canonical_key() == other.canonical_key()
@@ -489,6 +491,8 @@ class Functor:
         return self._key
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Functor):
             return NotImplemented
         return (self.source == other.source and self.target == other.target

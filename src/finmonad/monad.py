@@ -222,9 +222,11 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
         if estimate > cap:
             raise EnumerationCapExceeded(estimate, cap)
 
+    Id = identity_functor(cat)
+
     def monads_on(S: Functor) -> list:
         found = []
-        etas = enumerate_nat_trans(identity_functor(cat), S, cap=cap)
+        etas = enumerate_nat_trans(Id, S, cap=cap)
         for mu in enumerate_nat_trans(compose_functors(S, S), S, cap=cap):
             for eta in etas:
                 m = Monad(cat, S, mu, eta)
