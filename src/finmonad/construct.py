@@ -15,7 +15,8 @@ distinct data never share an id:
   which case the underlying morphism alone does not determine it.
 
 Every constructed category is revalidated from scratch (associativity
-included) and every adjunction passes its triangle identities.
+included), the coalgebra category as the algebra category it is the
+opposite of, and every adjunction passes its triangle identities.
 """
 
 from __future__ import annotations
@@ -200,45 +201,46 @@ class EmCoalgebraCategory:
     (N, xi: N → GN) is an algebra of the same tables on the opposite
     category, a coalgebra morphism A → B is an algebra morphism B → A, and
     the category, U, F and the adjunction are the opposites of the algebra
-    ones (the algebra adjunction F ⊣ U turns into U ⊣ F).
+    ones (the algebra adjunction F ⊣ U turns into U ⊣ F). ``on_opposite``
+    is that algebra category.
     """
 
-    __slots__ = ("comonad", "category", "U", "F", "adj", "_em")
+    __slots__ = ("comonad", "category", "U", "F", "adj", "on_opposite")
 
     def __init__(self, comonad: Comonad, em: EmAlgebraCategory):
         self.comonad = comonad
-        self._em = em
+        self.on_opposite = em
         self.adj = opposite_adjunction(em.adj)
         self.U = self.adj.L
         self.F = self.adj.R
         self.category = self.U.source
 
     def coalgebra_objects(self):
-        return self._em.algebra_objects()
+        return self.on_opposite.algebra_objects()
 
     def carrier(self, obj: str) -> str:
-        return self._em.carrier(obj)
+        return self.on_opposite.carrier(obj)
 
     def structure(self, obj: str) -> str:
-        return self._em.structure(obj)
+        return self.on_opposite.structure(obj)
 
     def coalgebra_id(self, carrier: str, xi: str) -> str:
-        return self._em.algebra_id(carrier, xi)
+        return self.on_opposite.algebra_id(carrier, xi)
 
     def has_coalgebra(self, carrier: str, xi: str) -> bool:
-        return self._em.has_algebra(carrier, xi)
+        return self.on_opposite.has_algebra(carrier, xi)
 
     def coalgebras_with_carrier(self, carrier: str) -> list:
-        return self._em.algebras_with_carrier(carrier)
+        return self.on_opposite.algebras_with_carrier(carrier)
 
     def cofree_coalgebra(self, x: str) -> str:
-        return self._em.free_algebra(x)
+        return self.on_opposite.free_algebra(x)
 
     def underlying(self, morph: str) -> str:
-        return self._em.underlying(morph)
+        return self.on_opposite.underlying(morph)
 
     def as_coalgebra_morphism(self, f: str, src: str, tgt: str):
-        return self._em.as_algebra_morphism(f, tgt, src)
+        return self.on_opposite.as_algebra_morphism(f, tgt, src)
 
 
 def em_coalgebra_category(c: Comonad, cap: int = DEFAULT_CAP) -> EmCoalgebraCategory:

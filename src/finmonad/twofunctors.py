@@ -1004,7 +1004,7 @@ class CoalgebraLifting:
             raise BaseMismatch("coalgebra category does not belong to the comonad")
         try:
             self._op = LiftedComonad(
-                co._em.monad, co._em, comonad_on_opposite(below),
+                co.on_opposite.monad, co.on_opposite, comonad_on_opposite(below),
                 opposite_functor(shat), opposite_nat(mu_hat),
                 opposite_nat(eta_hat))
         except LawViolation as exc:
@@ -1146,7 +1146,7 @@ def colift_monad(ml: MixedDistributiveLaw,
     co = co if co is not None else em_coalgebra_category(ml.G)
     op_law = MixedDistributiveLaw(monad_on_opposite(ml.G),
                                   comonad_on_opposite(ml.S), opposite_nat(ml.psi))
-    ghat, delta_hat, eps_hat = _comonad_lifting(op_law, co._em)
+    ghat, delta_hat, eps_hat = _comonad_lifting(op_law, co.on_opposite)
     return CoalgebraLifting(ml.G, co, ml.S, opposite_functor(ghat),
                             opposite_nat(delta_hat), opposite_nat(eps_hat))
 
