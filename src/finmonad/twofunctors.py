@@ -992,11 +992,11 @@ _COLIFTING_NAMES = {
 
 class CoalgebraLifting:
     """A monad (Shat, mu_hat, eta_hat) on the coalgebras of G lying over the
-    monad S: U∘Shat = S∘U strictly, monad laws upstairs. It is held, and
-    validated on construction, as the comonad lifting it is on the opposite
-    category."""
+    monad S: U∘Shat = S∘U strictly, monad laws upstairs. Validated on
+    construction as the comonad lifting it is on the opposite category,
+    which it keeps."""
 
-    __slots__ = ("base", "co", "below", "_op")
+    __slots__ = ("base", "co", "below", "shat", "mu_hat", "eta_hat", "_op")
 
     def __init__(self, base: Comonad, co: EmCoalgebraCategory, below: Monad,
                  shat: Functor, mu_hat: NatTrans, eta_hat: NatTrans):
@@ -1013,18 +1013,9 @@ class CoalgebraLifting:
         self.base = base
         self.co = co
         self.below = below
-
-    @property
-    def shat(self) -> Functor:
-        return opposite_functor(self._op.ghat)
-
-    @property
-    def mu_hat(self) -> NatTrans:
-        return opposite_nat(self._op.delta_hat)
-
-    @property
-    def eta_hat(self) -> NatTrans:
-        return opposite_nat(self._op.eps_hat)
+        self.shat = shat
+        self.mu_hat = mu_hat
+        self.eta_hat = eta_hat
 
     def as_monad(self) -> Monad:
         return Monad(self.co.category, self.shat, self.mu_hat, self.eta_hat)

@@ -4,8 +4,9 @@ The oracles search the whole product space: every object map, then every
 product of hom-sets, each candidate filtered by the law checkers of
 :mod:`finmonad.fincat`. They are slow but plainly exhaustive, and the
 tests hold the backtracking enumerators of ``fincat`` to them. The
-comonad-side references at the end are the direct constructions that the
-library now reads off the monad side on the opposite category.
+comonad-side references at the end build comonad laws, coalgebra
+categories and coalgebra-side liftings directly, where the library reads
+them off the monad side on the opposite category.
 """
 
 from itertools import product
@@ -165,9 +166,9 @@ def posets(draw, max_elements=4):
 # Comonad-side references
 #
 # The library reads comonads, coalgebra categories and coalgebra-side
-# liftings off the monad side on the opposite category. These are the
-# direct constructions that reading replaced, written out by hand; the
-# duality tests hold the library to them.
+# liftings off the monad side on the opposite category. These build them
+# directly on the category itself, written out by hand; the duality tests
+# hold the library to them.
 
 
 def ref_check_comonad_laws(c) -> list:
