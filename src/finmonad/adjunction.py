@@ -34,7 +34,7 @@ from .fincat import (
     whisker_left,
     whisker_right,
 )
-from .monad import Comonad, Monad
+from .monad import Comonad, Monad, comonad_on_opposite
 from .report import Violation
 
 
@@ -131,12 +131,9 @@ def induced_monad(a: Adjunction) -> Monad:
 
 
 def induced_comonad(a: Adjunction) -> Comonad:
-    """(X, L∘R, L unit R, counit)."""
-    G = compose_functors(a.L, a.R)
-    delta_raw = whisker_left(a.L, whisker_right(a.unit, a.R))
-    delta = NatTrans(G, compose_functors(G, G), delta_raw.components)
-    eps = NatTrans(G, identity_functor(a.upper), a.counit.components)
-    return Comonad(a.upper, G, delta, eps)
+    """(X, L∘R, L unit R, counit): the monad induced by the opposite
+    adjunction, read back."""
+    return comonad_on_opposite(induced_monad(opposite_adjunction(a)))
 
 
 class CommutingSquareR:
