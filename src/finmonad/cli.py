@@ -3,10 +3,12 @@
 Exit codes: 0 all checks pass; 1 a law or round-trip check failed (report
 emitted); 2 parse/validation/typability error; 3 enumeration cap exceeded.
 
-Global flags: ``--format json|text``, ``--jobs N`` (parallelizes
-enumeration only), ``--seed`` (affects sampled checks only, never
-enumeration order). JSON reports are byte-stable across runs and worker
-counts; the wall-clock duration appears only in text output.
+Global flags: ``--format json|text``, ``--jobs N`` (fans enumeration out
+over worker threads; the GIL serialises them, and one selftest criteria
+pass measured 0.71-0.84 s at 1 job and 0.71-0.93 s at 8 on 2 cores),
+``--seed`` (affects sampled checks only, never enumeration order). JSON
+reports are byte-stable across runs and worker counts; the wall-clock
+duration appears only in text output.
 """
 
 from __future__ import annotations
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for enumerations")
+                        help="enumeration worker threads, serialised by the GIL")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for sampled checks (never affects "
                              "enumeration order)")

@@ -33,14 +33,46 @@ from .parallel import pmap
 from .report import Violation
 
 
-class DistributiveLaw:
+class _Law:
+    """A candidate law S∘E → E∘S over one base category, for a monad S and
+    a structure ``second`` on E. Each kind names ``second`` and ``nat``,
+    checks their typing on construction and supplies :meth:`check`."""
+
+    __slots__ = ("S", "second", "nat")
+
+    def require_valid(self):
+        bad = self.check()
+        if bad:
+            raise LawViolation(bad, context=self.CONTEXT)
+        return self
+
+    def canonical_key(self):
+        return self.nat.canonical_key()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.S == other.S and self.second == other.second
+                and self.nat.components == other.nat.components)
+
+    def __hash__(self):
+        return hash(self.canonical_key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.nat.components})"
+
+
+class DistributiveLaw(_Law):
     """A candidate law phi: S∘T → T∘S over one base category.
 
     The constructor checks typing; :func:`check_dist_law` reports on the
     four axiom diagrams.
     """
 
-    __slots__ = ("S", "T", "phi")
+    __slots__ = ()
+    T = _Law.second
+    phi = _Law.nat
+    CONTEXT = "distributive law"
 
     def __init__(self, S: Monad, T: Monad, phi: NatTrans):
         if S.base != T.base:
@@ -56,32 +88,14 @@ class DistributiveLaw:
     def check(self) -> list:
         return check_dist_law(self.S, self.T, self.phi)
 
-    def require_valid(self) -> "DistributiveLaw":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="distributive law")
-        return self
 
-    def canonical_key(self):
-        return self.phi.canonical_key()
-
-    def __eq__(self, other):
-        if not isinstance(other, DistributiveLaw):
-            return NotImplemented
-        return (self.S == other.S and self.T == other.T
-                and self.phi.components == other.phi.components)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
-
-    def __repr__(self):
-        return f"DistributiveLaw({self.phi.components})"
-
-
-class MixedDistributiveLaw:
+class MixedDistributiveLaw(_Law):
     """A candidate mixed law psi: S∘G → G∘S for a monad S and comonad G."""
 
-    __slots__ = ("S", "G", "psi")
+    __slots__ = ()
+    G = _Law.second
+    psi = _Law.nat
+    CONTEXT = "mixed distributive law"
 
     def __init__(self, S: Monad, G: Comonad, psi: NatTrans):
         if S.base != G.base:
@@ -96,27 +110,6 @@ class MixedDistributiveLaw:
 
     def check(self) -> list:
         return check_mixed_law(self.S, self.G, self.psi)
-
-    def require_valid(self) -> "MixedDistributiveLaw":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="mixed distributive law")
-        return self
-
-    def canonical_key(self):
-        return self.psi.canonical_key()
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedDistributiveLaw):
-            return NotImplemented
-        return (self.S == other.S and self.G == other.G
-                and self.psi.components == other.psi.components)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
-
-    def __repr__(self):
-        return f"MixedDistributiveLaw({self.psi.components})"
 
 
 def _first_diff(kind, tag, lhs: NatTrans, rhs: NatTrans, out: list) -> None:
@@ -227,39 +220,7 @@ def enumerate_dist_laws(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
     """
     S.require_valid()
     T.require_valid()
-    if untypable_objects(S, T):
-        return []
-    cat = S.base
-    objs = cat.objects
-    choices = [cat.hom(S.S.ob(T.S.ob(x)), T.S.ob(S.S.ob(x))) for x in objs]
-    estimate = 1
-    for c in choices:
-        estimate *= len(c)
-        if estimate > cap:
-            raise EnumerationCapExceeded(estimate, cap)
-
-    src = compose_functors(S.S, T.S)
-    tgt = compose_functors(T.S, S.S)
-
-    def scan(first_choice):
-        found = []
-        rest = choices[1:] if objs else []
-        for combo in product([first_choice], *rest):
-            phi = NatTrans(src, tgt, dict(zip(objs, combo)))
-            dl = DistributiveLaw(S, T, phi)
-            if not dl.check():
-                found.append(dl)
-        return found
-
-    if not objs:
-        phi = NatTrans(src, tgt, {})
-        dl = DistributiveLaw(S, T, phi)
-        return [dl] if not dl.check() else []
-
-    groups = pmap(scan, choices[0], jobs=jobs)
-    out = [dl for group in groups for dl in group]
-    out.sort(key=lambda dl: dl.canonical_key())
-    return out
+    return _enumerate_laws(S, T, T.S, DistributiveLaw, cap, jobs)
 
 
 def enumerate_mixed_laws(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
@@ -267,38 +228,41 @@ def enumerate_mixed_laws(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
     """All mixed distributive laws from S to G, canonically ordered."""
     S.require_valid()
     G.require_valid()
-    if untypable_objects(S, G):
-        return []
+    return _enumerate_laws(S, G, G.G, MixedDistributiveLaw, cap, jobs)
+
+
+def _enumerate_laws(S: Monad, other, endo, make, cap: int, jobs: int) -> list:
+    """Every ``make(S, other, law)`` that passes its checks, for law:
+    S∘endo → endo∘S ranging over the product of its components."""
     cat = S.base
     objs = cat.objects
-    choices = [cat.hom(S.S.ob(G.G.ob(x)), G.G.ob(S.S.ob(x))) for x in objs]
+    choices = [cat.hom(S.S.ob(endo.ob(x)), endo.ob(S.S.ob(x))) for x in objs]
+    if not all(choices):  # untypable: an empty hom-set
+        return []
     estimate = 1
     for c in choices:
         estimate *= len(c)
         if estimate > cap:
             raise EnumerationCapExceeded(estimate, cap)
 
-    src = compose_functors(S.S, G.G)
-    tgt = compose_functors(G.G, S.S)
+    src = compose_functors(S.S, endo)
+    tgt = compose_functors(endo, S.S)
 
     def scan(first_choice):
         found = []
-        rest = choices[1:] if objs else []
-        for combo in product([first_choice], *rest):
-            psi = NatTrans(src, tgt, dict(zip(objs, combo)))
-            ml = MixedDistributiveLaw(S, G, psi)
-            if not ml.check():
-                found.append(ml)
+        for combo in product([first_choice], *choices[1:]):
+            law = make(S, other, NatTrans(src, tgt, dict(zip(objs, combo))))
+            if not law.check():
+                found.append(law)
         return found
 
     if not objs:
-        psi = NatTrans(src, tgt, {})
-        ml = MixedDistributiveLaw(S, G, psi)
-        return [ml] if not ml.check() else []
+        law = make(S, other, NatTrans(src, tgt, {}))
+        return [law] if not law.check() else []
 
     groups = pmap(scan, choices[0], jobs=jobs)
-    out = [ml for group in groups for ml in group]
-    out.sort(key=lambda ml: ml.canonical_key())
+    out = [law for group in groups for law in group]
+    out.sort(key=lambda law: law.canonical_key())
     return out
 
 

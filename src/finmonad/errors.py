@@ -24,7 +24,8 @@ class CategoryValidationError(FinMonadError):
 
 
 class FileFormatError(FinMonadError):
-    """A monad, comonad or law file does not have the shape of its kind.
+    """A monad, comonad or law file does not have the shape of its kind,
+    or a file is nested too deeply to parse.
 
     Carries every shape error (``.violations``): a top level that is not
     an object, a missing or unknown field, or a field of the wrong type.

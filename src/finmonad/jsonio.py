@@ -39,11 +39,17 @@ from .fincat import (
     validate_category,
 )
 from .monad import Comonad, Monad
+from .report import Violation
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FileFormatError([Violation(
+                "NestedTooDeeply", "chk-validation",
+                detail="deeper than the JSON parser can read")], "JSON") from None
 
 
 _REF = (str, dict)  # a path, or the object inline

@@ -47,7 +47,7 @@ from .construct import (
     em_coalgebra_category,
     kleisli_category,
 )
-from .distlaw import DistributiveLaw, MixedDistributiveLaw
+from .distlaw import DistributiveLaw, MixedDistributiveLaw, _first_diff
 from .errors import (
     BaseMismatch,
     EnumerationCapExceeded,
@@ -85,70 +85,62 @@ from .parallel import pmap
 from .report import Violation, entry
 
 
-def _first_diff(kind, tag, lhs: NatTrans, rhs: NatTrans, out: list) -> None:
-    for x in lhs.base.objects:
-        if lhs.at(x) != rhs.at(x):
-            out.append(Violation(kind, tag, where=x, lhs=lhs.at(x), rhs=rhs.at(x)))
-            return
-
-
 # ---------------------------------------------------------------------------
 # Monad-side cells
 
 
-class MndOneCell:
-    """(P, phi): (C,S) → (D,T) with phi: T∘P → P∘S."""
+class _LawCell:
+    """A cell carrying one transformation ``nat``, which must be natural and
+    satisfy the equations LAWS names; each kind reads ``nat`` under its own
+    name (phi, psi, pi or theta) and builds the two sides of each equation
+    in :meth:`_sides`."""
 
-    __slots__ = ("src", "dst", "P", "phi")
+    __slots__ = ("nat",)
 
-    def __init__(self, src: Monad, dst: Monad, P: Functor, phi: NatTrans):
+    def check(self) -> list:
+        out = list(check_naturality(self.nat))
+        for (kind, tag), (lhs, rhs) in zip(self.LAWS, self._sides()):
+            _first_diff(kind, tag, lhs, rhs, out)
+        return out
+
+    def require_valid(self):
+        bad = self.check()
+        if bad:
+            raise LawViolation(bad, context=self.CONTEXT)
+        return self
+
+
+class _OneCell(_LawCell):
+    """(P, nat): src → dst, the structure nat typed by :meth:`_check_typing`."""
+
+    __slots__ = ("src", "dst", "P")
+
+    def __init__(self, src, dst, P: Functor, nat: NatTrans):
         if P.source != src.base or P.target != dst.base:
             raise TypeMismatch("cell functor must map src base to dst base")
-        if phi.source != compose_functors(dst.S, P):
-            raise TypeMismatch("phi source must be T∘P")
-        if phi.target != compose_functors(P, src.S):
-            raise TypeMismatch("phi target must be P∘S")
         self.src = src
         self.dst = dst
         self.P = P
-        self.phi = phi
-
-    def check(self) -> list:
-        out = []
-        for v in check_naturality(self.phi):
-            out.append(v)
-        Sf, Tf, P, phi = self.src.S, self.dst.S, self.P, self.phi
-        lhs = vcomp(whisker_left(Tf, phi),
-                    vcomp(whisker_right(phi, Sf), whisker_left(P, self.src.mu)))
-        rhs = vcomp(whisker_right(self.dst.mu, P), phi)
-        _first_diff("MndOneCellMultiplication", "law-mnd-1cell-mul", lhs, rhs, out)
-        lhs = whisker_left(P, self.src.eta)
-        rhs = vcomp(whisker_right(self.dst.eta, P), phi)
-        _first_diff("MndOneCellUnit", "law-mnd-1cell-unit", lhs, rhs, out)
-        return out
-
-    def require_valid(self) -> "MndOneCell":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="Mnd 1-cell")
-        return self
+        self.nat = nat
+        self._check_typing()
 
     def __eq__(self, other):
-        if not isinstance(other, MndOneCell):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self.src == other.src and self.dst == other.dst
-                and self.P == other.P and self.phi.components == other.phi.components)
+                and self.P == other.P and self.nat.components == other.nat.components)
 
     def __hash__(self):
-        return hash((self.P.canonical_key(), self.phi.canonical_key()))
+        return hash((self.P.canonical_key(), self.nat.canonical_key()))
 
 
-class MndTwoCell:
-    """theta: (P, phi^P) → (Q, phi^Q) between parallel Mnd 1-cells."""
+class _TwoCell(_LawCell):
+    """theta: P → Q between parallel 1-cells (P, ...) → (Q, ...)."""
 
-    __slots__ = ("src_cell", "dst_cell", "theta")
+    __slots__ = ("src_cell", "dst_cell")
+    theta = _LawCell.nat
 
-    def __init__(self, src_cell: MndOneCell, dst_cell: MndOneCell, theta: NatTrans):
+    def __init__(self, src_cell, dst_cell, theta: NatTrans):
         if src_cell.src != dst_cell.src or src_cell.dst != dst_cell.dst:
             raise TypeMismatch("2-cell between non-parallel 1-cells")
         if theta.source != src_cell.P or theta.target != dst_cell.P:
@@ -157,30 +149,51 @@ class MndTwoCell:
         self.dst_cell = dst_cell
         self.theta = theta
 
-    def check(self) -> list:
-        out = []
-        for v in check_naturality(self.theta):
-            out.append(v)
-        Sf, Tf = self.src_cell.src.S, self.src_cell.dst.S
-        lhs = vcomp(whisker_left(Tf, self.theta), self.dst_cell.phi)
-        rhs = vcomp(self.src_cell.phi, whisker_right(self.theta, Sf))
-        _first_diff("MndTwoCellLaw", "law-mnd-2cell", lhs, rhs, out)
-        return out
-
-    def require_valid(self) -> "MndTwoCell":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="Mnd 2-cell")
-        return self
-
     def __eq__(self, other):
-        if not isinstance(other, MndTwoCell):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self.src_cell == other.src_cell and self.dst_cell == other.dst_cell
                 and self.theta.components == other.theta.components)
 
     def __hash__(self):
         return hash(self.theta.canonical_key())
+
+
+class MndOneCell(_OneCell):
+    """(P, phi): (C,S) → (D,T) with phi: T∘P → P∘S."""
+
+    __slots__ = ()
+    phi = _LawCell.nat
+    CONTEXT = "Mnd 1-cell"
+    LAWS = (("MndOneCellMultiplication", "law-mnd-1cell-mul"),
+            ("MndOneCellUnit", "law-mnd-1cell-unit"))
+
+    def _check_typing(self):
+        if self.phi.source != compose_functors(self.dst.S, self.P):
+            raise TypeMismatch("phi source must be T∘P")
+        if self.phi.target != compose_functors(self.P, self.src.S):
+            raise TypeMismatch("phi target must be P∘S")
+
+    def _sides(self):
+        Sf, Tf, P, phi = self.src.S, self.dst.S, self.P, self.phi
+        return ((vcomp(whisker_left(Tf, phi),
+                       vcomp(whisker_right(phi, Sf), whisker_left(P, self.src.mu))),
+                 vcomp(whisker_right(self.dst.mu, P), phi)),
+                (whisker_left(P, self.src.eta),
+                 vcomp(whisker_right(self.dst.eta, P), phi)))
+
+
+class MndTwoCell(_TwoCell):
+    """theta: (P, phi^P) → (Q, phi^Q) between parallel Mnd 1-cells."""
+
+    __slots__ = ()
+    CONTEXT = "Mnd 2-cell"
+    LAWS = (("MndTwoCellLaw", "law-mnd-2cell"),)
+
+    def _sides(self):
+        Sf, Tf = self.src_cell.src.S, self.src_cell.dst.S
+        return ((vcomp(whisker_left(Tf, self.theta), self.dst_cell.phi),
+                 vcomp(self.src_cell.phi, whisker_right(self.theta, Sf))),)
 
 
 def mnd_identity_cell(m: Monad) -> MndOneCell:
@@ -207,93 +220,41 @@ def mnd2_vcomp(a: MndTwoCell, b: MndTwoCell) -> MndTwoCell:
     return MndTwoCell(a.src_cell, b.dst_cell, vcomp(a.theta, b.theta))
 
 
-class MndBulletOneCell:
+class MndBulletOneCell(_OneCell):
     """(P, psi): (C,S) → (D,T) with psi: P∘S → T∘P."""
 
-    __slots__ = ("src", "dst", "P", "psi")
+    __slots__ = ()
+    psi = _LawCell.nat
+    CONTEXT = "Mnd• 1-cell"
+    LAWS = (("MndBulletMultiplication", "law-mndbullet-1cell-mul"),
+            ("MndBulletUnit", "law-mndbullet-1cell-unit"))
 
-    def __init__(self, src: Monad, dst: Monad, P: Functor, psi: NatTrans):
-        if P.source != src.base or P.target != dst.base:
-            raise TypeMismatch("cell functor must map src base to dst base")
-        if psi.source != compose_functors(P, src.S):
+    def _check_typing(self):
+        if self.psi.source != compose_functors(self.P, self.src.S):
             raise TypeMismatch("psi source must be P∘S")
-        if psi.target != compose_functors(dst.S, P):
+        if self.psi.target != compose_functors(self.dst.S, self.P):
             raise TypeMismatch("psi target must be T∘P")
-        self.src = src
-        self.dst = dst
-        self.P = P
-        self.psi = psi
 
-    def check(self) -> list:
-        out = []
-        for v in check_naturality(self.psi):
-            out.append(v)
+    def _sides(self):
         Sf, Tf, P, psi = self.src.S, self.dst.S, self.P, self.psi
-        lhs = vcomp(whisker_right(psi, Sf),
-                    vcomp(whisker_left(Tf, psi), whisker_right(self.dst.mu, P)))
-        rhs = vcomp(whisker_left(P, self.src.mu), psi)
-        _first_diff("MndBulletMultiplication", "law-mndbullet-1cell-mul",
-                    lhs, rhs, out)
-        lhs = whisker_right(self.dst.eta, P)
-        rhs = vcomp(whisker_left(P, self.src.eta), psi)
-        _first_diff("MndBulletUnit", "law-mndbullet-1cell-unit", lhs, rhs, out)
-        return out
-
-    def require_valid(self) -> "MndBulletOneCell":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="Mnd• 1-cell")
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, MndBulletOneCell):
-            return NotImplemented
-        return (self.src == other.src and self.dst == other.dst
-                and self.P == other.P and self.psi.components == other.psi.components)
-
-    def __hash__(self):
-        return hash((self.P.canonical_key(), self.psi.canonical_key()))
+        return ((vcomp(whisker_right(psi, Sf),
+                       vcomp(whisker_left(Tf, psi), whisker_right(self.dst.mu, P))),
+                 vcomp(whisker_left(P, self.src.mu), psi)),
+                (whisker_right(self.dst.eta, P),
+                 vcomp(whisker_left(P, self.src.eta), psi)))
 
 
-class MndBulletTwoCell:
+class MndBulletTwoCell(_TwoCell):
     """theta: (P, psi^P) → (Q, psi^Q) with T theta ∘ psi^P = psi^Q ∘ theta S."""
 
-    __slots__ = ("src_cell", "dst_cell", "theta")
+    __slots__ = ()
+    CONTEXT = "Mnd• 2-cell"
+    LAWS = (("MndBulletTwoCellLaw", "law-mndbullet-2cell"),)
 
-    def __init__(self, src_cell: MndBulletOneCell, dst_cell: MndBulletOneCell,
-                 theta: NatTrans):
-        if src_cell.src != dst_cell.src or src_cell.dst != dst_cell.dst:
-            raise TypeMismatch("2-cell between non-parallel 1-cells")
-        if theta.source != src_cell.P or theta.target != dst_cell.P:
-            raise TypeMismatch("theta must be typed P -> Q")
-        self.src_cell = src_cell
-        self.dst_cell = dst_cell
-        self.theta = theta
-
-    def check(self) -> list:
-        out = []
-        for v in check_naturality(self.theta):
-            out.append(v)
+    def _sides(self):
         Sf, Tf = self.src_cell.src.S, self.src_cell.dst.S
-        lhs = vcomp(self.src_cell.psi, whisker_left(Tf, self.theta))
-        rhs = vcomp(whisker_right(self.theta, Sf), self.dst_cell.psi)
-        _first_diff("MndBulletTwoCellLaw", "law-mndbullet-2cell", lhs, rhs, out)
-        return out
-
-    def require_valid(self) -> "MndBulletTwoCell":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="Mnd• 2-cell")
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, MndBulletTwoCell):
-            return NotImplemented
-        return (self.src_cell == other.src_cell and self.dst_cell == other.dst_cell
-                and self.theta.components == other.theta.components)
-
-    def __hash__(self):
-        return hash(self.theta.canonical_key())
+        return ((vcomp(self.src_cell.psi, whisker_left(Tf, self.theta)),
+                 vcomp(whisker_right(self.theta, Sf), self.dst_cell.psi)),)
 
 
 def bullet_identity_cell(m: Monad) -> MndBulletOneCell:
@@ -313,93 +274,41 @@ def bullet_compose(outer: MndBulletOneCell, inner: MndBulletOneCell) -> MndBulle
 # Comonad-side cells
 
 
-class CoMndOneCell:
+class CoMndOneCell(_OneCell):
     """(P, pi): (X,G) → (Y,H) with pi: P∘G → H∘P."""
 
-    __slots__ = ("src", "dst", "P", "pi")
+    __slots__ = ()
+    pi = _LawCell.nat
+    CONTEXT = "CoMnd 1-cell"
+    LAWS = (("CoMndComultiplication", "law-comnd-1cell-comul"),
+            ("CoMndCounit", "law-comnd-1cell-counit"))
 
-    def __init__(self, src: Comonad, dst: Comonad, P: Functor, pi: NatTrans):
-        if P.source != src.base or P.target != dst.base:
-            raise TypeMismatch("cell functor must map src base to dst base")
-        if pi.source != compose_functors(P, src.G):
+    def _check_typing(self):
+        if self.pi.source != compose_functors(self.P, self.src.G):
             raise TypeMismatch("pi source must be P∘G")
-        if pi.target != compose_functors(dst.G, P):
+        if self.pi.target != compose_functors(self.dst.G, self.P):
             raise TypeMismatch("pi target must be H∘P")
-        self.src = src
-        self.dst = dst
-        self.P = P
-        self.pi = pi
 
-    def check(self) -> list:
-        out = []
-        for v in check_naturality(self.pi):
-            out.append(v)
+    def _sides(self):
         Gf, Hf, P, pi = self.src.G, self.dst.G, self.P, self.pi
-        lhs = vcomp(pi, whisker_right(self.dst.delta, P))
-        rhs = vcomp(whisker_left(P, self.src.delta),
-                    vcomp(whisker_right(pi, Gf), whisker_left(Hf, pi)))
-        _first_diff("CoMndComultiplication", "law-comnd-1cell-comul",
-                    lhs, rhs, out)
-        lhs = vcomp(pi, whisker_right(self.dst.epsilon, P))
-        rhs = whisker_left(P, self.src.epsilon)
-        _first_diff("CoMndCounit", "law-comnd-1cell-counit", lhs, rhs, out)
-        return out
-
-    def require_valid(self) -> "CoMndOneCell":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="CoMnd 1-cell")
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, CoMndOneCell):
-            return NotImplemented
-        return (self.src == other.src and self.dst == other.dst
-                and self.P == other.P and self.pi.components == other.pi.components)
-
-    def __hash__(self):
-        return hash((self.P.canonical_key(), self.pi.canonical_key()))
+        return ((vcomp(pi, whisker_right(self.dst.delta, P)),
+                 vcomp(whisker_left(P, self.src.delta),
+                       vcomp(whisker_right(pi, Gf), whisker_left(Hf, pi)))),
+                (vcomp(pi, whisker_right(self.dst.epsilon, P)),
+                 whisker_left(P, self.src.epsilon)))
 
 
-class CoMndTwoCell:
+class CoMndTwoCell(_TwoCell):
     """theta: (P, pi^P) → (Q, pi^Q) with H theta ∘ pi^P = pi^Q ∘ theta G."""
 
-    __slots__ = ("src_cell", "dst_cell", "theta")
+    __slots__ = ()
+    CONTEXT = "CoMnd 2-cell"
+    LAWS = (("CoMndTwoCellLaw", "law-comnd-2cell"),)
 
-    def __init__(self, src_cell: CoMndOneCell, dst_cell: CoMndOneCell,
-                 theta: NatTrans):
-        if src_cell.src != dst_cell.src or src_cell.dst != dst_cell.dst:
-            raise TypeMismatch("2-cell between non-parallel 1-cells")
-        if theta.source != src_cell.P or theta.target != dst_cell.P:
-            raise TypeMismatch("theta must be typed P -> Q")
-        self.src_cell = src_cell
-        self.dst_cell = dst_cell
-        self.theta = theta
-
-    def check(self) -> list:
-        out = []
-        for v in check_naturality(self.theta):
-            out.append(v)
+    def _sides(self):
         Gf, Hf = self.src_cell.src.G, self.src_cell.dst.G
-        lhs = vcomp(self.src_cell.pi, whisker_left(Hf, self.theta))
-        rhs = vcomp(whisker_right(self.theta, Gf), self.dst_cell.pi)
-        _first_diff("CoMndTwoCellLaw", "law-comnd-2cell", lhs, rhs, out)
-        return out
-
-    def require_valid(self) -> "CoMndTwoCell":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="CoMnd 2-cell")
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, CoMndTwoCell):
-            return NotImplemented
-        return (self.src_cell == other.src_cell and self.dst_cell == other.dst_cell
-                and self.theta.components == other.theta.components)
-
-    def __hash__(self):
-        return hash(self.theta.canonical_key())
+        return ((vcomp(self.src_cell.pi, whisker_left(Hf, self.theta)),
+                 vcomp(whisker_right(self.theta, Gf), self.dst_cell.pi)),)
 
 
 def comnd_identity_cell(c: Comonad) -> CoMndOneCell:
@@ -419,14 +328,14 @@ def comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
 # Adjunction-square cells
 
 
-class AdjROneCell:
-    """(J, K, lambda) over a right-commuting square; the mate is recomputed
-    from the square and a stored mate must agree with it."""
+class _AdjOneCell:
+    """(J, K, mate) over a commuting square; the mate is recomputed from the
+    square by :meth:`_mate` and a stored mate must agree with it."""
 
     __slots__ = ("square", "mate")
 
-    def __init__(self, square: CommutingSquareR, mate: NatTrans = None):
-        computed = mate_right(square)
+    def __init__(self, square, mate: NatTrans = None):
+        computed = self._mate(square)
         if mate is not None and mate.components != computed.components:
             raise MateMismatch("stored mate disagrees with the square")
         self.square = square
@@ -441,7 +350,7 @@ class AdjROneCell:
         return self.square.K
 
     def __eq__(self, other):
-        if not isinstance(other, AdjROneCell):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self.square == other.square
                 and self.mate.components == other.mate.components)
@@ -450,34 +359,22 @@ class AdjROneCell:
         return hash((self.J.canonical_key(), self.K.canonical_key()))
 
 
-class AdjLOneCell:
-    """(J, K, rho) over a left-commuting square, mate recomputed likewise."""
+class AdjROneCell(_AdjOneCell):
+    """(J, K, lambda) over a right-commuting square."""
 
-    __slots__ = ("square", "mate")
+    __slots__ = ()
 
-    def __init__(self, square: CommutingSquareL, mate: NatTrans = None):
-        computed = mate_left(square)
-        if mate is not None and mate.components != computed.components:
-            raise MateMismatch("stored mate disagrees with the square")
-        self.square = square
-        self.mate = computed
+    def _mate(self, square: CommutingSquareR) -> NatTrans:
+        return mate_right(square)
 
-    @property
-    def J(self) -> Functor:
-        return self.square.J
 
-    @property
-    def K(self) -> Functor:
-        return self.square.K
+class AdjLOneCell(_AdjOneCell):
+    """(J, K, rho) over a left-commuting square."""
 
-    def __eq__(self, other):
-        if not isinstance(other, AdjLOneCell):
-            return NotImplemented
-        return (self.square == other.square
-                and self.mate.components == other.mate.components)
+    __slots__ = ()
 
-    def __hash__(self):
-        return hash((self.J.canonical_key(), self.K.canonical_key()))
+    def _mate(self, square: CommutingSquareL) -> NatTrans:
+        return mate_left(square)
 
 
 def adjr_identity_cell(a: Adjunction) -> AdjROneCell:
@@ -542,13 +439,13 @@ def adjl_two_cell_conditions(src_cell: AdjLOneCell, dst_cell: AdjLOneCell,
     return cond_a, cond_b
 
 
-class AdjRTwoCell:
-    """(alpha, beta) between parallel AdjR 1-cells; both conditions checked."""
+class _AdjTwoCell:
+    """(alpha, beta) between parallel 1-cells; both conditions of
+    :meth:`_conditions` are checked."""
 
     __slots__ = ("src_cell", "dst_cell", "alpha", "beta")
 
-    def __init__(self, src_cell: AdjROneCell, dst_cell: AdjROneCell,
-                 alpha: NatTrans, beta: NatTrans):
+    def __init__(self, src_cell, dst_cell, alpha: NatTrans, beta: NatTrans):
         if (src_cell.square.dom != dst_cell.square.dom
                 or src_cell.square.cod != dst_cell.square.cod):
             raise TypeMismatch("2-cell between non-parallel 1-cells")
@@ -556,17 +453,17 @@ class AdjRTwoCell:
             raise TypeMismatch("alpha must be typed J -> J'")
         if beta.source != src_cell.K or beta.target != dst_cell.K:
             raise TypeMismatch("beta must be typed K -> K'")
-        cond_a, cond_b = adjr_two_cell_conditions(src_cell, dst_cell, alpha, beta)
+        cond_a, cond_b = self._conditions(src_cell, dst_cell, alpha, beta)
         if not (cond_a and cond_b):
             raise TwoCellLawViolation(
-                f"AdjR 2-cell conditions fail: (a)={cond_a} (b)={cond_b}")
+                f"{self.NAME} 2-cell conditions fail: (a)={cond_a} (b)={cond_b}")
         self.src_cell = src_cell
         self.dst_cell = dst_cell
         self.alpha = alpha
         self.beta = beta
 
     def __eq__(self, other):
-        if not isinstance(other, AdjRTwoCell):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self.src_cell == other.src_cell and self.dst_cell == other.dst_cell
                 and self.alpha.components == other.alpha.components
@@ -576,38 +473,24 @@ class AdjRTwoCell:
         return hash((self.alpha.canonical_key(), self.beta.canonical_key()))
 
 
-class AdjLTwoCell:
-    """(alpha, beta) between parallel AdjL 1-cells; both conditions checked."""
+class AdjRTwoCell(_AdjTwoCell):
+    """(alpha, beta) between parallel AdjR 1-cells."""
 
-    __slots__ = ("src_cell", "dst_cell", "alpha", "beta")
+    __slots__ = ()
+    NAME = "AdjR"
 
-    def __init__(self, src_cell: AdjLOneCell, dst_cell: AdjLOneCell,
-                 alpha: NatTrans, beta: NatTrans):
-        if (src_cell.square.dom != dst_cell.square.dom
-                or src_cell.square.cod != dst_cell.square.cod):
-            raise TypeMismatch("2-cell between non-parallel 1-cells")
-        if alpha.source != src_cell.J or alpha.target != dst_cell.J:
-            raise TypeMismatch("alpha must be typed J -> J'")
-        if beta.source != src_cell.K or beta.target != dst_cell.K:
-            raise TypeMismatch("beta must be typed K -> K'")
-        cond_a, cond_b = adjl_two_cell_conditions(src_cell, dst_cell, alpha, beta)
-        if not (cond_a and cond_b):
-            raise TwoCellLawViolation(
-                f"AdjL 2-cell conditions fail: (a)={cond_a} (b)={cond_b}")
-        self.src_cell = src_cell
-        self.dst_cell = dst_cell
-        self.alpha = alpha
-        self.beta = beta
+    def _conditions(self, src_cell, dst_cell, alpha, beta):
+        return adjr_two_cell_conditions(src_cell, dst_cell, alpha, beta)
 
-    def __eq__(self, other):
-        if not isinstance(other, AdjLTwoCell):
-            return NotImplemented
-        return (self.src_cell == other.src_cell and self.dst_cell == other.dst_cell
-                and self.alpha.components == other.alpha.components
-                and self.beta.components == other.beta.components)
 
-    def __hash__(self):
-        return hash((self.alpha.canonical_key(), self.beta.canonical_key()))
+class AdjLTwoCell(_AdjTwoCell):
+    """(alpha, beta) between parallel AdjL 1-cells."""
+
+    __slots__ = ()
+    NAME = "AdjL"
+
+    def _conditions(self, src_cell, dst_cell, alpha, beta):
+        return adjl_two_cell_conditions(src_cell, dst_cell, alpha, beta)
 
 
 def adjr2_identity(cell: AdjROneCell) -> AdjRTwoCell:
@@ -1142,18 +1025,23 @@ def colift_monad(ml: MixedDistributiveLaw,
                             opposite_nat(delta_hat), opposite_nat(eps_hat))
 
 
+def _lifting_mate(lc: LiftedComonad) -> NatTrans:
+    """U lambda_G, lambda_G the mate of the lifting square; unchecked."""
+    sq = CommutingSquareR(lc.em.adj, lc.em.adj, lc.below.G, lc.ghat)
+    return whisker_left(lc.em.U, mate_right(sq))
+
+
 def extract_mixed_from_lifting(lc: LiftedComonad) -> MixedDistributiveLaw:
     """Recover psi = U lambda_G from a comonad lifting to algebras."""
-    sq = CommutingSquareR(lc.em.adj, lc.em.adj, lc.below.G, lc.ghat)
-    lam = mate_right(sq)
-    psi = whisker_left(lc.em.U, lam)
-    return MixedDistributiveLaw(lc.base, lc.below, psi).require_valid()
+    return MixedDistributiveLaw(lc.base, lc.below,
+                                _lifting_mate(lc)).require_valid()
 
 
 def extract_mixed_from_colifting(cl: CoalgebraLifting) -> MixedDistributiveLaw:
     """Recover psi = U rho_S from a monad lifting to coalgebras: the law
-    recovered from the comonad lifting it is on the opposite category."""
-    psi = opposite_nat(extract_mixed_from_lifting(cl._op).psi)
+    recovered from the comonad lifting it is on the opposite category,
+    checked once, on C."""
+    psi = opposite_nat(_lifting_mate(cl._op))
     return MixedDistributiveLaw(cl.below, cl.base, psi).require_valid()
 
 
@@ -1232,65 +1120,8 @@ def enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
     if S.base != T.base:
         raise BaseMismatch("monads live on different bases")
     em = em if em is not None else em_category(S)
-    algebras = em.category.objects
-    choice_lists = []
-    for a in algebras:
-        cs = em.algebras_with_carrier(T.S.ob(em.carrier(a)))
-        if not cs:
-            return []
-        choice_lists.append(cs)
-
-    estimate = 1
-    for cs in choice_lists:
-        estimate *= len(cs)
-        if estimate > cap:
-            raise EnumerationCapExceeded(estimate, cap)
-
-    def try_assignment(assign) -> LiftedMonad:
-        obj_map = dict(zip(algebras, assign))
-        mor_map = {}
-        for mm in em.category.morphisms:
-            image = em.as_algebra_morphism(T.S.mor(em.underlying(mm.id)),
-                                           obj_map[mm.src], obj_map[mm.tgt])
-            if image is None:
-                return None
-            mor_map[mm.id] = image
-        that = Functor(em.category, em.category, obj_map, mor_map)
-        if check_functor(that):
-            return None
-        mu_comps, eta_comps = {}, {}
-        for a in algebras:
-            n = em.carrier(a)
-            mu_image = em.as_algebra_morphism(T.mu.at(n),
-                                              that.ob(that.ob(a)), that.ob(a))
-            eta_image = em.as_algebra_morphism(T.eta.at(n), a, that.ob(a))
-            if mu_image is None or eta_image is None:
-                return None
-            mu_comps[a] = mu_image
-            eta_comps[a] = eta_image
-        mu_hat = NatTrans(compose_functors(that, that), that, mu_comps)
-        eta_hat = NatTrans(identity_functor(em.category), that, eta_comps)
-        upstairs = Monad(em.category, that, mu_hat, eta_hat)
-        if upstairs.check():
-            return None
-        return LiftedMonad(S, em, T, that, mu_hat, eta_hat)
-
-    if not algebras:
-        lifted = try_assignment(())
-        return [lifted] if lifted is not None else []
-
-    def scan(first):
-        found = []
-        for rest in product(*choice_lists[1:]):
-            lifted = try_assignment((first,) + rest)
-            if lifted is not None:
-                found.append(lifted)
-        return found
-
-    groups = pmap(scan, choice_lists[0], jobs=jobs)
-    out = [lm for group in groups for lm in group]
-    out.sort(key=lambda lm: lm.canonical_key())
-    return out
+    return _enumerate_liftings(S, T, em, T.S, _assemble_monad_lifting,
+                               cap, jobs)
 
 
 def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
@@ -1302,10 +1133,21 @@ def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
     if S.base != G.base:
         raise BaseMismatch("monad and comonad live on different bases")
     em = em if em is not None else em_category(S)
+    return _enumerate_liftings(S, G, em, G.G, _assemble_comonad_lifting,
+                               cap, jobs)
+
+
+def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, endo: Functor,
+                        assemble, cap: int, jobs: int) -> list:
+    """Every lifting of ``below``, whose endofunctor is ``endo``, to the
+    algebras of S: each choice of algebra structures on endo(N) that makes a
+    functor upstairs is handed to ``assemble(S, below, em, functor)``, which
+    lifts the two structure transformations and returns the law-checked
+    lifting, or None."""
     algebras = em.category.objects
     choice_lists = []
     for a in algebras:
-        cs = em.algebras_with_carrier(G.G.ob(em.carrier(a)))
+        cs = em.algebras_with_carrier(endo.ob(em.carrier(a)))
         if not cs:
             return []
         choice_lists.append(cs)
@@ -1316,51 +1158,82 @@ def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
         if estimate > cap:
             raise EnumerationCapExceeded(estimate, cap)
 
-    def try_assignment(assign) -> LiftedComonad:
+    def try_assignment(assign):
         obj_map = dict(zip(algebras, assign))
         mor_map = {}
         for mm in em.category.morphisms:
-            image = em.as_algebra_morphism(G.G.mor(em.underlying(mm.id)),
+            image = em.as_algebra_morphism(endo.mor(em.underlying(mm.id)),
                                            obj_map[mm.src], obj_map[mm.tgt])
             if image is None:
                 return None
             mor_map[mm.id] = image
-        ghat = Functor(em.category, em.category, obj_map, mor_map)
-        if check_functor(ghat):
+        lifted = Functor(em.category, em.category, obj_map, mor_map)
+        if check_functor(lifted):
             return None
-        d_comps, e_comps = {}, {}
-        for a in algebras:
-            n = em.carrier(a)
-            d_image = em.as_algebra_morphism(G.delta.at(n),
-                                             ghat.ob(a), ghat.ob(ghat.ob(a)))
-            e_image = em.as_algebra_morphism(G.epsilon.at(n), ghat.ob(a), a)
-            if d_image is None or e_image is None:
-                return None
-            d_comps[a] = d_image
-            e_comps[a] = e_image
-        delta_hat = NatTrans(ghat, compose_functors(ghat, ghat), d_comps)
-        eps_hat = NatTrans(ghat, identity_functor(em.category), e_comps)
-        upstairs = Comonad(em.category, ghat, delta_hat, eps_hat)
-        if upstairs.check():
-            return None
-        return LiftedComonad(S, em, G, ghat, delta_hat, eps_hat)
+        return assemble(S, below, em, lifted)
 
     if not algebras:
-        lifted = try_assignment(())
-        return [lifted] if lifted is not None else []
+        lifting = try_assignment(())
+        return [lifting] if lifting is not None else []
 
     def scan(first):
         found = []
         for rest in product(*choice_lists[1:]):
-            lifted = try_assignment((first,) + rest)
-            if lifted is not None:
-                found.append(lifted)
+            lifting = try_assignment((first,) + rest)
+            if lifting is not None:
+                found.append(lifting)
         return found
 
     groups = pmap(scan, choice_lists[0], jobs=jobs)
-    out = [lc for group in groups for lc in group]
-    out.sort(key=lambda lc: lc.canonical_key())
+    out = [lifting for group in groups for lifting in group]
+    out.sort(key=lambda lifting: lifting.canonical_key())
     return out
+
+
+def _over_algebras(em: EmAlgebraCategory, nat: NatTrans, sources, targets):
+    """The component of nat at each algebra's carrier as an algebra morphism
+    from the matching source to the matching target, or None if one is not."""
+    comps = {}
+    for a, source, target in zip(em.category.objects, sources, targets):
+        image = em.as_algebra_morphism(nat.at(em.carrier(a)), source, target)
+        if image is None:
+            return None
+        comps[a] = image
+    return comps
+
+
+def _assemble_monad_lifting(S: Monad, T: Monad, em: EmAlgebraCategory,
+                            that: Functor):
+    algebras = em.category.objects
+    once = [that.ob(a) for a in algebras]
+    mu_comps = _over_algebras(em, T.mu, [that.ob(b) for b in once], once)
+    if mu_comps is None:
+        return None
+    eta_comps = _over_algebras(em, T.eta, algebras, once)
+    if eta_comps is None:
+        return None
+    mu_hat = NatTrans(compose_functors(that, that), that, mu_comps)
+    eta_hat = NatTrans(identity_functor(em.category), that, eta_comps)
+    if Monad(em.category, that, mu_hat, eta_hat).check():
+        return None
+    return LiftedMonad(S, em, T, that, mu_hat, eta_hat)
+
+
+def _assemble_comonad_lifting(S: Monad, G: Comonad, em: EmAlgebraCategory,
+                              ghat: Functor):
+    algebras = em.category.objects
+    once = [ghat.ob(a) for a in algebras]
+    d_comps = _over_algebras(em, G.delta, once, [ghat.ob(b) for b in once])
+    if d_comps is None:
+        return None
+    e_comps = _over_algebras(em, G.epsilon, once, algebras)
+    if e_comps is None:
+        return None
+    delta_hat = NatTrans(ghat, compose_functors(ghat, ghat), d_comps)
+    eps_hat = NatTrans(ghat, identity_functor(em.category), e_comps)
+    if Comonad(em.category, ghat, delta_hat, eps_hat).check():
+        return None
+    return LiftedComonad(S, em, G, ghat, delta_hat, eps_hat)
 
 
 # ---------------------------------------------------------------------------

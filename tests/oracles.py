@@ -6,7 +6,9 @@ product of hom-sets, each candidate filtered by the law checkers of
 tests hold the backtracking enumerators of ``fincat`` to them. The
 comonad-side references at the end build comonad laws, coalgebra
 categories and coalgebra-side liftings directly, where the library reads
-them off the monad side on the opposite category.
+them off the monad side on the opposite category. The last four are the
+law and lifting searches as written once per kind, before the library
+shared one search between each pair.
 """
 
 from itertools import product
@@ -14,8 +16,20 @@ from itertools import product
 from hypothesis import strategies as st
 
 from finmonad.adjunction import Adjunction, CommutingSquareL, mate_left
-from finmonad.construct import _algebra_id, _algebra_morphism_id
+from finmonad.construct import (
+    EmAlgebraCategory,
+    _algebra_id,
+    _algebra_morphism_id,
+    em_category,
+)
+from finmonad.distlaw import (
+    DistributiveLaw,
+    MixedDistributiveLaw,
+    untypable_objects,
+)
+from finmonad.errors import BaseMismatch, EnumerationCapExceeded
 from finmonad.fincat import (
+    DEFAULT_CAP,
     Functor,
     Morphism,
     NatTrans,
@@ -31,10 +45,13 @@ from finmonad.fincat import (
     whisker_right,
 )
 from finmonad.monad import Comonad, Monad
+from finmonad.parallel import pmap
 from finmonad.report import Violation
 from finmonad.twofunctors import (
     CoMndOneCell,
     CoMndTwoCell,
+    LiftedComonad,
+    LiftedMonad,
     comnd_compose,
     comnd_identity_cell,
     vec_psi_e_1cell,
@@ -376,3 +393,240 @@ def ref_extract_mixed_from_colifting(co, below, shat) -> NatTrans:
     """psi = U rho_S, rho_S the mate of the colifting square."""
     sq = CommutingSquareL(co.adj, co.adj, shat, below.S)
     return whisker_left(co.U, mate_left(sq))
+
+
+# ---------------------------------------------------------------------------
+# Twin searches
+#
+# The library runs one law search for plain and mixed laws and one lifting
+# search for monad and comonad liftings. These are the four searches as
+# they were written before, one per kind; the enumeration tests hold the
+# shared searches to them.
+
+
+def ref_enumerate_dist_laws(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
+                            jobs: int = 1) -> list:
+    """All distributive laws from S to T, canonically ordered.
+
+    Candidates are generated only after a typability pre-pass; an
+    untypable pair yields an empty list rather than an error.
+    """
+    S.require_valid()
+    T.require_valid()
+    if untypable_objects(S, T):
+        return []
+    cat = S.base
+    objs = cat.objects
+    choices = [cat.hom(S.S.ob(T.S.ob(x)), T.S.ob(S.S.ob(x))) for x in objs]
+    estimate = 1
+    for c in choices:
+        estimate *= len(c)
+        if estimate > cap:
+            raise EnumerationCapExceeded(estimate, cap)
+
+    src = compose_functors(S.S, T.S)
+    tgt = compose_functors(T.S, S.S)
+
+    def scan(first_choice):
+        found = []
+        rest = choices[1:] if objs else []
+        for combo in product([first_choice], *rest):
+            phi = NatTrans(src, tgt, dict(zip(objs, combo)))
+            dl = DistributiveLaw(S, T, phi)
+            if not dl.check():
+                found.append(dl)
+        return found
+
+    if not objs:
+        phi = NatTrans(src, tgt, {})
+        dl = DistributiveLaw(S, T, phi)
+        return [dl] if not dl.check() else []
+
+    groups = pmap(scan, choices[0], jobs=jobs)
+    out = [dl for group in groups for dl in group]
+    out.sort(key=lambda dl: dl.canonical_key())
+    return out
+
+
+def ref_enumerate_mixed_laws(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
+                             jobs: int = 1) -> list:
+    """All mixed distributive laws from S to G, canonically ordered."""
+    S.require_valid()
+    G.require_valid()
+    if untypable_objects(S, G):
+        return []
+    cat = S.base
+    objs = cat.objects
+    choices = [cat.hom(S.S.ob(G.G.ob(x)), G.G.ob(S.S.ob(x))) for x in objs]
+    estimate = 1
+    for c in choices:
+        estimate *= len(c)
+        if estimate > cap:
+            raise EnumerationCapExceeded(estimate, cap)
+
+    src = compose_functors(S.S, G.G)
+    tgt = compose_functors(G.G, S.S)
+
+    def scan(first_choice):
+        found = []
+        rest = choices[1:] if objs else []
+        for combo in product([first_choice], *rest):
+            psi = NatTrans(src, tgt, dict(zip(objs, combo)))
+            ml = MixedDistributiveLaw(S, G, psi)
+            if not ml.check():
+                found.append(ml)
+        return found
+
+    if not objs:
+        psi = NatTrans(src, tgt, {})
+        ml = MixedDistributiveLaw(S, G, psi)
+        return [ml] if not ml.check() else []
+
+    groups = pmap(scan, choices[0], jobs=jobs)
+    out = [ml for group in groups for ml in group]
+    out.sort(key=lambda ml: ml.canonical_key())
+    return out
+
+
+def ref_enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
+                           jobs: int = 1, em: EmAlgebraCategory = None) -> list:
+    """All monad liftings of T to the algebras of S, canonically ordered.
+
+    The search space is one algebra structure on T(N) per algebra (N, chi);
+    morphism images and the components of mu_hat/eta_hat are forced by the
+    base structure, then everything is law-checked from scratch.
+    """
+    S.require_valid()
+    T.require_valid()
+    if S.base != T.base:
+        raise BaseMismatch("monads live on different bases")
+    em = em if em is not None else em_category(S)
+    algebras = em.category.objects
+    choice_lists = []
+    for a in algebras:
+        cs = em.algebras_with_carrier(T.S.ob(em.carrier(a)))
+        if not cs:
+            return []
+        choice_lists.append(cs)
+
+    estimate = 1
+    for cs in choice_lists:
+        estimate *= len(cs)
+        if estimate > cap:
+            raise EnumerationCapExceeded(estimate, cap)
+
+    def try_assignment(assign) -> LiftedMonad:
+        obj_map = dict(zip(algebras, assign))
+        mor_map = {}
+        for mm in em.category.morphisms:
+            image = em.as_algebra_morphism(T.S.mor(em.underlying(mm.id)),
+                                           obj_map[mm.src], obj_map[mm.tgt])
+            if image is None:
+                return None
+            mor_map[mm.id] = image
+        that = Functor(em.category, em.category, obj_map, mor_map)
+        if check_functor(that):
+            return None
+        mu_comps, eta_comps = {}, {}
+        for a in algebras:
+            n = em.carrier(a)
+            mu_image = em.as_algebra_morphism(T.mu.at(n),
+                                              that.ob(that.ob(a)), that.ob(a))
+            eta_image = em.as_algebra_morphism(T.eta.at(n), a, that.ob(a))
+            if mu_image is None or eta_image is None:
+                return None
+            mu_comps[a] = mu_image
+            eta_comps[a] = eta_image
+        mu_hat = NatTrans(compose_functors(that, that), that, mu_comps)
+        eta_hat = NatTrans(identity_functor(em.category), that, eta_comps)
+        upstairs = Monad(em.category, that, mu_hat, eta_hat)
+        if upstairs.check():
+            return None
+        return LiftedMonad(S, em, T, that, mu_hat, eta_hat)
+
+    if not algebras:
+        lifted = try_assignment(())
+        return [lifted] if lifted is not None else []
+
+    def scan(first):
+        found = []
+        for rest in product(*choice_lists[1:]):
+            lifted = try_assignment((first,) + rest)
+            if lifted is not None:
+                found.append(lifted)
+        return found
+
+    groups = pmap(scan, choice_lists[0], jobs=jobs)
+    out = [lm for group in groups for lm in group]
+    out.sort(key=lambda lm: lm.canonical_key())
+    return out
+
+
+def ref_enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
+                                   jobs: int = 1,
+                                   em: EmAlgebraCategory = None) -> list:
+    """All comonad liftings of G to the algebras of S; dual search."""
+    S.require_valid()
+    G.require_valid()
+    if S.base != G.base:
+        raise BaseMismatch("monad and comonad live on different bases")
+    em = em if em is not None else em_category(S)
+    algebras = em.category.objects
+    choice_lists = []
+    for a in algebras:
+        cs = em.algebras_with_carrier(G.G.ob(em.carrier(a)))
+        if not cs:
+            return []
+        choice_lists.append(cs)
+
+    estimate = 1
+    for cs in choice_lists:
+        estimate *= len(cs)
+        if estimate > cap:
+            raise EnumerationCapExceeded(estimate, cap)
+
+    def try_assignment(assign) -> LiftedComonad:
+        obj_map = dict(zip(algebras, assign))
+        mor_map = {}
+        for mm in em.category.morphisms:
+            image = em.as_algebra_morphism(G.G.mor(em.underlying(mm.id)),
+                                           obj_map[mm.src], obj_map[mm.tgt])
+            if image is None:
+                return None
+            mor_map[mm.id] = image
+        ghat = Functor(em.category, em.category, obj_map, mor_map)
+        if check_functor(ghat):
+            return None
+        d_comps, e_comps = {}, {}
+        for a in algebras:
+            n = em.carrier(a)
+            d_image = em.as_algebra_morphism(G.delta.at(n),
+                                             ghat.ob(a), ghat.ob(ghat.ob(a)))
+            e_image = em.as_algebra_morphism(G.epsilon.at(n), ghat.ob(a), a)
+            if d_image is None or e_image is None:
+                return None
+            d_comps[a] = d_image
+            e_comps[a] = e_image
+        delta_hat = NatTrans(ghat, compose_functors(ghat, ghat), d_comps)
+        eps_hat = NatTrans(ghat, identity_functor(em.category), e_comps)
+        upstairs = Comonad(em.category, ghat, delta_hat, eps_hat)
+        if upstairs.check():
+            return None
+        return LiftedComonad(S, em, G, ghat, delta_hat, eps_hat)
+
+    if not algebras:
+        lifted = try_assignment(())
+        return [lifted] if lifted is not None else []
+
+    def scan(first):
+        found = []
+        for rest in product(*choice_lists[1:]):
+            lifted = try_assignment((first,) + rest)
+            if lifted is not None:
+                found.append(lifted)
+        return found
+
+    groups = pmap(scan, choice_lists[0], jobs=jobs)
+    out = [lc for group in groups for lc in group]
+    out.sort(key=lambda lc: lc.canonical_key())
+    return out

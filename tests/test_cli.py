@@ -162,6 +162,24 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
             "UnicodeDecodeError"
 
 
+def deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return str(path)
+
+
+def test_validate_rejects_deeply_nested_json(tmp_path, capsys):
+    witness = error_report(["validate", deeply_nested(tmp_path)], capsys)
+    assert witness["kind"] == "FileFormatError"
+    assert "NestedTooDeeply" in witness["message"]
+
+
+def test_em_rejects_deeply_nested_json(tmp_path, capsys):
+    witness = error_report(["em", deeply_nested(tmp_path)], capsys)
+    assert witness["kind"] == "FileFormatError"
+    assert "NestedTooDeeply" in witness["message"]
+
+
 def test_monads_command(capsys):
     code, out = run_cli(["--format", "json", "monads", fx("chain3.json")], capsys)
     assert code == 0

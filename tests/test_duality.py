@@ -18,6 +18,7 @@ from oracles import (
     transformation_monoid,
 )
 
+from finmonad import distlaw
 from finmonad.adjunction import induced_comonad
 from finmonad.construct import em_coalgebra_category
 from finmonad.distlaw import enumerate_mixed_laws
@@ -34,6 +35,8 @@ from finmonad.twofunctors import (
     CoalgebraLifting,
     colift_monad,
     extract_mixed_from_colifting,
+    extract_mixed_from_lifting,
+    lift_comonad,
 )
 
 NON_THIN = {"M(Z2)": m_z2, "Z3": lambda: cyclic(3),
@@ -144,6 +147,24 @@ def test_colifts_match_reference(cor):
         assert extract_mixed_from_colifting(cl).psi == psi
         seen += 1
     assert seen > 11
+
+
+def test_extraction_checks_the_recovered_law_once(cor, monkeypatch):
+    pairs = [(lift_comonad(ml), colift_monad(ml)) for ml in mixed_laws(cor)]
+    calls = []
+    check = distlaw.check_mixed_law
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(distlaw, "check_mixed_law", counted)
+    for lc, cl in pairs:
+        for extract, lifting in ((extract_mixed_from_lifting, lc),
+                                 (extract_mixed_from_colifting, cl)):
+            calls.clear()
+            extract(lifting)
+            assert len(calls) == 1
 
 
 def colifting_violations(G, co, S, shat, mu_hat, eta_hat):

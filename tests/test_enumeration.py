@@ -2,10 +2,13 @@
 
 Every result must be lawful, and the sorted ``canonical_key()`` lists must
 equal the oracles' on random posets, on small monoids and products, and on
-random pairs of parallel functors.
+random pairs of parallel functors. The shared law and lifting searches
+must return what the per-kind searches they replaced return, in the same
+order, and stop at the same cap.
 """
 
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,11 +20,17 @@ from oracles import (
     cyclic,
     map_id,
     posets,
+    ref_enumerate_comonad_liftings,
+    ref_enumerate_dist_laws,
+    ref_enumerate_liftings,
+    ref_enumerate_mixed_laws,
     then,
     transformation_maps,
     transformation_monoid,
 )
 
+from finmonad.construct import em_category
+from finmonad.distlaw import enumerate_dist_laws, enumerate_mixed_laws
 from finmonad.errors import EnumerationCapExceeded
 from finmonad.fincat import (
     check_functor,
@@ -29,7 +38,9 @@ from finmonad.fincat import (
     enumerate_functors,
     enumerate_nat_trans,
 )
-from finmonad.fixtures import c3
+from finmonad.fixtures import c3, m_z2
+from finmonad.monad import enumerate_comonads, enumerate_monads
+from finmonad.twofunctors import enumerate_comonad_liftings, enumerate_liftings
 
 SMALL = {
     "z2": cyclic(2), "z3": cyclic(3), "z4": cyclic(4), "z5": cyclic(5),
@@ -155,3 +166,86 @@ def test_t3_endofunctors_finish_under_the_default_cap():
     # the identity and the constant functor onto the identity are among them
     assert {F.mor(map_id((1, 0, 2))) for F in found} >= {
         map_id((1, 0, 2)), map_id((0, 1, 2))}
+
+
+# ---------------------------------------------------------------------------
+# Shared law and lifting searches against the per-kind searches
+
+
+def twin_structures(cor, name):
+    """The monads and comonads whose pairs the twin tests search."""
+    if name == "C3":
+        return list(cor.monads_c3.values()), list(cor.comonads_c3.values())
+    cat = {"M(Z2)": m_z2, "Z3": lambda: cyclic(3),
+           "T2": lambda: transformation_monoid(2)}[name]()
+    return enumerate_monads(cat), enumerate_comonads(cat)
+
+
+def law_estimate(S, endo) -> int:
+    """The law search's product estimate: one component per object."""
+    cat = S.base
+    return prod(len(cat.hom(S.S.ob(endo.ob(x)), endo.ob(S.S.ob(x))))
+                for x in cat.objects)
+
+
+def lifting_estimate(S, endo) -> int:
+    """The lifting search's product estimate: one algebra per algebra."""
+    em = em_category(S)
+    return prod(len(em.algebras_with_carrier(endo.ob(em.carrier(a))))
+                for a in em.category.objects)
+
+
+def outcome(search, S, other, cap):
+    try:
+        return search(S, other, cap=cap)
+    except EnumerationCapExceeded as exc:
+        return ("cap", exc.estimate, exc.cap)
+
+
+def assert_twins_match(search, reference, S, other, estimate) -> int:
+    found = search(S, other)
+    want = reference(S, other)
+    assert found == want
+    assert keys(found) == keys(want)
+    assert keys(search(S, other, jobs=2)) == keys(found)
+    if estimate:
+        assert outcome(search, S, other, estimate) == found
+        boundary = ("cap", estimate, estimate - 1)
+        assert outcome(search, S, other, estimate - 1) == boundary
+        assert outcome(reference, S, other, estimate - 1) == boundary
+    return len(found)
+
+
+TWIN_CASES = ["C3", "M(Z2)", "T2", "Z3"]
+
+
+@pytest.mark.parametrize("name", TWIN_CASES)
+def test_law_search_matches_the_per_kind_searches(cor, name):
+    monads, comonads = twin_structures(cor, name)
+    plain = mixed = 0
+    for S in monads:
+        for T in monads:
+            plain += assert_twins_match(enumerate_dist_laws,
+                                        ref_enumerate_dist_laws, S, T,
+                                        law_estimate(S, T.S))
+        for G in comonads:
+            mixed += assert_twins_match(enumerate_mixed_laws,
+                                        ref_enumerate_mixed_laws, S, G,
+                                        law_estimate(S, G.G))
+    assert plain > 0 and mixed > 0
+
+
+@pytest.mark.parametrize("name", TWIN_CASES)
+def test_lifting_search_matches_the_per_kind_searches(cor, name):
+    monads, comonads = twin_structures(cor, name)
+    plain = co = 0
+    for S in monads:
+        for T in monads:
+            plain += assert_twins_match(enumerate_liftings,
+                                        ref_enumerate_liftings, S, T,
+                                        lifting_estimate(S, T.S))
+        for G in comonads:
+            co += assert_twins_match(enumerate_comonad_liftings,
+                                     ref_enumerate_comonad_liftings, S, G,
+                                     lifting_estimate(S, G.G))
+    assert plain > 0 and co > 0
