@@ -1,23 +1,35 @@
 """Cells, 2-functor actions, liftings/extensions, and the bijection
 round trips."""
 
+from itertools import product
+
 import pytest
 from oracles import chain2_times_z2, transformation_monoid
 
 from finmonad.adjunction import CommutingSquareR, mate_right
 from finmonad.construct import em_category, em_coalgebra_category, kleisli_category
 from finmonad.distlaw import enumerate_dist_laws, enumerate_mixed_laws
-from finmonad.errors import BaseMismatch, TwoCellLawViolation
+from finmonad.errors import BaseMismatch, LawViolation, TwoCellLawViolation
 from finmonad.fincat import (
+    NatTrans,
     compose_functors,
     identity_functor,
     whisker_left,
     whisker_right,
 )
 from finmonad.fixtures import thin_mixed_law
-from finmonad.monad import enumerate_monads, identity_comonad, identity_monad
+from finmonad.monad import (
+    Comonad,
+    Monad,
+    enumerate_monads,
+    identity_comonad,
+    identity_monad,
+)
 from finmonad.twofunctors import (
     AdjLOneCell,
+    KleisliExtension,
+    LiftedComonad,
+    LiftedMonad,
     MndBulletOneCell,
     MndBulletTwoCell,
     MndOneCell,
@@ -493,3 +505,156 @@ def test_stored_mate_must_match_the_square(cor):
     twisted = NatTrans(good.source, good.target, {"g": twist})
     with pytest.raises(MateMismatch):
         AdjROneCell(sq, twisted)
+
+
+# -- rejected liftings and extensions ---------------------------------------------
+
+# Each class's context, its strict conditions in report order, and the
+# upstairs unit laws its M(Z2) candidates below can break.
+REJECTIONS = {
+    "lifted monad": (
+        ("LiftingSquareBroken", "Eq-1510081116", "U∘That = T∘U fails"),
+        ("MultiplicationNotOverBase", "law-mnd-2cell", "U mu_hat = mu U fails"),
+        ("UnitNotOverBase", "law-mnd-2cell", "U eta_hat = eta U fails"),
+        [("MonadUnitLeft", "law-monad-unit-left", ""),
+         ("MonadUnitRight", "law-monad-unit-right", "")]),
+    "lifted comonad": (
+        ("LiftingSquareBroken", "Eq-1510081654", "U∘Ghat = G∘U fails"),
+        ("ComultiplicationNotOverBase", "law-mnd-2cell",
+         "U delta_hat = delta U fails"),
+        ("CounitNotOverBase", "law-mnd-2cell", "U eps_hat = epsilon U fails"),
+        [("ComonadCounitLeft", "law-comonad-counit-left", ""),
+         ("ComonadCounitRight", "law-comonad-counit-right", "")]),
+    "Kleisli extension": (
+        ("ExtensionSquareBroken", "Eq-1510081116", "Stilde∘D = D∘S fails"),
+        None, None,
+        [("MonadUnitLeft", "law-monad-unit-left", ""),
+         ("MonadUnitRight", "law-monad-unit-right", "")]),
+}
+
+
+def rejection(make, *args):
+    """The (kind, tag, detail) triples ``make(*args)`` raises, in order."""
+    try:
+        make(*args)
+    except LawViolation as exc:
+        got = [(v.kind, v.tag, v.detail) for v in exc.violations]
+        return str(exc).split(": ", 1)[0], got
+    return None, []
+
+
+def test_liftings_over_another_structure_on_c3_are_rejected(cor):
+    dl = cor.law_c2_c1
+    lm, ke = lift_monad(dl), extend_monad(dl)
+    ml = enumerate_mixed_laws(cor.monads_c3["c1"], cor.comonads_c3["i1"])[0]
+    lc = lift_comonad(ml)
+    square, mult, unit, _ = REJECTIONS["lifted monad"]
+    for name, T in cor.monads_c3.items():
+        got = rejection(LiftedMonad, lm.base, lm.em, T, lm.that, lm.mu_hat,
+                        lm.eta_hat)
+        # the lifting of c1 along the law also lies over c3
+        want = ((None, []) if name in ("c1", "c3")
+                else ("lifted monad", [square, mult, unit]))
+        assert got == want
+    square = REJECTIONS["Kleisli extension"][0]
+    for name, S in cor.monads_c3.items():
+        got = rejection(KleisliExtension, S, ke.base_t, ke.kl, ke.stilde,
+                        ke.mu_tilde, ke.eta_tilde)
+        want = (None, []) if name == "c2" else ("Kleisli extension", [square])
+        assert got == want
+    square, mult, unit, _ = REJECTIONS["lifted comonad"]
+    for name, G in cor.comonads_c3.items():
+        got = rejection(LiftedComonad, lc.base, lc.em, G, lc.ghat,
+                        lc.delta_hat, lc.eps_hat)
+        want = ((None, []) if name in ("id", "i1")
+                else ("lifted comonad", [square, mult, unit]))
+        assert got == want
+
+
+def test_liftings_on_m_z2_report_each_condition_in_order(cor):
+    """Over the identity monad on M(Z2), whose algebras mirror M(Z2): every
+    structure (m, u) on its identity functor below, lawful or not, against
+    every (m', u') upstairs. (m', u') lies over the base iff m' = m and
+    u' = u, and passes the unit laws upstairs iff m' = u'."""
+    Z = cor.m_z2
+    base = cor.monads_z2["id"]
+    em, kl = em_category(base), kleisli_category(base)
+    Id = identity_functor(Z)
+    Ihat, Itilde = identity_functor(em.category), identity_functor(kl.category)
+    algebra, on_kl = "⟨g|e⟩", lambda x: f"♯⟨{x}:g→g⟩"
+    on_em = lambda x: f"⟨{x}:⟨g|e⟩→⟨g|e⟩⟩"
+    rejected = 0
+    for m, u, m2, u2 in product("es", repeat=4):
+        for context, make in (
+                ("lifted monad", lambda: LiftedMonad(
+                    base, em, Monad(Z, Id, NatTrans(compose_functors(Id, Id), Id,
+                                                    {"g": m}),
+                                    NatTrans(Id, Id, {"g": u})),
+                    Ihat, NatTrans(compose_functors(Ihat, Ihat), Ihat,
+                                   {algebra: on_em(m2)}),
+                    NatTrans(Ihat, Ihat, {algebra: on_em(u2)}))),
+                ("lifted comonad", lambda: LiftedComonad(
+                    base, em, Comonad(Z, Id, NatTrans(Id, compose_functors(Id, Id),
+                                                      {"g": m}),
+                                      NatTrans(Id, Id, {"g": u})),
+                    Ihat, NatTrans(Ihat, compose_functors(Ihat, Ihat),
+                                   {algebra: on_em(m2)}),
+                    NatTrans(Ihat, Ihat, {algebra: on_em(u2)})))):
+            _, mult, unit, laws = REJECTIONS[context]
+            want = ([mult] if m2 != m else []) + ([unit] if u2 != u else [])
+            want += laws if m2 != u2 else []
+            assert rejection(make) == ((context, want) if want else (None, []))
+            rejected += bool(want)
+        if (m, u) != ("e", "e"):
+            continue
+        got = rejection(KleisliExtension, base, base, kl, Itilde,
+                        NatTrans(compose_functors(Itilde, Itilde), Itilde,
+                                 {"g": on_kl(m2)}),
+                        NatTrans(Itilde, Itilde, {"g": on_kl(u2)}))
+        laws = REJECTIONS["Kleisli extension"][3]
+        assert got == (("Kleisli extension", laws) if m2 != u2 else (None, []))
+    assert rejected == 28
+
+
+def test_liftings_reject_a_foreign_base_with_their_own_messages(cor):
+    dl = cor.law_c2_c1
+    lm, ke = lift_monad(dl), extend_monad(dl)
+    ml = enumerate_mixed_laws(cor.monads_c3["c1"], cor.comonads_c3["i1"])[0]
+    lc = lift_comonad(ml)
+    other_c3, on_c2 = cor.monads_c3["id"], cor.monads_c2["top"]
+    cases = (
+        (lambda: LiftedMonad(other_c3, lm.em, lm.below, lm.that, lm.mu_hat,
+                             lm.eta_hat),
+         "algebra category does not belong to the base monad"),
+        (lambda: LiftedMonad(lm.base, lm.em, on_c2, lm.that, lm.mu_hat,
+                             lm.eta_hat),
+         "monads live on different bases"),
+        (lambda: KleisliExtension(ke.base_s, other_c3, ke.kl, ke.stilde,
+                                  ke.mu_tilde, ke.eta_tilde),
+         "Kleisli category does not belong to T"),
+        (lambda: KleisliExtension(on_c2, ke.base_t, ke.kl, ke.stilde,
+                                  ke.mu_tilde, ke.eta_tilde),
+         "monads live on different bases"),
+        (lambda: LiftedComonad(other_c3, lc.em, lc.below, lc.ghat,
+                               lc.delta_hat, lc.eps_hat),
+         "algebra category does not belong to the base monad"),
+        (lambda: LiftedComonad(lc.base, lc.em, cor.comonads_c2["bot"],
+                               lc.ghat, lc.delta_hat, lc.eps_hat),
+         "monad and comonad live on different bases"),
+    )
+    for make, message in cases:
+        with pytest.raises(BaseMismatch) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_structures_of_different_kinds_are_never_equal(cor):
+    for cat in (cor.c3, cor.m_z2, cor.empty):
+        m, c = identity_monad(cat), identity_comonad(cat)
+        assert m.canonical_key() == c.canonical_key()
+        assert m != c and not (m == c)
+    Id = identity_monad(cor.empty)
+    lm = lift_monad(enumerate_dist_laws(Id, Id)[0])
+    ke = extend_monad(enumerate_dist_laws(Id, Id)[0])
+    assert lm.canonical_key() == ke.canonical_key()
+    assert lm != ke and not (ke == lm)
