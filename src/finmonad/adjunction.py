@@ -34,8 +34,7 @@ from .fincat import (
     whisker_left,
     whisker_right,
 )
-from .monad import Comonad, Monad, comonad_on_opposite
-from .report import Violation
+from .monad import Comonad, Monad, _first_diff, comonad_on_opposite
 
 
 class Adjunction:
@@ -63,23 +62,15 @@ class Adjunction:
     def _triangles(self) -> list:
         out = []
         # (counit L) ∘ (L unit) = id_L
-        left = vcomp(whisker_left(self.L, self.unit),
-                     whisker_right(self.counit, self.L))
-        ident = identity_nat(self.L)
-        for x in self.base.objects:
-            if left.at(x) != ident.at(x):
-                out.append(Violation("TriangleIdentityL", "law-triangle-left",
-                                     where=x, lhs=left.at(x), rhs=ident.at(x)))
-                break
+        _first_diff("TriangleIdentityL", "law-triangle-left",
+                    vcomp(whisker_left(self.L, self.unit),
+                          whisker_right(self.counit, self.L)),
+                    identity_nat(self.L), out)
         # (R counit) ∘ (unit R) = id_R
-        right = vcomp(whisker_right(self.unit, self.R),
-                      whisker_left(self.R, self.counit))
-        ident = identity_nat(self.R)
-        for x in self.upper.objects:
-            if right.at(x) != ident.at(x):
-                out.append(Violation("TriangleIdentityR", "law-triangle-right",
-                                     where=x, lhs=right.at(x), rhs=ident.at(x)))
-                break
+        _first_diff("TriangleIdentityR", "law-triangle-right",
+                    vcomp(whisker_right(self.unit, self.R),
+                          whisker_left(self.R, self.counit)),
+                    identity_nat(self.R), out)
         return out
 
     @property
@@ -136,58 +127,53 @@ def induced_comonad(a: Adjunction) -> Comonad:
     return comonad_on_opposite(induced_monad(opposite_adjunction(a)))
 
 
-class CommutingSquareR:
+class _Square:
+    """A square J between bases and K between upper categories, from the
+    adjunction ``dom`` to ``cod``; each kind checks that it commutes."""
+
+    __slots__ = ("dom", "cod", "J", "K")
+
+    def __init__(self, dom: Adjunction, cod: Adjunction, J: Functor, K: Functor):
+        if J.source != dom.base or J.target != cod.base:
+            raise TypeMismatch("J must map base to base")
+        if K.source != dom.upper or K.target != cod.upper:
+            raise TypeMismatch("K must map upper to upper")
+        self._check_commutes(dom, cod, J, K)
+        self.dom = dom
+        self.cod = cod
+        self.J = J
+        self.K = K
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.dom == other.dom and self.cod == other.cod
+                and self.J == other.J and self.K == other.K)
+
+    def __hash__(self):
+        return hash((self.J.canonical_key(), self.K.canonical_key()))
+
+
+class CommutingSquareR(_Square):
     """A strictly commuting square of right adjoints: R̄∘K = J∘R."""
 
-    __slots__ = ("dom", "cod", "J", "K")
+    __slots__ = ()
 
-    def __init__(self, dom: Adjunction, cod: Adjunction, J: Functor, K: Functor):
-        if J.source != dom.base or J.target != cod.base:
-            raise TypeMismatch("J must map base to base")
-        if K.source != dom.upper or K.target != cod.upper:
-            raise TypeMismatch("K must map upper to upper")
+    @staticmethod
+    def _check_commutes(dom, cod, J, K):
         if compose_functors(cod.R, K) != compose_functors(J, dom.R):
             raise SquareConstraintViolation("R̄∘K = J∘R fails")
-        self.dom = dom
-        self.cod = cod
-        self.J = J
-        self.K = K
-
-    def __eq__(self, other):
-        if not isinstance(other, CommutingSquareR):
-            return NotImplemented
-        return (self.dom == other.dom and self.cod == other.cod
-                and self.J == other.J and self.K == other.K)
-
-    def __hash__(self):
-        return hash((self.J.canonical_key(), self.K.canonical_key()))
 
 
-class CommutingSquareL:
+class CommutingSquareL(_Square):
     """A strictly commuting square of left adjoints: K∘L = L̄∘J."""
 
-    __slots__ = ("dom", "cod", "J", "K")
+    __slots__ = ()
 
-    def __init__(self, dom: Adjunction, cod: Adjunction, J: Functor, K: Functor):
-        if J.source != dom.base or J.target != cod.base:
-            raise TypeMismatch("J must map base to base")
-        if K.source != dom.upper or K.target != cod.upper:
-            raise TypeMismatch("K must map upper to upper")
+    @staticmethod
+    def _check_commutes(dom, cod, J, K):
         if compose_functors(K, dom.L) != compose_functors(cod.L, J):
             raise SquareConstraintViolation("K∘L = L̄∘J fails")
-        self.dom = dom
-        self.cod = cod
-        self.J = J
-        self.K = K
-
-    def __eq__(self, other):
-        if not isinstance(other, CommutingSquareL):
-            return NotImplemented
-        return (self.dom == other.dom and self.cod == other.cod
-                and self.J == other.J and self.K == other.K)
-
-    def __hash__(self):
-        return hash((self.J.canonical_key(), self.K.canonical_key()))
 
 
 def mate_right(sq: CommutingSquareR) -> NatTrans:

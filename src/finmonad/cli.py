@@ -21,12 +21,7 @@ import time
 from . import jsonio
 from .adjunction import induced_comonad, induced_monad
 from .construct import em_category, em_coalgebra_category, kleisli_category
-from .distlaw import (
-    check_dist_law,
-    check_mixed_law,
-    enumerate_dist_laws,
-    enumerate_mixed_laws,
-)
+from .distlaw import enumerate_dist_laws, enumerate_mixed_laws
 from .errors import (
     CategoryValidationError,
     EnumerationCapExceeded,
@@ -74,25 +69,14 @@ def _cmd_validate(args) -> VerificationReport:
     return rep
 
 
-def _cmd_monads(args) -> VerificationReport:
-    rep = _report(args, "monads", [args.file])
+def _cmd_structures(args) -> VerificationReport:
+    rep = _report(args, args.command, [args.file])
     cat = jsonio.load_category(args.file, seed=args.seed)
-    found = enumerate_monads(cat, cap=args.cap, jobs=args.jobs)
-    rep.add(entry("monads/enumerate", "chk-enumeration", True,
+    found = args.search(cat, cap=args.cap, jobs=args.jobs)
+    rep.add(entry(f"{args.command}/enumerate", "chk-enumeration", True,
                   witness={"count": len(found),
-                           "object_maps": [dict(sorted(m.S.object_map.items()))
+                           "object_maps": [dict(sorted(m.endo.object_map.items()))
                                            for m in found]}))
-    return rep
-
-
-def _cmd_comonads(args) -> VerificationReport:
-    rep = _report(args, "comonads", [args.file])
-    cat = jsonio.load_category(args.file, seed=args.seed)
-    found = enumerate_comonads(cat, cap=args.cap, jobs=args.jobs)
-    rep.add(entry("comonads/enumerate", "chk-enumeration", True,
-                  witness={"count": len(found),
-                           "object_maps": [dict(sorted(c.G.object_map.items()))
-                                           for c in found]}))
     return rep
 
 
@@ -142,51 +126,26 @@ def _cmd_kleisli(args) -> VerificationReport:
     return rep
 
 
-def _cmd_distlaw(args) -> VerificationReport:
+def _cmd_law(args) -> VerificationReport:
+    load_law, load_second, enumerate_laws, tags, _ = args.law
     if args.law_command == "check":
-        rep = _report(args, "distlaw check", [args.file])
-        dl = jsonio.load_dist_law(args.file, seed=args.seed)
-        violations = check_dist_law(dl.S, dl.T, dl.phi)
+        rep = _report(args, f"{args.command} check", [args.file])
         by_tag = {}
-        for v in violations:
+        for v in load_law(args.file, seed=args.seed).check():
             by_tag.setdefault(v.tag, []).append(v)
-        for tag in ("law-naturality", "Eq-1510071248-i", "Eq-1510071248-ii",
-                    "Eq-1510071249-i", "Eq-1510071249-ii"):
-            rep.add(entry_from_violations(f"distlaw/{tag}", tag,
+        for tag in tags:
+            rep.add(entry_from_violations(f"{args.command}/{tag}", tag,
                                           by_tag.get(tag, [])))
         return rep
-    rep = _report(args, "distlaw enumerate", [args.s_file, args.t_file])
+    rep = _report(args, f"{args.command} enumerate",
+                  [args.s_file, args.second_file])
     S = jsonio.load_monad(args.s_file, seed=args.seed)
-    T = jsonio.load_monad(args.t_file, seed=args.seed)
-    laws = enumerate_dist_laws(S, T, cap=args.cap, jobs=args.jobs)
-    rep.add(entry("distlaw/enumerate", "chk-enumeration", True,
+    second = load_second(args.second_file, seed=args.seed)
+    laws = enumerate_laws(S, second, cap=args.cap, jobs=args.jobs)
+    rep.add(entry(f"{args.command}/enumerate", "chk-enumeration", True,
                   witness={"count": len(laws),
-                           "laws": [dict(sorted(dl.phi.components.items()))
-                                    for dl in laws]}))
-    return rep
-
-
-def _cmd_mixedlaw(args) -> VerificationReport:
-    if args.law_command == "check":
-        rep = _report(args, "mixedlaw check", [args.file])
-        ml = jsonio.load_mixed_law(args.file, seed=args.seed)
-        violations = check_mixed_law(ml.S, ml.G, ml.psi)
-        by_tag = {}
-        for v in violations:
-            by_tag.setdefault(v.tag, []).append(v)
-        for tag in ("law-naturality", "Eq-1510081240-i", "Eq-1510081240-ii",
-                    "Eq-1510081242-i", "Eq-1510081242-ii"):
-            rep.add(entry_from_violations(f"mixedlaw/{tag}", tag,
-                                          by_tag.get(tag, [])))
-        return rep
-    rep = _report(args, "mixedlaw enumerate", [args.s_file, args.g_file])
-    S = jsonio.load_monad(args.s_file, seed=args.seed)
-    G = jsonio.load_comonad(args.g_file, seed=args.seed)
-    laws = enumerate_mixed_laws(S, G, cap=args.cap, jobs=args.jobs)
-    rep.add(entry("mixedlaw/enumerate", "chk-enumeration", True,
-                  witness={"count": len(laws),
-                           "laws": [dict(sorted(ml.psi.components.items()))
-                                    for ml in laws]}))
+                           "laws": [dict(sorted(law.nat.components.items()))
+                                    for law in laws]}))
     return rep
 
 
@@ -362,12 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_validate)
 
-    for name, fn in (("monads", _cmd_monads), ("comonads", _cmd_comonads)):
+    for name, search in (("monads", enumerate_monads),
+                         ("comonads", enumerate_comonads)):
         p = sub.add_parser(name, parents=[common],
                            help=f"enumerate {name} on a category")
         p.add_argument("file")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_structures, search=search)
 
     for name, fn, what in (("em", _cmd_em, "monad"),
                            ("coem", _cmd_coem, "comonad"),
@@ -380,27 +340,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the constructed category as JSON")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("distlaw", help="check or enumerate distributive laws")
-    lsub = p.add_subparsers(dest="law_command", required=True)
-    pc = lsub.add_parser("check", parents=[common])
-    pc.add_argument("file")
-    pc.set_defaults(func=_cmd_distlaw)
-    pe = lsub.add_parser("enumerate", parents=[common])
-    pe.add_argument("s_file")
-    pe.add_argument("t_file")
-    pe.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    pe.set_defaults(func=_cmd_distlaw)
-
-    p = sub.add_parser("mixedlaw", help="check or enumerate mixed laws")
-    lsub = p.add_subparsers(dest="law_command", required=True)
-    pc = lsub.add_parser("check", parents=[common])
-    pc.add_argument("file")
-    pc.set_defaults(func=_cmd_mixedlaw)
-    pe = lsub.add_parser("enumerate", parents=[common])
-    pe.add_argument("s_file")
-    pe.add_argument("g_file")
-    pe.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    pe.set_defaults(func=_cmd_mixedlaw)
+    # Per law kind: the law loader, the loader of the second structure (T
+    # or G), the enumerator, the checked tags in report order, and the
+    # name of the second structure's file.
+    for name, what, law in (
+            ("distlaw", "distributive laws",
+             (jsonio.load_dist_law, jsonio.load_monad, enumerate_dist_laws,
+              ("law-naturality", "Eq-1510071248-i", "Eq-1510071248-ii",
+               "Eq-1510071249-i", "Eq-1510071249-ii"), "t_file")),
+            ("mixedlaw", "mixed laws",
+             (jsonio.load_mixed_law, jsonio.load_comonad, enumerate_mixed_laws,
+              ("law-naturality", "Eq-1510081240-i", "Eq-1510081240-ii",
+               "Eq-1510081242-i", "Eq-1510081242-ii"), "g_file"))):
+        p = sub.add_parser(name, help=f"check or enumerate {what}")
+        lsub = p.add_subparsers(dest="law_command", required=True)
+        pc = lsub.add_parser("check", parents=[common])
+        pc.add_argument("file")
+        pe = lsub.add_parser("enumerate", parents=[common])
+        pe.add_argument("s_file")
+        pe.add_argument("second_file", metavar=law[-1])
+        pe.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        for q in (pc, pe):
+            q.set_defaults(func=_cmd_law, law=law)
 
     for name, fn in (("lift", _cmd_lift), ("extend", _cmd_extend),
                      ("extract-em", _cmd_extract_em),

@@ -15,7 +15,6 @@ from itertools import product
 from .errors import (
     BaseMismatch,
     EnumerationCapExceeded,
-    LawViolation,
     TypeMismatch,
     UnTypableComponent,
 )
@@ -28,23 +27,17 @@ from .fincat import (
     whisker_left,
     whisker_right,
 )
-from .monad import Comonad, Monad
+from .monad import Comonad, Monad, _Checked, _first_diff
 from .parallel import pmap
 from .report import Violation
 
 
-class _Law:
+class _Law(_Checked):
     """A candidate law S∘E → E∘S over one base category, for a monad S and
     a structure ``second`` on E. Each kind names ``second`` and ``nat``,
     checks their typing on construction and supplies :meth:`check`."""
 
     __slots__ = ("S", "second", "nat")
-
-    def require_valid(self):
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context=self.CONTEXT)
-        return self
 
     def canonical_key(self):
         return self.nat.canonical_key()
@@ -110,13 +103,6 @@ class MixedDistributiveLaw(_Law):
 
     def check(self) -> list:
         return check_mixed_law(self.S, self.G, self.psi)
-
-
-def _first_diff(kind, tag, lhs: NatTrans, rhs: NatTrans, out: list) -> None:
-    for x in lhs.base.objects:
-        if lhs.at(x) != rhs.at(x):
-            out.append(Violation(kind, tag, where=x, lhs=lhs.at(x), rhs=rhs.at(x)))
-            return
 
 
 def check_dist_law(S: Monad, T: Monad, phi: NatTrans) -> list:
@@ -187,12 +173,11 @@ def check_mixed_law(S: Monad, G: Comonad, psi: NatTrans) -> list:
 
 def untypable_objects(S: Monad, T) -> list:
     """Objects where no candidate component exists (empty hom-set)."""
-    endo = T.S if isinstance(T, Monad) else T.G
     cat = S.base
     out = []
     for x in cat.objects:
-        st = S.S.ob(endo.ob(x))
-        ts = endo.ob(S.S.ob(x))
+        st = S.S.ob(T.endo.ob(x))
+        ts = T.endo.ob(S.S.ob(x))
         if not cat.hom(st, ts):
             out.append(x)
     return out
@@ -202,9 +187,8 @@ def require_typable(S: Monad, T) -> None:
     bad = untypable_objects(S, T)
     if bad:
         x = bad[0]
-        endo = T.S if isinstance(T, Monad) else T.G
         raise UnTypableComponent(
-            x, f"hom({S.S.ob(endo.ob(x))},{endo.ob(S.S.ob(x))}) is empty")
+            x, f"hom({S.S.ob(T.endo.ob(x))},{T.endo.ob(S.S.ob(x))}) is empty")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +204,7 @@ def enumerate_dist_laws(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
     """
     S.require_valid()
     T.require_valid()
-    return _enumerate_laws(S, T, T.S, DistributiveLaw, cap, jobs)
+    return _enumerate_laws(S, T, DistributiveLaw, cap, jobs)
 
 
 def enumerate_mixed_laws(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
@@ -228,12 +212,14 @@ def enumerate_mixed_laws(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
     """All mixed distributive laws from S to G, canonically ordered."""
     S.require_valid()
     G.require_valid()
-    return _enumerate_laws(S, G, G.G, MixedDistributiveLaw, cap, jobs)
+    return _enumerate_laws(S, G, MixedDistributiveLaw, cap, jobs)
 
 
-def _enumerate_laws(S: Monad, other, endo, make, cap: int, jobs: int) -> list:
+def _enumerate_laws(S: Monad, other, make, cap: int, jobs: int) -> list:
     """Every ``make(S, other, law)`` that passes its checks, for law:
-    S∘endo → endo∘S ranging over the product of its components."""
+    S∘E → E∘S, E the endofunctor of ``other``, ranging over the product of
+    its components."""
+    endo = other.endo
     cat = S.base
     objs = cat.objects
     choices = [cat.hom(S.S.ob(endo.ob(x)), endo.ob(S.S.ob(x))) for x in objs]
@@ -270,9 +256,3 @@ def dist_law_from_components(S: Monad, T: Monad, components: dict) -> Distributi
     phi = NatTrans(compose_functors(S.S, T.S), compose_functors(T.S, S.S),
                    components)
     return DistributiveLaw(S, T, phi)
-
-
-def mixed_law_from_components(S: Monad, G: Comonad, components: dict) -> MixedDistributiveLaw:
-    psi = NatTrans(compose_functors(S.S, G.G), compose_functors(G.G, S.S),
-                   components)
-    return MixedDistributiveLaw(S, G, psi)

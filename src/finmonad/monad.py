@@ -39,14 +39,55 @@ from .parallel import pmap
 from .report import Violation
 
 
-class Monad:
+class _Checked:
+    """A value whose :meth:`check` lists its law violations, named CONTEXT
+    in the exception :meth:`require_valid` raises."""
+
+    __slots__ = ()
+
+    def require_valid(self):
+        bad = self.check()
+        if bad:
+            raise LawViolation(bad, context=self.CONTEXT)
+        return self
+
+
+class _Structure(_Checked):
+    """An endofunctor ``endo`` on ``base`` with a multiplication ``mult`` and
+    a unit ``unit``. Each kind reads them under its own names, checks their
+    typing on construction and supplies :meth:`check`."""
+
+    __slots__ = ("base", "endo", "mult", "unit")
+
+    def canonical_key(self):
+        return (self.endo.canonical_key(), self.mult.canonical_key(),
+                self.unit.canonical_key())
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.base == other.base and self.endo == other.endo
+                and self.mult == other.mult and self.unit == other.unit)
+
+    def __hash__(self):
+        return hash(self.canonical_key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.endo.object_map})"
+
+
+class Monad(_Structure):
     """An endofunctor S with mu: S∘S → S and eta: Id → S.
 
     The constructor checks typing only; :func:`check_monad_laws` reports law
     violations and :meth:`require_valid` turns them into an exception.
     """
 
-    __slots__ = ("base", "S", "mu", "eta")
+    __slots__ = ()
+    S = _Structure.endo
+    mu = _Structure.mult
+    eta = _Structure.unit
+    CONTEXT = "monad"
 
     def __init__(self, base: FinCategory, S: Functor, mu: NatTrans, eta: NatTrans):
         if S.source != base or S.target != base:
@@ -64,33 +105,15 @@ class Monad:
     def check(self) -> list:
         return check_monad_laws(self)
 
-    def require_valid(self) -> "Monad":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="monad")
-        return self
 
-    def canonical_key(self):
-        return (self.S.canonical_key(), self.mu.canonical_key(),
-                self.eta.canonical_key())
-
-    def __eq__(self, other):
-        if not isinstance(other, Monad):
-            return NotImplemented
-        return (self.base == other.base and self.S == other.S
-                and self.mu == other.mu and self.eta == other.eta)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
-
-    def __repr__(self):
-        return f"Monad({self.S.object_map})"
-
-
-class Comonad:
+class Comonad(_Structure):
     """An endofunctor G with delta: G → G∘G and epsilon: G → Id."""
 
-    __slots__ = ("base", "G", "delta", "epsilon")
+    __slots__ = ()
+    G = _Structure.endo
+    delta = _Structure.mult
+    epsilon = _Structure.unit
+    CONTEXT = "comonad"
 
     def __init__(self, base: FinCategory, G: Functor, delta: NatTrans,
                  epsilon: NatTrans):
@@ -109,33 +132,11 @@ class Comonad:
     def check(self) -> list:
         return check_comonad_laws(self)
 
-    def require_valid(self) -> "Comonad":
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context="comonad")
-        return self
 
-    def canonical_key(self):
-        return (self.G.canonical_key(), self.delta.canonical_key(),
-                self.epsilon.canonical_key())
-
-    def __eq__(self, other):
-        if not isinstance(other, Comonad):
-            return NotImplemented
-        return (self.base == other.base and self.G == other.G
-                and self.delta == other.delta and self.epsilon == other.epsilon)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
-
-    def __repr__(self):
-        return f"Comonad({self.G.object_map})"
-
-
-def _compare(label, tag, lhs: NatTrans, rhs: NatTrans, out: list) -> None:
+def _first_diff(kind, tag, lhs: NatTrans, rhs: NatTrans, out: list) -> None:
     for x in lhs.base.objects:
         if lhs.at(x) != rhs.at(x):
-            out.append(Violation(label, tag, where=x, lhs=lhs.at(x), rhs=rhs.at(x)))
+            out.append(Violation(kind, tag, where=x, lhs=lhs.at(x), rhs=rhs.at(x)))
             return
 
 
@@ -149,15 +150,15 @@ def check_monad_laws(m: Monad) -> list:
         out.append(Violation("UnitNotNatural", "law-naturality",
                              where=v.where, lhs=v.lhs, rhs=v.rhs))
     # mu ∘ (mu S) = mu ∘ (S mu)
-    _compare("MonadAssociativity", "law-monad-assoc",
-             vcomp(whisker_right(m.mu, m.S), m.mu),
-             vcomp(whisker_left(m.S, m.mu), m.mu), out)
+    _first_diff("MonadAssociativity", "law-monad-assoc",
+                vcomp(whisker_right(m.mu, m.S), m.mu),
+                vcomp(whisker_left(m.S, m.mu), m.mu), out)
     # mu ∘ (eta S) = id_S
-    _compare("MonadUnitLeft", "law-monad-unit-left",
-             vcomp(whisker_right(m.eta, m.S), m.mu), identity_nat(m.S), out)
+    _first_diff("MonadUnitLeft", "law-monad-unit-left",
+                vcomp(whisker_right(m.eta, m.S), m.mu), identity_nat(m.S), out)
     # mu ∘ (S eta) = id_S
-    _compare("MonadUnitRight", "law-monad-unit-right",
-             vcomp(whisker_left(m.S, m.eta), m.mu), identity_nat(m.S), out)
+    _first_diff("MonadUnitRight", "law-monad-unit-right",
+                vcomp(whisker_left(m.S, m.eta), m.mu), identity_nat(m.S), out)
     return out
 
 

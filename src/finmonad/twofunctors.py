@@ -47,7 +47,7 @@ from .construct import (
     em_coalgebra_category,
     kleisli_category,
 )
-from .distlaw import DistributiveLaw, MixedDistributiveLaw, _first_diff
+from .distlaw import DistributiveLaw, MixedDistributiveLaw
 from .errors import (
     BaseMismatch,
     EnumerationCapExceeded,
@@ -77,6 +77,8 @@ from .monad import (
     COMONAD_NAMES,
     Comonad,
     Monad,
+    _Checked,
+    _first_diff,
     comonad_on_opposite,
     dual_violation,
     monad_on_opposite,
@@ -89,7 +91,7 @@ from .report import Violation, entry
 # Monad-side cells
 
 
-class _LawCell:
+class _LawCell(_Checked):
     """A cell carrying one transformation ``nat``, which must be natural and
     satisfy the equations LAWS names; each kind reads ``nat`` under its own
     name (phi, psi, pi or theta) and builds the two sides of each equation
@@ -102,12 +104,6 @@ class _LawCell:
         for (kind, tag), (lhs, rhs) in zip(self.LAWS, self._sides()):
             _first_diff(kind, tag, lhs, rhs, out)
         return out
-
-    def require_valid(self):
-        bad = self.check()
-        if bad:
-            raise LawViolation(bad, context=self.CONTEXT)
-        return self
 
 
 class _OneCell(_LawCell):
@@ -709,154 +705,127 @@ def vec_psi_e_2cell(t: CoMndTwoCell, src_co: EmCoalgebraCategory = None,
 # Lifted structures
 
 
-class LiftedMonad:
+class _Lifting:
+    """A (co)monad ``endo``, ``mult``, ``unit`` on the algebra or Kleisli
+    category ``cat`` of the monad ``base``, lying strictly over ``below``;
+    each kind reads these under its own names. The conditions STRICT names
+    are built by :meth:`_sides` and checked on construction, followed by
+    the laws of the UPSTAIRS structure."""
+
+    __slots__ = ("base", "cat", "below", "endo", "mult", "unit")
+
+    def __init__(self, base: Monad, cat, below, endo: Functor, mult: NatTrans,
+                 unit: NatTrans):
+        if cat.monad != base:
+            raise BaseMismatch(self.FOREIGN_CATEGORY)
+        if base.base != below.base:
+            raise BaseMismatch(self.FOREIGN_BASE)
+        self.base = base
+        self.cat = cat
+        self.below = below
+        self.endo = endo
+        self.mult = mult
+        self.unit = unit
+        bad = [Violation(kind, tag, detail=detail)
+               for (kind, tag, detail), (lhs, rhs) in zip(self.STRICT, self._sides())
+               if lhs != rhs]
+        bad.extend(self._upstairs().check())
+        if bad:
+            raise LawViolation(bad, context=self.CONTEXT)
+
+    def _sides(self):
+        """U∘endo = E∘U, U mult = m U and U unit = u U for the structure
+        (E, m, u) below and the forgetful functor U of the algebras."""
+        U, below = self.cat.U, self.below
+        return ((compose_functors(U, self.endo), compose_functors(below.endo, U)),
+                (whisker_left(U, self.mult), whisker_right(below.mult, U)),
+                (whisker_left(U, self.unit), whisker_right(below.unit, U)))
+
+    def _upstairs(self):
+        return self.UPSTAIRS(self.cat.category, self.endo, self.mult, self.unit)
+
+    def canonical_key(self):
+        return (self.endo.canonical_key(), self.mult.canonical_key(),
+                self.unit.canonical_key())
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.base == other.base and self.below == other.below
+                and self.endo == other.endo and self.mult == other.mult
+                and self.unit == other.unit)
+
+    def __hash__(self):
+        return hash(self.canonical_key())
+
+
+class LiftedMonad(_Lifting):
     """A monad (That, mu_hat, eta_hat) on the algebras of S lying over the
     monad T: U∘That = T∘U, U mu_hat = mu U and U eta_hat = eta U, all
     strictly. Validated on construction."""
 
-    __slots__ = ("base", "em", "below", "that", "mu_hat", "eta_hat")
-
-    def __init__(self, base: Monad, em: EmAlgebraCategory, below: Monad,
-                 that: Functor, mu_hat: NatTrans, eta_hat: NatTrans):
-        if em.monad != base:
-            raise BaseMismatch("algebra category does not belong to the base monad")
-        if base.base != below.base:
-            raise BaseMismatch("monads live on different bases")
-        bad = []
-        if compose_functors(em.U, that) != compose_functors(below.S, em.U):
-            bad.append(Violation("LiftingSquareBroken", "Eq-1510081116",
-                                 detail="U∘That = T∘U fails"))
-        if whisker_left(em.U, mu_hat) != whisker_right(below.mu, em.U):
-            bad.append(Violation("MultiplicationNotOverBase", "law-mnd-2cell",
-                                 detail="U mu_hat = mu U fails"))
-        if whisker_left(em.U, eta_hat) != whisker_right(below.eta, em.U):
-            bad.append(Violation("UnitNotOverBase", "law-mnd-2cell",
-                                 detail="U eta_hat = eta U fails"))
-        upstairs = Monad(em.category, that, mu_hat, eta_hat)
-        bad.extend(upstairs.check())
-        if bad:
-            raise LawViolation(bad, context="lifted monad")
-        self.base = base
-        self.em = em
-        self.below = below
-        self.that = that
-        self.mu_hat = mu_hat
-        self.eta_hat = eta_hat
-
-    def as_monad(self) -> Monad:
-        return Monad(self.em.category, self.that, self.mu_hat, self.eta_hat)
-
-    def canonical_key(self):
-        return (self.that.canonical_key(), self.mu_hat.canonical_key(),
-                self.eta_hat.canonical_key())
-
-    def __eq__(self, other):
-        if not isinstance(other, LiftedMonad):
-            return NotImplemented
-        return (self.base == other.base and self.below == other.below
-                and self.that == other.that and self.mu_hat == other.mu_hat
-                and self.eta_hat == other.eta_hat)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
+    __slots__ = ()
+    em = _Lifting.cat
+    that = _Lifting.endo
+    mu_hat = _Lifting.mult
+    eta_hat = _Lifting.unit
+    CONTEXT = "lifted monad"
+    FOREIGN_CATEGORY = "algebra category does not belong to the base monad"
+    FOREIGN_BASE = "monads live on different bases"
+    STRICT = (("LiftingSquareBroken", "Eq-1510081116", "U∘That = T∘U fails"),
+              ("MultiplicationNotOverBase", "law-mnd-2cell",
+               "U mu_hat = mu U fails"),
+              ("UnitNotOverBase", "law-mnd-2cell", "U eta_hat = eta U fails"))
+    UPSTAIRS = Monad
+    as_monad = _Lifting._upstairs
 
 
-class KleisliExtension:
+class KleisliExtension(_Lifting):
     """A monad (Stilde, mu_tilde, eta_tilde) on the Kleisli category of T
     extending S: Stilde∘D = D∘S strictly, monad laws upstairs."""
 
-    __slots__ = ("base_s", "base_t", "kl", "stilde", "mu_tilde", "eta_tilde")
+    __slots__ = ()
+    base_t = _Lifting.base
+    kl = _Lifting.cat
+    base_s = _Lifting.below
+    stilde = _Lifting.endo
+    mu_tilde = _Lifting.mult
+    eta_tilde = _Lifting.unit
+    CONTEXT = "Kleisli extension"
+    FOREIGN_CATEGORY = "Kleisli category does not belong to T"
+    FOREIGN_BASE = "monads live on different bases"
+    STRICT = (("ExtensionSquareBroken", "Eq-1510081116", "Stilde∘D = D∘S fails"),)
+    UPSTAIRS = Monad
+    as_monad = _Lifting._upstairs
 
     def __init__(self, base_s: Monad, base_t: Monad, kl: KleisliCategory,
                  stilde: Functor, mu_tilde: NatTrans, eta_tilde: NatTrans):
-        if kl.monad != base_t:
-            raise BaseMismatch("Kleisli category does not belong to T")
-        if base_s.base != base_t.base:
-            raise BaseMismatch("monads live on different bases")
-        bad = []
-        if compose_functors(stilde, kl.D) != compose_functors(kl.D, base_s.S):
-            bad.append(Violation("ExtensionSquareBroken", "Eq-1510081116",
-                                 detail="Stilde∘D = D∘S fails"))
-        upstairs = Monad(kl.category, stilde, mu_tilde, eta_tilde)
-        bad.extend(upstairs.check())
-        if bad:
-            raise LawViolation(bad, context="Kleisli extension")
-        self.base_s = base_s
-        self.base_t = base_t
-        self.kl = kl
-        self.stilde = stilde
-        self.mu_tilde = mu_tilde
-        self.eta_tilde = eta_tilde
+        super().__init__(base_t, kl, base_s, stilde, mu_tilde, eta_tilde)
 
-    def as_monad(self) -> Monad:
-        return Monad(self.kl.category, self.stilde, self.mu_tilde, self.eta_tilde)
-
-    def canonical_key(self):
-        return (self.stilde.canonical_key(), self.mu_tilde.canonical_key(),
-                self.eta_tilde.canonical_key())
-
-    def __eq__(self, other):
-        if not isinstance(other, KleisliExtension):
-            return NotImplemented
-        return (self.base_s == other.base_s and self.base_t == other.base_t
-                and self.stilde == other.stilde
-                and self.mu_tilde == other.mu_tilde
-                and self.eta_tilde == other.eta_tilde)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
+    def _sides(self):
+        D = self.kl.D
+        return ((compose_functors(self.stilde, D), compose_functors(D, self.base_s.S)),)
 
 
-class LiftedComonad:
+class LiftedComonad(_Lifting):
     """A comonad (Ghat, delta_hat, eps_hat) on the algebras of S lying over
     the comonad G, all compatibilities strict."""
 
-    __slots__ = ("base", "em", "below", "ghat", "delta_hat", "eps_hat")
-
-    def __init__(self, base: Monad, em: EmAlgebraCategory, below: Comonad,
-                 ghat: Functor, delta_hat: NatTrans, eps_hat: NatTrans):
-        if em.monad != base:
-            raise BaseMismatch("algebra category does not belong to the base monad")
-        if base.base != below.base:
-            raise BaseMismatch("monad and comonad live on different bases")
-        bad = []
-        if compose_functors(em.U, ghat) != compose_functors(below.G, em.U):
-            bad.append(Violation("LiftingSquareBroken", "Eq-1510081654",
-                                 detail="U∘Ghat = G∘U fails"))
-        if whisker_left(em.U, delta_hat) != whisker_right(below.delta, em.U):
-            bad.append(Violation("ComultiplicationNotOverBase", "law-mnd-2cell",
-                                 detail="U delta_hat = delta U fails"))
-        if whisker_left(em.U, eps_hat) != whisker_right(below.epsilon, em.U):
-            bad.append(Violation("CounitNotOverBase", "law-mnd-2cell",
-                                 detail="U eps_hat = epsilon U fails"))
-        upstairs = Comonad(em.category, ghat, delta_hat, eps_hat)
-        bad.extend(upstairs.check())
-        if bad:
-            raise LawViolation(bad, context="lifted comonad")
-        self.base = base
-        self.em = em
-        self.below = below
-        self.ghat = ghat
-        self.delta_hat = delta_hat
-        self.eps_hat = eps_hat
-
-    def as_comonad(self) -> Comonad:
-        return Comonad(self.em.category, self.ghat, self.delta_hat, self.eps_hat)
-
-    def canonical_key(self):
-        return (self.ghat.canonical_key(), self.delta_hat.canonical_key(),
-                self.eps_hat.canonical_key())
-
-    def __eq__(self, other):
-        if not isinstance(other, LiftedComonad):
-            return NotImplemented
-        return (self.base == other.base and self.below == other.below
-                and self.ghat == other.ghat
-                and self.delta_hat == other.delta_hat
-                and self.eps_hat == other.eps_hat)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
+    __slots__ = ()
+    em = _Lifting.cat
+    ghat = _Lifting.endo
+    delta_hat = _Lifting.mult
+    eps_hat = _Lifting.unit
+    CONTEXT = "lifted comonad"
+    FOREIGN_CATEGORY = "algebra category does not belong to the base monad"
+    FOREIGN_BASE = "monad and comonad live on different bases"
+    STRICT = (("LiftingSquareBroken", "Eq-1510081654", "U∘Ghat = G∘U fails"),
+              ("ComultiplicationNotOverBase", "law-mnd-2cell",
+               "U delta_hat = delta U fails"),
+              ("CounitNotOverBase", "law-mnd-2cell",
+               "U eps_hat = epsilon U fails"))
+    UPSTAIRS = Comonad
+    as_comonad = _Lifting._upstairs
 
 
 # A monad lifting to the coalgebras of G is a comonad lifting, on the
@@ -1120,8 +1089,7 @@ def enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
     if S.base != T.base:
         raise BaseMismatch("monads live on different bases")
     em = em if em is not None else em_category(S)
-    return _enumerate_liftings(S, T, em, T.S, _assemble_monad_lifting,
-                               cap, jobs)
+    return _enumerate_liftings(S, T, em, _assemble_monad_lifting, cap, jobs)
 
 
 def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
@@ -1133,17 +1101,17 @@ def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
     if S.base != G.base:
         raise BaseMismatch("monad and comonad live on different bases")
     em = em if em is not None else em_category(S)
-    return _enumerate_liftings(S, G, em, G.G, _assemble_comonad_lifting,
-                               cap, jobs)
+    return _enumerate_liftings(S, G, em, _assemble_comonad_lifting, cap, jobs)
 
 
-def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, endo: Functor,
-                        assemble, cap: int, jobs: int) -> list:
-    """Every lifting of ``below``, whose endofunctor is ``endo``, to the
-    algebras of S: each choice of algebra structures on endo(N) that makes a
-    functor upstairs is handed to ``assemble(S, below, em, functor)``, which
-    lifts the two structure transformations and returns the law-checked
-    lifting, or None."""
+def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, assemble,
+                        cap: int, jobs: int) -> list:
+    """Every lifting of ``below``, with endofunctor E, to the algebras of S:
+    each choice of algebra structures on E(N) that makes a functor upstairs
+    is handed to ``assemble(S, below, em, functor)``, which lifts the two
+    structure transformations and returns the law-checked lifting, or
+    None."""
+    endo = below.endo
     algebras = em.category.objects
     choice_lists = []
     for a in algebras:
@@ -1214,9 +1182,10 @@ def _assemble_monad_lifting(S: Monad, T: Monad, em: EmAlgebraCategory,
         return None
     mu_hat = NatTrans(compose_functors(that, that), that, mu_comps)
     eta_hat = NatTrans(identity_functor(em.category), that, eta_comps)
-    if Monad(em.category, that, mu_hat, eta_hat).check():
+    try:
+        return LiftedMonad(S, em, T, that, mu_hat, eta_hat)
+    except LawViolation:
         return None
-    return LiftedMonad(S, em, T, that, mu_hat, eta_hat)
 
 
 def _assemble_comonad_lifting(S: Monad, G: Comonad, em: EmAlgebraCategory,
@@ -1231,9 +1200,10 @@ def _assemble_comonad_lifting(S: Monad, G: Comonad, em: EmAlgebraCategory,
         return None
     delta_hat = NatTrans(ghat, compose_functors(ghat, ghat), d_comps)
     eps_hat = NatTrans(ghat, identity_functor(em.category), e_comps)
-    if Comonad(em.category, ghat, delta_hat, eps_hat).check():
+    try:
+        return LiftedComonad(S, em, G, ghat, delta_hat, eps_hat)
+    except LawViolation:
         return None
-    return LiftedComonad(S, em, G, ghat, delta_hat, eps_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from finmonad.fincat import (
     identity_nat,
 )
 from finmonad.monad import identity_comonad, identity_monad
+from finmonad.report import Violation
 
 
 def test_identity_adjunction_and_its_induced_structures(cor):
@@ -35,8 +36,13 @@ def test_identity_adjunction_and_its_induced_structures(cor):
 def test_triangle_identities_are_constructor_enforced(cor):
     Id = identity_functor(cor.m_z2)
     twist = NatTrans(Id, Id, {"g": "s"})
-    with pytest.raises(LawViolation):
+    with pytest.raises(LawViolation) as info:
         Adjunction(Id, Id, twist, identity_nat(Id))
+    assert list(info.value.violations) == [
+        Violation("TriangleIdentityL", "law-triangle-left", where="g",
+                  lhs="s", rhs="e"),
+        Violation("TriangleIdentityR", "law-triangle-right", where="g",
+                  lhs="s", rhs="e")]
 
 
 def test_induced_monad_of_algebra_adjunction_is_exact(cor):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from oracles import chain2_times_z2, transformation_monoid
 
+from finmonad import monad
 from finmonad.adjunction import CommutingSquareR, mate_right
 from finmonad.construct import em_category, em_coalgebra_category, kleisli_category
 from finmonad.distlaw import enumerate_dist_laws, enumerate_mixed_laws
@@ -181,6 +182,25 @@ def test_lifting_counts(cor):
     Id = identity_monad(cor.c3)
     for name in C3_NAMES:
         assert len(enumerate_liftings(Id, cor.monads_c3[name])) == 1
+
+
+def test_lifting_searches_check_each_accepted_lifting_once(cor, monkeypatch):
+    """Two calls for the base structures, one for the algebra category and
+    one for the upstairs laws of the single lifting each search accepts."""
+    calls = []
+    check = monad.check_monad_laws
+
+    def counted(m):
+        calls.append(m)
+        return check(m)
+
+    monkeypatch.setattr(monad, "check_monad_laws", counted)
+    for search, below in ((enumerate_liftings, cor.monads_c3["c1"]),
+                          (enumerate_comonad_liftings, cor.comonads_c3["i1"])):
+        calls.clear()
+        S = cor.monads_c3["c2" if search is enumerate_liftings else "c1"]
+        assert len(search(S, below)) == 1
+        assert len(calls) == 4
 
 
 # -- the Kleisli side ------------------------------------------------------------
