@@ -4,18 +4,24 @@ The oracles search the whole product space: every object map, then every
 product of hom-sets, each candidate filtered by the law checkers of
 :mod:`finmonad.fincat`. They are slow but plainly exhaustive, and the
 tests hold the backtracking enumerators of ``fincat`` to them. The
-comonad-side references at the end build comonad laws, coalgebra
-categories and coalgebra-side liftings directly, where the library reads
-them off the monad side on the opposite category. The last four are the
-law and lifting searches as written once per kind, before the library
-shared one search between each pair.
+comonad-side references build comonad laws, coalgebra categories and
+coalgebra-side liftings directly, where the library reads them off the
+monad side on the opposite category. Then come the law and lifting
+searches as written once per kind, before the library shared one search
+between each pair, and last the hom-isomorphism round trip with its two
+AdjR enumerators as first written, before each cell was mapped once.
 """
 
 from itertools import product
 
 from hypothesis import strategies as st
 
-from finmonad.adjunction import Adjunction, CommutingSquareL, mate_left
+from finmonad.adjunction import (
+    Adjunction,
+    CommutingSquareL,
+    CommutingSquareR,
+    mate_left,
+)
 from finmonad.construct import (
     EmAlgebraCategory,
     _algebra_id,
@@ -27,7 +33,11 @@ from finmonad.distlaw import (
     MixedDistributiveLaw,
     untypable_objects,
 )
-from finmonad.errors import BaseMismatch, EnumerationCapExceeded
+from finmonad.errors import (
+    BaseMismatch,
+    EnumerationCapExceeded,
+    TwoCellLawViolation,
+)
 from finmonad.fincat import (
     DEFAULT_CAP,
     Functor,
@@ -37,6 +47,8 @@ from finmonad.fincat import (
     check_functor,
     check_naturality,
     compose_functors,
+    enumerate_functors,
+    enumerate_nat_trans,
     identity_functor,
     identity_nat,
     validate_category,
@@ -46,14 +58,29 @@ from finmonad.fincat import (
 )
 from finmonad.monad import Comonad, Monad
 from finmonad.parallel import pmap
-from finmonad.report import Violation
+from finmonad.report import Violation, entry
 from finmonad.twofunctors import (
+    AdjROneCell,
+    AdjRTwoCell,
     CoMndOneCell,
     CoMndTwoCell,
     LiftedComonad,
     LiftedMonad,
+    adjr2_identity,
+    adjr2_vcomp,
+    adjr_compose,
+    adjr_two_cell_conditions,
     comnd_compose,
     comnd_identity_cell,
+    enumerate_mnd_endocells,
+    enumerate_mnd_two_cells,
+    mnd2_identity,
+    mnd2_vcomp,
+    mnd_compose,
+    phi_e_1cell,
+    phi_e_2cell,
+    psi_e_1cell,
+    psi_e_2cell,
     vec_psi_e_1cell,
     vec_psi_e_2cell,
 )
@@ -630,3 +657,182 @@ def ref_enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
     out = [lc for group in groups for lc in group]
     out.sort(key=lambda lc: lc.canonical_key())
     return out
+
+
+# ---------------------------------------------------------------------------
+# The hom-isomorphism round trip as first written
+#
+# This version maps every cell again wherever it is used, finds AdjR
+# 2-cells by testing every (alpha, beta) pair and AdjR endocells by
+# filtering every pair of endofunctors; the hom-iso tests hold the
+# library's round trip and its two enumerators to it.
+
+
+def ref_enumerate_adjr_endocells(em: EmAlgebraCategory, cap: int = DEFAULT_CAP,
+                                 jobs: int = 1) -> list:
+    """All AdjR 1-cells from the algebra adjunction to itself."""
+    C = em.monad.base
+    Js = enumerate_functors(C, C, cap=cap, jobs=jobs)
+    Ks = enumerate_functors(em.category, em.category, cap=cap, jobs=jobs)
+    cells = []
+    for J in Js:
+        JU = compose_functors(J, em.U)
+        for K in Ks:
+            if compose_functors(em.U, K) == JU:
+                cells.append(AdjROneCell(CommutingSquareR(em.adj, em.adj, J, K)))
+    cells.sort(key=lambda c: (c.J.canonical_key(), c.K.canonical_key()))
+    return cells
+
+
+def ref_enumerate_adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell,
+                                 cap: int = DEFAULT_CAP) -> list:
+    out = []
+    for alpha in enumerate_nat_trans(src_cell.J, dst_cell.J, cap=cap):
+        for beta in enumerate_nat_trans(src_cell.K, dst_cell.K, cap=cap):
+            cond_a, cond_b = adjr_two_cell_conditions(src_cell, dst_cell,
+                                                      alpha, beta)
+            if cond_a and cond_b:
+                out.append(AdjRTwoCell(src_cell, dst_cell, alpha, beta))
+    return out
+
+
+def ref_hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
+    """Verify that phi_E and psi_E restrict to mutually inverse functors
+    between the endo hom-category at the algebra adjunction of S and the
+    endo hom-category at (C, S), and that both directions are functorial.
+
+    Returns report entries; every entry passing is the verified
+    isomorphism of hom-categories.
+    """
+    em = em_category(S)
+    mnd_cells = enumerate_mnd_endocells(S, cap=cap, jobs=jobs)
+    adjr_cells = ref_enumerate_adjr_endocells(em, cap=cap, jobs=jobs)
+    entries = []
+
+    entries.append(entry("homiso/object-count", "Eq-1510071407",
+                         len(mnd_cells) == len(adjr_cells),
+                         witness={"mnd": len(mnd_cells),
+                                  "adjr": len(adjr_cells)}))
+
+    lands = roundtrip_a = True
+    for c in adjr_cells:
+        img = phi_e_1cell(c)
+        if img.check() or not any(img == m for m in mnd_cells):
+            lands = False
+        if psi_e_1cell(img, em, em) != c:
+            roundtrip_a = False
+    entries.append(entry("homiso/phiE-lands-in-mnd", "Eq-1510071407", lands))
+    entries.append(entry("homiso/psiE-after-phiE-is-identity", "Eq-1510071407",
+                         roundtrip_a))
+
+    lands = roundtrip_b = True
+    psi_images = {}
+    for i, c in enumerate(mnd_cells):
+        acell = psi_e_1cell(c, em, em)
+        psi_images[i] = acell
+        if not any(acell == x for x in adjr_cells):
+            lands = False
+        if phi_e_1cell(acell) != c:
+            roundtrip_b = False
+    entries.append(entry("homiso/psiE-lands-in-adjr", "Eq-1510071407", lands))
+    entries.append(entry("homiso/phiE-after-psiE-is-identity", "Eq-1510071407",
+                         roundtrip_b,
+                         detail="realizes the recovery phi = U lambda"))
+
+    # 2-cells of both hom-categories, indexed by ordered 1-cell pairs
+    mnd_two = {}
+    for i, c in enumerate(mnd_cells):
+        for j, c2 in enumerate(mnd_cells):
+            mnd_two[(i, j)] = enumerate_mnd_two_cells(c, c2, cap=cap)
+    adjr_two = {}
+    for i, c in enumerate(adjr_cells):
+        for j, c2 in enumerate(adjr_cells):
+            adjr_two[(i, j)] = ref_enumerate_adjr_two_cells(c, c2, cap=cap)
+
+    n_mnd2 = sum(len(v) for v in mnd_two.values())
+    n_adjr2 = sum(len(v) for v in adjr_two.values())
+    entries.append(entry("homiso/two-cell-count", "Eq-1510071407",
+                         n_mnd2 == n_adjr2,
+                         witness={"mnd": n_mnd2, "adjr": n_adjr2}))
+
+    ok = True
+    for pair, cells2 in adjr_two.items():
+        for t in cells2:
+            img = phi_e_2cell(t)
+            if img.check():
+                ok = False
+                continue
+            back = psi_e_2cell(img, em, em)
+            if (back.alpha.components != t.alpha.components
+                    or back.beta.components != t.beta.components):
+                ok = False
+    entries.append(entry("homiso/two-cell-roundtrip-adjr", "Eq-1510071407", ok))
+
+    ok = True
+    for pair, cells2 in mnd_two.items():
+        for t in cells2:
+            try:
+                acell2 = psi_e_2cell(t, em, em)
+            except TwoCellLawViolation:
+                ok = False
+                continue
+            back = phi_e_2cell(acell2)
+            if back.theta.components != t.theta.components:
+                ok = False
+    entries.append(entry("homiso/two-cell-roundtrip-mnd", "Eq-1510071407", ok))
+
+    # functoriality: identities
+    ok = True
+    for i, c in enumerate(adjr_cells):
+        ident = adjr2_identity(c)
+        img = phi_e_2cell(ident)
+        if img.theta.components != identity_nat(c.J).components:
+            ok = False
+    for i, c in enumerate(mnd_cells):
+        ident = mnd2_identity(c)
+        pair = psi_e_2cell(ident, em, em, psi_images[i], psi_images[i])
+        if (pair.alpha.components != identity_nat(c.P).components
+                or pair.beta.components != identity_nat(psi_images[i].K).components):
+            ok = False
+    entries.append(entry("homiso/identities-preserved", "Eq-1510071407", ok))
+
+    # functoriality: vertical composition
+    ok = True
+    for (i, j), cells2 in adjr_two.items():
+        for t1 in cells2:
+            for k in range(len(adjr_cells)):
+                for t2 in adjr_two[(j, k)]:
+                    lhs = phi_e_2cell(adjr2_vcomp(t1, t2))
+                    rhs = mnd2_vcomp(phi_e_2cell(t1), phi_e_2cell(t2))
+                    if lhs.theta.components != rhs.theta.components:
+                        ok = False
+    for (i, j), cells2 in mnd_two.items():
+        for t1 in cells2:
+            for k in range(len(mnd_cells)):
+                for t2 in mnd_two[(j, k)]:
+                    lhs = psi_e_2cell(mnd2_vcomp(t1, t2), em, em)
+                    p1 = psi_e_2cell(t1, em, em)
+                    p2 = psi_e_2cell(t2, em, em)
+                    rhs = adjr2_vcomp(p1, p2)
+                    if (lhs.alpha.components != rhs.alpha.components
+                            or lhs.beta.components != rhs.beta.components):
+                        ok = False
+    entries.append(entry("homiso/vcomp-preserved", "Eq-1510071407", ok))
+
+    # 1-cell composition
+    ok = True
+    for c in adjr_cells:
+        for c2 in adjr_cells:
+            lhs = phi_e_1cell(adjr_compose(c, c2))
+            rhs = mnd_compose(phi_e_1cell(c), phi_e_1cell(c2))
+            if lhs != rhs:
+                ok = False
+    for i, c in enumerate(mnd_cells):
+        for j, c2 in enumerate(mnd_cells):
+            lhs = psi_e_1cell(mnd_compose(c, c2), em, em)
+            rhs = adjr_compose(psi_images[i], psi_images[j])
+            if lhs != rhs:
+                ok = False
+    entries.append(entry("homiso/one-cell-composition-preserved",
+                         "Eq-1510071407", ok))
+    return entries
