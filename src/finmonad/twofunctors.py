@@ -29,6 +29,7 @@ case. The lifting/extension operations below always pass through the
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .adjunction import (
     Adjunction,
@@ -403,18 +404,21 @@ def adjl_compose(outer: AdjLOneCell, inner: AdjLOneCell) -> AdjLOneCell:
 
 def adjr_two_cell_conditions(src_cell: AdjROneCell, dst_cell: AdjROneCell,
                              alpha: NatTrans, beta: NatTrans):
-    """The two equivalent 2-cell conditions for candidate (alpha, beta):
+    """The two equivalent 2-cell conditions for candidate (alpha, beta),
+    typed J → J' and K → K', compared component by component:
 
     (a) beta L ∘ lambda = lambda' ∘ L̄ alpha
     (b) R̄ beta = alpha R
     """
-    sq, sq2 = src_cell.square, dst_cell.square
-    a_lhs = vcomp(src_cell.mate, whisker_right(beta, sq.dom.L))
-    a_rhs = vcomp(whisker_left(sq2.cod.L, alpha), dst_cell.mate)
-    cond_a = a_lhs.components == a_rhs.components
-    b_lhs = whisker_left(sq.cod.R, beta)
-    b_rhs = whisker_right(alpha, sq.dom.R)
-    cond_b = b_lhs.components == b_rhs.components
+    sq = src_cell.square
+    L, R, Lbar, Rbar = sq.dom.L, sq.dom.R, sq.cod.L, sq.cod.R
+    upper = sq.cod.upper
+    lam, lam2 = src_cell.mate, dst_cell.mate
+    cond_a = all(upper.compose(lam.at(x), beta.at(L.ob(x)))
+                 == upper.compose(Lbar.mor(alpha.at(x)), lam2.at(x))
+                 for x in sq.dom.base.objects)
+    cond_b = all(Rbar.mor(beta.at(a)) == alpha.at(R.ob(a))
+                 for a in sq.dom.upper.objects)
     return cond_a, cond_b
 
 
@@ -504,11 +508,18 @@ def adjr2_vcomp(a: AdjRTwoCell, b: AdjRTwoCell) -> AdjRTwoCell:
 # The six 2-functor actions
 
 
-def phi_e_1cell(cell: AdjROneCell) -> MndOneCell:
-    """(J, K, lambda) ↦ (J, R̄ lambda) on induced monads."""
+def phi_e_1cell(cell: AdjROneCell, src_monad: Monad = None,
+                dst_monad: Monad = None) -> MndOneCell:
+    """(J, K, lambda) ↦ (J, R̄ lambda) on induced monads.
+
+    A caller that already holds the monads the two adjunctions induce
+    passes them as ``src_monad`` and ``dst_monad``.
+    """
     sq = cell.square
-    out = MndOneCell(induced_monad(sq.dom), induced_monad(sq.cod),
-                     sq.J, whisker_left(sq.cod.R, cell.mate))
+    src_monad = src_monad if src_monad is not None else induced_monad(sq.dom)
+    dst_monad = dst_monad if dst_monad is not None else induced_monad(sq.cod)
+    out = MndOneCell(src_monad, dst_monad, sq.J,
+                     whisker_left(sq.cod.R, cell.mate))
     return out.require_valid()
 
 
@@ -541,10 +552,15 @@ def psi_e_1cell(cell: MndOneCell, src_em: EmAlgebraCategory = None,
     return AdjROneCell(sq)
 
 
-def phi_e_2cell(c2: AdjRTwoCell) -> MndTwoCell:
-    """(alpha, beta) ↦ alpha."""
-    out = MndTwoCell(phi_e_1cell(c2.src_cell), phi_e_1cell(c2.dst_cell),
-                     c2.alpha)
+def phi_e_2cell(c2: AdjRTwoCell, src_mcell: MndOneCell = None,
+                dst_mcell: MndOneCell = None) -> MndTwoCell:
+    """(alpha, beta) ↦ alpha, between the images of the two 1-cells; a
+    caller that already holds those images passes them."""
+    if src_mcell is None:
+        src_mcell = phi_e_1cell(c2.src_cell)
+    if dst_mcell is None:
+        dst_mcell = phi_e_1cell(c2.dst_cell)
+    out = MndTwoCell(src_mcell, dst_mcell, c2.alpha)
     return out.require_valid()
 
 
@@ -1127,18 +1143,8 @@ def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, assemble,
             raise EnumerationCapExceeded(estimate, cap)
 
     def try_assignment(assign):
-        obj_map = dict(zip(algebras, assign))
-        mor_map = {}
-        for mm in em.category.morphisms:
-            image = em.as_algebra_morphism(endo.mor(em.underlying(mm.id)),
-                                           obj_map[mm.src], obj_map[mm.tgt])
-            if image is None:
-                return None
-            mor_map[mm.id] = image
-        lifted = Functor(em.category, em.category, obj_map, mor_map)
-        if check_functor(lifted):
-            return None
-        return assemble(S, below, em, lifted)
+        lifted = _lifted_functor(em, endo, dict(zip(algebras, assign)))
+        return None if lifted is None else assemble(S, below, em, lifted)
 
     if not algebras:
         lifting = try_assignment(())
@@ -1156,6 +1162,22 @@ def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, assemble,
     out = [lifting for group in groups for lifting in group]
     out.sort(key=lambda lifting: lifting.canonical_key())
     return out
+
+
+def _lifted_functor(em: EmAlgebraCategory, endo: Functor, obj_map: dict):
+    """The endofunctor of the algebras with object map ``obj_map`` that
+    sends each algebra morphism to the one over its image under ``endo``,
+    or None if such an image is not an algebra morphism or the maps do
+    not form a functor."""
+    mor_map = {}
+    for mm in em.category.morphisms:
+        image = em.as_algebra_morphism(endo.mor(em.underlying(mm.id)),
+                                       obj_map[mm.src], obj_map[mm.tgt])
+        if image is None:
+            return None
+        mor_map[mm.id] = image
+    lifted = Functor(em.category, em.category, obj_map, mor_map)
+    return None if check_functor(lifted) else lifted
 
 
 def _over_algebras(em: EmAlgebraCategory, nat: NatTrans, sources, targets):
@@ -1227,15 +1249,29 @@ def enumerate_mnd_endocells(m: Monad, cap: int = DEFAULT_CAP,
 
 def enumerate_adjr_endocells(em: EmAlgebraCategory, cap: int = DEFAULT_CAP,
                              jobs: int = 1) -> list:
-    """All AdjR 1-cells from the algebra adjunction to itself."""
+    """All AdjR 1-cells from the algebra adjunction to itself, canonically
+    ordered.
+
+    U K = J U and U is faithful, so K is propagated from J: each algebra
+    goes to some algebra over J of its carrier, and each morphism to the
+    algebra morphism over J of its underlying morphism. For each
+    endofunctor J of the base every such choice of algebras is tried, and
+    ``cap`` bounds the number tried over all J. Each K that is a functor
+    is checked again as the square (J, K).
+    """
     C = em.monad.base
-    Js = enumerate_functors(C, C, cap=cap, jobs=jobs)
-    Ks = enumerate_functors(em.category, em.category, cap=cap, jobs=jobs)
+    algebras = em.category.objects
     cells = []
-    for J in Js:
-        JU = compose_functors(J, em.U)
-        for K in Ks:
-            if compose_functors(em.U, K) == JU:
+    tried = 0
+    for J in enumerate_functors(C, C, cap=cap, jobs=jobs):
+        choice_lists = [em.algebras_with_carrier(J.ob(em.carrier(a)))
+                        for a in algebras]
+        tried += prod(len(cs) for cs in choice_lists)
+        if tried > cap:
+            raise EnumerationCapExceeded(tried, cap)
+        for assign in product(*choice_lists):
+            K = _lifted_functor(em, J, dict(zip(algebras, assign)))
+            if K is not None:
                 cells.append(AdjROneCell(CommutingSquareR(em.adj, em.adj, J, K)))
     cells.sort(key=lambda c: (c.J.canonical_key(), c.K.canonical_key()))
     return cells
@@ -1253,13 +1289,37 @@ def enumerate_mnd_two_cells(src_cell: MndOneCell, dst_cell: MndOneCell,
 
 def enumerate_adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell,
                              cap: int = DEFAULT_CAP) -> list:
+    """All AdjR 2-cells (alpha, beta) between the two 1-cells, in the order
+    of :func:`enumerate_nat_trans` on alpha, then on beta.
+
+    Condition (b), R̄ beta = alpha R, fixes the image under R̄ of each
+    component of beta, so for each alpha only the components lying over
+    alpha R are tried; R̄ is faithful for an algebra adjunction, which
+    leaves at most one beta. A candidate is kept if it is natural and the
+    AdjRTwoCell constructor accepts it, which checks (a) and (b).
+    """
+    sq = src_cell.square
+    R, Rbar, upper = sq.dom.R, sq.cod.R, sq.cod.upper
+    K, K2 = src_cell.K, dst_cell.K
+    objs = sq.dom.upper.objects
+    over = []  # per object A, hom(K A, K' A) grouped by image under R̄
+    for a in objs:
+        by_image = {}
+        for g in upper.hom(K.ob(a), K2.ob(a)):
+            by_image.setdefault(Rbar.mor(g), []).append(g)
+        over.append(by_image)
     out = []
     for alpha in enumerate_nat_trans(src_cell.J, dst_cell.J, cap=cap):
-        for beta in enumerate_nat_trans(src_cell.K, dst_cell.K, cap=cap):
-            cond_a, cond_b = adjr_two_cell_conditions(src_cell, dst_cell,
-                                                      alpha, beta)
-            if cond_a and cond_b:
+        choices = [by_image.get(alpha.at(R.ob(a)), ())
+                   for a, by_image in zip(objs, over)]
+        for combo in product(*choices):
+            beta = NatTrans(K, K2, dict(zip(objs, combo)))
+            if check_naturality(beta):
+                continue
+            try:
                 out.append(AdjRTwoCell(src_cell, dst_cell, alpha, beta))
+            except TwoCellLawViolation:
+                pass
     return out
 
 
@@ -1291,9 +1351,15 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
     between the endo hom-category at the algebra adjunction of S and the
     endo hom-category at (C, S), and that both directions are functorial.
 
+    Each 1-cell and each 2-cell is mapped once, and every image is
+    law-checked as it is built; the functoriality checks reuse those
+    images, and map only the composites they form.
+
     Returns report entries; every entry passing is the verified
     isomorphism of hom-categories.
     """
+    # em_category checks that the algebra adjunction induces S on the nose,
+    # so S stands for that induced monad at both ends of every phi_E image.
     em = em_category(S)
     mnd_cells = enumerate_mnd_endocells(S, cap=cap, jobs=jobs)
     adjr_cells = enumerate_adjr_endocells(em, cap=cap, jobs=jobs)
@@ -1305,24 +1371,30 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
                                   "adjr": len(adjr_cells)}))
 
     lands = roundtrip_a = True
+    phi_images, psi_of_phi = [], []
     for c in adjr_cells:
-        img = phi_e_1cell(c)
+        img = phi_e_1cell(c, S, S)
+        back = psi_e_1cell(img, em, em)
+        phi_images.append(img)
+        psi_of_phi.append(back)
         if img.check() or not any(img == m for m in mnd_cells):
             lands = False
-        if psi_e_1cell(img, em, em) != c:
+        if back != c:
             roundtrip_a = False
     entries.append(entry("homiso/phiE-lands-in-mnd", "Eq-1510071407", lands))
     entries.append(entry("homiso/psiE-after-phiE-is-identity", "Eq-1510071407",
                          roundtrip_a))
 
     lands = roundtrip_b = True
-    psi_images = {}
-    for i, c in enumerate(mnd_cells):
+    psi_images, phi_of_psi = [], []
+    for c in mnd_cells:
         acell = psi_e_1cell(c, em, em)
-        psi_images[i] = acell
+        back = phi_e_1cell(acell, S, S)
+        psi_images.append(acell)
+        phi_of_psi.append(back)
         if not any(acell == x for x in adjr_cells):
             lands = False
-        if phi_e_1cell(acell) != c:
+        if back != c:
             roundtrip_b = False
     entries.append(entry("homiso/psiE-lands-in-adjr", "Eq-1510071407", lands))
     entries.append(entry("homiso/phiE-after-psiE-is-identity", "Eq-1510071407",
@@ -1345,28 +1417,36 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
                          n_mnd2 == n_adjr2,
                          witness={"mnd": n_mnd2, "adjr": n_adjr2}))
 
+    # each 2-cell's image, built once between the indexed 1-cell images
     ok = True
-    for pair, cells2 in adjr_two.items():
+    phi_two = {}
+    for (i, j), cells2 in adjr_two.items():
+        images = phi_two[(i, j)] = []
         for t in cells2:
-            img = phi_e_2cell(t)
+            img = phi_e_2cell(t, phi_images[i], phi_images[j])
+            images.append(img)
             if img.check():
                 ok = False
                 continue
-            back = psi_e_2cell(img, em, em)
+            back = psi_e_2cell(img, em, em, psi_of_phi[i], psi_of_phi[j])
             if (back.alpha.components != t.alpha.components
                     or back.beta.components != t.beta.components):
                 ok = False
     entries.append(entry("homiso/two-cell-roundtrip-adjr", "Eq-1510071407", ok))
 
     ok = True
-    for pair, cells2 in mnd_two.items():
+    psi_two = {}
+    for (i, j), cells2 in mnd_two.items():
+        images = psi_two[(i, j)] = []
         for t in cells2:
             try:
-                acell2 = psi_e_2cell(t, em, em)
+                acell2 = psi_e_2cell(t, em, em, psi_images[i], psi_images[j])
             except TwoCellLawViolation:
                 ok = False
+                images.append(None)
                 continue
-            back = phi_e_2cell(acell2)
+            images.append(acell2)
+            back = phi_e_2cell(acell2, phi_of_psi[i], phi_of_psi[j])
             if back.theta.components != t.theta.components:
                 ok = False
     entries.append(entry("homiso/two-cell-roundtrip-mnd", "Eq-1510071407", ok))
@@ -1374,8 +1454,7 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
     # functoriality: identities
     ok = True
     for i, c in enumerate(adjr_cells):
-        ident = adjr2_identity(c)
-        img = phi_e_2cell(ident)
+        img = phi_e_2cell(adjr2_identity(c), phi_images[i], phi_images[i])
         if img.theta.components != identity_nat(c.J).components:
             ok = False
     for i, c in enumerate(mnd_cells):
@@ -1386,35 +1465,39 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
             ok = False
     entries.append(entry("homiso/identities-preserved", "Eq-1510071407", ok))
 
-    # functoriality: vertical composition
+    # functoriality: vertical composition; a composite of t1 in (i, j) and
+    # t2 in (j, k) is mapped between the images of i and k
     ok = True
     for (i, j), cells2 in adjr_two.items():
-        for t1 in cells2:
+        for t1, img1 in zip(cells2, phi_two[(i, j)]):
             for k in range(len(adjr_cells)):
-                for t2 in adjr_two[(j, k)]:
-                    lhs = phi_e_2cell(adjr2_vcomp(t1, t2))
-                    rhs = mnd2_vcomp(phi_e_2cell(t1), phi_e_2cell(t2))
+                for t2, img2 in zip(adjr_two[(j, k)], phi_two[(j, k)]):
+                    lhs = phi_e_2cell(adjr2_vcomp(t1, t2),
+                                      phi_images[i], phi_images[k])
+                    rhs = mnd2_vcomp(img1, img2)
                     if lhs.theta.components != rhs.theta.components:
                         ok = False
     for (i, j), cells2 in mnd_two.items():
-        for t1 in cells2:
+        for t1, p1 in zip(cells2, psi_two[(i, j)]):
             for k in range(len(mnd_cells)):
-                for t2 in mnd_two[(j, k)]:
-                    lhs = psi_e_2cell(mnd2_vcomp(t1, t2), em, em)
-                    p1 = psi_e_2cell(t1, em, em)
-                    p2 = psi_e_2cell(t2, em, em)
+                for t2, p2 in zip(mnd_two[(j, k)], psi_two[(j, k)]):
+                    lhs = psi_e_2cell(mnd2_vcomp(t1, t2), em, em,
+                                      psi_images[i], psi_images[k])
+                    if p1 is None or p2 is None:
+                        ok = False
+                        continue
                     rhs = adjr2_vcomp(p1, p2)
                     if (lhs.alpha.components != rhs.alpha.components
                             or lhs.beta.components != rhs.beta.components):
                         ok = False
     entries.append(entry("homiso/vcomp-preserved", "Eq-1510071407", ok))
 
-    # 1-cell composition
+    # 1-cell composition; each composite is mapped once per ordered pair
     ok = True
-    for c in adjr_cells:
-        for c2 in adjr_cells:
-            lhs = phi_e_1cell(adjr_compose(c, c2))
-            rhs = mnd_compose(phi_e_1cell(c), phi_e_1cell(c2))
+    for i, c in enumerate(adjr_cells):
+        for j, c2 in enumerate(adjr_cells):
+            lhs = phi_e_1cell(adjr_compose(c, c2), S, S)
+            rhs = mnd_compose(phi_images[i], phi_images[j])
             if lhs != rhs:
                 ok = False
     for i, c in enumerate(mnd_cells):

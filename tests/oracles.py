@@ -69,7 +69,6 @@ from finmonad.twofunctors import (
     adjr2_identity,
     adjr2_vcomp,
     adjr_compose,
-    adjr_two_cell_conditions,
     comnd_compose,
     comnd_identity_cell,
     enumerate_mnd_endocells,
@@ -665,7 +664,26 @@ def ref_enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
 # This version maps every cell again wherever it is used, finds AdjR
 # 2-cells by testing every (alpha, beta) pair and AdjR endocells by
 # filtering every pair of endofunctors; the hom-iso tests hold the
-# library's round trip and its two enumerators to it.
+# library's round trip and its two enumerators to it. The AdjR 2-cell
+# conditions come first, built from whiskered transformations where the
+# library compares components.
+
+
+def ref_adjr_two_cell_conditions(src_cell: AdjROneCell, dst_cell: AdjROneCell,
+                                 alpha: NatTrans, beta: NatTrans):
+    """The two equivalent 2-cell conditions for candidate (alpha, beta):
+
+    (a) beta L ∘ lambda = lambda' ∘ L̄ alpha
+    (b) R̄ beta = alpha R
+    """
+    sq, sq2 = src_cell.square, dst_cell.square
+    a_lhs = vcomp(src_cell.mate, whisker_right(beta, sq.dom.L))
+    a_rhs = vcomp(whisker_left(sq2.cod.L, alpha), dst_cell.mate)
+    cond_a = a_lhs.components == a_rhs.components
+    b_lhs = whisker_left(sq.cod.R, beta)
+    b_rhs = whisker_right(alpha, sq.dom.R)
+    cond_b = b_lhs.components == b_rhs.components
+    return cond_a, cond_b
 
 
 def ref_enumerate_adjr_endocells(em: EmAlgebraCategory, cap: int = DEFAULT_CAP,
@@ -689,8 +707,8 @@ def ref_enumerate_adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell,
     out = []
     for alpha in enumerate_nat_trans(src_cell.J, dst_cell.J, cap=cap):
         for beta in enumerate_nat_trans(src_cell.K, dst_cell.K, cap=cap):
-            cond_a, cond_b = adjr_two_cell_conditions(src_cell, dst_cell,
-                                                      alpha, beta)
+            cond_a, cond_b = ref_adjr_two_cell_conditions(src_cell, dst_cell,
+                                                          alpha, beta)
             if cond_a and cond_b:
                 out.append(AdjRTwoCell(src_cell, dst_cell, alpha, beta))
     return out

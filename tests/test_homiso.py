@@ -6,13 +6,17 @@ check, tag, status, witness and detail, in order. The AdjR endocell and
 Both are held to the oracle on the fixture corpus, on the monads of Z3 and
 of T2; on C2×Z2 and on the identity monad of the 4-chain, where the oracle
 takes seconds, the round trip runs alone and must pass with the known
-counts.
+counts. The AdjR 2-cell conditions, compared component by component,
+must give what the whiskered formulas give on every candidate pair.
 """
+
+from itertools import product
 
 import pytest
 from oracles import (
     chain2_times_z2,
     cyclic,
+    ref_adjr_two_cell_conditions,
     ref_enumerate_adjr_endocells,
     ref_enumerate_adjr_two_cells,
     ref_hom_iso_roundtrip,
@@ -20,9 +24,11 @@ from oracles import (
 )
 
 from finmonad.construct import em_category
+from finmonad.fincat import enumerate_nat_trans
 from finmonad.fixtures import chain_category, corpus
 from finmonad.monad import enumerate_monads, identity_monad
 from finmonad.twofunctors import (
+    adjr_two_cell_conditions,
     enumerate_adjr_endocells,
     enumerate_adjr_two_cells,
     hom_iso_roundtrip,
@@ -61,4 +67,45 @@ def test_adjr_enumerators_return_the_oracles_lists(m):
         for c2 in cells:
             assert (enumerate_adjr_two_cells(c, c2)
                     == ref_enumerate_adjr_two_cells(c, c2))
+
+
+
+def test_round_trip_on_the_monads_of_c2xz2():
+    witnessed = []
+    for m in enumerate_monads(chain2_times_z2()):
+        entries = hom_iso_roundtrip(m)
+        assert len(entries) == 11
+        assert all(e.status == "pass" for e in entries), entries
+        cells = counts(entries, "homiso/object-count")
+        two = counts(entries, "homiso/two-cell-count")
+        assert cells["mnd"] == cells["adjr"] and two["mnd"] == two["adjr"]
+        witnessed.append((cells["mnd"], two["mnd"]))
+    assert sorted(witnessed) == [(8, 48)] * 4 + [(12, 96)] * 4
+
+
+def test_round_trip_on_the_identity_monad_of_the_4_chain():
+    m = identity_monad(chain_category(["0", "1", "2", "3"]))
+    entries = hom_iso_roundtrip(m)
+    assert len(entries) == 11
+    assert all(e.status == "pass" for e in entries), entries
+    assert counts(entries, "homiso/object-count") == {"mnd": 35, "adjr": 35}
+    assert counts(entries, "homiso/two-cell-count") == {"mnd": 490, "adjr": 490}
+
+
+# The non-thin bases, where some candidate pairs fail both conditions.
+NON_THIN = [(label, m) for label, m in MONADS if label[:2] in ("MZ", "Z3", "T2")]
+
+
+@pytest.mark.parametrize("m", [m for _, m in NON_THIN],
+                         ids=[label for label, _ in NON_THIN])
+def test_adjr_conditions_equal_the_whiskered_formulas(m):
+    cells = enumerate_adjr_endocells(em_category(m))
+    seen = set()
+    for c, c2 in product(cells, repeat=2):
+        for alpha in enumerate_nat_trans(c.J, c2.J):
+            for beta in enumerate_nat_trans(c.K, c2.K):
+                got = adjr_two_cell_conditions(c, c2, alpha, beta)
+                assert got == ref_adjr_two_cell_conditions(c, c2, alpha, beta)
+                seen.add(got)
+    assert seen == {(True, True), (False, False)}
 

@@ -423,6 +423,33 @@ def test_hom_iso_for_c1_on_c3(cor):
     assert counts[0]["mnd"] == counts[0]["adjr"] == 5
 
 
+def test_hom_iso_maps_each_one_cell_once(cor, monkeypatch):
+    """C3/id has 10 endocells a side. Each side maps its 10 cells, the 10
+    images back, and the 100 composites of ordered pairs: 120 calls. The
+    induced monad is built once, by em_category's own check."""
+    from finmonad import construct, twofunctors
+
+    calls = dict.fromkeys(("induced_monad", "phi_e_1cell", "psi_e_1cell"), 0)
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(construct, "induced_monad")
+    for name in calls:
+        count(twofunctors, name)
+    entries = hom_iso_roundtrip(cor.monads_c3["id"])
+    assert all(e.status == "pass" for e in entries)
+    assert calls["induced_monad"] <= 2
+    assert calls["phi_e_1cell"] <= 120
+    assert calls["psi_e_1cell"] <= 120
+
+
 def test_psi_e_after_phi_e_is_identity_per_cell(cor):
     em = em_category(cor.monads_c3["c1"])
     for cell in enumerate_adjr_endocells(em):
