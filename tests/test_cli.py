@@ -287,6 +287,25 @@ def test_roundtrip_command(capsys):
     assert '"laws": 1' in out and '"liftings": 1' in out
 
 
+def test_roundtrip_lifts_and_extends_each_law_once(capsys, monkeypatch):
+    """One law and one lifting: the law is lifted and extended once, and
+    the lifting's recovered law is lifted once more."""
+    from finmonad import cli
+
+    calls = dict.fromkeys(("lift_monad", "extend_monad"), 0)
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, _ = run_cli(["roundtrip", fx("c2.json"), fx("c1.json")], capsys)
+    assert code == 0
+    assert calls == {"lift_monad": 2, "extend_monad": 1}
+
+
 def test_roundtrip_mixed_command(capsys):
     code, out = run_cli(["roundtrip-mixed", fx("c1.json"), fx("i1.json")],
                         capsys)
