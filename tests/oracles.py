@@ -8,8 +8,10 @@ comonad-side references build comonad laws, coalgebra categories and
 coalgebra-side liftings directly, where the library reads them off the
 monad side on the opposite category. Then come the law and lifting
 searches as written once per kind, before the library shared one search
-between each pair, and last the hom-isomorphism round trip with its two
-AdjR enumerators as first written, before each cell was mapped once.
+between each pair, then the hom-isomorphism round trip with its two
+AdjR enumerators as first written, before each cell was mapped once, and
+last the law checks and mates as first written, from whiskered
+transformations, before the library compared them component by component.
 """
 
 from itertools import product
@@ -66,6 +68,10 @@ from finmonad.twofunctors import (
     CoMndTwoCell,
     LiftedComonad,
     LiftedMonad,
+    MndBulletOneCell,
+    MndBulletTwoCell,
+    MndOneCell,
+    MndTwoCell,
     adjr2_identity,
     adjr2_vcomp,
     adjr_compose,
@@ -854,3 +860,212 @@ def ref_hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> li
     entries.append(entry("homiso/one-cell-composition-preserved",
                          "Eq-1510071407", ok))
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Law checks and mates as first written
+#
+# Each side of each equation is a pasting of whiskered transformations,
+# every intermediate one built as a NatTrans between its endpoint
+# functors. The library evaluates the same pastings component by
+# component; the tests hold its violation lists and its mates to these.
+
+
+def ref_check_monad_laws(m: Monad) -> list:
+    """Empty report iff mu/eta are natural and all three monad laws hold."""
+    out = []
+    for v in check_naturality(m.mu):
+        out.append(Violation("MultiplicationNotNatural", "law-naturality",
+                             where=v.where, lhs=v.lhs, rhs=v.rhs))
+    for v in check_naturality(m.eta):
+        out.append(Violation("UnitNotNatural", "law-naturality",
+                             where=v.where, lhs=v.lhs, rhs=v.rhs))
+    # mu ∘ (mu S) = mu ∘ (S mu)
+    _first_diff("MonadAssociativity", "law-monad-assoc",
+                vcomp(whisker_right(m.mu, m.S), m.mu),
+                vcomp(whisker_left(m.S, m.mu), m.mu), out)
+    # mu ∘ (eta S) = id_S
+    _first_diff("MonadUnitLeft", "law-monad-unit-left",
+                vcomp(whisker_right(m.eta, m.S), m.mu), identity_nat(m.S), out)
+    # mu ∘ (S eta) = id_S
+    _first_diff("MonadUnitRight", "law-monad-unit-right",
+                vcomp(whisker_left(m.S, m.eta), m.mu), identity_nat(m.S), out)
+    return out
+
+
+def ref_check_dist_law(S: Monad, T: Monad, phi: NatTrans) -> list:
+    """Name each of the four axioms with pass/fail and the first failing object.
+
+    Naturality of phi is checked first; a non-natural candidate is not a
+    distributive law regardless of the diagrams.
+    """
+    out = []
+    for v in check_naturality(phi):
+        out.append(Violation("LawNotNatural", "law-naturality",
+                             where=v.where, lhs=v.lhs, rhs=v.rhs))
+
+    Sf, Tf = S.S, T.S
+    # (i)  phi ∘ (mu^S T) = (T mu^S) ∘ (phi S) ∘ (S phi)
+    lhs = vcomp(whisker_right(S.mu, Tf), phi)
+    rhs = vcomp(whisker_left(Sf, phi),
+                vcomp(whisker_right(phi, Sf), whisker_left(Tf, S.mu)))
+    _first_diff("MultiplicationSquareS", "Eq-1510071248-i", lhs, rhs, out)
+    # (ii) phi ∘ (eta^S T) = T eta^S
+    lhs = vcomp(whisker_right(S.eta, Tf), phi)
+    rhs = whisker_left(Tf, S.eta)
+    _first_diff("UnitTriangleS", "Eq-1510071248-ii", lhs, rhs, out)
+    # (iii) phi ∘ (S mu^T) = (mu^T S) ∘ (T phi) ∘ (phi T)
+    lhs = vcomp(whisker_left(Sf, T.mu), phi)
+    rhs = vcomp(whisker_right(phi, Tf),
+                vcomp(whisker_left(Tf, phi), whisker_right(T.mu, Sf)))
+    _first_diff("MultiplicationSquareT", "Eq-1510071249-i", lhs, rhs, out)
+    # (iv) phi ∘ (S eta^T) = eta^T S
+    lhs = vcomp(whisker_left(Sf, T.eta), phi)
+    rhs = whisker_right(T.eta, Sf)
+    _first_diff("UnitTriangleT", "Eq-1510071249-ii", lhs, rhs, out)
+    return out
+
+
+def ref_check_mixed_law(S: Monad, G: Comonad, psi: NatTrans) -> list:
+    """Six reported instances: naturality plus the four mixed axioms."""
+    out = []
+    for v in check_naturality(psi):
+        out.append(Violation("LawNotNatural", "law-naturality",
+                             where=v.where, lhs=v.lhs, rhs=v.rhs))
+
+    Sf, Gf = S.S, G.G
+    # (i)  psi ∘ (mu^S G) = (G mu^S) ∘ (psi S) ∘ (S psi)
+    lhs = vcomp(whisker_right(S.mu, Gf), psi)
+    rhs = vcomp(whisker_left(Sf, psi),
+                vcomp(whisker_right(psi, Sf), whisker_left(Gf, S.mu)))
+    _first_diff("MultiplicationSquare", "Eq-1510081240-i", lhs, rhs, out)
+    # (ii) psi ∘ (eta^S G) = G eta^S
+    lhs = vcomp(whisker_right(S.eta, Gf), psi)
+    rhs = whisker_left(Gf, S.eta)
+    _first_diff("UnitTriangle", "Eq-1510081240-ii", lhs, rhs, out)
+    # (iii) (delta^G S) ∘ psi = (G psi) ∘ (psi G) ∘ (S delta^G)
+    lhs = vcomp(psi, whisker_right(G.delta, Sf))
+    rhs = vcomp(whisker_left(Sf, G.delta),
+                vcomp(whisker_right(psi, Gf), whisker_left(Gf, psi)))
+    _first_diff("ComultiplicationSquare", "Eq-1510081242-i", lhs, rhs, out)
+    # (iv) (epsilon^G S) ∘ psi = S epsilon^G
+    lhs = vcomp(psi, whisker_right(G.epsilon, Sf))
+    rhs = whisker_left(Sf, G.epsilon)
+    _first_diff("CounitTriangle", "Eq-1510081242-ii", lhs, rhs, out)
+    return out
+
+
+def _ref_mnd_one_cell_sides(self):
+    Sf, Tf, P, phi = self.src.S, self.dst.S, self.P, self.phi
+    return ((vcomp(whisker_left(Tf, phi),
+                   vcomp(whisker_right(phi, Sf), whisker_left(P, self.src.mu))),
+             vcomp(whisker_right(self.dst.mu, P), phi)),
+            (whisker_left(P, self.src.eta),
+             vcomp(whisker_right(self.dst.eta, P), phi)))
+
+
+def _ref_mnd_two_cell_sides(self):
+    Sf, Tf = self.src_cell.src.S, self.src_cell.dst.S
+    return ((vcomp(whisker_left(Tf, self.theta), self.dst_cell.phi),
+             vcomp(self.src_cell.phi, whisker_right(self.theta, Sf))),)
+
+
+def _ref_bullet_one_cell_sides(self):
+    Sf, Tf, P, psi = self.src.S, self.dst.S, self.P, self.psi
+    return ((vcomp(whisker_right(psi, Sf),
+                   vcomp(whisker_left(Tf, psi), whisker_right(self.dst.mu, P))),
+             vcomp(whisker_left(P, self.src.mu), psi)),
+            (whisker_right(self.dst.eta, P),
+             vcomp(whisker_left(P, self.src.eta), psi)))
+
+
+def _ref_bullet_two_cell_sides(self):
+    Sf, Tf = self.src_cell.src.S, self.src_cell.dst.S
+    return ((vcomp(self.src_cell.psi, whisker_left(Tf, self.theta)),
+             vcomp(whisker_right(self.theta, Sf), self.dst_cell.psi)),)
+
+
+def _ref_comnd_one_cell_sides(self):
+    Gf, Hf, P, pi = self.src.G, self.dst.G, self.P, self.pi
+    return ((vcomp(pi, whisker_right(self.dst.delta, P)),
+             vcomp(whisker_left(P, self.src.delta),
+                   vcomp(whisker_right(pi, Gf), whisker_left(Hf, pi)))),
+            (vcomp(pi, whisker_right(self.dst.epsilon, P)),
+             whisker_left(P, self.src.epsilon)))
+
+
+def _ref_comnd_two_cell_sides(self):
+    Gf, Hf = self.src_cell.src.G, self.src_cell.dst.G
+    return ((vcomp(self.src_cell.pi, whisker_left(Hf, self.theta)),
+             vcomp(whisker_right(self.theta, Gf), self.dst_cell.pi)),)
+
+
+_REF_SIDES = {
+    MndOneCell: _ref_mnd_one_cell_sides,
+    MndTwoCell: _ref_mnd_two_cell_sides,
+    MndBulletOneCell: _ref_bullet_one_cell_sides,
+    MndBulletTwoCell: _ref_bullet_two_cell_sides,
+    CoMndOneCell: _ref_comnd_one_cell_sides,
+    CoMndTwoCell: _ref_comnd_two_cell_sides,
+}
+
+
+def ref_cell_check(cell) -> list:
+    """The law report of a Mnd, Mnd• or CoMnd 1- or 2-cell: naturality of
+    its transformation, then the first failing object of each equation."""
+    out = list(check_naturality(cell.nat))
+    for (kind, tag), (lhs, rhs) in zip(cell.LAWS, _REF_SIDES[type(cell)](cell)):
+        _first_diff(kind, tag, lhs, rhs, out)
+    return out
+
+
+def ref_triangles(L, R, unit: NatTrans, counit: NatTrans) -> list:
+    """The triangle identities of a candidate adjunction L ⊣ R."""
+    out = []
+    # (counit L) ∘ (L unit) = id_L
+    _first_diff("TriangleIdentityL", "law-triangle-left",
+                vcomp(whisker_left(L, unit), whisker_right(counit, L)),
+                identity_nat(L), out)
+    # (R counit) ∘ (unit R) = id_R
+    _first_diff("TriangleIdentityR", "law-triangle-right",
+                vcomp(whisker_right(unit, R), whisker_left(R, counit)),
+                identity_nat(R), out)
+    return out
+
+
+def ref_mate_right(sq: CommutingSquareR) -> NatTrans:
+    """λ: L̄∘J → K∘L, computed as (ε̄ K L) ∘ (L̄ J η)."""
+    LbarJ = compose_functors(sq.cod.L, sq.J)
+    KL = compose_functors(sq.K, sq.dom.L)
+    return vcomp(whisker_left(LbarJ, sq.dom.unit),
+                 whisker_right(sq.cod.counit, KL))
+
+
+def ref_mate_left(sq: CommutingSquareL) -> NatTrans:
+    """ρ: J∘R → R̄∘K, computed as (R̄ K ε) ∘ (η̄ J R)."""
+    JR = compose_functors(sq.J, sq.dom.R)
+    RbarK = compose_functors(sq.cod.R, sq.K)
+    return vcomp(whisker_right(sq.cod.unit, JR),
+                 whisker_left(RbarK, sq.dom.counit))
+
+
+def ref_mate_right_transpose(sq: CommutingSquareR, lam: NatTrans) -> NatTrans:
+    """(R̄ K ε) ∘ (R̄ λ R) ∘ (η̄ J R)."""
+    JR = compose_functors(sq.J, sq.dom.R)
+    RbarK = compose_functors(sq.cod.R, sq.K)
+    return vcomp(whisker_right(sq.cod.unit, JR),
+                 vcomp(whisker_right(whisker_left(sq.cod.R, lam), sq.dom.R),
+                       whisker_left(RbarK, sq.dom.counit)))
+
+
+def ref_adjl_two_cell_conditions(src_cell, dst_cell, alpha: NatTrans,
+                                 beta: NatTrans):
+    """(a) R̄ beta ∘ rho = rho' ∘ alpha R and (b) beta L = L̄ alpha."""
+    sq, sq2 = src_cell.square, dst_cell.square
+    a_lhs = vcomp(src_cell.mate, whisker_left(sq.cod.R, beta))
+    a_rhs = vcomp(whisker_right(alpha, sq.dom.R), dst_cell.mate)
+    cond_a = a_lhs.components == a_rhs.components
+    b_lhs = whisker_right(beta, sq.dom.L)
+    b_rhs = whisker_left(sq2.cod.L, alpha)
+    cond_b = b_lhs.components == b_rhs.components
+    return cond_a, cond_b

@@ -14,8 +14,8 @@ from finmonad.distlaw import (
     require_typable,
     untypable_objects,
 )
-from finmonad.errors import UnTypableComponent
-from finmonad.fincat import NatTrans, compose_functors
+from finmonad.errors import TypeMismatch, UnTypableComponent
+from finmonad.fincat import NatTrans, compose_functors, identity_nat
 from finmonad.fixtures import thin_dist_law, thin_mixed_law
 from finmonad.monad import identity_comonad, identity_monad
 
@@ -62,6 +62,21 @@ def test_check_dist_law_names_each_axiom(cor):
     first = report[0]
     assert first.where == "g"
     assert first.lhs != first.rhs
+
+
+def test_law_checks_refuse_a_mistyped_candidate(cor):
+    """A candidate law must be typed S∘T → T∘S (S∘G → G∘S): one typed
+    T∘S → T∘S or S∘T → S∘T is refused with TypeMismatch, not checked. On
+    C3, c1∘c2 and c2∘c1 differ at 0, and c1∘i1 and i1∘c1 at 1."""
+    S, T, G = cor.monads_c3["c1"], cor.monads_c3["c2"], cor.comonads_c3["i1"]
+    ST, TS = compose_functors(S.S, T.S), compose_functors(T.S, S.S)
+    SG, GS = compose_functors(S.S, G.G), compose_functors(G.G, S.S)
+    for candidate in (identity_nat(TS), identity_nat(ST)):
+        with pytest.raises(TypeMismatch):
+            check_dist_law(S, T, candidate)
+    for candidate in (identity_nat(GS), identity_nat(SG)):
+        with pytest.raises(TypeMismatch):
+            check_mixed_law(S, G, candidate)
 
 
 def test_enumerate_dist_laws_counts(cor):
