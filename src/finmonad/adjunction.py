@@ -26,13 +26,14 @@ from .fincat import (
     Functor,
     NatTrans,
     compose_functors,
+    identity_at,
     identity_functor,
     identity_nat,
     opposite_functor,
     opposite_nat,
-    vcomp,
-    whisker_left,
-    whisker_right,
+    vcomp_at,
+    whisker_left_at,
+    whisker_right_at,
 )
 from .monad import Comonad, Monad, _first_diff, comonad_on_opposite
 
@@ -60,17 +61,21 @@ class Adjunction:
             raise LawViolation(bad, context="adjunction triangle identities")
 
     def _triangles(self) -> list:
+        """The triangle identities, component by component; the constructor
+        has typed unit and counit, so both pastings compose."""
         out = []
+        L, R = self.L, self.R
+        unit, counit = self.unit.components, self.counit.components
         # (counit L) ∘ (L unit) = id_L
         _first_diff("TriangleIdentityL", "law-triangle-left",
-                    vcomp(whisker_left(self.L, self.unit),
-                          whisker_right(self.counit, self.L)),
-                    identity_nat(self.L), out)
+                    vcomp_at(self.upper, whisker_left_at(L, unit),
+                             whisker_right_at(counit, L)),
+                    identity_at(L), out)
         # (R counit) ∘ (unit R) = id_R
         _first_diff("TriangleIdentityR", "law-triangle-right",
-                    vcomp(whisker_right(self.unit, self.R),
-                          whisker_left(self.R, self.counit)),
-                    identity_nat(self.R), out)
+                    vcomp_at(self.base, whisker_right_at(unit, R),
+                             whisker_left_at(R, counit)),
+                    identity_at(R), out)
         return out
 
     @property
@@ -115,8 +120,8 @@ def identity_adjunction(cat: FinCategory) -> Adjunction:
 def induced_monad(a: Adjunction) -> Monad:
     """(C, R∘L, R counit L, unit)."""
     S = compose_functors(a.R, a.L)
-    mu_raw = whisker_left(a.R, whisker_right(a.counit, a.L))
-    mu = NatTrans(compose_functors(S, S), S, mu_raw.components)
+    mu = NatTrans(compose_functors(S, S), S,
+                  whisker_left_at(a.R, whisker_right_at(a.counit.components, a.L)))
     eta = NatTrans(identity_functor(a.base), S, a.unit.components)
     return Monad(a.base, S, mu, eta)
 
@@ -176,20 +181,29 @@ class CommutingSquareL(_Square):
             raise SquareConstraintViolation("K∘L = L̄∘J fails")
 
 
+# Each mate is one transformation between its two endpoint functors, its
+# components computed from the pasting; the square's constructor has typed
+# J and K, so the pasting composes.
+
+
 def mate_right(sq: CommutingSquareR) -> NatTrans:
     """λ: L̄∘J → K∘L, computed as (ε̄ K L) ∘ (L̄ J η)."""
     LbarJ = compose_functors(sq.cod.L, sq.J)
     KL = compose_functors(sq.K, sq.dom.L)
-    return vcomp(whisker_left(LbarJ, sq.dom.unit),
-                 whisker_right(sq.cod.counit, KL))
+    return NatTrans(LbarJ, KL,
+                    vcomp_at(sq.cod.upper,
+                             whisker_left_at(LbarJ, sq.dom.unit.components),
+                             whisker_right_at(sq.cod.counit.components, KL)))
 
 
 def mate_left(sq: CommutingSquareL) -> NatTrans:
     """ρ: J∘R → R̄∘K, computed as (R̄ K ε) ∘ (η̄ J R)."""
     JR = compose_functors(sq.J, sq.dom.R)
     RbarK = compose_functors(sq.cod.R, sq.K)
-    return vcomp(whisker_right(sq.cod.unit, JR),
-                 whisker_left(RbarK, sq.dom.counit))
+    return NatTrans(JR, RbarK,
+                    vcomp_at(sq.cod.base,
+                             whisker_right_at(sq.cod.unit.components, JR),
+                             whisker_left_at(RbarK, sq.dom.counit.components)))
 
 
 def mate_right_transpose(sq: CommutingSquareR, lam: NatTrans) -> NatTrans:
@@ -197,13 +211,20 @@ def mate_right_transpose(sq: CommutingSquareR, lam: NatTrans) -> NatTrans:
 
     For λ = mate_right(sq) this recovers the identity transformation of
     J∘R = R̄∘K, which is what makes the square's strict equality and its
-    mate two views of the same cell.
+    mate two views of the same cell. λ must be typed L̄∘J → K∘L
+    (TypeMismatch otherwise).
     """
+    if (lam.source != compose_functors(sq.cod.L, sq.J)
+            or lam.target != compose_functors(sq.K, sq.dom.L)):
+        raise TypeMismatch("the mate must be typed L̄∘J -> K∘L")
     JR = compose_functors(sq.J, sq.dom.R)
     RbarK = compose_functors(sq.cod.R, sq.K)
-    return vcomp(whisker_right(sq.cod.unit, JR),
-                 vcomp(whisker_right(whisker_left(sq.cod.R, lam), sq.dom.R),
-                       whisker_left(RbarK, sq.dom.counit)))
+    base = sq.cod.base
+    Rbar_lam_R = whisker_right_at(whisker_left_at(sq.cod.R, lam.components), sq.dom.R)
+    return NatTrans(JR, RbarK,
+                    vcomp_at(base, whisker_right_at(sq.cod.unit.components, JR),
+                             vcomp_at(base, Rbar_lam_R,
+                                      whisker_left_at(RbarK, sq.dom.counit.components))))
 
 
 # ---------------------------------------------------------------------------

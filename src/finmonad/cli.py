@@ -221,11 +221,11 @@ def _cmd_roundtrip(args) -> VerificationReport:
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     T = jsonio.load_monad(args.t_file, seed=args.seed)
     laws = enumerate_dist_laws(S, T, cap=args.cap, jobs=args.jobs)
-    lifts = enumerate_liftings(S, T, cap=args.cap, jobs=args.jobs)
+    em = em_category(S, cap=args.cap)
+    lifts = enumerate_liftings(S, T, cap=args.cap, jobs=args.jobs, em=em)
     rep.add(entry("roundtrip/count-equality", "Thm-1705201918",
                   len(laws) == len(lifts),
                   witness={"laws": len(laws), "liftings": len(lifts)}))
-    em = em_category(S, cap=args.cap)
     kl = kleisli_category(T)
     # each law is lifted and extended once, whichever check fails first
     lifted = [lift_monad(dl, em) for dl in laws]
@@ -266,14 +266,16 @@ def _cmd_roundtrip_mixed(args) -> VerificationReport:
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     G = jsonio.load_comonad(args.g_file, seed=args.seed)
     laws = enumerate_mixed_laws(S, G, cap=args.cap, jobs=args.jobs)
-    lifts = enumerate_comonad_liftings(S, G, cap=args.cap, jobs=args.jobs)
+    em = em_category(S)
+    lifts = enumerate_comonad_liftings(S, G, cap=args.cap, jobs=args.jobs, em=em)
     rep.add(entry("roundtrip-mixed/count-equality", "Thm-1705222141",
                   len(laws) == len(lifts),
                   witness={"laws": len(laws), "liftings": len(lifts)}))
     ok_round = ok_compat = True
+    co = em_coalgebra_category(G)
     for ml in laws:
-        lc = lift_comonad(ml)
-        cl = colift_monad(ml)
+        lc = lift_comonad(ml, em)
+        cl = colift_monad(ml, co)
         if extract_mixed_from_lifting(lc) != ml:
             ok_round = False
         if extract_mixed_from_colifting(cl) != ml:

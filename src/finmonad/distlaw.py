@@ -20,12 +20,13 @@ from .errors import (
 )
 from .fincat import (
     DEFAULT_CAP,
+    Functor,
     NatTrans,
     check_naturality,
     compose_functors,
-    vcomp,
-    whisker_left,
-    whisker_right,
+    vcomp_at,
+    whisker_left_at,
+    whisker_right_at,
 )
 from .monad import Comonad, Monad, _Checked, _first_diff
 from .parallel import pmap
@@ -70,10 +71,7 @@ class DistributiveLaw(_Law):
     def __init__(self, S: Monad, T: Monad, phi: NatTrans):
         if S.base != T.base:
             raise BaseMismatch("monads live on different bases")
-        if phi.source != compose_functors(S.S, T.S):
-            raise TypeMismatch("phi source must be S∘T")
-        if phi.target != compose_functors(T.S, S.S):
-            raise TypeMismatch("phi target must be T∘S")
+        _check_typing(S, T.S, phi, "phi", "T")
         self.S = S
         self.T = T
         self.phi = phi
@@ -93,10 +91,7 @@ class MixedDistributiveLaw(_Law):
     def __init__(self, S: Monad, G: Comonad, psi: NatTrans):
         if S.base != G.base:
             raise BaseMismatch("monad and comonad live on different bases")
-        if psi.source != compose_functors(S.S, G.G):
-            raise TypeMismatch("psi source must be S∘G")
-        if psi.target != compose_functors(G.G, S.S):
-            raise TypeMismatch("psi target must be G∘S")
+        _check_typing(S, G.G, psi, "psi", "G")
         self.S = S
         self.G = G
         self.psi = psi
@@ -105,64 +100,85 @@ class MixedDistributiveLaw(_Law):
         return check_mixed_law(self.S, self.G, self.psi)
 
 
+def _check_typing(S: Monad, E: Functor, nat: NatTrans, name: str,
+                  second: str) -> None:
+    """Raise TypeMismatch unless ``nat`` is typed S∘E → E∘S for an
+    endofunctor E on the base of S; ``name`` and ``second`` name nat and E
+    in the message."""
+    if E.source != S.base or E.target != S.base:
+        raise TypeMismatch(f"{second} must be an endofunctor on the base of S")
+    if nat.source != compose_functors(S.S, E):
+        raise TypeMismatch(f"{name} source must be S∘{second}")
+    if nat.target != compose_functors(E, S.S):
+        raise TypeMismatch(f"{name} target must be {second}∘S")
+
+
+def _naturality(nat: NatTrans) -> list:
+    return [Violation("LawNotNatural", "law-naturality",
+                      where=v.where, lhs=v.lhs, rhs=v.rhs)
+            for v in check_naturality(nat)]
+
+
 def check_dist_law(S: Monad, T: Monad, phi: NatTrans) -> list:
     """Name each of the four axioms with pass/fail and the first failing object.
 
-    Naturality of phi is checked first; a non-natural candidate is not a
-    distributive law regardless of the diagrams.
+    phi must be typed S∘T → T∘S (TypeMismatch otherwise). Naturality of
+    phi is checked first; a non-natural candidate is not a distributive
+    law regardless of the diagrams, whose sides are evaluated component by
+    component.
     """
-    out = []
-    for v in check_naturality(phi):
-        out.append(Violation("LawNotNatural", "law-naturality",
-                             where=v.where, lhs=v.lhs, rhs=v.rhs))
-
-    Sf, Tf = S.S, T.S
+    _check_typing(S, T.S, phi, "phi", "T")
+    out = _naturality(phi)
+    C, Sf, Tf, p = S.base, S.S, T.S, phi.components
+    mu_s, eta_s = S.mu.components, S.eta.components
+    mu_t, eta_t = T.mu.components, T.eta.components
     # (i)  phi ∘ (mu^S T) = (T mu^S) ∘ (phi S) ∘ (S phi)
-    lhs = vcomp(whisker_right(S.mu, Tf), phi)
-    rhs = vcomp(whisker_left(Sf, phi),
-                vcomp(whisker_right(phi, Sf), whisker_left(Tf, S.mu)))
+    lhs = vcomp_at(C, whisker_right_at(mu_s, Tf), p)
+    rhs = vcomp_at(C, whisker_left_at(Sf, p),
+                   vcomp_at(C, whisker_right_at(p, Sf), whisker_left_at(Tf, mu_s)))
     _first_diff("MultiplicationSquareS", "Eq-1510071248-i", lhs, rhs, out)
     # (ii) phi ∘ (eta^S T) = T eta^S
-    lhs = vcomp(whisker_right(S.eta, Tf), phi)
-    rhs = whisker_left(Tf, S.eta)
+    lhs = vcomp_at(C, whisker_right_at(eta_s, Tf), p)
+    rhs = whisker_left_at(Tf, eta_s)
     _first_diff("UnitTriangleS", "Eq-1510071248-ii", lhs, rhs, out)
     # (iii) phi ∘ (S mu^T) = (mu^T S) ∘ (T phi) ∘ (phi T)
-    lhs = vcomp(whisker_left(Sf, T.mu), phi)
-    rhs = vcomp(whisker_right(phi, Tf),
-                vcomp(whisker_left(Tf, phi), whisker_right(T.mu, Sf)))
+    lhs = vcomp_at(C, whisker_left_at(Sf, mu_t), p)
+    rhs = vcomp_at(C, whisker_right_at(p, Tf),
+                   vcomp_at(C, whisker_left_at(Tf, p), whisker_right_at(mu_t, Sf)))
     _first_diff("MultiplicationSquareT", "Eq-1510071249-i", lhs, rhs, out)
     # (iv) phi ∘ (S eta^T) = eta^T S
-    lhs = vcomp(whisker_left(Sf, T.eta), phi)
-    rhs = whisker_right(T.eta, Sf)
+    lhs = vcomp_at(C, whisker_left_at(Sf, eta_t), p)
+    rhs = whisker_right_at(eta_t, Sf)
     _first_diff("UnitTriangleT", "Eq-1510071249-ii", lhs, rhs, out)
     return out
 
 
 def check_mixed_law(S: Monad, G: Comonad, psi: NatTrans) -> list:
-    """Six reported instances: naturality plus the four mixed axioms."""
-    out = []
-    for v in check_naturality(psi):
-        out.append(Violation("LawNotNatural", "law-naturality",
-                             where=v.where, lhs=v.lhs, rhs=v.rhs))
+    """Six reported instances: naturality plus the four mixed axioms.
 
-    Sf, Gf = S.S, G.G
+    psi must be typed S∘G → G∘S (TypeMismatch otherwise)."""
+    _check_typing(S, G.G, psi, "psi", "G")
+    out = _naturality(psi)
+    C, Sf, Gf, p = S.base, S.S, G.G, psi.components
+    mu, eta = S.mu.components, S.eta.components
+    delta, epsilon = G.delta.components, G.epsilon.components
     # (i)  psi ∘ (mu^S G) = (G mu^S) ∘ (psi S) ∘ (S psi)
-    lhs = vcomp(whisker_right(S.mu, Gf), psi)
-    rhs = vcomp(whisker_left(Sf, psi),
-                vcomp(whisker_right(psi, Sf), whisker_left(Gf, S.mu)))
+    lhs = vcomp_at(C, whisker_right_at(mu, Gf), p)
+    rhs = vcomp_at(C, whisker_left_at(Sf, p),
+                   vcomp_at(C, whisker_right_at(p, Sf), whisker_left_at(Gf, mu)))
     _first_diff("MultiplicationSquare", "Eq-1510081240-i", lhs, rhs, out)
     # (ii) psi ∘ (eta^S G) = G eta^S
-    lhs = vcomp(whisker_right(S.eta, Gf), psi)
-    rhs = whisker_left(Gf, S.eta)
+    lhs = vcomp_at(C, whisker_right_at(eta, Gf), p)
+    rhs = whisker_left_at(Gf, eta)
     _first_diff("UnitTriangle", "Eq-1510081240-ii", lhs, rhs, out)
     # (iii) (delta^G S) ∘ psi = (G psi) ∘ (psi G) ∘ (S delta^G)
-    lhs = vcomp(psi, whisker_right(G.delta, Sf))
-    rhs = vcomp(whisker_left(Sf, G.delta),
-                vcomp(whisker_right(psi, Gf), whisker_left(Gf, psi)))
+    lhs = vcomp_at(C, p, whisker_right_at(delta, Sf))
+    rhs = vcomp_at(C, whisker_left_at(Sf, delta),
+                   vcomp_at(C, whisker_right_at(p, Gf), whisker_left_at(Gf, p)))
     _first_diff("ComultiplicationSquare", "Eq-1510081242-i", lhs, rhs, out)
     # (iv) (epsilon^G S) ∘ psi = S epsilon^G
-    lhs = vcomp(psi, whisker_right(G.epsilon, Sf))
-    rhs = whisker_left(Sf, G.epsilon)
+    lhs = vcomp_at(C, p, whisker_right_at(epsilon, Sf))
+    rhs = whisker_left_at(Sf, epsilon)
     _first_diff("CounitTriangle", "Eq-1510081242-ii", lhs, rhs, out)
     return out
 

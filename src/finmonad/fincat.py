@@ -463,18 +463,24 @@ class Functor:
 
     def __init__(self, source: FinCategory, target: FinCategory,
                  object_map: dict, morphism_map: dict):
+        objects, morphisms = target.identities, target._by_id
+        omap = {}
         for x in source.objects:
             y = object_map.get(x)
-            if y is None or not target.has_object(y):
+            if y is None or y not in objects:
                 raise ComponentMistyped(f"object {x!r} has no valid image")
+            omap[x] = y
+        mmap = {}
         for m in source.morphisms:
-            n = morphism_map.get(m.id)
-            if n is None or not target.has_morphism(n):
-                raise ComponentMistyped(f"morphism {m.id!r} has no valid image")
+            m = m.id
+            n = morphism_map.get(m)
+            if n is None or n not in morphisms:
+                raise ComponentMistyped(f"morphism {m!r} has no valid image")
+            mmap[m] = n
         self.source = source
         self.target = target
-        self.object_map = {x: object_map[x] for x in source.objects}
-        self.morphism_map = {m.id: morphism_map[m.id] for m in source.morphisms}
+        self.object_map = omap
+        self.morphism_map = mmap
         self._key = None
         self._op = None
 
@@ -551,9 +557,10 @@ def compose_functors(F: Functor, G: Functor) -> Functor:
     """F∘G: apply G first, then F."""
     if G.target != F.source:
         raise CompositionTypeMismatch("functor composition: target/source differ")
+    fob, fmor = F.object_map, F.morphism_map
     return Functor(G.source, F.target,
-                   {x: F.ob(G.ob(x)) for x in G.source.objects},
-                   {m.id: F.mor(G.mor(m.id)) for m in G.source.morphisms})
+                   {x: fob[y] for x, y in G.object_map.items()},
+                   {m: fmor[n] for m, n in G.morphism_map.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -568,19 +575,21 @@ class NatTrans:
     def __init__(self, source: Functor, target: Functor, components: dict):
         if source.source != target.source or source.target != target.target:
             raise TypeMismatch("transformation between non-parallel functors")
-        cod = source.target
-        for x in source.source.objects:
+        morphisms = source.target._by_id
+        tob = target.object_map
+        comps = {}
+        for x, a in source.object_map.items():
             c = components.get(x)
-            if c is None or not cod.has_morphism(c):
+            m = morphisms.get(c)
+            if m is None:
                 raise ComponentMistyped(f"component at {x!r} missing")
-            m = cod.morphism(c)
-            if (m.src, m.tgt) != (source.ob(x), target.ob(x)):
+            if m.src != a or m.tgt != tob[x]:
                 raise ComponentMistyped(
-                    f"component at {x!r} must lie in "
-                    f"hom({source.ob(x)},{target.ob(x)}), got {c!r}")
+                    f"component at {x!r} must lie in hom({a},{tob[x]}), got {c!r}")
+            comps[x] = c
         self.source = source
         self.target = target
-        self.components = {x: components[x] for x in source.source.objects}
+        self.components = comps
         self._key = None
         self._op = None
 
@@ -638,18 +647,47 @@ def opposite_nat(alpha: NatTrans) -> NatTrans:
 
 
 def identity_nat(F: Functor) -> NatTrans:
-    return NatTrans(F, F, {x: F.target.identity(F.ob(x))
-                           for x in F.source.objects})
+    return NatTrans(F, F, identity_at(F))
+
+
+# Pastings by components. A law check or a mate pastes whiskered
+# transformations, but only ever reads the components of the result, so
+# these compute the component dict alone, in base-object order, and build
+# no functor or transformation; whisker_left, whisker_right and vcomp wrap
+# them. They trust their inputs to compose: each caller pastes
+# transformations it has typed already.
+
+
+def identity_at(F: Functor) -> dict:
+    """The components of the identity transformation of F."""
+    ident = F.target.identities
+    return {x: ident[y] for x, y in F.object_map.items()}
+
+
+def vcomp_at(D: FinCategory, a: dict, b: dict) -> dict:
+    """The components of the vertical composite of two transformations
+    into ``D`` given by their components: ``a`` first, then ``b``."""
+    compose = D.compose
+    return {x: compose(f, b[x]) for x, f in a.items()}
+
+
+def whisker_left_at(F: Functor, alpha: dict) -> dict:
+    """The components of F α, from those of α: F(α_X)."""
+    mor = F.morphism_map
+    return {x: mor[f] for x, f in alpha.items()}
+
+
+def whisker_right_at(alpha: dict, F: Functor) -> dict:
+    """The components of α F, from those of α: α_{F X}."""
+    return {x: alpha[y] for x, y in F.object_map.items()}
 
 
 def vcomp(a: NatTrans, b: NatTrans) -> NatTrans:
     """Vertical composite, diagrammatic: ``a`` first, then ``b``."""
     if a.target != b.source:
         raise TypeMismatch("vertical composition: middle functors differ")
-    D = a.cod
     return NatTrans(a.source, b.target,
-                    {x: D.compose(a.at(x), b.at(x))
-                     for x in a.base.objects})
+                    vcomp_at(a.cod, a.components, b.components))
 
 
 def whisker_left(F: Functor, alpha: NatTrans) -> NatTrans:
@@ -658,7 +696,7 @@ def whisker_left(F: Functor, alpha: NatTrans) -> NatTrans:
         raise TypeMismatch("left whiskering: categories differ")
     return NatTrans(compose_functors(F, alpha.source),
                     compose_functors(F, alpha.target),
-                    {x: F.mor(alpha.at(x)) for x in alpha.base.objects})
+                    whisker_left_at(F, alpha.components))
 
 
 def whisker_right(alpha: NatTrans, F: Functor) -> NatTrans:
@@ -667,7 +705,7 @@ def whisker_right(alpha: NatTrans, F: Functor) -> NatTrans:
         raise TypeMismatch("right whiskering: categories differ")
     return NatTrans(compose_functors(alpha.source, F),
                     compose_functors(alpha.target, F),
-                    {x: alpha.at(F.ob(x)) for x in F.source.objects})
+                    whisker_right_at(alpha.components, F))
 
 
 def hcomp(alpha: NatTrans, beta: NatTrans) -> NatTrans:

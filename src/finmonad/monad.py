@@ -26,14 +26,14 @@ from .fincat import (
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
+    identity_at,
     identity_functor,
-    identity_nat,
     opposite,
     opposite_functor,
     opposite_nat,
-    vcomp,
-    whisker_left,
-    whisker_right,
+    vcomp_at,
+    whisker_left_at,
+    whisker_right_at,
 )
 from .parallel import pmap
 from .report import Violation
@@ -133,15 +133,20 @@ class Comonad(_Structure):
         return check_comonad_laws(self)
 
 
-def _first_diff(kind, tag, lhs: NatTrans, rhs: NatTrans, out: list) -> None:
-    for x in lhs.base.objects:
-        if lhs.at(x) != rhs.at(x):
-            out.append(Violation(kind, tag, where=x, lhs=lhs.at(x), rhs=rhs.at(x)))
+def _first_diff(kind, tag, lhs: dict, rhs: dict, out: list) -> None:
+    """Report the first object, in base order, where the two sides of an
+    equation of transformations, given by their components, differ."""
+    for x, f in lhs.items():
+        if f != rhs[x]:
+            out.append(Violation(kind, tag, where=x, lhs=f, rhs=rhs[x]))
             return
 
 
 def check_monad_laws(m: Monad) -> list:
-    """Empty report iff mu/eta are natural and all three monad laws hold."""
+    """Empty report iff mu/eta are natural and all three monad laws hold.
+
+    Each side of each law is evaluated component by component; the
+    Monad constructor has typed mu and eta, so every pasting composes."""
     out = []
     for v in check_naturality(m.mu):
         out.append(Violation("MultiplicationNotNatural", "law-naturality",
@@ -149,16 +154,17 @@ def check_monad_laws(m: Monad) -> list:
     for v in check_naturality(m.eta):
         out.append(Violation("UnitNotNatural", "law-naturality",
                              where=v.where, lhs=v.lhs, rhs=v.rhs))
+    C, S, mu, eta = m.base, m.S, m.mu.components, m.eta.components
     # mu ∘ (mu S) = mu ∘ (S mu)
     _first_diff("MonadAssociativity", "law-monad-assoc",
-                vcomp(whisker_right(m.mu, m.S), m.mu),
-                vcomp(whisker_left(m.S, m.mu), m.mu), out)
+                vcomp_at(C, whisker_right_at(mu, S), mu),
+                vcomp_at(C, whisker_left_at(S, mu), mu), out)
     # mu ∘ (eta S) = id_S
     _first_diff("MonadUnitLeft", "law-monad-unit-left",
-                vcomp(whisker_right(m.eta, m.S), m.mu), identity_nat(m.S), out)
+                vcomp_at(C, whisker_right_at(eta, S), mu), identity_at(S), out)
     # mu ∘ (S eta) = id_S
     _first_diff("MonadUnitRight", "law-monad-unit-right",
-                vcomp(whisker_left(m.S, m.eta), m.mu), identity_nat(m.S), out)
+                vcomp_at(C, whisker_left_at(S, eta), mu), identity_at(S), out)
     return out
 
 

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from finmonad import jsonio
 from finmonad.cli import main
 
@@ -304,6 +306,29 @@ def test_roundtrip_lifts_and_extends_each_law_once(capsys, monkeypatch):
     code, _ = run_cli(["roundtrip", fx("c2.json"), fx("c1.json")], capsys)
     assert code == 0
     assert calls == {"lift_monad": 2, "extend_monad": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", fx("c2.json"), fx("c1.json")],
+    ["roundtrip-mixed", fx("c1.json"), fx("i1.json")],
+], ids=["roundtrip", "roundtrip-mixed"])
+def test_roundtrips_build_the_algebra_category_once(argv, capsys, monkeypatch):
+    """One law: the algebra category of S is built once and shared by the
+    lifting search and the lifts of the law."""
+    from finmonad import cli, construct, twofunctors
+
+    calls = []
+    original = construct.em_category
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (cli, construct, twofunctors):
+        monkeypatch.setattr(module, "em_category", counted)
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and '"laws": 1' in out
+    assert len(calls) == 1
 
 
 def test_roundtrip_mixed_command(capsys):

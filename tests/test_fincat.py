@@ -170,6 +170,23 @@ def test_functor_with_dangling_image_raises(cor):
                                                        "id_b": "id_b"})
 
 
+@pytest.mark.parametrize("object_map, morphism_map, message", [
+    ({"b": "b"}, {}, "object 'a' has no valid image"),
+    ({"a": "a", "b": "z"}, {}, "object 'b' has no valid image"),
+    ({"a": "a", "b": "b"}, {"id_a": "id_a", "id_b": "nope"},
+     "morphism 'f' has no valid image"),
+    ({"a": "a", "b": "b"}, {"f": "f", "id_a": "id_a", "id_b": "nope"},
+     "morphism 'id_b' has no valid image"),
+], ids=["missing-object", "dangling-object", "missing-morphism",
+        "dangling-morphism"])
+def test_functor_names_its_first_bad_image(cor, object_map, morphism_map,
+                                           message):
+    """Objects are checked before morphisms, each in the source's order."""
+    with pytest.raises(ComponentMistyped) as exc:
+        Functor(cor.c2, cor.c2, object_map, morphism_map)
+    assert str(exc.value) == message
+
+
 def test_compose_functors_object_map_matches_pointwise_oracle(cor):
     c1 = cor.monads_c3["c1"].S
     c2 = cor.monads_c3["c2"].S
@@ -208,6 +225,19 @@ def test_component_outside_hom_raises(cor):
     Id = identity_functor(cor.c3)
     with pytest.raises(ComponentMistyped):
         NatTrans(Id, Id, {"0": "f01", "1": "id_1", "2": "id_2"})
+
+
+@pytest.mark.parametrize("components, message", [
+    ({"0": "id_0", "2": "id_2"}, "component at '1' missing"),
+    ({"0": "id_0", "1": "nope", "2": "f01"}, "component at '1' missing"),
+    ({"0": "id_0", "1": "f01", "2": "f01"},
+     "component at '1' must lie in hom(1,1), got 'f01'"),
+], ids=["missing", "dangling", "mistyped"])
+def test_transformation_names_its_first_bad_component(cor, components, message):
+    Id = identity_functor(cor.c3)
+    with pytest.raises(ComponentMistyped) as exc:
+        NatTrans(Id, Id, components)
+    assert str(exc.value) == message
 
 
 def test_extensional_equality_of_transformations_built_differently(cor):
