@@ -16,7 +16,7 @@ from finmonad.adjunction import (
     mate_right_transpose,
 )
 from finmonad.construct import em_category, em_coalgebra_category, kleisli_category
-from finmonad.errors import LawViolation, SquareConstraintViolation
+from finmonad.errors import LawViolation, SquareConstraintViolation, TypeMismatch
 from finmonad.fincat import (
     NatTrans,
     compose_functors,
@@ -108,6 +108,18 @@ def test_mate_transpose_recovers_identity_of_the_square(cor):
     lam0 = mate_right(ident_sq)
     assert (mate_right_transpose(ident_sq, lam0).components
             == identity_nat(lm.em.adj.R).components)
+
+
+def test_mate_transpose_refuses_a_mistyped_mate(cor):
+    # the identity of L̄∘J is not typed L̄∘J → K∘L: K∘L differs from L̄∘J
+    from finmonad.twofunctors import lift_monad
+
+    lm = lift_monad(cor.law_c2_c1)
+    sq = CommutingSquareR(lm.em.adj, lm.em.adj, lm.below.S, lm.that)
+    LbarJ = compose_functors(sq.cod.L, sq.J)
+    assert LbarJ != compose_functors(sq.K, sq.dom.L)
+    with pytest.raises(TypeMismatch):
+        mate_right_transpose(sq, identity_nat(LbarJ))
 
 
 def test_comparison_into_algebras_of_algebra_adjunction_is_iso(cor):
