@@ -471,8 +471,7 @@ class Functor:
                 raise ComponentMistyped(f"object {x!r} has no valid image")
             omap[x] = y
         mmap = {}
-        for m in source.morphisms:
-            m = m.id
+        for m in source._by_id:
             n = morphism_map.get(m)
             if n is None or n not in morphisms:
                 raise ComponentMistyped(f"morphism {m!r} has no valid image")
