@@ -10,8 +10,10 @@ monad side on the opposite category. Then come the law and lifting
 searches as written once per kind, before the library shared one search
 between each pair, then the hom-isomorphism round trip with its two
 AdjR enumerators as first written, before each cell was mapped once, and
-last the law checks and mates as first written, from whiskered
-transformations, before the library compared them component by component.
+then the law checks and mates as first written, from whiskered
+transformations, before the library compared them component by component,
+and last the composites of Mnd, Mnd• and CoMnd 1-cells as first written,
+from two whiskered transformations and their vertical composite.
 """
 
 from itertools import product
@@ -39,6 +41,7 @@ from finmonad.errors import (
     BaseMismatch,
     EnumerationCapExceeded,
     TwoCellLawViolation,
+    TypeMismatch,
 )
 from finmonad.fincat import (
     DEFAULT_CAP,
@@ -1069,3 +1072,32 @@ def ref_adjl_two_cell_conditions(src_cell, dst_cell, alpha: NatTrans,
     b_rhs = whisker_left(sq2.cod.L, alpha)
     cond_b = b_lhs.components == b_rhs.components
     return cond_a, cond_b
+
+
+def ref_mnd_compose(outer: MndOneCell, inner: MndOneCell) -> MndOneCell:
+    """outer ∘ inner; inner first."""
+    if inner.dst != outer.src:
+        raise TypeMismatch("Mnd 1-cells not composable")
+    P = compose_functors(outer.P, inner.P)
+    phi = vcomp(whisker_right(outer.phi, inner.P),
+                whisker_left(outer.P, inner.phi))
+    return MndOneCell(inner.src, outer.dst, P, phi)
+
+
+def ref_bullet_compose(outer: MndBulletOneCell,
+                       inner: MndBulletOneCell) -> MndBulletOneCell:
+    if inner.dst != outer.src:
+        raise TypeMismatch("Mnd• 1-cells not composable")
+    P = compose_functors(outer.P, inner.P)
+    psi = vcomp(whisker_left(outer.P, inner.psi),
+                whisker_right(outer.psi, inner.P))
+    return MndBulletOneCell(inner.src, outer.dst, P, psi)
+
+
+def ref_comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
+    if inner.dst != outer.src:
+        raise TypeMismatch("CoMnd 1-cells not composable")
+    P = compose_functors(outer.P, inner.P)
+    pi = vcomp(whisker_left(outer.P, inner.pi),
+               whisker_right(outer.pi, inner.P))
+    return CoMndOneCell(inner.src, outer.dst, P, pi)
