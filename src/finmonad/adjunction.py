@@ -87,6 +87,8 @@ class Adjunction:
         return self.L.target
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Adjunction):
             return NotImplemented
         return (self.L == other.L and self.R == other.R
@@ -150,6 +152,8 @@ class _Square:
         self.K = K
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self.dom == other.dom and self.cod == other.cod

@@ -13,6 +13,10 @@ Conventions used throughout:
 * ``vcomp(a, b)`` is diagrammatic like ``compose``.
 * Equality of functors and transformations is pointwise, on the nose.
   Values built by different routes compare equal whenever all maps agree.
+* Functors are hash-consed: one live object per functor between two
+  category objects, so equal functors over the same categories are one
+  object, and composites are memoised. Functors are shared and must never
+  be mutated.
 
 Identity morphisms may be omitted from raw descriptions; they are then
 synthesized as ``id_<object>``. Composites forced by the unit laws (any
@@ -26,6 +30,10 @@ threads. Construction of a single value is single-threaded.
 from __future__ import annotations
 
 import random
+import weakref
+# Deletes d[key] only while it is a dead weak reference, atomically; the
+# helper weakref.WeakValueDictionary removes its entries with.
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -62,7 +70,9 @@ class FinCategory:
     """
 
     __slots__ = ("objects", "morphisms", "identities",
-                 "_index", "_by_id", "_hom", "_by_src", "_table", "_key", "_op")
+                 "_index", "_by_id", "_hom", "_by_src", "_table", "_key", "_op",
+                 "_object_ids", "_morphism_ids", "_functors", "_index_hom",
+                 "_positions", "_arrow_positions")
 
     def __init__(self, objects, morphisms, identities, composition):
         self.objects = tuple(objects)
@@ -70,6 +80,8 @@ class FinCategory:
         self.identities = dict(identities)
         self._index = {m.id: i for i, m in enumerate(self.morphisms)}
         self._by_id = {m.id: m for m in self.morphisms}
+        self._object_ids = frozenset(self.identities)
+        self._morphism_ids = frozenset(self._by_id)
         hom = {}
         by_src = {}
         for m in self.morphisms:
@@ -84,6 +96,12 @@ class FinCategory:
         self._table = table
         self._key = None
         self._op = None
+        # Weak references to the live functors out of this category, by
+        # target id and images; see Functor.
+        self._functors = {}
+        self._index_hom = None
+        self._positions = None
+        self._arrow_positions = None
 
     # -- lookups -----------------------------------------------------------
 
@@ -138,6 +156,30 @@ class FinCategory:
         """Yield (first, then, equals) triples in canonical order."""
         for f, g in self.composable_pairs():
             yield f, g, self.compose(f, g)
+
+    def index_hom(self) -> dict:
+        """hom(a, b) as morphism indices, keyed by (a, b); built once."""
+        if self._index_hom is None:
+            index = self._index
+            self._index_hom = {k: tuple(index[h] for h in v)
+                               for k, v in self._hom.items()}
+        return self._index_hom
+
+    def positions(self) -> dict:
+        """Each object's position in ``objects``; built once."""
+        if self._positions is None:
+            self._positions = {x: i for i, x in enumerate(self.objects)}
+        return self._positions
+
+    def arrow_positions(self) -> tuple:
+        """(id, position of source, position of target) of every
+        non-identity morphism, in order; built once."""
+        if self._arrow_positions is None:
+            pos = self.positions()
+            self._arrow_positions = tuple(
+                (m.id, pos[m.src], pos[m.tgt]) for m in self.morphisms
+                if self.identities[m.src] != m.id)
+        return self._arrow_positions
 
     def is_thin(self) -> bool:
         return all(len(v) <= 1 for v in self._hom.values())
@@ -457,31 +499,67 @@ def opposite(cat: FinCategory) -> FinCategory:
 
 
 class Functor:
-    """A functor between finite categories, as explicit total maps."""
+    """A functor between finite categories, as explicit total maps.
 
-    __slots__ = ("source", "target", "object_map", "morphism_map", "_key", "_op")
+    Functors are hash-consed. Building a functor with the same maps as a
+    live functor between the same two category objects returns that
+    functor: the source's intern table holds every functor out of it
+    weakly, keyed by the target's identity and the images in source
+    order. So a functor is shared by everything that built it and must
+    never be mutated, and two distinct functors between the same two
+    category objects are unequal. Categories that are equal but distinct
+    objects keep separate tables; functors over them compare by value.
+
+    Interning happens in ``__new__``, which checks every image first;
+    ``__init__`` is left empty.
+    """
+
+    __slots__ = ("source", "target", "object_map", "morphism_map", "_key", "_op",
+                 "_composed", "__weakref__")
+
+    def __new__(cls, source: FinCategory, target: FinCategory,
+                object_map: dict, morphism_map: dict):
+        oimages = tuple(map(object_map.get, source.objects))
+        mimages = tuple(map(morphism_map.get, source._by_id))
+        if not (target._object_ids.issuperset(oimages)
+                and target._morphism_ids.issuperset(mimages)):
+            for x, y in zip(source.objects, oimages):
+                if y not in target._object_ids:
+                    raise ComponentMistyped(f"object {x!r} has no valid image")
+            for m, n in zip(source._by_id, mimages):
+                if n not in target._morphism_ids:
+                    raise ComponentMistyped(f"morphism {m!r} has no valid image")
+        key = (id(target), oimages, mimages)
+        table = source._functors
+        ref = table.get(key)
+        if ref is not None:
+            F = ref()
+            if F is not None:
+                return F
+        F = object.__new__(cls)
+        F.source = source
+        F.target = target
+        F.object_map = dict(zip(source.objects, oimages))
+        F.morphism_map = dict(zip(source._by_id, mimages))
+        F._key = None
+        F._op = None
+        F._composed = None
+        # The callback drops the entry once F dies, unless it was replaced.
+        ref = weakref.ref(F, lambda _, key=key: _remove_dead_weakref(table, key))
+        # setdefault and _remove_dead_weakref are each atomic, so threads
+        # that build the same functor at once all get one object.
+        while True:
+            old = table.setdefault(key, ref)
+            if old is ref:
+                return F
+            other = old()
+            if other is not None:
+                return other
+            _remove_dead_weakref(table, key)
 
     def __init__(self, source: FinCategory, target: FinCategory,
                  object_map: dict, morphism_map: dict):
-        objects, morphisms = target.identities, target._by_id
-        omap = {}
-        for x in source.objects:
-            y = object_map.get(x)
-            if y is None or y not in objects:
-                raise ComponentMistyped(f"object {x!r} has no valid image")
-            omap[x] = y
-        mmap = {}
-        for m in source._by_id:
-            n = morphism_map.get(m)
-            if n is None or n not in morphisms:
-                raise ComponentMistyped(f"morphism {m!r} has no valid image")
-            mmap[m] = n
-        self.source = source
-        self.target = target
-        self.object_map = omap
-        self.morphism_map = mmap
-        self._key = None
-        self._op = None
+        pass
 
     def ob(self, x: str) -> str:
         return self.object_map[x]
@@ -500,6 +578,8 @@ class Functor:
             return True
         if not isinstance(other, Functor):
             return NotImplemented
+        if self.source is other.source and self.target is other.target:
+            return False  # interned: equal maps would be the same object
         return (self.source == other.source and self.target == other.target
                 and self.canonical_key() == other.canonical_key())
 
@@ -553,13 +633,30 @@ def opposite_functor(F: Functor) -> Functor:
 
 
 def compose_functors(F: Functor, G: Functor) -> Functor:
-    """F∘G: apply G first, then F."""
-    if G.target != F.source:
+    """F∘G: apply G first, then F.
+
+    Memoised on G by the identity of F. The memo holds F and the composite
+    weakly and drops F's entry when F dies, so it keeps no functor or
+    category alive.
+    """
+    memo = G._composed
+    if memo is None:
+        memo = G._composed = {}
+    hit = memo.get(id(F))
+    if hit is not None and hit[0]() is F:
+        FG = hit[1]()
+        if FG is not None:
+            return FG
+    if G.target is not F.source and G.target != F.source:
         raise CompositionTypeMismatch("functor composition: target/source differ")
     fob, fmor = F.object_map, F.morphism_map
-    return Functor(G.source, F.target,
-                   {x: fob[y] for x, y in G.object_map.items()},
-                   {m: fmor[n] for m, n in G.morphism_map.items()})
+    FG = Functor(G.source, F.target,
+                 {x: fob[y] for x, y in G.object_map.items()},
+                 {m: fmor[n] for m, n in G.morphism_map.items()})
+    key = id(F)
+    memo[key] = (weakref.ref(F, lambda _, memo=memo, key=key: memo.pop(key, None)),
+                 weakref.ref(FG))
+    return FG
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +706,8 @@ class NatTrans:
         return self._key
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, NatTrans):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
@@ -778,14 +877,20 @@ def _backtrack(domains, checks, budget: _Budget) -> list:
     n = len(domains)
     if n == 0:
         return [()]
+    sizes = [len(d) for d in domains]
     assign = [None] * n
     nxt = [0] * n  # per variable, the domain position to try next
     out = []
-    budget.spend(len(domains[0]))
+    budget.spend(sizes[0])
+    # Charged locally and settled once at the end, or as soon as the
+    # count passes the cap.
+    cap = budget.cap
+    start = used = budget.used
+    last = n - 1
     i = 0
     while i >= 0:
         k = nxt[i]
-        if k == len(domains[i]):
+        if k == sizes[i]:
             i -= 1
             continue
         nxt[i] = k + 1
@@ -794,12 +899,15 @@ def _backtrack(domains, checks, budget: _Budget) -> list:
             if not ok(assign):
                 break
         else:
-            if i == n - 1:
+            if i == last:
                 out.append(tuple(assign))
             else:
                 i += 1
                 nxt[i] = 0
-                budget.spend(len(domains[i]))
+                used += sizes[i]
+                if used > cap:
+                    break
+    budget.spend(used - start)
     return out
 
 
@@ -833,18 +941,15 @@ def enumerate_nat_trans(F: Functor, G: Functor, cap: int = DEFAULT_CAP) -> list:
     C, D = F.source, F.target
     objs = C.objects
     # Components are target indices, so a composite is a table lookup.
-    index, table = D._index, D._table
+    index, table, hom = D._index, D._table, D.index_hom()
     fob, gob = F.object_map, G.object_map
-    domains = [tuple(index[h] for h in D.hom(fob[x], gob[x])) for x in objs]
+    domains = [hom.get((fob[x], gob[x]), ()) for x in objs]
     if not all(domains):
         return []
-    pos = {x: i for i, x in enumerate(objs)}
+    fmor, gmor = F.morphism_map, G.morphism_map
     checks = [[] for _ in objs]
-    for m in C.morphisms:
-        if C.identities[m.src] == m.id:
-            continue
-        i, j = pos[m.src], pos[m.tgt]
-        fm, gm = index[F.morphism_map[m.id]], index[G.morphism_map[m.id]]
+    for m, i, j in C.arrow_positions():
+        fm, gm = index[fmor[m]], index[gmor[m]]
         # the square of m: G m ∘ alpha_src = alpha_tgt ∘ F m
         checks[max(i, j)].append(
             lambda a, i=i, j=j, fm=fm, gm=gm: table[a[i]][gm] == table[fm][a[j]])
@@ -902,7 +1007,7 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     """
     objs = source.objects
     tobjs = target.objects
-    pos = {x: i for i, x in enumerate(objs)}
+    pos = source.positions()
     inhabited = set(target._hom)
     obj_checks = [[] for _ in objs]
     for i, j in sorted({(pos[m.src], pos[m.tgt]) for m in source.morphisms
@@ -916,7 +1021,7 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     mor_checks = [[lambda a, f=f, g=g, h=h: table[a[f]][a[g]] == a[h]
                    for f, g, h in group] for group in plan]
     index = target._index
-    hom = {k: tuple(index[h] for h in v) for k, v in target._hom.items()}
+    hom = target.index_hom()
     ident = {x: (index[target.identity(x)],) for x in tobjs}
     ends = [(source.src(m), source.tgt(m), source.is_identity(m)) for m in order]
     names = [m.id for m in target.morphisms]

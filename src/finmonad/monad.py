@@ -64,6 +64,8 @@ class _Structure(_Checked):
                 self.unit.canonical_key())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self.base == other.base and self.endo == other.endo

@@ -210,9 +210,12 @@ def mnd_compose(outer: MndOneCell, inner: MndOneCell) -> MndOneCell:
     if inner.dst != outer.src:
         raise TypeMismatch("Mnd 1-cells not composable")
     P = compose_functors(outer.P, inner.P)
-    phi = vcomp(whisker_right(outer.phi, inner.P),
-                whisker_left(outer.P, inner.phi))
-    return MndOneCell(inner.src, outer.dst, P, phi)
+    phi = vcomp_at(outer.dst.base,
+                   whisker_right_at(outer.phi.components, inner.P),
+                   whisker_left_at(outer.P, inner.phi.components))
+    return MndOneCell(inner.src, outer.dst, P,
+                      NatTrans(compose_functors(outer.dst.S, P),
+                               compose_functors(P, inner.src.S), phi))
 
 
 def mnd2_identity(cell: MndOneCell) -> MndTwoCell:
@@ -273,10 +276,19 @@ def bullet_identity_cell(m: Monad) -> MndBulletOneCell:
 def bullet_compose(outer: MndBulletOneCell, inner: MndBulletOneCell) -> MndBulletOneCell:
     if inner.dst != outer.src:
         raise TypeMismatch("Mnd• 1-cells not composable")
+    return _push_compose(outer, inner)
+
+
+def _push_compose(outer, inner):
+    """outer ∘ inner for the 1-cells (P, nat) with nat: P∘E → E'∘P (Mnd•
+    and CoMnd): nat is (outer.nat inner.P) ∘ (outer.P inner.nat)."""
     P = compose_functors(outer.P, inner.P)
-    psi = vcomp(whisker_left(outer.P, inner.psi),
-                whisker_right(outer.psi, inner.P))
-    return MndBulletOneCell(inner.src, outer.dst, P, psi)
+    nat = vcomp_at(outer.dst.base,
+                   whisker_left_at(outer.P, inner.nat.components),
+                   whisker_right_at(outer.nat.components, inner.P))
+    return type(outer)(inner.src, outer.dst, P,
+                       NatTrans(compose_functors(P, inner.src.endo),
+                                compose_functors(outer.dst.endo, P), nat))
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +343,7 @@ def comnd_identity_cell(c: Comonad) -> CoMndOneCell:
 def comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
     if inner.dst != outer.src:
         raise TypeMismatch("CoMnd 1-cells not composable")
-    P = compose_functors(outer.P, inner.P)
-    pi = vcomp(whisker_left(outer.P, inner.pi),
-               whisker_right(outer.pi, inner.P))
-    return CoMndOneCell(inner.src, outer.dst, P, pi)
+    return _push_compose(outer, inner)
 
 
 # ---------------------------------------------------------------------------

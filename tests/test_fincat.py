@@ -1,6 +1,10 @@
 """Category/functor/transformation layer: validation, composition algebra,
 whiskering, and the interchange law."""
 
+import gc
+import sys
+import threading
+
 import pytest
 
 from finmonad.errors import (
@@ -10,6 +14,7 @@ from finmonad.errors import (
     TypeMismatch,
 )
 from finmonad.fincat import (
+    FinCategory,
     Functor,
     NatTrans,
     check_functor,
@@ -203,6 +208,133 @@ def test_functor_equality_is_extensional(cor):
     c1 = cor.monads_c3["c1"].S
     assert Id != c1  # object maps differ at 1
     assert not equal(Id, c1)
+
+
+def test_the_same_maps_give_the_same_functor(cor):
+    c1 = cor.monads_c3["c1"].S
+    assert Functor(cor.c3, cor.c3, dict(c1.object_map),
+                   dict(c1.morphism_map)) is c1
+    assert identity_functor(cor.c3) is identity_functor(cor.c3)
+    Id = identity_functor(cor.c3)
+    assert compose_functors(Id, c1) is c1
+    assert compose_functors(c1, Id) is c1
+    # the same maps into another target are another functor
+    assert Functor(cor.c3, opposite(cor.c3), c1.object_map,
+                   c1.morphism_map) is not c1
+
+
+def test_distinct_functors_between_the_same_categories_are_unequal(cor):
+    Id = identity_functor(cor.c3)
+    for F in enumerate_functors(cor.c3, cor.c3):
+        assert (F == Id) is (F is Id)
+
+
+def test_functors_over_equal_but_distinct_categories_stay_equal(cor):
+    """A category loaded twice keeps its own intern table; functors over
+    the two copies are distinct objects that compare and hash by value."""
+    again = validate_category(category_to_raw(cor.c3))
+    assert again == cor.c3 and again is not cor.c3
+    c1 = cor.monads_c3["c1"].S
+    for source, target in ((again, again), (again, cor.c3), (cor.c3, again)):
+        F = Functor(source, target, c1.object_map, c1.morphism_map)
+        assert F is not c1
+        assert F == c1 and c1 == F
+        assert hash(F) == hash(c1)
+        assert equal(F, c1)
+    assert identity_functor(again) == identity_functor(cor.c3)
+    assert identity_functor(again) != c1
+
+
+def test_composition_is_memoised(cor):
+    c1, c2 = cor.monads_c3["c1"].S, cor.monads_c3["c2"].S
+    assert compose_functors(c2, c1) is compose_functors(c2, c1)
+    assert compose_functors(c1, c2) is compose_functors(c1, c2)
+    assert compose_functors(c2, c1) is not compose_functors(c1, c2)
+
+
+def test_mistyped_composition_still_raises(cor):
+    Id2, Id3 = identity_functor(cor.c2), identity_functor(cor.c3)
+    compose_functors(Id3, Id3)
+    compose_functors(Id2, Id2)
+    for F, G in ((Id2, Id3), (Id3, Id2)):
+        for _ in range(2):
+            with pytest.raises(CompositionTypeMismatch):
+                compose_functors(F, G)
+
+
+def test_threads_building_the_same_functors_get_one_object(cor):
+    """Four threads, more than there are cores, build the same functors at
+    once, many times over, on a fresh copy of C3 each round so that no
+    functor of it is alive yet. Every thread must get the same object."""
+    maps = [(dict(F.object_map), dict(F.morphism_map))
+            for F in enumerate_functors(cor.c3, cor.c3)]
+    raw = category_to_raw(cor.c3)
+    n = 4
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            cat = validate_category(raw)
+            barrier = threading.Barrier(n, timeout=30)
+            built = [None] * n
+
+            def build(k, cat=cat, barrier=barrier, built=built):
+                barrier.wait()
+                built[k] = [Functor(cat, cat, om, mm) for om, mm in maps]
+
+            threads = [threading.Thread(target=build, args=(k,))
+                       for k in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert all(got is not None for got in built)
+            for got in built[1:]:
+                assert all(a is b for a, b in zip(built[0], got))
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _live(cls) -> int:
+    gc.collect()
+    return sum(type(x) is cls for x in gc.get_objects())
+
+
+def test_interning_and_the_composition_memo_keep_nothing_alive(cor):
+    """Twenty more runs of the C3/id round trip and of one law op leave as
+    many functors and categories alive as the first run did: neither the
+    intern tables nor the composition memo hold a per-run value. A memo
+    that held its functors strongly kept each run's algebra categories
+    alive through the corpus functors."""
+    from finmonad.construct import em_category, kleisli_category
+    from finmonad.distlaw import enumerate_dist_laws
+    from finmonad.twofunctors import (
+        enumerate_liftings,
+        extend_monad,
+        extract_dist_law,
+        extract_from_extension,
+        hom_iso_roundtrip,
+        lift_monad,
+    )
+
+    S, T = cor.monads_c3["c2"], cor.monads_c3["c1"]
+
+    def run():
+        assert all(e.status == "pass"
+                   for e in hom_iso_roundtrip(cor.monads_c3["id"]))
+        em, kl = em_category(S), kleisli_category(T)
+        laws = enumerate_dist_laws(S, T)
+        assert len(laws) == len(enumerate_liftings(S, T)) == 1
+        for dl in laws:
+            assert extract_dist_law(lift_monad(dl, em)) == dl
+            assert extract_from_extension(extend_monad(dl, kl)) == dl
+
+    run()
+    counts = (_live(Functor), _live(FinCategory))
+    for _ in range(20):
+        run()
+    assert (_live(Functor), _live(FinCategory)) == counts
 
 
 def test_equal_raises_on_type_mismatch(cor):

@@ -1,11 +1,14 @@
-"""Law checks and mates against the whiskered formulas they replace.
+"""Law checks, mates and 1-cell composites against the whiskered formulas
+they replace.
 
 Every law check evaluates each side of each equation component by
 component. ``tests/oracles.py`` keeps the formulas as first written, with
 every intermediate pasting built as a transformation between its endpoint
 functors. Here each check must return the oracle's violation list (kind,
 tag, where, lhs, rhs and detail, in order) on lawful and unlawful
-candidates alike, and each mate must equal the oracle's transformation.
+candidates alike, each mate must equal the oracle's transformation, and
+each composite of two Mnd, Mnd• or CoMnd endocells must equal the
+oracle's cell.
 """
 
 from itertools import product
@@ -15,14 +18,17 @@ from oracles import (
     chain2_times_z2,
     cyclic,
     ref_adjl_two_cell_conditions,
+    ref_bullet_compose,
     ref_cell_check,
     ref_check_comonad_laws,
     ref_check_dist_law,
     ref_check_mixed_law,
     ref_check_monad_laws,
+    ref_comnd_compose,
     ref_mate_left,
     ref_mate_right,
     ref_mate_right_transpose,
+    ref_mnd_compose,
     ref_triangles,
     transformation_monoid,
 )
@@ -35,7 +41,7 @@ from finmonad.adjunction import (
 )
 from finmonad.construct import em_category, kleisli_category
 from finmonad.distlaw import check_dist_law, check_mixed_law
-from finmonad.errors import LawViolation
+from finmonad.errors import LawViolation, TypeMismatch
 from finmonad.fincat import (
     compose_functors,
     enumerate_functors,
@@ -58,7 +64,11 @@ from finmonad.twofunctors import (
     MndOneCell,
     MndTwoCell,
     adjl_two_cell_conditions,
+    bullet_compose,
+    comnd_compose,
     enumerate_adjr_endocells,
+    enumerate_mnd_endocells,
+    mnd_compose,
     psi_e_1cell,
     psi_k_1cell,
     vec_psi_e_1cell,
@@ -327,3 +337,43 @@ def test_adjl_conditions_equal_the_oracles_on_kleisli_endocells(m):
             for beta in enumerate_nat_trans(c.K, c2.K):
                 assert (adjl_two_cell_conditions(c, c2, alpha, beta)
                         == ref_adjl_two_cell_conditions(c, c2, alpha, beta))
+
+
+def assert_composites_equal_the_oracle(compose, ref_compose, cells):
+    """Every composite of two of ``cells`` is the oracle's cell: the same
+    functor object, and a transformation between the same functors with the
+    same components."""
+    for outer, inner in product(cells, repeat=2):
+        got, want = compose(outer, inner), ref_compose(outer, inner)
+        assert got.P is want.P
+        assert got.nat.source is want.nat.source
+        assert got.nat.target is want.nat.target
+        assert got.nat.components == want.nat.components
+        assert got == want
+
+
+@pytest.mark.parametrize("m", [m for _, m in MONADS],
+                         ids=[label for label, _ in MONADS])
+def test_mnd_and_bullet_composites_equal_the_oracles(m):
+    assert_composites_equal_the_oracle(mnd_compose, ref_mnd_compose,
+                                       enumerate_mnd_endocells(m))
+    assert_composites_equal_the_oracle(bullet_compose, ref_bullet_compose,
+                                       bullet_endocells(m))
+
+
+@pytest.mark.parametrize("c", [c for _, c in COMONADS],
+                         ids=[label for label, _ in COMONADS])
+def test_comnd_composites_equal_the_oracles(c):
+    assert_composites_equal_the_oracle(comnd_compose, ref_comnd_compose,
+                                       comnd_endocells(c))
+
+
+def test_composites_of_cells_that_do_not_meet_raise():
+    S, T = COR.monads_c3["c1"], COR.monads_c3["c2"]
+    G, H = COR.comonads_c3["i1"], COR.comonads_c3["i2"]
+    for cells, compose, x, y in (
+            (enumerate_mnd_endocells, mnd_compose, S, T),
+            (bullet_endocells, bullet_compose, S, T),
+            (comnd_endocells, comnd_compose, G, H)):
+        with pytest.raises(TypeMismatch):
+            compose(cells(x)[0], cells(y)[0])

@@ -500,6 +500,21 @@ def test_law_checks_build_no_whiskered_transformations(cor, monkeypatch):
     assert calls["NatTrans"] <= 20
 
 
+def test_interned_functors_and_memoised_composites_cut_constructions(
+        cor, monkeypatch):
+    """With functors hash-consed and composites memoised, most
+    compose_functors calls find their composite and build nothing, and
+    1-cell composites build one transformation. Bounds sit about 10% above
+    the counts measured so (C3/id round trip 3,247 / 1,030 / 2,209); with
+    every composite built afresh they were 3,647 / 3,805 / 2,609."""
+    calls = count_constructions(monkeypatch)
+    entries = hom_iso_roundtrip(cor.monads_c3["id"])
+    assert all(e.status == "pass" for e in entries)
+    assert calls["compose_functors"] <= 3_580
+    assert calls["Functor"] <= 1_150
+    assert calls["NatTrans"] <= 2_430
+
+
 def test_psi_e_after_phi_e_is_identity_per_cell(cor):
     em = em_category(cor.monads_c3["c1"])
     for cell in enumerate_adjr_endocells(em):
