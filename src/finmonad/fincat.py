@@ -498,6 +498,17 @@ def opposite(cat: FinCategory) -> FinCategory:
 # Functors
 
 
+class _WeakEntry(weakref.ref):
+    """A weak reference stored as ``table[key]``: once its referent dies,
+    :func:`_drop_entry` removes it, unless the entry was replaced."""
+
+    __slots__ = ("table", "key")
+
+
+def _drop_entry(entry: _WeakEntry) -> None:
+    _remove_dead_weakref(entry.table, entry.key)
+
+
 class Functor:
     """A functor between finite categories, as explicit total maps.
 
@@ -529,11 +540,12 @@ class Functor:
             for m, n in zip(source._by_id, mimages):
                 if n not in target._morphism_ids:
                     raise ComponentMistyped(f"morphism {m!r} has no valid image")
-        key = (id(target), oimages, mimages)
+        # One flat tuple: the number of objects is fixed by the source.
+        key = (id(target), *oimages, *mimages)
         table = source._functors
-        ref = table.get(key)
-        if ref is not None:
-            F = ref()
+        entry = table.get(key)
+        if entry is not None:
+            F = entry()
             if F is not None:
                 return F
         F = object.__new__(cls)
@@ -543,14 +555,15 @@ class Functor:
         F.morphism_map = dict(zip(source._by_id, mimages))
         F._key = None
         F._op = None
-        F._composed = None
-        # The callback drops the entry once F dies, unless it was replaced.
-        ref = weakref.ref(F, lambda _, key=key: _remove_dead_weakref(table, key))
+        F._composed = None  # compose_functors(H, F): id(H) -> (ref H, ref H∘F)
+        entry = _WeakEntry(F, _drop_entry)
+        entry.table = table
+        entry.key = key
         # setdefault and _remove_dead_weakref are each atomic, so threads
         # that build the same functor at once all get one object.
         while True:
-            old = table.setdefault(key, ref)
-            if old is ref:
+            old = table.setdefault(key, entry)
+            if old is entry:
                 return F
             other = old()
             if other is not None:
@@ -636,8 +649,9 @@ def compose_functors(F: Functor, G: Functor) -> Functor:
     """F∘G: apply G first, then F.
 
     Memoised on G by the identity of F. The memo holds F and the composite
-    weakly and drops F's entry when F dies, so it keeps no functor or
-    category alive.
+    weakly, so it keeps no functor or category alive, and each time it
+    reaches a power of two in size it drops the entries whose functors
+    have died.
     """
     memo = G._composed
     if memo is None:
@@ -653,9 +667,12 @@ def compose_functors(F: Functor, G: Functor) -> Functor:
     FG = Functor(G.source, F.target,
                  {x: fob[y] for x, y in G.object_map.items()},
                  {m: fmor[n] for m, n in G.morphism_map.items()})
-    key = id(F)
-    memo[key] = (weakref.ref(F, lambda _, memo=memo, key=key: memo.pop(key, None)),
-                 weakref.ref(FG))
+    n = len(memo)
+    if n >= 8 and n & (n - 1) == 0:
+        for k, (f, fg) in list(memo.items()):
+            if f() is None or fg() is None:
+                memo.pop(k, None)
+    memo[id(F)] = (weakref.ref(F), weakref.ref(FG))
     return FG
 
 

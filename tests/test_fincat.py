@@ -304,9 +304,10 @@ def _live(cls) -> int:
 def test_interning_and_the_composition_memo_keep_nothing_alive(cor):
     """Twenty more runs of the C3/id round trip and of one law op leave as
     many functors and categories alive as the first run did: neither the
-    intern tables nor the composition memo hold a per-run value. A memo
-    that held its functors strongly kept each run's algebra categories
-    alive through the corpus functors."""
+    intern tables nor the composition memo hold a per-run value, and the
+    memo does not grow with the runs. A memo that held its functors
+    strongly kept each run's algebra categories alive through the corpus
+    functors."""
     from finmonad.construct import em_category, kleisli_category
     from finmonad.distlaw import enumerate_dist_laws
     from finmonad.twofunctors import (
@@ -330,11 +331,18 @@ def test_interning_and_the_composition_memo_keep_nothing_alive(cor):
             assert extract_dist_law(lift_monad(dl, em)) == dl
             assert extract_from_extension(extend_monad(dl, kl)) == dl
 
+    def memo_entries():
+        gc.collect()
+        return sum(len(x._composed or ()) for x in gc.get_objects()
+                   if type(x) is Functor)
+
     run()
     counts = (_live(Functor), _live(FinCategory))
+    entries = memo_entries()
     for _ in range(20):
         run()
     assert (_live(Functor), _live(FinCategory)) == counts
+    assert memo_entries() <= 2 * entries
 
 
 def test_equal_raises_on_type_mismatch(cor):
