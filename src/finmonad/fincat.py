@@ -66,7 +66,8 @@ class FinCategory:
 
     Instances are built through :func:`validate_category` (or
     :func:`assemble_category` for programmatic construction); the raw
-    constructor trusts already-canonical data.
+    constructor trusts already-canonical data: objects sorted, morphisms
+    sorted by id.
     """
 
     __slots__ = ("objects", "morphisms", "identities",
@@ -540,8 +541,7 @@ class Functor:
             for m, n in zip(source._by_id, mimages):
                 if n not in target._morphism_ids:
                     raise ComponentMistyped(f"morphism {m!r} has no valid image")
-        # One flat tuple: the number of objects is fixed by the source.
-        key = (id(target), *oimages, *mimages)
+        key = (id(target), oimages, mimages)
         table = source._functors
         entry = table.get(key)
         if entry is not None:
@@ -553,7 +553,7 @@ class Functor:
         F.target = target
         F.object_map = dict(zip(source.objects, oimages))
         F.morphism_map = dict(zip(source._by_id, mimages))
-        F._key = None
+        F._key = key[1:]
         F._op = None
         F._composed = None  # compose_functors(H, F): id(H) -> (ref H, ref H∘F)
         entry = _WeakEntry(F, _drop_entry)
@@ -581,9 +581,9 @@ class Functor:
         return self.morphism_map[m]
 
     def canonical_key(self):
-        if self._key is None:
-            self._key = (tuple(sorted(self.object_map.items())),
-                         tuple(sorted(self.morphism_map.items())))
+        """The object and the morphism images, in source order. A source
+        lists its objects and morphisms sorted by id, so of two functors
+        out of equal categories the keys compare as their sorted maps do."""
         return self._key
 
     def __eq__(self, other):
