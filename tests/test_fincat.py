@@ -245,6 +245,23 @@ def test_functors_over_equal_but_distinct_categories_stay_equal(cor):
     assert identity_functor(again) != c1
 
 
+def test_canonical_keys_order_functors_as_their_sorted_maps(cor):
+    """A functor's canonical key is its images in source order. Sources
+    list their objects and morphisms sorted, so the keys sort functors as
+    their sorted maps do."""
+    from finmonad.construct import em_category
+
+    def sorted_maps(F):
+        return (tuple(sorted(F.object_map.items())),
+                tuple(sorted(F.morphism_map.items())))
+
+    em = em_category(cor.monads_c3["c1"]).category
+    for cat in (cor.c3, opposite(cor.c3), cor.m_z2, em):
+        found = enumerate_functors(cat, cat)
+        assert len(found) > 1
+        assert all(a is b for a, b in zip(found, sorted(found, key=sorted_maps)))
+
+
 def test_composition_is_memoised(cor):
     c1, c2 = cor.monads_c3["c1"].S, cor.monads_c3["c2"].S
     assert compose_functors(c2, c1) is compose_functors(c2, c1)
