@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import random
 import weakref
-# Deletes d[key] only while it is a dead weak reference, atomically; the
-# helper weakref.WeakValueDictionary removes its entries with.
+# Deletes d[key] atomically, and only while it is a dead weak reference;
+# weakref.WeakValueDictionary removes its entries with the same helper.
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 
