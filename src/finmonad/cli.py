@@ -18,28 +18,16 @@ import json
 import sys
 import time
 
+# Only what every command needs is imported here; each handler imports the
+# modules it runs, so a command loads no module it does not use.
 from . import jsonio
-from .adjunction import induced_comonad, induced_monad
-from .construct import em_category, em_coalgebra_category, kleisli_category
-from .distlaw import enumerate_dist_laws, enumerate_mixed_laws
 from .errors import (
     CategoryValidationError,
     EnumerationCapExceeded,
     FinMonadError,
 )
 from .fincat import DEFAULT_CAP
-from .monad import enumerate_comonads, enumerate_monads
 from .report import VerificationReport, entry, entry_from_violations
-from .selftest import run_selftest
-from .twofunctors import (
-    check_joint_compatibility,
-    enumerate_liftings,
-    extend_monad,
-    extract_dist_law,
-    extract_from_extension,
-    hom_iso_roundtrip,
-    lift_monad,
-)
 
 
 class _ValidationFailure(Exception):
@@ -63,16 +51,23 @@ def _cmd_validate(args) -> VerificationReport:
             rep.add(entry(f"validate/{v.kind}", v.tag, False,
                           witness=v.as_witness()))
         raise _ValidationFailure(rep)
+    detail = ""
+    if cat.assoc_sample is not None:
+        checked, triples, seed = cat.assoc_sample
+        detail = (f"associativity sampled: {checked} of {triples} "
+                  f"composable triples, seed {seed}")
     rep.add(entry("validate/category", "chk-validation", True,
                   witness={"objects": len(cat.objects),
-                           "morphisms": len(cat.morphisms)}))
+                           "morphisms": len(cat.morphisms)}, detail=detail))
     return rep
 
 
 def _cmd_structures(args) -> VerificationReport:
+    from . import monad
+
     rep = _report(args, args.command, [args.file])
     cat = jsonio.load_category(args.file, seed=args.seed)
-    found = args.search(cat, cap=args.cap, jobs=args.jobs)
+    found = getattr(monad, args.search)(cat, cap=args.cap, jobs=args.jobs)
     rep.add(entry(f"{args.command}/enumerate", "chk-enumeration", True,
                   witness={"count": len(found),
                            "object_maps": [dict(sorted(m.endo.object_map.items()))
@@ -81,6 +76,9 @@ def _cmd_structures(args) -> VerificationReport:
 
 
 def _cmd_em(args) -> VerificationReport:
+    from .adjunction import induced_monad
+    from .construct import em_category
+
     rep = _report(args, "em", [args.file])
     m = jsonio.load_monad(args.file, seed=args.seed)
     em = em_category(m, cap=args.cap)
@@ -99,6 +97,9 @@ def _cmd_em(args) -> VerificationReport:
 
 
 def _cmd_coem(args) -> VerificationReport:
+    from .adjunction import induced_comonad
+    from .construct import em_coalgebra_category
+
     rep = _report(args, "coem", [args.file])
     c = jsonio.load_comonad(args.file, seed=args.seed)
     co = em_coalgebra_category(c, cap=args.cap)
@@ -113,6 +114,9 @@ def _cmd_coem(args) -> VerificationReport:
 
 
 def _cmd_kleisli(args) -> VerificationReport:
+    from .adjunction import induced_monad
+    from .construct import kleisli_category
+
     rep = _report(args, "kleisli", [args.file])
     m = jsonio.load_monad(args.file, seed=args.seed)
     kl = kleisli_category(m)
@@ -127,6 +131,8 @@ def _cmd_kleisli(args) -> VerificationReport:
 
 
 def _cmd_law(args) -> VerificationReport:
+    from . import distlaw
+
     load_law, load_second, enumerate_laws, tags, _ = args.law
     if args.law_command == "check":
         rep = _report(args, f"{args.command} check", [args.file])
@@ -141,7 +147,8 @@ def _cmd_law(args) -> VerificationReport:
                   [args.s_file, args.second_file])
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     second = load_second(args.second_file, seed=args.seed)
-    laws = enumerate_laws(S, second, cap=args.cap, jobs=args.jobs)
+    laws = getattr(distlaw, enumerate_laws)(S, second, cap=args.cap,
+                                            jobs=args.jobs)
     rep.add(entry(f"{args.command}/enumerate", "chk-enumeration", True,
                   witness={"count": len(laws),
                            "laws": [dict(sorted(law.nat.components.items()))
@@ -149,74 +156,65 @@ def _cmd_law(args) -> VerificationReport:
     return rep
 
 
-def _load_valid_law(args):
+# Per command that builds from one law: the tag of the law axioms it
+# checks, the twofunctors builder and extractor, the (check, tag) of the
+# entry for the built value and of the entry comparing the recovered law
+# with the input, and the first entry's witness as its key and a map read
+# off (built, recovered).
+_BUILD_FROM_LAW = {
+    "lift": ("Eq-1510071248-i", "lift_monad", "extract_dist_law",
+             ("lifted-monad-valid", "Thm-1705201918"),
+             ("recovery-equality", "Eq-1510081202"),
+             ("functor", lambda lm, _: lm.that.object_map)),
+    "extend": ("Eq-1510071249-i", "extend_monad", "extract_from_extension",
+               ("extension-valid", "Eq-1510081116"),
+               ("recovery-equality", "Thm-1501131518"),
+               ("functor", lambda ke, _: ke.stilde.object_map)),
+    "extract-em": ("Eq-1510071248-i", "lift_monad", "extract_dist_law",
+                   ("extracted-law", "Eq-1510081202"),
+                   ("round-trip", "chk-round-trip"),
+                   ("phi", lambda _, law: law.phi.components)),
+    "extract-kleisli": ("Eq-1510071249-i", "extend_monad",
+                        "extract_from_extension",
+                        ("extracted-law", "Eq-1510081116"),
+                        ("round-trip", "chk-round-trip"),
+                        ("phi", lambda _, law: law.phi.components)),
+}
+
+
+def _cmd_build_from_law(args) -> VerificationReport:
+    from . import twofunctors
+
+    (axioms_tag, build, extract, (built_check, built_tag),
+     (recovered_check, recovered_tag), (key, read)) = _BUILD_FROM_LAW[args.command]
+    rep = _report(args, args.command, [args.file])
     dl = jsonio.load_dist_law(args.file, seed=args.seed)
     violations = dl.check()
-    return dl, violations
-
-
-def _cmd_lift(args) -> VerificationReport:
-    rep = _report(args, "lift", [args.file])
-    dl, violations = _load_valid_law(args)
-    rep.add(entry_from_violations("lift/law-axioms", "Eq-1510071248-i",
+    rep.add(entry_from_violations(f"{args.command}/law-axioms", axioms_tag,
                                   violations))
     if violations:
         return rep
-    lm = lift_monad(dl)
-    rep.add(entry("lift/lifted-monad-valid", "Thm-1705201918", True,
-                  witness={"functor": dict(sorted(lm.that.object_map.items()))}))
-    rep.add(entry("lift/recovery-equality", "Eq-1510081202",
-                  extract_dist_law(lm) == dl))
-    return rep
-
-
-def _cmd_extend(args) -> VerificationReport:
-    rep = _report(args, "extend", [args.file])
-    dl, violations = _load_valid_law(args)
-    rep.add(entry_from_violations("extend/law-axioms", "Eq-1510071249-i",
-                                  violations))
-    if violations:
-        return rep
-    ke = extend_monad(dl)
-    rep.add(entry("extend/extension-valid", "Eq-1510081116", True,
-                  witness={"functor": dict(sorted(ke.stilde.object_map.items()))}))
-    rep.add(entry("extend/recovery-equality", "Thm-1501131518",
-                  extract_from_extension(ke) == dl))
-    return rep
-
-
-def _cmd_extract_em(args) -> VerificationReport:
-    rep = _report(args, "extract-em", [args.file])
-    dl, violations = _load_valid_law(args)
-    rep.add(entry_from_violations("extract-em/law-axioms", "Eq-1510071248-i",
-                                  violations))
-    if violations:
-        return rep
-    lm = lift_monad(dl)
-    recovered = extract_dist_law(lm)
-    rep.add(entry("extract-em/extracted-law", "Eq-1510081202", True,
-                  witness={"phi": dict(sorted(recovered.phi.components.items()))}))
-    rep.add(entry("extract-em/round-trip", "chk-round-trip", recovered == dl))
-    return rep
-
-
-def _cmd_extract_kleisli(args) -> VerificationReport:
-    rep = _report(args, "extract-kleisli", [args.file])
-    dl, violations = _load_valid_law(args)
-    rep.add(entry_from_violations("extract-kleisli/law-axioms",
-                                  "Eq-1510071249-i", violations))
-    if violations:
-        return rep
-    ke = extend_monad(dl)
-    recovered = extract_from_extension(ke)
-    rep.add(entry("extract-kleisli/extracted-law", "Eq-1510081116", True,
-                  witness={"phi": dict(sorted(recovered.phi.components.items()))}))
-    rep.add(entry("extract-kleisli/round-trip", "chk-round-trip",
+    built = getattr(twofunctors, build)(dl)
+    recovered = getattr(twofunctors, extract)(built)
+    rep.add(entry(f"{args.command}/{built_check}", built_tag, True,
+                  witness={key: dict(sorted(read(built, recovered).items()))}))
+    rep.add(entry(f"{args.command}/{recovered_check}", recovered_tag,
                   recovered == dl))
     return rep
 
 
 def _cmd_roundtrip(args) -> VerificationReport:
+    from .construct import em_category, kleisli_category
+    from .distlaw import enumerate_dist_laws
+    from .twofunctors import (
+        check_joint_compatibility,
+        enumerate_liftings,
+        extend_monad,
+        extract_dist_law,
+        extract_from_extension,
+        lift_monad,
+    )
+
     rep = _report(args, "roundtrip", [args.s_file, args.t_file])
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     T = jsonio.load_monad(args.t_file, seed=args.seed)
@@ -253,6 +251,8 @@ def _cmd_roundtrip(args) -> VerificationReport:
 
 
 def _cmd_roundtrip_mixed(args) -> VerificationReport:
+    from .construct import em_category, em_coalgebra_category
+    from .distlaw import enumerate_mixed_laws
     from .twofunctors import (
         check_mixed_compatibility,
         colift_monad,
@@ -289,6 +289,8 @@ def _cmd_roundtrip_mixed(args) -> VerificationReport:
 
 
 def _cmd_homiso(args) -> VerificationReport:
+    from .twofunctors import hom_iso_roundtrip
+
     rep = _report(args, "homiso", [args.file])
     m = jsonio.load_monad(args.file, seed=args.seed)
     rep.add(*hom_iso_roundtrip(m, cap=args.cap, jobs=args.jobs))
@@ -296,8 +298,9 @@ def _cmd_homiso(args) -> VerificationReport:
 
 
 def _cmd_selftest(args) -> VerificationReport:
-    rep = run_selftest(jobs=args.jobs, seed=args.seed)
-    return rep
+    from .selftest import run_selftest
+
+    return run_selftest(jobs=args.jobs, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_validate)
 
-    for name, search in (("monads", enumerate_monads),
-                         ("comonads", enumerate_comonads)):
+    for name, search in (("monads", "enumerate_monads"),
+                         ("comonads", "enumerate_comonads")):
         p = sub.add_parser(name, parents=[common],
                            help=f"enumerate {name} on a category")
         p.add_argument("file")
@@ -345,15 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
 
     # Per law kind: the law loader, the loader of the second structure (T
-    # or G), the enumerator, the checked tags in report order, and the
-    # name of the second structure's file.
+    # or G), the name of the distlaw enumerator, the checked tags in report
+    # order, and the name of the second structure's file.
     for name, what, law in (
             ("distlaw", "distributive laws",
-             (jsonio.load_dist_law, jsonio.load_monad, enumerate_dist_laws,
+             (jsonio.load_dist_law, jsonio.load_monad, "enumerate_dist_laws",
               ("law-naturality", "Eq-1510071248-i", "Eq-1510071248-ii",
                "Eq-1510071249-i", "Eq-1510071249-ii"), "t_file")),
             ("mixedlaw", "mixed laws",
-             (jsonio.load_mixed_law, jsonio.load_comonad, enumerate_mixed_laws,
+             (jsonio.load_mixed_law, jsonio.load_comonad, "enumerate_mixed_laws",
               ("law-naturality", "Eq-1510081240-i", "Eq-1510081240-ii",
                "Eq-1510081242-i", "Eq-1510081242-ii"), "g_file"))):
         p = sub.add_parser(name, help=f"check or enumerate {what}")
@@ -367,12 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
         for q in (pc, pe):
             q.set_defaults(func=_cmd_law, law=law)
 
-    for name, fn in (("lift", _cmd_lift), ("extend", _cmd_extend),
-                     ("extract-em", _cmd_extract_em),
-                     ("extract-kleisli", _cmd_extract_kleisli)):
+    for name in _BUILD_FROM_LAW:
         p = sub.add_parser(name, parents=[common])
         p.add_argument("file", help="distributive law file")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_build_from_law)
 
     p = sub.add_parser("roundtrip", parents=[common],
                        help="enumerations, round trips, count equality, "

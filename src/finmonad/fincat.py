@@ -73,7 +73,7 @@ class FinCategory:
     __slots__ = ("objects", "morphisms", "identities",
                  "_index", "_by_id", "_hom", "_by_src", "_table", "_key", "_op",
                  "_object_ids", "_morphism_ids", "_functors", "_index_hom",
-                 "_positions", "_arrow_positions")
+                 "_positions", "_arrow_positions", "assoc_sample")
 
     def __init__(self, objects, morphisms, identities, composition):
         self.objects = tuple(objects)
@@ -103,6 +103,9 @@ class FinCategory:
         self._index_hom = None
         self._positions = None
         self._arrow_positions = None
+        # (triples checked, composable triples, seed) when validation
+        # sampled associativity; None when it checked every triple
+        self.assoc_sample = None
 
     # -- lookups -----------------------------------------------------------
 
@@ -449,7 +452,10 @@ def validate_category(raw: dict, *, seed: int = 0) -> FinCategory:
 
     objects_sorted = tuple(sorted(objects))
     morphs_sorted = tuple(sorted(morphs, key=lambda m: m.id))
-    return FinCategory(objects_sorted, morphs_sorted, identities, comp)
+    cat = FinCategory(objects_sorted, morphs_sorted, identities, comp)
+    if total_triples > ASSOC_EXHAUSTIVE_LIMIT:
+        cat.assoc_sample = (checked, total_triples, seed)
+    return cat
 
 
 def assemble_category(objects, morphisms, identities, compose_fn, *,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 
-from .distlaw import DistributiveLaw, MixedDistributiveLaw, require_typable
 from .errors import BaseMismatch, ComponentMistyped, FileFormatError, LawViolation
 from .fincat import (
     FinCategory,
@@ -185,6 +184,9 @@ def comonad_to_raw(c: Comonad) -> dict:
 
 
 def parse_dist_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> DistributiveLaw:
+    # imported here, so that loading a category or a monad never loads it
+    from .distlaw import DistributiveLaw, require_typable
+
     _require_shape(raw, "law")
     s_raw, s_dir = _resolve(raw["S"], base_dir)
     t_raw, t_dir = _resolve(raw["T"], base_dir)
@@ -212,6 +214,8 @@ def dist_law_to_raw(dl: DistributiveLaw) -> dict:
 
 
 def parse_mixed_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> MixedDistributiveLaw:
+    from .distlaw import MixedDistributiveLaw, require_typable
+
     _require_shape(raw, "mixed law")
     s_raw, s_dir = _resolve(raw["S"], base_dir)
     g_raw, g_dir = _resolve(raw["G"], base_dir)

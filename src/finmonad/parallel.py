@@ -6,12 +6,13 @@ worker count; callers still canonically sort what they return.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 
 def pmap(fn, items, jobs: int = 1) -> list:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here, so that a run at one job never loads the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
