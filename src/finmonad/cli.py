@@ -204,87 +204,44 @@ def _cmd_build_from_law(args) -> VerificationReport:
 
 
 def _cmd_roundtrip(args) -> VerificationReport:
-    from .construct import em_category, kleisli_category
-    from .distlaw import enumerate_dist_laws
-    from .twofunctors import (
-        check_joint_compatibility,
-        enumerate_liftings,
-        extend_monad,
-        extract_dist_law,
-        extract_from_extension,
-        lift_monad,
-    )
+    from .twofunctors import law_round_trips
 
     rep = _report(args, "roundtrip", [args.s_file, args.t_file])
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     T = jsonio.load_monad(args.t_file, seed=args.seed)
-    laws = enumerate_dist_laws(S, T, cap=args.cap, jobs=args.jobs)
-    em = em_category(S, cap=args.cap)
-    lifts = enumerate_liftings(S, T, cap=args.cap, jobs=args.jobs, em=em)
+    r = law_round_trips(S, T, cap=args.cap, jobs=args.jobs)
     rep.add(entry("roundtrip/count-equality", "Thm-1705201918",
-                  len(laws) == len(lifts),
-                  witness={"laws": len(laws), "liftings": len(lifts)}))
-    kl = kleisli_category(T)
-    # each law is lifted and extended once, whichever check fails first
-    lifted = [lift_monad(dl, em) for dl in laws]
-    extended = [extend_monad(dl, kl) for dl in laws]
-    ok_a = all(extract_dist_law(lm) == dl for lm, dl in zip(lifted, laws))
-    rep.add(entry("roundtrip/extract-after-lift", "chk-round-trip", ok_a,
-                  witness={"laws": len(laws)}))
-    ok_b = all(lift_monad(extract_dist_law(lm), em) == lm for lm in lifts)
-    rep.add(entry("roundtrip/lift-after-extract", "chk-round-trip", ok_b,
-                  witness={"liftings": len(lifts)}))
-    ok_ext = all(extract_from_extension(ke) == dl
-                 for ke, dl in zip(extended, laws))
-    rep.add(entry("roundtrip/extension-roundtrip", "Thm-1501131518", ok_ext))
-    ok_joint = all(check_joint_compatibility(lm, ke)
-                   for lm, ke in zip(lifted, extended))
+                  r["laws"] == r["liftings"],
+                  witness={"laws": r["laws"], "liftings": r["liftings"]}))
+    rep.add(entry("roundtrip/extract-after-lift", "chk-round-trip",
+                  r["extract_after_lift"], witness={"laws": r["laws"]}))
+    rep.add(entry("roundtrip/lift-after-extract", "chk-round-trip",
+                  r["lift_after_extract"], witness={"liftings": r["liftings"]}))
+    rep.add(entry("roundtrip/extension-roundtrip", "Thm-1501131518",
+                  r["extension_roundtrip"]))
     rep.add(entry("roundtrip/joint-compatibility", "chk-joint-compatibility",
-                  ok_joint))
-    if S.base.is_thin():
-        pointwise = all(S.base.le(S.S.ob(T.S.ob(x)), T.S.ob(S.S.ob(x)))
-                        for x in S.base.objects)
+                  r["joint_compatibility"]))
+    if r["pointwise"] is not None:
         rep.add(entry("roundtrip/pointwise-criterion", "chk-pointwise-criterion",
-                      (len(laws) > 0) == pointwise,
-                      witness={"predicted": pointwise}))
+                      (r["laws"] > 0) == r["pointwise"],
+                      witness={"predicted": r["pointwise"]}))
     return rep
 
 
 def _cmd_roundtrip_mixed(args) -> VerificationReport:
-    from .construct import em_category, em_coalgebra_category
-    from .distlaw import enumerate_mixed_laws
-    from .twofunctors import (
-        check_mixed_compatibility,
-        colift_monad,
-        enumerate_comonad_liftings,
-        extract_mixed_from_colifting,
-        extract_mixed_from_lifting,
-        lift_comonad,
-    )
+    from .twofunctors import mixed_round_trips
 
     rep = _report(args, "roundtrip-mixed", [args.s_file, args.g_file])
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     G = jsonio.load_comonad(args.g_file, seed=args.seed)
-    laws = enumerate_mixed_laws(S, G, cap=args.cap, jobs=args.jobs)
-    em = em_category(S)
-    lifts = enumerate_comonad_liftings(S, G, cap=args.cap, jobs=args.jobs, em=em)
+    r = mixed_round_trips(S, G, cap=args.cap, jobs=args.jobs)
     rep.add(entry("roundtrip-mixed/count-equality", "Thm-1705222141",
-                  len(laws) == len(lifts),
-                  witness={"laws": len(laws), "liftings": len(lifts)}))
-    ok_round = ok_compat = True
-    co = em_coalgebra_category(G)
-    for ml in laws:
-        lc = lift_comonad(ml, em)
-        cl = colift_monad(ml, co)
-        if extract_mixed_from_lifting(lc) != ml:
-            ok_round = False
-        if extract_mixed_from_colifting(cl) != ml:
-            ok_round = False
-        if not check_mixed_compatibility(lc, cl):
-            ok_compat = False
+                  r["laws"] == r["liftings"],
+                  witness={"laws": r["laws"], "liftings": r["liftings"]}))
     rep.add(entry("roundtrip-mixed/mixed-roundtrips", "Thm-1501140312",
-                  ok_round, witness={"laws": len(laws)}))
-    rep.add(entry("roundtrip-mixed/compatibility", "Eq-1510081654", ok_compat))
+                  r["mixed_roundtrips"], witness={"laws": r["laws"]}))
+    rep.add(entry("roundtrip-mixed/compatibility", "Eq-1510081654",
+                  r["compatibility"]))
     return rep
 
 

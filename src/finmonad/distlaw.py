@@ -119,68 +119,93 @@ def _naturality(nat: NatTrans) -> list:
             for v in check_naturality(nat)]
 
 
+# ---------------------------------------------------------------------------
+# Cell laws
+#
+# A law phi: S∘T → T∘S is the Mnd 1-cell (T, phi) on S and the Mnd• 1-cell
+# (S, phi) on T, and a mixed law psi: S∘G → G∘S is the Mnd 1-cell (G, psi)
+# on S and the CoMnd 1-cell (S, psi) on G (Street 1972): its four axioms
+# are the laws of those two cells. Each function below gives both sides of
+# the two laws of a 1-cell (P, nat): src → dst, as listed in the cell
+# dictionary of :mod:`twofunctors`, from the components of nat.
+
+
+def mnd_cell_sides(src: Monad, dst: Monad, P: Functor, phi: dict) -> tuple:
+    """For phi: T∘P → P∘S, T the monad of dst and S that of src."""
+    D, Sf, Tf = dst.base, src.S, dst.S
+    return ((vcomp_at(D, whisker_left_at(Tf, phi),
+                      vcomp_at(D, whisker_right_at(phi, Sf),
+                               whisker_left_at(P, src.mu.components))),
+             vcomp_at(D, whisker_right_at(dst.mu.components, P), phi)),
+            (whisker_left_at(P, src.eta.components),
+             vcomp_at(D, whisker_right_at(dst.eta.components, P), phi)))
+
+
+def bullet_cell_sides(src: Monad, dst: Monad, P: Functor, psi: dict) -> tuple:
+    """For psi: P∘S → T∘P."""
+    D, Sf, Tf = dst.base, src.S, dst.S
+    return ((vcomp_at(D, whisker_right_at(psi, Sf),
+                      vcomp_at(D, whisker_left_at(Tf, psi),
+                               whisker_right_at(dst.mu.components, P))),
+             vcomp_at(D, whisker_left_at(P, src.mu.components), psi)),
+            (whisker_right_at(dst.eta.components, P),
+             vcomp_at(D, whisker_left_at(P, src.eta.components), psi)))
+
+
+def comnd_cell_sides(src: Comonad, dst: Comonad, P: Functor, pi: dict) -> tuple:
+    """For pi: P∘G → H∘P, H the comonad of dst and G that of src."""
+    D, Gf, Hf = dst.base, src.G, dst.G
+    return ((vcomp_at(D, pi, whisker_right_at(dst.delta.components, P)),
+             vcomp_at(D, whisker_left_at(P, src.delta.components),
+                      vcomp_at(D, whisker_right_at(pi, Gf),
+                               whisker_left_at(Hf, pi)))),
+            (vcomp_at(D, pi, whisker_right_at(dst.epsilon.components, P)),
+             whisker_left_at(P, src.epsilon.components)))
+
+
+# Per axiom, in report order: its kind, its tag, and whether the paper
+# writes it with the two sides of the cell law swapped.
+_DIST_AXIOMS = (("MultiplicationSquareS", "Eq-1510071248-i", True),
+                ("UnitTriangleS", "Eq-1510071248-ii", True),
+                ("MultiplicationSquareT", "Eq-1510071249-i", True),
+                ("UnitTriangleT", "Eq-1510071249-ii", True))
+_MIXED_AXIOMS = (("MultiplicationSquare", "Eq-1510081240-i", True),
+                 ("UnitTriangle", "Eq-1510081240-ii", True),
+                 ("ComultiplicationSquare", "Eq-1510081242-i", False),
+                 ("CounitTriangle", "Eq-1510081242-ii", False))
+
+
+def _axioms(nat: NatTrans, table: tuple, sides: tuple) -> list:
+    out = _naturality(nat)
+    for (kind, tag, swapped), (lhs, rhs) in zip(table, sides):
+        if swapped:
+            lhs, rhs = rhs, lhs
+        _first_diff(kind, tag, lhs, rhs, out)
+    return out
+
+
 def check_dist_law(S: Monad, T: Monad, phi: NatTrans) -> list:
     """Name each of the four axioms with pass/fail and the first failing object.
 
     phi must be typed S∘T → T∘S (TypeMismatch otherwise). Naturality of
     phi is checked first; a non-natural candidate is not a distributive
-    law regardless of the diagrams, whose sides are evaluated component by
-    component.
+    law regardless of the diagrams, which are the laws of the Mnd 1-cell
+    (T, phi) on S and of the Mnd• 1-cell (S, phi) on T.
     """
     _check_typing(S, T.S, phi, "phi", "T")
-    out = _naturality(phi)
-    C, Sf, Tf, p = S.base, S.S, T.S, phi.components
-    mu_s, eta_s = S.mu.components, S.eta.components
-    mu_t, eta_t = T.mu.components, T.eta.components
-    # (i)  phi ∘ (mu^S T) = (T mu^S) ∘ (phi S) ∘ (S phi)
-    lhs = vcomp_at(C, whisker_right_at(mu_s, Tf), p)
-    rhs = vcomp_at(C, whisker_left_at(Sf, p),
-                   vcomp_at(C, whisker_right_at(p, Sf), whisker_left_at(Tf, mu_s)))
-    _first_diff("MultiplicationSquareS", "Eq-1510071248-i", lhs, rhs, out)
-    # (ii) phi ∘ (eta^S T) = T eta^S
-    lhs = vcomp_at(C, whisker_right_at(eta_s, Tf), p)
-    rhs = whisker_left_at(Tf, eta_s)
-    _first_diff("UnitTriangleS", "Eq-1510071248-ii", lhs, rhs, out)
-    # (iii) phi ∘ (S mu^T) = (mu^T S) ∘ (T phi) ∘ (phi T)
-    lhs = vcomp_at(C, whisker_left_at(Sf, mu_t), p)
-    rhs = vcomp_at(C, whisker_right_at(p, Tf),
-                   vcomp_at(C, whisker_left_at(Tf, p), whisker_right_at(mu_t, Sf)))
-    _first_diff("MultiplicationSquareT", "Eq-1510071249-i", lhs, rhs, out)
-    # (iv) phi ∘ (S eta^T) = eta^T S
-    lhs = vcomp_at(C, whisker_left_at(Sf, eta_t), p)
-    rhs = whisker_right_at(eta_t, Sf)
-    _first_diff("UnitTriangleT", "Eq-1510071249-ii", lhs, rhs, out)
-    return out
+    p = phi.components
+    return _axioms(phi, _DIST_AXIOMS,
+                   mnd_cell_sides(S, S, T.S, p) + bullet_cell_sides(T, T, S.S, p))
 
 
 def check_mixed_law(S: Monad, G: Comonad, psi: NatTrans) -> list:
-    """Six reported instances: naturality plus the four mixed axioms.
-
-    psi must be typed S∘G → G∘S (TypeMismatch otherwise)."""
+    """Six reported instances: naturality plus the four mixed axioms, the
+    laws of the Mnd 1-cell (G, psi) on S and of the CoMnd 1-cell (S, psi)
+    on G. psi must be typed S∘G → G∘S (TypeMismatch otherwise)."""
     _check_typing(S, G.G, psi, "psi", "G")
-    out = _naturality(psi)
-    C, Sf, Gf, p = S.base, S.S, G.G, psi.components
-    mu, eta = S.mu.components, S.eta.components
-    delta, epsilon = G.delta.components, G.epsilon.components
-    # (i)  psi ∘ (mu^S G) = (G mu^S) ∘ (psi S) ∘ (S psi)
-    lhs = vcomp_at(C, whisker_right_at(mu, Gf), p)
-    rhs = vcomp_at(C, whisker_left_at(Sf, p),
-                   vcomp_at(C, whisker_right_at(p, Sf), whisker_left_at(Gf, mu)))
-    _first_diff("MultiplicationSquare", "Eq-1510081240-i", lhs, rhs, out)
-    # (ii) psi ∘ (eta^S G) = G eta^S
-    lhs = vcomp_at(C, whisker_right_at(eta, Gf), p)
-    rhs = whisker_left_at(Gf, eta)
-    _first_diff("UnitTriangle", "Eq-1510081240-ii", lhs, rhs, out)
-    # (iii) (delta^G S) ∘ psi = (G psi) ∘ (psi G) ∘ (S delta^G)
-    lhs = vcomp_at(C, p, whisker_right_at(delta, Sf))
-    rhs = vcomp_at(C, whisker_left_at(Sf, delta),
-                   vcomp_at(C, whisker_right_at(p, Gf), whisker_left_at(Gf, p)))
-    _first_diff("ComultiplicationSquare", "Eq-1510081242-i", lhs, rhs, out)
-    # (iv) (epsilon^G S) ∘ psi = S epsilon^G
-    lhs = vcomp_at(C, p, whisker_right_at(epsilon, Sf))
-    rhs = whisker_left_at(Sf, epsilon)
-    _first_diff("CounitTriangle", "Eq-1510081242-ii", lhs, rhs, out)
-    return out
+    p = psi.components
+    return _axioms(psi, _MIXED_AXIOMS,
+                   mnd_cell_sides(S, S, G.G, p) + comnd_cell_sides(G, G, S.S, p))
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,6 @@ class FinCategory:
 
     # -- lookups -----------------------------------------------------------
 
-    def has_object(self, x: str) -> bool:
-        return x in self.identities
-
     def has_morphism(self, m: str) -> bool:
         return m in self._by_id
 

@@ -37,7 +37,6 @@ from .fincat import (
     schema_violations,
     validate_category,
 )
-from .monad import Comonad, Monad
 from .report import Violation
 
 
@@ -129,6 +128,9 @@ def functor_to_raw(F: Functor) -> dict:
 
 
 def parse_monad(raw: dict, base_dir: str = ".", *, seed: int = 0) -> Monad:
+    # imported here, so that loading a category never loads it
+    from .monad import Monad
+
     _require_shape(raw, "monad")
     cat_raw, _ = _resolve(raw["category"], base_dir)
     cat = parse_category(cat_raw, seed=seed)
@@ -155,6 +157,8 @@ def monad_to_raw(m: Monad) -> dict:
 
 
 def parse_comonad(raw: dict, base_dir: str = ".", *, seed: int = 0) -> Comonad:
+    from .monad import Comonad
+
     _require_shape(raw, "comonad")
     cat_raw, _ = _resolve(raw["category"], base_dir)
     cat = parse_category(cat_raw, seed=seed)

@@ -20,9 +20,9 @@ from .adjunction import (
     mate_right,
 )
 from .construct import em_category, em_coalgebra_category, kleisli_category
-from .distlaw import enumerate_dist_laws, enumerate_mixed_laws, untypable_objects
-from .errors import FinMonadError
+from .distlaw import enumerate_mixed_laws, untypable_objects
 from .fincat import (
+    DEFAULT_CAP,
     FinCategory,
     identity_functor,
     identity_nat,
@@ -35,52 +35,26 @@ from .monad import enumerate_comonads, enumerate_monads, identity_monad
 from .report import CheckEntry, VerificationReport, entry
 from .twofunctors import (
     adjr_two_cell_agreement,
-    check_joint_compatibility,
-    check_mixed_compatibility,
-    colift_monad,
     enumerate_adjr_endocells,
-    enumerate_comonad_liftings,
-    enumerate_liftings,
-    extend_monad,
-    extract_dist_law,
-    extract_from_extension,
-    extract_mixed_from_lifting,
-    extract_mixed_from_colifting,
     hom_iso_roundtrip,
-    lift_comonad,
-    lift_monad,
+    law_round_trips,
+    mixed_round_trips,
 )
 
 _C3_MONAD_NAMES = ("id", "c1", "c2", "c3")
 
 
-def _closure_operator_count(cat: FinCategory) -> int:
-    """Count monotone, inflationary, idempotent self-maps by raw table scan."""
+def _operator_count(cat: FinCategory, inflationary: bool) -> int:
+    """Count monotone, idempotent self-maps that are inflationary (closure
+    operators) or deflationary (interior operators) by raw table scan."""
     from itertools import product as _product
 
     objs = cat.objects
     count = 0
     for combo in _product(objs, repeat=len(objs)):
         f = dict(zip(objs, combo))
-        if not all(cat.le(x, f[x]) for x in objs):
-            continue
-        if not all(f[f[x]] == f[x] for x in objs):
-            continue
-        if not all(not cat.le(x, y) or cat.le(f[x], f[y])
-                   for x in objs for y in objs):
-            continue
-        count += 1
-    return count
-
-
-def _interior_operator_count(cat: FinCategory) -> int:
-    from itertools import product as _product
-
-    objs = cat.objects
-    count = 0
-    for combo in _product(objs, repeat=len(objs)):
-        f = dict(zip(objs, combo))
-        if not all(cat.le(f[x], x) for x in objs):
+        if not all(cat.le(x, f[x]) if inflationary else cat.le(f[x], x)
+                   for x in objs):
             continue
         if not all(f[f[x]] == f[x] for x in objs):
             continue
@@ -96,14 +70,14 @@ def criterion_1_fixture_enumeration(cor: FixtureCorpus, jobs: int = 1) -> list:
     monads = enumerate_monads(cor.c3, jobs=jobs)
     entries.append(entry("criterion-1/monads-on-C3", "chk-enumeration",
                          len(monads) == 4, witness={"count": len(monads)}))
-    oracle = _closure_operator_count(cor.c3)
+    oracle = _operator_count(cor.c3, inflationary=True)
     entries.append(entry("criterion-1/closure-operator-oracle",
                          "chk-enumeration", oracle == len(monads),
                          witness={"oracle": oracle}))
     comonads = enumerate_comonads(cor.c3, jobs=jobs)
     entries.append(entry("criterion-1/comonads-on-C3", "chk-enumeration",
                          len(comonads) == 4, witness={"count": len(comonads)}))
-    oracle = _interior_operator_count(cor.c3)
+    oracle = _operator_count(cor.c3, inflationary=False)
     entries.append(entry("criterion-1/interior-operator-oracle",
                          "chk-enumeration", oracle == len(comonads),
                          witness={"oracle": oracle}))
@@ -116,68 +90,36 @@ def _c3_pairs(cor: FixtureCorpus):
             yield sn, tn, cor.monads_c3[sn], cor.monads_c3[tn]
 
 
-def criterion_2_bijection_counts(cor: FixtureCorpus, jobs: int = 1) -> list:
-    entries = []
+def criteria_2_to_4_laws(cor: FixtureCorpus, jobs: int = 1) -> list:
+    """Criteria 2 (counts), 3 (lifting round trips) and 4 (extensions, for
+    the pairs that have a law) over the ordered pairs of monads on C3,
+    each pair checked once; the entries come criterion by criterion."""
+    counts, round_trips, joint = [], [], []
     for sn, tn, S, T in _c3_pairs(cor):
-        laws = enumerate_dist_laws(S, T, jobs=jobs)
-        lifts = enumerate_liftings(S, T, jobs=jobs)
-        entries.append(entry(
+        r = law_round_trips(S, T, DEFAULT_CAP, jobs)
+        laws, lifts = r["laws"], r["liftings"]
+        counts.append(entry(
             f"criterion-2/{sn}-to-{tn}/count-equality", "Thm-1705201918",
-            len(laws) == len(lifts),
-            witness={"laws": len(laws), "liftings": len(lifts)}))
-        pointwise = all(S.base.le(S.S.ob(T.S.ob(x)), T.S.ob(S.S.ob(x)))
-                        for x in S.base.objects)
-        entries.append(entry(
+            laws == lifts, witness={"laws": laws, "liftings": lifts}))
+        counts.append(entry(
             f"criterion-2/{sn}-to-{tn}/pointwise-criterion",
-            "chk-pointwise-criterion", (len(laws) > 0) == pointwise,
-            witness={"predicted": pointwise, "found": len(laws)}))
-    return entries
-
-
-def criterion_3_round_trips(cor: FixtureCorpus, jobs: int = 1) -> list:
-    entries = []
-    for sn, tn, S, T in _c3_pairs(cor):
-        em = em_category(S)
-        laws = enumerate_dist_laws(S, T, jobs=jobs)
-        ok = all(extract_dist_law(lift_monad(dl, em)) == dl for dl in laws)
-        entries.append(entry(
+            "chk-pointwise-criterion", (laws > 0) == r["pointwise"],
+            witness={"predicted": r["pointwise"], "found": laws}))
+        round_trips.append(entry(
             f"criterion-3/{sn}-to-{tn}/extract-after-lift", "chk-round-trip",
-            ok, witness={"laws": len(laws)}))
-        lifts = enumerate_liftings(S, T, jobs=jobs, em=em)
-        ok = all(lift_monad(extract_dist_law(lm), em) == lm for lm in lifts)
-        entries.append(entry(
+            r["extract_after_lift"], witness={"laws": laws}))
+        round_trips.append(entry(
             f"criterion-3/{sn}-to-{tn}/lift-after-extract", "chk-round-trip",
-            ok, witness={"liftings": len(lifts)}))
-    return entries
-
-
-def criterion_4_joint_characterization(cor: FixtureCorpus, jobs: int = 1) -> list:
-    entries = []
-    for sn, tn, S, T in _c3_pairs(cor):
-        laws = enumerate_dist_laws(S, T, jobs=jobs)
+            r["lift_after_extract"], witness={"liftings": lifts}))
         if not laws:
             continue
-        em = em_category(S)
-        kl = kleisli_category(T)
-        ok_extend = ok_extract = ok_joint = True
-        for dl in laws:
-            try:
-                ke = extend_monad(dl, kl)
-            except FinMonadError:
-                ok_extend = ok_extract = ok_joint = False
-                continue
-            if extract_from_extension(ke) != dl:
-                ok_extract = False
-            lm = lift_monad(dl, em)
-            if not check_joint_compatibility(lm, ke):
-                ok_joint = False
-        entries.append(entry(
+        joint.append(entry(
             f"criterion-4/{sn}-to-{tn}/extension-roundtrip", "Thm-1501131518",
-            ok_extend and ok_extract, witness={"laws": len(laws)}))
-        entries.append(entry(
+            r["extension_roundtrip"], witness={"laws": laws}))
+        joint.append(entry(
             f"criterion-4/{sn}-to-{tn}/joint-compatibility",
-            "chk-joint-compatibility", ok_joint))
-    return entries
+            "chk-joint-compatibility", r["joint_compatibility"]))
+    return counts + round_trips + joint
 
 
 def criterion_5_mixed(cor: FixtureCorpus, jobs: int = 1) -> list:
@@ -189,32 +131,22 @@ def criterion_5_mixed(cor: FixtureCorpus, jobs: int = 1) -> list:
             for gn, G in sorted(comonads.items()):
                 name = f"criterion-5/{cat_name}/{sn}-to-{gn}"
                 unt = untypable_objects(S, G)
-                laws = enumerate_mixed_laws(S, G, jobs=jobs)
                 if unt:
+                    laws = enumerate_mixed_laws(S, G, jobs=jobs)
                     entries.append(entry(f"{name}/untypable-yields-zero",
                                          "chk-pointwise-criterion",
                                          len(laws) == 0,
                                          witness={"untypable_at": unt[0]}))
                     continue
-                lifts = enumerate_comonad_liftings(S, G, jobs=jobs)
+                r = mixed_round_trips(S, G, DEFAULT_CAP, jobs)
                 entries.append(entry(f"{name}/count-equality", "Thm-1705222141",
-                                     len(laws) == len(lifts),
-                                     witness={"laws": len(laws),
-                                              "liftings": len(lifts)}))
-                ok_round = ok_compat = True
-                for ml in laws:
-                    lc = lift_comonad(ml)
-                    cl = colift_monad(ml)
-                    if extract_mixed_from_lifting(lc) != ml:
-                        ok_round = False
-                    if extract_mixed_from_colifting(cl) != ml:
-                        ok_round = False
-                    if not check_mixed_compatibility(lc, cl):
-                        ok_compat = False
+                                     r["laws"] == r["liftings"],
+                                     witness={"laws": r["laws"],
+                                              "liftings": r["liftings"]}))
                 entries.append(entry(f"{name}/mixed-roundtrips",
-                                     "Thm-1501140312", ok_round))
+                                     "Thm-1501140312", r["mixed_roundtrips"]))
                 entries.append(entry(f"{name}/mixed-compatibility",
-                                     "Eq-1510081654", ok_compat))
+                                     "Eq-1510081654", r["compatibility"]))
     return entries
 
 
@@ -287,9 +219,7 @@ def criteria_entries(jobs: int = 1) -> list:
     cor = corpus()
     entries = []
     entries.extend(criterion_1_fixture_enumeration(cor, jobs))
-    entries.extend(criterion_2_bijection_counts(cor, jobs))
-    entries.extend(criterion_3_round_trips(cor, jobs))
-    entries.extend(criterion_4_joint_characterization(cor, jobs))
+    entries.extend(criteria_2_to_4_laws(cor, jobs))
     entries.extend(criterion_5_mixed(cor, jobs))
     entries.extend(criterion_6_two_adjunction_sanity(cor))
     entries.extend(criterion_7_hom_isomorphism(cor, jobs))

@@ -20,10 +20,13 @@ Cell dictionary (src monad (C,S), dst monad (D,T), comonads (X,G), (Y,H)):
   conditions, both checked.
 
 An endo Mnd 1-cell (T, phi) on (C, S) carries exactly the S-side axioms of
-a distributive law phi: ST → TS, and its monad-object structure 2-cells
-mu^T, eta^T carry the T-side axioms; the dual readings give the mixed
-case. The lifting/extension operations below always pass through the
-2-cell actions rather than ad-hoc formulas.
+a distributive law phi: ST → TS, and the Mnd• 1-cell (S, phi) on (C, T)
+the T-side ones, which the monad-object structure 2-cells mu^T, eta^T of
+(T, phi) carry as well. For a mixed law psi the CoMnd 1-cell (S, psi) on
+(C, G) gives the G-side axioms. :mod:`distlaw` checks laws as these cell
+laws. vec psi_E is psi_E on the opposite categories. The lifting/extension
+operations below always pass through the 2-cell actions rather than ad-hoc
+formulas.
 """
 
 from __future__ import annotations
@@ -48,7 +51,15 @@ from .construct import (
     em_coalgebra_category,
     kleisli_category,
 )
-from .distlaw import DistributiveLaw, MixedDistributiveLaw
+from .distlaw import (
+    DistributiveLaw,
+    MixedDistributiveLaw,
+    bullet_cell_sides,
+    comnd_cell_sides,
+    enumerate_dist_laws,
+    enumerate_mixed_laws,
+    mnd_cell_sides,
+)
 from .errors import (
     BaseMismatch,
     EnumerationCapExceeded,
@@ -176,14 +187,7 @@ class MndOneCell(_OneCell):
             raise TypeMismatch("phi target must be P∘S")
 
     def _sides(self):
-        D, Sf, Tf, P = self.dst.base, self.src.S, self.dst.S, self.P
-        phi = self.phi.components
-        return ((vcomp_at(D, whisker_left_at(Tf, phi),
-                          vcomp_at(D, whisker_right_at(phi, Sf),
-                                   whisker_left_at(P, self.src.mu.components))),
-                 vcomp_at(D, whisker_right_at(self.dst.mu.components, P), phi)),
-                (whisker_left_at(P, self.src.eta.components),
-                 vcomp_at(D, whisker_right_at(self.dst.eta.components, P), phi)))
+        return mnd_cell_sides(self.src, self.dst, self.P, self.phi.components)
 
 
 class MndTwoCell(_TwoCell):
@@ -244,14 +248,7 @@ class MndBulletOneCell(_OneCell):
             raise TypeMismatch("psi target must be T∘P")
 
     def _sides(self):
-        D, Sf, Tf, P = self.dst.base, self.src.S, self.dst.S, self.P
-        psi = self.psi.components
-        return ((vcomp_at(D, whisker_right_at(psi, Sf),
-                          vcomp_at(D, whisker_left_at(Tf, psi),
-                                   whisker_right_at(self.dst.mu.components, P))),
-                 vcomp_at(D, whisker_left_at(P, self.src.mu.components), psi)),
-                (whisker_right_at(self.dst.eta.components, P),
-                 vcomp_at(D, whisker_left_at(P, self.src.eta.components), psi)))
+        return bullet_cell_sides(self.src, self.dst, self.P, self.psi.components)
 
 
 class MndBulletTwoCell(_TwoCell):
@@ -311,14 +308,12 @@ class CoMndOneCell(_OneCell):
             raise TypeMismatch("pi target must be H∘P")
 
     def _sides(self):
-        D, Gf, Hf, P = self.dst.base, self.src.G, self.dst.G, self.P
-        pi = self.pi.components
-        return ((vcomp_at(D, pi, whisker_right_at(self.dst.delta.components, P)),
-                 vcomp_at(D, whisker_left_at(P, self.src.delta.components),
-                          vcomp_at(D, whisker_right_at(pi, Gf),
-                                   whisker_left_at(Hf, pi)))),
-                (vcomp_at(D, pi, whisker_right_at(self.dst.epsilon.components, P)),
-                 whisker_left_at(P, self.src.epsilon.components)))
+        return comnd_cell_sides(self.src, self.dst, self.P, self.pi.components)
+
+    def _op(self) -> MndOneCell:
+        """The Mnd 1-cell (P^op, pi^op): (X^op, G^op) → (Y^op, H^op)."""
+        return MndOneCell(monad_on_opposite(self.src), monad_on_opposite(self.dst),
+                          opposite_functor(self.P), opposite_nat(self.pi))
 
 
 class CoMndTwoCell(_TwoCell):
@@ -686,29 +681,17 @@ def vec_psi_e_1cell(cell: CoMndOneCell, src_co: EmCoalgebraCategory = None,
                     dst_co: EmCoalgebraCategory = None) -> AdjLOneCell:
     """(P, pi) ↦ (P^pi, P, rho^P) between coalgebra adjunctions.
 
-    P^pi sends a coalgebra (N, xi) to (P N, pi_N ∘ P xi). Note the
-    direction: the coalgebra adjunction points out of the coalgebra
-    category, so P^pi is the base-level functor of the square.
+    P^pi sends a coalgebra (N, xi) to (P N, pi_N ∘ P xi): it is the
+    opposite of the psi_E image of the Mnd 1-cell (P^op, pi^op) between
+    the algebras on the opposite categories. Note the direction: the
+    coalgebra adjunction points out of the coalgebra category, so P^pi is
+    the base-level functor of the square.
     """
     src_co = src_co if src_co is not None else em_coalgebra_category(cell.src)
     dst_co = dst_co if dst_co is not None else em_coalgebra_category(cell.dst)
-    base = cell.dst.base
-    obj_map = {}
-    for a, carrier, xi in src_co.coalgebra_objects():
-        structure = base.compose(cell.P.mor(xi), cell.pi.at(carrier))
-        obj_map[a] = dst_co.coalgebra_id(cell.P.ob(carrier), structure)
-    mor_map = {}
-    for mm in src_co.category.morphisms:
-        image = dst_co.as_coalgebra_morphism(cell.P.mor(src_co.underlying(mm.id)),
-                                             obj_map[mm.src], obj_map[mm.tgt])
-        if image is None:
-            raise LawViolation([Violation(
-                "LiftedImageNotCoalgebraMorphism", "law-coalgebra",
-                where=mm.id)], context="vec_psi_e_1cell")
-        mor_map[mm.id] = image
-    Ppi = Functor(src_co.category, dst_co.category, obj_map, mor_map)
-    sq = CommutingSquareL(src_co.adj, dst_co.adj, Ppi, cell.P)
-    return AdjLOneCell(sq)
+    K = psi_e_1cell(cell._op(), src_co.on_opposite, dst_co.on_opposite).K
+    return AdjLOneCell(CommutingSquareL(src_co.adj, dst_co.adj,
+                                        opposite_functor(K), cell.P))
 
 
 def vec_phi_e_2cell(c2: AdjLTwoCell) -> CoMndTwoCell:
@@ -723,23 +706,17 @@ def vec_psi_e_2cell(t: CoMndTwoCell, src_co: EmCoalgebraCategory = None,
                     src_acell: AdjLOneCell = None,
                     dst_acell: AdjLOneCell = None) -> AdjLTwoCell:
     """theta ↦ (theta^pi, theta) with theta^pi having component theta_N at
-    each coalgebra over N."""
+    each coalgebra over N: the opposite of the psi_E image of the Mnd
+    2-cell theta^op, which runs from the Q cell to the P cell."""
     src_co = src_co if src_co is not None else em_coalgebra_category(t.src_cell.src)
     dst_co = dst_co if dst_co is not None else em_coalgebra_category(t.src_cell.dst)
     if src_acell is None:
         src_acell = vec_psi_e_1cell(t.src_cell, src_co, dst_co)
     if dst_acell is None:
         dst_acell = vec_psi_e_1cell(t.dst_cell, src_co, dst_co)
-    comps = {}
-    for a, carrier, _xi in src_co.coalgebra_objects():
-        image = dst_co.as_coalgebra_morphism(t.theta.at(carrier),
-                                             src_acell.J.ob(a), dst_acell.J.ob(a))
-        if image is None:
-            raise TwoCellLawViolation(
-                f"component at {a} is not a coalgebra morphism")
-        comps[a] = image
-    alpha = NatTrans(src_acell.J, dst_acell.J, comps)
-    return AdjLTwoCell(src_acell, dst_acell, alpha, t.theta)
+    op = MndTwoCell(t.dst_cell._op(), t.src_cell._op(), opposite_nat(t.theta))
+    beta = psi_e_2cell(op, src_co.on_opposite, dst_co.on_opposite).beta
+    return AdjLTwoCell(src_acell, dst_acell, opposite_nat(beta), t.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -1251,6 +1228,56 @@ def _assemble_comonad_lifting(S: Monad, G: Comonad, em: EmAlgebraCategory,
         return LiftedComonad(S, em, G, ghat, delta_hat, eps_hat)
     except LawViolation:
         return None
+
+
+# ---------------------------------------------------------------------------
+# Round trips over all laws of a pair
+
+
+def law_round_trips(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
+                    jobs: int = 1) -> dict:
+    """The numbers of laws from S to T and of liftings, and the flags of
+    their round trips, each law lifted and extended once. ``pointwise`` is
+    the poset criterion S(T(x)) <= T(S(x)) for all x, None off posets."""
+    laws = enumerate_dist_laws(S, T, cap=cap, jobs=jobs)
+    em = em_category(S, cap=cap)
+    lifts = enumerate_liftings(S, T, cap=cap, jobs=jobs, em=em)
+    kl = kleisli_category(T)
+    lifted = [lift_monad(dl, em) for dl in laws]
+    extended = [extend_monad(dl, kl) for dl in laws]
+    C = S.base
+    return {"laws": len(laws), "liftings": len(lifts),
+            "extract_after_lift": all(extract_dist_law(lm) == dl
+                                      for lm, dl in zip(lifted, laws)),
+            "lift_after_extract": all(lift_monad(extract_dist_law(lm), em) == lm
+                                      for lm in lifts),
+            "extension_roundtrip": all(extract_from_extension(ke) == dl
+                                       for ke, dl in zip(extended, laws)),
+            "joint_compatibility": all(check_joint_compatibility(lm, ke)
+                                       for lm, ke in zip(lifted, extended)),
+            "pointwise": (all(C.le(S.S.ob(T.S.ob(x)), T.S.ob(S.S.ob(x)))
+                              for x in C.objects) if C.is_thin() else None)}
+
+
+def mixed_round_trips(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
+                      jobs: int = 1) -> dict:
+    """The numbers of mixed laws from S to G and of comonad liftings, and
+    the flags of their round trips, each law lifted and colifted once."""
+    laws = enumerate_mixed_laws(S, G, cap=cap, jobs=jobs)
+    em = em_category(S)
+    lifts = enumerate_comonad_liftings(S, G, cap=cap, jobs=jobs, em=em)
+    co = em_coalgebra_category(G)
+    round_trips = compatible = True
+    for ml in laws:
+        lc = lift_comonad(ml, em)
+        cl = colift_monad(ml, co)
+        if (extract_mixed_from_lifting(lc) != ml
+                or extract_mixed_from_colifting(cl) != ml):
+            round_trips = False
+        if not check_mixed_compatibility(lc, cl):
+            compatible = False
+    return {"laws": len(laws), "liftings": len(lifts),
+            "mixed_roundtrips": round_trips, "compatibility": compatible}
 
 
 # ---------------------------------------------------------------------------

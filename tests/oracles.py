@@ -4,9 +4,9 @@ The oracles search the whole product space: every object map, then every
 product of hom-sets, each candidate filtered by the law checkers of
 :mod:`finmonad.fincat`. They are slow but plainly exhaustive, and the
 tests hold the backtracking enumerators of ``fincat`` to them. The
-comonad-side references build comonad laws, coalgebra categories and
-coalgebra-side liftings directly, where the library reads them off the
-monad side on the opposite category. Then come the law and lifting
+comonad-side references build comonad laws, coalgebra categories,
+coalgebra-side liftings and the vec psi_E action directly, where the
+library reads them off the monad side on the opposite category. Then come the law and lifting
 searches as written once per kind, before the library shared one search
 between each pair, then the hom-isomorphism round trip with its two
 AdjR enumerators as first written, before each cell was mapped once, and
@@ -28,9 +28,11 @@ from finmonad.adjunction import (
 )
 from finmonad.construct import (
     EmAlgebraCategory,
+    EmCoalgebraCategory,
     _algebra_id,
     _algebra_morphism_id,
     em_category,
+    em_coalgebra_category,
 )
 from finmonad.distlaw import (
     DistributiveLaw,
@@ -40,6 +42,7 @@ from finmonad.distlaw import (
 from finmonad.errors import (
     BaseMismatch,
     EnumerationCapExceeded,
+    LawViolation,
     TwoCellLawViolation,
     TypeMismatch,
 )
@@ -65,6 +68,8 @@ from finmonad.monad import Comonad, Monad
 from finmonad.parallel import pmap
 from finmonad.report import Violation, entry
 from finmonad.twofunctors import (
+    AdjLOneCell,
+    AdjLTwoCell,
     AdjROneCell,
     AdjRTwoCell,
     CoMndOneCell,
@@ -89,8 +94,6 @@ from finmonad.twofunctors import (
     phi_e_2cell,
     psi_e_1cell,
     psi_e_2cell,
-    vec_psi_e_1cell,
-    vec_psi_e_2cell,
 )
 
 # ---------------------------------------------------------------------------
@@ -395,16 +398,71 @@ def ref_colift_monad(ml, co=None) -> tuple:
     ml.require_valid()
     co = co if co is not None else ref_em_coalgebra_category(ml.G)
     cell = CoMndOneCell(ml.G, ml.G, ml.S.S, ml.psi).require_valid()
-    acell = vec_psi_e_1cell(cell, co, co)
+    acell = ref_vec_psi_e_1cell(cell, co, co)
     comp_cell = comnd_compose(cell, cell)
-    comp_acell = vec_psi_e_1cell(comp_cell, co, co)
+    comp_acell = ref_vec_psi_e_1cell(comp_cell, co, co)
     id_cell = comnd_identity_cell(ml.G)
-    id_acell = vec_psi_e_1cell(id_cell, co, co)
+    id_acell = ref_vec_psi_e_1cell(id_cell, co, co)
     mu2 = CoMndTwoCell(comp_cell, cell, ml.S.mu).require_valid()
     eta2 = CoMndTwoCell(id_cell, cell, ml.S.eta).require_valid()
-    mu_pair = vec_psi_e_2cell(mu2, co, co, comp_acell, acell)
-    eta_pair = vec_psi_e_2cell(eta2, co, co, id_acell, acell)
+    mu_pair = ref_vec_psi_e_2cell(mu2, co, co, comp_acell, acell)
+    eta_pair = ref_vec_psi_e_2cell(eta2, co, co, id_acell, acell)
     return acell.J, mu_pair.alpha, eta_pair.alpha
+
+
+def ref_vec_psi_e_1cell(cell: CoMndOneCell, src_co: EmCoalgebraCategory = None,
+                        dst_co: EmCoalgebraCategory = None) -> AdjLOneCell:
+    """(P, pi) ↦ (P^pi, P, rho^P) between coalgebra adjunctions, written
+    directly on coalgebras, where the library reads it off psi_E on the
+    opposite category.
+
+    P^pi sends a coalgebra (N, xi) to (P N, pi_N ∘ P xi). Note the
+    direction: the coalgebra adjunction points out of the coalgebra
+    category, so P^pi is the base-level functor of the square.
+    """
+    src_co = src_co if src_co is not None else em_coalgebra_category(cell.src)
+    dst_co = dst_co if dst_co is not None else em_coalgebra_category(cell.dst)
+    base = cell.dst.base
+    obj_map = {}
+    for a, carrier, xi in src_co.coalgebra_objects():
+        structure = base.compose(cell.P.mor(xi), cell.pi.at(carrier))
+        obj_map[a] = dst_co.coalgebra_id(cell.P.ob(carrier), structure)
+    mor_map = {}
+    for mm in src_co.category.morphisms:
+        image = dst_co.as_coalgebra_morphism(cell.P.mor(src_co.underlying(mm.id)),
+                                             obj_map[mm.src], obj_map[mm.tgt])
+        if image is None:
+            raise LawViolation([Violation(
+                "LiftedImageNotCoalgebraMorphism", "law-coalgebra",
+                where=mm.id)], context="vec_psi_e_1cell")
+        mor_map[mm.id] = image
+    Ppi = Functor(src_co.category, dst_co.category, obj_map, mor_map)
+    sq = CommutingSquareL(src_co.adj, dst_co.adj, Ppi, cell.P)
+    return AdjLOneCell(sq)
+
+
+def ref_vec_psi_e_2cell(t: CoMndTwoCell, src_co: EmCoalgebraCategory = None,
+                        dst_co: EmCoalgebraCategory = None,
+                        src_acell: AdjLOneCell = None,
+                        dst_acell: AdjLOneCell = None) -> AdjLTwoCell:
+    """theta ↦ (theta^pi, theta) with theta^pi having component theta_N at
+    each coalgebra over N."""
+    src_co = src_co if src_co is not None else em_coalgebra_category(t.src_cell.src)
+    dst_co = dst_co if dst_co is not None else em_coalgebra_category(t.src_cell.dst)
+    if src_acell is None:
+        src_acell = ref_vec_psi_e_1cell(t.src_cell, src_co, dst_co)
+    if dst_acell is None:
+        dst_acell = ref_vec_psi_e_1cell(t.dst_cell, src_co, dst_co)
+    comps = {}
+    for a, carrier, _xi in src_co.coalgebra_objects():
+        image = dst_co.as_coalgebra_morphism(t.theta.at(carrier),
+                                             src_acell.J.ob(a), dst_acell.J.ob(a))
+        if image is None:
+            raise TwoCellLawViolation(
+                f"component at {a} is not a coalgebra morphism")
+        comps[a] = image
+    alpha = NatTrans(src_acell.J, dst_acell.J, comps)
+    return AdjLTwoCell(src_acell, dst_acell, alpha, t.theta)
 
 
 def ref_coalgebra_lifting_violations(co, below, shat, mu_hat, eta_hat) -> list:

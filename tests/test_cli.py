@@ -338,10 +338,9 @@ def test_roundtrip_command(capsys):
 
 def test_roundtrip_lifts_and_extends_each_law_once(capsys, monkeypatch):
     """One law and one lifting: the law is lifted and extended once, and
-    the lifting's recovered law is lifted once more. The command imports
-    both functions from twofunctors when it runs, and nothing inside
-    twofunctors calls either, so patching them there counts the command's
-    calls."""
+    the lifting's recovered law is lifted once more. The command's round
+    trips call both functions through the globals of twofunctors, so
+    patching them there counts the command's calls."""
     from finmonad import twofunctors
 
     calls = dict.fromkeys(("lift_monad", "extend_monad"), 0)
@@ -380,6 +379,40 @@ def test_roundtrips_build_the_algebra_category_once(argv, capsys, monkeypatch):
     code, out = run_cli(argv, capsys)
     assert code == 0 and '"laws": 1' in out
     assert len(calls) == 1
+
+
+def count_calls(monkeypatch, functions) -> dict:
+    """Count the calls of each function, patched in every loaded finmonad
+    module that holds it, by name."""
+    calls = {}
+    for fn in functions:
+        calls[fn.__name__] = 0
+
+        def counted(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("finmonad."):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_selftest_checks_each_law_pair_once(monkeypatch):
+    """One pass of the selftest criteria enumerates the laws and the
+    liftings of each of the 16 monad pairs on C3 once, and lifts each of
+    their 15 laws once and each of their 15 liftings' recovered laws
+    once."""
+    from finmonad import distlaw, selftest, twofunctors
+
+    calls = count_calls(monkeypatch, [distlaw.enumerate_dist_laws,
+                                      twofunctors.enumerate_liftings,
+                                      twofunctors.lift_monad])
+    selftest.criteria_entries()
+    assert calls == {"enumerate_dist_laws": 16, "enumerate_liftings": 16,
+                     "lift_monad": 30}
 
 
 def test_roundtrip_mixed_command(capsys):

@@ -1,6 +1,7 @@
 """The comonad side read off the monad side on the opposite category,
 held to the direct constructions of ``tests/oracles.py``: law checks,
-enumeration, coalgebra categories and coalgebra-side liftings."""
+enumeration, coalgebra categories, coalgebra-side liftings and the vec
+psi_E action."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from oracles import (
     ref_colift_monad,
     ref_em_coalgebra_category,
     ref_extract_mixed_from_colifting,
+    ref_vec_psi_e_1cell,
+    ref_vec_psi_e_2cell,
     transformation_monoid,
 )
 
@@ -23,8 +26,14 @@ from finmonad.adjunction import induced_comonad
 from finmonad.construct import em_coalgebra_category
 from finmonad.distlaw import enumerate_mixed_laws
 from finmonad.errors import LawViolation
-from finmonad.fincat import NatTrans, compose_functors, identity_functor
-from finmonad.fixtures import m_z2
+from finmonad.fincat import (
+    NatTrans,
+    compose_functors,
+    enumerate_functors,
+    enumerate_nat_trans,
+    identity_functor,
+)
+from finmonad.fixtures import corpus, m_z2
 from finmonad.monad import (
     check_comonad_laws,
     enumerate_comonads,
@@ -33,10 +42,14 @@ from finmonad.monad import (
 )
 from finmonad.twofunctors import (
     CoalgebraLifting,
+    CoMndOneCell,
+    CoMndTwoCell,
     colift_monad,
     extract_mixed_from_colifting,
     extract_mixed_from_lifting,
     lift_comonad,
+    vec_psi_e_1cell,
+    vec_psi_e_2cell,
 )
 
 NON_THIN = {"M(Z2)": m_z2, "Z3": lambda: cyclic(3),
@@ -205,3 +218,44 @@ def test_invalid_coliftings_report_like_the_reference(cor):
             shown = "; ".join(v.describe() for v in want[:4])
             assert message == "coalgebra-side lifting: " + shown
     assert failing >= 10
+
+
+def outcome(action, *args):
+    """What ``action(*args)`` returns, or the type of what it raises."""
+    try:
+        return action(*args)
+    except (KeyError, LawViolation) as exc:
+        return type(exc)
+
+
+VEC_PSI_E_COMONADS = [(f"{cat}-{name}", c)
+                      for cat, name, c in corpus().all_comonads()]
+VEC_PSI_E_COMONADS += [(f"{name}-{i}", c) for name in ("M(Z2)", "Z3")
+                       for i, c in enumerate(enumerate_comonads(NON_THIN[name]()))]
+
+
+@pytest.mark.parametrize("c", [c for _, c in VEC_PSI_E_COMONADS],
+                         ids=[label for label, _ in VEC_PSI_E_COMONADS])
+def test_vec_psi_e_matches_reference(c):
+    """vec psi_E, read off psi_E on the opposite category, equals the
+    direct construction on every CoMnd endocell, lawful or not, and on
+    every lawful CoMnd 2-cell between lawful endocells."""
+    co = em_coalgebra_category(c)
+    lawful = []
+    for P in enumerate_functors(c.base, c.base):
+        for pi in enumerate_nat_trans(compose_functors(P, c.G),
+                                      compose_functors(c.G, P)):
+            cell = CoMndOneCell(c, c, P, pi)
+            got = outcome(vec_psi_e_1cell, cell, co, co)
+            assert got == outcome(ref_vec_psi_e_1cell, cell, co, co)
+            if not cell.check():
+                assert not isinstance(got, type)
+                lawful.append(cell)
+    assert lawful
+    for cell in lawful:
+        for cell2 in lawful:
+            for theta in enumerate_nat_trans(cell.P, cell2.P):
+                t = CoMndTwoCell(cell, cell2, theta)
+                if not t.check():
+                    assert (vec_psi_e_2cell(t, co, co)
+                            == ref_vec_psi_e_2cell(t, co, co))

@@ -106,7 +106,7 @@ def test_validate_loads_only_the_modules_it_runs():
     assert out["code"] == 0
     loaded = set(out["modules"])
     for name in ("twofunctors", "selftest", "fixtures", "construct",
-                 "adjunction", "distlaw"):
+                 "adjunction", "distlaw", "monad"):
         assert f"finmonad.{name}" not in loaded
     assert "concurrent.futures" not in loaded
 
@@ -114,7 +114,8 @@ def test_validate_loads_only_the_modules_it_runs():
 @pytest.mark.parametrize("argv, absent", [
     (["monads", "fixtures/chain3.json"], "finmonad.twofunctors"),
     (["lift", "fixtures/law_c2_c1.json"], "finmonad.selftest"),
-], ids=["monads", "lift"])
+    (["distlaw", "check", "fixtures/law_c2_c1.json"], "finmonad.twofunctors"),
+], ids=["monads", "lift", "distlaw-check"])
 def test_command_leaves_unused_modules_unloaded(argv, absent):
     out = fresh(_CLI, *argv)
     assert out["code"] == 0

@@ -35,6 +35,7 @@ from finmonad.twofunctors import (
     MndBulletTwoCell,
     MndOneCell,
     MonadObjectInMnd,
+    _lifted_functor,
     adjl_identity_cell,
     adjr_compose,
     adjr_identity_cell,
@@ -182,6 +183,18 @@ def test_lifting_counts(cor):
     Id = identity_monad(cor.c3)
     for name in C3_NAMES:
         assert len(enumerate_liftings(Id, cor.monads_c3[name])) == 1
+
+
+def test_lifted_functor_rejects_an_object_map_with_no_morphism_image(cor):
+    """Sending every algebra of the identity monad on C3 to one algebra
+    leaves the other algebras' identities with no algebra morphism over
+    them: the candidate is rejected, not built without those morphisms."""
+    em = em_category(cor.monads_c3["id"])
+    algebras = em.category.objects
+    assert len(algebras) == 3
+    for target in algebras:
+        obj_map = dict.fromkeys(algebras, target)
+        assert _lifted_functor(em, identity_functor(cor.c3), obj_map) is None
 
 
 def test_lifting_searches_check_each_accepted_lifting_once(cor, monkeypatch):
