@@ -12,8 +12,10 @@ between each pair, then the hom-isomorphism round trip with its two
 AdjR enumerators as first written, before each cell was mapped once, and
 then the law checks and mates as first written, from whiskered
 transformations, before the library compared them component by component,
-and last the composites of Mnd, Mnd• and CoMnd 1-cells as first written,
-from two whiskered transformations and their vertical composite.
+then the composites of Mnd, Mnd• and CoMnd 1-cells as first written,
+from two whiskered transformations and their vertical composite, and last
+the monad search as first written, which builds a monad from every natural
+(mu, eta) pair of every endofunctor and keeps the lawful ones.
 """
 
 from itertools import product
@@ -48,6 +50,7 @@ from finmonad.errors import (
 )
 from finmonad.fincat import (
     DEFAULT_CAP,
+    FinCategory,
     Functor,
     Morphism,
     NatTrans,
@@ -64,7 +67,7 @@ from finmonad.fincat import (
     whisker_left,
     whisker_right,
 )
-from finmonad.monad import Comonad, Monad
+from finmonad.monad import Comonad, Monad, check_monad_laws
 from finmonad.parallel import pmap
 from finmonad.report import Violation, entry
 from finmonad.twofunctors import (
@@ -181,6 +184,33 @@ def chain2_times_z2():
         return h + ("e" if f[-1] == g[-1] else "s")
 
     return _table(["a", "b"], morphs, {"a": "iae", "b": "ibe"}, compose)
+
+
+def delta(sizes):
+    """The category of the finite ordinals of the given sizes and the
+    monotone maps between them: a full subcategory of the simplex category.
+
+    Object ``n`` is {0, ..., n-1}; the map m → n with images
+    (i_0, ..., i_{m-1}) is ``d{m}{n}_{i_0...i_{m-1}}``.
+    """
+    sizes = sorted(sizes)
+    maps = {}
+    for m in sizes:
+        for n in sizes:
+            for images in product(range(n), repeat=m):
+                if all(a <= b for a, b in zip(images, images[1:])):
+                    maps[f"d{m}{n}_" + "".join(map(str, images))] = (m, n, images)
+    morphs = [{"id": k, "src": str(m), "tgt": str(n)}
+              for k, (m, n, _) in maps.items()]
+    identities = {str(n): f"d{n}{n}_" + "".join(map(str, range(n)))
+                  for n in sizes}
+
+    def compose(f, g):
+        m, _, a = maps[f]
+        _, n, b = maps[g]
+        return f"d{m}{n}_" + "".join(str(b[i]) for i in a)
+
+    return _table([str(n) for n in sizes], morphs, identities, compose)
 
 
 @st.composite
@@ -1159,3 +1189,50 @@ def ref_comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
     pi = vcomp(whisker_left(outer.P, inner.pi),
                whisker_right(outer.pi, inner.P))
     return CoMndOneCell(inner.src, outer.dst, P, pi)
+
+
+# ---------------------------------------------------------------------------
+# The monad search as first written
+#
+# Every natural mu of every endofunctor S, paired with every natural eta,
+# is built into a Monad and kept when check_monad_laws finds nothing; the
+# cap bounds the product of the mu and eta choices over all S. The
+# library searches mu with the laws checked as its components are fixed;
+# the tests hold its lists, their order and the comonad side to this.
+
+
+def ref_enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
+                         jobs: int = 1) -> list:
+    """All monads on the category: deterministic, duplicate-free, sorted.
+
+    Raises :class:`EnumerationCapExceeded` when the candidate space
+    |endofunctors| x |mu choices| x |eta choices| exceeds the cap.
+    """
+    endos = enumerate_functors(cat, cat, cap=cap, jobs=jobs)
+
+    estimate = 0
+    for S in endos:
+        mu_n = eta_n = 1
+        for x in cat.objects:
+            mu_n *= len(cat.hom(S.ob(S.ob(x)), S.ob(x)))
+            eta_n *= len(cat.hom(x, S.ob(x)))
+        estimate += mu_n * eta_n
+        if estimate > cap:
+            raise EnumerationCapExceeded(estimate, cap)
+
+    Id = identity_functor(cat)
+
+    def monads_on(S: Functor) -> list:
+        found = []
+        etas = enumerate_nat_trans(Id, S, cap=cap)
+        for mu in enumerate_nat_trans(compose_functors(S, S), S, cap=cap):
+            for eta in etas:
+                m = Monad(cat, S, mu, eta)
+                if not check_monad_laws(m):
+                    found.append(m)
+        return found
+
+    groups = pmap(monads_on, endos, jobs=jobs)
+    out = [m for group in groups for m in group]
+    out.sort(key=lambda m: m.canonical_key())
+    return out

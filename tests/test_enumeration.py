@@ -4,7 +4,8 @@ Every result must be lawful, and the sorted ``canonical_key()`` lists must
 equal the oracles' on random posets, on small monoids and products, and on
 random pairs of parallel functors. The shared law and lifting searches
 must return what the per-kind searches they replaced return, in the same
-order, and stop at the same cap.
+order, and stop at the same cap; so must the monad and comonad searches
+against the monad search as first written.
 """
 
 from itertools import product
@@ -18,12 +19,14 @@ from oracles import (
     brute_nat_trans,
     chain2_times_z2,
     cyclic,
+    delta,
     map_id,
     posets,
     ref_enumerate_comonad_liftings,
     ref_enumerate_dist_laws,
     ref_enumerate_liftings,
     ref_enumerate_mixed_laws,
+    ref_enumerate_monads,
     then,
     transformation_maps,
     transformation_monoid,
@@ -37,9 +40,14 @@ from finmonad.fincat import (
     check_naturality,
     enumerate_functors,
     enumerate_nat_trans,
+    opposite,
 )
-from finmonad.fixtures import c3, m_z2
-from finmonad.monad import enumerate_comonads, enumerate_monads
+from finmonad.fixtures import c3, chain_category, m_z2
+from finmonad.monad import (
+    comonad_on_opposite,
+    enumerate_comonads,
+    enumerate_monads,
+)
 from finmonad.twofunctors import enumerate_comonad_liftings, enumerate_liftings
 
 SMALL = {
@@ -249,3 +257,57 @@ def test_lifting_search_matches_the_per_kind_searches(cor, name):
                                      ref_enumerate_comonad_liftings, S, G,
                                      lifting_estimate(S, G.G))
     assert plain > 0 and co > 0
+
+
+# ---------------------------------------------------------------------------
+# The monad search against the search as first written
+
+MONAD_CASES = {
+    **{f"chain{n}": lambda n=n: chain_category("abcde"[:n]) for n in (2, 3, 4, 5)},
+    "C3": c3, "M(Z2)": m_z2,
+    **{f"Z{n}": lambda n=n: cyclic(n) for n in (2, 3, 4, 5)},
+    "T2": lambda: transformation_monoid(2), "C2xZ2": chain2_times_z2,
+    "Delta{1,2,3}": lambda: delta([1, 2, 3]),
+}
+
+
+def ref_comonads(cat, **kw) -> list:
+    return [comonad_on_opposite(m)
+            for m in ref_enumerate_monads(opposite(cat), **kw)]
+
+
+def assert_monad_searches_match(cat) -> None:
+    monads = keys(ref_enumerate_monads(cat))
+    comonads = keys(ref_comonads(cat))
+    for jobs in (1, 2):
+        assert keys(enumerate_monads(cat, jobs=jobs)) == monads
+        assert keys(enumerate_comonads(cat, jobs=jobs)) == comonads
+
+
+@pytest.mark.parametrize("name", list(MONAD_CASES))
+def test_monad_search_matches_the_first_search(name):
+    assert_monad_searches_match(MONAD_CASES[name]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_monad_search_matches_the_first_search_on_posets(cat):
+    assert_monad_searches_match(cat)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_monad_search_keeps_the_cap_boundary_of_chain3(jobs):
+    cat = c3()
+    for search, reference in ((enumerate_monads, ref_enumerate_monads),
+                              (enumerate_comonads, ref_comonads)):
+        for cap in (89, 90):
+            try:
+                found = keys(search(cat, cap=cap, jobs=jobs))
+            except EnumerationCapExceeded as exc:
+                found = ("cap", exc.estimate, exc.cap)
+            try:
+                want = keys(reference(cat, cap=cap, jobs=jobs))
+            except EnumerationCapExceeded as exc:
+                want = ("cap", exc.estimate, exc.cap)
+            assert found == want
+            assert (found == ("cap", 90, 89)) == (cap == 89)
