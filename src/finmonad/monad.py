@@ -3,9 +3,12 @@ and enumeration.
 
 On a poset category a monad is exactly a closure operator (monotone,
 inflationary, idempotent) and a comonad an interior operator; the
-enumerator below does not assume thinness, though: multiplication and unit
-candidates are enumerated per object over hom-sets and filtered by
-naturality and the monad laws, so one-object monoid categories work too.
+enumerator below does not assume thinness, though, so one-object monoid
+categories work too. It searches in three stages: the endofunctors S,
+then for each S the units eta: Id → S, then for each (S, eta) the
+multiplication mu, one component per object over hom(SSx, Sx), with each
+naturality square and each instance of the unit and associativity laws
+checked as soon as its components are fixed.
 
 A comonad on C is a monad on C^op with the same tables (Street, *The formal
 theory of monads*, 1972). The comonad side is read off the monad side that
@@ -16,12 +19,14 @@ way: :func:`check_comonad_laws`, :func:`enumerate_comonads` and
 
 from __future__ import annotations
 
-from .errors import EnumerationCapExceeded, LawViolation, TypeMismatch
+from .errors import LawViolation, TypeMismatch
 from .fincat import (
     DEFAULT_CAP,
     FinCategory,
     Functor,
     NatTrans,
+    _backtrack,
+    _fan_out,
     check_naturality,
     compose_functors,
     enumerate_functors,
@@ -35,7 +40,6 @@ from .fincat import (
     whisker_left_at,
     whisker_right_at,
 )
-from .parallel import pmap
 from .report import Violation
 
 
@@ -216,34 +220,66 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
                      jobs: int = 1) -> list:
     """All monads on the category: deterministic, duplicate-free, sorted.
 
-    Raises :class:`EnumerationCapExceeded` when the candidate space
-    |endofunctors| x |mu choices| x |eta choices| exceeds the cap.
+    For each endofunctor S and each unit eta: Id → S, mu is found by one
+    backtracking search, component by component in object order. The
+    naturality square of mu at each morphism, both unit laws at each
+    object x and associativity at x are each checked as soon as the
+    components they mention are fixed, so no candidate that breaks one is
+    extended. Only solutions are built into monads.
+
+    The cap bounds the endofunctor search and each unit search, as in
+    :func:`~finmonad.fincat.enumerate_functors` and
+    :func:`~finmonad.fincat.enumerate_nat_trans`, and the candidate mu
+    components tried over all the mu searches of the call; past it,
+    :class:`EnumerationCapExceeded` is raised. ``jobs`` fans the mu
+    searches out over S and never changes the verdict.
     """
     endos = enumerate_functors(cat, cat, cap=cap, jobs=jobs)
-
-    estimate = 0
-    for S in endos:
-        mu_n = eta_n = 1
-        for x in cat.objects:
-            mu_n *= len(cat.hom(S.ob(S.ob(x)), S.ob(x)))
-            eta_n *= len(cat.hom(x, S.ob(x)))
-        estimate += mu_n * eta_n
-        if estimate > cap:
-            raise EnumerationCapExceeded(estimate, cap)
-
     Id = identity_functor(cat)
+    objs = cat.objects
+    pos = cat.positions()
+    # Components are morphism indices, so a composite is a table lookup.
+    index, table, hom = cat._index, cat._table, cat.index_hom()
+    names = cat.morphisms
+    ident = [index[cat.identity(x)] for x in objs]
 
-    def monads_on(S: Functor) -> list:
-        found = []
+    def monads_on(S: Functor, budget) -> list:
+        sob = S.object_map
+        domains = [hom.get((sob[sob[x]], sob[x]), ()) for x in objs]
+        if not all(domains):
+            return []
         etas = enumerate_nat_trans(Id, S, cap=cap)
-        for mu in enumerate_nat_trans(compose_functors(S, S), S, cap=cap):
-            for eta in etas:
-                m = Monad(cat, S, mu, eta)
-                if not check_monad_laws(m):
-                    found.append(m)
+        if not etas:
+            return []
+        smor = [index[S.morphism_map[m.id]] for m in names]
+        checks = [[] for _ in objs]
+        for m, i, j in cat.arrow_positions():
+            ssm, sm = smor[smor[index[m]]], smor[index[m]]
+            # the square of m: SS m ; mu_j = mu_i ; S m
+            checks[max(i, j)].append(
+                lambda a, i=i, j=j, ssm=ssm, sm=sm:
+                    table[ssm][a[j]] == table[a[i]][sm])
+        for i, x in enumerate(objs):
+            p = pos[sob[x]]
+            # mu_{Sx} ; mu_x = S(mu_x) ; mu_x
+            checks[max(i, p)].append(
+                lambda a, i=i, p=p: table[a[p]][a[i]] == table[smor[a[i]]][a[i]])
+        found = []
+        for eta in etas:
+            at = eta.components
+            # eta_{Sx} ; mu_x = id_{Sx} = S(eta_x) ; mu_x
+            units = [lambda a, i=i, e=index[at[sob[x]]],
+                     se=smor[index[at[x]]], one=ident[pos[sob[x]]]:
+                     table[e][a[i]] == one == table[se][a[i]]
+                     for i, x in enumerate(objs)]
+            laws = [[unit] + rest for unit, rest in zip(units, checks)]
+            for comps in _backtrack(domains, laws, budget):
+                mu = NatTrans(compose_functors(S, S), S,
+                              {x: names[k].id for x, k in zip(objs, comps)})
+                found.append(Monad(cat, S, mu, eta))
         return found
 
-    groups = pmap(monads_on, endos, jobs=jobs)
+    groups = _fan_out(monads_on, endos, cap, jobs)
     out = [m for group in groups for m in group]
     out.sort(key=lambda m: m.canonical_key())
     return out

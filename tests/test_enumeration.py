@@ -44,6 +44,8 @@ from finmonad.fincat import (
 )
 from finmonad.fixtures import c3, chain_category, m_z2
 from finmonad.monad import (
+    Monad,
+    check_monad_laws,
     comonad_on_opposite,
     enumerate_comonads,
     enumerate_monads,
@@ -311,3 +313,27 @@ def test_monad_search_keeps_the_cap_boundary_of_chain3(jobs):
                 want = ("cap", exc.estimate, exc.cap)
             assert found == want
             assert (found == ("cap", 90, 89)) == (cap == 89)
+
+
+@pytest.mark.parametrize("name,count", [("Z5", 5), ("T2", 2), ("C2xZ2", 8)])
+def test_monad_search_builds_one_monad_per_result(name, count, monkeypatch):
+    """The search as first written builds a Monad for every natural
+    (mu, eta) pair: 25, 14 and 16 here."""
+    built = [0]
+    init = Monad.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Monad, "__init__", counted)
+    assert len(enumerate_monads(MONAD_CASES[name]())) == count
+    assert built[0] == count
+
+
+def test_monads_on_delta_0123_finish_under_the_default_cap():
+    """Delta{0,1,2,3} (35 morphisms): the search as first written counted
+    11.6M candidates and stopped at the cap."""
+    found = enumerate_monads(delta([0, 1, 2, 3]))
+    assert len(found) == 3
+    assert all(check_monad_laws(m) == [] for m in found)
