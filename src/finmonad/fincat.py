@@ -743,14 +743,22 @@ class NatTrans:
 def check_naturality(alpha: NatTrans) -> list:
     """Report every failing naturality square of the transformation."""
     out = []
-    F, G = alpha.source, alpha.target
     D = alpha.cod
+    # Each composite is a table lookup by index.
+    index, table, names = D._index, D._table, D.morphisms
+    comps = alpha.components
+    fmor, gmor = alpha.source.morphism_map, alpha.target.morphism_map
     for m in alpha.base.morphisms:
-        lhs = D.compose(alpha.at(m.src), G.mor(m.id))
-        rhs = D.compose(F.mor(m.id), alpha.at(m.tgt))
+        lhs = table[index[comps[m.src]]][index[gmor[m.id]]]
+        rhs = table[index[fmor[m.id]]][index[comps[m.tgt]]]
+        if lhs < 0 or rhs < 0:
+            # a functor maps m off its hom-set; compose names the pair
+            D.compose(comps[m.src], gmor[m.id])
+            D.compose(fmor[m.id], comps[m.tgt])
         if lhs != rhs:
             out.append(Violation("NaturalityViolation", "law-naturality",
-                                 where=m.id, lhs=lhs, rhs=rhs))
+                                 where=m.id, lhs=names[lhs].id,
+                                 rhs=names[rhs].id))
     return out
 
 

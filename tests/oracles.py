@@ -960,6 +960,22 @@ def ref_hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> li
 # every intermediate one built as a NatTrans between its endpoint
 # functors. The library evaluates the same pastings component by
 # component; the tests hold its violation lists and its mates to these.
+# The naturality check composes each square's sides by id, where the
+# library reads the composition table by index.
+
+
+def ref_check_naturality(alpha: NatTrans) -> list:
+    """Every failing naturality square, each side composed by id."""
+    out = []
+    F, G = alpha.source, alpha.target
+    D = alpha.cod
+    for m in alpha.base.morphisms:
+        lhs = D.compose(alpha.at(m.src), G.mor(m.id))
+        rhs = D.compose(F.mor(m.id), alpha.at(m.tgt))
+        if lhs != rhs:
+            out.append(Violation("NaturalityViolation", "law-naturality",
+                                 where=m.id, lhs=lhs, rhs=rhs))
+    return out
 
 
 def ref_check_monad_laws(m: Monad) -> list:

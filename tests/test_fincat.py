@@ -4,8 +4,10 @@ whiskering, and the interchange law."""
 import gc
 import sys
 import threading
+from itertools import product
 
 import pytest
+from oracles import chain2_times_z2, cyclic, ref_check_naturality, transformation_monoid
 
 from finmonad.errors import (
     CategoryValidationError,
@@ -376,6 +378,34 @@ def test_identity_components_between_equal_functors_are_natural(cor):
     c1 = cor.monads_c3["c1"].S
     alpha = identity_nat(c1)
     assert check_naturality(alpha) == []
+
+
+@pytest.mark.parametrize("name", ["Z3", "T2", "C2xZ2"])
+def test_naturality_check_equals_composing_by_id(name):
+    """Every transformation between endofunctors, natural or not: the same
+    violations in the same order as the check that composes by id."""
+    cat = {"Z3": lambda: cyclic(3), "T2": lambda: transformation_monoid(2),
+           "C2xZ2": chain2_times_z2}[name]()
+    endos = enumerate_functors(cat, cat)
+    failing = 0
+    for F in endos:
+        for G in endos:
+            for combo in product(*(cat.hom(F.ob(x), G.ob(x)) for x in cat.objects)):
+                alpha = NatTrans(F, G, dict(zip(cat.objects, combo)))
+                found = check_naturality(alpha)
+                assert found == ref_check_naturality(alpha)
+                failing += bool(found)
+    assert failing > 0
+
+
+def test_naturality_check_of_a_mistyped_functor_raises(cor):
+    F = Functor(cor.c3, cor.c3, {x: x for x in cor.c3.objects},
+                {"id_0": "id_0", "id_1": "id_1", "id_2": "id_2",
+                 "f01": "f12", "f12": "f12", "f02": "f02"})
+    alpha = NatTrans(F, F, {x: cor.c3.identity(x) for x in cor.c3.objects})
+    for check in (check_naturality, ref_check_naturality):
+        with pytest.raises(CompositionTypeMismatch, match="not defined"):
+            check(alpha)
 
 
 def test_component_outside_hom_raises(cor):
