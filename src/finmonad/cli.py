@@ -366,8 +366,19 @@ def _emit(report: VerificationReport, fmt: str, duration: float) -> None:
         sys.stdout.write(report.to_text(duration))
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of the process and then reused."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     for name, default in (("format", "text"), ("jobs", 1), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, default)

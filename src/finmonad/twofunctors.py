@@ -1264,9 +1264,9 @@ def mixed_round_trips(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
     """The numbers of mixed laws from S to G and of comonad liftings, and
     the flags of their round trips, each law lifted and colifted once."""
     laws = enumerate_mixed_laws(S, G, cap=cap, jobs=jobs)
-    em = em_category(S)
+    em = em_category(S, cap=cap)
     lifts = enumerate_comonad_liftings(S, G, cap=cap, jobs=jobs, em=em)
-    co = em_coalgebra_category(G)
+    co = em_coalgebra_category(G, cap=cap)
     round_trips = compatible = True
     for ml in laws:
         lc = lift_comonad(ml, em)

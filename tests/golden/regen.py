@@ -67,6 +67,8 @@ def _cases() -> list:
         out += [(f"coem-{g}", ["coem", fx(g)]) for g in gs]
     out += [("em-c1-cap1", ["em", fx("c1"), "--cap", "1"]),
             ("coem-i1-cap1", ["coem", fx("i1"), "--cap", "1"]),
+            ("roundtrip-mixed-c1-i1-cap1",
+             ["roundtrip-mixed", fx("c1"), fx("i1"), "--cap", "1"]),
             ("distlaw-enumerate-c2-c1-cap0",
              ["distlaw", "enumerate", fx("c2"), fx("c1"), "--cap", "0"]),
             ("mixedlaw-enumerate-c1-i1-cap0",

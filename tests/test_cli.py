@@ -421,6 +421,13 @@ def test_roundtrip_mixed_command(capsys):
     assert code == 0
 
 
+def test_roundtrip_mixed_honours_the_cap(capsys):
+    """The algebra category of c1 counts 2 candidates."""
+    code, _ = run_cli(["roundtrip-mixed", fx("c1.json"), fx("i1.json"),
+                       "--cap", "1"], capsys)
+    assert code == 3
+
+
 def test_homiso_command(capsys):
     code, out = run_cli(["homiso", fx("c1.json")], capsys)
     assert code == 0
@@ -463,3 +470,26 @@ def test_global_flags_accepted_in_both_positions(capsys):
                        capsys)
     assert a == b == 0
     assert out_a == out_b
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    from finmonad import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    code, out = run_cli(["--format", "json", "validate", fx("chain2.json")],
+                        capsys)
+    assert code == 0 and json.loads(out)["command"] == "validate"
+    bad = tmp_path / "list.json"
+    bad.write_text("[1]", encoding="utf-8")
+    code, out = run_cli(["em", str(bad)], capsys)
+    # the second call sees none of the first call's flags
+    assert code == 2 and "[FAIL]" in out
+    assert len(built) == 1
