@@ -241,7 +241,7 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
     # Components are morphism indices, so a composite is a table lookup.
     index, table, hom = cat._index, cat._table, cat.index_hom()
     names = cat.morphisms
-    ident = [index[cat.identity(x)] for x in objs]
+    ident = {x: index[f] for x, f in cat.identities.items()}
 
     def monads_on(S: Functor, budget) -> list:
         sob = S.object_map
@@ -269,7 +269,7 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
             at = eta.components
             # eta_{Sx} ; mu_x = id_{Sx} = S(eta_x) ; mu_x
             units = [lambda a, i=i, e=index[at[sob[x]]],
-                     se=smor[index[at[x]]], one=ident[pos[sob[x]]]:
+                     se=smor[index[at[x]]], one=ident[sob[x]]:
                      table[e][a[i]] == one == table[se][a[i]]
                      for i, x in enumerate(objs)]
             laws = [[unit] + rest for unit, rest in zip(units, checks)]

@@ -35,11 +35,16 @@ from oracles import (
 from finmonad.construct import em_category
 from finmonad.distlaw import enumerate_dist_laws, enumerate_mixed_laws
 from finmonad.errors import EnumerationCapExceeded
+from finmonad import monad
 from finmonad.fincat import (
+    Functor,
+    NatTrans,
     check_functor,
     check_naturality,
+    compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
+    identity_functor,
     opposite,
 )
 from finmonad.fixtures import c3, chain_category, m_z2
@@ -313,6 +318,67 @@ def test_monad_search_keeps_the_cap_boundary_of_chain3(jobs):
                 want = ("cap", exc.estimate, exc.cap)
             assert found == want
             assert (found == ("cap", 90, 89)) == (cap == 89)
+
+
+def every_transformation(F, G, cap=None) -> list:
+    """Every transformation F → G, natural or not."""
+    objs = F.source.objects
+    return [NatTrans(F, G, dict(zip(objs, combo)))
+            for combo in product(*(F.target.hom(F.ob(x), G.ob(x)) for x in objs))]
+
+
+def every_endomap(cat, target=None, cap=None, jobs=None) -> list:
+    """Every map of the category to itself that sends identities to
+    identities and each morphism into the right hom-set: functors, and
+    maps that break composition."""
+    objs = cat.objects
+    free = [m for m in cat.morphisms if not cat.is_identity(m.id)]
+    out = []
+    for images in product(objs, repeat=len(objs)):
+        omap = dict(zip(objs, images))
+        ident = {cat.identity(x): cat.identity(omap[x]) for x in objs}
+        for combo in product(*(cat.hom(omap[m.src], omap[m.tgt]) for m in free)):
+            out.append(Functor(cat, cat, omap,
+                               {**ident, **{m.id: f for m, f in zip(free, combo)}}))
+    return out
+
+
+@pytest.mark.parametrize("name", ["Z3", "Z4", "T2", "C2xZ2"])
+def test_mu_search_checks_each_mu_law(name, monkeypatch):
+    """On every category above, a natural unit of a functor leaves the mu
+    laws redundant: a search that skipped associativity, the right unit
+    law or the squares of mu would find the same monads. Fed every
+    endomap and every unit, the mu search must keep exactly the triples
+    whose only violations are of the unit's naturality."""
+    cat = MONAD_CASES[name]()
+    Id = identity_functor(cat)
+    want = []
+    for S in every_endomap(cat):
+        mus = every_transformation(compose_functors(S, S), S)
+        for eta in every_transformation(Id, S):
+            for mu in mus:
+                m = Monad(cat, S, mu, eta)
+                if all(v.kind == "UnitNotNatural" for v in check_monad_laws(m)):
+                    want.append(m)
+    want.sort(key=lambda m: m.canonical_key())
+    monkeypatch.setattr(monad, "enumerate_functors", every_endomap)
+    monkeypatch.setattr(monad, "enumerate_nat_trans", every_transformation)
+    found = enumerate_monads(cat)
+    assert keys(found) == keys(want)
+    assert any(check_naturality(m.eta) for m in found)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mu_searches_share_one_budget(jobs, monkeypatch):
+    """With the endofunctor and unit stages replaced by uncapped lists,
+    only the mu searches count against the cap, all of them together:
+    9 endomaps of Z3 x 3 units x 3 choices of mu."""
+    cat = cyclic(3)
+    monkeypatch.setattr(monad, "enumerate_functors", every_endomap)
+    monkeypatch.setattr(monad, "enumerate_nat_trans", every_transformation)
+    assert len(enumerate_monads(cat, cap=81, jobs=jobs)) > 0
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_monads(cat, cap=80, jobs=jobs)
 
 
 @pytest.mark.parametrize("name,count", [("Z5", 5), ("T2", 2), ("C2xZ2", 8)])
