@@ -254,10 +254,10 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
         smor = [index[S.morphism_map[m.id]] for m in names]
         checks = [[] for _ in objs]
         for m, i, j in cat.arrow_positions():
-            ssm, sm = smor[smor[index[m]]], smor[index[m]]
+            sm = smor[index[m]]
             # the square of m: SS m ; mu_j = mu_i ; S m
             checks[max(i, j)].append(
-                lambda a, i=i, j=j, ssm=ssm, sm=sm:
+                lambda a, i=i, j=j, ssm=smor[sm], sm=sm:
                     table[ssm][a[j]] == table[a[i]][sm])
         for i, x in enumerate(objs):
             p = pos[sob[x]]

@@ -345,9 +345,9 @@ def every_endomap(cat, target=None, cap=None, jobs=None) -> list:
 
 @pytest.mark.parametrize("name", ["Z3", "Z4", "T2", "C2xZ2"])
 def test_mu_search_checks_each_mu_law(name, monkeypatch):
-    """On every category above, a natural unit of a functor leaves the mu
-    laws redundant: a search that skipped associativity, the right unit
-    law or the squares of mu would find the same monads. Fed every
+    """On every category of MONAD_CASES, a natural unit of a functor
+    leaves the mu laws redundant: a search that skipped associativity, the
+    right unit law or the squares of mu would find the same monads. Fed every
     endomap and every unit, the mu search must keep exactly the triples
     whose only violations are of the unit's naturality."""
     cat = MONAD_CASES[name]()
