@@ -263,7 +263,8 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
             p = pos[sob[x]]
             # mu_{Sx} ; mu_x = S(mu_x) ; mu_x
             checks[max(i, p)].append(
-                lambda a, i=i, p=p: table[a[p]][a[i]] == table[smor[a[i]]][a[i]])
+                lambda a, i=i, p=p:
+                    table[a[p]][a[i]] == table[smor[a[i]]][a[i]])
         found = []
         for eta in etas:
             at = eta.components

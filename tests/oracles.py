@@ -199,7 +199,8 @@ def delta(sizes):
         for n in sizes:
             for images in product(range(n), repeat=m):
                 if all(a <= b for a, b in zip(images, images[1:])):
-                    maps[f"d{m}{n}_" + "".join(map(str, images))] = (m, n, images)
+                    key = f"d{m}{n}_" + "".join(map(str, images))
+                    maps[key] = (m, n, images)
     morphs = [{"id": k, "src": str(m), "tgt": str(n)}
               for k, (m, n, _) in maps.items()]
     identities = {str(n): f"d{n}{n}_" + "".join(map(str, range(n)))

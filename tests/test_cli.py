@@ -421,13 +421,6 @@ def test_roundtrip_mixed_command(capsys):
     assert code == 0
 
 
-def test_roundtrip_mixed_honours_the_cap(capsys):
-    """The algebra category of c1 counts 2 candidates."""
-    code, _ = run_cli(["roundtrip-mixed", fx("c1.json"), fx("i1.json"),
-                       "--cap", "1"], capsys)
-    assert code == 3
-
-
 def test_homiso_command(capsys):
     code, out = run_cli(["homiso", fx("c1.json")], capsys)
     assert code == 0

@@ -270,7 +270,8 @@ def test_lifting_search_matches_the_per_kind_searches(cor, name):
 # The monad search against the search as first written
 
 MONAD_CASES = {
-    **{f"chain{n}": lambda n=n: chain_category("abcde"[:n]) for n in (2, 3, 4, 5)},
+    **{f"chain{n}": lambda n=n: chain_category("abcde"[:n])
+       for n in (2, 3, 4, 5)},
     "C3": c3, "M(Z2)": m_z2,
     **{f"Z{n}": lambda n=n: cyclic(n) for n in (2, 3, 4, 5)},
     "T2": lambda: transformation_monoid(2), "C2xZ2": chain2_times_z2,
@@ -323,8 +324,8 @@ def test_monad_search_keeps_the_cap_boundary_of_chain3(jobs):
 def every_transformation(F, G, cap=None) -> list:
     """Every transformation F → G, natural or not."""
     objs = F.source.objects
-    return [NatTrans(F, G, dict(zip(objs, combo)))
-            for combo in product(*(F.target.hom(F.ob(x), G.ob(x)) for x in objs))]
+    homs = [F.target.hom(F.ob(x), G.ob(x)) for x in objs]
+    return [NatTrans(F, G, dict(zip(objs, combo))) for combo in product(*homs)]
 
 
 def every_endomap(cat, target=None, cap=None, jobs=None) -> list:
@@ -337,9 +338,10 @@ def every_endomap(cat, target=None, cap=None, jobs=None) -> list:
     for images in product(objs, repeat=len(objs)):
         omap = dict(zip(objs, images))
         ident = {cat.identity(x): cat.identity(omap[x]) for x in objs}
-        for combo in product(*(cat.hom(omap[m.src], omap[m.tgt]) for m in free)):
-            out.append(Functor(cat, cat, omap,
-                               {**ident, **{m.id: f for m, f in zip(free, combo)}}))
+        homs = [cat.hom(omap[m.src], omap[m.tgt]) for m in free]
+        for combo in product(*homs):
+            images = {m.id: f for m, f in zip(free, combo)}
+            out.append(Functor(cat, cat, omap, {**ident, **images}))
     return out
 
 
@@ -358,7 +360,8 @@ def test_mu_search_checks_each_mu_law(name, monkeypatch):
         for eta in every_transformation(Id, S):
             for mu in mus:
                 m = Monad(cat, S, mu, eta)
-                if all(v.kind == "UnitNotNatural" for v in check_monad_laws(m)):
+                if all(v.kind == "UnitNotNatural"
+                       for v in check_monad_laws(m)):
                     want.append(m)
     want.sort(key=lambda m: m.canonical_key())
     monkeypatch.setattr(monad, "enumerate_functors", every_endomap)

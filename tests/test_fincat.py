@@ -7,7 +7,12 @@ import threading
 from itertools import product
 
 import pytest
-from oracles import chain2_times_z2, cyclic, ref_check_naturality, transformation_monoid
+from oracles import (
+    chain2_times_z2,
+    cyclic,
+    ref_check_naturality,
+    transformation_monoid,
+)
 
 from finmonad.errors import (
     CategoryValidationError,
@@ -390,7 +395,8 @@ def test_naturality_check_equals_composing_by_id(name):
     failing = 0
     for F in endos:
         for G in endos:
-            for combo in product(*(cat.hom(F.ob(x), G.ob(x)) for x in cat.objects)):
+            homs = [cat.hom(F.ob(x), G.ob(x)) for x in cat.objects]
+            for combo in product(*homs):
                 alpha = NatTrans(F, G, dict(zip(cat.objects, combo)))
                 found = check_naturality(alpha)
                 assert found == ref_check_naturality(alpha)
