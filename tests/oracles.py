@@ -13,9 +13,12 @@ AdjR enumerators as first written, before each cell was mapped once, and
 then the law checks and mates as first written, from whiskered
 transformations, before the library compared them component by component,
 then the composites of Mnd, Mnd• and CoMnd 1-cells as first written,
-from two whiskered transformations and their vertical composite, and last
+from two whiskered transformations and their vertical composite, and then
 the monad search as first written, which builds a monad from every natural
-(mu, eta) pair of every endofunctor and keeps the lawful ones.
+(mu, eta) pair of every endofunctor and keeps the lawful ones, and last
+the monad lifting, the Kleisli extension and the comonad lifting as
+written once per kind, before the library shared one psi image between
+them.
 """
 
 from itertools import product
@@ -31,10 +34,12 @@ from finmonad.adjunction import (
 from finmonad.construct import (
     EmAlgebraCategory,
     EmCoalgebraCategory,
+    KleisliCategory,
     _algebra_id,
     _algebra_morphism_id,
     em_category,
     em_coalgebra_category,
+    kleisli_category,
 )
 from finmonad.distlaw import (
     DistributiveLaw,
@@ -77,6 +82,7 @@ from finmonad.twofunctors import (
     AdjRTwoCell,
     CoMndOneCell,
     CoMndTwoCell,
+    KleisliExtension,
     LiftedComonad,
     LiftedMonad,
     MndBulletOneCell,
@@ -86,6 +92,8 @@ from finmonad.twofunctors import (
     adjr2_identity,
     adjr2_vcomp,
     adjr_compose,
+    bullet_compose,
+    bullet_identity_cell,
     comnd_compose,
     comnd_identity_cell,
     enumerate_mnd_endocells,
@@ -93,10 +101,13 @@ from finmonad.twofunctors import (
     mnd2_identity,
     mnd2_vcomp,
     mnd_compose,
+    mnd_identity_cell,
     phi_e_1cell,
     phi_e_2cell,
     psi_e_1cell,
     psi_e_2cell,
+    psi_k_1cell,
+    psi_k_2cell,
 )
 
 # ---------------------------------------------------------------------------
@@ -1253,3 +1264,69 @@ def ref_enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
     out = [m for group in groups for m in group]
     out.sort(key=lambda m: m.canonical_key())
     return out
+
+
+# ---------------------------------------------------------------------------
+# Lifting and extension as written once per kind
+#
+# Each builds the psi image of a structure 1-cell and of its two structure
+# 2-cells by hand; the library shares one construction between them. The
+# tests hold its endofunctors and structure components to these.
+
+
+def ref_lift_monad(dl: DistributiveLaw, em: EmAlgebraCategory = None) -> LiftedMonad:
+    """Lift T to the algebras of S along a valid law phi: ST → TS.
+
+    That is the psi_E image of the 1-cell (T, phi); mu_hat and eta_hat are
+    the psi_E images of mu^T and eta^T as 2-cells.
+    """
+    dl.require_valid()
+    em = em if em is not None else em_category(dl.S)
+    cell = MndOneCell(dl.S, dl.S, dl.T.S, dl.phi).require_valid()
+    acell = psi_e_1cell(cell, em, em)
+    comp_cell = mnd_compose(cell, cell)
+    comp_acell = psi_e_1cell(comp_cell, em, em)
+    id_cell = mnd_identity_cell(dl.S)
+    id_acell = psi_e_1cell(id_cell, em, em)
+    mu2 = MndTwoCell(comp_cell, cell, dl.T.mu).require_valid()
+    eta2 = MndTwoCell(id_cell, cell, dl.T.eta).require_valid()
+    mu_pair = psi_e_2cell(mu2, em, em, comp_acell, acell)
+    eta_pair = psi_e_2cell(eta2, em, em, id_acell, acell)
+    return LiftedMonad(dl.S, em, dl.T, acell.K, mu_pair.beta, eta_pair.beta)
+
+
+def ref_extend_monad(dl: DistributiveLaw, kl: KleisliCategory = None) -> KleisliExtension:
+    """Extend S to the Kleisli category of T along a valid law.
+
+    Stilde is the psi_K image of the Mnd• 1-cell (S, phi); mu_tilde and
+    eta_tilde are the psi_K images of mu^S and eta^S as 2-cells.
+    """
+    dl.require_valid()
+    kl = kl if kl is not None else kleisli_category(dl.T)
+    cell = MndBulletOneCell(dl.T, dl.T, dl.S.S, dl.phi).require_valid()
+    acell = psi_k_1cell(cell, kl, kl)
+    comp_cell = bullet_compose(cell, cell)
+    comp_acell = psi_k_1cell(comp_cell, kl, kl)
+    id_cell = bullet_identity_cell(dl.T)
+    id_acell = psi_k_1cell(id_cell, kl, kl)
+    mu2 = MndBulletTwoCell(comp_cell, cell, dl.S.mu).require_valid()
+    eta2 = MndBulletTwoCell(id_cell, cell, dl.S.eta).require_valid()
+    mu_pair = psi_k_2cell(mu2, kl, kl, comp_acell, acell)
+    eta_pair = psi_k_2cell(eta2, kl, kl, id_acell, acell)
+    return KleisliExtension(dl.S, dl.T, kl, acell.K, mu_pair.beta, eta_pair.beta)
+
+
+def ref_comonad_lifting(ml: MixedDistributiveLaw, em: EmAlgebraCategory) -> tuple:
+    """(Ghat, delta_hat, eps_hat) for a valid mixed law: the psi_E images of
+    the 1-cell (G, psi) and of delta^G and epsilon^G as 2-cells."""
+    cell = MndOneCell(ml.S, ml.S, ml.G.G, ml.psi).require_valid()
+    acell = psi_e_1cell(cell, em, em)
+    comp_cell = mnd_compose(cell, cell)
+    comp_acell = psi_e_1cell(comp_cell, em, em)
+    id_cell = mnd_identity_cell(ml.S)
+    id_acell = psi_e_1cell(id_cell, em, em)
+    delta2 = MndTwoCell(cell, comp_cell, ml.G.delta).require_valid()
+    eps2 = MndTwoCell(cell, id_cell, ml.G.epsilon).require_valid()
+    delta_pair = psi_e_2cell(delta2, em, em, acell, comp_acell)
+    eps_pair = psi_e_2cell(eps2, em, em, acell, id_acell)
+    return acell.K, delta_pair.beta, eps_pair.beta

@@ -22,17 +22,20 @@ from oracles import (
     delta,
     map_id,
     posets,
+    ref_comonad_lifting,
     ref_enumerate_comonad_liftings,
     ref_enumerate_dist_laws,
     ref_enumerate_liftings,
     ref_enumerate_mixed_laws,
     ref_enumerate_monads,
+    ref_extend_monad,
+    ref_lift_monad,
     then,
     transformation_maps,
     transformation_monoid,
 )
 
-from finmonad.construct import em_category
+from finmonad.construct import em_category, kleisli_category
 from finmonad.distlaw import enumerate_dist_laws, enumerate_mixed_laws
 from finmonad.errors import EnumerationCapExceeded
 from finmonad import monad
@@ -55,7 +58,13 @@ from finmonad.monad import (
     enumerate_comonads,
     enumerate_monads,
 )
-from finmonad.twofunctors import enumerate_comonad_liftings, enumerate_liftings
+from finmonad.twofunctors import (
+    _comonad_lifting,
+    enumerate_comonad_liftings,
+    enumerate_liftings,
+    extend_monad,
+    lift_monad,
+)
 
 SMALL = {
     "z2": cyclic(2), "z3": cyclic(3), "z4": cyclic(4), "z5": cyclic(5),
@@ -192,7 +201,8 @@ def twin_structures(cor, name):
     if name == "C3":
         return list(cor.monads_c3.values()), list(cor.comonads_c3.values())
     cat = {"M(Z2)": m_z2, "Z3": lambda: cyclic(3),
-           "T2": lambda: transformation_monoid(2)}[name]()
+           "T2": lambda: transformation_monoid(2),
+           "C2xZ2": chain2_times_z2}[name]()
     return enumerate_monads(cat), enumerate_comonads(cat)
 
 
@@ -264,6 +274,37 @@ def test_lifting_search_matches_the_per_kind_searches(cor, name):
                                      ref_enumerate_comonad_liftings, S, G,
                                      lifting_estimate(S, G.G))
     assert plain > 0 and co > 0
+
+
+def structure_data(endo, mult, unit) -> tuple:
+    """The maps of a lifted endofunctor and its structure components."""
+    return (endo.object_map, endo.morphism_map, mult.components, unit.components)
+
+
+@pytest.mark.parametrize("name", ["C3", "Z3", "T2", "C2xZ2"])
+def test_lifts_and_extensions_match_the_per_kind_constructions(cor, name):
+    """Every law lifts and extends, and every mixed law lifts, to what the
+    constructions written once per kind build."""
+    monads, comonads = twin_structures(cor, name)
+    plain = mixed = 0
+    for S in monads:
+        em = em_category(S)
+        for T in monads:
+            kl = kleisli_category(T)
+            for dl in enumerate_dist_laws(S, T):
+                for build, reference, cat in ((lift_monad, ref_lift_monad, em),
+                                              (extend_monad, ref_extend_monad, kl)):
+                    found, want = build(dl, cat), reference(dl, cat)
+                    assert found == want
+                    assert (structure_data(found.endo, found.mult, found.unit)
+                            == structure_data(want.endo, want.mult, want.unit))
+                plain += 1
+        for G in comonads:
+            for ml in enumerate_mixed_laws(S, G):
+                assert (structure_data(*_comonad_lifting(ml, em))
+                        == structure_data(*ref_comonad_lifting(ml, em)))
+                mixed += 1
+    assert plain > 0 and mixed > 0
 
 
 # ---------------------------------------------------------------------------
