@@ -26,11 +26,14 @@ the T-side ones, which the monad-object structure 2-cells mu^T, eta^T of
 (C, G) gives the G-side axioms. :mod:`distlaw` checks laws as these cell
 laws. vec psi_E is psi_E on the opposite categories. The lifting/extension
 operations below always pass through the 2-cell actions rather than ad-hoc
-formulas.
+formulas: each is the psi image of a structure 1-cell and of its two
+structure 2-cells, built by one routine. The hom-isomorphism round trip is
+one routine per direction over a record of each side's cells and actions.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -232,7 +235,31 @@ def mnd2_vcomp(a: MndTwoCell, b: MndTwoCell) -> MndTwoCell:
     return MndTwoCell(a.src_cell, b.dst_cell, vcomp(a.theta, b.theta))
 
 
-class MndBulletOneCell(_OneCell):
+class _PushOneCell(_OneCell):
+    """(P, nat) with nat: P∘E → E'∘P (Mnd• and CoMnd), typed as TYPING says."""
+
+    __slots__ = ()
+
+    def _check_typing(self):
+        if self.nat.source != compose_functors(self.P, self.src.endo):
+            raise TypeMismatch(self.TYPING[0])
+        if self.nat.target != compose_functors(self.dst.endo, self.P):
+            raise TypeMismatch(self.TYPING[1])
+
+
+class _PushTwoCell(_TwoCell):
+    """theta: (P, nat^P) → (Q, nat^Q) with E' theta ∘ nat^P = nat^Q ∘ theta E."""
+
+    __slots__ = ()
+
+    def _sides(self):
+        D, E, E2 = self.src_cell.dst.base, self.src_cell.src.endo, self.src_cell.dst.endo
+        theta = self.theta.components
+        return ((vcomp_at(D, self.src_cell.nat.components, whisker_left_at(E2, theta)),
+                 vcomp_at(D, whisker_right_at(theta, E), self.dst_cell.nat.components)),)
+
+
+class MndBulletOneCell(_PushOneCell):
     """(P, psi): (C,S) → (D,T) with psi: P∘S → T∘P."""
 
     __slots__ = ()
@@ -240,30 +267,18 @@ class MndBulletOneCell(_OneCell):
     CONTEXT = "Mnd• 1-cell"
     LAWS = (("MndBulletMultiplication", "law-mndbullet-1cell-mul"),
             ("MndBulletUnit", "law-mndbullet-1cell-unit"))
-
-    def _check_typing(self):
-        if self.psi.source != compose_functors(self.P, self.src.S):
-            raise TypeMismatch("psi source must be P∘S")
-        if self.psi.target != compose_functors(self.dst.S, self.P):
-            raise TypeMismatch("psi target must be T∘P")
+    TYPING = ("psi source must be P∘S", "psi target must be T∘P")
 
     def _sides(self):
         return bullet_cell_sides(self.src, self.dst, self.P, self.psi.components)
 
 
-class MndBulletTwoCell(_TwoCell):
+class MndBulletTwoCell(_PushTwoCell):
     """theta: (P, psi^P) → (Q, psi^Q) with T theta ∘ psi^P = psi^Q ∘ theta S."""
 
     __slots__ = ()
     CONTEXT = "Mnd• 2-cell"
     LAWS = (("MndBulletTwoCellLaw", "law-mndbullet-2cell"),)
-
-    def _sides(self):
-        D, Sf, Tf = self.src_cell.dst.base, self.src_cell.src.S, self.src_cell.dst.S
-        theta = self.theta.components
-        return ((vcomp_at(D, self.src_cell.psi.components, whisker_left_at(Tf, theta)),
-                 vcomp_at(D, whisker_right_at(theta, Sf),
-                          self.dst_cell.psi.components)),)
 
 
 def bullet_identity_cell(m: Monad) -> MndBulletOneCell:
@@ -271,14 +286,14 @@ def bullet_identity_cell(m: Monad) -> MndBulletOneCell:
 
 
 def bullet_compose(outer: MndBulletOneCell, inner: MndBulletOneCell) -> MndBulletOneCell:
-    if inner.dst != outer.src:
-        raise TypeMismatch("Mnd• 1-cells not composable")
     return _push_compose(outer, inner)
 
 
 def _push_compose(outer, inner):
     """outer ∘ inner for the 1-cells (P, nat) with nat: P∘E → E'∘P (Mnd•
     and CoMnd): nat is (outer.nat inner.P) ∘ (outer.P inner.nat)."""
+    if inner.dst != outer.src:
+        raise TypeMismatch(f"{outer.CONTEXT}s not composable")
     P = compose_functors(outer.P, inner.P)
     nat = vcomp_at(outer.dst.base,
                    whisker_left_at(outer.P, inner.nat.components),
@@ -292,7 +307,7 @@ def _push_compose(outer, inner):
 # Comonad-side cells
 
 
-class CoMndOneCell(_OneCell):
+class CoMndOneCell(_PushOneCell):
     """(P, pi): (X,G) → (Y,H) with pi: P∘G → H∘P."""
 
     __slots__ = ()
@@ -300,12 +315,7 @@ class CoMndOneCell(_OneCell):
     CONTEXT = "CoMnd 1-cell"
     LAWS = (("CoMndComultiplication", "law-comnd-1cell-comul"),
             ("CoMndCounit", "law-comnd-1cell-counit"))
-
-    def _check_typing(self):
-        if self.pi.source != compose_functors(self.P, self.src.G):
-            raise TypeMismatch("pi source must be P∘G")
-        if self.pi.target != compose_functors(self.dst.G, self.P):
-            raise TypeMismatch("pi target must be H∘P")
+    TYPING = ("pi source must be P∘G", "pi target must be H∘P")
 
     def _sides(self):
         return comnd_cell_sides(self.src, self.dst, self.P, self.pi.components)
@@ -316,19 +326,12 @@ class CoMndOneCell(_OneCell):
                           opposite_functor(self.P), opposite_nat(self.pi))
 
 
-class CoMndTwoCell(_TwoCell):
+class CoMndTwoCell(_PushTwoCell):
     """theta: (P, pi^P) → (Q, pi^Q) with H theta ∘ pi^P = pi^Q ∘ theta G."""
 
     __slots__ = ()
     CONTEXT = "CoMnd 2-cell"
     LAWS = (("CoMndTwoCellLaw", "law-comnd-2cell"),)
-
-    def _sides(self):
-        D, Gf, Hf = self.src_cell.dst.base, self.src_cell.src.G, self.src_cell.dst.G
-        theta = self.theta.components
-        return ((vcomp_at(D, self.src_cell.pi.components, whisker_left_at(Hf, theta)),
-                 vcomp_at(D, whisker_right_at(theta, Gf),
-                          self.dst_cell.pi.components)),)
 
 
 def comnd_identity_cell(c: Comonad) -> CoMndOneCell:
@@ -336,8 +339,6 @@ def comnd_identity_cell(c: Comonad) -> CoMndOneCell:
 
 
 def comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
-    if inner.dst != outer.src:
-        raise TypeMismatch("CoMnd 1-cells not composable")
     return _push_compose(outer, inner)
 
 
@@ -499,8 +500,7 @@ class AdjRTwoCell(_AdjTwoCell):
     __slots__ = ()
     NAME = "AdjR"
 
-    def _conditions(self, src_cell, dst_cell, alpha, beta):
-        return adjr_two_cell_conditions(src_cell, dst_cell, alpha, beta)
+    _conditions = staticmethod(adjr_two_cell_conditions)
 
 
 class AdjLTwoCell(_AdjTwoCell):
@@ -509,8 +509,7 @@ class AdjLTwoCell(_AdjTwoCell):
     __slots__ = ()
     NAME = "AdjL"
 
-    def _conditions(self, src_cell, dst_cell, alpha, beta):
-        return adjl_two_cell_conditions(src_cell, dst_cell, alpha, beta)
+    _conditions = staticmethod(adjl_two_cell_conditions)
 
 
 def adjr2_identity(cell: AdjROneCell) -> AdjRTwoCell:
@@ -727,7 +726,7 @@ class _Lifting:
     """A (co)monad ``endo``, ``mult``, ``unit`` on the algebra or Kleisli
     category ``cat`` of the monad ``base``, lying strictly over ``below``;
     each kind reads these under its own names. The conditions STRICT names
-    are built by :meth:`_sides` and checked on construction, followed by
+    are decided by :meth:`_holds` and checked on construction, followed by
     the laws of the UPSTAIRS structure."""
 
     __slots__ = ("base", "cat", "below", "endo", "mult", "unit")
@@ -745,19 +744,24 @@ class _Lifting:
         self.mult = mult
         self.unit = unit
         bad = [Violation(kind, tag, detail=detail)
-               for (kind, tag, detail), (lhs, rhs) in zip(self.STRICT, self._sides())
-               if lhs != rhs]
+               for (kind, tag, detail), holds in zip(self.STRICT, self._holds())
+               if not holds]
         bad.extend(self._upstairs().check())
         if bad:
             raise LawViolation(bad, context=self.CONTEXT)
 
-    def _sides(self):
+    def _holds(self):
         """U∘endo = E∘U, U mult = m U and U unit = u U for the structure
-        (E, m, u) below and the forgetful functor U of the algebras."""
+        (E, m, u) below and the forgetful functor U of the algebras. The
+        last two compare components; their functors are the two sides of
+        the first, so they fail with it."""
         U, below = self.cat.U, self.below
-        return ((compose_functors(U, self.endo), compose_functors(below.endo, U)),
-                (whisker_left(U, self.mult), whisker_right(below.mult, U)),
-                (whisker_left(U, self.unit), whisker_right(below.unit, U)))
+        square = compose_functors(U, self.endo) == compose_functors(below.endo, U)
+        return (square,
+                square and (whisker_left_at(U, self.mult.components)
+                            == whisker_right_at(below.mult.components, U)),
+                square and (whisker_left_at(U, self.unit.components)
+                            == whisker_right_at(below.unit.components, U)))
 
     def _upstairs(self):
         return self.UPSTAIRS(self.cat.category, self.endo, self.mult, self.unit)
@@ -820,9 +824,9 @@ class KleisliExtension(_Lifting):
                  stilde: Functor, mu_tilde: NatTrans, eta_tilde: NatTrans):
         super().__init__(base_t, kl, base_s, stilde, mu_tilde, eta_tilde)
 
-    def _sides(self):
+    def _holds(self):
         D = self.kl.D
-        return ((compose_functors(self.stilde, D), compose_functors(D, self.base_s.S)),)
+        return (compose_functors(self.stilde, D) == compose_functors(D, self.base_s.S),)
 
 
 class LiftedComonad(_Lifting):
@@ -906,6 +910,29 @@ class CoalgebraLifting:
 # Lifting and extension operations
 
 
+def _lift_structure(cell, mult: NatTrans, unit: NatTrans, cat,
+                    comonad: bool = False) -> tuple:
+    """(K, mult image, unit image): the psi image on ``cat`` (psi_E for an
+    Mnd cell, psi_K for an Mnd• cell) of the endo 1-cell ``cell`` and of
+    ``mult``, ``unit`` as 2-cells into it from cell∘cell and from the
+    identity cell (out of it into them for a comonad), all law-checked."""
+    cell.require_valid()
+    if isinstance(cell, MndOneCell):
+        act1, act2, two = psi_e_1cell, psi_e_2cell, MndTwoCell
+        others = mnd_compose(cell, cell), mnd_identity_cell(cell.src)
+    else:
+        act1, act2, two = psi_k_1cell, psi_k_2cell, MndBulletTwoCell
+        others = bullet_compose(cell, cell), bullet_identity_cell(cell.src)
+    acell = act1(cell, cat, cat)
+    images = [acell.K]
+    for other, nat in zip(others, (mult, unit)):
+        aother = act1(other, cat, cat)
+        t = two(cell, other, nat) if comonad else two(other, cell, nat)
+        ends = (acell, aother) if comonad else (aother, acell)
+        images.append(act2(t.require_valid(), cat, cat, *ends).beta)
+    return tuple(images)
+
+
 def lift_monad(dl: DistributiveLaw, em: EmAlgebraCategory = None) -> LiftedMonad:
     """Lift T to the algebras of S along a valid law phi: ST → TS.
 
@@ -914,26 +941,14 @@ def lift_monad(dl: DistributiveLaw, em: EmAlgebraCategory = None) -> LiftedMonad
     """
     dl.require_valid()
     em = em if em is not None else em_category(dl.S)
-    cell = MndOneCell(dl.S, dl.S, dl.T.S, dl.phi).require_valid()
-    acell = psi_e_1cell(cell, em, em)
-    comp_cell = mnd_compose(cell, cell)
-    comp_acell = psi_e_1cell(comp_cell, em, em)
-    id_cell = mnd_identity_cell(dl.S)
-    id_acell = psi_e_1cell(id_cell, em, em)
-    mu2 = MndTwoCell(comp_cell, cell, dl.T.mu).require_valid()
-    eta2 = MndTwoCell(id_cell, cell, dl.T.eta).require_valid()
-    mu_pair = psi_e_2cell(mu2, em, em, comp_acell, acell)
-    eta_pair = psi_e_2cell(eta2, em, em, id_acell, acell)
-    return LiftedMonad(dl.S, em, dl.T, acell.K, mu_pair.beta, eta_pair.beta)
+    cell = MndOneCell(dl.S, dl.S, dl.T.S, dl.phi)
+    return LiftedMonad(dl.S, em, dl.T, *_lift_structure(cell, dl.T.mu, dl.T.eta, em))
 
 
 def extract_dist_law(lm: LiftedMonad) -> DistributiveLaw:
     """Recover phi = U lambda_T from a lifting, where lambda_T is the mate
     of the lifting square: phi = (U epsilon That F) ∘ (U F T eta)."""
-    sq = CommutingSquareR(lm.em.adj, lm.em.adj, lm.below.S, lm.that)
-    lam = mate_right(sq)
-    phi = whisker_left(lm.em.U, lam)
-    return DistributiveLaw(lm.base, lm.below, phi).require_valid()
+    return DistributiveLaw(lm.base, lm.below, _lifting_mate(lm)).require_valid()
 
 
 def extend_monad(dl: DistributiveLaw, kl: KleisliCategory = None) -> KleisliExtension:
@@ -944,17 +959,9 @@ def extend_monad(dl: DistributiveLaw, kl: KleisliCategory = None) -> KleisliExte
     """
     dl.require_valid()
     kl = kl if kl is not None else kleisli_category(dl.T)
-    cell = MndBulletOneCell(dl.T, dl.T, dl.S.S, dl.phi).require_valid()
-    acell = psi_k_1cell(cell, kl, kl)
-    comp_cell = bullet_compose(cell, cell)
-    comp_acell = psi_k_1cell(comp_cell, kl, kl)
-    id_cell = bullet_identity_cell(dl.T)
-    id_acell = psi_k_1cell(id_cell, kl, kl)
-    mu2 = MndBulletTwoCell(comp_cell, cell, dl.S.mu).require_valid()
-    eta2 = MndBulletTwoCell(id_cell, cell, dl.S.eta).require_valid()
-    mu_pair = psi_k_2cell(mu2, kl, kl, comp_acell, acell)
-    eta_pair = psi_k_2cell(eta2, kl, kl, id_acell, acell)
-    return KleisliExtension(dl.S, dl.T, kl, acell.K, mu_pair.beta, eta_pair.beta)
+    cell = MndBulletOneCell(dl.T, dl.T, dl.S.S, dl.phi)
+    return KleisliExtension(dl.S, dl.T, kl,
+                            *_lift_structure(cell, dl.S.mu, dl.S.eta, kl))
 
 
 def extract_from_extension(ke: KleisliExtension) -> DistributiveLaw:
@@ -985,17 +992,8 @@ def lift_comonad(ml: MixedDistributiveLaw, em: EmAlgebraCategory = None) -> Lift
 def _comonad_lifting(ml: MixedDistributiveLaw, em: EmAlgebraCategory) -> tuple:
     """(Ghat, delta_hat, eps_hat) for a valid mixed law: the psi_E images of
     the 1-cell (G, psi) and of delta^G and epsilon^G as 2-cells."""
-    cell = MndOneCell(ml.S, ml.S, ml.G.G, ml.psi).require_valid()
-    acell = psi_e_1cell(cell, em, em)
-    comp_cell = mnd_compose(cell, cell)
-    comp_acell = psi_e_1cell(comp_cell, em, em)
-    id_cell = mnd_identity_cell(ml.S)
-    id_acell = psi_e_1cell(id_cell, em, em)
-    delta2 = MndTwoCell(cell, comp_cell, ml.G.delta).require_valid()
-    eps2 = MndTwoCell(cell, id_cell, ml.G.epsilon).require_valid()
-    delta_pair = psi_e_2cell(delta2, em, em, acell, comp_acell)
-    eps_pair = psi_e_2cell(eps2, em, em, acell, id_acell)
-    return acell.K, delta_pair.beta, eps_pair.beta
+    return _lift_structure(MndOneCell(ml.S, ml.S, ml.G.G, ml.psi), ml.G.delta,
+                           ml.G.epsilon, em, comonad=True)
 
 
 def colift_monad(ml: MixedDistributiveLaw,
@@ -1012,10 +1010,10 @@ def colift_monad(ml: MixedDistributiveLaw,
                             opposite_nat(delta_hat), opposite_nat(eps_hat))
 
 
-def _lifting_mate(lc: LiftedComonad) -> NatTrans:
-    """U lambda_G, lambda_G the mate of the lifting square; unchecked."""
-    sq = CommutingSquareR(lc.em.adj, lc.em.adj, lc.below.G, lc.ghat)
-    return whisker_left(lc.em.U, mate_right(sq))
+def _lifting_mate(lifted) -> NatTrans:
+    """U lambda, lambda the mate of the square of a lifting; unchecked."""
+    sq = CommutingSquareR(lifted.em.adj, lifted.em.adj, lifted.below.endo, lifted.endo)
+    return whisker_left(lifted.em.U, mate_right(sq))
 
 
 def extract_mixed_from_lifting(lc: LiftedComonad) -> MixedDistributiveLaw:
@@ -1102,33 +1100,31 @@ def enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
     morphism images and the components of mu_hat/eta_hat are forced by the
     base structure, then everything is law-checked from scratch.
     """
-    S.require_valid()
-    T.require_valid()
-    if S.base != T.base:
-        raise BaseMismatch("monads live on different bases")
-    em = em if em is not None else em_category(S)
-    return _enumerate_liftings(S, T, em, _assemble_monad_lifting, cap, jobs)
+    return _enumerate_liftings(S, T, em, _assemble_monad_lifting, cap, jobs,
+                               "monads live on different bases")
 
 
 def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
                                jobs: int = 1,
                                em: EmAlgebraCategory = None) -> list:
     """All comonad liftings of G to the algebras of S; dual search."""
-    S.require_valid()
-    G.require_valid()
-    if S.base != G.base:
-        raise BaseMismatch("monad and comonad live on different bases")
-    em = em if em is not None else em_category(S)
-    return _enumerate_liftings(S, G, em, _assemble_comonad_lifting, cap, jobs)
+    return _enumerate_liftings(S, G, em, _assemble_comonad_lifting, cap, jobs,
+                               "monad and comonad live on different bases")
 
 
 def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, assemble,
-                        cap: int, jobs: int) -> list:
-    """Every lifting of ``below``, with endofunctor E, to the algebras of S:
-    each choice of algebra structures on E(N) that makes a functor upstairs
-    is handed to ``assemble(S, below, em, functor)``, which lifts the two
-    structure transformations and returns the law-checked lifting, or
-    None."""
+                        cap: int, jobs: int, foreign_base: str) -> list:
+    """Every lifting of ``below``, with endofunctor E, to the algebras
+    ``em`` of S (built if None), after checking both structures and raising
+    ``foreign_base`` if their bases differ: each choice of algebra
+    structures on E(N) that makes a functor upstairs is handed to
+    ``assemble(S, below, em, functor)``, which lifts the two structure
+    transformations and returns the law-checked lifting, or None."""
+    S.require_valid()
+    below.require_valid()
+    if S.base != below.base:
+        raise BaseMismatch(foreign_base)
+    em = em if em is not None else em_category(S)
     endo = below.endo
     algebras = em.category.objects
     choice_lists = []
@@ -1398,16 +1394,74 @@ def adjr_two_cell_agreement(cells, cap: int = DEFAULT_CAP) -> dict:
     return {"checked": checked, "agree": agree, "disagreements": disagreements}
 
 
+# One side of the hom-isomorphism: its endo 1-cells; their 2-cells by
+# ordered pair of positions; map1 and map2, the 1-cell and 2-cell actions
+# into the other side, map2(t, src_image, dst_image) taking the images of
+# t's ends; the 2-cell identity and vertical composite; 1-cell
+# composition; and key2, the components that decide 2-cell equality.
+_Side = namedtuple("_Side", "cells two map1 map2 identity vcomp compose key2")
+
+# What one direction of the hom-isomorphism verifies.
+_Flags = namedtuple("_Flags", "lands back two identities vcomp compose")
+
+
+def _map_side(a: _Side, b: _Side) -> _Flags:
+    """Map each 1-cell and each 2-cell of ``a`` into ``b`` once, and each
+    image back once, and check that the images of the 1-cells are 1-cells
+    of ``b``, that 1-cells and 2-cells come back to themselves, and that
+    identities, vertical composites and 1-cell composites are preserved.
+    The functoriality checks reuse the images and map only the composites
+    they form. A 2-cell whose image raises TwoCellLawViolation fails the
+    2-cell round trip and the vertical composites."""
+    images = [a.map1(c) for c in a.cells]
+    backs = [b.map1(m) for m in images]
+
+    def image2(t, i, j):
+        try:
+            return a.map2(t, images[i], images[j])
+        except TwoCellLawViolation:
+            return None
+
+    two = True
+    images2 = {}
+    for (i, j), cells2 in a.two.items():
+        images2[i, j] = row = [image2(t, i, j) for t in cells2]
+        for t, m in zip(cells2, row):
+            if m is None or a.key2(b.map2(m, backs[i], backs[j])) != a.key2(t):
+                two = False
+
+    # a composite of t1 in (i, j) and t2 in (j, k) maps between images i, k
+    vcomp = True
+    for (i, j), cells2 in a.two.items():
+        for t1, m1 in zip(cells2, images2[i, j]):
+            for k in range(len(a.cells)):
+                for t2, m2 in zip(a.two[j, k], images2[j, k]):
+                    lhs = image2(a.vcomp(t1, t2), i, k)
+                    if (m1 is None or m2 is None or lhs is None
+                            or b.key2(lhs) != b.key2(b.vcomp(m1, m2))):
+                        vcomp = False
+
+    return _Flags(
+        lands=all(any(m == x for x in b.cells) for m in images),
+        back=all(r == c for r, c in zip(backs, a.cells)),
+        two=two,
+        identities=all(b.key2(a.map2(a.identity(c), m, m)) == b.key2(b.identity(m))
+                       for c, m in zip(a.cells, images)),
+        vcomp=vcomp,
+        compose=all(a.map1(a.compose(c, c2)) == b.compose(m, m2)
+                    for c, m in zip(a.cells, images)
+                    for c2, m2 in zip(a.cells, images)))
+
+
 def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
     """Verify that phi_E and psi_E restrict to mutually inverse functors
     between the endo hom-category at the algebra adjunction of S and the
     endo hom-category at (C, S), and that both directions are functorial.
 
-    Each 1-cell and each 2-cell is mapped once, and every image is
-    law-checked as it is built: phi_E raises on an image that breaks a
-    law, so an image it returns lies in the Mnd hom-category as soon as it
-    is one of the enumerated cells. The functoriality checks reuse those
-    images, and map only the composites they form.
+    Each side is a :data:`_Side` record, and :func:`_map_side` checks one
+    direction. Every image is law-checked as it is built: phi_E raises on
+    an image that breaks a law, so an image it returns lies in the Mnd
+    hom-category as soon as it is one of the enumerated cells.
 
     Returns report entries; every entry passing is the verified
     isomorphism of hom-categories.
@@ -1417,146 +1471,41 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
     em = em_category(S)
     mnd_cells = enumerate_mnd_endocells(S, cap=cap, jobs=jobs)
     adjr_cells = enumerate_adjr_endocells(em, cap=cap, jobs=jobs)
-    entries = []
 
-    entries.append(entry("homiso/object-count", "Eq-1510071407",
-                         len(mnd_cells) == len(adjr_cells),
-                         witness={"mnd": len(mnd_cells),
-                                  "adjr": len(adjr_cells)}))
+    def two_cells(cells, enumerate_two):
+        return {(i, j): enumerate_two(c, c2, cap=cap)
+                for i, c in enumerate(cells) for j, c2 in enumerate(cells)}
 
-    lands = roundtrip_a = True
-    phi_images, psi_of_phi = [], []
-    for c in adjr_cells:
-        img = phi_e_1cell(c, S, S)
-        back = psi_e_1cell(img, em, em)
-        phi_images.append(img)
-        psi_of_phi.append(back)
-        if not any(img == m for m in mnd_cells):
-            lands = False
-        if back != c:
-            roundtrip_a = False
-    entries.append(entry("homiso/phiE-lands-in-mnd", "Eq-1510071407", lands))
-    entries.append(entry("homiso/psiE-after-phiE-is-identity", "Eq-1510071407",
-                         roundtrip_a))
+    mnd = _Side(mnd_cells, two_cells(mnd_cells, enumerate_mnd_two_cells),
+                lambda c: psi_e_1cell(c, em, em),
+                lambda t, src, dst: psi_e_2cell(t, em, em, src, dst),
+                mnd2_identity, mnd2_vcomp, mnd_compose,
+                lambda t: t.theta.components)
+    adjr = _Side(adjr_cells, two_cells(adjr_cells, enumerate_adjr_two_cells),
+                 lambda c: phi_e_1cell(c, S, S), phi_e_2cell,
+                 adjr2_identity, adjr2_vcomp, adjr_compose,
+                 lambda t: (t.alpha.components, t.beta.components))
+    to_mnd, to_adjr = _map_side(adjr, mnd), _map_side(mnd, adjr)
+    n_mnd2 = sum(len(v) for v in mnd.two.values())
+    n_adjr2 = sum(len(v) for v in adjr.two.values())
 
-    lands = roundtrip_b = True
-    psi_images, phi_of_psi = [], []
-    for c in mnd_cells:
-        acell = psi_e_1cell(c, em, em)
-        back = phi_e_1cell(acell, S, S)
-        psi_images.append(acell)
-        phi_of_psi.append(back)
-        if not any(acell == x for x in adjr_cells):
-            lands = False
-        if back != c:
-            roundtrip_b = False
-    entries.append(entry("homiso/psiE-lands-in-adjr", "Eq-1510071407", lands))
-    entries.append(entry("homiso/phiE-after-psiE-is-identity", "Eq-1510071407",
-                         roundtrip_b,
-                         detail="realizes the recovery phi = U lambda"))
+    def passed(check, ok, **kw):
+        return entry("homiso/" + check, "Eq-1510071407", ok, **kw)
 
-    # 2-cells of both hom-categories, indexed by ordered 1-cell pairs
-    mnd_two = {}
-    for i, c in enumerate(mnd_cells):
-        for j, c2 in enumerate(mnd_cells):
-            mnd_two[(i, j)] = enumerate_mnd_two_cells(c, c2, cap=cap)
-    adjr_two = {}
-    for i, c in enumerate(adjr_cells):
-        for j, c2 in enumerate(adjr_cells):
-            adjr_two[(i, j)] = enumerate_adjr_two_cells(c, c2, cap=cap)
-
-    n_mnd2 = sum(len(v) for v in mnd_two.values())
-    n_adjr2 = sum(len(v) for v in adjr_two.values())
-    entries.append(entry("homiso/two-cell-count", "Eq-1510071407",
-                         n_mnd2 == n_adjr2,
-                         witness={"mnd": n_mnd2, "adjr": n_adjr2}))
-
-    # each 2-cell's image, built once between the indexed 1-cell images
-    ok = True
-    phi_two = {}
-    for (i, j), cells2 in adjr_two.items():
-        images = phi_two[(i, j)] = []
-        for t in cells2:
-            img = phi_e_2cell(t, phi_images[i], phi_images[j])
-            images.append(img)
-            back = psi_e_2cell(img, em, em, psi_of_phi[i], psi_of_phi[j])
-            if (back.alpha.components != t.alpha.components
-                    or back.beta.components != t.beta.components):
-                ok = False
-    entries.append(entry("homiso/two-cell-roundtrip-adjr", "Eq-1510071407", ok))
-
-    ok = True
-    psi_two = {}
-    for (i, j), cells2 in mnd_two.items():
-        images = psi_two[(i, j)] = []
-        for t in cells2:
-            try:
-                acell2 = psi_e_2cell(t, em, em, psi_images[i], psi_images[j])
-            except TwoCellLawViolation:
-                ok = False
-                images.append(None)
-                continue
-            images.append(acell2)
-            back = phi_e_2cell(acell2, phi_of_psi[i], phi_of_psi[j])
-            if back.theta.components != t.theta.components:
-                ok = False
-    entries.append(entry("homiso/two-cell-roundtrip-mnd", "Eq-1510071407", ok))
-
-    # functoriality: identities
-    ok = True
-    for i, c in enumerate(adjr_cells):
-        img = phi_e_2cell(adjr2_identity(c), phi_images[i], phi_images[i])
-        if img.theta.components != identity_nat(c.J).components:
-            ok = False
-    for i, c in enumerate(mnd_cells):
-        ident = mnd2_identity(c)
-        pair = psi_e_2cell(ident, em, em, psi_images[i], psi_images[i])
-        if (pair.alpha.components != identity_nat(c.P).components
-                or pair.beta.components != identity_nat(psi_images[i].K).components):
-            ok = False
-    entries.append(entry("homiso/identities-preserved", "Eq-1510071407", ok))
-
-    # functoriality: vertical composition; a composite of t1 in (i, j) and
-    # t2 in (j, k) is mapped between the images of i and k
-    ok = True
-    for (i, j), cells2 in adjr_two.items():
-        for t1, img1 in zip(cells2, phi_two[(i, j)]):
-            for k in range(len(adjr_cells)):
-                for t2, img2 in zip(adjr_two[(j, k)], phi_two[(j, k)]):
-                    lhs = phi_e_2cell(adjr2_vcomp(t1, t2),
-                                      phi_images[i], phi_images[k])
-                    rhs = mnd2_vcomp(img1, img2)
-                    if lhs.theta.components != rhs.theta.components:
-                        ok = False
-    for (i, j), cells2 in mnd_two.items():
-        for t1, p1 in zip(cells2, psi_two[(i, j)]):
-            for k in range(len(mnd_cells)):
-                for t2, p2 in zip(mnd_two[(j, k)], psi_two[(j, k)]):
-                    lhs = psi_e_2cell(mnd2_vcomp(t1, t2), em, em,
-                                      psi_images[i], psi_images[k])
-                    if p1 is None or p2 is None:
-                        ok = False
-                        continue
-                    rhs = adjr2_vcomp(p1, p2)
-                    if (lhs.alpha.components != rhs.alpha.components
-                            or lhs.beta.components != rhs.beta.components):
-                        ok = False
-    entries.append(entry("homiso/vcomp-preserved", "Eq-1510071407", ok))
-
-    # 1-cell composition; each composite is mapped once per ordered pair
-    ok = True
-    for i, c in enumerate(adjr_cells):
-        for j, c2 in enumerate(adjr_cells):
-            lhs = phi_e_1cell(adjr_compose(c, c2), S, S)
-            rhs = mnd_compose(phi_images[i], phi_images[j])
-            if lhs != rhs:
-                ok = False
-    for i, c in enumerate(mnd_cells):
-        for j, c2 in enumerate(mnd_cells):
-            lhs = psi_e_1cell(mnd_compose(c, c2), em, em)
-            rhs = adjr_compose(psi_images[i], psi_images[j])
-            if lhs != rhs:
-                ok = False
-    entries.append(entry("homiso/one-cell-composition-preserved",
-                         "Eq-1510071407", ok))
-    return entries
+    return [
+        passed("object-count", len(mnd_cells) == len(adjr_cells),
+               witness={"mnd": len(mnd_cells), "adjr": len(adjr_cells)}),
+        passed("phiE-lands-in-mnd", to_mnd.lands),
+        passed("psiE-after-phiE-is-identity", to_mnd.back),
+        passed("psiE-lands-in-adjr", to_adjr.lands),
+        passed("phiE-after-psiE-is-identity", to_adjr.back,
+               detail="realizes the recovery phi = U lambda"),
+        passed("two-cell-count", n_mnd2 == n_adjr2,
+               witness={"mnd": n_mnd2, "adjr": n_adjr2}),
+        passed("two-cell-roundtrip-adjr", to_mnd.two),
+        passed("two-cell-roundtrip-mnd", to_adjr.two),
+        passed("identities-preserved", to_mnd.identities and to_adjr.identities),
+        passed("vcomp-preserved", to_mnd.vcomp and to_adjr.vcomp),
+        passed("one-cell-composition-preserved",
+               to_mnd.compose and to_adjr.compose),
+    ]

@@ -36,6 +36,8 @@ from finmonad.twofunctors import (
     MndOneCell,
     MonadObjectInMnd,
     _lifted_functor,
+    _map_side,
+    _Side,
     adjl_identity_cell,
     adjr_compose,
     adjr_identity_cell,
@@ -463,6 +465,43 @@ def test_hom_iso_maps_each_one_cell_once(cor, monkeypatch):
     assert calls["psi_e_1cell"] <= 120
 
 
+def fake_side(cells, map1, compose, map2=lambda t, src, dst: (src, dst)):
+    """A side of plain values: one 2-cell (c, c2) between any two 1-cells,
+    mapped by default to the one between their images."""
+    two = {(i, j): [(c, c2)] for i, c in enumerate(cells) for j, c2 in enumerate(cells)}
+    return _Side(cells, two, map1, map2, lambda c: (c, c),
+                 lambda t1, t2: (t1[0], t2[1]), compose, lambda t: t)
+
+
+def test_map_side_passes_mutually_inverse_sides():
+    # 1-cells 0, 1 under addition mod 2, mapped to 0, 2 under addition mod 4
+    a = fake_side([0, 1], lambda c: 2 * c, lambda x, y: (x + y) % 2)
+    b = fake_side([0, 2], lambda m: m // 2, lambda x, y: (x + y) % 4)
+    assert all(_map_side(a, b))
+    assert all(_map_side(b, a))
+
+
+def test_map_side_fails_the_two_cell_checks_on_a_raising_image():
+    def map2(t, src, dst):
+        if t == (0, 1):
+            raise TwoCellLawViolation("not a 2-cell")
+        return (src, dst)
+
+    a = fake_side([0, 1], lambda c: c, lambda x, y: (x + y) % 2, map2)
+    flags = _map_side(a, fake_side([0, 1], lambda c: c, lambda x, y: (x + y) % 2))
+    assert not flags.two and not flags.vcomp
+    assert flags.lands and flags.back and flags.identities and flags.compose
+
+
+def test_map_side_fails_only_lands_on_an_image_outside_the_other_side():
+    a = fake_side([0, 1], lambda c: 2 * c, lambda x, y: (x + y) % 2)
+    b = fake_side([0, 1], lambda m: m // 2, lambda x, y: (x + y) % 4)
+    flags = _map_side(a, b)
+    assert not flags.lands
+    assert flags.back and flags.two and flags.identities and flags.vcomp
+    assert flags.compose
+
+
 def count_constructions(monkeypatch) -> dict:
     """Count the calls of compose_functors, from every finmonad module
     that imports it, and of the Functor and NatTrans constructors."""
@@ -511,6 +550,22 @@ def test_law_checks_build_no_whiskered_transformations(cor, monkeypatch):
     assert calls["compose_functors"] <= 55
     assert calls["Functor"] <= 70
     assert calls["NatTrans"] <= 20
+
+    # A lifting's conditions over the base compare components; comparing
+    # whiskered transformations built four more per lifting (11 / 6 / 17).
+    c2, c1 = cor.monads_c3["c2"], cor.monads_c3["c1"]
+    em = em_category(c2)
+    calls.update(dict.fromkeys(calls, 0))
+    lift_monad(laws[0], em)
+    assert calls["NatTrans"] <= 7
+    calls.update(dict.fromkeys(calls, 0))
+    assert len(enumerate_liftings(c2, c1, em=em)) == 1
+    assert calls["NatTrans"] <= 2
+    mixed = enumerate_mixed_laws(c1, cor.comonads_c3["i1"])
+    assert len(mixed) == 1
+    calls.update(dict.fromkeys(calls, 0))
+    lift_comonad(mixed[0])
+    assert calls["NatTrans"] <= 13
 
 
 def test_interned_functors_and_memoised_composites_cut_constructions(
