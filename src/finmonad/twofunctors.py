@@ -1489,23 +1489,23 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
     n_mnd2 = sum(len(v) for v in mnd.two.values())
     n_adjr2 = sum(len(v) for v in adjr.two.values())
 
-    def passed(check, ok, **kw):
+    def homiso(check, ok, **kw):
         return entry("homiso/" + check, "Eq-1510071407", ok, **kw)
 
     return [
-        passed("object-count", len(mnd_cells) == len(adjr_cells),
+        homiso("object-count", len(mnd_cells) == len(adjr_cells),
                witness={"mnd": len(mnd_cells), "adjr": len(adjr_cells)}),
-        passed("phiE-lands-in-mnd", to_mnd.lands),
-        passed("psiE-after-phiE-is-identity", to_mnd.back),
-        passed("psiE-lands-in-adjr", to_adjr.lands),
-        passed("phiE-after-psiE-is-identity", to_adjr.back,
+        homiso("phiE-lands-in-mnd", to_mnd.lands),
+        homiso("psiE-after-phiE-is-identity", to_mnd.back),
+        homiso("psiE-lands-in-adjr", to_adjr.lands),
+        homiso("phiE-after-psiE-is-identity", to_adjr.back,
                detail="realizes the recovery phi = U lambda"),
-        passed("two-cell-count", n_mnd2 == n_adjr2,
+        homiso("two-cell-count", n_mnd2 == n_adjr2,
                witness={"mnd": n_mnd2, "adjr": n_adjr2}),
-        passed("two-cell-roundtrip-adjr", to_mnd.two),
-        passed("two-cell-roundtrip-mnd", to_adjr.two),
-        passed("identities-preserved", to_mnd.identities and to_adjr.identities),
-        passed("vcomp-preserved", to_mnd.vcomp and to_adjr.vcomp),
-        passed("one-cell-composition-preserved",
+        homiso("two-cell-roundtrip-adjr", to_mnd.two),
+        homiso("two-cell-roundtrip-mnd", to_adjr.two),
+        homiso("identities-preserved", to_mnd.identities and to_adjr.identities),
+        homiso("vcomp-preserved", to_mnd.vcomp and to_adjr.vcomp),
+        homiso("one-cell-composition-preserved",
                to_mnd.compose and to_adjr.compose),
     ]
