@@ -18,7 +18,9 @@ the monad search as first written, which builds a monad from every natural
 (mu, eta) pair of every endofunctor and keeps the lawful ones, and last
 the monad lifting, the Kleisli extension and the comonad lifting as
 written once per kind, before the library shared one psi image between
-them.
+them, and last the functor search as first written on the backtracking
+kernel, which searches the morphism images of every object map and keeps
+every object check.
 """
 
 from itertools import product
@@ -59,6 +61,9 @@ from finmonad.fincat import (
     Functor,
     Morphism,
     NatTrans,
+    _backtrack,
+    _Budget,
+    _fan_out,
     assemble_category,
     check_functor,
     check_naturality,
@@ -1330,3 +1335,94 @@ def ref_comonad_lifting(ml: MixedDistributiveLaw, em: EmAlgebraCategory) -> tupl
     delta_pair = psi_e_2cell(delta2, em, em, acell, comp_acell)
     eps_pair = psi_e_2cell(eps2, em, em, acell, id_acell)
     return acell.K, delta_pair.beta, eps_pair.beta
+
+
+# ---------------------------------------------------------------------------
+# The functor search as first written on the backtracking kernel
+#
+# Every object map that passes every object check has its morphism images
+# searched with every composition check, and the search plan is rebuilt
+# on every call. The library takes forced images without a search, keeps
+# only the object checks that others do not imply, and plans once per
+# source; the tests hold its lists, their order and its cap verdicts and
+# counts to this.
+
+
+def _ref_morphism_plan(cat: FinCategory) -> tuple:
+    """Search order and composition checks for the morphism images of
+    functors out of ``cat``: identities first, then each freely chosen
+    morphism followed by every composite of the morphisms placed so far.
+    ``checks[i]`` lists the positions ``(f, g, h)`` with f;g = h whose last
+    position is ``i``; pairs with an identity are left out."""
+    order = [m.id for m in cat.morphisms if cat.is_identity(m.id)]
+    identities = set(order)
+    triples = [(f, g, cat.compose(f, g)) for f, g in cat.composable_pairs()
+               if f not in identities and g not in identities]
+    placed = set(order)
+    for m in cat.morphisms:
+        if m.id in placed:
+            continue
+        order.append(m.id)
+        placed.add(m.id)
+        grew = True
+        while grew:
+            grew = False
+            for f, g, h in triples:
+                if h not in placed and f in placed and g in placed:
+                    order.append(h)
+                    placed.add(h)
+                    grew = True
+    pos = {m: i for i, m in enumerate(order)}
+    checks = [[] for _ in order]
+    for f, g, h in triples:
+        i, j, k = pos[f], pos[g], pos[h]
+        checks[max(i, j, k)].append((i, j, k))
+    return order, checks
+
+
+def ref_enumerate_functors(source: FinCategory, target: FinCategory,
+                           cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
+    """All functors source → target, canonically ordered: object images
+    keeping hom(F a, F b) inhabited for every source morphism a → b, then
+    for each object map the morphism images, with identities forced and
+    F(f;g) = F f ; F g checked as soon as all three images are chosen."""
+    objs = source.objects
+    tobjs = target.objects
+    pos = source.positions()
+    inhabited = set(target._hom)
+    obj_checks = [[] for _ in objs]
+    for i, j in sorted({(pos[m.src], pos[m.tgt]) for m in source.morphisms
+                        if m.src != m.tgt}):
+        obj_checks[max(i, j)].append(
+            lambda a, i=i, j=j: (a[i], a[j]) in inhabited)
+
+    order, plan = _ref_morphism_plan(source)
+    table = target._table
+    mor_checks = [[lambda a, f=f, g=g, h=h: table[a[f]][a[g]] == a[h]
+                   for f, g, h in group] for group in plan]
+    index = target._index
+    hom = target.index_hom()
+    ident = {x: (index[target.identity(x)],) for x in tobjs}
+    ends = [(source.src(m), source.tgt(m), source.is_identity(m)) for m in order]
+    names = [m.id for m in target.morphisms]
+
+    def functors_over(images, budget):
+        omap = dict(zip(objs, images))
+        domains = [ident[omap[a]] if forced else hom.get((omap[a], omap[b]), ())
+                   for a, b, forced in ends]
+        return [Functor(source, target, omap,
+                        {m: names[k] for m, k in zip(order, found)})
+                for found in _backtrack(domains, mor_checks, budget)]
+
+    def branch(first, budget):
+        domains = [(first,)] + [tobjs] * (len(objs) - 1)
+        return [F for images in _backtrack(domains, obj_checks, budget)
+                for F in functors_over(images, budget)]
+
+    if objs:
+        groups = _fan_out(branch, tobjs, cap, jobs)
+    else:
+        groups = [functors_over((), _Budget(cap))]
+    out = [F for group in groups for F in group]
+    out.sort(key=lambda F: F.canonical_key())
+    return out
