@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import random
 import weakref
+from operator import attrgetter
 # Deletes d[key] atomically, and only while it is a dead weak reference;
 # weakref.WeakValueDictionary removes its entries with the same helper.
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 
 from .errors import (
     CategoryValidationError,
@@ -44,7 +44,7 @@ from .errors import (
     TypeMismatch,
 )
 from .parallel import pmap
-from .report import Violation
+from .report import Violation, _Frozen
 
 DEFAULT_CAP = 10_000_000
 
@@ -54,11 +54,34 @@ ASSOC_EXHAUSTIVE_LIMIT = 200_000
 ASSOC_SAMPLE_SIZE = 1_000
 
 
-@dataclass(frozen=True, order=True)
-class Morphism:
-    id: str
-    src: str
-    tgt: str
+class Morphism(_Frozen):
+    """A morphism ``id``: ``src`` → ``tgt``, ordered by (id, src, tgt)."""
+
+    __slots__ = ("id", "src", "tgt")
+    _fields = property(attrgetter(*__slots__))
+
+    def __init__(self, id: str, src: str, tgt: str):
+        self._init(id, src, tgt)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields < other._fields
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields <= other._fields
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields > other._fields
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields >= other._fields
 
 
 class FinCategory:
@@ -73,7 +96,8 @@ class FinCategory:
     __slots__ = ("objects", "morphisms", "identities",
                  "_index", "_by_id", "_hom", "_by_src", "_table", "_key", "_op",
                  "_object_ids", "_morphism_ids", "_functors", "_index_hom",
-                 "_positions", "_arrow_positions", "assoc_sample")
+                 "_positions", "_arrow_positions", "_functor_plan",
+                 "assoc_sample")
 
     def __init__(self, objects, morphisms, identities, composition):
         self.objects = tuple(objects)
@@ -103,6 +127,7 @@ class FinCategory:
         self._index_hom = None
         self._positions = None
         self._arrow_positions = None
+        self._functor_plan = None
         # (triples checked, composable triples, seed) when validation
         # sampled associativity; None when it checked every triple
         self.assoc_sample = None
@@ -986,16 +1011,51 @@ def enumerate_nat_trans(F: Functor, G: Functor, cap: int = DEFAULT_CAP) -> list:
             for comps in _backtrack(domains, checks, _Budget(cap))]
 
 
+def _object_plan(cat: FinCategory) -> tuple:
+    """Object checks for the object images of functors out of ``cat``.
+
+    There is one check "hom(F i, F j) is inhabited" per pair of positions
+    i != j joined by a morphism, filed under max(i, j). A check is left out
+    when a path of checks already kept leads from i to j, since then it
+    holds by composition. Pairs are decided level by level, and within a
+    level the pair whose other end is nearest first, so a chain keeps only
+    the checks (i, i + 1). A kept check on the path mentions no position
+    above max(i, j), so it fires at the same level or earlier, and every
+    partial assignment is pruned where it was with every check. Testing
+    against all pairs instead of the kept ones would let two checks imply
+    each other away. Returns the kept pairs, grouped by level.
+    """
+    pos = cat.positions()
+    pairs = sorted({(pos[m.src], pos[m.tgt]) for m in cat.morphisms
+                    if m.src != m.tgt}, key=lambda p: (max(p), -min(p), p))
+    kept = {}  # i -> the j of each kept check (i, j)
+    levels = [[] for _ in cat.objects]
+    for i, j in pairs:
+        seen, todo = {i}, [i]
+        while todo:
+            for k in kept.get(todo.pop(), ()):
+                if k not in seen:
+                    seen.add(k)
+                    todo.append(k)
+        if j not in seen:
+            kept.setdefault(i, []).append(j)
+            levels[max(i, j)].append((i, j))
+    return tuple(map(tuple, levels))
+
+
 def _morphism_plan(cat: FinCategory) -> tuple:
     """Search order and composition checks for the morphism images of
     functors out of ``cat``.
 
     Identities come first: their images are forced. Each freely chosen
     morphism is followed by every composite of the morphisms placed so
-    far, whose check then fires at once. Returns ``(order, checks)``:
-    ``checks[i]`` lists the positions ``(f, g, h)`` with f;g = h whose
-    last position is ``i``. Pairs with an identity are left out, since the
-    forced identity images satisfy them.
+    far, whose check then fires at once. Returns ``(order, checks, units,
+    arrows)``: ``checks[i]`` lists the positions ``(f, g, h)`` with f;g = h
+    whose last position is ``i``; ``units`` holds the object position of
+    each identity and ``arrows`` the positions of the source and target
+    objects of each other morphism, in search order. Pairs with an
+    identity are left out of the checks, since the forced identity images
+    satisfy them.
     """
     order = [m.id for m in cat.morphisms if cat.is_identity(m.id)]
     identities = set(order)
@@ -1020,7 +1080,20 @@ def _morphism_plan(cat: FinCategory) -> tuple:
     for f, g, h in triples:
         i, j, k = pos[f], pos[g], pos[h]
         checks[max(i, j, k)].append((i, j, k))
-    return order, checks
+    opos = cat.positions()
+    cut = len(identities)
+    units = tuple(opos[cat.src(m)] for m in order[:cut])
+    arrows = tuple((opos[cat.src(m)], opos[cat.tgt(m)]) for m in order[cut:])
+    return tuple(order), tuple(map(tuple, checks)), units, arrows
+
+
+def _functor_plan(cat: FinCategory) -> tuple:
+    """``(object checks, order, morphism checks, units, arrows)`` for
+    functors out of ``cat``, as positions and ids; built once per
+    category."""
+    if cat._functor_plan is None:
+        cat._functor_plan = (_object_plan(cat),) + _morphism_plan(cat)
+    return cat._functor_plan
 
 
 def enumerate_functors(source: FinCategory, target: FinCategory,
@@ -1028,47 +1101,55 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     """All functors source → target, canonically ordered.
 
     Object images come first, keeping hom(F a, F b) inhabited for every
-    source morphism a → b. Then, for each object map, morphism images are
+    source morphism a → b (checks that others imply are left out; see
+    :func:`_object_plan`). Then, for each object map, morphism images are
     chosen in hom(F src, F tgt) with identities forced, and F(f;g) =
-    F f ; F g is checked as soon as all three images are chosen. ``jobs``
-    fans the search out over the image of the first object.
+    F f ; F g is checked as soon as all three images are chosen. When
+    every image is forced, as always on a thin target, every check holds
+    (each composite lands in a one-element hom-set), so the one solution
+    is taken without a search. ``jobs`` fans the search out over the image
+    of the first object.
     """
     objs = source.objects
     tobjs = target.objects
-    pos = source.positions()
-    inhabited = set(target._hom)
-    obj_checks = [[] for _ in objs]
-    for i, j in sorted({(pos[m.src], pos[m.tgt]) for m in source.morphisms
-                        if m.src != m.tgt}):
-        obj_checks[max(i, j)].append(
-            lambda a, i=i, j=j: (a[i], a[j]) in inhabited)
-
-    # Morphism images are target indices, so a composite is a table lookup.
-    order, plan = _morphism_plan(source)
+    obj_plan, order, plan, units, arrows = _functor_plan(source)
+    # Object images are target positions and morphism images target
+    # indices, so every check is a table lookup.
+    hom = target.index_hom()
+    homs = [[hom.get((x, y), ()) for y in tobjs] for x in tobjs]
+    obj_checks = [[lambda a, i=i, j=j: homs[a[i]][a[j]] != ()
+                   for i, j in group] for group in obj_plan]
     table = target._table
     mor_checks = [[lambda a, f=f, g=g, h=h: table[a[f]][a[g]] == a[h]
                    for f, g, h in group] for group in plan]
     index = target._index
-    hom = target.index_hom()
-    ident = {x: (index[target.identity(x)],) for x in tobjs}
-    ends = [(source.src(m), source.tgt(m), source.is_identity(m)) for m in order]
+    unit = [index[target.identity(x)] for x in tobjs]
     names = [m.id for m in target.morphisms]
+    n = len(order)
 
     def functors_over(images, budget):
-        omap = dict(zip(objs, images))
-        domains = [ident[omap[a]] if forced else hom.get((omap[a], omap[b]), ())
-                   for a, b, forced in ends]
+        forced = [unit[images[a]] for a in units]
+        domains = [homs[images[a]][images[b]] for a, b in arrows]
+        if set(map(len, domains)) <= {1}:
+            # Every image is forced, so every check holds. Charged as
+            # _backtrack would: one per variable, stopping at cap + 1.
+            budget.spend(min(n, budget.cap + 1 - budget.used))
+            found = [forced + [d[0] for d in domains]]
+        else:
+            found = _backtrack([(k,) for k in forced] + domains, mor_checks,
+                               budget)
+        omap = dict(zip(objs, map(tobjs.__getitem__, images)))
         return [Functor(source, target, omap,
-                        {m: names[k] for m, k in zip(order, found)})
-                for found in _backtrack(domains, mor_checks, budget)]
+                        dict(zip(order, map(names.__getitem__, ks))))
+                for ks in found]
 
     def branch(first, budget):
-        domains = [(first,)] + [tobjs] * (len(objs) - 1)
+        domains = [(first,)] + [range(len(tobjs))] * (len(objs) - 1)
         return [F for images in _backtrack(domains, obj_checks, budget)
                 for F in functors_over(images, budget)]
 
     if objs:
-        groups = _fan_out(branch, tobjs, cap, jobs)
+        groups = _fan_out(branch, range(len(tobjs)), cap, jobs)
     else:
         groups = [functors_over((), _Budget(cap))]
     out = [F for group in groups for F in group]

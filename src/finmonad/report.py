@@ -9,7 +9,7 @@ instead).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from operator import attrgetter
 
 SCHEMA_VERSION = "1"
 
@@ -43,20 +43,54 @@ TAGS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Violation:
+class _Frozen:
+    """A record whose fields are its class's ``__slots__``, read through
+    ``_fields``, a property of their values in order. It is equal to a
+    record of the same class with equal fields, hashed, shown, copied and
+    pickled by them, and no field can be set or deleted once ``__init__``
+    has set them all through ``_init``: what ``dataclass(frozen=True)``
+    generates, without importing ``dataclasses`` at start-up."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(_Frozen):
     """One failed axiom instance: what law, where, and the two unequal sides."""
 
-    kind: str
-    tag: str
-    where: str = ""
-    lhs: str = ""
-    rhs: str = ""
-    detail: str = ""
+    __slots__ = ("kind", "tag", "where", "lhs", "rhs", "detail")
+    _fields = property(attrgetter(*__slots__))
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unregistered tag: {self.tag}")
+    def __init__(self, kind: str, tag: str, where: str = "", lhs: str = "",
+                 rhs: str = "", detail: str = ""):
+        if tag not in TAGS:
+            raise ValueError(f"unregistered tag: {tag}")
+        self._init(kind, tag, where, lhs, rhs, detail)
 
     def describe(self) -> str:
         bits = [self.kind]
@@ -78,21 +112,19 @@ class Violation:
         return out
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(_Frozen):
     """One line of a verification report."""
 
-    check: str
-    tag: str
-    status: str
-    witness: object = None
-    detail: str = ""
+    __slots__ = ("check", "tag", "status", "witness", "detail")
+    _fields = property(attrgetter(*__slots__))
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unregistered tag: {self.tag}")
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"bad status: {self.status}")
+    def __init__(self, check: str, tag: str, status: str, witness: object = None,
+                 detail: str = ""):
+        if tag not in TAGS:
+            raise ValueError(f"unregistered tag: {tag}")
+        if status not in ("pass", "fail"):
+            raise ValueError(f"bad status: {status}")
+        self._init(check, tag, status, witness, detail)
 
 
 def entry(check: str, tag: str, ok: bool, witness=None, detail: str = "") -> CheckEntry:

@@ -27,7 +27,9 @@ the T-side ones, which the monad-object structure 2-cells mu^T, eta^T of
 laws. vec psi_E is psi_E on the opposite categories. The lifting/extension
 operations below always pass through the 2-cell actions rather than ad-hoc
 formulas: each is the psi image of a structure 1-cell and of its two
-structure 2-cells, built by one routine. The hom-isomorphism round trip is
+structure 2-cells, built by one routine. Those cells' laws are the law's
+axioms, so the routine checks none of them again once the law is valid.
+The hom-isomorphism round trip is
 one routine per direction over a record of each side's cells and actions.
 """
 
@@ -915,8 +917,9 @@ def _lift_structure(cell, mult: NatTrans, unit: NatTrans, cat,
     """(K, mult image, unit image): the psi image on ``cat`` (psi_E for an
     Mnd cell, psi_K for an Mnd• cell) of the endo 1-cell ``cell`` and of
     ``mult``, ``unit`` as 2-cells into it from cell∘cell and from the
-    identity cell (out of it into them for a comonad), all law-checked."""
-    cell.require_valid()
+    identity cell (out of it into them for a comonad). The cells come from
+    a law its caller has validated: the law's axioms are the laws of the
+    1-cell and of the two 2-cells, so none is checked again."""
     if isinstance(cell, MndOneCell):
         act1, act2, two = psi_e_1cell, psi_e_2cell, MndTwoCell
         others = mnd_compose(cell, cell), mnd_identity_cell(cell.src)
@@ -929,7 +932,7 @@ def _lift_structure(cell, mult: NatTrans, unit: NatTrans, cat,
         aother = act1(other, cat, cat)
         t = two(cell, other, nat) if comonad else two(other, cell, nat)
         ends = (acell, aother) if comonad else (aother, acell)
-        images.append(act2(t.require_valid(), cat, cat, *ends).beta)
+        images.append(act2(t, cat, cat, *ends).beta)
     return tuple(images)
 
 
@@ -1003,6 +1006,7 @@ def colift_monad(ml: MixedDistributiveLaw,
     category (a mixed law from G^op to S^op), read back."""
     ml.require_valid()
     co = co if co is not None else em_coalgebra_category(ml.G)
+    # valid, since its axioms are those of ml read on the opposite category
     op_law = MixedDistributiveLaw(monad_on_opposite(ml.G),
                                   comonad_on_opposite(ml.S), opposite_nat(ml.psi))
     ghat, delta_hat, eps_hat = _comonad_lifting(op_law, co.on_opposite)

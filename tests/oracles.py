@@ -15,7 +15,7 @@ transformations, before the library compared them component by component,
 then the composites of Mnd, Mnd• and CoMnd 1-cells as first written,
 from two whiskered transformations and their vertical composite, and then
 the monad search as first written, which builds a monad from every natural
-(mu, eta) pair of every endofunctor and keeps the lawful ones, and last
+(mu, eta) pair of every endofunctor and keeps the lawful ones, then
 the monad lifting, the Kleisli extension and the comonad lifting as
 written once per kind, before the library shared one psi image between
 them, and last the functor search as first written on the backtracking
@@ -201,6 +201,14 @@ def chain2_times_z2():
 
     return _table(["a", "b"], morphs, {"a": "iae", "b": "ibe"}, compose)
 
+
+def codiscrete(n: int):
+    """The groupoid with n objects and exactly one morphism between any two."""
+    objects = [str(i) for i in range(n)]
+    morphs = [{"id": f"u{a}{b}", "src": a, "tgt": b}
+              for a in objects for b in objects]
+    return _table(objects, morphs, {a: f"u{a}{a}" for a in objects},
+                  lambda f, g: f"u{f[1]}{g[2]}")
 
 def delta(sizes):
     """The category of the finite ordinals of the given sizes and the

@@ -18,6 +18,7 @@ from oracles import (
     brute_functors,
     brute_nat_trans,
     chain2_times_z2,
+    codiscrete,
     cyclic,
     delta,
     map_id,
@@ -25,6 +26,7 @@ from oracles import (
     ref_comonad_lifting,
     ref_enumerate_comonad_liftings,
     ref_enumerate_dist_laws,
+    ref_enumerate_functors,
     ref_enumerate_liftings,
     ref_enumerate_mixed_laws,
     ref_enumerate_monads,
@@ -38,9 +40,10 @@ from oracles import (
 from finmonad.construct import em_category, kleisli_category
 from finmonad.distlaw import enumerate_dist_laws, enumerate_mixed_laws
 from finmonad.errors import EnumerationCapExceeded
-from finmonad import monad
+from finmonad import fincat, monad
 from finmonad.fincat import (
     Functor,
+    _functor_plan,
     NatTrans,
     check_functor,
     check_naturality,
@@ -145,6 +148,63 @@ def test_cap_counts_nodes_visited_whatever_the_jobs(name):
             enumerate_functors(cat, cat, cap=need - 1, jobs=jobs)
 
 
+DIFFERENTIAL = {
+    "chain3": lambda: c3(), "chain4": lambda: chain_category("abcd"),
+    "z3": lambda: cyclic(3), "t2": lambda: transformation_monoid(2),
+    "m_z2": m_z2, "c2xz2": chain2_times_z2, "g3": lambda: codiscrete(3),
+}
+
+
+@pytest.mark.parametrize("source,target", [
+    *((name, name) for name in DIFFERENTIAL),
+    ("chain3", "g3"), ("g3", "chain3"),
+])
+def test_functor_search_matches_the_search_as_first_written(source, target):
+    """The same functors in the same order, and below the first passing
+    cap the same count at every cap, at jobs=1 and jobs=2 alike (the
+    count a cap stops at may differ with jobs, the verdict may not)."""
+    source, target = DIFFERENTIAL[source](), DIFFERENTIAL[target]()
+    cap = 0
+    while True:
+        want = outcome(ref_enumerate_functors, source, target, cap)
+        assert outcome(enumerate_functors, source, target, cap) == want
+        parallel = outcome(ref_enumerate_functors, source, target, cap, jobs=2)
+        assert type(parallel) is type(want)
+        assert outcome(enumerate_functors, source, target, cap, jobs=2) == parallel
+        if isinstance(want, list):
+            break
+        cap += 1
+    assert want == parallel == ref_enumerate_functors(source, target)
+
+
+def test_implied_object_checks_are_left_out():
+    """A chain keeps one object check per level, the codiscrete groupoid
+    two: checks implied by kept ones go, but never two checks that imply
+    each other."""
+    assert _functor_plan(chain_category("abcd"))[0] == (
+        (), ((0, 1),), ((1, 2),), ((2, 3),))
+    assert _functor_plan(codiscrete(3))[0] == (
+        (), ((0, 1), (1, 0)), ((1, 2), (2, 1)))
+
+
+def test_forced_images_are_not_searched(monkeypatch):
+    """Into a thin target only the object images are searched; into a
+    category that is not thin the morphism images are searched too."""
+    searched = []
+
+    def counted(domains, checks, budget):
+        searched.append(len(domains))
+        return backtrack(domains, checks, budget)
+
+    backtrack = fincat._backtrack
+    monkeypatch.setattr(fincat, "_backtrack", counted)
+    enumerate_functors(c3(), c3())
+    assert searched == [3] * 3
+    searched.clear()
+    enumerate_functors(chain2_times_z2(), chain2_times_z2())
+    assert len(searched) > 2
+
+
 def t3_endomorphisms_by_generators() -> int:
     """Monoid endomorphisms of T3, counted over the images of generators.
 
@@ -220,9 +280,10 @@ def lifting_estimate(S, endo) -> int:
                 for a in em.category.objects)
 
 
-def outcome(search, S, other, cap):
+def outcome(search, S, other, cap, jobs=1):
+    """What ``search`` found, or the count and cap it stopped at."""
     try:
-        return search(S, other, cap=cap)
+        return search(S, other, cap=cap, jobs=jobs)
     except EnumerationCapExceeded as exc:
         return ("cap", exc.estimate, exc.cap)
 

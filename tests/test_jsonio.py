@@ -1,7 +1,9 @@
 """JSON round trips for every file format plus the shipped fixture files."""
 
+import copy
 import json
 import os
+import pickle
 
 import pytest
 
@@ -11,6 +13,8 @@ from finmonad.errors import (
     LawViolation,
     UnTypableComponent,
 )
+from finmonad.fincat import Morphism
+from finmonad.report import CheckEntry, Violation
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -111,10 +115,43 @@ def test_shipped_fixture_files_match_the_corpus(cor):
 
 
 def test_report_entries_enforce_the_tag_registry():
-    from finmonad.report import CheckEntry, Violation
-
     with pytest.raises(ValueError):
         CheckEntry("x", "not-a-registered-tag", "pass")
     with pytest.raises(ValueError):
         Violation("Kind", "also-not-registered")
+    with pytest.raises(ValueError):
+        CheckEntry("x", "Eq-1510071248-i", "skip")
     CheckEntry("x", "Eq-1510071248-i", "pass")
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: Morphism("f", "a", "b"), "Morphism(id='f', src='a', tgt='b')"),
+    (lambda: Violation("K", "law-functor", where="x"),
+     "Violation(kind='K', tag='law-functor', where='x', lhs='', rhs='', detail='')"),
+    (lambda: CheckEntry("c", "law-functor", "fail", {"w": 1}),
+     "CheckEntry(check='c', tag='law-functor', status='fail', witness={'w': 1}, detail='')"),
+], ids=["Morphism", "Violation", "CheckEntry"])
+def test_records_are_frozen_values(make, text):
+    """Equal by their fields within one class, hashed and shown by them,
+    copied and pickled whole, and never changed after construction."""
+    r = make()
+    assert repr(r) == text
+    assert r == make() and r is not make()
+    assert r != (r.tag if hasattr(r, "tag") else r.id)
+    assert copy.copy(r) == pickle.loads(pickle.dumps(r)) == r
+    if not isinstance(r, CheckEntry):  # a CheckEntry's witness may be a dict
+        assert hash(r) == hash(make())
+    for name in ("id", "tag"):
+        if hasattr(r, name):
+            with pytest.raises(AttributeError):
+                setattr(r, name, "z")
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+
+
+def test_morphisms_order_by_id_then_ends():
+    ms = [Morphism("g", "a", "b"), Morphism("f", "b", "c"), Morphism("f", "a", "c")]
+    assert sorted(ms) == [ms[2], ms[1], ms[0]]
+    assert Morphism("f", "a", "b") <= Morphism("f", "a", "b") < Morphism("f", "a", "c")
+    with pytest.raises(TypeError):
+        Morphism("f", "a", "b") < ("f", "a", "b")

@@ -111,6 +111,17 @@ def test_validate_loads_only_the_modules_it_runs():
     assert "concurrent.futures" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "fixtures/chain3.json"], ["selftest"],
+], ids=["validate", "selftest"])
+def test_command_imports_neither_dataclasses_nor_inspect(argv):
+    """The records are plain slotted classes, so no command pays for the
+    stdlib ``dataclasses`` import or the ``inspect`` import it pulls in."""
+    out = fresh(_CLI, *argv)
+    assert out["code"] == 0
+    assert {"dataclasses", "inspect"}.isdisjoint(out["modules"])
+
+
 @pytest.mark.parametrize("argv, absent", [
     (["monads", "fixtures/chain3.json"], "finmonad.twofunctors"),
     (["lift", "fixtures/law_c2_c1.json"], "finmonad.selftest"),

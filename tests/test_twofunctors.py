@@ -4,12 +4,17 @@ round trips."""
 from itertools import product
 
 import pytest
-from oracles import chain2_times_z2, transformation_monoid
+from oracles import chain2_times_z2, cyclic, transformation_monoid
 
-from finmonad import monad
+from finmonad import distlaw, monad, twofunctors
 from finmonad.adjunction import CommutingSquareR, mate_right
 from finmonad.construct import em_category, em_coalgebra_category, kleisli_category
-from finmonad.distlaw import enumerate_dist_laws, enumerate_mixed_laws
+from finmonad.distlaw import (
+    DistributiveLaw,
+    MixedDistributiveLaw,
+    enumerate_dist_laws,
+    enumerate_mixed_laws,
+)
 from finmonad.errors import BaseMismatch, LawViolation, TwoCellLawViolation
 from finmonad.fincat import (
     NatTrans,
@@ -566,6 +571,54 @@ def test_law_checks_build_no_whiskered_transformations(cor, monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     lift_comonad(mixed[0])
     assert calls["NatTrans"] <= 13
+
+
+def test_lift_and_extend_decide_the_law_once(cor, monkeypatch):
+    """A law's axioms are the laws of the structure cells that lift and
+    extend map, so require_valid on the law decides them all: lift_monad
+    evaluates the Mnd cell law once and extend_monad the Mnd• cell law
+    once (each 2 before), and no cell is law-checked again."""
+    calls = dict.fromkeys(("mnd_cell_sides", "bullet_cell_sides", "cell"), 0)
+    for name in ("mnd_cell_sides", "bullet_cell_sides"):
+        def counted(*args, name=name, original=getattr(distlaw, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(distlaw, name, counted)
+        monkeypatch.setattr(twofunctors, name, counted)
+
+    def checked(self, check=twofunctors._LawCell.check):
+        calls["cell"] += 1
+        return check(self)
+
+    monkeypatch.setattr(twofunctors._LawCell, "check", checked)
+    dl = cor.law_c2_c1
+    em, kl = em_category(dl.S), kleisli_category(dl.T)
+    calls.update(dict.fromkeys(calls, 0))
+    lift_monad(dl, em)
+    assert calls == {"mnd_cell_sides": 1, "bullet_cell_sides": 1, "cell": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    extend_monad(dl, kl)
+    assert calls == {"mnd_cell_sides": 1, "bullet_cell_sides": 1, "cell": 0}
+
+
+def test_lift_and_extend_reject_an_invalid_law_as_require_valid_does():
+    """On Z2, the rotation r1 is a natural swap Id∘Id → Id∘Id that breaks
+    every axiom: lifting or extending along it raises the law's own
+    LawViolation, with the same text."""
+    z2 = cyclic(2)
+    S, G = identity_monad(z2), identity_comonad(z2)
+    swap = NatTrans(S.S, S.S, {"g": "r1"})
+    for law, builders in (
+            (DistributiveLaw(S, S, swap), (lift_monad, extend_monad)),
+            (MixedDistributiveLaw(S, G, swap), (lift_comonad, colift_monad))):
+        with pytest.raises(LawViolation) as want:
+            law.require_valid()
+        assert len(want.value.violations) == 4
+        for build in builders:
+            with pytest.raises(LawViolation) as got:
+                build(law)
+            assert str(got.value) == str(want.value)
 
 
 def test_interned_functors_and_memoised_composites_cut_constructions(
