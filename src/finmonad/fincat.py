@@ -1128,15 +1128,15 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     n = len(order)
 
     def functors_over(images, budget):
-        forced = [unit[images[a]] for a in units]
+        fixed = [unit[images[a]] for a in units]
         domains = [homs[images[a]][images[b]] for a, b in arrows]
         if set(map(len, domains)) <= {1}:
             # Every image is forced, so every check holds. Charged as
             # _backtrack would: one per variable, stopping at cap + 1.
             budget.spend(min(n, budget.cap + 1 - budget.used))
-            found = [forced + [d[0] for d in domains]]
+            found = [fixed + [d[0] for d in domains]]
         else:
-            found = _backtrack([(k,) for k in forced] + domains, mor_checks,
+            found = _backtrack([(k,) for k in fixed] + domains, mor_checks,
                                budget)
         omap = dict(zip(objs, map(tobjs.__getitem__, images)))
         return [Functor(source, target, omap,
