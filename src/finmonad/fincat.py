@@ -1050,12 +1050,13 @@ def _morphism_plan(cat: FinCategory) -> tuple:
     Identities come first: their images are forced. Each freely chosen
     morphism is followed by every composite of the morphisms placed so
     far, whose check then fires at once. Returns ``(order, checks, units,
-    arrows)``: ``checks[i]`` lists the positions ``(f, g, h)`` with f;g = h
-    whose last position is ``i``; ``units`` holds the object position of
-    each identity and ``arrows`` the positions of the source and target
-    objects of each other morphism, in search order. Pairs with an
-    identity are left out of the checks, since the forced identity images
-    satisfy them.
+    arrows, loops)``: ``checks[i]`` lists the positions ``(f, g, h)`` with
+    f;g = h whose last position is ``i``; ``units`` holds the object
+    position of each identity and ``arrows`` the positions of the source
+    and target objects of each other morphism, in search order; ``loops``
+    holds the object positions whose identity is the composite of two
+    other morphisms. Pairs with an identity are left out of the checks,
+    since the forced identity images satisfy them.
     """
     order = [m.id for m in cat.morphisms if cat.is_identity(m.id)]
     identities = set(order)
@@ -1084,11 +1085,13 @@ def _morphism_plan(cat: FinCategory) -> tuple:
     cut = len(identities)
     units = tuple(opos[cat.src(m)] for m in order[:cut])
     arrows = tuple((opos[cat.src(m)], opos[cat.tgt(m)]) for m in order[cut:])
-    return tuple(order), tuple(map(tuple, checks)), units, arrows
+    loops = tuple(sorted({opos[cat.src(h)] for f, g, h in triples
+                          if h in identities}))
+    return tuple(order), tuple(map(tuple, checks)), units, arrows, loops
 
 
 def _functor_plan(cat: FinCategory) -> tuple:
-    """``(object checks, order, morphism checks, units, arrows)`` for
+    """``(object checks, order, morphism checks, units, arrows, loops)`` for
     functors out of ``cat``, as positions and ids; built once per
     category."""
     if cat._functor_plan is None:
@@ -1105,14 +1108,15 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     :func:`_object_plan`). Then, for each object map, morphism images are
     chosen in hom(F src, F tgt) with identities forced, and F(f;g) =
     F f ; F g is checked as soon as all three images are chosen. When
-    every image is forced, as always on a thin target, every check holds
-    (each composite lands in a one-element hom-set), so the one solution
-    is taken without a search. ``jobs`` fans the search out over the image
-    of the first object.
+    every image is forced and hom(F x, F x) holds only the identity for
+    each x whose identity is a composite, as always on a thin target,
+    every check holds (each composite lands in a one-element hom-set), so
+    the one solution is taken without a search. ``jobs`` fans the search
+    out over the image of the first object.
     """
     objs = source.objects
     tobjs = target.objects
-    obj_plan, order, plan, units, arrows = _functor_plan(source)
+    obj_plan, order, plan, units, arrows, loops = _functor_plan(source)
     # Object images are target positions and morphism images target
     # indices, so every check is a table lookup.
     hom = target.index_hom()
@@ -1130,7 +1134,8 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     def functors_over(images, budget):
         fixed = [unit[images[a]] for a in units]
         domains = [homs[images[a]][images[b]] for a, b in arrows]
-        if set(map(len, domains)) <= {1}:
+        if (set(map(len, domains)) <= {1}
+                and all(len(homs[images[a]][images[a]]) == 1 for a in loops)):
             # Every image is forced, so every check holds. Charged as
             # _backtrack would: one per variable, stopping at cap + 1.
             budget.spend(min(n, budget.cap + 1 - budget.used))

@@ -210,6 +210,19 @@ def codiscrete(n: int):
     return _table(objects, morphs, {a: f"u{a}{a}" for a in objects},
                   lambda f, g: f"u{f[1]}{g[2]}")
 
+
+def split_idempotent():
+    """The idempotent e on a split through b: u: a → b and v: b → a with
+    v ∘ u = e and u ∘ v = id_b. Not thin, and u;v is not an identity."""
+    morphs = [{"id": m, "src": s, "tgt": t} for m, s, t in
+              (("ia", "a", "a"), ("e", "a", "a"), ("u", "a", "b"),
+               ("v", "b", "a"), ("ib", "b", "b"))]
+    rule = {("u", "v"): "e", ("v", "u"): "ib", ("e", "e"): "e",
+            ("e", "u"): "u", ("v", "e"): "v"}
+    return _table(["a", "b"], morphs, {"a": "ia", "b": "ib"},
+                  lambda f, g: (g if f in ("ia", "ib") else
+                                f if g in ("ia", "ib") else rule[f, g]))
+
 def delta(sizes):
     """The category of the finite ordinals of the given sizes and the
     monotone maps between them: a full subcategory of the simplex category.

@@ -32,6 +32,7 @@ from oracles import (
     ref_enumerate_monads,
     ref_extend_monad,
     ref_lift_monad,
+    split_idempotent,
     then,
     transformation_maps,
     transformation_monoid,
@@ -152,12 +153,13 @@ DIFFERENTIAL = {
     "chain3": c3, "chain4": lambda: chain_category("abcd"),
     "z3": lambda: cyclic(3), "t2": lambda: transformation_monoid(2),
     "m_z2": m_z2, "c2xz2": chain2_times_z2, "g3": lambda: codiscrete(3),
+    "g2": lambda: codiscrete(2), "split": split_idempotent,
 }
 
 
 @pytest.mark.parametrize("source,target", [
     *((name, name) for name in DIFFERENTIAL),
-    ("chain3", "g3"), ("g3", "chain3"),
+    ("chain3", "g3"), ("g3", "chain3"), ("g2", "split"),
 ])
 def test_functor_search_matches_the_search_as_first_written(source, target):
     """The same functors in the same order, and below the first passing
