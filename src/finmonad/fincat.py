@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from operator import attrgetter
+from functools import total_ordering
 # Deletes d[key] atomically, and only while it is a dead weak reference;
 # weakref.WeakValueDictionary removes its entries with the same helper.
 from _weakref import _remove_dead_weakref
@@ -54,11 +54,11 @@ ASSOC_EXHAUSTIVE_LIMIT = 200_000
 ASSOC_SAMPLE_SIZE = 1_000
 
 
+@total_ordering
 class Morphism(_Frozen):
     """A morphism ``id``: ``src`` → ``tgt``, ordered by (id, src, tgt)."""
 
     __slots__ = ("id", "src", "tgt")
-    _fields = property(attrgetter(*__slots__))
 
     def __init__(self, id: str, src: str, tgt: str):
         self._init(id, src, tgt)
@@ -67,21 +67,6 @@ class Morphism(_Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields < other._fields
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields <= other._fields
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields > other._fields
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields >= other._fields
 
 
 class FinCategory:

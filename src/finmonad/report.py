@@ -45,13 +45,18 @@ TAGS = frozenset({
 
 class _Frozen:
     """A record whose fields are its class's ``__slots__``, read through
-    ``_fields``, a property of their values in order. It is equal to a
+    ``_fields``, a property of their values in order that each subclass
+    gets from its ``__slots__``. It is equal to a
     record of the same class with equal fields, hashed, shown, copied and
     pickled by them, and no field can be set or deleted once ``__init__``
     has set them all through ``_init``: what ``dataclass(frozen=True)``
     generates, without importing ``dataclasses`` at start-up."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = property(attrgetter(*cls.__slots__))
 
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -84,7 +89,6 @@ class Violation(_Frozen):
     """One failed axiom instance: what law, where, and the two unequal sides."""
 
     __slots__ = ("kind", "tag", "where", "lhs", "rhs", "detail")
-    _fields = property(attrgetter(*__slots__))
 
     def __init__(self, kind: str, tag: str, where: str = "", lhs: str = "",
                  rhs: str = "", detail: str = ""):
@@ -116,7 +120,6 @@ class CheckEntry(_Frozen):
     """One line of a verification report."""
 
     __slots__ = ("check", "tag", "status", "witness", "detail")
-    _fields = property(attrgetter(*__slots__))
 
     def __init__(self, check: str, tag: str, status: str, witness: object = None,
                  detail: str = ""):
