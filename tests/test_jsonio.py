@@ -10,10 +10,12 @@ import pytest
 from finmonad import jsonio
 from finmonad.errors import (
     CategoryValidationError,
+    ComponentMistyped,
     LawViolation,
     UnTypableComponent,
 )
 from finmonad.fincat import Morphism
+from finmonad.monad import identity_comonad
 from finmonad.report import CheckEntry, Violation
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -76,6 +78,41 @@ def test_loading_lawless_monad_raises(cor, tmp_path):
         json.dump(raw, fh, ensure_ascii=False)
     with pytest.raises(LawViolation):
         jsonio.load_monad(str(path))
+
+
+def test_loading_lawless_comonad_raises(cor, tmp_path):
+    raw = jsonio.comonad_to_raw(identity_comonad(cor.m_z2))
+    raw["epsilon"] = {"g": "s"}  # breaks both counit laws
+    path = tmp_path / "bad.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh, ensure_ascii=False)
+    with pytest.raises(LawViolation) as exc:
+        jsonio.load_comonad(str(path))
+    assert str(exc.value) == ("comonad: ComonadCounitLeft at g s != e; "
+                              "ComonadCounitRight at g s != e")
+
+
+@pytest.mark.parametrize("load, to_raw, name, field, message", [
+    ("load_monad", "monad_to_raw", "c1", "eta",
+     "component at '1' must lie in hom(1,2), got 'id_1'"),
+    ("load_comonad", "comonad_to_raw", "i1", "delta",
+     "component at '1' must lie in hom(0,0), got 'id_1'"),
+    ("load_comonad", "comonad_to_raw", "i1", "epsilon",
+     "component at '1' must lie in hom(0,1), got 'id_1'"),
+], ids=["monad-eta", "comonad-delta", "comonad-epsilon"])
+def test_loading_mistyped_structure_raises(cor, tmp_path, load, to_raw, name,
+                                           field, message):
+    """A structure map's component outside its hom-set is refused, with the
+    hom-set the map's direction asks for."""
+    structure = {**cor.monads_c3, **cor.comonads_c3}[name]
+    raw = getattr(jsonio, to_raw)(structure)
+    raw[field]["1"] = "id_1"
+    path = tmp_path / "mistyped.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh, ensure_ascii=False)
+    with pytest.raises(ComponentMistyped) as exc:
+        getattr(jsonio, load)(str(path))
+    assert str(exc.value) == message
 
 
 def test_loading_untypable_law_raises(cor, tmp_path):

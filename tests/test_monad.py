@@ -9,10 +9,16 @@ from itertools import product
 
 import pytest
 
-from finmonad.errors import ComponentMistyped, EnumerationCapExceeded
+from finmonad.errors import (
+    ComponentMistyped,
+    EnumerationCapExceeded,
+    TypeMismatch,
+)
 from finmonad.fincat import NatTrans, identity_functor, opposite
 from finmonad.fixtures import closure_monad
 from finmonad.monad import (
+    Comonad,
+    Monad,
     check_comonad_laws,
     check_monad_laws,
     enumerate_comonads,
@@ -82,6 +88,29 @@ def test_mistyped_unit_component_raises(cor):
     bad["1"] = "id_1"  # lies in hom(1,1), needed in hom(1, c1(1)) = hom(1,2)
     with pytest.raises(ComponentMistyped):
         NatTrans(identity_functor(cor.c3), c1f, bad)
+
+
+@pytest.mark.parametrize("kind, base, parts, message", [
+    (Monad, "c2", "mult unit", "monad functor must be an endofunctor on the base"),
+    (Monad, "c3", "unit unit", "mu must be typed S∘S -> S"),
+    (Monad, "c3", "mult mult", "eta must be typed Id -> S"),
+    (Monad, "c3", "unit mult", "mu must be typed S∘S -> S"),
+    (Comonad, "c2", "mult unit",
+     "comonad functor must be an endofunctor on the base"),
+    (Comonad, "c3", "unit unit", "delta must be typed G -> G∘G"),
+    (Comonad, "c3", "mult mult", "epsilon must be typed G -> Id"),
+    (Comonad, "c3", "unit mult", "delta must be typed G -> G∘G"),
+], ids=["monad-base", "monad-mu", "monad-eta", "monad-both",
+        "comonad-base", "comonad-delta", "comonad-epsilon", "comonad-both"])
+def test_constructor_refuses_mistyped_structure_maps(cor, kind, base, parts,
+                                                     message):
+    """The functor is checked first, then the multiplication, then the
+    unit; each map of c1 and i1 passed in the other's place is mistyped."""
+    s = cor.monads_c3["c1"] if kind is Monad else cor.comonads_c3["i1"]
+    maps = [getattr(s, part) for part in parts.split()]
+    with pytest.raises(TypeMismatch) as exc:
+        kind(getattr(cor, base), s.endo, *maps)
+    assert str(exc.value) == message
 
 
 def test_enumerate_monads_on_chains(cor):
