@@ -121,11 +121,10 @@ def identity_adjunction(cat: FinCategory) -> Adjunction:
 
 def induced_monad(a: Adjunction) -> Monad:
     """(C, R∘L, R counit L, unit)."""
-    S = compose_functors(a.R, a.L)
-    mu = NatTrans(compose_functors(S, S), S,
-                  whisker_left_at(a.R, whisker_right_at(a.counit.components, a.L)))
-    eta = NatTrans(identity_functor(a.base), S, a.unit.components)
-    return Monad(a.base, S, mu, eta)
+    return Monad.from_components(
+        a.base, compose_functors(a.R, a.L),
+        whisker_left_at(a.R, whisker_right_at(a.counit.components, a.L)),
+        a.unit.components)
 
 
 def induced_comonad(a: Adjunction) -> Comonad:

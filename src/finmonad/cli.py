@@ -260,6 +260,14 @@ def _cmd_selftest(args) -> VerificationReport:
     return run_selftest(jobs=args.jobs, seed=args.seed)
 
 
+def _cap(text: str) -> int:
+    """The value of ``--cap``: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Global flags are accepted both before and after the subcommand; the
     # SUPPRESS defaults keep a trailing occurrence from clobbering a
@@ -272,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for sampled checks (never affects "
                              "enumeration order)")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
+                        help="most candidates an enumeration may try")
 
     parser = argparse.ArgumentParser(
         prog="finmonad",
@@ -287,19 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, search in (("monads", "enumerate_monads"),
                          ("comonads", "enumerate_comonads")):
-        p = sub.add_parser(name, parents=[common],
+        p = sub.add_parser(name, parents=[common, capped],
                            help=f"enumerate {name} on a category")
         p.add_argument("file")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
         p.set_defaults(func=_cmd_structures, search=search)
 
-    for name, fn, what in (("em", _cmd_em, "monad"),
-                           ("coem", _cmd_coem, "comonad"),
-                           ("kleisli", _cmd_kleisli, "monad")):
-        p = sub.add_parser(name, parents=[common],
+    for name, fn, what, parents in (("em", _cmd_em, "monad", [capped]),
+                                    ("coem", _cmd_coem, "comonad", [capped]),
+                                    ("kleisli", _cmd_kleisli, "monad", [])):
+        p = sub.add_parser(name, parents=[common, *parents],
                            help=f"construct from a {what} file")
         p.add_argument("file")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
         p.add_argument("--dump", metavar="OUT.json",
                        help="write the constructed category as JSON")
         p.set_defaults(func=fn)
@@ -320,10 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         lsub = p.add_subparsers(dest="law_command", required=True)
         pc = lsub.add_parser("check", parents=[common])
         pc.add_argument("file")
-        pe = lsub.add_parser("enumerate", parents=[common])
+        pe = lsub.add_parser("enumerate", parents=[common, capped])
         pe.add_argument("s_file")
         pe.add_argument("second_file", metavar=law[-1])
-        pe.add_argument("--cap", type=int, default=DEFAULT_CAP)
         for q in (pc, pe):
             q.set_defaults(func=_cmd_law, law=law)
 
@@ -332,24 +340,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="distributive law file")
         p.set_defaults(func=_cmd_build_from_law)
 
-    p = sub.add_parser("roundtrip", parents=[common],
+    p = sub.add_parser("roundtrip", parents=[common, capped],
                        help="enumerations, round trips, count equality, "
                             "joint compatibility")
     p.add_argument("s_file")
     p.add_argument("t_file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_roundtrip)
 
-    p = sub.add_parser("roundtrip-mixed", parents=[common])
+    p = sub.add_parser("roundtrip-mixed", parents=[common, capped])
     p.add_argument("s_file")
     p.add_argument("g_file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_roundtrip_mixed)
 
-    p = sub.add_parser("homiso", parents=[common],
+    p = sub.add_parser("homiso", parents=[common, capped],
                        help="verify the hom-category isomorphism")
     p.add_argument("file", help="monad file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_homiso)
 
     p = sub.add_parser("selftest", parents=[common],

@@ -24,11 +24,12 @@ from .fincat import (
     NatTrans,
     check_naturality,
     compose_functors,
+    opposite_functor,
     vcomp_at,
     whisker_left_at,
     whisker_right_at,
 )
-from .monad import Comonad, Monad, _Checked, _first_diff
+from .monad import Comonad, Monad, _Checked, _first_diff, monad_on_opposite
 from .parallel import pmap
 from .report import Violation
 
@@ -127,7 +128,9 @@ def _naturality(nat: NatTrans) -> list:
 # on S and the CoMnd 1-cell (S, psi) on G (Street 1972): its four axioms
 # are the laws of those two cells. Each function below gives both sides of
 # the two laws of a 1-cell (P, nat): src → dst, as listed in the cell
-# dictionary of :mod:`twofunctors`, from the components of nat.
+# dictionary of :mod:`twofunctors`, from the components of nat. A CoMnd
+# 1-cell is the Mnd 1-cell of its opposites, whose laws are its own read
+# from the other end: the same equations with their two sides swapped.
 
 
 def mnd_cell_sides(src: Monad, dst: Monad, P: Functor, phi: dict) -> tuple:
@@ -152,34 +155,21 @@ def bullet_cell_sides(src: Monad, dst: Monad, P: Functor, psi: dict) -> tuple:
              vcomp_at(D, whisker_left_at(P, src.eta.components), psi)))
 
 
-def comnd_cell_sides(src: Comonad, dst: Comonad, P: Functor, pi: dict) -> tuple:
-    """For pi: P∘G → H∘P, H the comonad of dst and G that of src."""
-    D, Gf, Hf = dst.base, src.G, dst.G
-    return ((vcomp_at(D, pi, whisker_right_at(dst.delta.components, P)),
-             vcomp_at(D, whisker_left_at(P, src.delta.components),
-                      vcomp_at(D, whisker_right_at(pi, Gf),
-                               whisker_left_at(Hf, pi)))),
-            (vcomp_at(D, pi, whisker_right_at(dst.epsilon.components, P)),
-             whisker_left_at(P, src.epsilon.components)))
-
-
-# Per axiom, in report order: its kind, its tag, and whether the paper
-# writes it with the two sides of the cell law swapped.
-_DIST_AXIOMS = (("MultiplicationSquareS", "Eq-1510071248-i", True),
-                ("UnitTriangleS", "Eq-1510071248-ii", True),
-                ("MultiplicationSquareT", "Eq-1510071249-i", True),
-                ("UnitTriangleT", "Eq-1510071249-ii", True))
-_MIXED_AXIOMS = (("MultiplicationSquare", "Eq-1510081240-i", True),
-                 ("UnitTriangle", "Eq-1510081240-ii", True),
-                 ("ComultiplicationSquare", "Eq-1510081242-i", False),
-                 ("CounitTriangle", "Eq-1510081242-ii", False))
+# Per axiom, in report order: its kind and its tag. The paper writes each
+# axiom with the two sides of its cell law swapped.
+_DIST_AXIOMS = (("MultiplicationSquareS", "Eq-1510071248-i"),
+                ("UnitTriangleS", "Eq-1510071248-ii"),
+                ("MultiplicationSquareT", "Eq-1510071249-i"),
+                ("UnitTriangleT", "Eq-1510071249-ii"))
+_MIXED_AXIOMS = (("MultiplicationSquare", "Eq-1510081240-i"),
+                 ("UnitTriangle", "Eq-1510081240-ii"),
+                 ("ComultiplicationSquare", "Eq-1510081242-i"),
+                 ("CounitTriangle", "Eq-1510081242-ii"))
 
 
 def _axioms(nat: NatTrans, table: tuple, sides: tuple) -> list:
     out = _naturality(nat)
-    for (kind, tag, swapped), (lhs, rhs) in zip(table, sides):
-        if swapped:
-            lhs, rhs = rhs, lhs
+    for (kind, tag), (rhs, lhs) in zip(table, sides):
         _first_diff(kind, tag, lhs, rhs, out)
     return out
 
@@ -201,11 +191,15 @@ def check_dist_law(S: Monad, T: Monad, phi: NatTrans) -> list:
 def check_mixed_law(S: Monad, G: Comonad, psi: NatTrans) -> list:
     """Six reported instances: naturality plus the four mixed axioms, the
     laws of the Mnd 1-cell (G, psi) on S and of the CoMnd 1-cell (S, psi)
-    on G. psi must be typed S∘G → G∘S (TypeMismatch otherwise)."""
+    on G. The latter are the Mnd 1-cell laws of (S^op, psi^op) on the
+    monad of G^op, read on the opposite category. psi must be typed
+    S∘G → G∘S (TypeMismatch otherwise)."""
     _check_typing(S, G.G, psi, "psi", "G")
     p = psi.components
+    Gop = monad_on_opposite(G)
     return _axioms(psi, _MIXED_AXIOMS,
-                   mnd_cell_sides(S, S, G.G, p) + comnd_cell_sides(G, G, S.S, p))
+                   mnd_cell_sides(S, S, G.G, p)
+                   + mnd_cell_sides(Gop, Gop, opposite_functor(S.S), p))
 
 
 # ---------------------------------------------------------------------------

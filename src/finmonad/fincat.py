@@ -465,8 +465,7 @@ def validate_category(raw: dict, *, seed: int = 0) -> FinCategory:
     return cat
 
 
-def assemble_category(objects, morphisms, identities, compose_fn, *,
-                      seed: int = 0) -> FinCategory:
+def assemble_category(objects, morphisms, identities, compose_fn) -> FinCategory:
     """Build and fully validate a category from a composition rule.
 
     ``compose_fn(f, g)`` must return the id of g∘f for every composable
@@ -487,7 +486,7 @@ def assemble_category(objects, morphisms, identities, compose_fn, *,
         "identities": dict(identities),
         "composition": entries,
     }
-    return validate_category(raw, seed=seed)
+    return validate_category(raw)
 
 
 def opposite(cat: FinCategory) -> FinCategory:

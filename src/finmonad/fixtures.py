@@ -104,20 +104,23 @@ def thin_nat(F: Functor, G: Functor) -> NatTrans:
     return NatTrans(F, G, comps)
 
 
+def _thin_structure(kind, cat: FinCategory, object_map: dict):
+    """The valid ``kind`` (Monad or Comonad) on a poset category whose
+    endofunctor has the given object map: each map is the unique one of
+    the kind's shape."""
+    E = thin_functor(cat, cat, object_map)
+    maps = (thin_nat(*ends) for ends in kind.functor_ends(cat, E))
+    return kind(cat, E, *maps).require_valid()
+
+
 def closure_monad(cat: FinCategory, object_map: dict) -> Monad:
     """The monad carried by a closure operator on a poset category."""
-    S = thin_functor(cat, cat, object_map)
-    mu = thin_nat(compose_functors(S, S), S)
-    eta = thin_nat(identity_functor(cat), S)
-    return Monad(cat, S, mu, eta).require_valid()
+    return _thin_structure(Monad, cat, object_map)
 
 
 def interior_comonad(cat: FinCategory, object_map: dict) -> Comonad:
     """The comonad carried by an interior operator on a poset category."""
-    G = thin_functor(cat, cat, object_map)
-    delta = thin_nat(G, compose_functors(G, G))
-    eps = thin_nat(G, identity_functor(cat))
-    return Comonad(cat, G, delta, eps).require_valid()
+    return _thin_structure(Comonad, cat, object_map)
 
 
 def thin_dist_law(S: Monad, T: Monad) -> DistributiveLaw:
@@ -173,13 +176,11 @@ class FixtureCorpus:
 
         # Both monad structures on the identity functor of M(Z2): the
         # plain one and the twist with mu = eta = s.
-        Id = identity_functor(self.m_z2)
-        IdId = compose_functors(Id, Id)
         self.monads_z2 = {
             "id": identity_monad(self.m_z2),
-            "twist": Monad(self.m_z2, Id,
-                           NatTrans(IdId, Id, {"g": "s"}),
-                           NatTrans(Id, Id, {"g": "s"})).require_valid(),
+            "twist": Monad.from_components(
+                self.m_z2, identity_functor(self.m_z2), {"g": "s"},
+                {"g": "s"}).require_valid(),
         }
 
         self.law_c2_c1 = thin_dist_law(self.monads_c3["c2"], self.monads_c3["c1"])

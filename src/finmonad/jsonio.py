@@ -33,7 +33,6 @@ from .fincat import (
     NatTrans,
     compose_functors,
     check_functor,
-    identity_functor,
     schema_violations,
     validate_category,
 )
@@ -127,19 +126,33 @@ def functor_to_raw(F: Functor) -> dict:
 # -- monads and comonads ------------------------------------------------------
 
 
+def _parse_structure(kind, raw: dict, base_dir: str, seed: int):
+    """A valid ``kind`` (Monad or Comonad) read from its file."""
+    _require_shape(raw, kind.CONTEXT)
+    category, endofunctor, mult, unit = _FIELDS[kind.CONTEXT]
+    cat_raw, _ = _resolve(raw[category], base_dir)
+    cat = parse_category(cat_raw, seed=seed)
+    E = parse_endofunctor(cat, raw[endofunctor])
+    maps = [{str(k): str(v) for k, v in raw[field].items()}
+            for field in (mult, unit)]
+    return kind.from_components(cat, E, *maps).require_valid()
+
+
+def _structure_to_raw(s) -> dict:
+    category, endofunctor, mult, unit = _FIELDS[s.CONTEXT]
+    return {
+        category: category_to_raw(s.base),
+        endofunctor: functor_to_raw(s.endo),
+        mult: dict(sorted(s.mult.components.items())),
+        unit: dict(sorted(s.unit.components.items())),
+    }
+
+
 def parse_monad(raw: dict, base_dir: str = ".", *, seed: int = 0) -> Monad:
     # imported here, so that loading a category never loads it
     from .monad import Monad
 
-    _require_shape(raw, "monad")
-    cat_raw, _ = _resolve(raw["category"], base_dir)
-    cat = parse_category(cat_raw, seed=seed)
-    S = parse_endofunctor(cat, raw["endofunctor"])
-    mu = NatTrans(compose_functors(S, S), S,
-                  {str(k): str(v) for k, v in raw["mu"].items()})
-    eta = NatTrans(identity_functor(cat), S,
-                   {str(k): str(v) for k, v in raw["eta"].items()})
-    return Monad(cat, S, mu, eta).require_valid()
+    return _parse_structure(Monad, raw, base_dir, seed)
 
 
 def load_monad(path: str, *, seed: int = 0) -> Monad:
@@ -147,27 +160,10 @@ def load_monad(path: str, *, seed: int = 0) -> Monad:
                        seed=seed)
 
 
-def monad_to_raw(m: Monad) -> dict:
-    return {
-        "category": category_to_raw(m.base),
-        "endofunctor": functor_to_raw(m.S),
-        "mu": dict(sorted(m.mu.components.items())),
-        "eta": dict(sorted(m.eta.components.items())),
-    }
-
-
 def parse_comonad(raw: dict, base_dir: str = ".", *, seed: int = 0) -> Comonad:
     from .monad import Comonad
 
-    _require_shape(raw, "comonad")
-    cat_raw, _ = _resolve(raw["category"], base_dir)
-    cat = parse_category(cat_raw, seed=seed)
-    G = parse_endofunctor(cat, raw["endofunctor"])
-    delta = NatTrans(G, compose_functors(G, G),
-                     {str(k): str(v) for k, v in raw["delta"].items()})
-    eps = NatTrans(G, identity_functor(cat),
-                   {str(k): str(v) for k, v in raw["epsilon"].items()})
-    return Comonad(cat, G, delta, eps).require_valid()
+    return _parse_structure(Comonad, raw, base_dir, seed)
 
 
 def load_comonad(path: str, *, seed: int = 0) -> Comonad:
@@ -175,13 +171,7 @@ def load_comonad(path: str, *, seed: int = 0) -> Comonad:
                          os.path.dirname(os.path.abspath(path)), seed=seed)
 
 
-def comonad_to_raw(c: Comonad) -> dict:
-    return {
-        "category": category_to_raw(c.base),
-        "endofunctor": functor_to_raw(c.G),
-        "delta": dict(sorted(c.delta.components.items())),
-        "epsilon": dict(sorted(c.epsilon.components.items())),
-    }
+monad_to_raw = comonad_to_raw = _structure_to_raw
 
 
 # -- laws ---------------------------------------------------------------------

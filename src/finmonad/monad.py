@@ -58,10 +58,56 @@ class _Checked:
 
 class _Structure(_Checked):
     """An endofunctor ``endo`` on ``base`` with a multiplication ``mult`` and
-    a unit ``unit``. Each kind reads them under its own names, checks their
-    typing on construction and supplies :meth:`check`."""
+    a unit ``unit``. Each kind reads them under its own names and declares
+    their shape once: SHAPE gives the (source, target) of mult and of unit
+    among E∘E, E and Id, and TYPING the messages for an endofunctor not on
+    the base, a mistyped mult and a mistyped unit. Each kind supplies
+    :meth:`check`."""
 
     __slots__ = ("base", "endo", "mult", "unit")
+
+    def __init__(self, base: FinCategory, endo: Functor, mult: NatTrans,
+                 unit: NatTrans):
+        if endo.source != base or endo.target != base:
+            raise TypeMismatch(self.TYPING[0])
+        self.require_typed(base, endo, (mult, unit), self.TYPING[1:])
+        self.base = base
+        self.endo = endo
+        self.mult = mult
+        self.unit = unit
+
+    @classmethod
+    def ends(cls, twice, once, none) -> tuple:
+        """The (source, target) of mult and of unit, where E∘E, E and Id
+        stand for ``twice``, ``once`` and ``none``: functors, objects or
+        cells, whatever the caller reads the shape on."""
+        at = {"E∘E": twice, "E": once, "Id": none}
+        return tuple((at[source], at[target]) for source, target in cls.SHAPE)
+
+    @classmethod
+    def functor_ends(cls, base: FinCategory, endo: Functor) -> tuple:
+        """:meth:`ends` on the functors E∘E, E and Id of ``endo`` on ``base``."""
+        return cls.ends(compose_functors(endo, endo), endo,
+                        identity_functor(base))
+
+    @classmethod
+    def require_typed(cls, base: FinCategory, endo: Functor, maps,
+                      messages) -> None:
+        """Raise TypeMismatch with the matching message unless the two
+        ``maps`` are typed as mult and unit for ``endo`` on ``base``."""
+        for nat, (source, target), message in zip(
+                maps, cls.functor_ends(base, endo), messages):
+            if nat.source != source or nat.target != target:
+                raise TypeMismatch(message)
+
+    @classmethod
+    def from_components(cls, base: FinCategory, endo: Functor, mult: dict,
+                        unit: dict):
+        """The structure on ``endo`` whose mult and unit have the given
+        components; typing only, like the constructor."""
+        return cls(base, endo, *(NatTrans(source, target, comps)
+                                 for (source, target), comps in zip(
+                                     cls.functor_ends(base, endo), (mult, unit))))
 
     def canonical_key(self):
         return (self.endo.canonical_key(), self.mult.canonical_key(),
@@ -85,8 +131,9 @@ class _Structure(_Checked):
 class Monad(_Structure):
     """An endofunctor S with mu: S∘S → S and eta: Id → S.
 
-    The constructor checks typing only; :func:`check_monad_laws` reports law
-    violations and :meth:`require_valid` turns them into an exception.
+    The constructor ``Monad(base, S, mu, eta)`` checks typing only;
+    :func:`check_monad_laws` reports law violations and
+    :meth:`require_valid` turns them into an exception.
     """
 
     __slots__ = ()
@@ -94,46 +141,26 @@ class Monad(_Structure):
     mu = _Structure.mult
     eta = _Structure.unit
     CONTEXT = "monad"
-
-    def __init__(self, base: FinCategory, S: Functor, mu: NatTrans, eta: NatTrans):
-        if S.source != base or S.target != base:
-            raise TypeMismatch("monad functor must be an endofunctor on the base")
-        SS = compose_functors(S, S)
-        if mu.source != SS or mu.target != S:
-            raise TypeMismatch("mu must be typed S∘S -> S")
-        if eta.source != identity_functor(base) or eta.target != S:
-            raise TypeMismatch("eta must be typed Id -> S")
-        self.base = base
-        self.S = S
-        self.mu = mu
-        self.eta = eta
+    SHAPE = (("E∘E", "E"), ("Id", "E"))
+    TYPING = ("monad functor must be an endofunctor on the base",
+              "mu must be typed S∘S -> S", "eta must be typed Id -> S")
 
     def check(self) -> list:
         return check_monad_laws(self)
 
 
 class Comonad(_Structure):
-    """An endofunctor G with delta: G → G∘G and epsilon: G → Id."""
+    """An endofunctor G with delta: G → G∘G and epsilon: G → Id, built as
+    ``Comonad(base, G, delta, epsilon)``."""
 
     __slots__ = ()
     G = _Structure.endo
     delta = _Structure.mult
     epsilon = _Structure.unit
     CONTEXT = "comonad"
-
-    def __init__(self, base: FinCategory, G: Functor, delta: NatTrans,
-                 epsilon: NatTrans):
-        if G.source != base or G.target != base:
-            raise TypeMismatch("comonad functor must be an endofunctor on the base")
-        GG = compose_functors(G, G)
-        if delta.source != G or delta.target != GG:
-            raise TypeMismatch("delta must be typed G -> G∘G")
-        if epsilon.source != G or epsilon.target != identity_functor(base):
-            raise TypeMismatch("epsilon must be typed G -> Id")
-        self.base = base
-        self.G = G
-        self.delta = delta
-        self.epsilon = epsilon
+    SHAPE = (("E", "E∘E"), ("E", "Id"))
+    TYPING = ("comonad functor must be an endofunctor on the base",
+              "delta must be typed G -> G∘G", "epsilon must be typed G -> Id")
 
     def check(self) -> list:
         return check_comonad_laws(self)
@@ -206,10 +233,8 @@ def check_comonad_laws(c: Comonad) -> list:
 
 
 def identity_monad(cat: FinCategory) -> Monad:
-    Id = identity_functor(cat)
     comps = {x: cat.identity(x) for x in cat.objects}
-    return Monad(cat, Id, NatTrans(compose_functors(Id, Id), Id, comps),
-                 NatTrans(Id, Id, comps))
+    return Monad.from_components(cat, identity_functor(cat), comps, comps)
 
 
 def identity_comonad(cat: FinCategory) -> Comonad:

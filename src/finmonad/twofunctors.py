@@ -60,7 +60,6 @@ from .distlaw import (
     DistributiveLaw,
     MixedDistributiveLaw,
     bullet_cell_sides,
-    comnd_cell_sides,
     enumerate_dist_laws,
     enumerate_mixed_laws,
     mnd_cell_sides,
@@ -320,7 +319,7 @@ class CoMndOneCell(_PushOneCell):
     TYPING = ("pi source must be P∘G", "pi target must be H∘P")
 
     def _sides(self):
-        return comnd_cell_sides(self.src, self.dst, self.P, self.pi.components)
+        return tuple((rhs, lhs) for lhs, rhs in self._op()._sides())
 
     def _op(self) -> MndOneCell:
         """The Mnd 1-cell (P^op, pi^op): (X^op, G^op) → (Y^op, H^op)."""
@@ -912,27 +911,26 @@ class CoalgebraLifting:
 # Lifting and extension operations
 
 
-def _lift_structure(cell, mult: NatTrans, unit: NatTrans, cat,
-                    comonad: bool = False) -> tuple:
+def _lift_structure(cell, below, cat) -> tuple:
     """(K, mult image, unit image): the psi image on ``cat`` (psi_E for an
     Mnd cell, psi_K for an Mnd• cell) of the endo 1-cell ``cell`` and of
-    ``mult``, ``unit`` as 2-cells into it from cell∘cell and from the
-    identity cell (out of it into them for a comonad). The cells come from
-    a law its caller has validated: the law's axioms are the laws of the
-    1-cell and of the two 2-cells, so none is checked again."""
+    the multiplication and unit of ``below`` as 2-cells between cell∘cell,
+    cell and the identity cell, as the shape of ``below`` says. The cells
+    come from a law its caller has validated: the law's axioms are the
+    laws of the 1-cell and of the two 2-cells, so none is checked again."""
     if isinstance(cell, MndOneCell):
         act1, act2, two = psi_e_1cell, psi_e_2cell, MndTwoCell
-        others = mnd_compose(cell, cell), mnd_identity_cell(cell.src)
+        cells = mnd_compose(cell, cell), cell, mnd_identity_cell(cell.src)
     else:
         act1, act2, two = psi_k_1cell, psi_k_2cell, MndBulletTwoCell
-        others = bullet_compose(cell, cell), bullet_identity_cell(cell.src)
-    acell = act1(cell, cat, cat)
-    images = [acell.K]
-    for other, nat in zip(others, (mult, unit)):
-        aother = act1(other, cat, cat)
-        t = two(cell, other, nat) if comonad else two(other, cell, nat)
-        ends = (acell, aother) if comonad else (aother, acell)
-        images.append(act2(t, cat, cat, *ends).beta)
+        cells = bullet_compose(cell, cell), cell, bullet_identity_cell(cell.src)
+    # each cell with its image, so that one shape lookup gives both ends
+    twice, once, none = ((c, act1(c, cat, cat)) for c in cells)
+    images = [once[1].K]
+    for nat, ((source, asource), (target, atarget)) in zip(
+            (below.mult, below.unit), below.ends(twice, once, none)):
+        t = two(source, target, nat)
+        images.append(act2(t, cat, cat, asource, atarget).beta)
     return tuple(images)
 
 
@@ -945,7 +943,7 @@ def lift_monad(dl: DistributiveLaw, em: EmAlgebraCategory = None) -> LiftedMonad
     dl.require_valid()
     em = em if em is not None else em_category(dl.S)
     cell = MndOneCell(dl.S, dl.S, dl.T.S, dl.phi)
-    return LiftedMonad(dl.S, em, dl.T, *_lift_structure(cell, dl.T.mu, dl.T.eta, em))
+    return LiftedMonad(dl.S, em, dl.T, *_lift_structure(cell, dl.T, em))
 
 
 def extract_dist_law(lm: LiftedMonad) -> DistributiveLaw:
@@ -963,8 +961,7 @@ def extend_monad(dl: DistributiveLaw, kl: KleisliCategory = None) -> KleisliExte
     dl.require_valid()
     kl = kl if kl is not None else kleisli_category(dl.T)
     cell = MndBulletOneCell(dl.T, dl.T, dl.S.S, dl.phi)
-    return KleisliExtension(dl.S, dl.T, kl,
-                            *_lift_structure(cell, dl.S.mu, dl.S.eta, kl))
+    return KleisliExtension(dl.S, dl.T, kl, *_lift_structure(cell, dl.S, kl))
 
 
 def extract_from_extension(ke: KleisliExtension) -> DistributiveLaw:
@@ -995,8 +992,7 @@ def lift_comonad(ml: MixedDistributiveLaw, em: EmAlgebraCategory = None) -> Lift
 def _comonad_lifting(ml: MixedDistributiveLaw, em: EmAlgebraCategory) -> tuple:
     """(Ghat, delta_hat, eps_hat) for a valid mixed law: the psi_E images of
     the 1-cell (G, psi) and of delta^G and epsilon^G as 2-cells."""
-    return _lift_structure(MndOneCell(ml.S, ml.S, ml.G.G, ml.psi), ml.G.delta,
-                           ml.G.epsilon, em, comonad=True)
+    return _lift_structure(MndOneCell(ml.S, ml.S, ml.G.G, ml.psi), ml.G, em)
 
 
 def colift_monad(ml: MixedDistributiveLaw,
@@ -1057,10 +1053,9 @@ class MonadObjectInMnd:
     def __init__(self, base: Monad, cell: MndOneCell, mu: NatTrans, eta: NatTrans):
         if cell.src != base or cell.dst != base:
             raise TypeMismatch("cell must be an endo 1-cell on the base monad")
-        if mu.source != compose_functors(cell.P, cell.P) or mu.target != cell.P:
-            raise TypeMismatch("mu must be typed P∘P -> P")
-        if eta.source != identity_functor(base.base) or eta.target != cell.P:
-            raise TypeMismatch("eta must be typed Id -> P")
+        Monad.require_typed(base.base, cell.P, (mu, eta),
+                            ("mu must be typed P∘P -> P",
+                             "eta must be typed Id -> P"))
         self.base = base
         self.cell = cell
         self.mu = mu
@@ -1104,30 +1099,28 @@ def enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
     morphism images and the components of mu_hat/eta_hat are forced by the
     base structure, then everything is law-checked from scratch.
     """
-    return _enumerate_liftings(S, T, em, _assemble_monad_lifting, cap, jobs,
-                               "monads live on different bases")
+    return _enumerate_liftings(S, T, em, LiftedMonad, cap, jobs)
 
 
 def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
                                jobs: int = 1,
                                em: EmAlgebraCategory = None) -> list:
     """All comonad liftings of G to the algebras of S; dual search."""
-    return _enumerate_liftings(S, G, em, _assemble_comonad_lifting, cap, jobs,
-                               "monad and comonad live on different bases")
+    return _enumerate_liftings(S, G, em, LiftedComonad, cap, jobs)
 
 
-def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, assemble,
-                        cap: int, jobs: int, foreign_base: str) -> list:
-    """Every lifting of ``below``, with endofunctor E, to the algebras
-    ``em`` of S (built if None), after checking both structures and raising
-    ``foreign_base`` if their bases differ: each choice of algebra
-    structures on E(N) that makes a functor upstairs is handed to
-    ``assemble(S, below, em, functor)``, which lifts the two structure
-    transformations and returns the law-checked lifting, or None."""
+def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, kind,
+                        cap: int, jobs: int) -> list:
+    """Every lifting of class ``kind`` (LiftedMonad or LiftedComonad) of
+    ``below``, with endofunctor E, to the algebras ``em`` of S (built if
+    None), after checking both structures and raising the kind's
+    FOREIGN_BASE if their bases differ: each choice of algebra structures
+    on E(N) that makes a functor upstairs is handed to
+    :func:`_assemble_lifting`."""
     S.require_valid()
     below.require_valid()
     if S.base != below.base:
-        raise BaseMismatch(foreign_base)
+        raise BaseMismatch(kind.FOREIGN_BASE)
     em = em if em is not None else em_category(S)
     endo = below.endo
     algebras = em.category.objects
@@ -1146,7 +1139,8 @@ def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, assemble,
 
     def try_assignment(assign):
         lifted = _lifted_functor(em, endo, dict(zip(algebras, assign)))
-        return None if lifted is None else assemble(S, below, em, lifted)
+        return (None if lifted is None
+                else _assemble_lifting(kind, S, below, em, lifted))
 
     if not algebras:
         lifting = try_assignment(())
@@ -1194,38 +1188,27 @@ def _over_algebras(em: EmAlgebraCategory, nat: NatTrans, sources, targets):
     return comps
 
 
-def _assemble_monad_lifting(S: Monad, T: Monad, em: EmAlgebraCategory,
-                            that: Functor):
+def _assemble_lifting(kind, S: Monad, below, em: EmAlgebraCategory,
+                      endo: Functor):
+    """The law-checked lifting of class ``kind`` of ``below`` with
+    endofunctor ``endo``, its structure maps those of ``below`` read over
+    the algebras as the shape of its UPSTAIRS says, or None if one is not
+    made of algebra morphisms or the lifting breaks a law."""
     algebras = em.category.objects
-    once = [that.ob(a) for a in algebras]
-    mu_comps = _over_algebras(em, T.mu, [that.ob(b) for b in once], once)
-    if mu_comps is None:
-        return None
-    eta_comps = _over_algebras(em, T.eta, algebras, once)
-    if eta_comps is None:
-        return None
-    mu_hat = NatTrans(compose_functors(that, that), that, mu_comps)
-    eta_hat = NatTrans(identity_functor(em.category), that, eta_comps)
+    once = [endo.ob(a) for a in algebras]
+    maps = []
+    for nat, (sources, targets) in zip(
+            (below.mult, below.unit),
+            kind.UPSTAIRS.ends([endo.ob(b) for b in once], once, algebras)):
+        comps = _over_algebras(em, nat, sources, targets)
+        if comps is None:
+            return None
+        maps.append(comps)
+    ends = kind.UPSTAIRS.functor_ends(em.category, endo)
     try:
-        return LiftedMonad(S, em, T, that, mu_hat, eta_hat)
-    except LawViolation:
-        return None
-
-
-def _assemble_comonad_lifting(S: Monad, G: Comonad, em: EmAlgebraCategory,
-                              ghat: Functor):
-    algebras = em.category.objects
-    once = [ghat.ob(a) for a in algebras]
-    d_comps = _over_algebras(em, G.delta, once, [ghat.ob(b) for b in once])
-    if d_comps is None:
-        return None
-    e_comps = _over_algebras(em, G.epsilon, once, algebras)
-    if e_comps is None:
-        return None
-    delta_hat = NatTrans(ghat, compose_functors(ghat, ghat), d_comps)
-    eps_hat = NatTrans(ghat, identity_functor(em.category), e_comps)
-    try:
-        return LiftedComonad(S, em, G, ghat, delta_hat, eps_hat)
+        return kind(S, em, below, endo,
+                    *(NatTrans(source, target, comps)
+                      for (source, target), comps in zip(ends, maps)))
     except LawViolation:
         return None
 

@@ -415,6 +415,15 @@ def test_selftest_checks_each_law_pair_once(monkeypatch):
                      "lift_monad": 30}
 
 
+def test_selftest_runs_the_criteria_twice(monkeypatch):
+    """The reported pass is one side of the worker-count comparison."""
+    from finmonad import selftest
+
+    calls = count_calls(monkeypatch, [selftest.criteria_entries])
+    assert selftest.run_selftest().ok()
+    assert calls == {"criteria_entries": 2}
+
+
 def test_roundtrip_mixed_command(capsys):
     code, out = run_cli(["roundtrip-mixed", fx("c1.json"), fx("i1.json")],
                         capsys)
@@ -430,6 +439,38 @@ def test_homiso_command(capsys):
 def test_cap_exceeded_exits_3(capsys):
     code, _ = run_cli(["monads", fx("chain3.json"), "--cap", "2"], capsys)
     assert code == 3
+
+
+CAPPED_COMMANDS = [
+    ["monads", fx("chain3.json")],
+    ["comonads", fx("chain3.json")],
+    ["em", fx("c1.json")],
+    ["coem", fx("i1.json")],
+    ["distlaw", "enumerate", fx("c2.json"), fx("c1.json")],
+    ["mixedlaw", "enumerate", fx("c1.json"), fx("i1.json")],
+    ["roundtrip", fx("c2.json"), fx("c1.json")],
+    ["roundtrip-mixed", fx("c1.json"), fx("i1.json")],
+    ["homiso", fx("c1.json")],
+]
+
+
+@pytest.mark.parametrize("cap", ["-1", "abc"])
+@pytest.mark.parametrize("argv", CAPPED_COMMANDS, ids=[
+    "monads", "comonads", "em", "coem", "distlaw-enumerate",
+    "mixedlaw-enumerate", "roundtrip", "roundtrip-mixed", "homiso"])
+def test_cap_must_be_a_non_negative_integer(argv, cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap", cap])
+    assert exc.value.code == 2
+    assert ("argument --cap: must be a non-negative integer, got "
+            f"{cap!r}") in capsys.readouterr().err
+
+
+def test_kleisli_takes_no_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kleisli", fx("c1.json"), "--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
 
 def test_json_reports_are_byte_stable(capsys):
