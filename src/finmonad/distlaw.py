@@ -129,8 +129,7 @@ def _naturality(nat: NatTrans) -> list:
 # are the laws of those two cells. Each function below gives both sides of
 # the two laws of a 1-cell (P, nat): src → dst, as listed in the cell
 # dictionary of :mod:`twofunctors`, from the components of nat. A CoMnd
-# 1-cell is the Mnd 1-cell of its opposites, whose laws are its own read
-# from the other end: the same equations with their two sides swapped.
+# 1-cell's laws are those of its opposite Mnd 1-cell, sides swapped.
 
 
 def mnd_cell_sides(src: Monad, dst: Monad, P: Functor, phi: dict) -> tuple:
@@ -191,9 +190,8 @@ def check_dist_law(S: Monad, T: Monad, phi: NatTrans) -> list:
 def check_mixed_law(S: Monad, G: Comonad, psi: NatTrans) -> list:
     """Six reported instances: naturality plus the four mixed axioms, the
     laws of the Mnd 1-cell (G, psi) on S and of the CoMnd 1-cell (S, psi)
-    on G. The latter are the Mnd 1-cell laws of (S^op, psi^op) on the
-    monad of G^op, read on the opposite category. psi must be typed
-    S∘G → G∘S (TypeMismatch otherwise)."""
+    on G, read as the Mnd 1-cell (S^op, psi^op) on the monad of G^op. psi
+    must be typed S∘G → G∘S (TypeMismatch otherwise)."""
     _check_typing(S, G.G, psi, "psi", "G")
     p = psi.components
     Gop = monad_on_opposite(G)

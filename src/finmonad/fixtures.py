@@ -105,9 +105,8 @@ def thin_nat(F: Functor, G: Functor) -> NatTrans:
 
 
 def _thin_structure(kind, cat: FinCategory, object_map: dict):
-    """The valid ``kind`` (Monad or Comonad) on a poset category whose
-    endofunctor has the given object map: each map is the unique one of
-    the kind's shape."""
+    """The valid ``kind`` (Monad or Comonad) on a poset category with the
+    given object map, each structure map the unique one of its shape."""
     E = thin_functor(cat, cat, object_map)
     maps = (thin_nat(*ends) for ends in kind.functor_ends(cat, E))
     return kind(cat, E, *maps).require_valid()

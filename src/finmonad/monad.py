@@ -58,13 +58,12 @@ class _Checked:
 
 class _Structure(_Checked):
     """An endofunctor ``endo`` on ``base`` with a multiplication ``mult`` and
-    a unit ``unit``. Each kind reads them under its own names and declares
-    their shape once: SHAPE gives the (source, target) of mult and of unit
-    among E∘E, E and Id, and TYPING the messages for an endofunctor not on
-    the base, a mistyped mult and a mistyped unit. Each kind supplies
-    :meth:`check`."""
+    a unit ``unit``, built as ``Kind(base, endo, mult, unit)``. Each kind
+    reads them under its own names, supplies :meth:`check` and declares
+    their shape once: SHAPE is the (source, target) of mult and of unit
+    among E∘E, E and Id, and TYPING the messages of the typing checks."""
 
-    __slots__ = ("base", "endo", "mult", "unit")
+    __slots__ = ("base", "endo", "mult", "unit", "_op")
 
     def __init__(self, base: FinCategory, endo: Functor, mult: NatTrans,
                  unit: NatTrans):
@@ -75,6 +74,7 @@ class _Structure(_Checked):
         self.endo = endo
         self.mult = mult
         self.unit = unit
+        self._op = None
 
     @classmethod
     def ends(cls, twice, once, none) -> tuple:
@@ -131,9 +131,8 @@ class _Structure(_Checked):
 class Monad(_Structure):
     """An endofunctor S with mu: S∘S → S and eta: Id → S.
 
-    The constructor ``Monad(base, S, mu, eta)`` checks typing only;
-    :func:`check_monad_laws` reports law violations and
-    :meth:`require_valid` turns them into an exception.
+    The constructor checks typing only; :func:`check_monad_laws` reports law
+    violations and :meth:`require_valid` turns them into an exception.
     """
 
     __slots__ = ()
@@ -150,8 +149,7 @@ class Monad(_Structure):
 
 
 class Comonad(_Structure):
-    """An endofunctor G with delta: G → G∘G and epsilon: G → Id, built as
-    ``Comonad(base, G, delta, epsilon)``."""
+    """An endofunctor G with delta: G → G∘G and epsilon: G → Id."""
 
     __slots__ = ()
     G = _Structure.endo
@@ -322,14 +320,22 @@ def enumerate_comonads(cat: FinCategory, cap: int = DEFAULT_CAP,
             for m in enumerate_monads(opposite(cat), cap=cap, jobs=jobs)]
 
 
+def _on_opposite(s: _Structure, kind) -> _Structure:
+    """The ``kind`` on the opposite category with the tables of ``s``, built
+    once like :func:`~finmonad.fincat.opposite`: reading it back gives ``s``."""
+    if s._op is None:
+        s._op = kind(opposite(s.base), opposite_functor(s.endo),
+                     opposite_nat(s.mult), opposite_nat(s.unit))
+        s._op._op = s
+    return s._op
+
+
 def monad_on_opposite(c: Comonad) -> Monad:
     """The monad on the opposite category carried by a comonad (same tables)."""
-    return Monad(opposite(c.base), opposite_functor(c.G),
-                 opposite_nat(c.delta), opposite_nat(c.epsilon))
+    return _on_opposite(c, Monad)
 
 
 def comonad_on_opposite(m: Monad) -> Comonad:
     """The comonad on the opposite category carried by a monad (same tables);
     the inverse of :func:`monad_on_opposite`."""
-    return Comonad(opposite(m.base), opposite_functor(m.S),
-                   opposite_nat(m.mu), opposite_nat(m.eta))
+    return _on_opposite(m, Comonad)

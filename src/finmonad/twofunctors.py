@@ -1190,10 +1190,9 @@ def _over_algebras(em: EmAlgebraCategory, nat: NatTrans, sources, targets):
 
 def _assemble_lifting(kind, S: Monad, below, em: EmAlgebraCategory,
                       endo: Functor):
-    """The law-checked lifting of class ``kind`` of ``below`` with
-    endofunctor ``endo``, its structure maps those of ``below`` read over
-    the algebras as the shape of its UPSTAIRS says, or None if one is not
-    made of algebra morphisms or the lifting breaks a law."""
+    """The law-checked ``kind`` lifting ``below`` along ``endo``, its maps
+    those of ``below`` read over the algebras in the shape of its UPSTAIRS,
+    or None if one is not made of algebra morphisms or a law fails."""
     algebras = em.category.objects
     once = [endo.ob(a) for a in algebras]
     maps = []

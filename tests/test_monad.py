@@ -23,8 +23,10 @@ from finmonad.monad import (
     check_monad_laws,
     enumerate_comonads,
     enumerate_monads,
+    comonad_on_opposite,
     identity_comonad,
     identity_monad,
+    monad_on_opposite,
 )
 
 
@@ -192,6 +194,17 @@ def test_monads_on_z2_are_the_two_unit_solutions(cor):
 def test_duality_with_opposite_category(cor):
     for cat in (cor.c2, cor.c3, cor.m_z2, cor.one):
         assert len(enumerate_comonads(cat)) == len(enumerate_monads(opposite(cat)))
+
+
+def test_opposite_structures_are_built_once(cor):
+    """Reading a structure on the opposite category back gives the
+    structure itself, and asking again gives the same opposite."""
+    for _, _, m in cor.all_monads():
+        op = comonad_on_opposite(m)
+        assert comonad_on_opposite(m) is op and monad_on_opposite(op) is m
+    for _, _, c in cor.all_comonads():
+        op = monad_on_opposite(c)
+        assert monad_on_opposite(c) is op and comonad_on_opposite(op) is c
 
 
 def test_enumeration_is_deterministic_and_duplicate_free(cor):
