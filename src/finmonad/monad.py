@@ -77,15 +77,15 @@ class _Structure(_Checked):
         self._op = None
 
     @classmethod
-    def ends(cls, twice, once, none) -> tuple:
+    def ends(cls, twice, once, none) -> list:
         """The (source, target) of mult and of unit, where E∘E, E and Id
         stand for ``twice``, ``once`` and ``none``: functors, objects or
         cells, whatever the caller reads the shape on."""
         at = {"E∘E": twice, "E": once, "Id": none}
-        return tuple((at[source], at[target]) for source, target in cls.SHAPE)
+        return [(at[source], at[target]) for source, target in cls.SHAPE]
 
     @classmethod
-    def functor_ends(cls, base: FinCategory, endo: Functor) -> tuple:
+    def functor_ends(cls, base: FinCategory, endo: Functor) -> list:
         """:meth:`ends` on the functors E∘E, E and Id of ``endo`` on ``base``."""
         return cls.ends(compose_functors(endo, endo), endo,
                         identity_functor(base))

@@ -236,8 +236,8 @@ def _serialize_entries(entries) -> str:
 
 def run_selftest(jobs: int = 1, seed: int = 0) -> VerificationReport:
     entries = criteria_entries(jobs=jobs)
-    # criterion 9 compares the reported pass with one at 8 jobs (at 1 if
-    # the reported pass ran at more)
+    # criterion 9: the reported pass against one at 8 jobs, or at 1 if the
+    # reported pass ran at another count
     other = _serialize_entries(criteria_entries(jobs=8 if jobs == 1 else 1))
     entries.append(entry("criterion-9/worker-count-determinism",
                          "chk-determinism", _serialize_entries(entries) == other))
