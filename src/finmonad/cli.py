@@ -5,7 +5,7 @@ emitted); 2 parse/validation/typability error; 3 enumeration cap exceeded.
 
 Global flags: ``--format json|text``, ``--jobs N`` (fans enumeration out
 over worker threads; the GIL serialises them, and one selftest criteria
-pass measured 0.71-0.84 s at 1 job and 0.71-0.93 s at 8 on 2 cores),
+pass measured 0.06-0.11 s at 1 job and 0.08-0.14 s at 8 on 2 cores),
 ``--seed`` (affects sampled checks only, never enumeration order). JSON
 reports are byte-stable across runs and worker counts; the wall-clock
 duration appears only in text output.

@@ -415,13 +415,23 @@ def test_selftest_checks_each_law_pair_once(monkeypatch):
                      "lift_monad": 30}
 
 
-def test_selftest_runs_the_criteria_twice(monkeypatch):
-    """The reported pass is one side of the worker-count comparison."""
+@pytest.mark.parametrize("kwargs, passes", [
+    ({}, [1, 8]), ({"jobs": 0}, [0, 8]), ({"jobs": 8}, [8, 1])])
+def test_selftest_runs_the_criteria_twice(monkeypatch, kwargs, passes):
+    """The reported pass is one side of the worker-count comparison; the
+    other runs on 8 workers if the reported one ran on one, else on one."""
     from finmonad import selftest
 
-    calls = count_calls(monkeypatch, [selftest.criteria_entries])
-    assert selftest.run_selftest().ok()
-    assert calls == {"criteria_entries": 2}
+    seen = []
+    criteria_entries = selftest.criteria_entries
+
+    def counted(jobs=1):
+        seen.append(jobs)
+        return criteria_entries(jobs=jobs)
+
+    monkeypatch.setattr(selftest, "criteria_entries", counted)
+    assert selftest.run_selftest(**kwargs).ok()
+    assert seen == passes
 
 
 def test_roundtrip_mixed_command(capsys):
