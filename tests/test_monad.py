@@ -21,9 +21,9 @@ from finmonad.monad import (
     Monad,
     check_comonad_laws,
     check_monad_laws,
+    comonad_on_opposite,
     enumerate_comonads,
     enumerate_monads,
-    comonad_on_opposite,
     identity_comonad,
     identity_monad,
     monad_on_opposite,
