@@ -3,9 +3,11 @@
 Exit codes: 0 all checks pass; 1 a law or round-trip check failed (report
 emitted); 2 parse/validation/typability error; 3 enumeration cap exceeded.
 
-Global flags: ``--format json|text``, ``--jobs N`` (fans enumeration out
-over worker threads; the GIL serialises them, and one selftest criteria
-pass measured 0.06-0.11 s at 1 job and 0.08-0.14 s at 8 on 2 cores),
+Global flags: ``--format json|text``, ``--jobs N`` (a positive integer;
+fans the functor and monad searches out over worker threads, the other
+searches run serially; the GIL serialises the threads, and one selftest
+criteria pass measured 0.06-0.11 s at 1 job and 0.08-0.14 s at 8 on 2
+cores),
 ``--seed`` (affects sampled checks only, never enumeration order). JSON
 reports are byte-stable across runs and worker counts; the wall-clock
 duration appears only in text output.
@@ -147,8 +149,7 @@ def _cmd_law(args) -> VerificationReport:
                   [args.s_file, args.second_file])
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     second = load_second(args.second_file, seed=args.seed)
-    laws = getattr(distlaw, enumerate_laws)(S, second, cap=args.cap,
-                                            jobs=args.jobs)
+    laws = getattr(distlaw, enumerate_laws)(S, second, cap=args.cap)
     rep.add(entry(f"{args.command}/enumerate", "chk-enumeration", True,
                   witness={"count": len(laws),
                            "laws": [dict(sorted(law.nat.components.items()))
@@ -209,7 +210,7 @@ def _cmd_roundtrip(args) -> VerificationReport:
     rep = _report(args, "roundtrip", [args.s_file, args.t_file])
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     T = jsonio.load_monad(args.t_file, seed=args.seed)
-    r = law_round_trips(S, T, cap=args.cap, jobs=args.jobs)
+    r = law_round_trips(S, T, cap=args.cap)
     rep.add(entry("roundtrip/count-equality", "Thm-1705201918",
                   r["laws"] == r["liftings"],
                   witness={"laws": r["laws"], "liftings": r["liftings"]}))
@@ -234,7 +235,7 @@ def _cmd_roundtrip_mixed(args) -> VerificationReport:
     rep = _report(args, "roundtrip-mixed", [args.s_file, args.g_file])
     S = jsonio.load_monad(args.s_file, seed=args.seed)
     G = jsonio.load_comonad(args.g_file, seed=args.seed)
-    r = mixed_round_trips(S, G, cap=args.cap, jobs=args.jobs)
+    r = mixed_round_trips(S, G, cap=args.cap)
     rep.add(entry("roundtrip-mixed/count-equality", "Thm-1705222141",
                   r["laws"] == r["liftings"],
                   witness={"laws": r["laws"], "liftings": r["liftings"]}))
@@ -260,12 +261,14 @@ def _cmd_selftest(args) -> VerificationReport:
     return run_selftest(jobs=args.jobs, seed=args.seed)
 
 
-def _cap(text: str) -> int:
-    """The value of ``--cap``: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _at_least(least: int, what: str):
+    """The type of a flag that takes an integer of ``least`` or more."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be a {what} integer, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,13 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="enumeration worker threads, serialised by the GIL")
+    common.add_argument("--jobs", type=_at_least(1, "positive"),
+                        default=argparse.SUPPRESS,
+                        help="worker threads of the functor and monad "
+                             "searches, serialised by the GIL")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for sampled checks (never affects "
                              "enumeration order)")
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
+    capped.add_argument("--cap", type=_at_least(0, "non-negative"),
+                        default=DEFAULT_CAP,
                         help="most candidates an enumeration may try")
 
     parser = argparse.ArgumentParser(

@@ -10,27 +10,20 @@ are classified separately from axiom failures.
 
 from __future__ import annotations
 
-from itertools import product
-
-from .errors import (
-    BaseMismatch,
-    EnumerationCapExceeded,
-    TypeMismatch,
-    UnTypableComponent,
-)
+from .errors import BaseMismatch, TypeMismatch, UnTypableComponent
 from .fincat import (
     DEFAULT_CAP,
     Functor,
     NatTrans,
     check_naturality,
     compose_functors,
+    enumerate_nat_trans,
     opposite_functor,
     vcomp_at,
     whisker_left_at,
     whisker_right_at,
 )
 from .monad import Comonad, Monad, _Checked, _first_diff, monad_on_opposite
-from .parallel import pmap
 from .report import Violation
 
 
@@ -232,57 +225,32 @@ def enumerate_dist_laws(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
                         jobs: int = 1) -> list:
     """All distributive laws from S to T, canonically ordered.
 
-    Candidates are generated only after a typability pre-pass; an
-    untypable pair yields an empty list rather than an error.
+    An untypable pair yields an empty list rather than an error. ``jobs``
+    has no effect: the search runs serially.
     """
     S.require_valid()
     T.require_valid()
-    return _enumerate_laws(S, T, DistributiveLaw, cap, jobs)
+    return _enumerate_laws(S, T, DistributiveLaw, cap)
 
 
 def enumerate_mixed_laws(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
                          jobs: int = 1) -> list:
-    """All mixed distributive laws from S to G, canonically ordered."""
+    """All mixed distributive laws from S to G, canonically ordered;
+    ``jobs`` has no effect."""
     S.require_valid()
     G.require_valid()
-    return _enumerate_laws(S, G, MixedDistributiveLaw, cap, jobs)
+    return _enumerate_laws(S, G, MixedDistributiveLaw, cap)
 
 
-def _enumerate_laws(S: Monad, other, make, cap: int, jobs: int) -> list:
-    """Every ``make(S, other, law)`` that passes its checks, for law:
-    S∘E → E∘S, E the endofunctor of ``other``, ranging over the product of
-    its components."""
+def _enumerate_laws(S: Monad, other, make, cap: int) -> list:
+    """Every ``make(S, other, nat)`` that passes its checks, for nat a
+    natural transformation S∘E → E∘S, E the endofunctor of ``other``."""
     endo = other.endo
-    cat = S.base
-    objs = cat.objects
-    choices = [cat.hom(S.S.ob(endo.ob(x)), endo.ob(S.S.ob(x))) for x in objs]
-    if not all(choices):  # untypable: an empty hom-set
-        return []
-    estimate = 1
-    for c in choices:
-        estimate *= len(c)
-        if estimate > cap:
-            raise EnumerationCapExceeded(estimate, cap)
-
-    src = compose_functors(S.S, endo)
-    tgt = compose_functors(endo, S.S)
-
-    def scan(first_choice):
-        found = []
-        for combo in product([first_choice], *choices[1:]):
-            law = make(S, other, NatTrans(src, tgt, dict(zip(objs, combo))))
-            if not law.check():
-                found.append(law)
-        return found
-
-    if not objs:
-        law = make(S, other, NatTrans(src, tgt, {}))
-        return [law] if not law.check() else []
-
-    groups = pmap(scan, choices[0], jobs=jobs)
-    out = [law for group in groups for law in group]
-    out.sort(key=lambda law: law.canonical_key())
-    return out
+    laws = (make(S, other, nat)
+            for nat in enumerate_nat_trans(compose_functors(S.S, endo),
+                                           compose_functors(endo, S.S), cap=cap))
+    return sorted((law for law in laws if not law.check()),
+                  key=lambda law: law.canonical_key())
 
 
 def dist_law_from_components(S: Monad, T: Monad, components: dict) -> DistributiveLaw:

@@ -89,11 +89,9 @@ class BaseMismatch(FinMonadError):
 class EnumerationCapExceeded(FinMonadError):
     """An enumeration passed its candidate budget.
 
-    The functor and transformation searches count the candidate values
-    they try, that is the nodes they visit, and raise as soon as the count
-    passes the cap. The other enumerators size their candidate product
-    before they start and raise if it is over the cap. ``estimate`` is the
-    count that passed the cap.
+    Every enumerator counts the candidate values it tries, that is the
+    nodes its search visits, and raises as soon as the count passes the
+    cap. ``estimate`` is the count that passed the cap.
     """
 
     def __init__(self, estimate, cap):

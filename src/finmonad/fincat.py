@@ -643,8 +643,14 @@ def check_functor(F: Functor) -> list:
 
 
 def identity_functor(cat: FinCategory) -> Functor:
-    return Functor(cat, cat, {x: x for x in cat.objects},
-                   {m.id: m.id for m in cat.morphisms})
+    """The live identity functor of ``cat`` from its intern table, built
+    only if there is none."""
+    entry = cat._functors.get((id(cat), cat.objects, tuple(cat._by_id)))
+    F = entry() if entry is not None else None
+    if F is None:
+        F = Functor(cat, cat, {x: x for x in cat.objects},
+                    {m: m for m in cat._by_id})
+    return F
 
 
 def opposite_functor(F: Functor) -> Functor:

@@ -22,7 +22,6 @@ from .adjunction import (
 from .construct import em_category, em_coalgebra_category, kleisli_category
 from .distlaw import enumerate_mixed_laws, untypable_objects
 from .fincat import (
-    DEFAULT_CAP,
     FinCategory,
     identity_functor,
     identity_nat,
@@ -90,13 +89,13 @@ def _c3_pairs(cor: FixtureCorpus):
             yield sn, tn, cor.monads_c3[sn], cor.monads_c3[tn]
 
 
-def criteria_2_to_4_laws(cor: FixtureCorpus, jobs: int = 1) -> list:
+def criteria_2_to_4_laws(cor: FixtureCorpus) -> list:
     """Criteria 2 (counts), 3 (lifting round trips) and 4 (extensions, for
     the pairs that have a law) over the ordered pairs of monads on C3,
     each pair checked once; the entries come criterion by criterion."""
     counts, round_trips, joint = [], [], []
     for sn, tn, S, T in _c3_pairs(cor):
-        r = law_round_trips(S, T, DEFAULT_CAP, jobs)
+        r = law_round_trips(S, T)
         laws, lifts = r["laws"], r["liftings"]
         counts.append(entry(
             f"criterion-2/{sn}-to-{tn}/count-equality", "Thm-1705201918",
@@ -122,7 +121,7 @@ def criteria_2_to_4_laws(cor: FixtureCorpus, jobs: int = 1) -> list:
     return counts + round_trips + joint
 
 
-def criterion_5_mixed(cor: FixtureCorpus, jobs: int = 1) -> list:
+def criterion_5_mixed(cor: FixtureCorpus) -> list:
     entries = []
     cases = [("C2", cor.monads_c2, cor.comonads_c2),
              ("C3", cor.monads_c3, cor.comonads_c3)]
@@ -132,13 +131,13 @@ def criterion_5_mixed(cor: FixtureCorpus, jobs: int = 1) -> list:
                 name = f"criterion-5/{cat_name}/{sn}-to-{gn}"
                 unt = untypable_objects(S, G)
                 if unt:
-                    laws = enumerate_mixed_laws(S, G, jobs=jobs)
+                    laws = enumerate_mixed_laws(S, G)
                     entries.append(entry(f"{name}/untypable-yields-zero",
                                          "chk-pointwise-criterion",
                                          len(laws) == 0,
                                          witness={"untypable_at": unt[0]}))
                     continue
-                r = mixed_round_trips(S, G, DEFAULT_CAP, jobs)
+                r = mixed_round_trips(S, G)
                 entries.append(entry(f"{name}/count-equality", "Thm-1705222141",
                                      r["laws"] == r["liftings"],
                                      witness={"laws": r["laws"],
@@ -219,8 +218,8 @@ def criteria_entries(jobs: int = 1) -> list:
     cor = corpus()
     entries = []
     entries.extend(criterion_1_fixture_enumeration(cor, jobs))
-    entries.extend(criteria_2_to_4_laws(cor, jobs))
-    entries.extend(criterion_5_mixed(cor, jobs))
+    entries.extend(criteria_2_to_4_laws(cor))
+    entries.extend(criterion_5_mixed(cor))
     entries.extend(criterion_6_two_adjunction_sanity(cor))
     entries.extend(criterion_7_hom_isomorphism(cor, jobs))
     entries.extend(criterion_8_two_cell_equivalence(cor, jobs))

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product
-from math import prod
 
 from .adjunction import (
     Adjunction,
@@ -66,7 +65,6 @@ from .distlaw import (
 )
 from .errors import (
     BaseMismatch,
-    EnumerationCapExceeded,
     LawViolation,
     MateMismatch,
     TwoCellLawViolation,
@@ -76,6 +74,8 @@ from .fincat import (
     DEFAULT_CAP,
     Functor,
     NatTrans,
+    _Budget,
+    _backtrack,
     check_functor,
     check_naturality,
     compose_functors,
@@ -102,7 +102,6 @@ from .monad import (
     dual_violation,
     monad_on_opposite,
 )
-from .parallel import pmap
 from .report import Violation, entry
 
 
@@ -1097,67 +1096,50 @@ def enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
 
     The search space is one algebra structure on T(N) per algebra (N, chi);
     morphism images and the components of mu_hat/eta_hat are forced by the
-    base structure, then everything is law-checked from scratch.
+    base structure, then everything is law-checked from scratch. ``jobs``
+    has no effect: the search runs serially.
     """
-    return _enumerate_liftings(S, T, em, LiftedMonad, cap, jobs)
+    return _enumerate_liftings(S, T, em, LiftedMonad, cap)
 
 
 def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
                                jobs: int = 1,
                                em: EmAlgebraCategory = None) -> list:
-    """All comonad liftings of G to the algebras of S; dual search."""
-    return _enumerate_liftings(S, G, em, LiftedComonad, cap, jobs)
+    """All comonad liftings of G to the algebras of S; dual search.
+    ``jobs`` has no effect."""
+    return _enumerate_liftings(S, G, em, LiftedComonad, cap)
 
 
 def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, kind,
-                        cap: int, jobs: int) -> list:
+                        cap: int) -> list:
     """Every lifting of class ``kind`` (LiftedMonad or LiftedComonad) of
     ``below``, with endofunctor E, to the algebras ``em`` of S (built if
     None), after checking both structures and raising the kind's
-    FOREIGN_BASE if their bases differ: each choice of algebra structures
-    on E(N) that makes a functor upstairs is handed to
-    :func:`_assemble_lifting`."""
+    FOREIGN_BASE if their bases differ: each lift of E to the algebras is
+    handed to :func:`_assemble_lifting`."""
     S.require_valid()
     below.require_valid()
     if S.base != below.base:
         raise BaseMismatch(kind.FOREIGN_BASE)
     em = em if em is not None else em_category(S)
-    endo = below.endo
+    found = (_assemble_lifting(kind, S, below, em, K)
+             for K in _lifts(em, below.endo, _Budget(cap)))
+    return sorted((lifting for lifting in found if lifting is not None),
+                  key=lambda lifting: lifting.canonical_key())
+
+
+def _lifts(em: EmAlgebraCategory, J: Functor, budget: _Budget) -> list:
+    """Every endofunctor K of the algebras with U K = J U, in the order of
+    its object map. U is faithful, so K is fixed by sending each algebra
+    to some algebra over J of its carrier, and ``budget`` counts those
+    choices as the search tries them."""
     algebras = em.category.objects
-    choice_lists = []
-    for a in algebras:
-        cs = em.algebras_with_carrier(endo.ob(em.carrier(a)))
-        if not cs:
-            return []
-        choice_lists.append(cs)
-
-    estimate = 1
-    for cs in choice_lists:
-        estimate *= len(cs)
-        if estimate > cap:
-            raise EnumerationCapExceeded(estimate, cap)
-
-    def try_assignment(assign):
-        lifted = _lifted_functor(em, endo, dict(zip(algebras, assign)))
-        return (None if lifted is None
-                else _assemble_lifting(kind, S, below, em, lifted))
-
-    if not algebras:
-        lifting = try_assignment(())
-        return [lifting] if lifting is not None else []
-
-    def scan(first):
-        found = []
-        for rest in product(*choice_lists[1:]):
-            lifting = try_assignment((first,) + rest)
-            if lifting is not None:
-                found.append(lifting)
-        return found
-
-    groups = pmap(scan, choice_lists[0], jobs=jobs)
-    out = [lifting for group in groups for lifting in group]
-    out.sort(key=lambda lifting: lifting.canonical_key())
-    return out
+    domains = [em.algebras_with_carrier(J.ob(em.carrier(a))) for a in algebras]
+    if not all(domains):
+        return []
+    lifts = (_lifted_functor(em, J, dict(zip(algebras, assign)))
+             for assign in _backtrack(domains, [()] * len(domains), budget))
+    return [K for K in lifts if K is not None]
 
 
 def _lifted_functor(em: EmAlgebraCategory, endo: Functor, obj_map: dict):
@@ -1216,14 +1198,13 @@ def _assemble_lifting(kind, S: Monad, below, em: EmAlgebraCategory,
 # Round trips over all laws of a pair
 
 
-def law_round_trips(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
-                    jobs: int = 1) -> dict:
+def law_round_trips(S: Monad, T: Monad, cap: int = DEFAULT_CAP) -> dict:
     """The numbers of laws from S to T and of liftings, and the flags of
     their round trips, each law lifted and extended once. ``pointwise`` is
     the poset criterion S(T(x)) <= T(S(x)) for all x, None off posets."""
-    laws = enumerate_dist_laws(S, T, cap=cap, jobs=jobs)
+    laws = enumerate_dist_laws(S, T, cap=cap)
     em = em_category(S, cap=cap)
-    lifts = enumerate_liftings(S, T, cap=cap, jobs=jobs, em=em)
+    lifts = enumerate_liftings(S, T, cap=cap, em=em)
     kl = kleisli_category(T)
     lifted = [lift_monad(dl, em) for dl in laws]
     extended = [extend_monad(dl, kl) for dl in laws]
@@ -1241,13 +1222,12 @@ def law_round_trips(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
                               for x in C.objects) if C.is_thin() else None)}
 
 
-def mixed_round_trips(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
-                      jobs: int = 1) -> dict:
+def mixed_round_trips(S: Monad, G: Comonad, cap: int = DEFAULT_CAP) -> dict:
     """The numbers of mixed laws from S to G and of comonad liftings, and
     the flags of their round trips, each law lifted and colifted once."""
-    laws = enumerate_mixed_laws(S, G, cap=cap, jobs=jobs)
+    laws = enumerate_mixed_laws(S, G, cap=cap)
     em = em_category(S, cap=cap)
-    lifts = enumerate_comonad_liftings(S, G, cap=cap, jobs=jobs, em=em)
+    lifts = enumerate_comonad_liftings(S, G, cap=cap, em=em)
     co = em_coalgebra_category(G, cap=cap)
     round_trips = compatible = True
     for ml in laws:
@@ -1284,29 +1264,15 @@ def enumerate_mnd_endocells(m: Monad, cap: int = DEFAULT_CAP,
 def enumerate_adjr_endocells(em: EmAlgebraCategory, cap: int = DEFAULT_CAP,
                              jobs: int = 1) -> list:
     """All AdjR 1-cells from the algebra adjunction to itself, canonically
-    ordered.
-
-    U K = J U and U is faithful, so K is propagated from J: each algebra
-    goes to some algebra over J of its carrier, and each morphism to the
-    algebra morphism over J of its underlying morphism. For each
-    endofunctor J of the base every such choice of algebras is tried, and
-    ``cap`` bounds the number tried over all J. Each K that is a functor
-    is checked again as the square (J, K).
+    ordered: for each endofunctor J of the base, each lift K of J along U
+    (:func:`_lifts`, one budget of ``cap`` over all J), checked again as
+    the square (J, K).
     """
     C = em.monad.base
-    algebras = em.category.objects
-    cells = []
-    tried = 0
-    for J in enumerate_functors(C, C, cap=cap, jobs=jobs):
-        choice_lists = [em.algebras_with_carrier(J.ob(em.carrier(a)))
-                        for a in algebras]
-        tried += prod(len(cs) for cs in choice_lists)
-        if tried > cap:
-            raise EnumerationCapExceeded(tried, cap)
-        for assign in product(*choice_lists):
-            K = _lifted_functor(em, J, dict(zip(algebras, assign)))
-            if K is not None:
-                cells.append(AdjROneCell(CommutingSquareR(em.adj, em.adj, J, K)))
+    budget = _Budget(cap)
+    cells = [AdjROneCell(CommutingSquareR(em.adj, em.adj, J, K))
+             for J in enumerate_functors(C, C, cap=cap, jobs=jobs)
+             for K in _lifts(em, J, budget)]
     cells.sort(key=lambda c: (c.J.canonical_key(), c.K.canonical_key()))
     return cells
 

@@ -476,6 +476,43 @@ def test_cap_must_be_a_non_negative_integer(argv, cap, capsys):
             f"{cap!r}") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["distlaw", "enumerate", fx("c2.json"), fx("c1.json")],
+    ["mixedlaw", "enumerate", fx("c1.json"), fx("i1.json")],
+], ids=["distlaw", "mixedlaw"])
+def test_law_search_counts_the_candidates_it_tries(argv, capsys):
+    """One candidate component per object of C3: the search tries three,
+    where the product it replaced counted one."""
+    assert main([*argv, "--cap", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: enumeration counted 3 candidates, cap is 2\n")
+    assert main([*argv, "--cap", "3"]) == 0
+
+
+JOBS_COMMANDS = CAPPED_COMMANDS + [
+    ["validate", fx("chain3.json")],
+    ["kleisli", fx("c1.json")],
+    ["distlaw", "check", fx("law_c2_c1.json")],
+    ["mixedlaw", "check", fx("law_c2_c1.json")],
+    *([cmd, fx("law_c2_c1.json")]
+      for cmd in ("lift", "extend", "extract-em", "extract-kleisli")),
+    ["selftest"],
+]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "abc"])
+@pytest.mark.parametrize("argv", JOBS_COMMANDS, ids=[
+    "-".join(w for w in argv if not w.endswith(".json"))
+    for argv in JOBS_COMMANDS])
+def test_jobs_must_be_a_positive_integer(argv, jobs, capsys):
+    for flags in ([*argv, "--jobs", jobs], ["--jobs", jobs, *argv]):
+        with pytest.raises(SystemExit) as exc:
+            main(flags)
+        assert exc.value.code == 2
+        assert ("argument --jobs: must be a positive integer, got "
+                f"{jobs!r}") in capsys.readouterr().err
+
+
 def test_kleisli_takes_no_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kleisli", fx("c1.json"), "--cap", "5"])

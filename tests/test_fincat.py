@@ -4,6 +4,7 @@ whiskering, and the interchange law."""
 import gc
 import sys
 import threading
+import weakref
 from itertools import product
 
 import pytest
@@ -165,6 +166,17 @@ def test_opposite_involution(cor):
 
 def test_identity_functor_is_lawful(cor):
     assert check_functor(identity_functor(cor.c3)) == []
+
+
+def test_identity_functor_is_the_interned_one_and_kept_by_nothing(cor):
+    """While an identity functor lives, identity_functor returns it; the
+    category holds no strong reference to it."""
+    Id = identity_functor(cor.c3)
+    assert identity_functor(cor.c3) is Id
+    assert Functor(cor.c3, cor.c3, Id.object_map, Id.morphism_map) is Id
+    fresh = validate_category(category_to_raw(cor.c3))
+    ref = weakref.ref(identity_functor(fresh))
+    assert ref() is None
 
 
 def test_non_monotone_object_map_reports_mismatch(cor):
