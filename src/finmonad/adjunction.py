@@ -35,7 +35,7 @@ from .fincat import (
     whisker_left_at,
     whisker_right_at,
 )
-from .monad import Comonad, Monad, _first_diff, comonad_on_opposite
+from .monad import Comonad, Monad, _law_violations, comonad_on_opposite
 
 
 class Adjunction:
@@ -63,20 +63,16 @@ class Adjunction:
     def _triangles(self) -> list:
         """The triangle identities, component by component; the constructor
         has typed unit and counit, so both pastings compose."""
-        out = []
         L, R = self.L, self.R
         unit, counit = self.unit.components, self.counit.components
-        # (counit L) ∘ (L unit) = id_L
-        _first_diff("TriangleIdentityL", "law-triangle-left",
-                    vcomp_at(self.upper, whisker_left_at(L, unit),
-                             whisker_right_at(counit, L)),
-                    identity_at(L), out)
-        # (R counit) ∘ (unit R) = id_R
-        _first_diff("TriangleIdentityR", "law-triangle-right",
-                    vcomp_at(self.base, whisker_right_at(unit, R),
-                             whisker_left_at(R, counit)),
-                    identity_at(R), out)
-        return out
+        return _law_violations(
+            (), (("TriangleIdentityL", "law-triangle-left"),
+                 ("TriangleIdentityR", "law-triangle-right")),
+            # (counit L) ∘ (L unit) = id_L and (R counit) ∘ (unit R) = id_R
+            ((vcomp_at(self.upper, whisker_left_at(L, unit),
+                       whisker_right_at(counit, L)), identity_at(L)),
+             (vcomp_at(self.base, whisker_right_at(unit, R),
+                       whisker_left_at(R, counit)), identity_at(R))))
 
     @property
     def base(self) -> FinCategory:

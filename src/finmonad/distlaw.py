@@ -5,7 +5,8 @@ axiom diagrams, and exhaustive enumeration.
 On a poset category a law from S to T exists iff S(T(x)) <= T(S(x)) for
 every x, and is then unique; the enumerators agree with that criterion but
 do not rely on it. Untypable situations (an empty hom-set at some object)
-are classified separately from axiom failures.
+are classified separately from axiom failures. Each law check hands its
+axiom table and their sides to :func:`~finmonad.monad._law_violations`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .fincat import (
     DEFAULT_CAP,
     Functor,
     NatTrans,
-    check_naturality,
     compose_functors,
     enumerate_nat_trans,
     opposite_functor,
@@ -23,8 +23,7 @@ from .fincat import (
     whisker_left_at,
     whisker_right_at,
 )
-from .monad import Comonad, Monad, _Checked, _first_diff, monad_on_opposite
-from .report import Violation
+from .monad import Comonad, Monad, _Checked, _law_violations, monad_on_opposite
 
 
 class _Law(_Checked):
@@ -107,12 +106,6 @@ def _check_typing(S: Monad, E: Functor, nat: NatTrans, name: str,
         raise TypeMismatch(f"{name} target must be {second}∘S")
 
 
-def _naturality(nat: NatTrans) -> list:
-    return [Violation("LawNotNatural", "law-naturality",
-                      where=v.where, lhs=v.lhs, rhs=v.rhs)
-            for v in check_naturality(nat)]
-
-
 # ---------------------------------------------------------------------------
 # Cell laws
 #
@@ -159,13 +152,6 @@ _MIXED_AXIOMS = (("MultiplicationSquare", "Eq-1510081240-i"),
                  ("CounitTriangle", "Eq-1510081242-ii"))
 
 
-def _axioms(nat: NatTrans, table: tuple, sides: tuple) -> list:
-    out = _naturality(nat)
-    for (kind, tag), (rhs, lhs) in zip(table, sides):
-        _first_diff(kind, tag, lhs, rhs, out)
-    return out
-
-
 def check_dist_law(S: Monad, T: Monad, phi: NatTrans) -> list:
     """Name each of the four axioms with pass/fail and the first failing object.
 
@@ -176,8 +162,9 @@ def check_dist_law(S: Monad, T: Monad, phi: NatTrans) -> list:
     """
     _check_typing(S, T.S, phi, "phi", "T")
     p = phi.components
-    return _axioms(phi, _DIST_AXIOMS,
-                   mnd_cell_sides(S, S, T.S, p) + bullet_cell_sides(T, T, S.S, p))
+    sides = mnd_cell_sides(S, S, T.S, p) + bullet_cell_sides(T, T, S.S, p)
+    return _law_violations((("LawNotNatural", phi),), _DIST_AXIOMS,
+                           [(lhs, rhs) for rhs, lhs in sides])
 
 
 def check_mixed_law(S: Monad, G: Comonad, psi: NatTrans) -> list:
@@ -188,9 +175,10 @@ def check_mixed_law(S: Monad, G: Comonad, psi: NatTrans) -> list:
     _check_typing(S, G.G, psi, "psi", "G")
     p = psi.components
     Gop = monad_on_opposite(G)
-    return _axioms(psi, _MIXED_AXIOMS,
-                   mnd_cell_sides(S, S, G.G, p)
-                   + mnd_cell_sides(Gop, Gop, opposite_functor(S.S), p))
+    sides = (mnd_cell_sides(S, S, G.G, p)
+             + mnd_cell_sides(Gop, Gop, opposite_functor(S.S), p))
+    return _law_violations((("LawNotNatural", psi),), _MIXED_AXIOMS,
+                           [(lhs, rhs) for rhs, lhs in sides])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ theory of monads*, 1972). The comonad side is read off the monad side that
 way: :func:`check_comonad_laws`, :func:`enumerate_comonads` and
 :func:`identity_comonad` go through :func:`monad_on_opposite` and
 :func:`comonad_on_opposite`, so there is one definition of each law.
+Every law check of the package, here and in :mod:`distlaw`,
+:mod:`adjunction` and :mod:`twofunctors`, is evaluated by
+:func:`_law_violations` from a table of laws and their two sides.
 """
 
 from __future__ import annotations
@@ -164,13 +167,25 @@ class Comonad(_Structure):
         return check_comonad_laws(self)
 
 
-def _first_diff(kind, tag, lhs: dict, rhs: dict, out: list) -> None:
-    """Report the first object, in base order, where the two sides of an
-    equation of transformations, given by their components, differ."""
-    for x, f in lhs.items():
-        if f != rhs[x]:
-            out.append(Violation(kind, tag, where=x, lhs=f, rhs=rhs[x]))
-            return
+def _law_violations(natural, laws, sides) -> list:
+    """Every failing naturality square of each transformation in
+    ``natural``, a sequence of (kind, transformation) pairs, reported under
+    its kind; then, for each (kind, tag) in ``laws``, the first object in
+    base order where the two sides of that law, given as (lhs, rhs)
+    components in ``sides``, differ."""
+    out = [Violation(kind, v.tag, where=v.where, lhs=v.lhs, rhs=v.rhs)
+           for kind, nat in natural for v in check_naturality(nat)]
+    for (kind, tag), (lhs, rhs) in zip(laws, sides):
+        for x, f in lhs.items():
+            if f != rhs[x]:
+                out.append(Violation(kind, tag, where=x, lhs=f, rhs=rhs[x]))
+                break
+    return out
+
+
+_MONAD_LAWS = (("MonadAssociativity", "law-monad-assoc"),
+               ("MonadUnitLeft", "law-monad-unit-left"),
+               ("MonadUnitRight", "law-monad-unit-right"))
 
 
 def check_monad_laws(m: Monad) -> list:
@@ -178,25 +193,15 @@ def check_monad_laws(m: Monad) -> list:
 
     Each side of each law is evaluated component by component; the
     Monad constructor has typed mu and eta, so every pasting composes."""
-    out = []
-    for v in check_naturality(m.mu):
-        out.append(Violation("MultiplicationNotNatural", "law-naturality",
-                             where=v.where, lhs=v.lhs, rhs=v.rhs))
-    for v in check_naturality(m.eta):
-        out.append(Violation("UnitNotNatural", "law-naturality",
-                             where=v.where, lhs=v.lhs, rhs=v.rhs))
     C, S, mu, eta = m.base, m.S, m.mu.components, m.eta.components
-    # mu ∘ (mu S) = mu ∘ (S mu)
-    _first_diff("MonadAssociativity", "law-monad-assoc",
-                vcomp_at(C, whisker_right_at(mu, S), mu),
-                vcomp_at(C, whisker_left_at(S, mu), mu), out)
-    # mu ∘ (eta S) = id_S
-    _first_diff("MonadUnitLeft", "law-monad-unit-left",
-                vcomp_at(C, whisker_right_at(eta, S), mu), identity_at(S), out)
-    # mu ∘ (S eta) = id_S
-    _first_diff("MonadUnitRight", "law-monad-unit-right",
-                vcomp_at(C, whisker_left_at(S, eta), mu), identity_at(S), out)
-    return out
+    return _law_violations(
+        (("MultiplicationNotNatural", m.mu), ("UnitNotNatural", m.eta)),
+        _MONAD_LAWS,
+        # mu ∘ (mu S) = mu ∘ (S mu), mu ∘ (eta S) = id_S = mu ∘ (S eta)
+        ((vcomp_at(C, whisker_right_at(mu, S), mu),
+          vcomp_at(C, whisker_left_at(S, mu), mu)),
+         (vcomp_at(C, whisker_right_at(eta, S), mu), identity_at(S)),
+         (vcomp_at(C, whisker_left_at(S, eta), mu), identity_at(S))))
 
 
 # A comonad on C is a monad on C^op with the same tables, so its laws are

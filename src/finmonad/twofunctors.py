@@ -97,7 +97,7 @@ from .monad import (
     Comonad,
     Monad,
     _Checked,
-    _first_diff,
+    _law_violations,
     comonad_on_opposite,
     dual_violation,
     monad_on_opposite,
@@ -119,10 +119,8 @@ class _LawCell(_Checked):
     __slots__ = ("nat",)
 
     def check(self) -> list:
-        out = list(check_naturality(self.nat))
-        for (kind, tag), (lhs, rhs) in zip(self.LAWS, self._sides()):
-            _first_diff(kind, tag, lhs, rhs, out)
-        return out
+        return _law_violations((("NaturalityViolation", self.nat),),
+                               self.LAWS, self._sides())
 
 
 class _OneCell(_LawCell):
@@ -1116,15 +1114,14 @@ def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, kind,
     ``below``, with endofunctor E, to the algebras ``em`` of S (built if
     None), after checking both structures and raising the kind's
     FOREIGN_BASE if their bases differ: each lift of E to the algebras is
-    handed to :func:`_assemble_lifting`."""
+    built into one by :func:`_assemble_lifting`."""
     S.require_valid()
     below.require_valid()
     if S.base != below.base:
         raise BaseMismatch(kind.FOREIGN_BASE)
     em = em if em is not None else em_category(S)
-    found = (_assemble_lifting(kind, S, below, em, K)
-             for K in _lifts(em, below.endo, _Budget(cap)))
-    return sorted((lifting for lifting in found if lifting is not None),
+    return sorted((_assemble_lifting(kind, S, below, em, K)
+                   for K in _lifts(em, below.endo, _Budget(cap))),
                   key=lambda lifting: lifting.canonical_key())
 
 
@@ -1132,66 +1129,50 @@ def _lifts(em: EmAlgebraCategory, J: Functor, budget: _Budget) -> list:
     """Every endofunctor K of the algebras with U K = J U, in the order of
     its object map. U is faithful, so K is fixed by sending each algebra
     to some algebra over J of its carrier, and ``budget`` counts those
-    choices as the search tries them."""
+    choices as the search tries them. On a finite category U is also full
+    and injective on objects, so each choice is built into a lift, and a
+    choice that is not one raises."""
     algebras = em.category.objects
     domains = [em.algebras_with_carrier(J.ob(em.carrier(a))) for a in algebras]
     if not all(domains):
         return []
-    lifts = (_lifted_functor(em, J, dict(zip(algebras, assign)))
-             for assign in _backtrack(domains, [()] * len(domains), budget))
-    return [K for K in lifts if K is not None]
+    return [_lifted_functor(em, J, dict(zip(algebras, assign)))
+            for assign in _backtrack(domains, [()] * len(domains), budget)]
 
 
-def _lifted_functor(em: EmAlgebraCategory, endo: Functor, obj_map: dict):
+def _lifted_functor(em: EmAlgebraCategory, endo: Functor,
+                    obj_map: dict) -> Functor:
     """The endofunctor of the algebras with object map ``obj_map`` that
-    sends each algebra morphism to the one over its image under ``endo``,
-    or None if such an image is not an algebra morphism or the maps do
-    not form a functor."""
-    mor_map = {}
-    for mm in em.category.morphisms:
-        image = em.as_algebra_morphism(endo.mor(em.underlying(mm.id)),
-                                       obj_map[mm.src], obj_map[mm.tgt])
-        if image is None:
-            return None
-        mor_map[mm.id] = image
-    lifted = Functor(em.category, em.category, obj_map, mor_map)
-    return None if check_functor(lifted) else lifted
-
-
-def _over_algebras(em: EmAlgebraCategory, nat: NatTrans, sources, targets):
-    """The component of nat at each algebra's carrier as an algebra morphism
-    from the matching source to the matching target, or None if one is not."""
-    comps = {}
-    for a, source, target in zip(em.category.objects, sources, targets):
-        image = em.as_algebra_morphism(nat.at(em.carrier(a)), source, target)
-        if image is None:
-            return None
-        comps[a] = image
-    return comps
+    sends each algebra morphism to the one over its image under ``endo``.
+    ``Functor`` raises ComponentMistyped if such an image is not an
+    algebra morphism, and LawViolation is raised if the maps do not form
+    a functor."""
+    lifted = Functor(em.category, em.category, obj_map, {
+        mm.id: em.as_algebra_morphism(endo.mor(em.underlying(mm.id)),
+                                      obj_map[mm.src], obj_map[mm.tgt])
+        for mm in em.category.morphisms})
+    bad = check_functor(lifted)
+    if bad:
+        raise LawViolation(bad, context="lifted functor")
+    return lifted
 
 
 def _assemble_lifting(kind, S: Monad, below, em: EmAlgebraCategory,
                       endo: Functor):
     """The law-checked ``kind`` lifting ``below`` along ``endo``, its maps
-    those of ``below`` read over the algebras in the shape of its UPSTAIRS,
-    or None if one is not made of algebra morphisms or a law fails."""
+    those of ``below`` read over the algebras in the shape of its UPSTAIRS;
+    a component that is not an algebra morphism makes ``NatTrans`` raise
+    ComponentMistyped, and a failing law makes ``kind`` raise."""
     algebras = em.category.objects
     once = [endo.ob(a) for a in algebras]
-    maps = []
-    for nat, (sources, targets) in zip(
-            (below.mult, below.unit),
-            kind.UPSTAIRS.ends([endo.ob(b) for b in once], once, algebras)):
-        comps = _over_algebras(em, nat, sources, targets)
-        if comps is None:
-            return None
-        maps.append(comps)
-    ends = kind.UPSTAIRS.functor_ends(em.category, endo)
-    try:
-        return kind(S, em, below, endo,
-                    *(NatTrans(source, target, comps)
-                      for (source, target), comps in zip(ends, maps)))
-    except LawViolation:
-        return None
+    objects = kind.UPSTAIRS.ends([endo.ob(b) for b in once], once, algebras)
+    functors = kind.UPSTAIRS.functor_ends(em.category, endo)
+    maps = [NatTrans(source, target,
+                     {a: em.as_algebra_morphism(nat.at(em.carrier(a)), s, t)
+                      for a, s, t in zip(algebras, sources, targets)})
+            for nat, (sources, targets), (source, target)
+            in zip((below.mult, below.unit), objects, functors)]
+    return kind(S, em, below, endo, *maps)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ every object check.
 
 from itertools import product
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from finmonad.adjunction import (
@@ -283,6 +284,51 @@ def posets(draw, max_elements=4):
                              "equals": f"le_{a}_{c}"})
     return validate_category({"objects": labels, "morphisms": morphisms,
                               "composition": comp})
+
+
+def finset_map_id(src: int, tgt: int, images: tuple) -> str:
+    return f"f{src}{tgt}_" + "".join(map(str, images))
+
+
+@st.composite
+def finset_subcategories(draw, max_maps=3, max_morphisms=12):
+    """The subcategory of FinSet on 2 or 3 sets of at most 3 elements that
+    1 to ``max_maps`` random maps between them generate: the identities,
+    the maps and every composite. Object ``s{i}`` is the i-th set; about a
+    third of the draws are not thin, and a drawn map may be an identity or
+    repeat another. A draw with more than ``max_morphisms`` morphisms is
+    rejected, about 1 in 100 at the defaults: the searches take seconds on
+    the largest, and some pass the default cap."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))
+    pairs = [(i, j) for i in range(len(sizes)) for j in range(len(sizes))
+             if sizes[j] or not sizes[i]]
+    maps = {(i, i, tuple(range(n))) for i, n in enumerate(sizes)}
+    for _ in range(draw(st.integers(1, max_maps))):
+        i, j = draw(st.sampled_from(pairs))
+        maps.add((i, j, tuple(draw(st.integers(0, sizes[j] - 1))
+                              for _ in range(sizes[i]))))
+    grown = True
+    while grown:
+        grown = False
+        for i, j, a in list(maps):
+            for j2, k, b in list(maps):
+                if j2 == j and (i, k, then(a, b)) not in maps:
+                    maps.add((i, k, then(a, b)))
+                    grown = True
+    assume(len(maps) <= max_morphisms)
+    by_id = {finset_map_id(*m): m for m in sorted(maps)}
+    objects = [f"s{i}" for i in range(len(sizes))]
+    morphisms = [{"id": f, "src": f"s{i}", "tgt": f"s{j}"}
+                 for f, (i, j, _) in by_id.items()]
+    identities = {f"s{i}": finset_map_id(i, i, tuple(range(n)))
+                  for i, n in enumerate(sizes)}
+
+    def compose(f, g):
+        i, _, a = by_id[f]
+        _, k, b = by_id[g]
+        return finset_map_id(i, k, then(a, b))
+
+    return _table(objects, morphisms, identities, compose)
 
 
 # ---------------------------------------------------------------------------

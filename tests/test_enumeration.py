@@ -2,7 +2,8 @@
 
 Every result must be lawful, and the sorted ``canonical_key()`` lists must
 equal the oracles' on random posets, on small monoids and products, and on
-random pairs of parallel functors. The shared law and lifting searches
+random pairs of parallel functors. The lifting searches must equal theirs
+on random subcategories of FinSet too. The shared law and lifting searches
 must return what the per-kind searches they replaced return, in the same
 order, and so must the monad and comonad searches against the monad
 search as first written. Every search must finish under the count of
@@ -21,9 +22,11 @@ from oracles import (
     codiscrete,
     cyclic,
     delta,
+    finset_subcategories,
     map_id,
     posets,
     ref_comonad_lifting,
+    ref_enumerate_adjr_endocells,
     ref_enumerate_comonad_liftings,
     ref_enumerate_dist_laws,
     ref_enumerate_functors,
@@ -64,6 +67,7 @@ from finmonad.monad import (
 )
 from finmonad.twofunctors import (
     _comonad_lifting,
+    enumerate_adjr_endocells,
     enumerate_comonad_liftings,
     enumerate_liftings,
     extend_monad,
@@ -371,6 +375,68 @@ def test_lifts_and_extensions_match_the_per_kind_constructions(cor, name):
                         == structure_data(*ref_comonad_lifting(ml, em)))
                 mixed += 1
     assert plain > 0 and mixed > 0
+
+
+def assert_forgetful_is_full_and_injective(em) -> None:
+    """U of the algebras is injective on objects and full: every base
+    morphism between two carriers is an algebra morphism. So every lift
+    of an endofunctor along U is forced, and the lifting search has no
+    candidate to drop."""
+    carriers = [em.carrier(a) for a in em.category.objects]
+    assert len(set(carriers)) == len(carriers)
+    for a, b in product(em.category.objects, repeat=2):
+        for f in em.monad.base.hom(em.carrier(a), em.carrier(b)):
+            assert em.as_algebra_morphism(f, a, b) is not None
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+def test_forgetful_functor_of_every_monad_is_full_and_injective(name):
+    for m in enumerate_monads(DIFFERENTIAL[name]()):
+        assert_forgetful_is_full_and_injective(em_category(m))
+
+
+def assert_lifting_searches_match(monads, comonads) -> int:
+    """Both lifting searches equal their per-kind twins, without the cap
+    bisection of :func:`assert_twins_match`, on every pair; and U is full
+    and injective on objects for every monad."""
+    count = 0
+    for S in monads:
+        em = em_category(S)
+        assert_forgetful_is_full_and_injective(em)
+        for search, reference, others in (
+                (enumerate_liftings, ref_enumerate_liftings, monads),
+                (enumerate_comonad_liftings, ref_enumerate_comonad_liftings,
+                 comonads)):
+            for other in others:
+                found = search(S, other, em=em)
+                want = reference(S, other, em=em)
+                assert found == want
+                assert keys(found) == keys(want)
+                count += len(found)
+    return count
+
+
+@pytest.mark.parametrize("name,count", [("g3", 1458), ("split", 8)])
+def test_lifting_searches_match_where_the_algebras_are_least_trivial(name, count):
+    """codiscrete(3) has 27 monads and 27 comonads, the split idempotent
+    is not thin: the lifts are built, never filtered, and still agree
+    with the searches that filter every candidate."""
+    cat = DIFFERENTIAL[name]()
+    assert assert_lifting_searches_match(enumerate_monads(cat),
+                                         enumerate_comonads(cat)) == count
+
+
+@settings(max_examples=30, deadline=None)
+@given(finset_subcategories())
+def test_lift_searches_match_on_random_finset_subcategories(cat):
+    """On random subcategories of FinSet, about a third of them not thin:
+    the lifting searches and the AdjR endocell search equal the searches
+    as first written, and U is full and injective on objects."""
+    monads = enumerate_monads(cat)
+    assert_lifting_searches_match(monads, enumerate_comonads(cat))
+    for S in monads:
+        em = em_category(S)
+        assert enumerate_adjr_endocells(em) == ref_enumerate_adjr_endocells(em)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,17 @@ from finmonad.distlaw import (
     enumerate_dist_laws,
     enumerate_mixed_laws,
 )
-from finmonad.errors import BaseMismatch, LawViolation, TwoCellLawViolation
+from finmonad.errors import (
+    BaseMismatch,
+    ComponentMistyped,
+    LawViolation,
+    TwoCellLawViolation,
+)
 from finmonad.fincat import (
     NatTrans,
     compose_functors,
+    enumerate_functors,
+    enumerate_nat_trans,
     identity_functor,
     whisker_left,
     whisker_right,
@@ -33,6 +40,8 @@ from finmonad.monad import (
 )
 from finmonad.twofunctors import (
     AdjLOneCell,
+    CoMndOneCell,
+    CoMndTwoCell,
     KleisliExtension,
     LiftedComonad,
     LiftedMonad,
@@ -71,11 +80,14 @@ from finmonad.twofunctors import (
     mnd_identity_cell,
     phi_e_1cell,
     phi_k_1cell,
+    phi_k_2cell,
     psi_e_1cell,
     psi_k_1cell,
     psi_k_2cell,
     vec_phi_e_1cell,
+    vec_phi_e_2cell,
     vec_psi_e_1cell,
+    vec_psi_e_2cell,
 )
 
 C3_NAMES = ("id", "c1", "c2", "c3")
@@ -195,13 +207,15 @@ def test_lifting_counts(cor):
 def test_lifted_functor_rejects_an_object_map_with_no_morphism_image(cor):
     """Sending every algebra of the identity monad on C3 to one algebra
     leaves the other algebras' identities with no algebra morphism over
-    them: the candidate is rejected, not built without those morphisms."""
+    them: building the candidate raises, rather than leaving those
+    morphisms out."""
     em = em_category(cor.monads_c3["id"])
     algebras = em.category.objects
     assert len(algebras) == 3
     for target in algebras:
         obj_map = dict.fromkeys(algebras, target)
-        assert _lifted_functor(em, identity_functor(cor.c3), obj_map) is None
+        with pytest.raises(ComponentMistyped):
+            _lifted_functor(em, identity_functor(cor.c3), obj_map)
 
 
 def test_lifting_searches_check_each_accepted_lifting_once(cor, monkeypatch):
@@ -281,26 +295,45 @@ def test_joint_compatibility_base_mismatch(cor):
         check_joint_compatibility(lm, ke)
 
 
-def test_joint_compatibility_false_needs_two_laws(cor):
-    # Look for a pair of monads with at least two laws: the corpus, then
-    # every monad on T3 (all self-maps of a 3-set) and on C2×Z2.
-    spaces = {name: enumerate_monads(cat) for name, cat in (
-        ("T3", transformation_monoid(3)), ("C2×Z2", chain2_times_z2()))}
+def inverse(cat, f):
+    """The two-sided inverse of the morphism f, or None."""
+    m = cat.morphism(f)
+    for g in cat.hom(m.tgt, m.src):
+        if (cat.compose(f, g) == cat.identity(m.src)
+                and cat.compose(g, f) == cat.identity(m.tgt)):
+            return g
+    return None
+
+
+def test_a_law_exists_iff_T_keeps_the_S_algebras_and_is_the_closed_form(cor):
+    """Every monad on a finite category is idempotent, so its algebras are
+    Fix(S) = {x : eta_x invertible}. A law S∘T → T∘S exists iff T maps
+    Fix(S) into Fix(S), and it is then the one law
+    phi_x = eta_{TSx}^{-1} ∘ S T eta_x. So a pair has at most one law,
+    its lifting and its extension recover that same law, and joint
+    compatibility cannot fail on finite input. Checked on every corpus
+    pair on a common base and every pair of monads on T3 (all self-maps
+    of a 3-set) and on C2×Z2: 124 ordered pairs."""
     groups = [[m for _, _, m in cor.all_monads() if m.base == base]
               for base in (cor.c2, cor.c3, cor.m_z2)]
-    for monads in groups + list(spaces.values()):
+    groups += [enumerate_monads(transformation_monoid(3)),
+               enumerate_monads(chain2_times_z2())]
+    pairs = laws_found = 0
+    for monads in groups:
+        C = monads[0].base
         for S in monads:
+            fixed = {x for x in C.objects if inverse(C, S.eta.at(x))}
             for T in monads:
                 laws = enumerate_dist_laws(S, T)
-                if len(laws) >= 2:
-                    lm = lift_monad(laws[0])
-                    ke = extend_monad(laws[1])
-                    assert check_joint_compatibility(lm, ke) is False
-                    return
-    searched = ", ".join(f"{len(ms) ** 2} ordered pairs of the {len(ms)} "
-                         f"monads on {name}" for name, ms in spaces.items())
-    pytest.skip("no pair of monads admits two distributive laws; searched "
-                f"every corpus pair on a common base and {searched}")
+                assert len(laws) == all(T.S.ob(x) in fixed for x in fixed)
+                for law in laws:
+                    assert law.phi.components == {
+                        x: C.compose(S.S.mor(T.S.mor(S.eta.at(x))),
+                                     inverse(C, S.eta.at(T.S.ob(S.S.ob(x)))))
+                        for x in C.objects}
+                pairs += 1
+                laws_found += len(laws)
+    assert (pairs, laws_found) == (124, 123)
 
 
 def test_psi_k_two_cells_for_mu_and_eta_pass(cor):
@@ -329,6 +362,46 @@ def test_phi_k_psi_k_round_trip_on_cells(cor):
         acell = psi_k_1cell(cell, kl, kl)
         back = phi_k_1cell(acell)
         assert back == cell
+
+
+def lawful_push_endocells(make, structure) -> list:
+    """Every lawful Mnd• or CoMnd 1-cell (P, nat): nat: P∘E → E∘P on the
+    structure with endofunctor E."""
+    cat, E = structure.base, structure.endo
+    return [cell for P in enumerate_functors(cat, cat)
+            for nat in enumerate_nat_trans(compose_functors(P, E),
+                                           compose_functors(E, P))
+            for cell in [make(structure, structure, P, nat)]
+            if not cell.check()]
+
+
+def lawful_two_cells(make, cells) -> list:
+    """Every lawful 2-cell of class ``make`` between two of ``cells``."""
+    return [t for src, dst in product(cells, repeat=2)
+            for theta in enumerate_nat_trans(src.P, dst.P)
+            for t in [make(src, dst, theta)] if not t.check()]
+
+
+def test_phi_k_2cell_inverts_psi_k_2cell_on_every_lawful_bullet_2cell(cor):
+    count = 0
+    for _, _, m in cor.all_monads():
+        kl = kleisli_category(m)
+        cells = lawful_push_endocells(MndBulletOneCell, m)
+        for t in lawful_two_cells(MndBulletTwoCell, cells):
+            assert phi_k_2cell(psi_k_2cell(t, kl, kl)) == t
+            count += 1
+    assert count == 186
+
+
+def test_vec_phi_e_2cell_inverts_vec_psi_e_2cell_on_every_lawful_comnd_2cell(cor):
+    count = 0
+    for _, _, c in cor.all_comonads():
+        co = em_coalgebra_category(c)
+        cells = lawful_push_endocells(CoMndOneCell, c)
+        for t in lawful_two_cells(CoMndTwoCell, cells):
+            assert vec_phi_e_2cell(vec_psi_e_2cell(t, co, co)) == t
+            count += 1
+    assert count == 119
 
 
 # -- mixed laws -------------------------------------------------------------------
@@ -376,7 +449,6 @@ def test_colift_images_satisfy_the_coalgebra_predicate(cor):
     laws = enumerate_mixed_laws(S, G)
     assert len(laws) == 1
     co = em_coalgebra_category(G)
-    from finmonad.twofunctors import CoMndOneCell
     cell = CoMndOneCell(G, G, S.S, laws[0].psi)
     acell = vec_psi_e_1cell(cell, co, co)
     for a in co.category.objects:
