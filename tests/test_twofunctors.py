@@ -368,18 +368,25 @@ def lawful_push_endocells(make, structure) -> list:
     """Every lawful Mnd• or CoMnd 1-cell (P, nat): nat: P∘E → E∘P on the
     structure with endofunctor E."""
     cat, E = structure.base, structure.endo
-    return [cell for P in enumerate_functors(cat, cat)
-            for nat in enumerate_nat_trans(compose_functors(P, E),
-                                           compose_functors(E, P))
-            for cell in [make(structure, structure, P, nat)]
-            if not cell.check()]
+    cells = []
+    for P in enumerate_functors(cat, cat):
+        for nat in enumerate_nat_trans(compose_functors(P, E),
+                                       compose_functors(E, P)):
+            cell = make(structure, structure, P, nat)
+            if not cell.check():
+                cells.append(cell)
+    return cells
 
 
 def lawful_two_cells(make, cells) -> list:
     """Every lawful 2-cell of class ``make`` between two of ``cells``."""
-    return [t for src, dst in product(cells, repeat=2)
-            for theta in enumerate_nat_trans(src.P, dst.P)
-            for t in [make(src, dst, theta)] if not t.check()]
+    found = []
+    for src, dst in product(cells, repeat=2):
+        for theta in enumerate_nat_trans(src.P, dst.P):
+            t = make(src, dst, theta)
+            if not t.check():
+                found.append(t)
+    return found
 
 
 def test_phi_k_2cell_inverts_psi_k_2cell_on_every_lawful_bullet_2cell(cor):
