@@ -237,19 +237,11 @@ def comparison_functor_em(a: Adjunction) -> CommutingSquareR:
     """
     from .construct import em_category
 
-    m = induced_monad(a)
-    em = em_category(m)
-    obj_map = {}
-    for y in a.upper.objects:
-        obj_map[y] = em.algebra_id(a.R.ob(y), a.R.mor(a.counit.at(y)))
-    mor_map = {}
-    for g in a.upper.morphisms:
-        mid = em.as_algebra_morphism(a.R.mor(g.id), obj_map[g.src], obj_map[g.tgt])
-        if mid is None:
-            raise SquareConstraintViolation(
-                f"comparison image of {g.id} is not an algebra morphism")
-        mor_map[g.id] = mid
-    K = Functor(a.upper, em.category, obj_map, mor_map)
+    em = em_category(induced_monad(a))
+    K = em.functor_over(a.upper,
+                        {y: em.algebra_id(a.R.ob(y), a.R.mor(a.counit.at(y)))
+                         for y in a.upper.objects},
+                        a.R.mor)
     sq = CommutingSquareR(a, em.adj, identity_functor(a.base), K)
     # The other side of the unit square also commutes strictly: K∘L = F.
     if compose_functors(K, a.L) != em.F:

@@ -17,6 +17,12 @@ distinct data never share an id:
 Every constructed category is revalidated from scratch (associativity
 included), the coalgebra category as the algebra category it is the
 opposite of, and every adjunction passes its triangle identities.
+
+A functor or transformation into the algebras that lies over a base one
+is built in one place: :meth:`EmAlgebraCategory.functor_over` and
+:meth:`EmAlgebraCategory.nat_over` name each image by the id scheme, and
+the ``Functor``/``NatTrans`` constructors raise ComponentMistyped on an
+image that is not an algebra or not an algebra morphism.
 """
 
 from __future__ import annotations
@@ -63,10 +69,10 @@ class EmAlgebraCategory:
     """Algebras (X, chi) of a monad with the free/forgetful adjunction F ⊣ U."""
 
     __slots__ = ("monad", "category", "U", "F", "adj", "_carrier",
-                 "_structure", "_underlying", "_by_pair", "_free", "_name")
+                 "_structure", "_underlying", "_free", "_name")
 
     def __init__(self, monad, category, U, F, adj, carrier, structure,
-                 underlying, by_pair, free):
+                 underlying, free):
         self.monad = monad
         self.category = category
         self.U = U
@@ -75,7 +81,6 @@ class EmAlgebraCategory:
         self._carrier = carrier
         self._structure = structure
         self._underlying = underlying
-        self._by_pair = by_pair
         self._free = free
         # names the morphism A → B with underlying f
         self._name = _algebra_morphism_id
@@ -92,10 +97,11 @@ class EmAlgebraCategory:
         return self._structure[obj]
 
     def algebra_id(self, carrier: str, chi: str) -> str:
-        return self._by_pair[(carrier, chi)]
+        """The id of (carrier, chi), an object exactly if it is an algebra."""
+        return _algebra_id(carrier, chi)
 
     def has_algebra(self, carrier: str, chi: str) -> bool:
-        return (carrier, chi) in self._by_pair
+        return _algebra_id(carrier, chi) in self._carrier
 
     def algebras_with_carrier(self, carrier: str) -> list:
         return [a for a in self.category.objects if self._carrier[a] == carrier]
@@ -110,6 +116,25 @@ class EmAlgebraCategory:
         """The morphism id for underlying f between the two algebras, or None."""
         mid = self._name(f, src, tgt)
         return mid if self.category.has_morphism(mid) else None
+
+    def functor_over(self, source, obj_map: dict, under) -> Functor:
+        """The functor from ``source`` into the algebras with object map
+        ``obj_map`` that sends each morphism m to the algebra morphism over
+        ``under(m)``. ``Functor`` raises ComponentMistyped if an object
+        image is not an algebra or a morphism image is not an algebra
+        morphism."""
+        name = self._name
+        return Functor(source, self.category, obj_map,
+                       {mm.id: name(under(mm.id), obj_map[mm.src], obj_map[mm.tgt])
+                        for mm in source.morphisms})
+
+    def nat_over(self, F: Functor, G: Functor, under) -> NatTrans:
+        """The transformation F → G into the algebras whose component at a
+        is the algebra morphism over ``under(a)``. ``NatTrans`` raises
+        ComponentMistyped if that is not an algebra morphism."""
+        name = self._name
+        return NatTrans(F, G, {a: name(under(a), F.ob(a), G.ob(a))
+                               for a in F.source.objects})
 
 
 def em_category(m: Monad, cap: int = DEFAULT_CAP) -> EmAlgebraCategory:
@@ -131,7 +156,7 @@ def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
     if estimate > cap:
         raise EnumerationCapExceeded(estimate, cap)
 
-    carrier, structure, by_pair = {}, {}, {}
+    carrier, structure = {}, {}
     objects = []
     for x in base.objects:
         for chi in base.hom(S.ob(x), x):
@@ -144,7 +169,6 @@ def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
             objects.append(a)
             carrier[a] = x
             structure[a] = chi
-            by_pair[(x, chi)] = a
 
     morphisms = []
     underlying = {}
@@ -170,12 +194,7 @@ def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
                 {a: carrier[a] for a in objects},
                 {mm.id: underlying[mm.id] for mm in morphisms})
 
-    free = {}
-    for x in base.objects:
-        a = by_pair.get((S.ob(x), m.mu.at(x)))
-        if a is None:
-            raise AssertionError(f"free algebra on {x} is missing")
-        free[x] = a
+    free = {x: _algebra_id(S.ob(x), m.mu.at(x)) for x in base.objects}
     F = Functor(base, category,
                 free,
                 {mm.id: name(S.mor(mm.id), free[mm.src], free[mm.tgt])
@@ -189,7 +208,7 @@ def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
     adj = Adjunction(F, U, unit, counit)
 
     em = EmAlgebraCategory(m, category, U, F, adj, carrier, structure,
-                           underlying, by_pair, free)
+                           underlying, free)
     em._name = name
     return em
 

@@ -29,8 +29,11 @@ operations below always pass through the 2-cell actions rather than ad-hoc
 formulas: each is the psi image of a structure 1-cell and of its two
 structure 2-cells, built by one routine. Those cells' laws are the law's
 axioms, so the routine checks none of them again once the law is valid.
-The hom-isomorphism round trip is
-one routine per direction over a record of each side's cells and actions.
+psi_E, the lift search and the lifted structures build what lies over U
+with the algebra category's ``functor_over`` and ``nat_over``; a lift
+needs no functor check, U being faithful. The hom-isomorphism round trip
+is one routine per direction over a record of each side's cells and
+actions.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .distlaw import (
 )
 from .errors import (
     BaseMismatch,
+    ComponentMistyped,
     LawViolation,
     MateMismatch,
     TwoCellLawViolation,
@@ -76,7 +80,6 @@ from .fincat import (
     NatTrans,
     _Budget,
     _backtrack,
-    check_functor,
     check_naturality,
     compose_functors,
     enumerate_functors,
@@ -551,22 +554,12 @@ def psi_e_1cell(cell: MndOneCell, src_em: EmAlgebraCategory = None,
     src_em = src_em if src_em is not None else em_category(cell.src)
     dst_em = dst_em if dst_em is not None else em_category(cell.dst)
     base = cell.dst.base
-    obj_map = {}
-    for a, carrier, chi in src_em.algebra_objects():
-        structure = base.compose(cell.phi.at(carrier), cell.P.mor(chi))
-        obj_map[a] = dst_em.algebra_id(cell.P.ob(carrier), structure)
-    mor_map = {}
-    for mm in src_em.category.morphisms:
-        image = dst_em.as_algebra_morphism(cell.P.mor(src_em.underlying(mm.id)),
-                                           obj_map[mm.src], obj_map[mm.tgt])
-        if image is None:
-            raise LawViolation([Violation(
-                "LiftedImageNotAlgebraMorphism", "law-algebra",
-                where=mm.id)], context="psi_e_1cell")
-        mor_map[mm.id] = image
-    Pphi = Functor(src_em.category, dst_em.category, obj_map, mor_map)
-    sq = CommutingSquareR(src_em.adj, dst_em.adj, cell.P, Pphi)
-    return AdjROneCell(sq)
+    obj_map = {a: dst_em.algebra_id(cell.P.ob(carrier),
+                                    base.compose(cell.phi.at(carrier), cell.P.mor(chi)))
+               for a, carrier, chi in src_em.algebra_objects()}
+    Pphi = dst_em.functor_over(src_em.category, obj_map,
+                               lambda m: cell.P.mor(src_em.underlying(m)))
+    return AdjROneCell(CommutingSquareR(src_em.adj, dst_em.adj, cell.P, Pphi))
 
 
 def phi_e_2cell(c2: AdjRTwoCell, src_mcell: MndOneCell = None,
@@ -593,15 +586,8 @@ def psi_e_2cell(t: MndTwoCell, src_em: EmAlgebraCategory = None,
         src_acell = psi_e_1cell(t.src_cell, src_em, dst_em)
     if dst_acell is None:
         dst_acell = psi_e_1cell(t.dst_cell, src_em, dst_em)
-    comps = {}
-    for a, carrier, _chi in src_em.algebra_objects():
-        image = dst_em.as_algebra_morphism(t.theta.at(carrier),
-                                           src_acell.K.ob(a), dst_acell.K.ob(a))
-        if image is None:
-            raise TwoCellLawViolation(
-                f"component at {a} is not an algebra morphism")
-        comps[a] = image
-    beta = NatTrans(src_acell.K, dst_acell.K, comps)
+    beta = dst_em.nat_over(src_acell.K, dst_acell.K,
+                           lambda a: t.theta.at(src_em.carrier(a)))
     return AdjRTwoCell(src_acell, dst_acell, t.theta, beta)
 
 
@@ -1136,25 +1122,9 @@ def _lifts(em: EmAlgebraCategory, J: Functor, budget: _Budget) -> list:
     domains = [em.algebras_with_carrier(J.ob(em.carrier(a))) for a in algebras]
     if not all(domains):
         return []
-    return [_lifted_functor(em, J, dict(zip(algebras, assign)))
+    return [em.functor_over(em.category, dict(zip(algebras, assign)),
+                            lambda m: J.mor(em.underlying(m)))
             for assign in _backtrack(domains, [()] * len(domains), budget)]
-
-
-def _lifted_functor(em: EmAlgebraCategory, endo: Functor,
-                    obj_map: dict) -> Functor:
-    """The endofunctor of the algebras with object map ``obj_map`` that
-    sends each algebra morphism to the one over its image under ``endo``.
-    ``Functor`` raises ComponentMistyped if such an image is not an
-    algebra morphism, and LawViolation is raised if the maps do not form
-    a functor."""
-    lifted = Functor(em.category, em.category, obj_map, {
-        mm.id: em.as_algebra_morphism(endo.mor(em.underlying(mm.id)),
-                                      obj_map[mm.src], obj_map[mm.tgt])
-        for mm in em.category.morphisms})
-    bad = check_functor(lifted)
-    if bad:
-        raise LawViolation(bad, context="lifted functor")
-    return lifted
 
 
 def _assemble_lifting(kind, S: Monad, below, em: EmAlgebraCategory,
@@ -1163,15 +1133,10 @@ def _assemble_lifting(kind, S: Monad, below, em: EmAlgebraCategory,
     those of ``below`` read over the algebras in the shape of its UPSTAIRS;
     a component that is not an algebra morphism makes ``NatTrans`` raise
     ComponentMistyped, and a failing law makes ``kind`` raise."""
-    algebras = em.category.objects
-    once = [endo.ob(a) for a in algebras]
-    objects = kind.UPSTAIRS.ends([endo.ob(b) for b in once], once, algebras)
-    functors = kind.UPSTAIRS.functor_ends(em.category, endo)
-    maps = [NatTrans(source, target,
-                     {a: em.as_algebra_morphism(nat.at(em.carrier(a)), s, t)
-                      for a, s, t in zip(algebras, sources, targets)})
-            for nat, (sources, targets), (source, target)
-            in zip((below.mult, below.unit), objects, functors)]
+    maps = [em.nat_over(source, target, lambda a, nat=nat: nat.at(em.carrier(a)))
+            for nat, (source, target) in zip(
+                (below.mult, below.unit),
+                kind.UPSTAIRS.functor_ends(em.category, endo))]
     return kind(S, em, below, endo, *maps)
 
 
@@ -1344,15 +1309,16 @@ def _map_side(a: _Side, b: _Side) -> _Flags:
     of ``b``, that 1-cells and 2-cells come back to themselves, and that
     identities, vertical composites and 1-cell composites are preserved.
     The functoriality checks reuse the images and map only the composites
-    they form. A 2-cell whose image raises TwoCellLawViolation fails the
-    2-cell round trip and the vertical composites."""
+    they form. A 2-cell whose image raises ComponentMistyped or
+    TwoCellLawViolation fails the 2-cell round trip and the vertical
+    composites."""
     images = [a.map1(c) for c in a.cells]
     backs = [b.map1(m) for m in images]
 
     def image2(t, i, j):
         try:
             return a.map2(t, images[i], images[j])
-        except TwoCellLawViolation:
+        except (ComponentMistyped, TwoCellLawViolation):
             return None
 
     two = True

@@ -431,12 +431,22 @@ def test_lifting_searches_match_where_the_algebras_are_least_trivial(name, count
 def test_lift_searches_match_on_random_finset_subcategories(cat):
     """On random subcategories of FinSet, about a third of them not thin:
     the lifting searches and the AdjR endocell search equal the searches
-    as first written, and U is full and injective on objects."""
-    monads = enumerate_monads(cat)
-    assert_lifting_searches_match(monads, enumerate_comonads(cat))
+    as first written, and U is full and injective on objects. The searches
+    build each lift K without checking it is a functor, so the test checks
+    it for every lift and every AdjR endocell."""
+    monads, comonads = enumerate_monads(cat), enumerate_comonads(cat)
+    assert_lifting_searches_match(monads, comonads)
     for S in monads:
         em = em_category(S)
-        assert enumerate_adjr_endocells(em) == ref_enumerate_adjr_endocells(em)
+        cells = enumerate_adjr_endocells(em)
+        assert cells == ref_enumerate_adjr_endocells(em)
+        lifts = [c.K for c in cells]
+        for search, others in ((enumerate_liftings, monads),
+                               (enumerate_comonad_liftings, comonads)):
+            lifts += [lifting.endo for other in others
+                      for lifting in search(S, other, em=em)]
+        for K in lifts:
+            assert check_functor(K) == []
 
 
 # ---------------------------------------------------------------------------

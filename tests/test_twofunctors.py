@@ -49,7 +49,6 @@ from finmonad.twofunctors import (
     MndBulletTwoCell,
     MndOneCell,
     MonadObjectInMnd,
-    _lifted_functor,
     _map_side,
     _Side,
     adjl_identity_cell,
@@ -172,6 +171,25 @@ def test_psi_e_images_satisfy_the_algebra_predicate(cor):
         assert em.has_algebra(em.carrier(image), em.structure(image))
 
 
+def test_psi_e_rejects_the_unlawful_cells_of_m_z2(cor):
+    """On M(Z2) each monad has two unlawful endocells, and the structure
+    P chi ∘ phi they give the algebra is no algebra: psi_E raises
+    ComponentMistyped, as for a morphism with no algebra morphism over
+    it."""
+    for m in cor.monads_z2.values():
+        em = em_category(m)
+        unlawful = 0
+        for P in enumerate_functors(m.base, m.base):
+            for phi in enumerate_nat_trans(compose_functors(m.S, P),
+                                           compose_functors(P, m.S)):
+                cell = MndOneCell(m, m, P, phi)
+                if cell.check():
+                    unlawful += 1
+                    with pytest.raises(ComponentMistyped):
+                        psi_e_1cell(cell, em, em)
+        assert unlawful == 2
+
+
 def test_lifted_monad_passes_monad_laws(cor):
     lm = lift_monad(cor.law_c2_c1)
     assert lm.as_monad().check() == []
@@ -207,7 +225,7 @@ def test_lifting_counts(cor):
 def test_lifted_functor_rejects_an_object_map_with_no_morphism_image(cor):
     """Sending every algebra of the identity monad on C3 to one algebra
     leaves the other algebras' identities with no algebra morphism over
-    them: building the candidate raises, rather than leaving those
+    them: building the candidate over U raises, rather than leaving those
     morphisms out."""
     em = em_category(cor.monads_c3["id"])
     algebras = em.category.objects
@@ -215,7 +233,7 @@ def test_lifted_functor_rejects_an_object_map_with_no_morphism_image(cor):
     for target in algebras:
         obj_map = dict.fromkeys(algebras, target)
         with pytest.raises(ComponentMistyped):
-            _lifted_functor(em, identity_functor(cor.c3), obj_map)
+            em.functor_over(em.category, obj_map, em.underlying)
 
 
 def test_lifting_searches_check_each_accepted_lifting_once(cor, monkeypatch):
@@ -566,15 +584,19 @@ def test_map_side_passes_mutually_inverse_sides():
 
 
 def test_map_side_fails_the_two_cell_checks_on_a_raising_image():
-    def map2(t, src, dst):
-        if t == (0, 1):
-            raise TwoCellLawViolation("not a 2-cell")
-        return (src, dst)
+    # psi_E raises ComponentMistyped on a component with no algebra
+    # morphism over it, the AdjR constructor TwoCellLawViolation
+    for error in (ComponentMistyped, TwoCellLawViolation):
+        def map2(t, src, dst):
+            if t == (0, 1):
+                raise error("not a 2-cell")
+            return (src, dst)
 
-    a = fake_side([0, 1], lambda c: c, lambda x, y: (x + y) % 2, map2)
-    flags = _map_side(a, fake_side([0, 1], lambda c: c, lambda x, y: (x + y) % 2))
-    assert not flags.two and not flags.vcomp
-    assert flags.lands and flags.back and flags.identities and flags.compose
+        a = fake_side([0, 1], lambda c: c, lambda x, y: (x + y) % 2, map2)
+        flags = _map_side(a, fake_side([0, 1], lambda c: c,
+                                       lambda x, y: (x + y) % 2))
+        assert not flags.two and not flags.vcomp
+        assert flags.lands and flags.back and flags.identities and flags.compose
 
 
 def test_map_side_fails_only_lands_on_an_image_outside_the_other_side():
