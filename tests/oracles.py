@@ -15,7 +15,9 @@ transformations, before the library compared them component by component,
 then the composites of Mnd, Mnd• and CoMnd 1-cells as first written,
 from two whiskered transformations and their vertical composite, and then
 the monad search as first written, which builds a monad from every natural
-(mu, eta) pair of every endofunctor and keeps the lawful ones, then
+(mu, eta) pair of every endofunctor and keeps the lawful ones, then the
+algebra and Kleisli constructions and psi_K as first written, each naming
+what lies over the base by hand, then
 the monad lifting, the Kleisli extension and the comonad lifting as
 written once per kind, before the library shared one psi image between
 them, and last the functor search as first written on the backtracking
@@ -32,17 +34,17 @@ from finmonad.adjunction import (
     Adjunction,
     CommutingSquareL,
     CommutingSquareR,
+    induced_monad,
     mate_left,
 )
 from finmonad.construct import (
     EmAlgebraCategory,
     EmCoalgebraCategory,
-    KleisliCategory,
     _algebra_id,
     _algebra_morphism_id,
+    _kleisli_id,
     em_category,
     em_coalgebra_category,
-    kleisli_category,
 )
 from finmonad.distlaw import (
     DistributiveLaw,
@@ -78,6 +80,7 @@ from finmonad.fincat import (
     whisker_left,
     whisker_right,
 )
+from finmonad.fixtures import c3, chain_category, m_z2
 from finmonad.monad import Comonad, Monad, check_monad_laws
 from finmonad.parallel import pmap
 from finmonad.report import Violation, entry
@@ -112,8 +115,6 @@ from finmonad.twofunctors import (
     phi_e_2cell,
     psi_e_1cell,
     psi_e_2cell,
-    psi_k_1cell,
-    psi_k_2cell,
 )
 
 # ---------------------------------------------------------------------------
@@ -250,6 +251,16 @@ def delta(sizes):
         return f"d{m}{n}_" + "".join(str(b[i]) for i in a)
 
     return _table([str(n) for n in sizes], morphs, identities, compose)
+
+
+# The small categories of the differential tests: thin and not, with and
+# without invertible arrows.
+DIFFERENTIAL = {
+    "chain3": c3, "chain4": lambda: chain_category("abcd"),
+    "z3": lambda: cyclic(3), "t2": lambda: transformation_monoid(2),
+    "m_z2": m_z2, "c2xz2": chain2_times_z2, "g3": lambda: codiscrete(3),
+    "g2": lambda: codiscrete(2), "split": split_idempotent,
+}
 
 
 @st.composite
@@ -1339,6 +1350,236 @@ def ref_enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
 
 
 # ---------------------------------------------------------------------------
+# The algebra and Kleisli constructions and psi_K as first written
+#
+# Each construction names the morphisms of its category, its F or D and
+# its counit by hand, and the Kleisli category looks a morphism up by its
+# (underlying, source, target) triple, which psi_K names its images
+# through. The library names everything over the base with one record;
+# the construction tests hold its categories, functors, adjunctions and
+# psi_K images to these.
+
+
+class RefEmAlgebraCategory:
+    """Algebras (X, chi) of a monad with the free/forgetful adjunction F ⊣ U."""
+
+    def __init__(self, monad, category, U, F, adj, carrier, structure,
+                 underlying, free):
+        self.monad = monad
+        self.category = category
+        self.U = U
+        self.F = F
+        self.adj = adj
+        self._carrier = carrier
+        self._structure = structure
+        self._underlying = underlying
+        self._free = free
+
+    def algebra_objects(self):
+        """(object id, carrier, structure map) in canonical order."""
+        return [(a, self._carrier[a], self._structure[a])
+                for a in self.category.objects]
+
+    def free_algebra(self, x):
+        return self._free[x]
+
+    def underlying(self, morph):
+        return self._underlying[morph]
+
+
+def ref_em_category(m: Monad, cap: int = DEFAULT_CAP) -> RefEmAlgebraCategory:
+    """Enumerate all algebras and algebra morphisms of a valid monad."""
+    m.require_valid()
+    em = ref__em_category(m, cap, _algebra_morphism_id)
+    if induced_monad(em.adj) != m:
+        raise AssertionError("algebra adjunction does not induce its monad")
+    return em
+
+
+def ref__em_category(m: Monad, cap: int, name) -> RefEmAlgebraCategory:
+    """The algebra construction for a valid monad; ``name(f, A, B)`` is the
+    id of the algebra morphism A → B with underlying f."""
+    base = m.base
+    S = m.S
+
+    estimate = sum(len(base.hom(S.ob(x), x)) for x in base.objects)
+    if estimate > cap:
+        raise EnumerationCapExceeded(estimate, cap)
+
+    carrier, structure = {}, {}
+    objects = []
+    for x in base.objects:
+        for chi in base.hom(S.ob(x), x):
+            # unit law chi ∘ eta_X = id_X and multiplication square
+            if base.compose(m.eta.at(x), chi) != base.identity(x):
+                continue
+            if base.compose(m.mu.at(x), chi) != base.compose(S.mor(chi), chi):
+                continue
+            a = _algebra_id(x, chi)
+            objects.append(a)
+            carrier[a] = x
+            structure[a] = chi
+
+    morphisms = []
+    underlying = {}
+    for a in objects:
+        for b in objects:
+            for f in base.hom(carrier[a], carrier[b]):
+                # algebra morphism square: f ∘ chi = chi' ∘ S f
+                if base.compose(structure[a], f) != base.compose(S.mor(f), structure[b]):
+                    continue
+                mid = name(f, a, b)
+                morphisms.append(Morphism(mid, a, b))
+                underlying[mid] = f
+
+    identities = {a: name(base.identity(carrier[a]), a, a) for a in objects}
+
+    def comp(f: Morphism, g: Morphism) -> str:
+        return name(base.compose(underlying[f.id], underlying[g.id]),
+                    f.src, g.tgt)
+
+    category = assemble_category(objects, morphisms, identities, comp)
+
+    U = Functor(category, base,
+                {a: carrier[a] for a in objects},
+                {mm.id: underlying[mm.id] for mm in morphisms})
+
+    free = {x: _algebra_id(S.ob(x), m.mu.at(x)) for x in base.objects}
+    F = Functor(base, category,
+                free,
+                {mm.id: name(S.mor(mm.id), free[mm.src], free[mm.tgt])
+                 for mm in base.morphisms})
+
+    unit = NatTrans(identity_functor(base), compose_functors(U, F),
+                    dict(m.eta.components))
+    counit = NatTrans(compose_functors(F, U), identity_functor(category),
+                      {a: name(structure[a], free[carrier[a]], a)
+                       for a in objects})
+    adj = Adjunction(F, U, unit, counit)
+
+    return RefEmAlgebraCategory(m, category, U, F, adj, carrier, structure,
+                                underlying, free)
+
+
+class RefKleisliCategory:
+    """Same objects as the base; hom(X, Y) is hom_base(X, TY)."""
+
+    def __init__(self, monad, category, D, V, adj, underlying, by_data):
+        self.monad = monad
+        self.category = category
+        self.D = D
+        self.V = V
+        self.adj = adj
+        self._underlying = underlying
+        self._by_data = by_data
+
+    def kleisli_id(self, y, src, tgt):
+        return self._by_data[(y, src, tgt)]
+
+    def underlying(self, morph):
+        """(underlying base morphism, source object, target object)."""
+        return self._underlying[morph]
+
+
+def ref_kleisli_category(m: Monad) -> RefKleisliCategory:
+    m.require_valid()
+    base = m.base
+    T = m.S
+
+    objects = list(base.objects)
+    morphisms = []
+    underlying = {}
+    by_data = {}
+    for x in objects:
+        for y_obj in objects:
+            for y in base.hom(x, T.ob(y_obj)):
+                mid = _kleisli_id(y, x, y_obj)
+                morphisms.append(Morphism(mid, x, y_obj))
+                underlying[mid] = (y, x, y_obj)
+                by_data[(y, x, y_obj)] = mid
+
+    identities = {x: by_data[(m.eta.at(x), x, x)] for x in objects}
+
+    def comp(f: Morphism, g: Morphism) -> str:
+        y, _, y_tgt = underlying[f.id]
+        z, _, z_tgt = underlying[g.id]
+        # z♯ ∘ y♯ has underlying mu_Z ∘ T z ∘ y
+        comp_underlying = base.compose(base.compose(y, T.mor(z)), m.mu.at(z_tgt))
+        return by_data[(comp_underlying, f.src, z_tgt)]
+
+    category = assemble_category(objects, morphisms, identities, comp)
+
+    D = Functor(base, category,
+                {x: x for x in objects},
+                {mm.id: by_data[(base.compose(mm.id, m.eta.at(mm.tgt)), mm.src, mm.tgt)]
+                 for mm in base.morphisms})
+    V = Functor(category, base,
+                {x: T.ob(x) for x in objects},
+                {mm.id: base.compose(T.mor(underlying[mm.id][0]),
+                                     m.mu.at(underlying[mm.id][2]))
+                 for mm in category.morphisms})
+
+    unit = NatTrans(identity_functor(base), compose_functors(V, D),
+                    dict(m.eta.components))
+    counit = NatTrans(compose_functors(D, V), identity_functor(category),
+                      {x: by_data[(base.identity(T.ob(x)), T.ob(x), x)]
+                       for x in objects})
+    adj = Adjunction(D, V, unit, counit)
+
+    kl = RefKleisliCategory(m, category, D, V, adj, underlying, by_data)
+    if induced_monad(adj) != m:
+        raise AssertionError("Kleisli adjunction does not induce its monad")
+    return kl
+
+
+def ref_psi_k_1cell(cell: MndBulletOneCell, src_kl: RefKleisliCategory = None,
+                    dst_kl: RefKleisliCategory = None) -> AdjLOneCell:
+    """(P, psi) ↦ (P, P_psi, rho^P) between Kleisli adjunctions.
+
+    P_psi fixes objects to P X and sends y♯: X → Y to (psi_Y ∘ P y)♯.
+    """
+    src_kl = src_kl if src_kl is not None else ref_kleisli_category(cell.src)
+    dst_kl = dst_kl if dst_kl is not None else ref_kleisli_category(cell.dst)
+    base = cell.dst.base
+    obj_map = {x: cell.P.ob(x) for x in src_kl.category.objects}
+    mor_map = {}
+    for mm in src_kl.category.morphisms:
+        y, x_src, y_tgt = src_kl.underlying(mm.id)
+        under = base.compose(cell.P.mor(y), cell.psi.at(y_tgt))
+        mor_map[mm.id] = dst_kl.kleisli_id(under, cell.P.ob(x_src),
+                                           cell.P.ob(y_tgt))
+    Ppsi = Functor(src_kl.category, dst_kl.category, obj_map, mor_map)
+    sq = CommutingSquareL(src_kl.adj, dst_kl.adj, cell.P, Ppsi)
+    return AdjLOneCell(sq)
+
+
+def ref_psi_k_2cell(t: MndBulletTwoCell, src_kl: RefKleisliCategory = None,
+                    dst_kl: RefKleisliCategory = None,
+                    src_acell: AdjLOneCell = None,
+                    dst_acell: AdjLOneCell = None) -> AdjLTwoCell:
+    """theta ↦ (theta, theta^psi) with theta^psi(X) = (eta^T_{Q X} ∘ theta_X)♯.
+
+    The 2-cell laws of the result are re-checked by the AdjL constructor;
+    a failure raises TwoCellLawViolation rather than being repaired.
+    """
+    src_kl = src_kl if src_kl is not None else ref_kleisli_category(t.src_cell.src)
+    dst_kl = dst_kl if dst_kl is not None else ref_kleisli_category(t.src_cell.dst)
+    if src_acell is None:
+        src_acell = ref_psi_k_1cell(t.src_cell, src_kl, dst_kl)
+    if dst_acell is None:
+        dst_acell = ref_psi_k_1cell(t.dst_cell, src_kl, dst_kl)
+    base = t.src_cell.dst.base
+    eta = t.src_cell.dst.eta
+    comps = {}
+    for x in src_kl.category.objects:
+        qx = t.dst_cell.P.ob(x)
+        under = base.compose(t.theta.at(x), eta.at(qx))
+        comps[x] = dst_kl.kleisli_id(under, t.src_cell.P.ob(x), qx)
+    beta = NatTrans(src_acell.K, dst_acell.K, comps)
+    return AdjLTwoCell(src_acell, dst_acell, t.theta, beta)
+
+
+# ---------------------------------------------------------------------------
 # Lifting and extension as written once per kind
 #
 # Each builds the psi image of a structure 1-cell and of its two structure
@@ -1367,24 +1608,25 @@ def ref_lift_monad(dl: DistributiveLaw, em: EmAlgebraCategory = None) -> LiftedM
     return LiftedMonad(dl.S, em, dl.T, acell.K, mu_pair.beta, eta_pair.beta)
 
 
-def ref_extend_monad(dl: DistributiveLaw, kl: KleisliCategory = None) -> KleisliExtension:
+def ref_extend_monad(dl: DistributiveLaw,
+                     kl: RefKleisliCategory = None) -> KleisliExtension:
     """Extend S to the Kleisli category of T along a valid law.
 
     Stilde is the psi_K image of the Mnd• 1-cell (S, phi); mu_tilde and
     eta_tilde are the psi_K images of mu^S and eta^S as 2-cells.
     """
     dl.require_valid()
-    kl = kl if kl is not None else kleisli_category(dl.T)
+    kl = kl if kl is not None else ref_kleisli_category(dl.T)
     cell = MndBulletOneCell(dl.T, dl.T, dl.S.S, dl.phi).require_valid()
-    acell = psi_k_1cell(cell, kl, kl)
+    acell = ref_psi_k_1cell(cell, kl, kl)
     comp_cell = bullet_compose(cell, cell)
-    comp_acell = psi_k_1cell(comp_cell, kl, kl)
+    comp_acell = ref_psi_k_1cell(comp_cell, kl, kl)
     id_cell = bullet_identity_cell(dl.T)
-    id_acell = psi_k_1cell(id_cell, kl, kl)
+    id_acell = ref_psi_k_1cell(id_cell, kl, kl)
     mu2 = MndBulletTwoCell(comp_cell, cell, dl.S.mu).require_valid()
     eta2 = MndBulletTwoCell(id_cell, cell, dl.S.eta).require_valid()
-    mu_pair = psi_k_2cell(mu2, kl, kl, comp_acell, acell)
-    eta_pair = psi_k_2cell(eta2, kl, kl, id_acell, acell)
+    mu_pair = ref_psi_k_2cell(mu2, kl, kl, comp_acell, acell)
+    eta_pair = ref_psi_k_2cell(eta2, kl, kl, id_acell, acell)
     return KleisliExtension(dl.S, dl.T, kl, acell.K, mu_pair.beta, eta_pair.beta)
 
 

@@ -1,9 +1,31 @@
-"""Algebra, coalgebra, and Kleisli category constructions."""
+"""Algebra, coalgebra, and Kleisli category constructions, and the same
+constructions against the references that name everything by hand."""
+
+import pytest
+from hypothesis import given, settings
+from oracles import (
+    DIFFERENTIAL,
+    finset_subcategories,
+    ref__em_category,
+    ref_em_category,
+    ref_kleisli_category,
+)
 
 from finmonad.adjunction import induced_monad
-from finmonad.construct import em_category, em_coalgebra_category, kleisli_category
-from finmonad.fincat import validate_category
-from finmonad.monad import identity_comonad, identity_monad
+from finmonad.construct import (
+    _algebra_morphism_id,
+    em_category,
+    em_coalgebra_category,
+    kleisli_category,
+)
+from finmonad.fincat import DEFAULT_CAP, validate_category
+from finmonad.monad import (
+    enumerate_comonads,
+    enumerate_monads,
+    identity_comonad,
+    identity_monad,
+    monad_on_opposite,
+)
 
 
 def test_algebras_of_identity_monad_mirror_the_base(cor):
@@ -166,3 +188,59 @@ def test_em_of_z2_twist_monad(cor):
     assert len(em.category.objects) == 1
     assert em.structure(em.category.objects[0]) == "s"
     assert len(em.category.morphisms) == 2
+
+
+# -- against the constructions as first written ------------------------------------
+
+
+def assert_same_category(got, want) -> None:
+    """The same objects and morphisms in the same order, the same
+    identities and the same composition."""
+    assert got.objects == want.objects
+    assert got.morphisms == want.morphisms
+    assert got.identities == want.identities
+    assert list(got.composition_items()) == list(want.composition_items())
+
+
+def assert_algebras_match(em, ref) -> None:
+    assert_same_category(em.category, ref.category)
+    assert (em.U, em.F, em.adj) == (ref.U, ref.F, ref.adj)
+    assert em.algebra_objects() == ref.algebra_objects()
+    for x in em.monad.base.objects:
+        assert em.free_algebra(x) == ref.free_algebra(x)
+    for mm in ref.category.morphisms:
+        assert em.underlying(mm.id) == ref.underlying(mm.id)
+
+
+def assert_constructions_match(monads, comonads) -> None:
+    """The algebras and the Kleisli category of every monad, and the
+    algebras on the opposite category that every comonad's coalgebras
+    are read off, equal the references."""
+    for m in monads:
+        assert_algebras_match(em_category(m), ref_em_category(m))
+        kl, ref = kleisli_category(m), ref_kleisli_category(m)
+        assert_same_category(kl.category, ref.category)
+        assert (kl.D, kl.V, kl.adj) == (ref.D, ref.V, ref.adj)
+        for mm in ref.category.morphisms:
+            assert kl.underlying(mm.id) == ref.underlying(mm.id)
+    for c in comonads:
+        ref = ref__em_category(monad_on_opposite(c), DEFAULT_CAP,
+                               lambda f, src, tgt: _algebra_morphism_id(f, tgt, src))
+        assert_algebras_match(em_coalgebra_category(c).on_opposite, ref)
+
+
+def test_constructions_match_the_first_written_on_the_corpus(cor):
+    assert_constructions_match([m for _, _, m in cor.all_monads()],
+                               [c for _, _, c in cor.all_comonads()])
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+def test_constructions_match_the_first_written(name):
+    cat = DIFFERENTIAL[name]()
+    assert_constructions_match(enumerate_monads(cat), enumerate_comonads(cat))
+
+
+@settings(max_examples=30, deadline=None)
+@given(finset_subcategories())
+def test_constructions_match_the_first_written_on_random_finset_subcategories(cat):
+    assert_constructions_match(enumerate_monads(cat), enumerate_comonads(cat))
