@@ -261,8 +261,8 @@ def comparison_functor_kleisli(a: Adjunction) -> CommutingSquareL:
     obj_map = {x: a.L.ob(x) for x in kl.category.objects}
     mor_map = {}
     for mm in kl.category.morphisms:
-        y, x_src, y_tgt = kl.underlying(mm.id)
         # y: X -> R L Y downstairs; image is counit_{L Y} ∘ L y upstairs
-        mor_map[mm.id] = a.upper.compose(a.L.mor(y), a.counit.at(a.L.ob(y_tgt)))
+        mor_map[mm.id] = a.upper.compose(a.L.mor(kl.underlying(mm.id)),
+                                         a.counit.at(a.L.ob(mm.tgt)))
     K = Functor(kl.category, a.upper, obj_map, mor_map)
     return CommutingSquareL(kl.adj, a, identity_functor(a.base), K)

@@ -18,11 +18,14 @@ Every constructed category is revalidated from scratch (associativity
 included), the coalgebra category as the algebra category it is the
 opposite of, and every adjunction passes its triangle identities.
 
-A functor or transformation into the algebras that lies over a base one
-is built in one place: :meth:`EmAlgebraCategory.functor_over` and
-:meth:`EmAlgebraCategory.nat_over` name each image by the id scheme, and
-the ``Functor``/``NatTrans`` constructors raise ComponentMistyped on an
-image that is not an algebra or not an algebra morphism.
+Everything in the algebra or the Kleisli category that lies over the
+base is named in one place, the record both categories are: the category
+itself, built from (u, A, B) triples; its own free functor F or D and
+its counit; and every functor or transformation into it that lies over a
+base one, built by ``functor_over`` and ``nat_over``. Those name each
+image by the id scheme, and the ``Functor``/``NatTrans`` constructors
+raise ComponentMistyped on an image that is not an object or not a
+morphism.
 """
 
 from __future__ import annotations
@@ -65,25 +68,65 @@ def _kleisli_id(y: str, src: str, tgt: str) -> str:
     return f"♯⟨{_escape(y)}:{_escape(src)}→{_escape(tgt)}⟩"
 
 
-class EmAlgebraCategory:
+class _Over:
+    """A constructed category over the base of ``monad``: its morphism
+    A → B over a base morphism u is named ``_name(u, A, B)``, and ``adj``
+    is its canonical adjunction. Everything that lies over the base is
+    named here, and the ``Functor``/``NatTrans`` constructors raise
+    ComponentMistyped on an image that is not an object or a morphism."""
+
+    __slots__ = ("monad", "category", "adj", "_underlying", "_name")
+
+    def __init__(self, monad, name):
+        self.monad = monad
+        self._name = name
+
+    def _assemble(self, objects, arrows, identity, compose) -> None:
+        """The category on ``objects`` whose morphisms are the ``(u, A, B)``
+        of ``arrows``, with identity at A over ``identity(A)`` and the
+        composite of A → B over u and B → C over v over ``compose(u, v, C)``."""
+        name = self._name
+        morphisms, underlying = [], {}
+        for u, a, b in arrows:
+            mid = name(u, a, b)
+            morphisms.append(Morphism(mid, a, b))
+            underlying[mid] = u
+        identities = {a: name(identity(a), a, a) for a in objects}
+
+        def comp(f: Morphism, g: Morphism) -> str:
+            return name(compose(underlying[f.id], underlying[g.id], g.tgt),
+                        f.src, g.tgt)
+
+        self._underlying = underlying
+        self.category = assemble_category(objects, morphisms, identities, comp)
+
+    def underlying(self, morph: str) -> str:
+        """The base morphism that ``morph`` lies over."""
+        return self._underlying[morph]
+
+    def functor_over(self, source, obj_map: dict, under) -> Functor:
+        """The functor from ``source`` into this category with object map
+        ``obj_map`` that sends each morphism m to the morphism over
+        ``under(m)``. ``Functor`` raises ComponentMistyped if an object
+        image is not an object or a morphism image is not a morphism."""
+        name = self._name
+        return Functor(source, self.category, obj_map,
+                       {mm.id: name(under(mm.id), obj_map[mm.src], obj_map[mm.tgt])
+                        for mm in source.morphisms})
+
+    def nat_over(self, F: Functor, G: Functor, under) -> NatTrans:
+        """The transformation F → G into this category whose component at a
+        is the morphism over ``under(a)``. ``NatTrans`` raises
+        ComponentMistyped if that is not a morphism."""
+        name = self._name
+        return NatTrans(F, G, {a: name(under(a), F.ob(a), G.ob(a))
+                               for a in F.source.objects})
+
+
+class EmAlgebraCategory(_Over):
     """Algebras (X, chi) of a monad with the free/forgetful adjunction F ⊣ U."""
 
-    __slots__ = ("monad", "category", "U", "F", "adj", "_carrier",
-                 "_structure", "_underlying", "_free", "_name")
-
-    def __init__(self, monad, category, U, F, adj, carrier, structure,
-                 underlying, free):
-        self.monad = monad
-        self.category = category
-        self.U = U
-        self.F = F
-        self.adj = adj
-        self._carrier = carrier
-        self._structure = structure
-        self._underlying = underlying
-        self._free = free
-        # names the morphism A → B with underlying f
-        self._name = _algebra_morphism_id
+    __slots__ = ("U", "F", "_carrier", "_structure", "_free")
 
     def algebra_objects(self):
         """(object id, carrier, structure map) in canonical order."""
@@ -100,41 +143,11 @@ class EmAlgebraCategory:
         """The id of (carrier, chi), an object exactly if it is an algebra."""
         return _algebra_id(carrier, chi)
 
-    def has_algebra(self, carrier: str, chi: str) -> bool:
-        return _algebra_id(carrier, chi) in self._carrier
-
     def algebras_with_carrier(self, carrier: str) -> list:
         return [a for a in self.category.objects if self._carrier[a] == carrier]
 
     def free_algebra(self, x: str) -> str:
         return self._free[x]
-
-    def underlying(self, morph: str) -> str:
-        return self._underlying[morph]
-
-    def as_algebra_morphism(self, f: str, src: str, tgt: str):
-        """The morphism id for underlying f between the two algebras, or None."""
-        mid = self._name(f, src, tgt)
-        return mid if self.category.has_morphism(mid) else None
-
-    def functor_over(self, source, obj_map: dict, under) -> Functor:
-        """The functor from ``source`` into the algebras with object map
-        ``obj_map`` that sends each morphism m to the algebra morphism over
-        ``under(m)``. ``Functor`` raises ComponentMistyped if an object
-        image is not an algebra or a morphism image is not an algebra
-        morphism."""
-        name = self._name
-        return Functor(source, self.category, obj_map,
-                       {mm.id: name(under(mm.id), obj_map[mm.src], obj_map[mm.tgt])
-                        for mm in source.morphisms})
-
-    def nat_over(self, F: Functor, G: Functor, under) -> NatTrans:
-        """The transformation F → G into the algebras whose component at a
-        is the algebra morphism over ``under(a)``. ``NatTrans`` raises
-        ComponentMistyped if that is not an algebra morphism."""
-        name = self._name
-        return NatTrans(F, G, {a: name(under(a), F.ob(a), G.ob(a))
-                               for a in F.source.objects})
 
 
 def em_category(m: Monad, cap: int = DEFAULT_CAP) -> EmAlgebraCategory:
@@ -157,7 +170,6 @@ def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
         raise EnumerationCapExceeded(estimate, cap)
 
     carrier, structure = {}, {}
-    objects = []
     for x in base.objects:
         for chi in base.hom(S.ob(x), x):
             # unit law chi ∘ eta_X = id_X and multiplication square
@@ -166,50 +178,26 @@ def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
             if base.compose(m.mu.at(x), chi) != base.compose(S.mor(chi), chi):
                 continue
             a = _algebra_id(x, chi)
-            objects.append(a)
             carrier[a] = x
             structure[a] = chi
 
-    morphisms = []
-    underlying = {}
-    for a in objects:
-        for b in objects:
-            for f in base.hom(carrier[a], carrier[b]):
-                # algebra morphism square: f ∘ chi = chi' ∘ S f
-                if base.compose(structure[a], f) != base.compose(S.mor(f), structure[b]):
-                    continue
-                mid = name(f, a, b)
-                morphisms.append(Morphism(mid, a, b))
-                underlying[mid] = f
-
-    identities = {a: name(base.identity(carrier[a]), a, a) for a in objects}
-
-    def comp(f: Morphism, g: Morphism) -> str:
-        return name(base.compose(underlying[f.id], underlying[g.id]),
-                    f.src, g.tgt)
-
-    category = assemble_category(objects, morphisms, identities, comp)
-
-    U = Functor(category, base,
-                {a: carrier[a] for a in objects},
-                {mm.id: underlying[mm.id] for mm in morphisms})
-
-    free = {x: _algebra_id(S.ob(x), m.mu.at(x)) for x in base.objects}
-    F = Functor(base, category,
-                free,
-                {mm.id: name(S.mor(mm.id), free[mm.src], free[mm.tgt])
-                 for mm in base.morphisms})
-
-    unit = NatTrans(identity_functor(base), compose_functors(U, F),
+    em = EmAlgebraCategory(m, name)
+    em._carrier, em._structure = carrier, structure
+    # algebra morphism square: f ∘ chi = chi' ∘ S f
+    em._assemble(list(carrier),
+                 ((f, a, b) for a in carrier for b in carrier
+                  for f in base.hom(carrier[a], carrier[b])
+                  if base.compose(structure[a], f) == base.compose(S.mor(f), structure[b])),
+                 lambda a: base.identity(carrier[a]),
+                 lambda f, g, _: base.compose(f, g))
+    em.U = Functor(em.category, base, carrier, em._underlying)
+    em._free = {x: _algebra_id(S.ob(x), m.mu.at(x)) for x in base.objects}
+    em.F = em.functor_over(base, em._free, S.mor)
+    unit = NatTrans(identity_functor(base), compose_functors(em.U, em.F),
                     dict(m.eta.components))
-    counit = NatTrans(compose_functors(F, U), identity_functor(category),
-                      {a: name(structure[a], free[carrier[a]], a)
-                       for a in objects})
-    adj = Adjunction(F, U, unit, counit)
-
-    em = EmAlgebraCategory(m, category, U, F, adj, carrier, structure,
-                           underlying, free)
-    em._name = name
+    counit = em.nat_over(compose_functors(em.F, em.U),
+                         identity_functor(em.category), structure.__getitem__)
+    em.adj = Adjunction(em.F, em.U, unit, counit)
     return em
 
 
@@ -221,7 +209,8 @@ class EmCoalgebraCategory:
     category, a coalgebra morphism A → B is an algebra morphism B → A, and
     the category, U, F and the adjunction are the opposites of the algebra
     ones (the algebra adjunction F ⊣ U turns into U ⊣ F). ``on_opposite``
-    is that algebra category.
+    is that algebra category, and every read of the coalgebras goes
+    through it.
     """
 
     __slots__ = ("comonad", "category", "U", "F", "adj", "on_opposite")
@@ -234,33 +223,6 @@ class EmCoalgebraCategory:
         self.F = self.adj.R
         self.category = self.U.source
 
-    def coalgebra_objects(self):
-        return self.on_opposite.algebra_objects()
-
-    def carrier(self, obj: str) -> str:
-        return self.on_opposite.carrier(obj)
-
-    def structure(self, obj: str) -> str:
-        return self.on_opposite.structure(obj)
-
-    def coalgebra_id(self, carrier: str, xi: str) -> str:
-        return self.on_opposite.algebra_id(carrier, xi)
-
-    def has_coalgebra(self, carrier: str, xi: str) -> bool:
-        return self.on_opposite.has_algebra(carrier, xi)
-
-    def coalgebras_with_carrier(self, carrier: str) -> list:
-        return self.on_opposite.algebras_with_carrier(carrier)
-
-    def cofree_coalgebra(self, x: str) -> str:
-        return self.on_opposite.free_algebra(x)
-
-    def underlying(self, morph: str) -> str:
-        return self.on_opposite.underlying(morph)
-
-    def as_coalgebra_morphism(self, f: str, src: str, tgt: str):
-        return self.on_opposite.as_algebra_morphism(f, tgt, src)
-
 
 def em_coalgebra_category(c: Comonad, cap: int = DEFAULT_CAP) -> EmCoalgebraCategory:
     """Enumerate all coalgebras of a valid comonad: the algebras of the same
@@ -272,26 +234,14 @@ def em_coalgebra_category(c: Comonad, cap: int = DEFAULT_CAP) -> EmCoalgebraCate
     return EmCoalgebraCategory(c, em)
 
 
-class KleisliCategory:
+class KleisliCategory(_Over):
     """Same objects as the base; hom(X, Y) is hom_base(X, TY)."""
 
-    __slots__ = ("monad", "category", "D", "V", "adj", "_underlying", "_by_data")
-
-    def __init__(self, monad, category, D, V, adj, underlying, by_data):
-        self.monad = monad
-        self.category = category
-        self.D = D
-        self.V = V
-        self.adj = adj
-        self._underlying = underlying
-        self._by_data = by_data
+    __slots__ = ("D", "V")
 
     def kleisli_id(self, y: str, src: str, tgt: str) -> str:
-        return self._by_data[(y, src, tgt)]
-
-    def underlying(self, morph: str):
-        """(underlying base morphism, source object, target object)."""
-        return self._underlying[morph]
+        """The id of y♯: src → tgt, a morphism exactly if y: src → T tgt."""
+        return _kleisli_id(y, src, tgt)
 
 
 def kleisli_category(m: Monad) -> KleisliCategory:
@@ -299,47 +249,25 @@ def kleisli_category(m: Monad) -> KleisliCategory:
     base = m.base
     T = m.S
 
+    kl = KleisliCategory(m, _kleisli_id)
     objects = list(base.objects)
-    morphisms = []
-    underlying = {}
-    by_data = {}
-    for x in objects:
-        for y_obj in objects:
-            for y in base.hom(x, T.ob(y_obj)):
-                mid = _kleisli_id(y, x, y_obj)
-                morphisms.append(Morphism(mid, x, y_obj))
-                underlying[mid] = (y, x, y_obj)
-                by_data[(y, x, y_obj)] = mid
-
-    identities = {x: by_data[(m.eta.at(x), x, x)] for x in objects}
-
-    def comp(f: Morphism, g: Morphism) -> str:
-        y, _, y_tgt = underlying[f.id]
-        z, _, z_tgt = underlying[g.id]
-        # z♯ ∘ y♯ has underlying mu_Z ∘ T z ∘ y
-        comp_underlying = base.compose(base.compose(y, T.mor(z)), m.mu.at(z_tgt))
-        return by_data[(comp_underlying, f.src, z_tgt)]
-
-    category = assemble_category(objects, morphisms, identities, comp)
-
-    D = Functor(base, category,
-                {x: x for x in objects},
-                {mm.id: by_data[(base.compose(mm.id, m.eta.at(mm.tgt)), mm.src, mm.tgt)]
-                 for mm in base.morphisms})
-    V = Functor(category, base,
-                {x: T.ob(x) for x in objects},
-                {mm.id: base.compose(T.mor(underlying[mm.id][0]),
-                                     m.mu.at(underlying[mm.id][2]))
-                 for mm in category.morphisms})
-
-    unit = NatTrans(identity_functor(base), compose_functors(V, D),
+    # z♯ ∘ y♯ has underlying mu_Z ∘ T z ∘ y
+    kl._assemble(objects,
+                 ((y, x, z) for x in objects for z in objects
+                  for y in base.hom(x, T.ob(z))),
+                 m.eta.at,
+                 lambda y, z, c: base.compose(base.compose(y, T.mor(z)), m.mu.at(c)))
+    kl.D = kl.functor_over(base, {x: x for x in objects},
+                           lambda f: base.compose(f, m.eta.at(base.tgt(f))))
+    kl.V = Functor(kl.category, base,
+                   {x: T.ob(x) for x in objects},
+                   {mm.id: base.compose(T.mor(kl.underlying(mm.id)), m.mu.at(mm.tgt))
+                    for mm in kl.category.morphisms})
+    unit = NatTrans(identity_functor(base), compose_functors(kl.V, kl.D),
                     dict(m.eta.components))
-    counit = NatTrans(compose_functors(D, V), identity_functor(category),
-                      {x: by_data[(base.identity(T.ob(x)), T.ob(x), x)]
-                       for x in objects})
-    adj = Adjunction(D, V, unit, counit)
-
-    kl = KleisliCategory(m, category, D, V, adj, underlying, by_data)
-    if induced_monad(adj) != m:
+    counit = kl.nat_over(compose_functors(kl.D, kl.V), identity_functor(kl.category),
+                         lambda x: base.identity(T.ob(x)))
+    kl.adj = Adjunction(kl.D, kl.V, unit, counit)
+    if induced_monad(kl.adj) != m:
         raise AssertionError("Kleisli adjunction does not induce its monad")
     return kl

@@ -30,10 +30,10 @@ formulas: each is the psi image of a structure 1-cell and of its two
 structure 2-cells, built by one routine. Those cells' laws are the law's
 axioms, so the routine checks none of them again once the law is valid.
 psi_E, the lift search and the lifted structures build what lies over U
-with the algebra category's ``functor_over`` and ``nat_over``; a lift
-needs no functor check, U being faithful. The hom-isomorphism round trip
-is one routine per direction over a record of each side's cells and
-actions.
+with the algebra category's ``functor_over`` and ``nat_over``, and psi_K
+builds its images with the Kleisli category's; a lift needs no functor
+check, U being faithful. The hom-isomorphism round trip is one routine
+per direction over a record of each side's cells and actions.
 """
 
 from __future__ import annotations
@@ -599,17 +599,12 @@ def psi_k_1cell(cell: MndBulletOneCell, src_kl: KleisliCategory = None,
     """
     src_kl = src_kl if src_kl is not None else kleisli_category(cell.src)
     dst_kl = dst_kl if dst_kl is not None else kleisli_category(cell.dst)
-    base = cell.dst.base
-    obj_map = {x: cell.P.ob(x) for x in src_kl.category.objects}
-    mor_map = {}
-    for mm in src_kl.category.morphisms:
-        y, x_src, y_tgt = src_kl.underlying(mm.id)
-        under = base.compose(cell.P.mor(y), cell.psi.at(y_tgt))
-        mor_map[mm.id] = dst_kl.kleisli_id(under, cell.P.ob(x_src),
-                                           cell.P.ob(y_tgt))
-    Ppsi = Functor(src_kl.category, dst_kl.category, obj_map, mor_map)
-    sq = CommutingSquareL(src_kl.adj, dst_kl.adj, cell.P, Ppsi)
-    return AdjLOneCell(sq)
+    base, source = cell.dst.base, src_kl.category
+    Ppsi = dst_kl.functor_over(
+        source, {x: cell.P.ob(x) for x in source.objects},
+        lambda m: base.compose(cell.P.mor(src_kl.underlying(m)),
+                               cell.psi.at(source.tgt(m))))
+    return AdjLOneCell(CommutingSquareL(src_kl.adj, dst_kl.adj, cell.P, Ppsi))
 
 
 def phi_k_1cell(cell: AdjLOneCell) -> MndBulletOneCell:
@@ -643,12 +638,9 @@ def psi_k_2cell(t: MndBulletTwoCell, src_kl: KleisliCategory = None,
         dst_acell = psi_k_1cell(t.dst_cell, src_kl, dst_kl)
     base = t.src_cell.dst.base
     eta = t.src_cell.dst.eta
-    comps = {}
-    for x in src_kl.category.objects:
-        qx = t.dst_cell.P.ob(x)
-        under = base.compose(t.theta.at(x), eta.at(qx))
-        comps[x] = dst_kl.kleisli_id(under, t.src_cell.P.ob(x), qx)
-    beta = NatTrans(src_acell.K, dst_acell.K, comps)
+    beta = dst_kl.nat_over(src_acell.K, dst_acell.K,
+                           lambda x: base.compose(t.theta.at(x),
+                                                  eta.at(t.dst_cell.P.ob(x))))
     return AdjLTwoCell(src_acell, dst_acell, t.theta, beta)
 
 

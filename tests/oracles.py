@@ -39,12 +39,10 @@ from finmonad.adjunction import (
 )
 from finmonad.construct import (
     EmAlgebraCategory,
-    EmCoalgebraCategory,
     _algebra_id,
     _algebra_morphism_id,
     _kleisli_id,
     em_category,
-    em_coalgebra_category,
 )
 from finmonad.distlaw import (
     DistributiveLaw,
@@ -405,6 +403,13 @@ def brute_comonads(cat) -> list:
     return found
 
 
+def as_morphism(cat, f, src, tgt):
+    """The morphism src → tgt over the base morphism f in an algebra or
+    coalgebra category ``cat``, named by the id scheme, or None."""
+    mid = _algebra_morphism_id(f, src, tgt)
+    return mid if cat.has_morphism(mid) else None
+
+
 class RefCoalgebraCategory:
     """Coalgebras (N, xi) of a comonad with the adjunction U ⊣ F (cofree)."""
 
@@ -535,8 +540,8 @@ def ref_colift_monad(ml, co=None) -> tuple:
     return acell.J, mu_pair.alpha, eta_pair.alpha
 
 
-def ref_vec_psi_e_1cell(cell: CoMndOneCell, src_co: EmCoalgebraCategory = None,
-                        dst_co: EmCoalgebraCategory = None) -> AdjLOneCell:
+def ref_vec_psi_e_1cell(cell: CoMndOneCell, src_co: RefCoalgebraCategory = None,
+                        dst_co: RefCoalgebraCategory = None) -> AdjLOneCell:
     """(P, pi) ↦ (P^pi, P, rho^P) between coalgebra adjunctions, written
     directly on coalgebras, where the library reads it off psi_E on the
     opposite category.
@@ -545,8 +550,8 @@ def ref_vec_psi_e_1cell(cell: CoMndOneCell, src_co: EmCoalgebraCategory = None,
     direction: the coalgebra adjunction points out of the coalgebra
     category, so P^pi is the base-level functor of the square.
     """
-    src_co = src_co if src_co is not None else em_coalgebra_category(cell.src)
-    dst_co = dst_co if dst_co is not None else em_coalgebra_category(cell.dst)
+    src_co = src_co if src_co is not None else ref_em_coalgebra_category(cell.src)
+    dst_co = dst_co if dst_co is not None else ref_em_coalgebra_category(cell.dst)
     base = cell.dst.base
     obj_map = {}
     for a, carrier, xi in src_co.coalgebra_objects():
@@ -566,14 +571,14 @@ def ref_vec_psi_e_1cell(cell: CoMndOneCell, src_co: EmCoalgebraCategory = None,
     return AdjLOneCell(sq)
 
 
-def ref_vec_psi_e_2cell(t: CoMndTwoCell, src_co: EmCoalgebraCategory = None,
-                        dst_co: EmCoalgebraCategory = None,
+def ref_vec_psi_e_2cell(t: CoMndTwoCell, src_co: RefCoalgebraCategory = None,
+                        dst_co: RefCoalgebraCategory = None,
                         src_acell: AdjLOneCell = None,
                         dst_acell: AdjLOneCell = None) -> AdjLTwoCell:
     """theta ↦ (theta^pi, theta) with theta^pi having component theta_N at
     each coalgebra over N."""
-    src_co = src_co if src_co is not None else em_coalgebra_category(t.src_cell.src)
-    dst_co = dst_co if dst_co is not None else em_coalgebra_category(t.src_cell.dst)
+    src_co = src_co if src_co is not None else ref_em_coalgebra_category(t.src_cell.src)
+    dst_co = dst_co if dst_co is not None else ref_em_coalgebra_category(t.src_cell.dst)
     if src_acell is None:
         src_acell = ref_vec_psi_e_1cell(t.src_cell, src_co, dst_co)
     if dst_acell is None:
@@ -737,8 +742,8 @@ def ref_enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
         obj_map = dict(zip(algebras, assign))
         mor_map = {}
         for mm in em.category.morphisms:
-            image = em.as_algebra_morphism(T.S.mor(em.underlying(mm.id)),
-                                           obj_map[mm.src], obj_map[mm.tgt])
+            image = as_morphism(em.category, T.S.mor(em.underlying(mm.id)),
+                                obj_map[mm.src], obj_map[mm.tgt])
             if image is None:
                 return None
             mor_map[mm.id] = image
@@ -748,9 +753,9 @@ def ref_enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
         mu_comps, eta_comps = {}, {}
         for a in algebras:
             n = em.carrier(a)
-            mu_image = em.as_algebra_morphism(T.mu.at(n),
-                                              that.ob(that.ob(a)), that.ob(a))
-            eta_image = em.as_algebra_morphism(T.eta.at(n), a, that.ob(a))
+            mu_image = as_morphism(em.category, T.mu.at(n),
+                                   that.ob(that.ob(a)), that.ob(a))
+            eta_image = as_morphism(em.category, T.eta.at(n), a, that.ob(a))
             if mu_image is None or eta_image is None:
                 return None
             mu_comps[a] = mu_image
@@ -807,8 +812,8 @@ def ref_enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
         obj_map = dict(zip(algebras, assign))
         mor_map = {}
         for mm in em.category.morphisms:
-            image = em.as_algebra_morphism(G.G.mor(em.underlying(mm.id)),
-                                           obj_map[mm.src], obj_map[mm.tgt])
+            image = as_morphism(em.category, G.G.mor(em.underlying(mm.id)),
+                                obj_map[mm.src], obj_map[mm.tgt])
             if image is None:
                 return None
             mor_map[mm.id] = image
@@ -818,9 +823,9 @@ def ref_enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
         d_comps, e_comps = {}, {}
         for a in algebras:
             n = em.carrier(a)
-            d_image = em.as_algebra_morphism(G.delta.at(n),
-                                             ghat.ob(a), ghat.ob(ghat.ob(a)))
-            e_image = em.as_algebra_morphism(G.epsilon.at(n), ghat.ob(a), a)
+            d_image = as_morphism(em.category, G.delta.at(n),
+                                  ghat.ob(a), ghat.ob(ghat.ob(a)))
+            e_image = as_morphism(em.category, G.epsilon.at(n), ghat.ob(a), a)
             if d_image is None or e_image is None:
                 return None
             d_comps[a] = d_image

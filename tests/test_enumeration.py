@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     DIFFERENTIAL,
+    as_morphism,
     brute_functors,
     brute_nat_trans,
     chain2_times_z2,
@@ -380,7 +381,7 @@ def assert_forgetful_is_full_and_injective(em) -> None:
     assert len(set(carriers)) == len(carriers)
     for a, b in product(em.category.objects, repeat=2):
         for f in em.monad.base.hom(em.carrier(a), em.carrier(b)):
-            assert em.as_algebra_morphism(f, a, b) is not None
+            assert as_morphism(em.category, f, a, b) is not None
 
 
 @pytest.mark.parametrize("name", list(DIFFERENTIAL))
