@@ -126,7 +126,7 @@ class _Over:
 class EmAlgebraCategory(_Over):
     """Algebras (X, chi) of a monad with the free/forgetful adjunction F ⊣ U."""
 
-    __slots__ = ("U", "F", "_carrier", "_structure", "_free")
+    __slots__ = ("U", "F", "_carrier", "_structure")
 
     def algebra_objects(self):
         """(object id, carrier, structure map) in canonical order."""
@@ -145,9 +145,6 @@ class EmAlgebraCategory(_Over):
 
     def algebras_with_carrier(self, carrier: str) -> list:
         return [a for a in self.category.objects if self._carrier[a] == carrier]
-
-    def free_algebra(self, x: str) -> str:
-        return self._free[x]
 
 
 def em_category(m: Monad, cap: int = DEFAULT_CAP) -> EmAlgebraCategory:
@@ -191,8 +188,8 @@ def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
                  lambda a: base.identity(carrier[a]),
                  lambda f, g, _: base.compose(f, g))
     em.U = Functor(em.category, base, carrier, em._underlying)
-    em._free = {x: _algebra_id(S.ob(x), m.mu.at(x)) for x in base.objects}
-    em.F = em.functor_over(base, em._free, S.mor)
+    em.F = em.functor_over(
+        base, {x: _algebra_id(S.ob(x), m.mu.at(x)) for x in base.objects}, S.mor)
     unit = NatTrans(identity_functor(base), compose_functors(em.U, em.F),
                     dict(m.eta.components))
     counit = em.nat_over(compose_functors(em.F, em.U),

@@ -48,14 +48,18 @@ from .report import Violation
 
 class _Checked:
     """A value whose :meth:`check` lists its law violations, named CONTEXT
-    in the exception :meth:`require_valid` raises."""
+    in the exception :meth:`require_valid` raises. The value is immutable,
+    so a pass is recorded in ``_valid`` and not checked again."""
 
-    __slots__ = ()
+    __slots__ = ("_valid",)
 
     def require_valid(self):
+        if getattr(self, "_valid", False):
+            return self
         bad = self.check()
         if bad:
             raise LawViolation(bad, context=self.CONTEXT)
+        self._valid = True
         return self
 
 

@@ -1288,11 +1288,31 @@ def adjr_two_cell_agreement(cells, cap: int = DEFAULT_CAP) -> dict:
 # ordered pair of positions; map1 and map2, the 1-cell and 2-cell actions
 # into the other side, map2(t, src_image, dst_image) taking the images of
 # t's ends; the 2-cell identity and vertical composite; 1-cell
-# composition; and key2, the components that decide 2-cell equality.
-_Side = namedtuple("_Side", "cells two map1 map2 identity vcomp compose key2")
+# composition; key2, the components that decide 2-cell equality; and
+# composites, the side's :func:`_composite_table`, which both directions
+# fill and read.
+_Side = namedtuple("_Side", "cells two map1 map2 identity vcomp compose key2 "
+                   "composites")
 
 # What one direction of the hom-isomorphism verifies.
 _Flags = namedtuple("_Flags", "lands back two identities vcomp compose")
+
+_UNFILLED = object()
+
+
+def _composite_table(n: int) -> list:
+    """An empty n×n table of 1-cell composites: entry (i, j) becomes the
+    position of compose(cells[i], cells[j]) among the cells, or None if it
+    is none of them, when it is first read."""
+    return [[_UNFILLED] * n for _ in range(n)]
+
+
+def _positions(cells) -> dict:
+    """The first position of each cell among ``cells``, keyed by equality."""
+    at = {}
+    for p, c in enumerate(cells):
+        at.setdefault(c, p)
+    return at
 
 
 def _map_side(a: _Side, b: _Side) -> _Flags:
@@ -1300,12 +1320,20 @@ def _map_side(a: _Side, b: _Side) -> _Flags:
     image back once, and check that the images of the 1-cells are 1-cells
     of ``b``, that 1-cells and 2-cells come back to themselves, and that
     identities, vertical composites and 1-cell composites are preserved.
-    The functoriality checks reuse the images and map only the composites
-    they form. A 2-cell whose image raises ComponentMistyped or
-    TwoCellLawViolation fails the 2-cell round trip and the vertical
-    composites."""
+
+    The functoriality checks reuse the images. Each image's position among
+    the cells of ``b`` is found once. A 1-cell composite is built once per
+    side, in the side's table, and its position gives its image; a 2-cell
+    composite or identity found in its row of ``a.two`` takes that row's
+    image. A composite or image that is none of the enumerated cells is
+    mapped and compared by value. A 2-cell whose image raises
+    ComponentMistyped or TwoCellLawViolation fails every check that uses
+    that image."""
+    n = len(a.cells)
     images = [a.map1(c) for c in a.cells]
     backs = [b.map1(m) for m in images]
+    a_at, b_at = _positions(a.cells), _positions(b.cells)
+    image_at = [b_at.get(m) for m in images]
 
     def image2(t, i, j):
         try:
@@ -1321,27 +1349,52 @@ def _map_side(a: _Side, b: _Side) -> _Flags:
             if m is None or a.key2(b.map2(m, backs[i], backs[j])) != a.key2(t):
                 two = False
 
+    def image_in_row(t, i, k):
+        """The image of the 2-cell t from cell i to cell k."""
+        key = a.key2(t)
+        for u, m in zip(a.two[i, k], images2[i, k]):
+            if a.key2(u) == key:
+                return m
+        return image2(t, i, k)
+
     # a composite of t1 in (i, j) and t2 in (j, k) maps between images i, k
     vcomp = True
     for (i, j), cells2 in a.two.items():
         for t1, m1 in zip(cells2, images2[i, j]):
-            for k in range(len(a.cells)):
+            for k in range(n):
                 for t2, m2 in zip(a.two[j, k], images2[j, k]):
-                    lhs = image2(a.vcomp(t1, t2), i, k)
+                    lhs = image_in_row(a.vcomp(t1, t2), i, k)
                     if (m1 is None or m2 is None or lhs is None
                             or b.key2(lhs) != b.key2(b.vcomp(m1, m2))):
                         vcomp = False
 
+    def identity_preserved(i):
+        lhs = image_in_row(a.identity(a.cells[i]), i, i)
+        return lhs is not None and b.key2(lhs) == b.key2(b.identity(images[i]))
+
+    def composite_at(side, at, i, j):
+        p = side.composites[i][j]
+        if p is _UNFILLED:
+            p = side.composites[i][j] = at.get(
+                side.compose(side.cells[i], side.cells[j]))
+        return p
+
+    def compose_preserved(i, j):
+        x, y = image_at[i], image_at[j]
+        p = composite_at(a, a_at, i, j)
+        z = None if p is None else image_at[p]
+        if None not in (x, y, z):
+            return z == composite_at(b, b_at, x, y)
+        return (a.map1(a.compose(a.cells[i], a.cells[j]))
+                == b.compose(images[i], images[j]))
+
     return _Flags(
-        lands=all(any(m == x for x in b.cells) for m in images),
+        lands=None not in image_at,
         back=all(r == c for r, c in zip(backs, a.cells)),
         two=two,
-        identities=all(b.key2(a.map2(a.identity(c), m, m)) == b.key2(b.identity(m))
-                       for c, m in zip(a.cells, images)),
+        identities=all(identity_preserved(i) for i in range(n)),
         vcomp=vcomp,
-        compose=all(a.map1(a.compose(c, c2)) == b.compose(m, m2)
-                    for c, m in zip(a.cells, images)
-                    for c2, m2 in zip(a.cells, images)))
+        compose=all(compose_preserved(i, j) for i in range(n) for j in range(n)))
 
 
 def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
@@ -1371,11 +1424,12 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
                 lambda c: psi_e_1cell(c, em, em),
                 lambda t, src, dst: psi_e_2cell(t, em, em, src, dst),
                 mnd2_identity, mnd2_vcomp, mnd_compose,
-                lambda t: t.theta.components)
+                lambda t: t.theta.components, _composite_table(len(mnd_cells)))
     adjr = _Side(adjr_cells, two_cells(adjr_cells, enumerate_adjr_two_cells),
                  lambda c: phi_e_1cell(c, S, S), phi_e_2cell,
                  adjr2_identity, adjr2_vcomp, adjr_compose,
-                 lambda t: (t.alpha.components, t.beta.components))
+                 lambda t: (t.alpha.components, t.beta.components),
+                 _composite_table(len(adjr_cells)))
     to_mnd, to_adjr = _map_side(adjr, mnd), _map_side(mnd, adjr)
     n_mnd2 = sum(len(v) for v in mnd.two.values())
     n_adjr2 = sum(len(v) for v in adjr.two.values())

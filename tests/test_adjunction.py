@@ -165,7 +165,7 @@ def test_kleisli_comparison_functor(cor):
     m = cor.monads_c3["c1"]
     em = em_category(m)
     sq = comparison_functor_kleisli(em.adj)
-    free = {em.free_algebra(x) for x in cor.c3.objects}
+    free = {em.F.ob(x) for x in cor.c3.objects}
     assert set(sq.K.object_map.values()) <= free
 
     # Kleisli adjunction of c2: comparison is bijective on objects and homs

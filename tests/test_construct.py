@@ -205,7 +205,7 @@ def assert_algebras_match(em, ref) -> None:
     assert (em.U, em.F, em.adj) == (ref.U, ref.F, ref.adj)
     assert em.algebra_objects() == ref.algebra_objects()
     for x in em.monad.base.objects:
-        assert em.free_algebra(x) == ref.free_algebra(x)
+        assert em.F.ob(x) == ref.free_algebra(x)
     for mm in ref.category.morphisms:
         assert em.underlying(mm.id) == ref.underlying(mm.id)
 

@@ -83,7 +83,7 @@ def assert_coalgebras_match(c):
         assert em.algebra_id(x, xi) == a
         assert em.algebras_with_carrier(x) == ref.coalgebras_with_carrier(x)
     for x in c.base.objects:
-        assert em.free_algebra(x) == ref.cofree_coalgebra(x)
+        assert em.F.ob(x) == ref.cofree_coalgebra(x)
         for xi in c.base.out_of(x):
             assert ((em.algebra_id(x, xi) in co.category.objects)
                     == ref.has_coalgebra(x, xi))

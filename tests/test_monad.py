@@ -8,10 +8,13 @@ machinery.
 from itertools import product
 
 import pytest
+from oracles import cyclic
 
+from finmonad import monad
 from finmonad.errors import (
     ComponentMistyped,
     EnumerationCapExceeded,
+    LawViolation,
     TypeMismatch,
 )
 from finmonad.fincat import NatTrans, identity_functor, opposite
@@ -66,6 +69,36 @@ def interior_maps(cat):
 def test_identity_monad_is_lawful(cor):
     assert check_monad_laws(identity_monad(cor.c3)) == []
     assert check_comonad_laws(identity_comonad(cor.c3)) == []
+
+
+def test_require_valid_checks_a_valid_value_once(cor, monkeypatch):
+    """A pass is recorded on the value, so later calls check nothing; a
+    failing value is checked again and raises the same violations on every
+    call."""
+    calls = []
+
+    def counted(m, check=monad.check_monad_laws):
+        calls.append(m)
+        return check(m)
+
+    monkeypatch.setattr(monad, "check_monad_laws", counted)
+    S = cor.monads_c3["c1"]
+    fresh = Monad(S.base, S.S, S.mu, S.eta)
+    for _ in range(3):
+        assert fresh.require_valid() is fresh
+    assert calls == [fresh]
+
+    # on Z2 the rotation r1 as multiplication breaks both unit laws
+    z2 = cyclic(2)
+    Id = identity_functor(z2)
+    bad = Monad(z2, Id, NatTrans(Id, Id, {"g": "r1"}), NatTrans(Id, Id, {"g": "r0"}))
+    raised = []
+    for _ in range(3):
+        with pytest.raises(LawViolation) as exc:
+            bad.require_valid()
+        raised.append((str(exc.value), exc.value.violations))
+    assert raised[0][1] and raised == raised[:1] * 3
+    assert calls[1:] == [bad] * 3
 
 
 def test_closure_fixtures_are_lawful(cor):
