@@ -9,7 +9,9 @@ coalgebra-side liftings and the vec psi_E action directly, where the
 library reads them off the monad side on the opposite category. Then come the law and lifting
 searches as written once per kind, before the library shared one search
 between each pair, then the hom-isomorphism round trip with its two
-AdjR enumerators as first written, before each cell was mapped once, and
+AdjR enumerators as first written, before each cell was mapped once, then
+one direction of the round trip as mapped before both directions shared
+one pass and found composites by key, and
 then the law checks and mates as first written, from whiskered
 transformations, before the library compared them component by component,
 then the composites of Mnd, Mnd• and CoMnd 1-cells as first written,
@@ -25,6 +27,7 @@ kernel, which searches the morphism images of every object map and keeps
 every object check.
 """
 
+from collections import namedtuple
 from itertools import product
 
 from hypothesis import assume
@@ -51,6 +54,7 @@ from finmonad.distlaw import (
 )
 from finmonad.errors import (
     BaseMismatch,
+    ComponentMistyped,
     EnumerationCapExceeded,
     LawViolation,
     TwoCellLawViolation,
@@ -96,6 +100,7 @@ from finmonad.twofunctors import (
     MndBulletTwoCell,
     MndOneCell,
     MndTwoCell,
+    _Flags,
     adjr2_identity,
     adjr2_vcomp,
     adjr_compose,
@@ -1051,6 +1056,133 @@ def ref_hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> li
     entries.append(entry("homiso/one-cell-composition-preserved",
                          "Eq-1510071407", ok))
     return entries
+
+
+# ---------------------------------------------------------------------------
+# One direction of the hom-isomorphism round trip, as mapped before both
+# directions shared one pass
+#
+# ref_map_side(a, b) maps each cell of a into b and each image back, and
+# finds 1-cell composites by cell equality in a table that both directions
+# fill on first read; the tests hold the library's _map_sides(a, b) to
+# ref_map_side run both ways on sides of plain values.
+
+# One side as this version reads it: its endo 1-cells; their 2-cells by
+# ordered pair of positions; map1 and map2, the 1-cell and 2-cell actions
+# into the other side, map2(t, src_image, dst_image) taking the images of
+# t's ends; the 2-cell identity and vertical composite; 1-cell
+# composition; key2, the components that decide 2-cell equality; and
+# composites, the side's :func:`_composite_table`, which both directions
+# fill and read.
+RefSide = namedtuple("RefSide", "cells two map1 map2 identity vcomp compose key2 "
+                     "composites")
+
+_UNFILLED = object()
+
+
+def _composite_table(n: int) -> list:
+    """An empty n×n table of 1-cell composites: entry (i, j) becomes the
+    position of compose(cells[i], cells[j]) among the cells, or None if it
+    is none of them, when it is first read."""
+    return [[_UNFILLED] * n for _ in range(n)]
+
+
+def _positions(cells) -> dict:
+    """The first position of each cell among ``cells``, keyed by equality."""
+    at = {}
+    for p, c in enumerate(cells):
+        at.setdefault(c, p)
+    return at
+
+
+def ref_map_side(a: RefSide, b: RefSide) -> _Flags:
+    """Map each 1-cell and each 2-cell of ``a`` into ``b`` once, and each
+    image back once, and check that the images of the 1-cells are 1-cells
+    of ``b``, that 1-cells and 2-cells come back to themselves, and that
+    identities, vertical composites and 1-cell composites are preserved.
+
+    The functoriality checks reuse the images. Each image's position among
+    the cells of ``b`` is found once. A 1-cell composite is built once per
+    side, in the side's table, and its position gives its image; a 2-cell
+    composite or identity found in its row of ``a.two`` takes that row's
+    image. A composite or image that is none of the enumerated cells is
+    mapped and compared by value. A 2-cell whose image raises
+    ComponentMistyped or TwoCellLawViolation fails every check that uses
+    that image."""
+    n = len(a.cells)
+    images = [a.map1(c) for c in a.cells]
+    backs = [b.map1(m) for m in images]
+    a_at, b_at = _positions(a.cells), _positions(b.cells)
+    image_at = [b_at.get(m) for m in images]
+
+    def image2(t, i, j):
+        try:
+            return a.map2(t, images[i], images[j])
+        except (ComponentMistyped, TwoCellLawViolation):
+            return None
+
+    two = True
+    images2 = {}
+    for (i, j), cells2 in a.two.items():
+        images2[i, j] = row = [image2(t, i, j) for t in cells2]
+        for t, m in zip(cells2, row):
+            if m is None or a.key2(b.map2(m, backs[i], backs[j])) != a.key2(t):
+                two = False
+
+    def image_in_row(t, i, k):
+        """The image of the 2-cell t from cell i to cell k."""
+        key = a.key2(t)
+        for u, m in zip(a.two[i, k], images2[i, k]):
+            if a.key2(u) == key:
+                return m
+        return image2(t, i, k)
+
+    # a composite of t1 in (i, j) and t2 in (j, k) maps between images i, k
+    vcomp = True
+    for (i, j), cells2 in a.two.items():
+        for t1, m1 in zip(cells2, images2[i, j]):
+            for k in range(n):
+                for t2, m2 in zip(a.two[j, k], images2[j, k]):
+                    lhs = image_in_row(a.vcomp(t1, t2), i, k)
+                    if (m1 is None or m2 is None or lhs is None
+                            or b.key2(lhs) != b.key2(b.vcomp(m1, m2))):
+                        vcomp = False
+
+    def identity_preserved(i):
+        lhs = image_in_row(a.identity(a.cells[i]), i, i)
+        return lhs is not None and b.key2(lhs) == b.key2(b.identity(images[i]))
+
+    def composite_at(side, at, i, j):
+        p = side.composites[i][j]
+        if p is _UNFILLED:
+            p = side.composites[i][j] = at.get(
+                side.compose(side.cells[i], side.cells[j]))
+        return p
+
+    def compose_preserved(i, j):
+        x, y = image_at[i], image_at[j]
+        p = composite_at(a, a_at, i, j)
+        z = None if p is None else image_at[p]
+        if None not in (x, y, z):
+            return z == composite_at(b, b_at, x, y)
+        return (a.map1(a.compose(a.cells[i], a.cells[j]))
+                == b.compose(images[i], images[j]))
+
+    return _Flags(
+        lands=None not in image_at,
+        back=all(r == c for r, c in zip(backs, a.cells)),
+        two=two,
+        identities=all(identity_preserved(i) for i in range(n)),
+        vcomp=vcomp,
+        compose=all(compose_preserved(i, j) for i in range(n) for j in range(n)))
+
+
+def ref_sides(*sides) -> tuple:
+    """The records ref_map_side reads for the library's side records, each
+    with a composite table of its own, which both directions share."""
+    return tuple(RefSide(s.cells, s.two, s.map1, s.map2, s.identity, s.vcomp,
+                         s.compose, s.key2, _composite_table(len(s.cells)))
+                 for s in sides)
 
 
 # ---------------------------------------------------------------------------

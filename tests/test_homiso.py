@@ -8,7 +8,10 @@ and of T2, and the round trip on small random subcategories of FinSet; on
 C2×Z2 and on the identity monad of the 4-chain, where the oracle takes
 seconds, the round trip runs alone and must pass with the known counts.
 The AdjR 2-cell conditions, compared component by component, must give
-what the whiskered formulas give on every candidate pair.
+what the whiskered formulas give on every candidate pair. The keys the
+round trip finds cells and composites by must tell cells apart exactly
+as equality does, and key each composite and identity as the checked
+constructor's cell.
 """
 
 from itertools import product
@@ -27,10 +30,17 @@ from oracles import (
 )
 
 from finmonad.construct import em_category
-from finmonad.fincat import enumerate_nat_trans
+from finmonad.fincat import (
+    NatTrans,
+    compose_functors,
+    enumerate_nat_trans,
+    identity_functor,
+)
 from finmonad.fixtures import chain_category, corpus
 from finmonad.monad import enumerate_monads, identity_monad
 from finmonad.twofunctors import (
+    MndOneCell,
+    _hom_iso_sides,
     adjr_two_cell_conditions,
     enumerate_adjr_endocells,
     enumerate_adjr_two_cells,
@@ -103,6 +113,36 @@ def test_round_trip_on_the_identity_monad_of_the_4_chain():
     assert all(e.status == "pass" for e in entries), entries
     assert counts(entries, "homiso/object-count") == {"mnd": 35, "adjr": 35}
     assert counts(entries, "homiso/two-cell-count") == {"mnd": 490, "adjr": 490}
+
+
+@pytest.mark.parametrize("m", [m for _, m in MONADS],
+                         ids=[label for label, _ in MONADS])
+def test_side_keys_agree_with_equality_and_the_checked_constructors(m):
+    for side in _hom_iso_sides(m):
+        cells, key1, key2 = side.cells, side.key1, side.key2
+        for c, c2 in product(cells, repeat=2):
+            assert (key1(c) == key1(c2)) == (c == c2)
+            assert side.compose_key(c, c2) == key1(side.compose(c, c2))
+        for c in cells:
+            assert side.identity_key(c) == key2(side.identity(c))
+        for (i, j), row in side.two.items():
+            for t, t2 in product(row, repeat=2):
+                assert (key2(t) == key2(t2)) == (t == t2)
+            for k in range(len(cells)):
+                for t, t2 in product(row, side.two[j, k]):
+                    assert side.vcomp_key(t, t2) == key2(side.vcomp(t, t2))
+
+
+def test_mnd_keys_tell_apart_cells_that_differ_only_in_phi():
+    """On every monad of the corpus a Mnd endocell's functor fixes its
+    phi, so the enumerated cells cannot show that the key reads phi;
+    these two cells on Z3, one lawless, share P = id."""
+    m = identity_monad(cyclic(3))
+    mnd, _ = _hom_iso_sides(m)
+    P = identity_functor(m.base)
+    SP = compose_functors(m.S, P)
+    c, c2 = (MndOneCell(m, m, P, NatTrans(SP, SP, {"g": r})) for r in ("r0", "r1"))
+    assert c != c2 and mnd.key1(c) != mnd.key1(c2)
 
 
 # The non-thin bases, where some candidate pairs fail both conditions.

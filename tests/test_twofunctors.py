@@ -10,8 +10,10 @@ from oracles import (
     chain2_times_z2,
     cyclic,
     ref_kleisli_category,
+    ref_map_side,
     ref_psi_k_1cell,
     ref_psi_k_2cell,
+    ref_sides,
     transformation_monoid,
 )
 
@@ -39,7 +41,7 @@ from finmonad.fincat import (
     whisker_left,
     whisker_right,
 )
-from finmonad.fixtures import thin_mixed_law
+from finmonad.fixtures import chain_category, thin_mixed_law
 from finmonad.monad import (
     Comonad,
     Monad,
@@ -58,8 +60,8 @@ from finmonad.twofunctors import (
     MndBulletTwoCell,
     MndOneCell,
     MonadObjectInMnd,
-    _composite_table,
-    _map_side,
+    _Flags,
+    _map_sides,
     _Side,
     adjl_identity_cell,
     adjr_compose,
@@ -579,16 +581,16 @@ def test_hom_iso_for_c1_on_c3(cor):
     assert counts[0]["mnd"] == counts[0]["adjr"] == 5
 
 
-def test_hom_iso_maps_each_one_cell_once(cor, monkeypatch):
-    """C3/id has 10 endocells a side. Each side maps its 10 cells and the
-    10 images back: 20 calls. Each side composes its 100 ordered pairs
-    once, shared by the two directions, and every composite's image is one
-    already built. The induced monad is built once, by em_category's own
-    check."""
-    from finmonad import construct, twofunctors
+ROUND_TRIP_CALLS = ("phi_e_1cell", "psi_e_1cell", "phi_e_2cell", "psi_e_2cell",
+                    "mnd_compose", "adjr_compose", "mnd2_vcomp", "adjr2_vcomp")
 
-    calls = dict.fromkeys(("induced_monad", "phi_e_1cell", "psi_e_1cell",
-                           "mnd_compose", "adjr_compose"), 0)
+
+def round_trip_calls(m, monkeypatch) -> dict:
+    """Run the round trip on m, which must pass, counting the calls of
+    induced_monad, of each cell action and of each checked composite."""
+    from finmonad import construct
+
+    calls = dict.fromkeys(("induced_monad",) + ROUND_TRIP_CALLS, 0)
 
     def count(module, name):
         original = getattr(module, name)
@@ -600,58 +602,234 @@ def test_hom_iso_maps_each_one_cell_once(cor, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(construct, "induced_monad")
-    for name in calls:
+    for name in ROUND_TRIP_CALLS:
         count(twofunctors, name)
-    entries = hom_iso_roundtrip(cor.monads_c3["id"])
+    entries = hom_iso_roundtrip(m)
     assert all(e.status == "pass" for e in entries)
-    assert calls["induced_monad"] <= 2
-    assert calls["phi_e_1cell"] <= 20
-    assert calls["psi_e_1cell"] <= 20
-    assert calls["mnd_compose"] <= 100
-    assert calls["adjr_compose"] <= 100
+    return calls
+
+
+def test_hom_iso_maps_each_one_cell_once(cor, monkeypatch):
+    """C3/id has 10 endocells and 50 2-cells a side. Each cell is mapped
+    once; each image is one of the other side's cells, whose own image is
+    its back, so nothing is mapped back. Every composite and identity is
+    found by its key among the enumerated cells, so no checked
+    constructor runs. The induced monad is built once, by em_category's
+    own check."""
+    calls = round_trip_calls(cor.monads_c3["id"], monkeypatch)
+    assert calls.pop("induced_monad") <= 2
+    assert calls == {"phi_e_1cell": 10, "psi_e_1cell": 10,
+                     "phi_e_2cell": 50, "psi_e_2cell": 50,
+                     "mnd_compose": 0, "adjr_compose": 0,
+                     "mnd2_vcomp": 0, "adjr2_vcomp": 0}
+
+
+def test_hom_iso_maps_each_cell_once_on_the_4_chain(monkeypatch):
+    """The identity monad of the 4-chain has 35 endocells and 490 2-cells
+    a side, and 4,116 composable pairs of 2-cells, none of them built."""
+    calls = round_trip_calls(identity_monad(chain_category(list("0123"))),
+                             monkeypatch)
+    assert calls.pop("induced_monad") <= 2
+    assert calls == {"phi_e_1cell": 35, "psi_e_1cell": 35,
+                     "phi_e_2cell": 490, "psi_e_2cell": 490,
+                     "mnd_compose": 0, "adjr_compose": 0,
+                     "mnd2_vcomp": 0, "adjr2_vcomp": 0}
 
 
 def fake_side(cells, map1, compose, map2=lambda t, src, dst: (src, dst)):
     """A side of plain values: one 2-cell (c, c2) between any two 1-cells,
-    mapped by default to the one between their images."""
+    mapped by default to the one between their images. Values are their
+    own keys, so each key function is the constructor it keys."""
     two = {(i, j): [(c, c2)] for i, c in enumerate(cells) for j, c2 in enumerate(cells)}
-    return _Side(cells, two, map1, map2, lambda c: (c, c),
-                 lambda t1, t2: (t1[0], t2[1]), compose, lambda t: t,
-                 _composite_table(len(cells)))
+
+    def vcomp(t1, t2):
+        return t1[0], t2[1]
+
+    def identity(c):
+        return c, c
+
+    return _Side(cells, two, map1, map2, key1=lambda c: c, key2=lambda t: t,
+                 compose_key=compose, vcomp_key=vcomp, identity_key=identity,
+                 compose=compose, vcomp=vcomp, identity=identity)
+
+
+def z2(map2=lambda t, src, dst: (src, dst)):
+    """0, 1 under addition mod 2, each mapped to itself."""
+    return fake_side([0, 1], lambda c: c, lambda x, y: (x + y) % 2, map2)
+
+
+def raising_at(error, at=(0, 1)):
+    """A 2-cell action that raises ``error`` on ``at``, as psi_E raises
+    ComponentMistyped on a component with no algebra morphism over it and
+    the AdjR constructor TwoCellLawViolation."""
+    def map2(t, src, dst):
+        if t == at:
+            raise error("not a 2-cell")
+        return src, dst
+
+    return map2
+
+
+def keys_missing(side):
+    """``side`` with no composite or identity key among its cells' keys,
+    so that each is built by its checked constructor."""
+    return side._replace(compose_key=lambda c, c2: None,
+                         vcomp_key=lambda t, t2: None,
+                         identity_key=lambda c: None)
+
+
+def add(x, y):
+    return x + y
+
+
+def z2_flipping_0_1():
+    """z2 with two 2-cells (c, c2, 0) and (c, c2, 1) between any two
+    1-cells, composing by adding the bits mod 2, each mapped to itself
+    with its bit flipped on the pair (0, 1) only. Flipping twice gives
+    back each 2-cell and keeps identities, but the composite of (0, 1)
+    and (1, 0) maps to an unflipped 2-cell of the pair (0, 0), while the
+    composite of the images has its bit flipped once."""
+    def vcomp(t1, t2):
+        return t1[0], t2[1], (t1[2] + t2[2]) % 2
+
+    def identity(c):
+        return c, c, 0
+
+    def map2(t, src, dst):
+        return src, dst, (t[2] + (t[:2] == (0, 1))) % 2
+
+    side = z2()
+    two = {(i, j): [(c, c2, 0), (c, c2, 1)]
+           for i, c in enumerate(side.cells) for j, c2 in enumerate(side.cells)}
+    return side._replace(two=two, map2=map2, vcomp_key=vcomp, vcomp=vcomp,
+                         identity_key=identity, identity=identity)
+
+
+def tuple_z2():
+    """0 and 1 under addition mod 2 as 1-tuples: a composite is a new
+    tuple, equal to a 1-cell but not the same object."""
+    return fake_side([(0,), (1,)], lambda c: c, lambda x, y: ((x[0] + y[0]) % 2,))
+
+
+FAKE_CASES = {
+    # 0, 1 under addition mod 2, mapped to 0, 2 under addition mod 4
+    "inverse-z2": lambda: (
+        fake_side([0, 1], lambda c: 2 * c, lambda x, y: (x + y) % 2),
+        fake_side([0, 2], lambda m: m // 2, lambda x, y: (x + y) % 4)),
+    # 0, 1, 2 under max, mapped to 0, 10, 20 listed in another order, so
+    # that composites of images are read at the images' positions
+    "inverse-max": lambda: (fake_side([0, 1, 2], lambda c: 10 * c, max),
+                            fake_side([20, 0, 10], lambda m: m // 10, max)),
+    "image-outside": lambda: (
+        fake_side([0, 1], lambda c: 2 * c, lambda x, y: (x + y) % 2),
+        fake_side([0, 1], lambda m: m // 2, lambda x, y: (x + y) % 4)),
+    # 1 + 1 = 2 is not a 1-cell of the first side
+    "composite-outside": lambda: (fake_side([0, 1], lambda c: 2 * c, add),
+                                  fake_side([0, 2], lambda m: m // 2, add)),
+    "composite-outside-disagrees": lambda: (
+        fake_side([0, 1], lambda c: 2 * c, add),
+        fake_side([0, 2], lambda m: m // 2, lambda x, y: min(x + y, 2))),
+    "composite-equal-by-equality": lambda: (tuple_z2(), tuple_z2()),
+    "vcomp-not-preserved": lambda: (z2_flipping_0_1(), z2_flipping_0_1()),
+    "keys-miss": lambda: (keys_missing(z2()), z2()),
+    "keys-miss-both": lambda: (keys_missing(z2()), keys_missing(z2())),
+}
+
+
+@pytest.mark.parametrize("case", list(FAKE_CASES))
+def test_map_sides_gives_the_references_flags(case):
+    a, b = FAKE_CASES[case]()
+    ra, rb = ref_sides(a, b)
+    assert _map_sides(a, b) == (ref_map_side(ra, rb), ref_map_side(rb, ra))
 
 
 def test_map_side_passes_mutually_inverse_sides():
-    # 1-cells 0, 1 under addition mod 2, mapped to 0, 2 under addition mod
-    # 4; then 0, 1, 2 under max, mapped to 0, 10, 20 listed in another
-    # order, so that composites of images are read at the images' positions
-    for a, b in ((fake_side([0, 1], lambda c: 2 * c, lambda x, y: (x + y) % 2),
-                  fake_side([0, 2], lambda m: m // 2, lambda x, y: (x + y) % 4)),
-                 (fake_side([0, 1, 2], lambda c: 10 * c, max),
-                  fake_side([20, 0, 10], lambda m: m // 10, max))):
-        assert all(_map_side(a, b))
-        assert all(_map_side(b, a))
+    for case in ("inverse-z2", "inverse-max"):
+        assert all(all(flags) for flags in _map_sides(*FAKE_CASES[case]()))
 
 
 def test_map_side_fails_the_two_cell_checks_on_a_raising_image():
-    # psi_E raises ComponentMistyped on a component with no algebra
-    # morphism over it, the AdjR constructor TwoCellLawViolation
     for error in (ComponentMistyped, TwoCellLawViolation):
-        def map2(t, src, dst):
-            if t == (0, 1):
-                raise error("not a 2-cell")
-            return (src, dst)
+        a, b = z2(raising_at(error)), z2()
+        to_b, to_a = _map_sides(a, b)
+        assert not to_b.two and not to_b.vcomp
+        assert to_b.lands and to_b.back and to_b.identities and to_b.compose
+        ra, rb = ref_sides(a, b)
+        assert to_b == ref_map_side(ra, rb)
 
-        a = fake_side([0, 1], lambda c: c, lambda x, y: (x + y) % 2, map2)
-        flags = _map_side(a, fake_side([0, 1], lambda c: c,
-                                       lambda x, y: (x + y) % 2))
-        assert not flags.two and not flags.vcomp
-        assert flags.lands and flags.back and flags.identities and flags.compose
+
+def test_map_sides_fails_two_on_a_back_image_that_raises():
+    """a's image of (0, 1) is b's (0, 1), whose image raises: the back of
+    a's image fails a's 2-cell round trip, where mapping each direction
+    apart let the exception escape, and b's own direction fails two and
+    vcomp. The same holds for an image that lands nowhere and is mapped
+    back."""
+    for error in (ComponentMistyped, TwoCellLawViolation):
+        a, b = z2(), z2(raising_at(error))
+        to_b, to_a = _map_sides(a, b)
+        assert to_b == _Flags(lands=True, back=True, two=False,
+                              identities=True, vcomp=True, compose=True)
+        assert to_a == _map_sides(b, a)[0]
+        assert not to_a.two and not to_a.vcomp
+        assert to_a.lands and to_a.back and to_a.identities and to_a.compose
+        ra, rb = ref_sides(a, b)
+        with pytest.raises(error):
+            ref_map_side(ra, rb)
+
+        a, b = FAKE_CASES["image-outside"]()
+        b = b._replace(map2=raising_at(error, (0, 2)))
+        to_b, _ = _map_sides(a, b)
+        assert to_b == _Flags(lands=False, back=True, two=False,
+                              identities=True, vcomp=True, compose=True)
+        ra, rb = ref_sides(a, b)
+        with pytest.raises(error):
+            ref_map_side(ra, rb)
+
+
+def test_map_sides_fails_only_vcomp_on_images_that_do_not_compose():
+    """Every image and every composite is one of the enumerated cells, so
+    each pair is decided by position alone."""
+    for flags in _map_sides(*FAKE_CASES["vcomp-not-preserved"]()):
+        assert flags == _Flags(lands=True, back=True, two=True,
+                               identities=True, vcomp=False, compose=True)
+
+
+def test_map_sides_fails_vcomp_on_a_checked_composite_that_raises():
+    """a's vertical composites are none of its cells by key, and its
+    checked constructor raises on each: vcomp fails both ways, since each
+    direction composes on a, and nothing raises."""
+    def raising(t1, t2):
+        raise TwoCellLawViolation("not a 2-cell")
+
+    a = keys_missing(z2())._replace(vcomp=raising)
+    for flags in _map_sides(a, z2()):
+        assert not flags.vcomp
+        assert flags.lands and flags.back and flags.two and flags.identities
+        assert flags.compose
+
+
+def test_map_sides_builds_only_the_composites_whose_keys_miss():
+    built = []
+
+    def building(side, name):
+        def build(*args):
+            built.append(name)
+            return getattr(side, name)(*args)
+
+        return side._replace(**{name: build})
+
+    a, b = keys_missing(z2()), z2()
+    for name in ("compose", "vcomp", "identity"):
+        a, b = building(a, name), building(b, name)
+    assert all(all(flags) for flags in _map_sides(a, b))
+    assert set(built) == {"compose", "vcomp", "identity"}
+    built.clear()
+    assert all(all(flags) for flags in _map_sides(z2(), b))
+    assert built == []
 
 
 def test_map_side_fails_only_lands_on_an_image_outside_the_other_side():
-    a = fake_side([0, 1], lambda c: 2 * c, lambda x, y: (x + y) % 2)
-    b = fake_side([0, 1], lambda m: m // 2, lambda x, y: (x + y) % 4)
-    flags = _map_side(a, b)
+    flags, _ = _map_sides(*FAKE_CASES["image-outside"]())
     assert not flags.lands
     assert flags.back and flags.two and flags.identities and flags.vcomp
     assert flags.compose
@@ -666,11 +844,11 @@ def test_map_side_maps_and_compares_a_composite_outside_the_cells():
         mapped.append(c)
         return 2 * c
 
-    a = fake_side([0, 1], map1, lambda x, y: x + y)
-    for b_compose, agrees in ((lambda x, y: x + y, True),
-                              (lambda x, y: min(x + y, 2), False)):
+    for case, agrees in (("composite-outside", True),
+                         ("composite-outside-disagrees", False)):
+        a, b = FAKE_CASES[case]()
         mapped.clear()
-        flags = _map_side(a, fake_side([0, 2], lambda m: m // 2, b_compose))
+        flags, _ = _map_sides(a._replace(map1=map1), b)
         assert flags.compose is agrees
         assert mapped == [0, 1, 2]
         assert flags.lands and flags.back and flags.two and flags.identities
@@ -678,29 +856,28 @@ def test_map_side_maps_and_compares_a_composite_outside_the_cells():
 
 def test_map_side_finds_a_composite_equal_to_a_cell_by_equality():
     """Composites are new tuples, equal to 1-cells but not the same
-    objects: each is found among the cells, so no composite is mapped, and
-    each side composes each ordered pair once over both directions."""
+    objects: each is found among the cells by its key, so no composite is
+    mapped or built, and each side keys each ordered pair once over both
+    directions."""
     mapped, composed = [], []
 
     def map1(c):
         mapped.append(c)
         return c
 
-    def add(x, y):
-        return ((x[0] + y[0]) % 2,)
+    def counted(side):
+        def compose(x, y):
+            composed.append((x, y))
+            return side.compose_key(x, y)
 
-    def compose(x, y):
-        composed.append((x, y))
-        return add(x, y)
+        return side._replace(map1=map1, compose_key=compose, compose=compose)
 
-    cells = [(0,), (1,)]
-    assert add(cells[1], cells[1]) == cells[0]
-    assert add(cells[1], cells[1]) is not cells[0]
-    a, b = fake_side(cells, map1, compose), fake_side(list(cells), map1, compose)
-    assert all(_map_side(a, b))
-    assert mapped == cells + cells
-    assert len(composed) == 8
-    assert all(_map_side(b, a))
+    a, b = FAKE_CASES["composite-equal-by-equality"]()
+    composite = a.compose(a.cells[1], a.cells[1])
+    assert composite == a.cells[0] and composite is not a.cells[0]
+    a, b = counted(a), counted(b)
+    assert all(all(flags) for flags in _map_sides(a, b))
+    assert mapped == a.cells + b.cells
     assert len(composed) == 8
 
 
