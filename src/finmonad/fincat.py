@@ -958,18 +958,22 @@ def _fan_out(branch, first_domain, cap: int, jobs: int) -> list:
     """``branch(value, budget)`` for each choice of the first variable, via pmap.
 
     Serial branches share one budget. Parallel branches each get their
-    own, and the summed count is checked once they are done, so whether
-    the cap is exceeded never depends on ``jobs``.
+    own; when one of them passes the cap, or their summed count does, the
+    branches run again serially, so that the error raised, and the count
+    it names, never depend on ``jobs``.
     """
-    if jobs <= 1:
-        budgets = [_Budget(cap)] * len(first_domain)
-    else:
-        budgets = [_Budget(cap) for _ in first_domain]
-    groups = pmap(lambda k: branch(first_domain[k], budgets[k]),
-                  range(len(first_domain)), jobs=jobs)
     if jobs > 1:
-        _Budget(cap).spend(sum(b.used for b in budgets))
-    return groups
+        budgets = [_Budget(cap) for _ in first_domain]
+        try:
+            groups = pmap(lambda k: branch(first_domain[k], budgets[k]),
+                          range(len(first_domain)), jobs=jobs)
+        except EnumerationCapExceeded:
+            pass
+        else:
+            if sum(b.used for b in budgets) <= cap:
+                return groups
+    budget = _Budget(cap)
+    return pmap(lambda value: branch(value, budget), first_domain, jobs=1)
 
 
 def enumerate_nat_trans(F: Functor, G: Functor, cap: int = DEFAULT_CAP) -> list:

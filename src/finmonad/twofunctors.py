@@ -1294,53 +1294,25 @@ def adjr_two_cell_agreement(cells, cap: int = DEFAULT_CAP) -> dict:
 # ordered pair of positions, every pair present; map1 and map2, the 1-cell
 # and 2-cell actions into the other side, map2(t, src_image, dst_image)
 # taking the images of t's ends; key1 and key2, hashable keys that decide
-# equality among the side's 1-cells and among the 2-cells of one pair;
+# equality among the side's 1-cells and among the 2-cells of one pair; and
 # compose_key, vcomp_key and identity_key, the keys of a 1-cell composite,
-# a vertical composite and an identity 2-cell, computed from components;
-# and compose, vcomp and identity, the checked constructors of the same,
-# which run only for a key that is none of the enumerated cells'.
+# a vertical composite and an identity 2-cell, computed from components.
 _Side = namedtuple("_Side", "cells two map1 map2 key1 key2 compose_key "
-                   "vcomp_key identity_key compose vcomp identity")
+                   "vcomp_key identity_key")
 
 # What one direction of the hom-isomorphism verifies.
 _Flags = namedtuple("_Flags", "lands back two identities vcomp compose")
 
 
-def _guarded(build):
-    """build(), or None if it raises ComponentMistyped or
-    TwoCellLawViolation, as building a 2-cell that is none does."""
-    try:
-        return build()
-    except (ComponentMistyped, TwoCellLawViolation):
-        return None
-
-
-def _key_of(key, build):
-    """The key of :func:`_guarded` build(), None if that is None."""
-    value = _guarded(build)
-    return None if value is None else key(value)
-
-
-def _preserved(p, r, image_keys, keys, key, image, composite) -> bool:
-    """Whether the image of a composite agrees with the composite of the
-    images. p is the composite's position on the mapped side, r the
-    other composite's on the other side, each None if its key is none of
-    the cells'; a missing one is built by image() or composite() and
-    compared by key, and one that is None or raises fails."""
-    lhs = image_keys[p] if p is not None else _key_of(key, image)
-    return lhs is not None and lhs == (keys[r] if r is not None
-                                       else _key_of(key, composite))
-
-
 class _Found:
-    """A side's cells found by key, and, once :meth:`map_into` has run, its
-    images in the other side and where they land.
+    """A side's cells found by key, and, once :meth:`map_into` has run,
+    where its images land among the other side's cells.
 
     2-cells are numbered across pairs in the order of ``side.two``; ends[g]
     is the pair of 2-cell g and out[j] lists the 2-cells out of 1-cell j,
     g being out_at[g]-th in its list. at1 maps each 1-cell key, and at2
     each 2-cell key with the pair it lies over, to the first cell with
-    it, so a position found by key is that first cell's.
+    it; the enumerated cells are distinct, so that is the cell itself.
     comp1[i][j], ident[i] and vcomp[g][q] are the positions of the
     composite of 1-cells i and j, of the identity 2-cell on i and of the
     composite of g and the q-th 2-cell out of its end, each None if it is
@@ -1348,20 +1320,17 @@ class _Found:
 
     def __init__(self, side: _Side):
         self.side = side
-        self.keys1 = [side.key1(c) for c in side.cells]
         self.at1 = {}
-        for p, k in enumerate(self.keys1):
-            self.at1.setdefault(k, p)
+        for p, c in enumerate(side.cells):
+            self.at1.setdefault(side.key1(c), p)
         self.comp1 = [[self.at1.get(side.compose_key(c, c2)) for c2 in side.cells]
                       for c in side.cells]
-        self.cells2, self.ends, self.keys2, self.at2 = [], [], [], {}
+        self.cells2, self.ends, self.at2 = [], [], {}
         for (i, j), row in side.two.items():
             for t in row:
-                k = side.key2(t)
-                self.at2.setdefault((i, j, k), len(self.cells2))
+                self.at2.setdefault((i, j, side.key2(t)), len(self.cells2))
                 self.cells2.append(t)
                 self.ends.append((i, j))
-                self.keys2.append(k)
         self.out, self.out_at = [[] for _ in side.cells], []
         for g, (i, _) in enumerate(self.ends):
             self.out_at.append(len(self.out[i]))
@@ -1374,83 +1343,60 @@ class _Found:
 
     def map_into(self, o: _Found) -> None:
         """Map each cell into the other side ``o`` once; land1 and land2
-        hold where each image lands among o's cells, None if nowhere, and
-        image_keys1 and image_keys2 its key there, None for a 2-cell whose
-        image raised."""
+        hold where each image lands among o's cells, None if it is none
+        of them or, for a 2-cell, if its image raised ComponentMistyped or
+        TwoCellLawViolation, as building a 2-cell that is none does."""
         side, other = self.side, o.side
-        self.images1 = images1 = [side.map1(c) for c in side.cells]
-        self.image_keys1 = [other.key1(m) for m in images1]
-        self.land1 = land1 = [o.at1.get(k) for k in self.image_keys1]
-        self.images2 = [_guarded(lambda: side.map2(t, images1[i], images1[j]))
-                        for t, (i, j) in zip(self.cells2, self.ends)]
-        self.image_keys2 = [None if m is None else other.key2(m) for m in self.images2]
-        self.land2 = [None if k is None else o.at2.get((land1[i], land1[j], k))
-                      for k, (i, j) in zip(self.image_keys2, self.ends)]
+        images1 = [side.map1(c) for c in side.cells]
+        self.land1 = land1 = [o.at1.get(other.key1(m)) for m in images1]
+
+        def land2(t, i, j):
+            try:
+                m = side.map2(t, images1[i], images1[j])
+            except (ComponentMistyped, TwoCellLawViolation):
+                return None
+            return o.at2.get((land1[i], land1[j], other.key2(m)))
+
+        self.land2 = [land2(t, i, j) for t, (i, j) in zip(self.cells2, self.ends)]
 
     def flags(self, o: _Found) -> _Flags:
-        """Check this direction against the other side ``o``, both mapped.
-        The back of an image that lands at p is o's own image at p; only an
-        image that lands nowhere is mapped back."""
-        side, other = self.side, o.side
-        images1, images2, land1, land2 = self.images1, self.images2, self.land1, self.land2
-        backs1 = [other.map1(m) if x is None else o.images1[x]
-                  for m, x in zip(images1, land1)]
+        """Check this direction against the other side ``o``, both mapped,
+        by position alone. A cell comes back when o's image of its image
+        is the cell itself; a composite or identity is preserved when its
+        image lands at o's composite or identity of the images. A cell,
+        image, composite or identity that is none of the enumerated cells
+        fails every check that reads it."""
+        land1, land2 = self.land1, self.land2
 
-        def comes_back(g):
-            h, m, (i, j) = land2[g], images2[g], self.ends[g]
-            if h is not None:
-                back = o.image_keys2[h]
-            elif m is None:
-                return False
-            else:
-                back = _key_of(side.key2,
-                               lambda: other.map2(m, backs1[i], backs1[j]))
-            return back is not None and back == self.keys2[g]
-
-        def identity_preserved(i):
-            x, m = land1[i], images1[i]
-            return _preserved(
-                self.ident[i], None if x is None else o.ident[x],
-                self.image_keys2, o.keys2, other.key2,
-                lambda: side.map2(side.identity(side.cells[i]), m, m),
-                lambda: other.identity(m))
+        def lands_at(land, p, r):
+            return p is not None and r is not None and land[p] == r
 
         def vcomp_preserved():
             o_vcomp, o_out_at = o.vcomp, o.out_at
-            for g, (i, j) in enumerate(self.ends):
-                h, t, m = land2[g], self.cells2[g], images2[g]
+            for g, (_, j) in enumerate(self.ends):
+                h = land2[g]
                 for g2, p in zip(self.out[j], self.vcomp[g]):
                     h2 = land2[g2]
-                    r = None if h is None or h2 is None else o_vcomp[h][o_out_at[h2]]
-                    if p is not None and r is not None:
-                        # both found in the same pair of o: agree by position
-                        if land2[p] != r:
-                            return False
-                        continue
-                    t2, m2, k = self.cells2[g2], images2[g2], self.ends[g2][1]
-                    if not _preserved(
-                            p, r, self.image_keys2, o.keys2, other.key2,
-                            lambda: side.map2(side.vcomp(t, t2), images1[i], images1[k]),
-                            lambda: None if m is None or m2 is None else other.vcomp(m, m2)):
+                    if h is None or h2 is None:
+                        return False
+                    r = o_vcomp[h][o_out_at[h2]]
+                    if p is None or r is None or land2[p] != r:
                         return False
             return True
 
-        def compose_preserved(i, j):
-            x, y = land1[i], land1[j]
-            return _preserved(
-                self.comp1[i][j], None if None in (x, y) else o.comp1[x][y],
-                self.image_keys1, o.keys1, other.key1,
-                lambda: side.map1(side.compose(side.cells[i], side.cells[j])),
-                lambda: other.compose(images1[i], images1[j]))
-
-        n = len(side.cells)
+        # a 1-cell whose image lands nowhere fails back, its identity and
+        # its composites, so those checks need every 1-cell to land
+        lands = None not in land1
+        landed = list(enumerate(land1))
         return _Flags(
-            lands=None not in land1,
-            back=all(side.key1(r) == k for r, k in zip(backs1, self.keys1)),
-            two=all(comes_back(g) for g in range(len(self.cells2))),
-            identities=all(identity_preserved(i) for i in range(n)),
+            lands=lands,
+            back=lands and all(o.land1[x] == i for i, x in landed),
+            two=all(h is not None and o.land2[h] == g for g, h in enumerate(land2)),
+            identities=lands and all(lands_at(land2, self.ident[i], o.ident[x])
+                                     for i, x in landed),
             vcomp=vcomp_preserved(),
-            compose=all(compose_preserved(i, j) for i in range(n) for j in range(n)))
+            compose=lands and all(lands_at(land1, self.comp1[i][j], o.comp1[x][y])
+                                  for i, x in landed for j, y in landed))
 
 
 def _map_sides(a: _Side, b: _Side) -> tuple:
@@ -1461,14 +1407,13 @@ def _map_sides(a: _Side, b: _Side) -> tuple:
     1-cell composites are preserved. Returns the two :data:`_Flags`
     records, a into b first.
 
-    Each side's composites and identities are found once, by the keys
-    computed from their components, among the side's cells, and both
-    directions read them; the image of one found there is the image
-    already built. Only a key that is none of the cells' builds its cell
-    through the side's checked constructor, which is then mapped and
-    compared by value. A 2-cell image, a back image or a checked
-    composite that raises ComponentMistyped or TwoCellLawViolation fails
-    every check that uses it."""
+    Every check is decided by position among the enumerated cells, which
+    must form a category: closed under identities, vertical composites
+    and 1-cell composites. Each side's composites and identities are
+    found once, by the keys computed from their components, and both
+    directions read them. A cell, image, composite or identity that is
+    none of the cells fails every check that reads it; nothing is mapped
+    back and no composite is built."""
     found_a, found_b = _Found(a), _Found(b)
     found_a.map_into(found_b)
     found_b.map_into(found_a)
@@ -1506,8 +1451,7 @@ def _hom_iso_sides(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> tuple:
         compose_key=mnd_compose_key,
         vcomp_key=lambda t, t2: values(vcomp_at(C, t.theta.components,
                                                 t2.theta.components)),
-        identity_key=lambda c: values(identity_at(c.P)),
-        compose=mnd_compose, vcomp=mnd2_vcomp, identity=mnd2_identity)
+        identity_key=lambda c: values(identity_at(c.P)))
     # functors are interned, so the keys (J, K) compare by identity
     adjr = _Side(
         adjr_cells, two_cells(adjr_cells, enumerate_adjr_two_cells),
@@ -1519,8 +1463,7 @@ def _hom_iso_sides(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> tuple:
         vcomp_key=lambda t, t2: (
             values(vcomp_at(C, t.alpha.components, t2.alpha.components)),
             values(vcomp_at(A, t.beta.components, t2.beta.components))),
-        identity_key=lambda c: (values(identity_at(c.J)), values(identity_at(c.K))),
-        compose=adjr_compose, vcomp=adjr2_vcomp, identity=adjr2_identity)
+        identity_key=lambda c: (values(identity_at(c.J)), values(identity_at(c.K))))
     return mnd, adjr
 
 
@@ -1530,10 +1473,12 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
     endo hom-category at (C, S), and that both directions are functorial.
 
     :func:`_map_sides` maps both sides in one pass and checks both
-    directions. Each cell is mapped once, and each composite and identity
-    is found among the enumerated cells by a key computed from its
-    components, so on these sides no composite is built. Every image is
-    law-checked as it is built: phi_E raises on an image that breaks a
+    directions by position among the enumerated cells. Each cell is
+    mapped once, and each composite and identity is found among the cells
+    by a key computed from its components; no composite is built. The
+    cells of a hom-category are closed under identities and both
+    composites, so one that is none of them fails its check. Every image
+    is law-checked as it is built: phi_E raises on an image that breaks a
     law, so an image it returns lies in the Mnd hom-category as soon as
     it is one of the enumerated cells, and a composite found among the
     cells was law-checked when it was enumerated.

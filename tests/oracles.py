@@ -1178,10 +1178,13 @@ def ref_map_side(a: RefSide, b: RefSide) -> _Flags:
 
 
 def ref_sides(*sides) -> tuple:
-    """The records ref_map_side reads for the library's side records, each
-    with a composite table of its own, which both directions share."""
-    return tuple(RefSide(s.cells, s.two, s.map1, s.map2, s.identity, s.vcomp,
-                         s.compose, s.key2, _composite_table(len(s.cells)))
+    """The records ref_map_side reads for side records of plain values,
+    which are their own keys, so that each side's key functions are its
+    constructors; each gets a composite table of its own, which both
+    directions share."""
+    return tuple(RefSide(s.cells, s.two, s.map1, s.map2, s.identity_key,
+                         s.vcomp_key, s.compose_key, s.key2,
+                         _composite_table(len(s.cells)))
                  for s in sides)
 
 

@@ -489,6 +489,19 @@ def test_law_search_counts_the_candidates_it_tries(argv, capsys):
     assert main([*argv, "--cap", "3"]) == 0
 
 
+@pytest.mark.parametrize("cap", ["49", "60"])
+def test_cap_exceeded_names_the_same_count_at_every_jobs(cap, capsys):
+    """Parallel branches count on budgets of their own; past the cap the
+    search runs again serially, so the message names the serial count."""
+    errs = []
+    for jobs in ("1", "2", "8"):
+        assert main(["monads", fx("chain3.json"), "--cap", cap,
+                     "--jobs", jobs]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs == [f"error: enumeration counted {int(cap) + 1} candidates, "
+                    f"cap is {cap}\n"] * 3
+
+
 JOBS_COMMANDS = CAPPED_COMMANDS + [
     ["validate", fx("chain3.json")],
     ["kleisli", fx("c1.json")],

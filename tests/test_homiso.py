@@ -11,7 +11,8 @@ The AdjR 2-cell conditions, compared component by component, must give
 what the whiskered formulas give on every candidate pair. The keys the
 round trip finds cells and composites by must tell cells apart exactly
 as equality does, and key each composite and identity as the checked
-constructor's cell.
+constructor's cell. Each side's cells must be closed under composites
+and identities, as the round trip's decision by position requires.
 """
 
 from itertools import product
@@ -40,11 +41,19 @@ from finmonad.fixtures import chain_category, corpus
 from finmonad.monad import enumerate_monads, identity_monad
 from finmonad.twofunctors import (
     MndOneCell,
+    _Found,
     _hom_iso_sides,
+    _map_sides,
+    adjr2_identity,
+    adjr2_vcomp,
+    adjr_compose,
     adjr_two_cell_conditions,
     enumerate_adjr_endocells,
     enumerate_adjr_two_cells,
     hom_iso_roundtrip,
+    mnd2_identity,
+    mnd2_vcomp,
+    mnd_compose,
 )
 
 MONADS = [(f"{cat}-{name}", m) for cat, name, m in corpus().all_monads()]
@@ -115,22 +124,56 @@ def test_round_trip_on_the_identity_monad_of_the_4_chain():
     assert counts(entries, "homiso/two-cell-count") == {"mnd": 490, "adjr": 490}
 
 
+# The checked constructors of each side's 1-cell composite, vertical
+# composite and identity 2-cell, in the order _hom_iso_sides gives the sides.
+CHECKED_CONSTRUCTORS = [(mnd_compose, mnd2_vcomp, mnd2_identity),
+                        (adjr_compose, adjr2_vcomp, adjr2_identity)]
+
+
 @pytest.mark.parametrize("m", [m for _, m in MONADS],
                          ids=[label for label, _ in MONADS])
 def test_side_keys_agree_with_equality_and_the_checked_constructors(m):
-    for side in _hom_iso_sides(m):
+    for side, (compose, vcomp, identity) in zip(_hom_iso_sides(m),
+                                                CHECKED_CONSTRUCTORS):
         cells, key1, key2 = side.cells, side.key1, side.key2
         for c, c2 in product(cells, repeat=2):
             assert (key1(c) == key1(c2)) == (c == c2)
-            assert side.compose_key(c, c2) == key1(side.compose(c, c2))
+            assert side.compose_key(c, c2) == key1(compose(c, c2))
         for c in cells:
-            assert side.identity_key(c) == key2(side.identity(c))
+            assert side.identity_key(c) == key2(identity(c))
         for (i, j), row in side.two.items():
             for t, t2 in product(row, repeat=2):
                 assert (key2(t) == key2(t2)) == (t == t2)
             for k in range(len(cells)):
                 for t, t2 in product(row, side.two[j, k]):
-                    assert side.vcomp_key(t, t2) == key2(side.vcomp(t, t2))
+                    assert side.vcomp_key(t, t2) == key2(vcomp(t, t2))
+
+
+@pytest.mark.parametrize("m", [m for _, m in MONADS],
+                         ids=[label for label, _ in MONADS])
+def test_the_enumerated_cells_are_closed_under_composites_and_identities(m):
+    """Each side's cells form a category, so every 1-cell composite,
+    identity 2-cell and vertical composite is found among them, and the
+    round trip passes by position alone."""
+    mnd, adjr = _hom_iso_sides(m)
+    for side in (mnd, adjr):
+        found = _Found(side)
+        assert all(None not in row for row in found.comp1)
+        assert None not in found.ident
+        assert all(None not in row for row in found.vcomp)
+    assert all(all(flags) for flags in _map_sides(adjr, mnd))
+
+
+def test_a_missing_identity_2_cell_fails_identities_both_ways():
+    """Without the identity 2-cell on the first Mnd endocell of C3/id, the
+    Mnd side is no category: the identity there is none of its cells, and
+    the AdjR identity maps to none of them."""
+    mnd, adjr = _hom_iso_sides(dict(MONADS)["C3-id"])
+    ident = mnd.identity_key(mnd.cells[0])
+    row = [t for t in mnd.two[0, 0] if mnd.key2(t) != ident]
+    assert len(row) == len(mnd.two[0, 0]) - 1
+    to_mnd, to_adjr = _map_sides(adjr, mnd._replace(two={**mnd.two, (0, 0): row}))
+    assert not to_mnd.identities and not to_adjr.identities
 
 
 def test_mnd_keys_tell_apart_cells_that_differ_only_in_phi():

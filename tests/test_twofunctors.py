@@ -641,16 +641,9 @@ def fake_side(cells, map1, compose, map2=lambda t, src, dst: (src, dst)):
     mapped by default to the one between their images. Values are their
     own keys, so each key function is the constructor it keys."""
     two = {(i, j): [(c, c2)] for i, c in enumerate(cells) for j, c2 in enumerate(cells)}
-
-    def vcomp(t1, t2):
-        return t1[0], t2[1]
-
-    def identity(c):
-        return c, c
-
     return _Side(cells, two, map1, map2, key1=lambda c: c, key2=lambda t: t,
-                 compose_key=compose, vcomp_key=vcomp, identity_key=identity,
-                 compose=compose, vcomp=vcomp, identity=identity)
+                 compose_key=compose, vcomp_key=lambda t1, t2: (t1[0], t2[1]),
+                 identity_key=lambda c: (c, c))
 
 
 def z2(map2=lambda t, src, dst: (src, dst)):
@@ -672,7 +665,7 @@ def raising_at(error, at=(0, 1)):
 
 def keys_missing(side):
     """``side`` with no composite or identity key among its cells' keys,
-    so that each is built by its checked constructor."""
+    so that none of them is found among its cells."""
     return side._replace(compose_key=lambda c, c2: None,
                          vcomp_key=lambda t, t2: None,
                          identity_key=lambda c: None)
@@ -692,17 +685,14 @@ def z2_flipping_0_1():
     def vcomp(t1, t2):
         return t1[0], t2[1], (t1[2] + t2[2]) % 2
 
-    def identity(c):
-        return c, c, 0
-
     def map2(t, src, dst):
         return src, dst, (t[2] + (t[:2] == (0, 1))) % 2
 
     side = z2()
     two = {(i, j): [(c, c2, 0), (c, c2, 1)]
            for i, c in enumerate(side.cells) for j, c2 in enumerate(side.cells)}
-    return side._replace(two=two, map2=map2, vcomp_key=vcomp, vcomp=vcomp,
-                         identity_key=identity, identity=identity)
+    return side._replace(two=two, map2=map2, vcomp_key=vcomp,
+                         identity_key=lambda c: (c, c, 0))
 
 
 def tuple_z2():
@@ -735,12 +725,35 @@ FAKE_CASES = {
     "keys-miss-both": lambda: (keys_missing(z2()), keys_missing(z2())),
 }
 
+# The cases where the reference, which maps and compares by value what is
+# none of the cells, agrees with deciding by position.
+REFERENCE_CASES = ["inverse-z2", "inverse-max", "composite-outside-disagrees",
+                   "composite-equal-by-equality", "vcomp-not-preserved"]
 
-@pytest.mark.parametrize("case", list(FAKE_CASES))
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_map_sides_gives_the_references_flags(case):
     a, b = FAKE_CASES[case]()
     ra, rb = ref_sides(a, b)
     assert _map_sides(a, b) == (ref_map_side(ra, rb), ref_map_side(rb, ra))
+
+
+FAILS_COMPOSE = _Flags(lands=True, back=True, two=True, identities=True,
+                       vcomp=True, compose=False)
+FAILS_COMPOSITES = FAILS_COMPOSE._replace(identities=False, vcomp=False)
+# The flags of each direction where a composite or identity is none of
+# the cells: the direction that maps it, and the one that reads it as the
+# composite of the images, both fail.
+OUTSIDE_FLAGS = {
+    "composite-outside": (FAILS_COMPOSE, FAILS_COMPOSE),
+    "keys-miss": (FAILS_COMPOSITES, FAILS_COMPOSITES),
+    "keys-miss-both": (FAILS_COMPOSITES, FAILS_COMPOSITES),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTSIDE_FLAGS))
+def test_map_sides_fails_what_reads_a_composite_outside_the_cells(case):
+    assert _map_sides(*FAKE_CASES[case]()) == OUTSIDE_FLAGS[case]
 
 
 def test_map_side_passes_mutually_inverse_sides():
@@ -762,8 +775,8 @@ def test_map_sides_fails_two_on_a_back_image_that_raises():
     """a's image of (0, 1) is b's (0, 1), whose image raises: the back of
     a's image fails a's 2-cell round trip, where mapping each direction
     apart let the exception escape, and b's own direction fails two and
-    vcomp. The same holds for an image that lands nowhere and is mapped
-    back."""
+    vcomp. An image that lands nowhere is not mapped back, so a raising
+    action on the other side is never called on it."""
     for error in (ComponentMistyped, TwoCellLawViolation):
         a, b = z2(), z2(raising_at(error))
         to_b, to_a = _map_sides(a, b)
@@ -778,9 +791,7 @@ def test_map_sides_fails_two_on_a_back_image_that_raises():
 
         a, b = FAKE_CASES["image-outside"]()
         b = b._replace(map2=raising_at(error, (0, 2)))
-        to_b, _ = _map_sides(a, b)
-        assert to_b == _Flags(lands=False, back=True, two=False,
-                              identities=True, vcomp=True, compose=True)
+        assert _map_sides(a, b) == _map_sides(*FAKE_CASES["image-outside"]())
         ra, rb = ref_sides(a, b)
         with pytest.raises(error):
             ref_map_side(ra, rb)
@@ -794,70 +805,22 @@ def test_map_sides_fails_only_vcomp_on_images_that_do_not_compose():
                                identities=True, vcomp=False, compose=True)
 
 
-def test_map_sides_fails_vcomp_on_a_checked_composite_that_raises():
-    """a's vertical composites are none of its cells by key, and its
-    checked constructor raises on each: vcomp fails both ways, since each
-    direction composes on a, and nothing raises."""
-    def raising(t1, t2):
-        raise TwoCellLawViolation("not a 2-cell")
-
-    a = keys_missing(z2())._replace(vcomp=raising)
-    for flags in _map_sides(a, z2()):
-        assert not flags.vcomp
-        assert flags.lands and flags.back and flags.two and flags.identities
-        assert flags.compose
-
-
-def test_map_sides_builds_only_the_composites_whose_keys_miss():
-    built = []
-
-    def building(side, name):
-        def build(*args):
-            built.append(name)
-            return getattr(side, name)(*args)
-
-        return side._replace(**{name: build})
-
-    a, b = keys_missing(z2()), z2()
-    for name in ("compose", "vcomp", "identity"):
-        a, b = building(a, name), building(b, name)
-    assert all(all(flags) for flags in _map_sides(a, b))
-    assert set(built) == {"compose", "vcomp", "identity"}
-    built.clear()
-    assert all(all(flags) for flags in _map_sides(z2(), b))
-    assert built == []
-
-
-def test_map_side_fails_only_lands_on_an_image_outside_the_other_side():
-    flags, _ = _map_sides(*FAKE_CASES["image-outside"]())
-    assert not flags.lands
-    assert flags.back and flags.two and flags.identities and flags.vcomp
-    assert flags.compose
-
-
-def test_map_side_maps_and_compares_a_composite_outside_the_cells():
-    """1 + 1 = 2 is not a 1-cell of a, so that composite is mapped and
-    compared with the composite of the images by value, both ways."""
-    mapped = []
-
-    def map1(c):
-        mapped.append(c)
-        return 2 * c
-
-    for case, agrees in (("composite-outside", True),
-                         ("composite-outside-disagrees", False)):
-        a, b = FAKE_CASES[case]()
-        mapped.clear()
-        flags, _ = _map_sides(a._replace(map1=map1), b)
-        assert flags.compose is agrees
-        assert mapped == [0, 1, 2]
-        assert flags.lands and flags.back and flags.two and flags.identities
+def test_map_side_fails_every_check_that_reads_an_image_outside_the_other_side():
+    """a's 1-cell 1 maps to 2, none of b's cells: it does not come back,
+    and every 2-cell, identity and composite on it fails. b maps both its
+    cells to a's 0, so its 1-cell 1 does not come back either, and its
+    composite 1 + 1 = 2 mod 4 is none of its cells."""
+    to_b, to_a = _map_sides(*FAKE_CASES["image-outside"]())
+    assert to_b == _Flags(lands=False, back=False, two=False,
+                          identities=False, vcomp=False, compose=False)
+    assert to_a == _Flags(lands=True, back=False, two=False,
+                          identities=True, vcomp=True, compose=False)
 
 
 def test_map_side_finds_a_composite_equal_to_a_cell_by_equality():
     """Composites are new tuples, equal to 1-cells but not the same
     objects: each is found among the cells by its key, so no composite is
-    mapped or built, and each side keys each ordered pair once over both
+    mapped, and each side keys each ordered pair once over both
     directions."""
     mapped, composed = [], []
 
@@ -870,10 +833,10 @@ def test_map_side_finds_a_composite_equal_to_a_cell_by_equality():
             composed.append((x, y))
             return side.compose_key(x, y)
 
-        return side._replace(map1=map1, compose_key=compose, compose=compose)
+        return side._replace(map1=map1, compose_key=compose)
 
     a, b = FAKE_CASES["composite-equal-by-equality"]()
-    composite = a.compose(a.cells[1], a.cells[1])
+    composite = a.compose_key(a.cells[1], a.cells[1])
     assert composite == a.cells[0] and composite is not a.cells[0]
     a, b = counted(a), counted(b)
     assert all(all(flags) for flags in _map_sides(a, b))
