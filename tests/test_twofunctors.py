@@ -743,8 +743,12 @@ FAILS_COMPOSE = _Flags(lands=True, back=True, two=True, identities=True,
 FAILS_COMPOSITES = FAILS_COMPOSE._replace(identities=False, vcomp=False)
 # The flags of each direction where a composite or identity is none of
 # the cells: the direction that maps it, and the one that reads it as the
-# composite of the images, both fail.
+# composite of the images, both fail. In image-outside, b's composite
+# 1 + 1 = 2 mod 4 is none of its cells, and a's image 2 is none of them
+# either, so a fails every check that reads that image too.
 OUTSIDE_FLAGS = {
+    "image-outside": (_Flags(*[False] * len(_Flags._fields)),
+                      FAILS_COMPOSE._replace(back=False, two=False)),
     "composite-outside": (FAILS_COMPOSE, FAILS_COMPOSE),
     "keys-miss": (FAILS_COMPOSITES, FAILS_COMPOSITES),
     "keys-miss-both": (FAILS_COMPOSITES, FAILS_COMPOSITES),
