@@ -14,9 +14,13 @@ distinct data never share an id:
   target object is part of the id because T may identify carriers, in
   which case the underlying morphism alone does not determine it.
 
-Every constructed category is revalidated from scratch (associativity
-included), the coalgebra category as the algebra category it is the
-opposite of, and every adjunction passes its triangle identities.
+Each construction is built and validated once per monad value, at its
+first use; later calls return the same object. Validation checks
+associativity (the coalgebra category as the algebra category it is the
+opposite of), the triangle identities of every adjunction, and that the
+algebra and the Kleisli adjunction induce their monad. The cap estimate
+is compared with ``cap`` on every call, so a cap verdict does not depend
+on an earlier build.
 
 Everything in the algebra or the Kleisli category that lies over the
 base is named in one place, the record both categories are: the category
@@ -147,24 +151,36 @@ class EmAlgebraCategory(_Over):
         return [a for a in self.category.objects if self._carrier[a] == carrier]
 
 
+def _require_under_cap(m: Monad, cap: int) -> None:
+    """Raise EnumerationCapExceeded if the candidate structure maps of the
+    algebras of ``m``, the morphisms SX → X, number more than ``cap``."""
+    base, S = m.base, m.S
+    estimate = sum(len(base.hom(S.ob(x), x)) for x in base.objects)
+    if estimate > cap:
+        raise EnumerationCapExceeded(estimate, cap)
+
+
+def _inducing(m: Monad, built: _Over, what: str) -> _Over:
+    """``built``, once its adjunction is checked to induce ``m``."""
+    if induced_monad(built.adj) != m:
+        raise AssertionError(f"{what} adjunction does not induce its monad")
+    return built
+
+
 def em_category(m: Monad, cap: int = DEFAULT_CAP) -> EmAlgebraCategory:
-    """Enumerate all algebras and algebra morphisms of a valid monad."""
+    """Enumerate all algebras and algebra morphisms of a valid monad, at the
+    first call on ``m``; later calls return the same object."""
     m.require_valid()
-    em = _em_category(m, cap, _algebra_morphism_id)
-    if induced_monad(em.adj) != m:
-        raise AssertionError("algebra adjunction does not induce its monad")
-    return em
+    _require_under_cap(m, cap)
+    return m.built("algebras", lambda: _inducing(
+        m, _em_category(m, _algebra_morphism_id), "algebra"))
 
 
-def _em_category(m: Monad, cap: int, name) -> EmAlgebraCategory:
+def _em_category(m: Monad, name) -> EmAlgebraCategory:
     """The algebra construction for a valid monad; ``name(f, A, B)`` is the
     id of the algebra morphism A → B with underlying f."""
     base = m.base
     S = m.S
-
-    estimate = sum(len(base.hom(S.ob(x), x)) for x in base.objects)
-    if estimate > cap:
-        raise EnumerationCapExceeded(estimate, cap)
 
     carrier, structure = {}, {}
     for x in base.objects:
@@ -224,11 +240,13 @@ class EmCoalgebraCategory:
 def em_coalgebra_category(c: Comonad, cap: int = DEFAULT_CAP) -> EmCoalgebraCategory:
     """Enumerate all coalgebras of a valid comonad: the algebras of the same
     tables on the opposite category, with each morphism named in the
-    coalgebra direction."""
+    coalgebra direction. Built at the first call on ``c``; later calls
+    return the same object."""
     c.require_valid()
-    em = _em_category(monad_on_opposite(c), cap,
-                      lambda f, src, tgt: _algebra_morphism_id(f, tgt, src))
-    return EmCoalgebraCategory(c, em)
+    op = monad_on_opposite(c)
+    _require_under_cap(op, cap)
+    return c.built("coalgebras", lambda: EmCoalgebraCategory(c, _em_category(
+        op, lambda f, src, tgt: _algebra_morphism_id(f, tgt, src))))
 
 
 class KleisliCategory(_Over):
@@ -242,7 +260,14 @@ class KleisliCategory(_Over):
 
 
 def kleisli_category(m: Monad) -> KleisliCategory:
+    """The Kleisli category of a valid monad, built at the first call on
+    ``m``; later calls return the same object."""
     m.require_valid()
+    return m.built("kleisli", lambda: _inducing(
+        m, _kleisli_category(m), "Kleisli"))
+
+
+def _kleisli_category(m: Monad) -> KleisliCategory:
     base = m.base
     T = m.S
 
@@ -265,6 +290,4 @@ def kleisli_category(m: Monad) -> KleisliCategory:
     counit = kl.nat_over(compose_functors(kl.D, kl.V), identity_functor(kl.category),
                          lambda x: base.identity(T.ob(x)))
     kl.adj = Adjunction(kl.D, kl.V, unit, counit)
-    if induced_monad(kl.adj) != m:
-        raise AssertionError("Kleisli adjunction does not induce its monad")
     return kl

@@ -22,6 +22,8 @@ Every law check of the package, here and in :mod:`distlaw`,
 
 from __future__ import annotations
 
+from threading import Lock
+
 from .errors import LawViolation, TypeMismatch
 from .fincat import (
     DEFAULT_CAP,
@@ -63,6 +65,10 @@ class _Checked:
         return self
 
 
+# guards the creation of a value's memo of constructions, see _Structure.built
+_NEW_MEMO = Lock()
+
+
 class _Structure(_Checked):
     """An endofunctor ``endo`` on ``base`` with a multiplication ``mult`` and
     a unit ``unit``, built as ``Kind(base, endo, mult, unit)``. Each kind
@@ -70,7 +76,7 @@ class _Structure(_Checked):
     their shape once: SHAPE is the (source, target) of mult and of unit
     among E∘E, E and Id, and TYPING the messages of the typing checks."""
 
-    __slots__ = ("base", "endo", "mult", "unit", "_op")
+    __slots__ = ("base", "endo", "mult", "unit", "_op", "_built")
 
     def __init__(self, base: FinCategory, endo: Functor, mult: NatTrans,
                  unit: NatTrans):
@@ -82,6 +88,25 @@ class _Structure(_Checked):
         self.mult = mult
         self.unit = unit
         self._op = None
+        self._built = None
+
+    def built(self, kind: str, build):
+        """The construction ``kind`` on this value: ``build()`` at the first
+        call, and that same object at every later one. The value is
+        immutable, so what is built on it depends on it alone. The memo is
+        per object, not per equality class, and is allocated at the first
+        build. Two racing first calls may both build, but both return the
+        one object stored."""
+        memo = self._built
+        if memo is None:
+            with _NEW_MEMO:
+                if self._built is None:
+                    self._built = {}
+            memo = self._built
+        found = memo.get(kind)
+        if found is None:
+            found = memo.setdefault(kind, build())
+        return found
 
     @classmethod
     def ends(cls, twice, once, none) -> list:

@@ -1,6 +1,11 @@
 """Algebra, coalgebra, and Kleisli category constructions, and the same
 constructions against the references that name everything by hand."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from oracles import (
@@ -18,6 +23,7 @@ from finmonad.construct import (
     em_coalgebra_category,
     kleisli_category,
 )
+from finmonad.errors import EnumerationCapExceeded
 from finmonad.fincat import DEFAULT_CAP, validate_category
 from finmonad.monad import (
     enumerate_comonads,
@@ -174,10 +180,100 @@ def test_constructed_ids_stay_distinct_when_base_ids_hold_delimiters():
     assert induced_monad(kl.adj) == m
 
 
+def twin(s):
+    """A (co)monad equal to ``s`` but a distinct object, so that nothing
+    built on ``s`` is memoised on it."""
+    return type(s)(s.base, s.endo, s.mult, s.unit)
+
+
 def test_two_runs_produce_identical_categories(cor):
-    m = cor.monads_c3["c2"]
-    assert em_category(m).category == em_category(m).category
-    assert kleisli_category(m).category == kleisli_category(m).category
+    # two equal but distinct monads, so each side is its own build
+    a, b = twin(cor.monads_c3["c2"]), twin(cor.monads_c3["c2"])
+    em_a, em_b = em_category(a), em_category(b)
+    assert em_a is not em_b and em_a.category == em_b.category
+    kl_a, kl_b = kleisli_category(a), kleisli_category(b)
+    assert kl_a is not kl_b and kl_a.category == kl_b.category
+
+
+# -- one construction per (co)monad value -------------------------------------------
+
+
+def test_each_construction_is_built_once_per_value(cor):
+    m, c = cor.monads_c3["c2"], cor.comonads_c3["i1"]
+    assert em_category(m) is em_category(m)
+    assert kleisli_category(m) is kleisli_category(m)
+    assert em_coalgebra_category(c) is em_coalgebra_category(c)
+
+
+def test_equal_values_build_their_own_constructions(cor):
+    """The memo is per object, not per equality class."""
+    m, c = cor.monads_c3["c2"], cor.comonads_c3["i1"]
+    m2, c2 = twin(m), twin(c)
+    assert m2 == m and c2 == c
+    assert em_category(m2) is not em_category(m)
+    assert em_category(m2).monad is m2
+    assert kleisli_category(m2) is not kleisli_category(m)
+    assert kleisli_category(m2).monad is m2
+    assert em_coalgebra_category(c2) is not em_coalgebra_category(c)
+    assert em_coalgebra_category(c2).comonad is c2
+
+
+@pytest.mark.parametrize("kind", ["algebras", "coalgebras"])
+def test_cap_verdict_does_not_depend_on_an_earlier_build(cor, kind):
+    """The estimate is compared with the cap on every call: after a build,
+    a cap below it still raises and names the count a fresh value names."""
+    build, value = ((em_category, cor.monads_c3["c1"]) if kind == "algebras"
+                    else (em_coalgebra_category, cor.comonads_c3["i1"]))
+    built = build(value)
+    with pytest.raises(EnumerationCapExceeded) as fresh:
+        build(twin(value), cap=0)
+    estimate = fresh.value.estimate
+    assert estimate > 0
+    with pytest.raises(EnumerationCapExceeded) as again:
+        build(value, cap=estimate - 1)
+    assert (again.value.estimate, again.value.cap) == (estimate, estimate - 1)
+    assert build(value, cap=estimate) is built
+
+
+def test_racing_first_calls_all_get_the_stored_object(cor):
+    """Threads that call at once on a value nothing was built on yet may
+    each build, but every one of them gets the one object the memo keeps."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            m = twin(cor.monads_c3["c1"])
+            start = threading.Barrier(8)
+            got = []
+
+            def call(m=m, start=start, got=got):
+                start.wait(timeout=10)
+                got.append((em_category(m), kleisli_category(m)))
+
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 8
+            assert all(em is em_category(m) and kl is kleisli_category(m)
+                       for em, kl in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_construction_lives_no_longer_than_its_value(cor):
+    """The memo ties each construction to its (co)monad and to nothing
+    else: once the value is dropped, the cyclic collector frees them."""
+    m = enumerate_monads(cor.c3)[1]
+    c = enumerate_comonads(cor.c3)[1]
+    functors = [weakref.ref(em_category(m).U), weakref.ref(kleisli_category(m).V),
+                weakref.ref(em_coalgebra_category(c).U)]
+    assert all(ref() is not None for ref in functors)
+    del m, c
+    gc.collect()
+    assert [ref() for ref in functors] == [None, None, None]
 
 
 def test_em_of_z2_twist_monad(cor):
@@ -213,23 +309,30 @@ def assert_algebras_match(em, ref) -> None:
 def assert_constructions_match(monads, comonads) -> None:
     """The algebras and the Kleisli category of every monad, and the
     algebras on the opposite category that every comonad's coalgebras
-    are read off, equal the references."""
+    are read off, equal the references: at the first call, which builds
+    them on a value nothing was built on yet, and at the second, which
+    reads them back."""
     for m in monads:
-        assert_algebras_match(em_category(m), ref_em_category(m))
-        kl, ref = kleisli_category(m), ref_kleisli_category(m)
-        assert_same_category(kl.category, ref.category)
-        assert (kl.D, kl.V, kl.adj) == (ref.D, ref.V, ref.adj)
-        for mm in ref.category.morphisms:
-            assert (kl.underlying(mm.id), mm.src, mm.tgt) == ref.underlying(mm.id)
+        ref_em, ref_kl = ref_em_category(m), ref_kleisli_category(m)
+        for _ in range(2):
+            assert_algebras_match(em_category(m), ref_em)
+            kl = kleisli_category(m)
+            assert_same_category(kl.category, ref_kl.category)
+            assert (kl.D, kl.V, kl.adj) == (ref_kl.D, ref_kl.V, ref_kl.adj)
+            for mm in ref_kl.category.morphisms:
+                assert ((kl.underlying(mm.id), mm.src, mm.tgt)
+                        == ref_kl.underlying(mm.id))
     for c in comonads:
         ref = ref__em_category(monad_on_opposite(c), DEFAULT_CAP,
                                lambda f, src, tgt: _algebra_morphism_id(f, tgt, src))
-        assert_algebras_match(em_coalgebra_category(c).on_opposite, ref)
+        for _ in range(2):
+            assert_algebras_match(em_coalgebra_category(c).on_opposite, ref)
 
 
 def test_constructions_match_the_first_written_on_the_corpus(cor):
-    assert_constructions_match([m for _, _, m in cor.all_monads()],
-                               [c for _, _, c in cor.all_comonads()])
+    # twins, since the session's corpus values may hold their constructions
+    assert_constructions_match([twin(m) for _, _, m in cor.all_monads()],
+                               [twin(c) for _, _, c in cor.all_comonads()])
 
 
 @pytest.mark.parametrize("name", list(DIFFERENTIAL))

@@ -36,3 +36,33 @@ def test_golden_report(name, argv, monkeypatch):
     for fname, content in files.items():
         with open(os.path.join(GOLDEN, fname), "rb") as fh:
             assert content.encode("utf-8") == fh.read(), fname
+
+
+def test_selftest_report_holds_when_its_constructions_are_read_back(
+        monkeypatch):
+    """The selftest corpus lives for the whole process, so a second
+    in-process pass reads every algebra, coalgebra and Kleisli construction
+    on it back from the first. Its report is the first pass's and the
+    golden one, byte for byte."""
+    from finmonad.construct import (
+        em_category,
+        em_coalgebra_category,
+        kleisli_category,
+    )
+    from finmonad.fixtures import corpus
+
+    def constructions(cor) -> list:
+        return ([build(m) for _, _, m in cor.all_monads()
+                 for build in (em_category, kleisli_category)]
+                + [em_coalgebra_category(c) for _, _, c in cor.all_comonads()])
+
+    monkeypatch.chdir(regen.ROOT)
+    first = regen.run_case(["selftest"])
+    built = constructions(corpus())
+    second = regen.run_case(["selftest"])
+    assert second == first
+    assert second["exit"] == EXIT_CODES["selftest"]
+    for fname, content in regen.golden_files("selftest", second).items():
+        with open(os.path.join(GOLDEN, fname), "rb") as fh:
+            assert content.encode("utf-8") == fh.read(), fname
+    assert all(a is b for a, b in zip(constructions(corpus()), built))
