@@ -4,13 +4,10 @@ Exit codes: 0 all checks pass; 1 a law or round-trip check failed (report
 emitted); 2 parse/validation/typability error; 3 enumeration cap exceeded.
 
 Global flags: ``--format json|text``, ``--jobs N`` (a positive integer;
-fans the functor and monad searches out over worker threads, the other
-searches run serially; the GIL serialises the threads, and one selftest
-criteria pass measured 0.06-0.11 s at 1 job and 0.08-0.14 s at 8 on 2
-cores),
-``--seed`` (affects sampled checks only, never enumeration order). JSON
-reports are byte-stable across runs and worker counts; the wall-clock
-duration appears only in text output.
+accepted; has no effect, as every search runs serially), ``--seed``
+(affects sampled checks only, never enumeration order). JSON reports are
+byte-stable across runs and ``--jobs`` values; the wall-clock duration
+appears only in text output.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ def _cmd_structures(args) -> VerificationReport:
 
     rep = _report(args, args.command, [args.file])
     cat = jsonio.load_category(args.file, seed=args.seed)
-    found = getattr(monad, args.search)(cat, cap=args.cap, jobs=args.jobs)
+    found = getattr(monad, args.search)(cat, cap=args.cap)
     rep.add(entry(f"{args.command}/enumerate", "chk-enumeration", True,
                   witness={"count": len(found),
                            "object_maps": [dict(sorted(m.endo.object_map.items()))
@@ -251,14 +248,14 @@ def _cmd_homiso(args) -> VerificationReport:
 
     rep = _report(args, "homiso", [args.file])
     m = jsonio.load_monad(args.file, seed=args.seed)
-    rep.add(*hom_iso_roundtrip(m, cap=args.cap, jobs=args.jobs))
+    rep.add(*hom_iso_roundtrip(m, cap=args.cap))
     return rep
 
 
 def _cmd_selftest(args) -> VerificationReport:
     from .selftest import run_selftest
 
-    return run_selftest(jobs=args.jobs, seed=args.seed)
+    return run_selftest(seed=args.seed)
 
 
 def _at_least(least: int, what: str):
@@ -280,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--jobs", type=_at_least(1, "positive"),
                         default=argparse.SUPPRESS,
-                        help="worker threads of the functor and monad "
-                             "searches, serialised by the GIL")
+                        help="accepted; has no effect")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for sampled checks (never affects "
                              "enumeration order)")
@@ -390,7 +386,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    for name, default in (("format", "text"), ("jobs", 1), ("seed", 0)):
+    for name, default in (("format", "text"), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, default)
     started = time.perf_counter()

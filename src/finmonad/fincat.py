@@ -954,28 +954,6 @@ def _backtrack(domains, checks, budget: _Budget) -> list:
     return out
 
 
-def _fan_out(branch, first_domain, cap: int, jobs: int) -> list:
-    """``branch(value, budget)`` for each choice of the first variable, via pmap.
-
-    Serial branches share one budget. Parallel branches each get their
-    own; when one of them passes the cap, or their summed count does, the
-    branches run again serially, so that the error raised, and the count
-    it names, never depend on ``jobs``.
-    """
-    if jobs > 1:
-        budgets = [_Budget(cap) for _ in first_domain]
-        try:
-            groups = pmap(lambda k: branch(first_domain[k], budgets[k]),
-                          range(len(first_domain)), jobs=jobs)
-        except EnumerationCapExceeded:
-            pass
-        else:
-            if sum(b.used for b in budgets) <= cap:
-                return groups
-    budget = _Budget(cap)
-    return pmap(lambda value: branch(value, budget), first_domain, jobs=1)
-
-
 def enumerate_nat_trans(F: Functor, G: Functor, cap: int = DEFAULT_CAP) -> list:
     """All natural transformations F → G, canonically ordered.
 
@@ -1105,8 +1083,9 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     every image is forced and hom(F x, F x) holds only the identity for
     each x whose identity is a composite, as always on a thin target,
     every check holds (each composite lands in a one-element hom-set), so
-    the one solution is taken without a search. ``jobs`` fans the search
-    out over the image of the first object.
+    the one solution is taken without a search. One budget counts the
+    whole search, branch by branch over the image of the first object.
+    ``jobs`` has no effect.
     """
     objs = source.objects
     tobjs = target.objects
@@ -1124,8 +1103,9 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     unit = [index[target.identity(x)] for x in tobjs]
     names = [m.id for m in target.morphisms]
     n = len(order)
+    budget = _Budget(cap)
 
-    def functors_over(images, budget):
+    def functors_over(images):
         fixed = [unit[images[a]] for a in units]
         domains = [homs[images[a]][images[b]] for a, b in arrows]
         if (set(map(len, domains)) <= {1}
@@ -1142,15 +1122,12 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
                         dict(zip(order, map(names.__getitem__, ks))))
                 for ks in found]
 
-    def branch(first, budget):
+    def branch(first):
         domains = [(first,)] + [range(len(tobjs))] * (len(objs) - 1)
         return [F for images in _backtrack(domains, obj_checks, budget)
-                for F in functors_over(images, budget)]
+                for F in functors_over(images)]
 
-    if objs:
-        groups = _fan_out(branch, range(len(tobjs)), cap, jobs)
-    else:
-        groups = [functors_over((), _Budget(cap))]
+    groups = pmap(branch, range(len(tobjs))) if objs else [functors_over(())]
     out = [F for group in groups for F in group]
     out.sort(key=lambda F: F.canonical_key())
     return out

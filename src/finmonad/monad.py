@@ -30,8 +30,8 @@ from .fincat import (
     FinCategory,
     Functor,
     NatTrans,
+    _Budget,
     _backtrack,
-    _fan_out,
     check_naturality,
     compose_functors,
     enumerate_functors,
@@ -45,6 +45,7 @@ from .fincat import (
     whisker_left_at,
     whisker_right_at,
 )
+from .parallel import pmap
 from .report import Violation
 
 
@@ -288,10 +289,9 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
     :func:`~finmonad.fincat.enumerate_functors` and
     :func:`~finmonad.fincat.enumerate_nat_trans`, and the candidate mu
     components tried over all the mu searches of the call; past it,
-    :class:`EnumerationCapExceeded` is raised. ``jobs`` fans the mu
-    searches out over S and never changes the verdict.
+    :class:`EnumerationCapExceeded` is raised. ``jobs`` has no effect.
     """
-    endos = enumerate_functors(cat, cat, cap=cap, jobs=jobs)
+    endos = enumerate_functors(cat, cat, cap=cap)
     Id = identity_functor(cat)
     objs = cat.objects
     pos = cat.positions()
@@ -299,8 +299,9 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
     index, table, hom = cat._index, cat._table, cat.index_hom()
     names = cat.morphisms
     ident = {x: index[f] for x, f in cat.identities.items()}
+    budget = _Budget(cap)
 
-    def monads_on(S: Functor, budget) -> list:
+    def monads_on(S: Functor) -> list:
         sob = S.object_map
         domains = [hom.get((sob[sob[x]], sob[x]), ()) for x in objs]
         if not all(domains):
@@ -337,7 +338,7 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
                 found.append(Monad(cat, S, mu, eta))
         return found
 
-    groups = _fan_out(monads_on, endos, cap, jobs)
+    groups = pmap(monads_on, endos)
     out = [m for group in groups for m in group]
     out.sort(key=lambda m: m.canonical_key())
     return out
@@ -348,10 +349,11 @@ def enumerate_comonads(cat: FinCategory, cap: int = DEFAULT_CAP,
     """All comonads on the category: the monads on its opposite, read back.
 
     The candidate count, and so the cap verdict, is that of
-    :func:`enumerate_monads` on the opposite category.
+    :func:`enumerate_monads` on the opposite category. ``jobs`` has no
+    effect.
     """
     return [comonad_on_opposite(m)
-            for m in enumerate_monads(opposite(cat), cap=cap, jobs=jobs)]
+            for m in enumerate_monads(opposite(cat), cap=cap)]
 
 
 def _on_opposite(s: _Structure, kind) -> _Structure:

@@ -1,18 +1,13 @@
-"""Deterministic fan-out helper for enumeration work.
+"""The map the functor and monad searches run their branches through.
 
-Results are merged in submission order, so output never depends on the
-worker count; callers still canonically sort what they return.
+It is a plain serial map. The name stays because the benchmark tracer
+wraps ``parallel.pmap``; the benchmark revision that reads the library's
+own counters (ROADMAP item 4, step 1) folds it into its callers.
 """
 
 from __future__ import annotations
 
 
-def pmap(fn, items, jobs: int = 1) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    # imported here, so that a run at one job never loads the pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def pmap(fn, items) -> list:
+    """``[fn(x) for x in items]``, in order."""
+    return [fn(x) for x in items]

@@ -1,9 +1,9 @@
 """The fixture-corpus acceptance suite behind the ``selftest`` command.
 
 Each criterion function returns report entries; ``run_selftest`` strings
-them together and additionally re-runs the suite under a second worker
-count (8 if the reported pass ran on one, else 1) and byte-compares the
-serialized results, so a nondeterministic enumeration fails loudly.
+them together, then runs the suite a second time in the same process and
+byte-compares the serialized results, so a nondeterministic enumeration,
+or state that one pass leaves to the next, fails loudly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .fincat import (
     whisker_right,
 )
 from .fixtures import FixtureCorpus, corpus
-from .monad import enumerate_comonads, enumerate_monads, identity_monad
+from .monad import enumerate_comonads, enumerate_monads
 from .report import CheckEntry, VerificationReport, entry
 from .twofunctors import (
     adjr_two_cell_agreement,
@@ -64,16 +64,16 @@ def _operator_count(cat: FinCategory, inflationary: bool) -> int:
     return count
 
 
-def criterion_1_fixture_enumeration(cor: FixtureCorpus, jobs: int = 1) -> list:
+def criterion_1_fixture_enumeration(cor: FixtureCorpus) -> list:
     entries = []
-    monads = enumerate_monads(cor.c3, jobs=jobs)
+    monads = enumerate_monads(cor.c3)
     entries.append(entry("criterion-1/monads-on-C3", "chk-enumeration",
                          len(monads) == 4, witness={"count": len(monads)}))
     oracle = _operator_count(cor.c3, inflationary=True)
     entries.append(entry("criterion-1/closure-operator-oracle",
                          "chk-enumeration", oracle == len(monads),
                          witness={"oracle": oracle}))
-    comonads = enumerate_comonads(cor.c3, jobs=jobs)
+    comonads = enumerate_comonads(cor.c3)
     entries.append(entry("criterion-1/comonads-on-C3", "chk-enumeration",
                          len(comonads) == 4, witness={"count": len(comonads)}))
     oracle = _operator_count(cor.c3, inflationary=False)
@@ -193,19 +193,19 @@ def criterion_6_two_adjunction_sanity(cor: FixtureCorpus) -> list:
     return entries
 
 
-def criterion_7_hom_isomorphism(cor: FixtureCorpus, jobs: int = 1) -> list:
+def criterion_7_hom_isomorphism(cor: FixtureCorpus) -> list:
     entries = []
-    for label, m in (("C2-id", identity_monad(cor.c2)),
+    for label, m in (("C2-id", cor.monads_c2["id"]),
                      ("C3-c1", cor.monads_c3["c1"])):
-        for e in hom_iso_roundtrip(m, jobs=jobs):
+        for e in hom_iso_roundtrip(m):
             entries.append(CheckEntry(f"criterion-7/{label}/{e.check}", e.tag,
                                       e.status, e.witness, e.detail))
     return entries
 
 
-def criterion_8_two_cell_equivalence(cor: FixtureCorpus, jobs: int = 1) -> list:
+def criterion_8_two_cell_equivalence(cor: FixtureCorpus) -> list:
     em = em_category(cor.monads_c3["c2"])
-    cells = enumerate_adjr_endocells(em, jobs=jobs)
+    cells = enumerate_adjr_endocells(em)
     stats = adjr_two_cell_agreement(cells)
     return [entry("criterion-8/adjr-two-cell-conditions-agree",
                   "chk-two-cell-agreement",
@@ -214,15 +214,15 @@ def criterion_8_two_cell_equivalence(cor: FixtureCorpus, jobs: int = 1) -> list:
                            "agree": stats["agree"]})]
 
 
-def criteria_entries(jobs: int = 1) -> list:
+def criteria_entries() -> list:
     cor = corpus()
     entries = []
-    entries.extend(criterion_1_fixture_enumeration(cor, jobs))
+    entries.extend(criterion_1_fixture_enumeration(cor))
     entries.extend(criteria_2_to_4_laws(cor))
     entries.extend(criterion_5_mixed(cor))
     entries.extend(criterion_6_two_adjunction_sanity(cor))
-    entries.extend(criterion_7_hom_isomorphism(cor, jobs))
-    entries.extend(criterion_8_two_cell_equivalence(cor, jobs))
+    entries.extend(criterion_7_hom_isomorphism(cor))
+    entries.extend(criterion_8_two_cell_equivalence(cor))
     return entries
 
 
@@ -233,11 +233,11 @@ def _serialize_entries(entries) -> str:
         sort_keys=True, ensure_ascii=False)
 
 
-def run_selftest(jobs: int = 1, seed: int = 0) -> VerificationReport:
-    entries = criteria_entries(jobs=jobs)
-    # criterion 9: the reported pass against one at 8 jobs, or at 1 if the
-    # reported pass ran on more than one
-    other = _serialize_entries(criteria_entries(jobs=8 if jobs <= 1 else 1))
+def run_selftest(seed: int = 0) -> VerificationReport:
+    entries = criteria_entries()
+    # criterion 9: the reported pass against a second pass, which reads
+    # every construction the first one built back from the memo
+    other = _serialize_entries(criteria_entries())
     entries.append(entry("criterion-9/worker-count-determinism",
                          "chk-determinism", _serialize_entries(entries) == other))
     return VerificationReport("selftest", [], seed, entries)

@@ -1079,7 +1079,7 @@ def enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
     The search space is one algebra structure on T(N) per algebra (N, chi);
     morphism images and the components of mu_hat/eta_hat are forced by the
     base structure, then everything is law-checked from scratch. ``jobs``
-    has no effect: the search runs serially.
+    has no effect.
     """
     return _enumerate_liftings(S, T, em, LiftedMonad, cap)
 
@@ -1097,13 +1097,17 @@ def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, kind,
     """Every lifting of class ``kind`` (LiftedMonad or LiftedComonad) of
     ``below``, with endofunctor E, to the algebras ``em`` of S (built if
     None), after checking both structures and raising the kind's
-    FOREIGN_BASE if their bases differ: each lift of E to the algebras is
-    built into one by :func:`_assemble_lifting`."""
+    FOREIGN_BASE if their bases differ, or its FOREIGN_CATEGORY if ``em``
+    is the algebra category of another monad: each lift of E to the
+    algebras is built into one by :func:`_assemble_lifting`."""
     S.require_valid()
     below.require_valid()
     if S.base != below.base:
         raise BaseMismatch(kind.FOREIGN_BASE)
-    em = em if em is not None else em_category(S)
+    if em is None:
+        em = em_category(S)
+    elif em.monad != S:
+        raise BaseMismatch(kind.FOREIGN_CATEGORY)
     return sorted((_assemble_lifting(kind, S, below, em, K)
                    for K in _lifts(em, below.endo, _Budget(cap))),
                   key=lambda lifting: lifting.canonical_key())
@@ -1190,11 +1194,10 @@ def mixed_round_trips(S: Monad, G: Comonad, cap: int = DEFAULT_CAP) -> dict:
 # Hom-category enumeration and the hom-isomorphism round trip
 
 
-def enumerate_mnd_endocells(m: Monad, cap: int = DEFAULT_CAP,
-                            jobs: int = 1) -> list:
+def enumerate_mnd_endocells(m: Monad, cap: int = DEFAULT_CAP) -> list:
     """All Mnd 1-cells (P, phi): (C,S) → (C,S), canonically ordered."""
     cells = []
-    for P in enumerate_functors(m.base, m.base, cap=cap, jobs=jobs):
+    for P in enumerate_functors(m.base, m.base, cap=cap):
         src = compose_functors(m.S, P)
         tgt = compose_functors(P, m.S)
         for phi in enumerate_nat_trans(src, tgt, cap=cap):
@@ -1205,8 +1208,8 @@ def enumerate_mnd_endocells(m: Monad, cap: int = DEFAULT_CAP,
     return cells
 
 
-def enumerate_adjr_endocells(em: EmAlgebraCategory, cap: int = DEFAULT_CAP,
-                             jobs: int = 1) -> list:
+def enumerate_adjr_endocells(em: EmAlgebraCategory,
+                             cap: int = DEFAULT_CAP) -> list:
     """All AdjR 1-cells from the algebra adjunction to itself, canonically
     ordered: for each endofunctor J of the base, each lift K of J along U
     (:func:`_lifts`, one budget of ``cap`` over all J), checked again as
@@ -1215,7 +1218,7 @@ def enumerate_adjr_endocells(em: EmAlgebraCategory, cap: int = DEFAULT_CAP,
     C = em.monad.base
     budget = _Budget(cap)
     cells = [AdjROneCell(CommutingSquareR(em.adj, em.adj, J, K))
-             for J in enumerate_functors(C, C, cap=cap, jobs=jobs)
+             for J in enumerate_functors(C, C, cap=cap)
              for K in _lifts(em, J, budget)]
     cells.sort(key=lambda c: (c.J.canonical_key(), c.K.canonical_key()))
     return cells
@@ -1420,15 +1423,15 @@ def _map_sides(a: _Side, b: _Side) -> tuple:
     return found_a.flags(found_b), found_b.flags(found_a)
 
 
-def _hom_iso_sides(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> tuple:
+def _hom_iso_sides(S: Monad, cap: int = DEFAULT_CAP) -> tuple:
     """The two sides of the hom-isomorphism, as :data:`_Side` records: the
     Mnd side at (C, S), mapped by psi_E, and the AdjR side at the algebra
     adjunction of S, mapped by phi_E."""
     # em_category checks that the algebra adjunction induces S on the nose,
     # so S stands for that induced monad at both ends of every phi_E image.
     em = em_category(S)
-    mnd_cells = enumerate_mnd_endocells(S, cap=cap, jobs=jobs)
-    adjr_cells = enumerate_adjr_endocells(em, cap=cap, jobs=jobs)
+    mnd_cells = enumerate_mnd_endocells(S, cap=cap)
+    adjr_cells = enumerate_adjr_endocells(em, cap=cap)
 
     def two_cells(cells, enumerate_two):
         return {(i, j): enumerate_two(c, c2, cap=cap)
@@ -1484,9 +1487,9 @@ def hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
     cells was law-checked when it was enumerated.
 
     Returns report entries; every entry passing is the verified
-    isomorphism of hom-categories.
+    isomorphism of hom-categories. ``jobs`` has no effect.
     """
-    mnd, adjr = _hom_iso_sides(S, cap, jobs)
+    mnd, adjr = _hom_iso_sides(S, cap)
     to_mnd, to_adjr = _map_sides(adjr, mnd)
     n_mnd2 = sum(len(v) for v in mnd.two.values())
     n_adjr2 = sum(len(v) for v in adjr.two.values())

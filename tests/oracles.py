@@ -68,7 +68,6 @@ from finmonad.fincat import (
     NatTrans,
     _backtrack,
     _Budget,
-    _fan_out,
     assemble_category,
     check_functor,
     check_naturality,
@@ -84,7 +83,6 @@ from finmonad.fincat import (
 )
 from finmonad.fixtures import c3, chain_category, m_z2
 from finmonad.monad import Comonad, Monad, check_monad_laws
-from finmonad.parallel import pmap
 from finmonad.report import Violation, entry
 from finmonad.twofunctors import (
     AdjLOneCell,
@@ -632,8 +630,7 @@ def ref_extract_mixed_from_colifting(co, below, shat) -> NatTrans:
 # shared searches to them.
 
 
-def ref_enumerate_dist_laws(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
-                            jobs: int = 1) -> list:
+def ref_enumerate_dist_laws(S: Monad, T: Monad, cap: int = DEFAULT_CAP) -> list:
     """All distributive laws from S to T, canonically ordered.
 
     Candidates are generated only after a typability pre-pass; an
@@ -670,14 +667,14 @@ def ref_enumerate_dist_laws(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
         dl = DistributiveLaw(S, T, phi)
         return [dl] if not dl.check() else []
 
-    groups = pmap(scan, choices[0], jobs=jobs)
+    groups = [scan(first) for first in choices[0]]
     out = [dl for group in groups for dl in group]
     out.sort(key=lambda dl: dl.canonical_key())
     return out
 
 
-def ref_enumerate_mixed_laws(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
-                             jobs: int = 1) -> list:
+def ref_enumerate_mixed_laws(S: Monad, G: Comonad,
+                             cap: int = DEFAULT_CAP) -> list:
     """All mixed distributive laws from S to G, canonically ordered."""
     S.require_valid()
     G.require_valid()
@@ -710,14 +707,14 @@ def ref_enumerate_mixed_laws(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
         ml = MixedDistributiveLaw(S, G, psi)
         return [ml] if not ml.check() else []
 
-    groups = pmap(scan, choices[0], jobs=jobs)
+    groups = [scan(first) for first in choices[0]]
     out = [ml for group in groups for ml in group]
     out.sort(key=lambda ml: ml.canonical_key())
     return out
 
 
 def ref_enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
-                           jobs: int = 1, em: EmAlgebraCategory = None) -> list:
+                           em: EmAlgebraCategory = None) -> list:
     """All monad liftings of T to the algebras of S, canonically ordered.
 
     The search space is one algebra structure on T(N) per algebra (N, chi);
@@ -784,14 +781,13 @@ def ref_enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
                 found.append(lifted)
         return found
 
-    groups = pmap(scan, choice_lists[0], jobs=jobs)
+    groups = [scan(first) for first in choice_lists[0]]
     out = [lm for group in groups for lm in group]
     out.sort(key=lambda lm: lm.canonical_key())
     return out
 
 
 def ref_enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
-                                   jobs: int = 1,
                                    em: EmAlgebraCategory = None) -> list:
     """All comonad liftings of G to the algebras of S; dual search."""
     S.require_valid()
@@ -854,7 +850,7 @@ def ref_enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
                 found.append(lifted)
         return found
 
-    groups = pmap(scan, choice_lists[0], jobs=jobs)
+    groups = [scan(first) for first in choice_lists[0]]
     out = [lc for group in groups for lc in group]
     out.sort(key=lambda lc: lc.canonical_key())
     return out
@@ -888,12 +884,12 @@ def ref_adjr_two_cell_conditions(src_cell: AdjROneCell, dst_cell: AdjROneCell,
     return cond_a, cond_b
 
 
-def ref_enumerate_adjr_endocells(em: EmAlgebraCategory, cap: int = DEFAULT_CAP,
-                                 jobs: int = 1) -> list:
+def ref_enumerate_adjr_endocells(em: EmAlgebraCategory,
+                                 cap: int = DEFAULT_CAP) -> list:
     """All AdjR 1-cells from the algebra adjunction to itself."""
     C = em.monad.base
-    Js = enumerate_functors(C, C, cap=cap, jobs=jobs)
-    Ks = enumerate_functors(em.category, em.category, cap=cap, jobs=jobs)
+    Js = enumerate_functors(C, C, cap=cap)
+    Ks = enumerate_functors(em.category, em.category, cap=cap)
     cells = []
     for J in Js:
         JU = compose_functors(J, em.U)
@@ -916,7 +912,7 @@ def ref_enumerate_adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell,
     return out
 
 
-def ref_hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
+def ref_hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP) -> list:
     """Verify that phi_E and psi_E restrict to mutually inverse functors
     between the endo hom-category at the algebra adjunction of S and the
     endo hom-category at (C, S), and that both directions are functorial.
@@ -925,8 +921,8 @@ def ref_hom_iso_roundtrip(S: Monad, cap: int = DEFAULT_CAP, jobs: int = 1) -> li
     isomorphism of hom-categories.
     """
     em = em_category(S)
-    mnd_cells = enumerate_mnd_endocells(S, cap=cap, jobs=jobs)
-    adjr_cells = ref_enumerate_adjr_endocells(em, cap=cap, jobs=jobs)
+    mnd_cells = enumerate_mnd_endocells(S, cap=cap)
+    adjr_cells = ref_enumerate_adjr_endocells(em, cap=cap)
     entries = []
 
     entries.append(entry("homiso/object-count", "Eq-1510071407",
@@ -1452,14 +1448,13 @@ def ref_comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
 # the tests hold its lists, their order and the comonad side to this.
 
 
-def ref_enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
-                         jobs: int = 1) -> list:
+def ref_enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP) -> list:
     """All monads on the category: deterministic, duplicate-free, sorted.
 
     Raises :class:`EnumerationCapExceeded` when the candidate space
     |endofunctors| x |mu choices| x |eta choices| exceeds the cap.
     """
-    endos = enumerate_functors(cat, cat, cap=cap, jobs=jobs)
+    endos = enumerate_functors(cat, cat, cap=cap)
 
     estimate = 0
     for S in endos:
@@ -1483,7 +1478,7 @@ def ref_enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
                     found.append(m)
         return found
 
-    groups = pmap(monads_on, endos, jobs=jobs)
+    groups = [monads_on(S) for S in endos]
     out = [m for group in groups for m in group]
     out.sort(key=lambda m: m.canonical_key())
     return out
@@ -1830,7 +1825,7 @@ def _ref_morphism_plan(cat: FinCategory) -> tuple:
 
 
 def ref_enumerate_functors(source: FinCategory, target: FinCategory,
-                           cap: int = DEFAULT_CAP, jobs: int = 1) -> list:
+                           cap: int = DEFAULT_CAP) -> list:
     """All functors source → target, canonically ordered: object images
     keeping hom(F a, F b) inhabited for every source morphism a → b, then
     for each object map the morphism images, with identities forced and
@@ -1868,10 +1863,11 @@ def ref_enumerate_functors(source: FinCategory, target: FinCategory,
         return [F for images in _backtrack(domains, obj_checks, budget)
                 for F in functors_over(images, budget)]
 
+    budget = _Budget(cap)
     if objs:
-        groups = _fan_out(branch, tobjs, cap, jobs)
+        groups = [branch(first, budget) for first in tobjs]
     else:
-        groups = [functors_over((), _Budget(cap))]
+        groups = [functors_over((), budget)]
     out = [F for group in groups for F in group]
     out.sort(key=lambda F: F.canonical_key())
     return out

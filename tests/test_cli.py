@@ -415,23 +415,38 @@ def test_selftest_checks_each_law_pair_once(monkeypatch):
                      "lift_monad": 30}
 
 
-@pytest.mark.parametrize("kwargs, passes", [
-    ({}, [1, 8]), ({"jobs": 0}, [0, 8]), ({"jobs": 8}, [8, 1])])
-def test_selftest_runs_the_criteria_twice(monkeypatch, kwargs, passes):
-    """The reported pass is one side of the worker-count comparison; the
-    other runs on 8 workers if the reported one ran on one, else on one."""
+def test_selftest_runs_the_criteria_twice(monkeypatch, capsys):
+    """The reported pass is one side of the criterion-9 comparison and a
+    second pass in the same process the other, whatever ``--jobs`` says."""
     from finmonad import selftest
 
-    seen = []
+    passes = []
     criteria_entries = selftest.criteria_entries
 
-    def counted(jobs=1):
-        seen.append(jobs)
-        return criteria_entries(jobs=jobs)
+    def counted():
+        passes.append(None)
+        return criteria_entries()
 
     monkeypatch.setattr(selftest, "criteria_entries", counted)
-    assert selftest.run_selftest(**kwargs).ok()
-    assert seen == passes
+    assert main(["--jobs", "8", "selftest"]) == 0
+    assert len(passes) == 2
+    assert "[PASS] criterion-9/worker-count-determinism" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["monads", fx("chain3.json")], ["homiso", fx("c1.json")], ["selftest"],
+], ids=["monads", "homiso", "selftest"])
+def test_jobs_starts_no_thread(argv, monkeypatch, capsys):
+    """Every search runs serially at any ``--jobs``: with threads unable to
+    start, each command still passes at ``--jobs 8``."""
+    import threading
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["--jobs", "8", *argv]) == 0
 
 
 def test_roundtrip_mixed_command(capsys):
@@ -491,8 +506,8 @@ def test_law_search_counts_the_candidates_it_tries(argv, capsys):
 
 @pytest.mark.parametrize("cap", ["49", "60"])
 def test_cap_exceeded_names_the_same_count_at_every_jobs(cap, capsys):
-    """Parallel branches count on budgets of their own; past the cap the
-    search runs again serially, so the message names the serial count."""
+    """One budget counts the whole search at every ``--jobs``, so the
+    message names the same count."""
     errs = []
     for jobs in ("1", "2", "8"):
         assert main(["monads", fx("chain3.json"), "--cap", cap,

@@ -161,20 +161,18 @@ def test_cap_counts_nodes_visited_whatever_the_jobs(name):
 ])
 def test_functor_search_matches_the_search_as_first_written(source, target):
     """The same functors in the same order, and below the first passing
-    cap the same count at every cap, at jobs=1 and jobs=2 alike (the
-    count a cap stops at may differ with jobs, the verdict may not)."""
+    cap the same count at every cap. ``jobs`` has no effect, so the search
+    at jobs=2 stops at the same count too."""
     source, target = DIFFERENTIAL[source](), DIFFERENTIAL[target]()
     cap = 0
     while True:
         want = outcome(ref_enumerate_functors, source, target, cap)
         assert outcome(enumerate_functors, source, target, cap) == want
-        parallel = outcome(ref_enumerate_functors, source, target, cap, jobs=2)
-        assert type(parallel) is type(want)
-        assert outcome(enumerate_functors, source, target, cap, jobs=2) == parallel
+        assert outcome(enumerate_functors, source, target, cap, jobs=2) == want
         if isinstance(want, list):
             break
         cap += 1
-    assert want == parallel == ref_enumerate_functors(source, target)
+    assert want == ref_enumerate_functors(source, target)
 
 
 def test_implied_object_checks_are_left_out():
@@ -266,10 +264,10 @@ def twin_structures(cor, name):
     return enumerate_monads(cat), enumerate_comonads(cat)
 
 
-def outcome(search, S, other, cap, jobs=1):
+def outcome(search, S, other, cap, **kw):
     """What ``search`` found, or the count and cap it stopped at."""
     try:
-        return search(S, other, cap=cap, jobs=jobs)
+        return search(S, other, cap=cap, **kw)
     except EnumerationCapExceeded as exc:
         return ("cap", exc.estimate, exc.cap)
 
@@ -508,7 +506,7 @@ def test_monad_search_keeps_the_cap_boundary_of_chain3(jobs):
             except EnumerationCapExceeded as exc:
                 found = ("cap", exc.estimate, exc.cap)
             try:
-                want = keys(reference(cat, cap=cap, jobs=jobs))
+                want = keys(reference(cat, cap=cap))
             except EnumerationCapExceeded as exc:
                 want = ("cap", exc.estimate, exc.cap)
             assert found == want
@@ -522,7 +520,7 @@ def every_transformation(F, G, cap=None) -> list:
     return [NatTrans(F, G, dict(zip(objs, combo))) for combo in product(*homs)]
 
 
-def every_endomap(cat, target=None, cap=None, jobs=None) -> list:
+def every_endomap(cat, target=None, cap=None) -> list:
     """Every map of the category to itself that sends identities to
     identities and each morphism into the right hom-set: functors, and
     maps that break composition."""

@@ -131,3 +131,13 @@ def test_command_leaves_unused_modules_unloaded(argv, absent):
     out = fresh(_CLI, *argv)
     assert out["code"] == 0
     assert absent not in out["modules"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--jobs", "8", "selftest"], ["--jobs", "8", "monads", "fixtures/chain3.json"],
+], ids=["selftest", "monads"])
+def test_jobs_loads_no_thread_pool(argv):
+    """Every search runs serially, so no ``--jobs`` loads the pool module."""
+    out = fresh(_CLI, *argv)
+    assert out["code"] == 0
+    assert "concurrent.futures" not in out["modules"]

@@ -1223,6 +1223,27 @@ def test_liftings_reject_a_foreign_base_with_their_own_messages(cor):
         assert str(info.value) == message
 
 
+def test_lifting_search_over_a_foreign_algebra_category_raises(cor):
+    """For every corpus triple (S, R, below) on one base, the lifting
+    search over the algebras of R is the search over those of S when R is
+    S, and raises when R is another monad, whether or not a lift exists
+    over the foreign algebras."""
+    cases = ((cor.monads_c2, cor.comonads_c2), (cor.monads_c3, cor.comonads_c3))
+    for monads, comonads in cases:
+        for S, R in product(monads.values(), repeat=2):
+            em = em_category(R)
+            for search, others, kind in (
+                    (enumerate_liftings, monads, LiftedMonad),
+                    (enumerate_comonad_liftings, comonads, LiftedComonad)):
+                for below in others.values():
+                    if R is S:
+                        assert search(S, below, em=em) == search(S, below)
+                        continue
+                    with pytest.raises(BaseMismatch) as info:
+                        search(S, below, em=em)
+                    assert str(info.value) == kind.FOREIGN_CATEGORY
+
+
 def test_structures_of_different_kinds_are_never_equal(cor):
     for cat in (cor.c3, cor.m_z2, cor.empty):
         m, c = identity_monad(cat), identity_comonad(cat)
