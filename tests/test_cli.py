@@ -415,21 +415,26 @@ def test_selftest_checks_each_law_pair_once(monkeypatch):
                      "lift_monad": 30}
 
 
-def test_selftest_runs_the_criteria_twice(monkeypatch, capsys):
+@pytest.mark.parametrize("kwargs, passes", [
+    ({}, [1, 2]), ({"jobs": 1}, [1, 2]), ({"jobs": 8}, [1, 2])])
+def test_selftest_runs_the_criteria_twice(monkeypatch, capsys, kwargs,
+                                          passes):
     """The reported pass is one side of the criterion-9 comparison and a
     second pass in the same process the other, whatever ``--jobs`` says."""
     from finmonad import selftest
 
-    passes = []
+    seen = []
     criteria_entries = selftest.criteria_entries
 
     def counted():
-        passes.append(None)
+        seen.append(len(seen) + 1)
         return criteria_entries()
 
     monkeypatch.setattr(selftest, "criteria_entries", counted)
-    assert main(["--jobs", "8", "selftest"]) == 0
-    assert len(passes) == 2
+    argv = [arg for key, value in kwargs.items()
+            for arg in (f"--{key}", str(value))]
+    assert main([*argv, "selftest"]) == 0
+    assert seen == passes
     assert "[PASS] criterion-9/worker-count-determinism" in \
         capsys.readouterr().out
 
