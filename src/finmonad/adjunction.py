@@ -35,13 +35,14 @@ from .fincat import (
     whisker_left_at,
     whisker_right_at,
 )
-from .monad import Comonad, Monad, _law_violations, comonad_on_opposite
+from .monad import Comonad, Monad, _law_violations, _Value, comonad_on_opposite
 
 
-class Adjunction:
+class Adjunction(_Value):
     """L ⊣ R with unit: Id → R∘L and counit: L∘R → Id."""
 
     __slots__ = ("L", "R", "unit", "counit")
+    EQUAL = KEY = __slots__
 
     def __init__(self, L: Functor, R: Functor, unit: NatTrans, counit: NatTrans):
         if L.source != R.target or L.target != R.source:
@@ -82,18 +83,6 @@ class Adjunction:
     def upper(self) -> FinCategory:
         return self.L.target
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Adjunction):
-            return NotImplemented
-        return (self.L == other.L and self.R == other.R
-                and self.unit == other.unit and self.counit == other.counit)
-
-    def __hash__(self):
-        return hash((self.L.canonical_key(), self.R.canonical_key(),
-                     self.unit.canonical_key(), self.counit.canonical_key()))
-
     def __repr__(self):
         return f"Adjunction({self.base!r} -> {self.upper!r})"
 
@@ -129,11 +118,13 @@ def induced_comonad(a: Adjunction) -> Comonad:
     return comonad_on_opposite(induced_monad(opposite_adjunction(a)))
 
 
-class _Square:
+class _Square(_Value):
     """A square J between bases and K between upper categories, from the
     adjunction ``dom`` to ``cod``; each kind checks that it commutes."""
 
     __slots__ = ("dom", "cod", "J", "K")
+    EQUAL = __slots__
+    KEY = ("J", "K")
 
     def __init__(self, dom: Adjunction, cod: Adjunction, J: Functor, K: Functor):
         if J.source != dom.base or J.target != cod.base:
@@ -145,17 +136,6 @@ class _Square:
         self.cod = cod
         self.J = J
         self.K = K
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.dom == other.dom and self.cod == other.cod
-                and self.J == other.J and self.K == other.K)
-
-    def __hash__(self):
-        return hash((self.J.canonical_key(), self.K.canonical_key()))
 
 
 class CommutingSquareR(_Square):

@@ -27,47 +27,37 @@ from .monad import Comonad, Monad, _Checked, _law_violations, monad_on_opposite
 
 
 class _Law(_Checked):
-    """A candidate law S∘E → E∘S over one base category, for a monad S and
-    a structure ``second`` on E. Each kind names ``second`` and ``nat``,
-    checks their typing on construction and supplies :meth:`check`."""
+    """A candidate law S∘E → E∘S over one base category, built as
+    ``Kind(S, second, nat)`` for a monad S and a structure ``second`` on E.
+    Each kind names ``second`` and ``nat`` (SECOND, NAT) in the typing
+    messages, gives the message BASES and supplies :meth:`check`."""
 
     __slots__ = ("S", "second", "nat")
+    EQUAL = __slots__
+    KEY = ("nat",)
 
-    def canonical_key(self):
-        return self.nat.canonical_key()
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.S == other.S and self.second == other.second
-                and self.nat.components == other.nat.components)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
+    def __init__(self, S: Monad, second, nat: NatTrans):
+        if S.base != second.base:
+            raise BaseMismatch(self.BASES)
+        _check_typing(S, second.endo, nat, self.NAT, self.SECOND)
+        self.S = S
+        self.second = second
+        self.nat = nat
 
     def __repr__(self):
         return f"{type(self).__name__}({self.nat.components})"
 
 
 class DistributiveLaw(_Law):
-    """A candidate law phi: S∘T → T∘S over one base category.
-
-    The constructor checks typing; :func:`check_dist_law` reports on the
-    four axiom diagrams.
-    """
+    """A candidate law phi: S∘T → T∘S over one base category;
+    :func:`check_dist_law` reports on the four axiom diagrams."""
 
     __slots__ = ()
     T = _Law.second
     phi = _Law.nat
     CONTEXT = "distributive law"
-
-    def __init__(self, S: Monad, T: Monad, phi: NatTrans):
-        if S.base != T.base:
-            raise BaseMismatch("monads live on different bases")
-        _check_typing(S, T.S, phi, "phi", "T")
-        self.S = S
-        self.T = T
-        self.phi = phi
+    SECOND, NAT = "T", "phi"
+    BASES = "monads live on different bases"
 
     def check(self) -> list:
         return check_dist_law(self.S, self.T, self.phi)
@@ -80,14 +70,8 @@ class MixedDistributiveLaw(_Law):
     G = _Law.second
     psi = _Law.nat
     CONTEXT = "mixed distributive law"
-
-    def __init__(self, S: Monad, G: Comonad, psi: NatTrans):
-        if S.base != G.base:
-            raise BaseMismatch("monad and comonad live on different bases")
-        _check_typing(S, G.G, psi, "psi", "G")
-        self.S = S
-        self.G = G
-        self.psi = psi
+    SECOND, NAT = "G", "psi"
+    BASES = "monad and comonad live on different bases"
 
     def check(self) -> list:
         return check_mixed_law(self.S, self.G, self.psi)

@@ -294,12 +294,16 @@ def validate_category(raw: dict, *, seed: int = 0) -> FinCategory:
             m = item
         else:
             try:
-                m = Morphism(str(item["id"]), str(item["src"]), str(item["tgt"]))
+                ids = item["id"], item["src"], item["tgt"]
             except (KeyError, TypeError):
-                violations.append(Violation("DanglingId", "law-category-structure",
-                                            where=repr(item),
-                                            detail="morphism needs id/src/tgt"))
+                ids = ()
+            if not ids or not all(isinstance(i, str) for i in ids):
+                violations.append(Violation(
+                    "DanglingId", "law-category-structure", where=repr(item),
+                    detail="morphism ids must be strings" if ids
+                    else "morphism needs id/src/tgt"))
                 continue
+            m = Morphism(*ids)
         if m.id in by_id:
             violations.append(Violation("DuplicateId", "law-category-structure",
                                         where=m.id,
@@ -361,11 +365,15 @@ def validate_category(raw: dict, *, seed: int = 0) -> FinCategory:
     comp = {}
     for item in raw.get("composition", ()):
         try:
-            f, g, h = str(item["first"]), str(item["then"]), str(item["equals"])
+            ids = item["first"], item["then"], item["equals"]
         except (KeyError, TypeError):
-            violations.append(Violation("MalformedEntry", "law-category-composition",
-                                        where=repr(item)))
+            ids = ()
+        if not ids or not all(isinstance(i, str) for i in ids):
+            violations.append(Violation(
+                "MalformedEntry", "law-category-composition", where=repr(item),
+                detail="composition ids must be strings" if ids else ""))
             continue
+        f, g, h = ids
         if f not in by_id or g not in by_id or h not in by_id:
             violations.append(Violation("DanglingId", "law-category-composition",
                                         where=f"{g}∘{f}"))

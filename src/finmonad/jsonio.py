@@ -177,21 +177,32 @@ monad_to_raw = comonad_to_raw = _structure_to_raw
 # -- laws ---------------------------------------------------------------------
 
 
-def parse_dist_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> DistributiveLaw:
+def _parse_law(kind: str, raw: dict, base_dir: str, seed: int):
+    """The law of ``kind``, "law" or "mixed law", read from its file."""
     # imported here, so that loading a category or a monad never loads it
-    from .distlaw import DistributiveLaw, require_typable
+    from .distlaw import DistributiveLaw, MixedDistributiveLaw, require_typable
 
-    _require_shape(raw, "law")
-    s_raw, s_dir = _resolve(raw["S"], base_dir)
-    t_raw, t_dir = _resolve(raw["T"], base_dir)
+    _require_shape(raw, kind)
+    first, second, nat = _FIELDS[kind]
+    s_raw, s_dir = _resolve(raw[first], base_dir)
+    e_raw, e_dir = _resolve(raw[second], base_dir)
     S = parse_monad(s_raw, s_dir, seed=seed)
-    T = parse_monad(t_raw, t_dir, seed=seed)
-    if S.base != T.base:
-        raise BaseMismatch("S and T are monads on different categories")
-    require_typable(S, T)
-    phi = NatTrans(compose_functors(S.S, T.S), compose_functors(T.S, S.S),
-                   {str(k): str(v) for k, v in raw["phi"].items()})
-    return DistributiveLaw(S, T, phi)
+    if kind == "law":
+        law, E = DistributiveLaw, parse_monad(e_raw, e_dir, seed=seed)
+        bases = "S and T are monads on different categories"
+    else:
+        law, E = MixedDistributiveLaw, parse_comonad(e_raw, e_dir, seed=seed)
+        bases = "S and G live on different categories"
+    if S.base != E.base:
+        raise BaseMismatch(bases)
+    require_typable(S, E)
+    return law(S, E, NatTrans(compose_functors(S.S, E.endo),
+                              compose_functors(E.endo, S.S),
+                              {str(k): str(v) for k, v in raw[nat].items()}))
+
+
+def parse_dist_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> DistributiveLaw:
+    return _parse_law("law", raw, base_dir, seed)
 
 
 def load_dist_law(path: str, *, seed: int = 0) -> DistributiveLaw:
@@ -199,28 +210,8 @@ def load_dist_law(path: str, *, seed: int = 0) -> DistributiveLaw:
                           os.path.dirname(os.path.abspath(path)), seed=seed)
 
 
-def dist_law_to_raw(dl: DistributiveLaw) -> dict:
-    return {
-        "S": monad_to_raw(dl.S),
-        "T": monad_to_raw(dl.T),
-        "phi": dict(sorted(dl.phi.components.items())),
-    }
-
-
 def parse_mixed_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> MixedDistributiveLaw:
-    from .distlaw import MixedDistributiveLaw, require_typable
-
-    _require_shape(raw, "mixed law")
-    s_raw, s_dir = _resolve(raw["S"], base_dir)
-    g_raw, g_dir = _resolve(raw["G"], base_dir)
-    S = parse_monad(s_raw, s_dir, seed=seed)
-    G = parse_comonad(g_raw, g_dir, seed=seed)
-    if S.base != G.base:
-        raise BaseMismatch("S and G live on different categories")
-    require_typable(S, G)
-    psi = NatTrans(compose_functors(S.S, G.G), compose_functors(G.G, S.S),
-                   {str(k): str(v) for k, v in raw["psi"].items()})
-    return MixedDistributiveLaw(S, G, psi)
+    return _parse_law("mixed law", raw, base_dir, seed)
 
 
 def load_mixed_law(path: str, *, seed: int = 0) -> MixedDistributiveLaw:
@@ -228,9 +219,9 @@ def load_mixed_law(path: str, *, seed: int = 0) -> MixedDistributiveLaw:
                            os.path.dirname(os.path.abspath(path)), seed=seed)
 
 
-def mixed_law_to_raw(ml: MixedDistributiveLaw) -> dict:
-    return {
-        "S": monad_to_raw(ml.S),
-        "G": comonad_to_raw(ml.G),
-        "psi": dict(sorted(ml.psi.components.items())),
-    }
+def _law_to_raw(law) -> dict:
+    return {"S": monad_to_raw(law.S), law.SECOND: _structure_to_raw(law.second),
+            law.NAT: dict(sorted(law.nat.components.items()))}
+
+
+dist_law_to_raw = mixed_law_to_raw = _law_to_raw

@@ -22,6 +22,7 @@ Every law check of the package, here and in :mod:`distlaw`,
 
 from __future__ import annotations
 
+from operator import attrgetter
 from threading import Lock
 
 from .errors import LawViolation, TypeMismatch
@@ -49,7 +50,42 @@ from .parallel import pmap
 from .report import Violation
 
 
-class _Checked:
+def _getter(names: tuple):
+    """A static method that gets the fields ``names`` of a value as one
+    tuple, also for one name, where ``attrgetter`` gives the bare field."""
+    get = attrgetter(*names)
+    return staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+
+
+class _Value:
+    """A value equal to one of its class with equal fields EQUAL, hashed
+    and sorted by :meth:`canonical_key`, the canonical keys of its fields
+    KEY in order. Each class that declares EQUAL or KEY gets the getter of
+    those fields once, as ``report._Frozen`` gets ``_fields``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for names, getter in (("EQUAL", "_equal"), ("KEY", "_keyed")):
+            if names in vars(cls):
+                setattr(cls, getter, _getter(vars(cls)[names]))
+
+    def canonical_key(self):
+        return tuple([value.canonical_key() for value in self._keyed(self)])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._equal(self) == self._equal(other)
+
+    def __hash__(self):
+        return hash(self.canonical_key())
+
+
+class _Checked(_Value):
     """A value whose :meth:`check` lists its law violations, named CONTEXT
     in the exception :meth:`require_valid` raises. The value is immutable,
     so a pass is recorded in ``_valid`` and not checked again."""
@@ -78,6 +114,8 @@ class _Structure(_Checked):
     among E∘E, E and Id, and TYPING the messages of the typing checks."""
 
     __slots__ = ("base", "endo", "mult", "unit", "_op", "_built")
+    EQUAL = ("base", "endo", "mult", "unit")
+    KEY = ("endo", "mult", "unit")
 
     def __init__(self, base: FinCategory, endo: Functor, mult: NatTrans,
                  unit: NatTrans):
@@ -141,21 +179,6 @@ class _Structure(_Checked):
         return cls(base, endo, *(NatTrans(source, target, comps)
                                  for (source, target), comps in zip(
                                      cls.functor_ends(base, endo), (mult, unit))))
-
-    def canonical_key(self):
-        return (self.endo.canonical_key(), self.mult.canonical_key(),
-                self.unit.canonical_key())
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.base == other.base and self.endo == other.endo
-                and self.mult == other.mult and self.unit == other.unit)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
 
     def __repr__(self):
         return f"{type(self).__name__}({self.endo.object_map})"

@@ -102,6 +102,7 @@ from .monad import (
     Monad,
     _Checked,
     _law_violations,
+    _Value,
     comonad_on_opposite,
     dual_violation,
     monad_on_opposite,
@@ -131,6 +132,8 @@ class _OneCell(_LawCell):
     """(P, nat): src → dst, the structure nat typed by :meth:`_check_typing`."""
 
     __slots__ = ("src", "dst", "P")
+    EQUAL = ("src", "dst", "P", "nat")
+    KEY = ("P", "nat")
 
     def __init__(self, src, dst, P: Functor, nat: NatTrans):
         if P.source != src.base or P.target != dst.base:
@@ -141,21 +144,14 @@ class _OneCell(_LawCell):
         self.nat = nat
         self._check_typing()
 
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.src == other.src and self.dst == other.dst
-                and self.P == other.P and self.nat.components == other.nat.components)
-
-    def __hash__(self):
-        return hash((self.P.canonical_key(), self.nat.canonical_key()))
-
 
 class _TwoCell(_LawCell):
     """theta: P → Q between parallel 1-cells (P, ...) → (Q, ...)."""
 
     __slots__ = ("src_cell", "dst_cell")
     theta = _LawCell.nat
+    EQUAL = ("src_cell", "dst_cell", "nat")
+    KEY = ("nat",)
 
     def __init__(self, src_cell, dst_cell, theta: NatTrans):
         if src_cell.src != dst_cell.src or src_cell.dst != dst_cell.dst:
@@ -165,15 +161,6 @@ class _TwoCell(_LawCell):
         self.src_cell = src_cell
         self.dst_cell = dst_cell
         self.theta = theta
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.src_cell == other.src_cell and self.dst_cell == other.dst_cell
-                and self.theta.components == other.theta.components)
-
-    def __hash__(self):
-        return hash(self.theta.canonical_key())
 
 
 class MndOneCell(_OneCell):
@@ -353,11 +340,13 @@ def comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
 # Adjunction-square cells
 
 
-class _AdjOneCell:
+class _AdjOneCell(_Value):
     """(J, K, mate) over a commuting square; the mate is recomputed from the
     square by :meth:`_mate` and a stored mate must agree with it."""
 
     __slots__ = ("square", "mate")
+    EQUAL = __slots__
+    KEY = ("J", "K")
 
     def __init__(self, square, mate: NatTrans = None):
         computed = self._mate(square)
@@ -373,15 +362,6 @@ class _AdjOneCell:
     @property
     def K(self) -> Functor:
         return self.square.K
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.square == other.square
-                and self.mate.components == other.mate.components)
-
-    def __hash__(self):
-        return hash((self.J.canonical_key(), self.K.canonical_key()))
 
 
 class AdjROneCell(_AdjOneCell):
@@ -467,11 +447,13 @@ def adjl_two_cell_conditions(src_cell: AdjLOneCell, dst_cell: AdjLOneCell,
     return cond_a, cond_b
 
 
-class _AdjTwoCell:
+class _AdjTwoCell(_Value):
     """(alpha, beta) between parallel 1-cells; both conditions of
     :meth:`_conditions` are checked."""
 
     __slots__ = ("src_cell", "dst_cell", "alpha", "beta")
+    EQUAL = __slots__
+    KEY = ("alpha", "beta")
 
     def __init__(self, src_cell, dst_cell, alpha: NatTrans, beta: NatTrans):
         if (src_cell.square.dom != dst_cell.square.dom
@@ -489,16 +471,6 @@ class _AdjTwoCell:
         self.dst_cell = dst_cell
         self.alpha = alpha
         self.beta = beta
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.src_cell == other.src_cell and self.dst_cell == other.dst_cell
-                and self.alpha.components == other.alpha.components
-                and self.beta.components == other.beta.components)
-
-    def __hash__(self):
-        return hash((self.alpha.canonical_key(), self.beta.canonical_key()))
 
 
 class AdjRTwoCell(_AdjTwoCell):
@@ -704,7 +676,7 @@ def vec_psi_e_2cell(t: CoMndTwoCell, src_co: EmCoalgebraCategory = None,
 # Lifted structures
 
 
-class _Lifting:
+class _Lifting(_Value):
     """A (co)monad ``endo``, ``mult``, ``unit`` on the algebra or Kleisli
     category ``cat`` of the monad ``base``, lying strictly over ``below``;
     each kind reads these under its own names. The conditions STRICT names
@@ -712,6 +684,8 @@ class _Lifting:
     the laws of the UPSTAIRS structure."""
 
     __slots__ = ("base", "cat", "below", "endo", "mult", "unit")
+    EQUAL = ("base", "below", "endo", "mult", "unit")
+    KEY = ("endo", "mult", "unit")
 
     def __init__(self, base: Monad, cat, below, endo: Functor, mult: NatTrans,
                  unit: NatTrans):
@@ -747,20 +721,6 @@ class _Lifting:
 
     def _upstairs(self):
         return self.UPSTAIRS(self.cat.category, self.endo, self.mult, self.unit)
-
-    def canonical_key(self):
-        return (self.endo.canonical_key(), self.mult.canonical_key(),
-                self.unit.canonical_key())
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.base == other.base and self.below == other.below
-                and self.endo == other.endo and self.mult == other.mult
-                and self.unit == other.unit)
-
-    def __hash__(self):
-        return hash(self.canonical_key())
 
 
 class LiftedMonad(_Lifting):
@@ -846,13 +806,14 @@ _COLIFTING_NAMES = {
 }
 
 
-class CoalgebraLifting:
+class CoalgebraLifting(_Value):
     """A monad (Shat, mu_hat, eta_hat) on the coalgebras of G lying over the
     monad S: U∘Shat = S∘U strictly, monad laws upstairs. Validated on
     construction as the comonad lifting it is on the opposite category,
     which it keeps."""
 
     __slots__ = ("base", "co", "below", "shat", "mu_hat", "eta_hat", "_op")
+    EQUAL = ("_op",)
 
     def __init__(self, base: Comonad, co: EmCoalgebraCategory, below: Monad,
                  shat: Functor, mu_hat: NatTrans, eta_hat: NatTrans):
@@ -878,14 +839,6 @@ class CoalgebraLifting:
 
     def canonical_key(self):
         return self._op.canonical_key()
-
-    def __eq__(self, other):
-        if not isinstance(other, CoalgebraLifting):
-            return NotImplemented
-        return self._op == other._op
-
-    def __hash__(self):
-        return hash(self.canonical_key())
 
 
 # ---------------------------------------------------------------------------
@@ -1204,7 +1157,7 @@ def enumerate_mnd_endocells(m: Monad, cap: int = DEFAULT_CAP) -> list:
             cell = MndOneCell(m, m, P, phi)
             if not cell.check():
                 cells.append(cell)
-    cells.sort(key=lambda c: (c.P.canonical_key(), c.phi.canonical_key()))
+    cells.sort(key=lambda c: c.canonical_key())
     return cells
 
 
@@ -1220,7 +1173,7 @@ def enumerate_adjr_endocells(em: EmAlgebraCategory,
     cells = [AdjROneCell(CommutingSquareR(em.adj, em.adj, J, K))
              for J in enumerate_functors(C, C, cap=cap)
              for K in _lifts(em, J, budget)]
-    cells.sort(key=lambda c: (c.J.canonical_key(), c.K.canonical_key()))
+    cells.sort(key=lambda c: c.canonical_key())
     return cells
 
 

@@ -31,6 +31,9 @@ LAWS = ["law_c2_c1"]
 # A comonad on the transformation monoid T2 whose delta is not natural and
 # breaks coassociativity: pins the kinds, tags and sides of its violations.
 BAD_COMONAD = "tests/golden/inputs/coassoc_broken_t2.json"
+# Category files with a null morphism id and with numeric composition ids:
+# both are refused, not read with their ids turned into strings.
+BAD_IDS = ["nonstring_morphism_id", "nonstring_composition_id"]
 
 
 def fx(name: str) -> str:
@@ -76,6 +79,8 @@ def _cases() -> list:
             ("coem-coassoc-broken", ["coem", BAD_COMONAD]),
             ("mixedlaw-enumerate-c1-coassoc-broken",
              ["mixedlaw", "enumerate", fx("c1"), BAD_COMONAD])]
+    out += [(f"validate-{name.replace('_', '-')}",
+             ["validate", f"tests/golden/inputs/{name}.json"]) for name in BAD_IDS]
     for law in LAWS:
         for cmd in ("lift", "extend", "extract-em", "extract-kleisli"):
             out.append((f"{cmd}-{law}", [cmd, fx(law)]))

@@ -115,6 +115,16 @@ def test_validate_rejects_objects_given_as_a_string(tmp_path, capsys):
     assert rejected_kinds(path, capsys) == ["WrongFieldType"]
 
 
+@pytest.mark.parametrize("name,kind", [
+    ("nonstring_morphism_id", "DanglingId"),
+    ("nonstring_composition_id", "MalformedEntry")])
+def test_validate_rejects_ids_that_are_not_strings(name, kind, capsys):
+    """Both files passed when their ids were read as strings."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs",
+                        f"{name}.json")
+    assert kind in rejected_kinds(path, capsys)
+
+
 def test_validate_rejects_a_monad_file(capsys):
     kinds = rejected_kinds(fx("c1.json"), capsys)
     assert set(kinds) == {"UnknownField", "MissingField"}

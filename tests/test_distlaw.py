@@ -6,6 +6,8 @@ from itertools import product
 import pytest
 
 from finmonad.distlaw import (
+    DistributiveLaw,
+    MixedDistributiveLaw,
     check_dist_law,
     check_mixed_law,
     dist_law_from_components,
@@ -14,7 +16,7 @@ from finmonad.distlaw import (
     require_typable,
     untypable_objects,
 )
-from finmonad.errors import TypeMismatch, UnTypableComponent
+from finmonad.errors import BaseMismatch, TypeMismatch, UnTypableComponent
 from finmonad.fincat import NatTrans, compose_functors, identity_nat
 from finmonad.fixtures import thin_dist_law, thin_mixed_law
 from finmonad.monad import identity_comonad, identity_monad
@@ -35,6 +37,29 @@ def test_fixture_law_c2_c1_passes(cor):
         assert T.S.ob(S.S.ob(x)) == ts
         assert cor.c3.le(st, ts)
     assert cor.law_c2_c1.check() == []
+
+
+@pytest.mark.parametrize("kind, second, name", [
+    (DistributiveLaw, "T", "phi"), (MixedDistributiveLaw, "G", "psi")],
+    ids=["law", "mixed"])
+def test_law_constructors_name_their_structure_and_transformation(
+        cor, kind, second, name):
+    """Both kinds share one constructor; each message names the kind's
+    second structure and transformation."""
+    S = cor.monads_c3["c1"]
+    E = (cor.monads_c3["c2"] if second == "T" else cor.comonads_c3["i2"])
+    SE, ES = compose_functors(S.S, E.endo), compose_functors(E.endo, S.S)
+    assert SE != ES
+    for nat, message in ((identity_nat(ES), f"{name} source must be S∘{second}"),
+                         (identity_nat(SE), f"{name} target must be {second}∘S")):
+        with pytest.raises(TypeMismatch) as exc:
+            kind(S, E, nat)
+        assert str(exc.value) == message
+    other = (cor.monads_c2["id"] if second == "T" else cor.comonads_c2["id"])
+    with pytest.raises(BaseMismatch) as exc:
+        kind(S, other, identity_nat(SE))
+    assert str(exc.value) == ("monads live on different bases" if second == "T"
+                              else "monad and comonad live on different bases")
 
 
 def test_swapped_pair_is_untypable_at_object_0(cor):

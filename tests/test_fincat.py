@@ -24,7 +24,9 @@ from finmonad.errors import (
 from finmonad.fincat import (
     FinCategory,
     Functor,
+    Morphism,
     NatTrans,
+    assemble_category,
     check_functor,
     check_naturality,
     compose_functors,
@@ -137,6 +139,47 @@ def test_dangling_ids_are_reported():
             "morphisms": [{"id": "f", "src": "a", "tgt": "zzz"}],
         })
     assert "DanglingId" in _kinds(excinfo)
+
+
+_ONE_LOOP = {"objects": ["a"],
+             "morphisms": [{"id": "e", "src": "a", "tgt": "a"}],
+             "identities": {"a": "e"},
+             "composition": [{"first": "e", "then": "e", "equals": "e"}]}
+
+
+@pytest.mark.parametrize("value", [None, 7, 1.5, True, ["e"], {"id": "e"}])
+@pytest.mark.parametrize("field", ["id", "src", "tgt"])
+def test_a_non_string_morphism_id_is_dangling(field, value):
+    """Read as a string, ``null`` or ``7`` would name a morphism "None" or
+    "7", or point it at an object of that name."""
+    raw = {**_ONE_LOOP, "objects": ["a", str(value)],
+           "morphisms": [{"id": "e", "src": "a", "tgt": "a", field: value}]}
+    with pytest.raises(CategoryValidationError) as excinfo:
+        validate_category(raw)
+    [v] = excinfo.value.violations
+    assert (v.kind, v.tag, v.detail) == ("DanglingId", "law-category-structure",
+                                         "morphism ids must be strings")
+
+
+@pytest.mark.parametrize("value", [None, 7, ["e"]])
+@pytest.mark.parametrize("field", ["first", "then", "equals"])
+def test_a_non_string_composition_id_is_malformed(field, value):
+    raw = {**_ONE_LOOP, "morphisms": _ONE_LOOP["morphisms"]
+           + [{"id": str(value), "src": "a", "tgt": "a"}],
+           "composition": [{"first": "e", "then": "e", "equals": "e", field: value}]}
+    with pytest.raises(CategoryValidationError) as excinfo:
+        validate_category(raw)
+    bad = [v for v in excinfo.value.violations if v.kind == "MalformedEntry"]
+    assert [(v.tag, v.detail) for v in bad] == [
+        ("law-category-composition", "composition ids must be strings")]
+
+
+def test_morphism_values_with_string_ids_still_validate():
+    """``assemble_category`` passes Morphism values, not raw entries."""
+    e = Morphism("e", "a", "a")
+    cat = assemble_category(["a"], [e], {"a": "e"}, lambda f, g: "e")
+    assert cat == validate_category(_ONE_LOOP)
+    assert cat.morphisms == (e,)
 
 
 def test_validate_is_idempotent(cor):

@@ -9,6 +9,7 @@ import pytest
 
 from finmonad import jsonio
 from finmonad.errors import (
+    BaseMismatch,
     CategoryValidationError,
     ComponentMistyped,
     LawViolation,
@@ -124,6 +125,19 @@ def test_loading_untypable_law_raises(cor, tmp_path):
         json.dump(raw, fh, ensure_ascii=False)
     with pytest.raises(UnTypableComponent):
         jsonio.load_dist_law(str(path))
+
+
+@pytest.mark.parametrize("parse, second, message", [
+    ("parse_dist_law", "T", "S and T are monads on different categories"),
+    ("parse_mixed_law", "G", "S and G live on different categories")],
+    ids=["law", "mixed"])
+def test_a_law_file_over_two_categories_raises(cor, parse, second, message):
+    other = (cor.monads_c2["id"] if second == "T" else cor.comonads_c2["id"])
+    raw = {"S": jsonio.monad_to_raw(cor.monads_c3["c1"]),
+           second: jsonio.monad_to_raw(other), "phi" if second == "T" else "psi": {}}
+    with pytest.raises(BaseMismatch) as exc:
+        getattr(jsonio, parse)(raw)
+    assert str(exc.value) == message
 
 
 def test_loading_broken_category_raises(tmp_path):
