@@ -51,7 +51,6 @@ _EXPORTS = {
         "compose_functors",
         "enumerate_functors",
         "enumerate_nat_trans",
-        "equal",
         "hcomp",
         "identity_functor",
         "identity_nat",

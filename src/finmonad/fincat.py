@@ -867,27 +867,6 @@ def hcomp(alpha: NatTrans, beta: NatTrans) -> NatTrans:
                  whisker_left(beta.target, alpha))
 
 
-def equal(x, y) -> bool:
-    """Pointwise equality of functors or transformations.
-
-    This is the notion of "the same" used by every round-trip theorem
-    check. Raises :class:`TypeMismatch` when declared sources/targets
-    disagree, so accidental comparisons across worlds fail loudly.
-    """
-    if isinstance(x, Functor) and isinstance(y, Functor):
-        if x.source != y.source or x.target != y.target:
-            raise TypeMismatch("functors with different source/target")
-        return x.canonical_key() == y.canonical_key()
-    if isinstance(x, NatTrans) and isinstance(y, NatTrans):
-        if (x.source.source != y.source.source
-                or x.source.target != y.source.target):
-            raise TypeMismatch("transformations over different categories")
-        if x.source != y.source or x.target != y.target:
-            raise TypeMismatch("transformations between different functors")
-        return x.components == y.components
-    raise TypeMismatch(f"cannot compare {type(x).__name__} with {type(y).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 #

@@ -65,6 +65,18 @@ def _require_shape(raw, what: str) -> None:
         raise FileFormatError(bad, what)
 
 
+def _id_map(raw: dict, field: str, what: str) -> dict:
+    """The map ``field`` of a ``what`` file, whose keys and values are ids:
+    an entry that is not a string pair raises FileFormatError naming the
+    field and the key, as validate_category refuses a non-string id."""
+    bad = [Violation("NonStringId", "chk-validation", where=f"{field}[{k!r}]",
+                     detail="keys and values must be string ids")
+           for k, v in raw.items() if not (isinstance(k, str) and isinstance(v, str))]
+    if bad:
+        raise FileFormatError(bad, what)
+    return dict(raw)
+
+
 def _resolve(value, base_dir: str):
     """A string is a path relative to the referring file; a dict is inline."""
     if isinstance(value, dict):
@@ -105,13 +117,14 @@ def dump_category(cat: FinCategory, path: str) -> None:
 # -- functors and transformations against a known category -------------------
 
 
-def parse_endofunctor(cat: FinCategory, raw: dict) -> Functor:
+def parse_endofunctor(cat: FinCategory, raw: dict, what: str) -> Functor:
+    """The endofunctor of a ``what`` file, checked to be a functor."""
     try:
-        obj_map = {str(k): str(v) for k, v in raw["objects"].items()}
-        mor_map = {str(k): str(v) for k, v in raw["morphisms"].items()}
+        maps = [_id_map(raw[field], f"endofunctor.{field}", what)
+                for field in ("objects", "morphisms")]
     except (KeyError, TypeError, AttributeError):
         raise ComponentMistyped("endofunctor needs objects/morphisms maps")
-    F = Functor(cat, cat, obj_map, mor_map)
+    F = Functor(cat, cat, *maps)
     bad = check_functor(F)
     if bad:
         raise LawViolation(bad, context="endofunctor")
@@ -132,9 +145,8 @@ def _parse_structure(kind, raw: dict, base_dir: str, seed: int):
     category, endofunctor, mult, unit = _FIELDS[kind.CONTEXT]
     cat_raw, _ = _resolve(raw[category], base_dir)
     cat = parse_category(cat_raw, seed=seed)
-    E = parse_endofunctor(cat, raw[endofunctor])
-    maps = [{str(k): str(v) for k, v in raw[field].items()}
-            for field in (mult, unit)]
+    E = parse_endofunctor(cat, raw[endofunctor], kind.CONTEXT)
+    maps = [_id_map(raw[field], field, kind.CONTEXT) for field in (mult, unit)]
     return kind.from_components(cat, E, *maps).require_valid()
 
 
@@ -198,7 +210,7 @@ def _parse_law(kind: str, raw: dict, base_dir: str, seed: int):
     require_typable(S, E)
     return law(S, E, NatTrans(compose_functors(S.S, E.endo),
                               compose_functors(E.endo, S.S),
-                              {str(k): str(v) for k, v in raw[nat].items()}))
+                              _id_map(raw[nat], nat, kind)))
 
 
 def parse_dist_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> DistributiveLaw:

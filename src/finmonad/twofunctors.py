@@ -39,6 +39,7 @@ for both directions over a record of each side's cells, actions and keys.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from itertools import product
 
 from .adjunction import (
@@ -521,6 +522,9 @@ def phi_e_1cell(cell: AdjROneCell, src_monad: Monad = None,
     return out.require_valid()
 
 
+_FOREIGN_ALGEBRAS = "algebra category does not belong to the cell's monad"
+
+
 def psi_e_1cell(cell: MndOneCell, src_em: EmAlgebraCategory = None,
                 dst_em: EmAlgebraCategory = None) -> AdjROneCell:
     """(P, phi) ↦ (P, P^phi, lambda^P) between algebra adjunctions.
@@ -528,9 +532,16 @@ def psi_e_1cell(cell: MndOneCell, src_em: EmAlgebraCategory = None,
     P^phi sends an algebra (N, chi) to (P N, P chi ∘ phi_N) and a morphism
     to its underlying image under P; the mate is recomputed from the
     square, which realizes lambda^P = (epsilon K L) ∘ (L J eta).
+
+    ``src_em``/``dst_em`` default to the algebras of the cell's monads, and
+    one of another monad raises. vec psi_E passes a coalgebra category's
+    ``on_opposite`` view, which no ``em_category`` call returns: its
+    morphism ids name coalgebra morphisms.
     """
     src_em = src_em if src_em is not None else em_category(cell.src)
     dst_em = dst_em if dst_em is not None else em_category(cell.dst)
+    if src_em.monad != cell.src or dst_em.monad != cell.dst:
+        raise BaseMismatch(_FOREIGN_ALGEBRAS)
     base = cell.dst.base
     obj_map = {a: dst_em.algebra_id(cell.P.ob(carrier),
                                     base.compose(cell.phi.at(carrier), cell.P.mor(chi)))
@@ -557,9 +568,12 @@ def psi_e_2cell(t: MndTwoCell, src_em: EmAlgebraCategory = None,
                 src_acell: AdjROneCell = None,
                 dst_acell: AdjROneCell = None) -> AdjRTwoCell:
     """theta ↦ (theta, theta^phi) where theta^phi has underlying component
-    theta_N at each algebra over N."""
+    theta_N at each algebra over N; ``src_em``/``dst_em`` as in
+    :func:`psi_e_1cell`."""
     src_em = src_em if src_em is not None else em_category(t.src_cell.src)
     dst_em = dst_em if dst_em is not None else em_category(t.src_cell.dst)
+    if src_em.monad != t.src_cell.src or dst_em.monad != t.src_cell.dst:
+        raise BaseMismatch(_FOREIGN_ALGEBRAS)
     if src_acell is None:
         src_acell = psi_e_1cell(t.src_cell, src_em, dst_em)
     if dst_acell is None:
@@ -569,14 +583,12 @@ def psi_e_2cell(t: MndTwoCell, src_em: EmAlgebraCategory = None,
     return AdjRTwoCell(src_acell, dst_acell, t.theta, beta)
 
 
-def psi_k_1cell(cell: MndBulletOneCell, src_kl: KleisliCategory = None,
-                dst_kl: KleisliCategory = None) -> AdjLOneCell:
+def psi_k_1cell(cell: MndBulletOneCell) -> AdjLOneCell:
     """(P, psi) ↦ (P, P_psi, rho^P) between Kleisli adjunctions.
 
     P_psi fixes objects to P X and sends y♯: X → Y to (psi_Y ∘ P y)♯.
     """
-    src_kl = src_kl if src_kl is not None else kleisli_category(cell.src)
-    dst_kl = dst_kl if dst_kl is not None else kleisli_category(cell.dst)
+    src_kl, dst_kl = kleisli_category(cell.src), kleisli_category(cell.dst)
     base, source = cell.dst.base, src_kl.category
     Ppsi = dst_kl.functor_over(
         source, {x: cell.P.ob(x) for x in source.objects},
@@ -599,23 +611,20 @@ def phi_k_2cell(c2: AdjLTwoCell) -> MndBulletTwoCell:
     return out.require_valid()
 
 
-def psi_k_2cell(t: MndBulletTwoCell, src_kl: KleisliCategory = None,
-                dst_kl: KleisliCategory = None,
-                src_acell: AdjLOneCell = None,
+def psi_k_2cell(t: MndBulletTwoCell, src_acell: AdjLOneCell = None,
                 dst_acell: AdjLOneCell = None) -> AdjLTwoCell:
     """theta ↦ (theta, theta^psi) with theta^psi(X) = (eta^T_{Q X} ∘ theta_X)♯.
 
     The 2-cell laws of the result are re-checked by the AdjL constructor;
     a failure raises TwoCellLawViolation rather than being repaired.
     """
-    src_kl = src_kl if src_kl is not None else kleisli_category(t.src_cell.src)
-    dst_kl = dst_kl if dst_kl is not None else kleisli_category(t.src_cell.dst)
     if src_acell is None:
-        src_acell = psi_k_1cell(t.src_cell, src_kl, dst_kl)
+        src_acell = psi_k_1cell(t.src_cell)
     if dst_acell is None:
-        dst_acell = psi_k_1cell(t.dst_cell, src_kl, dst_kl)
+        dst_acell = psi_k_1cell(t.dst_cell)
     base = t.src_cell.dst.base
     eta = t.src_cell.dst.eta
+    dst_kl = kleisli_category(t.src_cell.dst)
     beta = dst_kl.nat_over(src_acell.K, dst_acell.K,
                            lambda x: base.compose(t.theta.at(x),
                                                   eta.at(t.dst_cell.P.ob(x))))
@@ -630,8 +639,7 @@ def vec_phi_e_1cell(cell: AdjLOneCell) -> CoMndOneCell:
     return out.require_valid()
 
 
-def vec_psi_e_1cell(cell: CoMndOneCell, src_co: EmCoalgebraCategory = None,
-                    dst_co: EmCoalgebraCategory = None) -> AdjLOneCell:
+def vec_psi_e_1cell(cell: CoMndOneCell) -> AdjLOneCell:
     """(P, pi) ↦ (P^pi, P, rho^P) between coalgebra adjunctions.
 
     P^pi sends a coalgebra (N, xi) to (P N, pi_N ∘ P xi): it is the
@@ -640,8 +648,7 @@ def vec_psi_e_1cell(cell: CoMndOneCell, src_co: EmCoalgebraCategory = None,
     coalgebra adjunction points out of the coalgebra category, so P^pi is
     the base-level functor of the square.
     """
-    src_co = src_co if src_co is not None else em_coalgebra_category(cell.src)
-    dst_co = dst_co if dst_co is not None else em_coalgebra_category(cell.dst)
+    src_co, dst_co = em_coalgebra_category(cell.src), em_coalgebra_category(cell.dst)
     K = psi_e_1cell(cell._op(), src_co.on_opposite, dst_co.on_opposite).K
     return AdjLOneCell(CommutingSquareL(src_co.adj, dst_co.adj,
                                         opposite_functor(K), cell.P))
@@ -654,22 +661,16 @@ def vec_phi_e_2cell(c2: AdjLTwoCell) -> CoMndTwoCell:
     return out.require_valid()
 
 
-def vec_psi_e_2cell(t: CoMndTwoCell, src_co: EmCoalgebraCategory = None,
-                    dst_co: EmCoalgebraCategory = None,
-                    src_acell: AdjLOneCell = None,
-                    dst_acell: AdjLOneCell = None) -> AdjLTwoCell:
+def vec_psi_e_2cell(t: CoMndTwoCell) -> AdjLTwoCell:
     """theta ↦ (theta^pi, theta) with theta^pi having component theta_N at
     each coalgebra over N: the opposite of the psi_E image of the Mnd
     2-cell theta^op, which runs from the Q cell to the P cell."""
-    src_co = src_co if src_co is not None else em_coalgebra_category(t.src_cell.src)
-    dst_co = dst_co if dst_co is not None else em_coalgebra_category(t.src_cell.dst)
-    if src_acell is None:
-        src_acell = vec_psi_e_1cell(t.src_cell, src_co, dst_co)
-    if dst_acell is None:
-        dst_acell = vec_psi_e_1cell(t.dst_cell, src_co, dst_co)
+    src_co = em_coalgebra_category(t.src_cell.src)
+    dst_co = em_coalgebra_category(t.src_cell.dst)
     op = MndTwoCell(t.dst_cell._op(), t.src_cell._op(), opposite_nat(t.theta))
     beta = psi_e_2cell(op, src_co.on_opposite, dst_co.on_opposite).beta
-    return AdjLTwoCell(src_acell, dst_acell, opposite_nat(beta), t.theta)
+    return AdjLTwoCell(vec_psi_e_1cell(t.src_cell), vec_psi_e_1cell(t.dst_cell),
+                       opposite_nat(beta), t.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -845,26 +846,27 @@ class CoalgebraLifting(_Value):
 # Lifting and extension operations
 
 
-def _lift_structure(cell, below, cat) -> tuple:
-    """(K, mult image, unit image): the psi image on ``cat`` (psi_E for an
+def _lift_structure(cell, below, em: EmAlgebraCategory = None) -> tuple:
+    """(K, mult image, unit image): the psi image (psi_E on ``em`` for an
     Mnd cell, psi_K for an Mnd• cell) of the endo 1-cell ``cell`` and of
     the multiplication and unit of ``below`` as 2-cells between cell∘cell,
     cell and the identity cell, as the shape of ``below`` says. The cells
     come from a law its caller has validated: the law's axioms are the
     laws of the 1-cell and of the two 2-cells, so none is checked again."""
     if isinstance(cell, MndOneCell):
-        act1, act2, two = psi_e_1cell, psi_e_2cell, MndTwoCell
+        act1, act2, two = (partial(psi_e_1cell, src_em=em, dst_em=em),
+                           partial(psi_e_2cell, src_em=em, dst_em=em), MndTwoCell)
         cells = mnd_compose(cell, cell), cell, mnd_identity_cell(cell.src)
     else:
         act1, act2, two = psi_k_1cell, psi_k_2cell, MndBulletTwoCell
         cells = bullet_compose(cell, cell), cell, bullet_identity_cell(cell.src)
     # each cell with its image, so that one shape lookup gives both ends
-    twice, once, none = ((c, act1(c, cat, cat)) for c in cells)
+    twice, once, none = ((c, act1(c)) for c in cells)
     images = [once[1].K]
     for nat, ((source, asource), (target, atarget)) in zip(
             (below.mult, below.unit), below.ends(twice, once, none)):
         t = two(source, target, nat)
-        images.append(act2(t, cat, cat, asource, atarget).beta)
+        images.append(act2(t, src_acell=asource, dst_acell=atarget).beta)
     return tuple(images)
 
 
@@ -872,7 +874,8 @@ def lift_monad(dl: DistributiveLaw, em: EmAlgebraCategory = None) -> LiftedMonad
     """Lift T to the algebras of S along a valid law phi: ST → TS.
 
     That is the psi_E image of the 1-cell (T, phi); mu_hat and eta_hat are
-    the psi_E images of mu^T and eta^T as 2-cells.
+    the psi_E images of mu^T and eta^T as 2-cells. ``em``, kept for callers
+    that pass it, must be the algebra category of S.
     """
     dl.require_valid()
     em = em if em is not None else em_category(dl.S)
@@ -890,12 +893,13 @@ def extend_monad(dl: DistributiveLaw, kl: KleisliCategory = None) -> KleisliExte
     """Extend S to the Kleisli category of T along a valid law.
 
     Stilde is the psi_K image of the Mnd• 1-cell (S, phi); mu_tilde and
-    eta_tilde are the psi_K images of mu^S and eta^S as 2-cells.
+    eta_tilde are the psi_K images of mu^S and eta^S as 2-cells. ``kl``,
+    kept for callers that pass it, must be the Kleisli category of T.
     """
     dl.require_valid()
     kl = kl if kl is not None else kleisli_category(dl.T)
     cell = MndBulletOneCell(dl.T, dl.T, dl.S.S, dl.phi)
-    return KleisliExtension(dl.S, dl.T, kl, *_lift_structure(cell, dl.S, kl))
+    return KleisliExtension(dl.S, dl.T, kl, *_lift_structure(cell, dl.S))
 
 
 def extract_from_extension(ke: KleisliExtension) -> DistributiveLaw:
@@ -916,10 +920,10 @@ def check_joint_compatibility(lm: LiftedMonad, ke: KleisliExtension) -> bool:
     return phi_em.components == phi_kl.components
 
 
-def lift_comonad(ml: MixedDistributiveLaw, em: EmAlgebraCategory = None) -> LiftedComonad:
+def lift_comonad(ml: MixedDistributiveLaw) -> LiftedComonad:
     """Lift G to the algebras of S along a valid mixed law psi: SG → GS."""
     ml.require_valid()
-    em = em if em is not None else em_category(ml.S)
+    em = em_category(ml.S)
     return LiftedComonad(ml.S, em, ml.G, *_comonad_lifting(ml, em))
 
 
@@ -929,13 +933,12 @@ def _comonad_lifting(ml: MixedDistributiveLaw, em: EmAlgebraCategory) -> tuple:
     return _lift_structure(MndOneCell(ml.S, ml.S, ml.G.G, ml.psi), ml.G, em)
 
 
-def colift_monad(ml: MixedDistributiveLaw,
-                 co: EmCoalgebraCategory = None) -> CoalgebraLifting:
+def colift_monad(ml: MixedDistributiveLaw) -> CoalgebraLifting:
     """Lift S to the coalgebras of G along a valid mixed law: the comonad
     lifting of S^op to the algebras of G^op along psi read on the opposite
     category (a mixed law from G^op to S^op), read back."""
     ml.require_valid()
-    co = co if co is not None else em_coalgebra_category(ml.G)
+    co = em_coalgebra_category(ml.G)
     # valid, since its axioms are those of ml read on the opposite category
     op_law = MixedDistributiveLaw(monad_on_opposite(ml.G),
                                   comonad_on_opposite(ml.S), opposite_nat(ml.psi))
@@ -1026,7 +1029,7 @@ def check_monad_object(mo: MonadObjectInMnd) -> list:
 
 
 def enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
-                       jobs: int = 1, em: EmAlgebraCategory = None) -> list:
+                       jobs: int = 1) -> list:
     """All monad liftings of T to the algebras of S, canonically ordered.
 
     The search space is one algebra structure on T(N) per algebra (N, chi);
@@ -1034,33 +1037,28 @@ def enumerate_liftings(S: Monad, T: Monad, cap: int = DEFAULT_CAP,
     base structure, then everything is law-checked from scratch. ``jobs``
     has no effect.
     """
-    return _enumerate_liftings(S, T, em, LiftedMonad, cap)
+    return _enumerate_liftings(S, T, LiftedMonad, cap)
 
 
 def enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
-                               jobs: int = 1,
-                               em: EmAlgebraCategory = None) -> list:
+                               jobs: int = 1) -> list:
     """All comonad liftings of G to the algebras of S; dual search.
     ``jobs`` has no effect."""
-    return _enumerate_liftings(S, G, em, LiftedComonad, cap)
+    return _enumerate_liftings(S, G, LiftedComonad, cap)
 
 
-def _enumerate_liftings(S: Monad, below, em: EmAlgebraCategory, kind,
-                        cap: int) -> list:
+def _enumerate_liftings(S: Monad, below, kind, cap: int) -> list:
     """Every lifting of class ``kind`` (LiftedMonad or LiftedComonad) of
-    ``below``, with endofunctor E, to the algebras ``em`` of S (built if
-    None), after checking both structures and raising the kind's
-    FOREIGN_BASE if their bases differ, or its FOREIGN_CATEGORY if ``em``
-    is the algebra category of another monad: each lift of E to the
-    algebras is built into one by :func:`_assemble_lifting`."""
+    ``below``, with endofunctor E, to the algebras of S, after checking
+    both structures and raising the kind's FOREIGN_BASE if their bases
+    differ: each lift of E to the algebras is built into one by
+    :func:`_assemble_lifting`. ``cap`` bounds the lift search; the
+    algebra category is read under the default cap."""
     S.require_valid()
     below.require_valid()
     if S.base != below.base:
         raise BaseMismatch(kind.FOREIGN_BASE)
-    if em is None:
-        em = em_category(S)
-    elif em.monad != S:
-        raise BaseMismatch(kind.FOREIGN_CATEGORY)
+    em = em_category(S)
     return sorted((_assemble_lifting(kind, S, below, em, K)
                    for K in _lifts(em, below.endo, _Budget(cap))),
                   key=lambda lifting: lifting.canonical_key())
@@ -1104,16 +1102,16 @@ def law_round_trips(S: Monad, T: Monad, cap: int = DEFAULT_CAP) -> dict:
     their round trips, each law lifted and extended once. ``pointwise`` is
     the poset criterion S(T(x)) <= T(S(x)) for all x, None off posets."""
     laws = enumerate_dist_laws(S, T, cap=cap)
-    em = em_category(S, cap=cap)
-    lifts = enumerate_liftings(S, T, cap=cap, em=em)
-    kl = kleisli_category(T)
-    lifted = [lift_monad(dl, em) for dl in laws]
-    extended = [extend_monad(dl, kl) for dl in laws]
+    # applies ``cap`` to the algebra estimate; later reads return the same category
+    em_category(S, cap=cap)
+    lifts = enumerate_liftings(S, T, cap=cap)
+    lifted = [lift_monad(dl) for dl in laws]
+    extended = [extend_monad(dl) for dl in laws]
     C = S.base
     return {"laws": len(laws), "liftings": len(lifts),
             "extract_after_lift": all(extract_dist_law(lm) == dl
                                       for lm, dl in zip(lifted, laws)),
-            "lift_after_extract": all(lift_monad(extract_dist_law(lm), em) == lm
+            "lift_after_extract": all(lift_monad(extract_dist_law(lm)) == lm
                                       for lm in lifts),
             "extension_roundtrip": all(extract_from_extension(ke) == dl
                                        for ke, dl in zip(extended, laws)),
@@ -1127,13 +1125,14 @@ def mixed_round_trips(S: Monad, G: Comonad, cap: int = DEFAULT_CAP) -> dict:
     """The numbers of mixed laws from S to G and of comonad liftings, and
     the flags of their round trips, each law lifted and colifted once."""
     laws = enumerate_mixed_laws(S, G, cap=cap)
-    em = em_category(S, cap=cap)
-    lifts = enumerate_comonad_liftings(S, G, cap=cap, em=em)
-    co = em_coalgebra_category(G, cap=cap)
+    # apply ``cap`` to both estimates; later reads return the same categories
+    em_category(S, cap=cap)
+    lifts = enumerate_comonad_liftings(S, G, cap=cap)
+    em_coalgebra_category(G, cap=cap)
     round_trips = compatible = True
     for ml in laws:
-        lc = lift_comonad(ml, em)
-        cl = colift_monad(ml, co)
+        lc = lift_comonad(ml)
+        cl = colift_monad(ml)
         if (extract_mixed_from_lifting(lc) != ml
                 or extract_mixed_from_colifting(cl) != ml):
             round_trips = False

@@ -34,6 +34,10 @@ BAD_COMONAD = "tests/golden/inputs/coassoc_broken_t2.json"
 # Category files with a null morphism id and with numeric composition ids:
 # both are refused, not read with their ids turned into strings.
 BAD_IDS = ["nonstring_morphism_id", "nonstring_composition_id"]
+# Monad and law files with a number or a list where a map holds an id: each
+# is refused, not read with the value turned into a string.
+BAD_MAPS = [(["em"], "nonstring_functor_image"), (["em"], "list_unit_component"),
+            (["distlaw", "check"], "nonstring_law_component")]
 
 
 def fx(name: str) -> str:
@@ -81,6 +85,8 @@ def _cases() -> list:
              ["mixedlaw", "enumerate", fx("c1"), BAD_COMONAD])]
     out += [(f"validate-{name.replace('_', '-')}",
              ["validate", f"tests/golden/inputs/{name}.json"]) for name in BAD_IDS]
+    out += [("-".join(cmd + [name.replace("_", "-")]),
+             cmd + [f"tests/golden/inputs/{name}.json"]) for cmd, name in BAD_MAPS]
     for law in LAWS:
         for cmd in ("lift", "extend", "extract-em", "extract-kleisli"):
             out.append((f"{cmd}-{law}", [cmd, fx(law)]))

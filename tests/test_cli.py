@@ -367,28 +367,39 @@ def test_roundtrip_lifts_and_extends_each_law_once(capsys, monkeypatch):
     assert calls == {"lift_monad": 2, "extend_monad": 1}
 
 
-@pytest.mark.parametrize("argv", [
-    ["roundtrip", fx("c2.json"), fx("c1.json")],
-    ["roundtrip-mixed", fx("c1.json"), fx("i1.json")],
+@pytest.mark.parametrize("argv, builds", [
+    (["roundtrip", fx("c2.json"), fx("c1.json")], {"algebra": 1, "kleisli": 1}),
+    (["roundtrip-mixed", fx("c1.json"), fx("i1.json")],
+     {"algebra": 1, "coalgebra": 1}),
 ], ids=["roundtrip", "roundtrip-mixed"])
-def test_roundtrips_build_the_algebra_category_once(argv, capsys, monkeypatch):
-    """One law: the algebra category of S is built once and shared by the
-    lifting search and the lifts of the law. The command imports
-    em_category from construct when it runs."""
-    from finmonad import construct, twofunctors
+def test_roundtrips_build_the_algebra_category_once(argv, builds, capsys,
+                                                    monkeypatch):
+    """One law: the algebra category of S, and the Kleisli category of T or
+    the coalgebra category of G, are each built once and shared by the
+    lifting search, the lifts of the law and its extension or colift.
+    A coalgebra category is built as the algebras on the opposite category,
+    its morphisms named by another function."""
+    from finmonad import construct
 
-    calls = []
-    original = construct.em_category
+    built = {}
+    em_build, kl_build = construct._em_category, construct._kleisli_category
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def count(kind):
+        built[kind] = built.get(kind, 0) + 1
 
-    for module in (construct, twofunctors):
-        monkeypatch.setattr(module, "em_category", counted)
+    def counted_em(m, name):
+        count("algebra" if name is construct._algebra_morphism_id else "coalgebra")
+        return em_build(m, name)
+
+    def counted_kl(m):
+        count("kleisli")
+        return kl_build(m)
+
+    monkeypatch.setattr(construct, "_em_category", counted_em)
+    monkeypatch.setattr(construct, "_kleisli_category", counted_kl)
     code, out = run_cli(argv, capsys)
     assert code == 0 and '"laws": 1' in out
-    assert len(calls) == 1
+    assert built == builds
 
 
 def count_calls(monkeypatch, functions) -> dict:

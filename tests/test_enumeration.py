@@ -401,7 +401,7 @@ def assert_lifting_searches_match(monads, comonads) -> int:
                 (enumerate_comonad_liftings, ref_enumerate_comonad_liftings,
                  comonads)):
             for other in others:
-                found = search(S, other, em=em)
+                found = search(S, other)
                 want = reference(S, other, em=em)
                 assert found == want
                 assert keys(found) == keys(want)
@@ -437,7 +437,7 @@ def test_lift_searches_match_on_random_finset_subcategories(cat):
         for search, others in ((enumerate_liftings, monads),
                                (enumerate_comonad_liftings, comonads)):
             lifts += [lifting.endo for other in others
-                      for lifting in search(S, other, em=em)]
+                      for lifting in search(S, other)]
         for K in lifts:
             assert check_functor(K) == []
 

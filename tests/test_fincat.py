@@ -19,7 +19,6 @@ from finmonad.errors import (
     CategoryValidationError,
     ComponentMistyped,
     CompositionTypeMismatch,
-    TypeMismatch,
 )
 from finmonad.fincat import (
     FinCategory,
@@ -32,7 +31,6 @@ from finmonad.fincat import (
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
-    equal,
     hcomp,
     identity_functor,
     identity_nat,
@@ -266,10 +264,8 @@ def test_compose_functors_object_map_matches_pointwise_oracle(cor):
 def test_functor_equality_is_extensional(cor):
     Id = identity_functor(cor.c3)
     assert compose_functors(Id, Id) == Id
-    assert equal(compose_functors(Id, Id), Id)
     c1 = cor.monads_c3["c1"].S
     assert Id != c1  # object maps differ at 1
-    assert not equal(Id, c1)
 
 
 def test_the_same_maps_give_the_same_functor(cor):
@@ -302,7 +298,6 @@ def test_functors_over_equal_but_distinct_categories_stay_equal(cor):
         assert F is not c1
         assert F == c1 and c1 == F
         assert hash(F) == hash(c1)
-        assert equal(F, c1)
     assert identity_functor(again) == identity_functor(cor.c3)
     assert identity_functor(again) != c1
 
@@ -424,13 +419,6 @@ def test_interning_and_the_composition_memo_keep_nothing_alive(cor):
     assert memo_entries() <= 2 * entries
 
 
-def test_equal_raises_on_type_mismatch(cor):
-    Id2 = identity_functor(cor.c2)
-    Id3 = identity_functor(cor.c3)
-    with pytest.raises(TypeMismatch):
-        equal(Id2, Id3)
-
-
 # -- natural transformations ----------------------------------------------------
 
 
@@ -492,7 +480,7 @@ def test_extensional_equality_of_transformations_built_differently(cor):
     c1 = cor.monads_c3["c1"].S
     alpha = identity_nat(c1)
     again = vcomp(alpha, alpha)
-    assert equal(alpha, again)
+    assert alpha == again
 
 
 def test_vcomp_unit_laws(cor):

@@ -12,6 +12,7 @@ from finmonad.errors import (
     BaseMismatch,
     CategoryValidationError,
     ComponentMistyped,
+    FileFormatError,
     LawViolation,
     UnTypableComponent,
 )
@@ -138,6 +139,38 @@ def test_a_law_file_over_two_categories_raises(cor, parse, second, message):
     with pytest.raises(BaseMismatch) as exc:
         getattr(jsonio, parse)(raw)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("parse, to_raw, name, path, value, message", [
+    ("parse_monad", "monad_to_raw", "c1", ("endofunctor", "morphisms", "f01"), 7,
+     "invalid monad file: NonStringId at endofunctor.morphisms['f01']"),
+    ("parse_monad", "monad_to_raw", "c1", ("endofunctor", "objects", "1"), None,
+     "invalid monad file: NonStringId at endofunctor.objects['1']"),
+    ("parse_monad", "monad_to_raw", "c1", ("mu", "1"), ["id_2"],
+     "invalid monad file: NonStringId at mu['1']"),
+    ("parse_comonad", "comonad_to_raw", "i1", ("epsilon", 1), "id_1",
+     "invalid comonad file: NonStringId at epsilon[1]"),
+    ("parse_dist_law", "dist_law_to_raw", "law_c2_c1", ("phi", "0"), 0,
+     "invalid law file: NonStringId at phi['0']"),
+], ids=["functor-image", "object-image", "list-component", "int-key", "law"])
+def test_a_map_entry_that_is_not_a_string_id_raises(cor, parse, to_raw, name,
+                                                   path, value, message):
+    """Each map of a structure or law file holds ids: a number, null or list
+    where a key or value goes is refused, naming the field and the key,
+    rather than read as its string."""
+    value_of = {**cor.monads_c3, **cor.comonads_c3, "law_c2_c1": cor.law_c2_c1}
+    raw = getattr(jsonio, to_raw)(value_of[name])
+    *fields, key = path
+    target = raw
+    for field in fields:
+        target = target[field]
+    if isinstance(key, str):
+        target[key] = value
+    else:
+        target[key] = target.pop(str(key))
+    with pytest.raises(FileFormatError) as exc:
+        getattr(jsonio, parse)(raw)
+    assert str(exc.value) == message + " (keys and values must be string ids)"
 
 
 def test_loading_broken_category_raises(tmp_path):

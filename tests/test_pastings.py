@@ -39,7 +39,7 @@ from finmonad.adjunction import (
     mate_right,
     mate_right_transpose,
 )
-from finmonad.construct import em_category, kleisli_category
+from finmonad.construct import em_category
 from finmonad.distlaw import check_dist_law, check_mixed_law
 from finmonad.errors import LawViolation, TypeMismatch
 from finmonad.fincat import (
@@ -284,8 +284,7 @@ def comnd_endocells(c) -> list:
 def test_mates_equal_the_oracles_on_the_squares_of_the_c3_id_hom_iso():
     m, c = COR.monads_c3["id"], COR.comonads_c3["id"]
     adjr = enumerate_adjr_endocells(em_category(m))
-    kl = kleisli_category(m)
-    adjl = [psi_k_1cell(cell, kl, kl) for cell in bullet_endocells(m)]
+    adjl = [psi_k_1cell(cell) for cell in bullet_endocells(m)]
     adjl += [vec_psi_e_1cell(cell) for cell in comnd_endocells(c)]
     assert (len(adjr), len(adjl)) == (10, 20)
     for cell in adjr:
@@ -302,14 +301,12 @@ def test_mates_equal_the_oracles_on_the_squares_of_the_c3_id_hom_iso():
 def test_mates_equal_the_oracles_between_two_monads(S, T):
     """The squares psi_E and psi_K make of the lawful Mnd and Mnd• 1-cells
     S → T, between two algebra or two Kleisli adjunctions."""
-    em_s, em_t = em_category(S), em_category(T)
-    kl_s, kl_t = kleisli_category(S), kleisli_category(T)
     for P in enumerate_functors(S.base, T.base):
         for phi in enumerate_nat_trans(compose_functors(T.S, P),
                                        compose_functors(P, S.S)):
             cell = MndOneCell(S, T, P, phi)
             if not cell.check():
-                sq = psi_e_1cell(cell, em_s, em_t).square
+                sq = psi_e_1cell(cell).square
                 lam = mate_right(sq)
                 assert lam == ref_mate_right(sq)
                 assert (mate_right_transpose(sq, lam)
@@ -318,7 +315,7 @@ def test_mates_equal_the_oracles_between_two_monads(S, T):
                                        compose_functors(T.S, P)):
             cell = MndBulletOneCell(S, T, P, psi)
             if not cell.check():
-                sq = psi_k_1cell(cell, kl_s, kl_t).square
+                sq = psi_k_1cell(cell).square
                 assert mate_left(sq) == ref_mate_left(sq)
 
 
@@ -328,8 +325,7 @@ NON_POSET = [(label, m) for label, m in MONADS if not label.startswith("C2-")]
 @pytest.mark.parametrize("m", [m for _, m in NON_POSET],
                          ids=[label for label, _ in NON_POSET])
 def test_adjl_conditions_equal_the_oracles_on_kleisli_endocells(m):
-    kl = kleisli_category(m)
-    cells = [psi_k_1cell(cell, kl, kl) for cell in bullet_endocells(m)]
+    cells = [psi_k_1cell(cell) for cell in bullet_endocells(m)]
     for cell in cells:
         assert mate_left(cell.square) == ref_mate_left(cell.square)
     for c, c2 in product(cells, repeat=2):

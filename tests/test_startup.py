@@ -28,7 +28,7 @@ EXPORTS = {
     "fincat": [
         "FinCategory", "Functor", "Morphism", "NatTrans", "check_functor",
         "check_naturality", "compose_functors", "enumerate_functors",
-        "enumerate_nat_trans", "equal", "hcomp", "identity_functor",
+        "enumerate_nat_trans", "hcomp", "identity_functor",
         "identity_nat", "opposite", "validate_category", "vcomp",
         "whisker_left", "whisker_right"],
     "monad": [

@@ -1,6 +1,7 @@
 """Cells, 2-functor actions, liftings/extensions, and the bijection
 round trips."""
 
+import inspect
 from itertools import product
 
 import pytest
@@ -87,12 +88,14 @@ from finmonad.twofunctors import (
     hom_iso_roundtrip,
     lift_comonad,
     lift_monad,
+    mnd2_identity,
     mnd_compose,
     mnd_identity_cell,
     phi_e_1cell,
     phi_k_1cell,
     phi_k_2cell,
     psi_e_1cell,
+    psi_e_2cell,
     psi_k_1cell,
     psi_k_2cell,
     vec_phi_e_1cell,
@@ -212,7 +215,7 @@ def test_round_trips_on_every_pair(cor):
     for S, T in _pairs(cor):
         em = em_category(S)
         laws = enumerate_dist_laws(S, T)
-        lifts = enumerate_liftings(S, T, em=em)
+        lifts = enumerate_liftings(S, T)
         assert len(laws) == len(lifts)
         for dl in laws:
             assert extract_dist_law(lift_monad(dl, em)) == dl
@@ -373,10 +376,10 @@ def test_psi_k_two_cells_for_mu_and_eta_pass(cor):
     comp = bullet_compose(cell, cell)
     mu2 = MndBulletTwoCell(comp, cell, dl.S.mu)
     assert mu2.check() == []
-    pair = psi_k_2cell(mu2, kl, kl)  # raises TwoCellLawViolation on failure
+    pair = psi_k_2cell(mu2)  # raises TwoCellLawViolation on failure
     eta2 = MndBulletTwoCell(bullet_identity_cell(dl.T), cell, dl.S.eta)
     assert eta2.check() == []
-    psi_k_2cell(eta2, kl, kl)
+    psi_k_2cell(eta2)
     # the Kleisli-side beta is the stated formula (eta_QX ∘ theta_X)♯
     for x in kl.category.objects:
         under = cor.c3.compose(dl.S.mu.at(x), dl.T.eta.at(dl.S.S.ob(x)))
@@ -386,10 +389,9 @@ def test_psi_k_two_cells_for_mu_and_eta_pass(cor):
 
 def test_phi_k_psi_k_round_trip_on_cells(cor):
     dl = cor.law_c2_c1
-    kl = kleisli_category(dl.T)
     for cell in (MndBulletOneCell(dl.T, dl.T, dl.S.S, dl.phi),
                  bullet_identity_cell(dl.T)):
-        acell = psi_k_1cell(cell, kl, kl)
+        acell = psi_k_1cell(cell)
         back = phi_k_1cell(acell)
         assert back == cell
 
@@ -422,10 +424,9 @@ def lawful_two_cells(make, cells) -> list:
 def test_phi_k_2cell_inverts_psi_k_2cell_on_every_lawful_bullet_2cell(cor):
     count = 0
     for _, _, m in cor.all_monads():
-        kl = kleisli_category(m)
         cells = lawful_push_endocells(MndBulletOneCell, m)
         for t in lawful_two_cells(MndBulletTwoCell, cells):
-            assert phi_k_2cell(psi_k_2cell(t, kl, kl)) == t
+            assert phi_k_2cell(psi_k_2cell(t)) == t
             count += 1
     assert count == 186
 
@@ -437,12 +438,12 @@ def assert_psi_k_matches(monads) -> int:
     2-cell of each monad. Returns the number of 2-cells."""
     count = 0
     for m in monads:
-        kl, ref = kleisli_category(m), ref_kleisli_category(m)
+        ref = ref_kleisli_category(m)
         cells = lawful_push_endocells(MndBulletOneCell, m)
         for cell in cells:
-            assert psi_k_1cell(cell, kl, kl) == ref_psi_k_1cell(cell, ref, ref)
+            assert psi_k_1cell(cell) == ref_psi_k_1cell(cell, ref, ref)
         for t in lawful_two_cells(MndBulletTwoCell, cells):
-            assert psi_k_2cell(t, kl, kl) == ref_psi_k_2cell(t, ref, ref)
+            assert psi_k_2cell(t) == ref_psi_k_2cell(t, ref, ref)
             count += 1
     return count
 
@@ -460,10 +461,9 @@ def test_psi_k_matches_the_first_written(name):
 def test_vec_phi_e_2cell_inverts_vec_psi_e_2cell_on_every_lawful_comnd_2cell(cor):
     count = 0
     for _, _, c in cor.all_comonads():
-        co = em_coalgebra_category(c)
         cells = lawful_push_endocells(CoMndOneCell, c)
         for t in lawful_two_cells(CoMndTwoCell, cells):
-            assert vec_phi_e_2cell(vec_psi_e_2cell(t, co, co)) == t
+            assert vec_phi_e_2cell(vec_psi_e_2cell(t)) == t
             count += 1
     assert count == 119
 
@@ -514,7 +514,7 @@ def test_colift_images_satisfy_the_coalgebra_predicate(cor):
     assert len(laws) == 1
     co = em_coalgebra_category(G)
     cell = CoMndOneCell(G, G, S.S, laws[0].psi)
-    acell = vec_psi_e_1cell(cell, co, co)
+    acell = vec_psi_e_1cell(cell)
     em = co.on_opposite
     for a in co.category.objects:
         image = acell.J.ob(a)
@@ -905,7 +905,7 @@ def test_law_checks_build_no_whiskered_transformations(cor, monkeypatch):
     lift_monad(laws[0], em)
     assert calls["NatTrans"] <= 7
     calls.update(dict.fromkeys(calls, 0))
-    assert len(enumerate_liftings(c2, c1, em=em)) == 1
+    assert len(enumerate_liftings(c2, c1)) == 1
     assert calls["NatTrans"] <= 2
     mixed = enumerate_mixed_laws(c1, cor.comonads_c3["i1"])
     assert len(mixed) == 1
@@ -1041,7 +1041,7 @@ def test_mnd_cell_composition_respects_laws(cor):
 def test_vec_actions_send_identity_to_identity(cor):
     G = cor.comonads_c3["i1"]
     co = em_coalgebra_category(G)
-    acell = vec_psi_e_1cell(comnd_identity_cell(G), co, co)
+    acell = vec_psi_e_1cell(comnd_identity_cell(G))
     assert acell == adjl_identity_cell(co.adj)
     back = vec_phi_e_1cell(acell)
     assert back == comnd_identity_cell(G)
@@ -1049,19 +1049,18 @@ def test_vec_actions_send_identity_to_identity(cor):
 
 def test_kleisli_actions_preserve_one_cell_composition(cor):
     dl = cor.law_c2_c1
-    kl = kleisli_category(dl.T)
     from finmonad.twofunctors import adjl_compose
 
     cell = MndBulletOneCell(dl.T, dl.T, dl.S.S, dl.phi)
     cells = [cell, bullet_identity_cell(dl.T), bullet_compose(cell, cell)]
     for c in cells:
         for c2 in cells:
-            lhs = psi_k_1cell(bullet_compose(c, c2), kl, kl)
-            rhs = adjl_compose(psi_k_1cell(c, kl, kl), psi_k_1cell(c2, kl, kl))
+            lhs = psi_k_1cell(bullet_compose(c, c2))
+            rhs = adjl_compose(psi_k_1cell(c), psi_k_1cell(c2))
             assert lhs == rhs
             assert phi_k_1cell(lhs) == bullet_compose(
-                phi_k_1cell(psi_k_1cell(c, kl, kl)),
-                phi_k_1cell(psi_k_1cell(c2, kl, kl)))
+                phi_k_1cell(psi_k_1cell(c)),
+                phi_k_1cell(psi_k_1cell(c2)))
 
 
 def test_stored_mate_must_match_the_square(cor):
@@ -1223,25 +1222,63 @@ def test_liftings_reject_a_foreign_base_with_their_own_messages(cor):
         assert str(info.value) == message
 
 
-def test_lifting_search_over_a_foreign_algebra_category_raises(cor):
-    """For every corpus triple (S, R, below) on one base, the lifting
-    search over the algebras of R is the search over those of S when R is
-    S, and raises when R is another monad, whether or not a lift exists
-    over the foreign algebras."""
-    cases = ((cor.monads_c2, cor.comonads_c2), (cor.monads_c3, cor.comonads_c3))
-    for monads, comonads in cases:
-        for S, R in product(monads.values(), repeat=2):
-            em = em_category(R)
-            for search, others, kind in (
-                    (enumerate_liftings, monads, LiftedMonad),
-                    (enumerate_comonad_liftings, comonads, LiftedComonad)):
-                for below in others.values():
-                    if R is S:
-                        assert search(S, below, em=em) == search(S, below)
-                        continue
+def test_psi_e_over_a_foreign_algebra_category_raises(cor):
+    """For every ordered pair (S, O) of corpus monads on one base, psi_E of
+    the identity 1-cell and 2-cell on S over the algebras of O is psi_E
+    over those of S when O is S, and raises BaseMismatch when O is another
+    monad, at either end or both."""
+    foreign = 0
+    for monads in (cor.monads_c2, cor.monads_c3):
+        for S, O in product(monads.values(), repeat=2):
+            cell = mnd_identity_cell(S)
+            t = mnd2_identity(cell)
+            own, em = em_category(S), em_category(O)
+            if O is S:
+                assert psi_e_1cell(cell, em, em) == psi_e_1cell(cell)
+                assert psi_e_2cell(t, em, em) == psi_e_2cell(t)
+                continue
+            foreign += 1
+            for ends in ((em, em), (em, own), (own, em)):
+                for act, arg in ((psi_e_1cell, cell), (psi_e_2cell, t)):
                     with pytest.raises(BaseMismatch) as info:
-                        search(S, below, em=em)
-                    assert str(info.value) == kind.FOREIGN_CATEGORY
+                        act(arg, *ends)
+                    assert str(info.value) == (
+                        "algebra category does not belong to the cell's monad")
+    assert foreign == 2 * 1 + 4 * 3
+
+
+def test_lift_and_extend_over_a_foreign_construction_raise(cor):
+    dl = cor.law_c2_c1
+    with pytest.raises(BaseMismatch):
+        lift_monad(dl, em_category(dl.T))
+    with pytest.raises(BaseMismatch):
+        extend_monad(dl, kleisli_category(dl.S))
+
+
+# the twofunctors functions that take a construction, and its parameters
+TAKES_A_CONSTRUCTION = {"psi_e_1cell": ["src_em", "dst_em"],
+                        "psi_e_2cell": ["src_em", "dst_em"],
+                        "lift_monad": ["em"], "extend_monad": ["kl"]}
+CONSTRUCTIONS = ("EmAlgebraCategory", "EmCoalgebraCategory", "KleisliCategory")
+
+
+def test_only_four_public_functions_take_a_construction():
+    """Every other public function of twofunctors reads the algebra,
+    Kleisli or coalgebra category from the monad it belongs to."""
+    import finmonad
+
+    found = {}
+    for name in finmonad.__all__:
+        value = getattr(finmonad, name)
+        if not (inspect.isfunction(value)
+                and value.__module__ == "finmonad.twofunctors"):
+            continue
+        params = [p.name for p in inspect.signature(value).parameters.values()
+                  if str(p.annotation) in CONSTRUCTIONS
+                  or p.name.split("_")[-1] in ("em", "kl", "co")]
+        if params:
+            found[name] = params
+    assert found == TAKES_A_CONSTRUCTION
 
 
 def test_structures_of_different_kinds_are_never_equal(cor):

@@ -123,9 +123,8 @@ def _square_r(cor):
 
 
 def _square_l(cor):
-    kl = kleisli_category(_S(cor))
-    return (psi_k_1cell(bullet_identity_cell(_S(cor)), kl, kl).square,
-            adjl_identity_cell(kl.adj).square)
+    return (psi_k_1cell(bullet_identity_cell(_S(cor))).square,
+            adjl_identity_cell(kleisli_category(_S(cor)).adj).square)
 
 
 def _adjr_two_cell(cor):
@@ -138,7 +137,7 @@ def _adjl_two_cell(cor):
     kl = kleisli_category(_S(cor))
     cell = adjl_identity_cell(kl.adj)
     t = _identity_two_cell(MndBulletTwoCell, bullet_identity_cell(_S(cor)))
-    return (psi_k_2cell(t, kl, kl),
+    return (psi_k_2cell(t),
             AdjLTwoCell(cell, cell, identity_nat(cell.J), identity_nat(cell.K)))
 
 
