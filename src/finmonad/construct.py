@@ -19,8 +19,9 @@ first use; later calls return the same object. Validation checks
 associativity (the coalgebra category as the algebra category it is the
 opposite of), the triangle identities of every adjunction, and that the
 algebra and the Kleisli adjunction induce their monad. The cap estimate
-is compared with ``cap`` on every call, so a cap verdict does not depend
-on an earlier build.
+is counted once per monad value, like a construction, and compared with
+``cap`` on every call, so a cap verdict does not depend on an earlier
+build.
 
 Everything in the algebra or the Kleisli category that lies over the
 base is named in one place, the record both categories are: the category
@@ -153,9 +154,11 @@ class EmAlgebraCategory(_Over):
 
 def _require_under_cap(m: Monad, cap: int) -> None:
     """Raise EnumerationCapExceeded if the candidate structure maps of the
-    algebras of ``m``, the morphisms SX → X, number more than ``cap``."""
+    algebras of ``m``, the morphisms SX → X, number more than ``cap``. The
+    count is taken at the first call on ``m`` and kept in its memo."""
     base, S = m.base, m.S
-    estimate = sum(len(base.hom(S.ob(x), x)) for x in base.objects)
+    estimate = m.built("estimate", lambda: sum(
+        len(base.hom(S.ob(x), x)) for x in base.objects))
     if estimate > cap:
         raise EnumerationCapExceeded(estimate, cap)
 

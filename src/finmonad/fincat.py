@@ -542,8 +542,9 @@ class Functor:
     category objects are unequal. Categories that are equal but distinct
     objects keep separate tables; functors over them compare by value.
 
-    Interning happens in ``__new__``, which checks every image first;
-    ``__init__`` is left empty.
+    ``__new__`` checks every image, then interns through
+    :meth:`_interned`; ``__init__`` is left empty. The functor search calls
+    ``_interned`` directly, since it draws every image from the target.
     """
 
     __slots__ = ("source", "target", "object_map", "morphism_map", "_key", "_op",
@@ -561,6 +562,13 @@ class Functor:
             for m, n in zip(source._by_id, mimages):
                 if n not in target._morphism_ids:
                     raise ComponentMistyped(f"morphism {m!r} has no valid image")
+        return cls._interned(source, target, oimages, mimages)
+
+    @classmethod
+    def _interned(cls, source: FinCategory, target: FinCategory,
+                  oimages: tuple, mimages: tuple) -> Functor:
+        """The live functor with these images, in source order, or a new
+        one. The images are trusted to be ids of ``target``."""
         key = (id(target), oimages, mimages)
         table = source._functors
         entry = table.get(key)
@@ -1008,14 +1016,17 @@ def _morphism_plan(cat: FinCategory) -> tuple:
 
     Identities come first: their images are forced. Each freely chosen
     morphism is followed by every composite of the morphisms placed so
-    far, whose check then fires at once. Returns ``(order, checks, units,
-    arrows, loops)``: ``checks[i]`` lists the positions ``(f, g, h)`` with
-    f;g = h whose last position is ``i``; ``units`` holds the object
-    position of each identity and ``arrows`` the positions of the source
-    and target objects of each other morphism, in search order; ``loops``
-    holds the object positions whose identity is the composite of two
-    other morphisms. Pairs with an identity are left out of the checks,
-    since the forced identity images satisfy them.
+    far, whose check then fires at once. Pairs with an identity are left
+    out of the checks, since the forced identity images satisfy them.
+
+    Returns ``(checks, units, arrows, loops, where, ends)``: ``checks[i]``
+    lists the positions ``(f, g, h)`` with f;g = h whose last position is
+    ``i``; ``units`` holds the object position of each identity and
+    ``arrows`` the positions of the source and target objects of each other
+    morphism, in search order; ``loops`` holds the object positions whose
+    identity is the composite of two other morphisms. ``where`` and
+    ``ends`` are in source order: the search position of each morphism, and
+    the positions of its source and target objects.
     """
     order = [m.id for m in cat.morphisms if cat.is_identity(m.id)]
     identities = set(order)
@@ -1046,13 +1057,15 @@ def _morphism_plan(cat: FinCategory) -> tuple:
     arrows = tuple((opos[cat.src(m)], opos[cat.tgt(m)]) for m in order[cut:])
     loops = tuple(sorted({opos[cat.src(h)] for f, g, h in triples
                           if h in identities}))
-    return tuple(order), tuple(map(tuple, checks)), units, arrows, loops
+    where = tuple(pos[m.id] for m in cat.morphisms)
+    ends = tuple((opos[m.src], opos[m.tgt]) for m in cat.morphisms)
+    return tuple(map(tuple, checks)), units, arrows, loops, where, ends
 
 
 def _functor_plan(cat: FinCategory) -> tuple:
-    """``(object checks, order, morphism checks, units, arrows, loops)`` for
-    functors out of ``cat``, as positions and ids; built once per
-    category."""
+    """The object checks of :func:`_object_plan` followed by the morphism
+    plan of :func:`_morphism_plan`, for functors out of ``cat``, as
+    positions; built once per category."""
     if cat._functor_plan is None:
         cat._functor_plan = (_object_plan(cat),) + _morphism_plan(cat)
     return cat._functor_plan
@@ -1068,15 +1081,19 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     chosen in hom(F src, F tgt) with identities forced, and F(f;g) =
     F f ; F g is checked as soon as all three images are chosen. When
     every image is forced and hom(F x, F x) holds only the identity for
-    each x whose identity is a composite, as always on a thin target,
-    every check holds (each composite lands in a one-element hom-set), so
-    the one solution is taken without a search. One budget counts the
-    whole search, branch by branch over the image of the first object.
-    ``jobs`` has no effect.
+    each x whose identity is a composite, every check holds (each
+    composite lands in a one-element hom-set), so the one solution is read
+    off without a search. On a thin target that holds for every object
+    map, so it is decided once per call. One budget counts the whole
+    search, branch by branch over the image of the first object.
+
+    Each result is interned from its images in source order by
+    :meth:`Functor._interned`, unchecked, since every image is drawn from
+    the target. ``jobs`` has no effect.
     """
     objs = source.objects
     tobjs = target.objects
-    obj_plan, order, plan, units, arrows, loops = _functor_plan(source)
+    obj_plan, plan, units, arrows, loops, where, ends = _functor_plan(source)
     # Object images are target positions and morphism images target
     # indices, so every check is a table lookup.
     hom = target.index_hom()
@@ -1089,25 +1106,31 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     index = target._index
     unit = [index[target.identity(x)] for x in tobjs]
     names = [m.id for m in target.morphisms]
-    n = len(order)
+    # The image of a morphism when every image is forced: the one morphism
+    # of hom(F src, F tgt), which is the identity when F src = F tgt.
+    forced = [[names[h[0] if x != y else unit[x]] if h else None
+               for y, h in enumerate(row)] for x, row in enumerate(homs)]
+    n = len(where)
+    thin = target.is_thin()
     budget = _Budget(cap)
 
     def functors_over(images):
-        fixed = [unit[images[a]] for a in units]
-        domains = [homs[images[a]][images[b]] for a, b in arrows]
-        if (set(map(len, domains)) <= {1}
-                and all(len(homs[images[a]][images[a]]) == 1 for a in loops)):
+        oimages = tuple(map(tobjs.__getitem__, images))
+        domains = () if thin else [homs[images[a]][images[b]]
+                                   for a, b in arrows]
+        if thin or (set(map(len, domains)) <= {1}
+                    and all(len(homs[images[a]][images[a]]) == 1
+                            for a in loops)):
             # Every image is forced, so every check holds. Charged as
             # _backtrack would: one per variable, stopping at cap + 1.
             budget.spend(min(n, budget.cap + 1 - budget.used))
-            found = [fixed + [d[0] for d in domains]]
+            found = [tuple([forced[images[a]][images[b]] for a, b in ends])]
         else:
-            found = _backtrack([(k,) for k in fixed] + domains, mor_checks,
-                               budget)
-        omap = dict(zip(objs, map(tobjs.__getitem__, images)))
-        return [Functor(source, target, omap,
-                        dict(zip(order, map(names.__getitem__, ks))))
-                for ks in found]
+            found = [tuple([names[ks[k]] for k in where]) for ks in _backtrack(
+                [(unit[images[a]],) for a in units] + domains, mor_checks,
+                budget)]
+        return [Functor._interned(source, target, oimages, mimages)
+                for mimages in found]
 
     def branch(first):
         domains = [(first,)] + [range(len(tobjs))] * (len(objs) - 1)

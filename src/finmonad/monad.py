@@ -130,8 +130,9 @@ class _Structure(_Checked):
         self._built = None
 
     def built(self, kind: str, build):
-        """The construction ``kind`` on this value: ``build()`` at the first
-        call, and that same object at every later one. The value is
+        """The construction ``kind`` on this value, or another result of it
+        alone such as a construction's cap estimate: ``build()`` at the
+        first call, and that same object at every later one. The value is
         immutable, so what is built on it depends on it alone. The memo is
         per object, not per equality class, and is allocated at the first
         build. Two racing first calls may both build, but both return the
@@ -327,7 +328,10 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
     def monads_on(S: Functor) -> list:
         sob = S.object_map
         domains = [hom.get((sob[sob[x]], sob[x]), ()) for x in objs]
-        if not all(domains):
+        # mu needs every hom(SSx, Sx) and eta every hom(x, Sx) inhabited;
+        # the unit search charges nothing for an empty one, so testing it
+        # here first moves no cap verdict.
+        if not (all(domains) and all(hom.get((x, sob[x])) for x in objs)):
             return []
         etas = enumerate_nat_trans(Id, S, cap=cap)
         if not etas:

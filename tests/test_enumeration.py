@@ -80,6 +80,8 @@ SMALL = {
     "z2": cyclic(2), "z3": cyclic(3), "z4": cyclic(4), "z5": cyclic(5),
     "t2": transformation_monoid(2), "c2xz2": chain2_times_z2(),
 }
+# thin categories to pair with the monoids, which are not thin
+THIN = {"chain2": chain_category("ab"), "chain3": c3()}
 
 
 def keys(values) -> list:
@@ -90,6 +92,9 @@ def assert_functors_match(source, target):
     found = enumerate_functors(source, target)
     assert keys(found) == keys(brute_functors(source, target))
     assert all(check_functor(F) == [] for F in found)
+    # the search interns what the checked constructor would return
+    assert all(F is Functor(F.source, F.target, F.object_map, F.morphism_map)
+               for F in found)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,9 +111,12 @@ def test_endofunctors_of_small_monoids_match_brute_force(name):
 @pytest.mark.parametrize("source,target", [
     ("z4", "z2"), ("z2", "z4"), ("t2", "z2"), ("z2", "t2"),
     ("c2xz2", "t2"), ("t2", "c2xz2"), ("z3", "c2xz2"),
+    ("z2", "chain3"), ("c2xz2", "chain3"), ("t2", "chain2"),
+    ("chain3", "t2"), ("chain2", "c2xz2"),
 ])
 def test_functors_between_small_monoids_match_brute_force(source, target):
-    assert_functors_match(SMALL[source], SMALL[target])
+    cats = {**SMALL, **THIN}
+    assert_functors_match(cats[source], cats[target])
 
 
 @st.composite
@@ -153,6 +161,30 @@ def test_cap_counts_nodes_visited_whatever_the_jobs(name):
         assert len(enumerate_functors(cat, cat, cap=need, jobs=jobs)) > 0
         with pytest.raises(EnumerationCapExceeded):
             enumerate_functors(cat, cat, cap=need - 1, jobs=jobs)
+
+
+SEARCHES = {
+    "functors": lambda cat, cap: enumerate_functors(cat, cat, cap=cap),
+    "monads": lambda cat, cap: enumerate_monads(cat, cap=cap),
+    "comonads": lambda cat, cap: enumerate_comonads(cat, cap=cap),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize("name,need", [
+    ("chain4", 490), ("chain5", 2520), ("z3", 14), ("t2", 38), ("c2xz2", 78),
+])
+def test_searches_keep_their_least_passing_cap(search, name, need):
+    """The least cap under which each search finishes; one below it the
+    search stops and names the count it passed. Forced images, read off
+    without a search, are charged one per morphism as a search charges
+    them, so these counts hold whichever branch an object map takes."""
+    cat = {**SMALL, "chain4": chain_category("abcd"),
+           "chain5": chain_category("abcde")}[name]
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        SEARCHES[search](cat, need - 1)
+    assert exc.value.cap == need - 1 < exc.value.estimate
+    assert SEARCHES[search](cat, need)
 
 
 @pytest.mark.parametrize("source,target", [
