@@ -1107,7 +1107,8 @@ def enumerate_functors(source: FinCategory, target: FinCategory,
     unit = [index[target.identity(x)] for x in tobjs]
     names = [m.id for m in target.morphisms]
     # The image of a morphism when every image is forced: the one morphism
-    # of hom(F src, F tgt), which is the identity when F src = F tgt.
+    # of hom(F src, F tgt), or the identity when F src = F tgt, since an
+    # identity maps to one and a one-element hom(x, x) holds only id x.
     forced = [[names[h[0] if x != y else unit[x]] if h else None
                for y, h in enumerate(row)] for x, row in enumerate(homs)]
     n = len(where)
