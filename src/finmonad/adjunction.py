@@ -185,27 +185,6 @@ def mate_left(sq: CommutingSquareL) -> NatTrans:
                              whisker_left_at(RbarK, sq.dom.counit.components)))
 
 
-def mate_right_transpose(sq: CommutingSquareR, lam: NatTrans) -> NatTrans:
-    """Transpose a right-square mate back: (R̄ K ε) ∘ (R̄ λ R) ∘ (η̄ J R).
-
-    For λ = mate_right(sq) this recovers the identity transformation of
-    J∘R = R̄∘K, which is what makes the square's strict equality and its
-    mate two views of the same cell. λ must be typed L̄∘J → K∘L
-    (TypeMismatch otherwise).
-    """
-    if (lam.source != compose_functors(sq.cod.L, sq.J)
-            or lam.target != compose_functors(sq.K, sq.dom.L)):
-        raise TypeMismatch("the mate must be typed L̄∘J -> K∘L")
-    JR = compose_functors(sq.J, sq.dom.R)
-    RbarK = compose_functors(sq.cod.R, sq.K)
-    base = sq.cod.base
-    Rbar_lam_R = whisker_right_at(whisker_left_at(sq.cod.R, lam.components), sq.dom.R)
-    return NatTrans(JR, RbarK,
-                    vcomp_at(base, whisker_right_at(sq.cod.unit.components, JR),
-                             vcomp_at(base, Rbar_lam_R,
-                                      whisker_left_at(RbarK, sq.dom.counit.components))))
-
-
 # ---------------------------------------------------------------------------
 # Comparison functors
 

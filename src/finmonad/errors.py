@@ -74,10 +74,6 @@ class SquareConstraintViolation(FinMonadError):
     """The strict equality required of a commuting square fails."""
 
 
-class MateMismatch(FinMonadError):
-    """A stored mate disagrees with the mate recomputed from its square."""
-
-
 class TwoCellLawViolation(FinMonadError):
     """A candidate 2-cell fails its defining equations."""
 

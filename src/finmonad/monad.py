@@ -273,13 +273,12 @@ COMONAD_NAMES = {
 
 
 def dual_violation(v: Violation, names: dict) -> Violation:
-    """A violation found on the opposite category, read back: its kind, tag
-    and detail renamed through ``names``, and the two sides of a naturality
-    square swapped, since the opposite reads the square from the other end."""
+    """A violation found on the opposite category, read back: its kind and
+    tag renamed through ``names``, and the two sides of a naturality square
+    swapped, since the opposite reads the square from the other end."""
     lhs, rhs = (v.rhs, v.lhs) if v.tag == "law-naturality" else (v.lhs, v.rhs)
     return Violation(names.get(v.kind, v.kind), names.get(v.tag, v.tag),
-                     where=v.where, lhs=lhs, rhs=rhs,
-                     detail=names.get(v.detail, v.detail))
+                     where=v.where, lhs=lhs, rhs=rhs, detail=v.detail)
 
 
 def check_comonad_laws(c: Comonad) -> list:

@@ -53,7 +53,6 @@ from .adjunction import (
 )
 from .construct import (
     EmAlgebraCategory,
-    EmCoalgebraCategory,
     KleisliCategory,
     em_category,
     em_coalgebra_category,
@@ -71,7 +70,6 @@ from .errors import (
     BaseMismatch,
     ComponentMistyped,
     LawViolation,
-    MateMismatch,
     TwoCellLawViolation,
     TypeMismatch,
 )
@@ -98,14 +96,12 @@ from .fincat import (
     whisker_right_at,
 )
 from .monad import (
-    COMONAD_NAMES,
     Comonad,
     Monad,
     _Checked,
     _law_violations,
     _Value,
     comonad_on_opposite,
-    dual_violation,
     monad_on_opposite,
 )
 from .report import Violation, entry
@@ -342,19 +338,16 @@ def comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
 
 
 class _AdjOneCell(_Value):
-    """(J, K, mate) over a commuting square; the mate is recomputed from the
-    square by :meth:`_mate` and a stored mate must agree with it."""
+    """(J, K, mate) over a commuting square; the mate is computed from the
+    square by :meth:`_mate`."""
 
     __slots__ = ("square", "mate")
     EQUAL = __slots__
     KEY = ("J", "K")
 
-    def __init__(self, square, mate: NatTrans = None):
-        computed = self._mate(square)
-        if mate is not None and mate.components != computed.components:
-            raise MateMismatch("stored mate disagrees with the square")
+    def __init__(self, square):
         self.square = square
-        self.mate = computed
+        self.mate = self._mate(square)
 
     @property
     def J(self) -> Functor:
@@ -678,19 +671,21 @@ def vec_psi_e_2cell(t: CoMndTwoCell) -> AdjLTwoCell:
 
 
 class _Lifting(_Value):
-    """A (co)monad ``endo``, ``mult``, ``unit`` on the algebra or Kleisli
-    category ``cat`` of the monad ``base``, lying strictly over ``below``;
-    each kind reads these under its own names. The conditions STRICT names
-    are decided by :meth:`_holds` and checked on construction, followed by
-    the laws of the UPSTAIRS structure."""
+    """A (co)monad ``endo``, ``mult``, ``unit`` on the algebra, Kleisli or
+    coalgebra category ``cat`` of ``base`` (which ``cat`` holds as its
+    attribute OVER), lying strictly over ``below``; each kind reads these
+    under its own names. The conditions STRICT names are decided by
+    :meth:`_holds` and checked on construction, followed by the laws of the
+    UPSTAIRS structure."""
 
     __slots__ = ("base", "cat", "below", "endo", "mult", "unit")
     EQUAL = ("base", "below", "endo", "mult", "unit")
     KEY = ("endo", "mult", "unit")
+    OVER = "monad"
 
-    def __init__(self, base: Monad, cat, below, endo: Functor, mult: NatTrans,
+    def __init__(self, base, cat, below, endo: Functor, mult: NatTrans,
                  unit: NatTrans):
-        if cat.monad != base:
+        if getattr(cat, self.OVER) != base:
             raise BaseMismatch(self.FOREIGN_CATEGORY)
         if base.base != below.base:
             raise BaseMismatch(self.FOREIGN_BASE)
@@ -709,7 +704,7 @@ class _Lifting(_Value):
 
     def _holds(self):
         """U∘endo = E∘U, U mult = m U and U unit = u U for the structure
-        (E, m, u) below and the forgetful functor U of the algebras. The
+        (E, m, u) below and the forgetful functor U of ``cat``. The
         last two compare components; their functors are the two sides of
         the first, so they fail with it."""
         U, below = self.cat.U, self.below
@@ -793,53 +788,26 @@ class LiftedComonad(_Lifting):
     as_comonad = _Lifting._upstairs
 
 
-# A monad lifting to the coalgebras of G is a comonad lifting, on the
-# opposite category, of S^op to the algebras of G^op: its checks are those of
-# LiftedComonad there, under these names.
-_COLIFTING_NAMES = {
-    **{comonad: monad for monad, comonad in COMONAD_NAMES.items()},
-    "ComultiplicationNotOverBase": "MultiplicationNotOverBase",
-    "CounitNotOverBase": "UnitNotOverBase",
-    "law-mnd-2cell": "law-comnd-2cell",
-    "U∘Ghat = G∘U fails": "U∘Shat = S∘U fails",
-    "U delta_hat = delta U fails": "U mu_hat = mu U fails",
-    "U eps_hat = epsilon U fails": "U eta_hat = eta U fails",
-}
-
-
-class CoalgebraLifting(_Value):
+class CoalgebraLifting(_Lifting):
     """A monad (Shat, mu_hat, eta_hat) on the coalgebras of G lying over the
-    monad S: U∘Shat = S∘U strictly, monad laws upstairs. Validated on
-    construction as the comonad lifting it is on the opposite category,
-    which it keeps."""
+    monad S: U∘Shat = S∘U, U mu_hat = mu U and U eta_hat = eta U, all
+    strictly. Validated on construction."""
 
-    __slots__ = ("base", "co", "below", "shat", "mu_hat", "eta_hat", "_op")
-    EQUAL = ("_op",)
-
-    def __init__(self, base: Comonad, co: EmCoalgebraCategory, below: Monad,
-                 shat: Functor, mu_hat: NatTrans, eta_hat: NatTrans):
-        if co.comonad != base:
-            raise BaseMismatch("coalgebra category does not belong to the comonad")
-        try:
-            self._op = LiftedComonad(
-                co.on_opposite.monad, co.on_opposite, comonad_on_opposite(below),
-                opposite_functor(shat), opposite_nat(mu_hat),
-                opposite_nat(eta_hat))
-        except LawViolation as exc:
-            bad = [dual_violation(v, _COLIFTING_NAMES) for v in exc.violations]
-            raise LawViolation(bad, context="coalgebra-side lifting") from None
-        self.base = base
-        self.co = co
-        self.below = below
-        self.shat = shat
-        self.mu_hat = mu_hat
-        self.eta_hat = eta_hat
-
-    def as_monad(self) -> Monad:
-        return Monad(self.co.category, self.shat, self.mu_hat, self.eta_hat)
-
-    def canonical_key(self):
-        return self._op.canonical_key()
+    __slots__ = ()
+    co = _Lifting.cat
+    shat = _Lifting.endo
+    mu_hat = _Lifting.mult
+    eta_hat = _Lifting.unit
+    CONTEXT = "coalgebra-side lifting"
+    OVER = "comonad"
+    FOREIGN_CATEGORY = "coalgebra category does not belong to the comonad"
+    FOREIGN_BASE = "monad and comonad live on different bases"
+    STRICT = (("LiftingSquareBroken", "Eq-1510081654", "U∘Shat = S∘U fails"),
+              ("MultiplicationNotOverBase", "law-comnd-2cell",
+               "U mu_hat = mu U fails"),
+              ("UnitNotOverBase", "law-comnd-2cell", "U eta_hat = eta U fails"))
+    UPSTAIRS = Monad
+    as_monad = _Lifting._upstairs
 
 
 # ---------------------------------------------------------------------------
@@ -960,11 +928,11 @@ def extract_mixed_from_lifting(lc: LiftedComonad) -> MixedDistributiveLaw:
 
 
 def extract_mixed_from_colifting(cl: CoalgebraLifting) -> MixedDistributiveLaw:
-    """Recover psi = U rho_S from a monad lifting to coalgebras: the law
-    recovered from the comonad lifting it is on the opposite category,
-    checked once, on C."""
-    psi = opposite_nat(_lifting_mate(cl._op))
-    return MixedDistributiveLaw(cl.below, cl.base, psi).require_valid()
+    """Recover psi = U rho_S from a monad lifting to coalgebras, where rho_S
+    is the mate of the lifting square: psi = (U F S epsilon) ∘ (U eta Shat F)."""
+    rho = mate_left(CommutingSquareL(cl.co.adj, cl.co.adj, cl.shat, cl.below.S))
+    return MixedDistributiveLaw(cl.below, cl.base,
+                                whisker_left(cl.co.U, rho)).require_valid()
 
 
 def check_mixed_compatibility(lc: LiftedComonad, cl: CoalgebraLifting) -> bool:

@@ -1387,15 +1387,6 @@ def ref_mate_left(sq: CommutingSquareL) -> NatTrans:
                  whisker_left(RbarK, sq.dom.counit))
 
 
-def ref_mate_right_transpose(sq: CommutingSquareR, lam: NatTrans) -> NatTrans:
-    """(R̄ K ε) ∘ (R̄ λ R) ∘ (η̄ J R)."""
-    JR = compose_functors(sq.J, sq.dom.R)
-    RbarK = compose_functors(sq.cod.R, sq.K)
-    return vcomp(whisker_right(sq.cod.unit, JR),
-                 vcomp(whisker_right(whisker_left(sq.cod.R, lam), sq.dom.R),
-                       whisker_left(RbarK, sq.dom.counit)))
-
-
 def ref_adjl_two_cell_conditions(src_cell, dst_cell, alpha: NatTrans,
                                  beta: NatTrans):
     """(a) R̄ beta ∘ rho = rho' ∘ alpha R and (b) beta L = L̄ alpha."""

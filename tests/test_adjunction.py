@@ -13,10 +13,9 @@ from finmonad.adjunction import (
     induced_monad,
     mate_left,
     mate_right,
-    mate_right_transpose,
 )
 from finmonad.construct import em_category, em_coalgebra_category, kleisli_category
-from finmonad.errors import LawViolation, SquareConstraintViolation, TypeMismatch
+from finmonad.errors import LawViolation, SquareConstraintViolation
 from finmonad.fincat import (
     NatTrans,
     compose_functors,
@@ -89,37 +88,6 @@ def test_mate_of_identity_square_is_identity(cor):
             sq_l = CommutingSquareL(adj, adj, identity_functor(adj.base),
                                     identity_functor(adj.upper))
             assert mate_left(sq_l).components == identity_nat(adj.R).components
-
-
-def test_mate_transpose_recovers_identity_of_the_square(cor):
-    # R lambda pasted with units/counits equals the identity of J∘R = R̄∘K
-    from finmonad.twofunctors import lift_monad
-
-    lm = lift_monad(cor.law_c2_c1)
-    sq = CommutingSquareR(lm.em.adj, lm.em.adj, lm.below.S, lm.that)
-    lam = mate_right(sq)
-    transposed = mate_right_transpose(sq, lam)
-    ident = identity_nat(compose_functors(sq.J, lm.em.adj.R))
-    assert transposed.components == ident.components
-
-    ident_sq = CommutingSquareR(lm.em.adj, lm.em.adj,
-                                identity_functor(cor.c3),
-                                identity_functor(lm.em.category))
-    lam0 = mate_right(ident_sq)
-    assert (mate_right_transpose(ident_sq, lam0).components
-            == identity_nat(lm.em.adj.R).components)
-
-
-def test_mate_transpose_refuses_a_mistyped_mate(cor):
-    # the identity of L̄∘J is not typed L̄∘J → K∘L: K∘L differs from L̄∘J
-    from finmonad.twofunctors import lift_monad
-
-    lm = lift_monad(cor.law_c2_c1)
-    sq = CommutingSquareR(lm.em.adj, lm.em.adj, lm.below.S, lm.that)
-    LbarJ = compose_functors(sq.cod.L, sq.J)
-    assert LbarJ != compose_functors(sq.K, sq.dom.L)
-    with pytest.raises(TypeMismatch):
-        mate_right_transpose(sq, identity_nat(LbarJ))
 
 
 def test_comparison_into_algebras_of_algebra_adjunction_is_iso(cor):

@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 from oracles import (
     DIFFERENTIAL,
-    as_morphism,
     chain2_times_z2,
     cyclic,
     ref_kleisli_category,
@@ -52,6 +51,7 @@ from finmonad.monad import (
 )
 from finmonad.twofunctors import (
     AdjLOneCell,
+    CoalgebraLifting,
     CoMndOneCell,
     CoMndTwoCell,
     KleisliExtension,
@@ -1063,24 +1063,6 @@ def test_kleisli_actions_preserve_one_cell_composition(cor):
                 phi_k_1cell(psi_k_1cell(c2)))
 
 
-def test_stored_mate_must_match_the_square(cor):
-    from finmonad.adjunction import CommutingSquareR as SqR
-    from finmonad.errors import MateMismatch
-    from finmonad.fincat import NatTrans
-    from finmonad.twofunctors import AdjROneCell
-
-    em = em_category(cor.monads_z2["id"])
-    sq = SqR(em.adj, em.adj, identity_functor(cor.m_z2),
-             identity_functor(em.category))
-    good = mate_right(sq)
-    assert AdjROneCell(sq, good).mate.components == good.components
-    free = em.F.ob("g")
-    twist = as_morphism(em.category, "s", free, free)
-    twisted = NatTrans(good.source, good.target, {"g": twist})
-    with pytest.raises(MateMismatch):
-        AdjROneCell(sq, twisted)
-
-
 # -- rejected liftings and extensions ---------------------------------------------
 
 # Each class's context, its strict conditions in report order, and the
@@ -1194,8 +1176,9 @@ def test_liftings_reject_a_foreign_base_with_their_own_messages(cor):
     dl = cor.law_c2_c1
     lm, ke = lift_monad(dl), extend_monad(dl)
     ml = enumerate_mixed_laws(cor.monads_c3["c1"], cor.comonads_c3["i1"])[0]
-    lc = lift_comonad(ml)
+    lc, cl = lift_comonad(ml), colift_monad(ml)
     other_c3, on_c2 = cor.monads_c3["id"], cor.monads_c2["top"]
+    other_co = em_coalgebra_category(cor.comonads_c3["id"])
     cases = (
         (lambda: LiftedMonad(other_c3, lm.em, lm.below, lm.that, lm.mu_hat,
                              lm.eta_hat),
@@ -1214,6 +1197,12 @@ def test_liftings_reject_a_foreign_base_with_their_own_messages(cor):
          "algebra category does not belong to the base monad"),
         (lambda: LiftedComonad(lc.base, lc.em, cor.comonads_c2["bot"],
                                lc.ghat, lc.delta_hat, lc.eps_hat),
+         "monad and comonad live on different bases"),
+        (lambda: CoalgebraLifting(cl.base, other_co, cl.below, cl.shat,
+                                  cl.mu_hat, cl.eta_hat),
+         "coalgebra category does not belong to the comonad"),
+        (lambda: CoalgebraLifting(cl.base, cl.co, on_c2, cl.shat, cl.mu_hat,
+                                  cl.eta_hat),
          "monad and comonad live on different bases"),
     )
     for make, message in cases:

@@ -205,8 +205,7 @@ def _with_field(value, name, replacement):
     return copy
 
 
-# (EQUAL, KEY) of each class that declares them; CoalgebraLifting keys
-# itself by the comonad lifting it keeps
+# (EQUAL, KEY) of each class that declares them
 FIELDS = {
     _Structure: (("base", "endo", "mult", "unit"), ("endo", "mult", "unit")),
     Adjunction: (("L", "R", "unit", "counit"), ("L", "R", "unit", "counit")),
@@ -218,17 +217,24 @@ FIELDS = {
     _AdjTwoCell: (("src_cell", "dst_cell", "alpha", "beta"), ("alpha", "beta")),
     _Lifting: (("base", "below", "endo", "mult", "unit"),
                ("endo", "mult", "unit")),
-    CoalgebraLifting: (("_op",), None),
 }
+
+
+def _equal_owner(kind):
+    return next(cls for cls in kind.__mro__ if "EQUAL" in vars(cls))
 
 
 def test_every_value_kind_has_two_routes():
     assert _value_kinds() == set(ROUTES)
 
 
+def test_every_declared_owner_owns_the_equality_of_some_kind():
+    assert set(FIELDS) == {_equal_owner(kind) for kind in ROUTES}
+
+
 @pytest.mark.parametrize("kind", list(ROUTES), ids=lambda kind: kind.__name__)
 def test_each_value_kind_is_equal_by_its_declared_fields(kind):
-    owner = next(cls for cls in kind.__mro__ if "EQUAL" in vars(cls))
+    owner = _equal_owner(kind)
     assert (owner.EQUAL, vars(owner).get("KEY")) == FIELDS[owner]
 
 
