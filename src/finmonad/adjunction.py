@@ -169,20 +169,20 @@ def mate_right(sq: CommutingSquareR) -> NatTrans:
     """λ: L̄∘J → K∘L, computed as (ε̄ K L) ∘ (L̄ J η)."""
     LbarJ = compose_functors(sq.cod.L, sq.J)
     KL = compose_functors(sq.K, sq.dom.L)
-    return NatTrans(LbarJ, KL,
-                    vcomp_at(sq.cod.upper,
-                             whisker_left_at(LbarJ, sq.dom.unit.components),
-                             whisker_right_at(sq.cod.counit.components, KL)))
+    return NatTrans._typed(LbarJ, KL,
+                           vcomp_at(sq.cod.upper,
+                                    whisker_left_at(LbarJ, sq.dom.unit.components),
+                                    whisker_right_at(sq.cod.counit.components, KL)))
 
 
 def mate_left(sq: CommutingSquareL) -> NatTrans:
     """ρ: J∘R → R̄∘K, computed as (R̄ K ε) ∘ (η̄ J R)."""
     JR = compose_functors(sq.J, sq.dom.R)
     RbarK = compose_functors(sq.cod.R, sq.K)
-    return NatTrans(JR, RbarK,
-                    vcomp_at(sq.cod.base,
-                             whisker_right_at(sq.cod.unit.components, JR),
-                             whisker_left_at(RbarK, sq.dom.counit.components)))
+    return NatTrans._typed(JR, RbarK,
+                           vcomp_at(sq.cod.base,
+                                    whisker_right_at(sq.cod.unit.components, JR),
+                                    whisker_left_at(RbarK, sq.dom.counit.components)))
 
 
 # ---------------------------------------------------------------------------

@@ -542,9 +542,10 @@ class Functor:
     category objects are unequal. Categories that are equal but distinct
     objects keep separate tables; functors over them compare by value.
 
-    ``__new__`` checks every image, then interns through
-    :meth:`_interned`; ``__init__`` is left empty. The functor search calls
-    ``_interned`` directly, since it draws every image from the target.
+    ``__new__`` checks every image and refuses a key that names no
+    source object or morphism, then interns through :meth:`_interned`;
+    ``__init__`` is left empty. The functor search calls ``_interned``
+    directly, since it draws every image from the target.
     """
 
     __slots__ = ("source", "target", "object_map", "morphism_map", "_key", "_op",
@@ -562,6 +563,14 @@ class Functor:
             for m, n in zip(source._by_id, mimages):
                 if n not in target._morphism_ids:
                     raise ComponentMistyped(f"morphism {m!r} has no valid image")
+        # every source id has a key, so a longer map has a key naming none
+        if len(object_map) != len(oimages):
+            x = next(x for x in object_map if x not in source._object_ids)
+            raise ComponentMistyped(f"object map key {x!r} is no object of the source")
+        if len(morphism_map) != len(mimages):
+            m = next(m for m in morphism_map if m not in source._by_id)
+            raise ComponentMistyped(
+                f"morphism map key {m!r} is no morphism of the source")
         return cls._interned(source, target, oimages, mimages)
 
     @classmethod
@@ -715,7 +724,14 @@ def compose_functors(F: Functor, G: Functor) -> Functor:
 
 
 class NatTrans:
-    """A transformation between parallel functors, one component per object."""
+    """A transformation between parallel functors, one component per object.
+
+    The constructor checks that the functors are parallel, that each base
+    object has a component in its hom-set and that no key names anything
+    else, and keeps the components in base-object order. :meth:`_typed`
+    checks nothing: the searches and the pastings call it, since they
+    draw every component from its hom-set in that order.
+    """
 
     __slots__ = ("source", "target", "components", "_key", "_op")
 
@@ -734,11 +750,26 @@ class NatTrans:
                 raise ComponentMistyped(
                     f"component at {x!r} must lie in hom({a},{tob[x]}), got {c!r}")
             comps[x] = c
+        if len(components) != len(comps):
+            x = next(x for x in components if x not in comps)
+            raise ComponentMistyped(f"component key {x!r} is no object of the base")
         self.source = source
         self.target = target
         self.components = comps
         self._key = None
         self._op = None
+
+    @classmethod
+    def _typed(cls, source: Functor, target: Functor, components: dict) -> NatTrans:
+        """The transformation with these components, trusted to be keyed by
+        the base objects in their order, each in its hom-set."""
+        alpha = object.__new__(cls)
+        alpha.source = source
+        alpha.target = target
+        alpha.components = components
+        alpha._key = None
+        alpha._op = None
+        return alpha
 
     def at(self, x: str) -> str:
         return self.components[x]
@@ -804,7 +835,7 @@ def opposite_nat(alpha: NatTrans) -> NatTrans:
 
 
 def identity_nat(F: Functor) -> NatTrans:
-    return NatTrans(F, F, identity_at(F))
+    return NatTrans._typed(F, F, identity_at(F))
 
 
 # Pastings by components. A law check or a mate pastes whiskered
@@ -843,26 +874,26 @@ def vcomp(a: NatTrans, b: NatTrans) -> NatTrans:
     """Vertical composite, diagrammatic: ``a`` first, then ``b``."""
     if a.target != b.source:
         raise TypeMismatch("vertical composition: middle functors differ")
-    return NatTrans(a.source, b.target,
-                    vcomp_at(a.cod, a.components, b.components))
+    return NatTrans._typed(a.source, b.target,
+                           vcomp_at(a.cod, a.components, b.components))
 
 
 def whisker_left(F: Functor, alpha: NatTrans) -> NatTrans:
     """F α, the functor applied after: components F(α_X)."""
     if F.source != alpha.cod:
         raise TypeMismatch("left whiskering: categories differ")
-    return NatTrans(compose_functors(F, alpha.source),
-                    compose_functors(F, alpha.target),
-                    whisker_left_at(F, alpha.components))
+    return NatTrans._typed(compose_functors(F, alpha.source),
+                           compose_functors(F, alpha.target),
+                           whisker_left_at(F, alpha.components))
 
 
 def whisker_right(alpha: NatTrans, F: Functor) -> NatTrans:
     """α F, the functor applied before: components α_{F X}."""
     if F.target != alpha.base:
         raise TypeMismatch("right whiskering: categories differ")
-    return NatTrans(compose_functors(alpha.source, F),
-                    compose_functors(alpha.target, F),
-                    whisker_right_at(alpha.components, F))
+    return NatTrans._typed(compose_functors(alpha.source, F),
+                           compose_functors(alpha.target, F),
+                           whisker_right_at(alpha.components, F))
 
 
 def hcomp(alpha: NatTrans, beta: NatTrans) -> NatTrans:
@@ -974,7 +1005,7 @@ def enumerate_nat_trans(F: Functor, G: Functor, cap: int = DEFAULT_CAP) -> list:
         checks[max(i, j)].append(
             lambda a, i=i, j=j, fm=fm, gm=gm: table[a[i]][gm] == table[fm][a[j]])
     names = D.morphisms
-    return [NatTrans(F, G, {x: names[k].id for x, k in zip(objs, comps)})
+    return [NatTrans._typed(F, G, {x: names[k].id for x, k in zip(objs, comps)})
             for comps in _backtrack(domains, checks, _Budget(cap))]
 
 

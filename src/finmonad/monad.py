@@ -359,8 +359,8 @@ def enumerate_monads(cat: FinCategory, cap: int = DEFAULT_CAP,
                      for i, x in enumerate(objs)]
             laws = [[unit] + rest for unit, rest in zip(units, checks)]
             for comps in _backtrack(domains, laws, budget):
-                mu = NatTrans(compose_functors(S, S), S,
-                              {x: names[k].id for x, k in zip(objs, comps)})
+                mu = NatTrans._typed(compose_functors(S, S), S,
+                                     {x: names[k].id for x, k in zip(objs, comps)})
                 found.append(Monad(cat, S, mu, eta))
         return found
 

@@ -83,7 +83,6 @@ from .fincat import (
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
-    identity_at,
     identity_functor,
     identity_nat,
     opposite_functor,
@@ -212,8 +211,8 @@ def mnd_compose(outer: MndOneCell, inner: MndOneCell) -> MndOneCell:
         raise TypeMismatch("Mnd 1-cells not composable")
     P, phi = _mnd_composite(outer, inner)
     return MndOneCell(inner.src, outer.dst, P,
-                      NatTrans(compose_functors(outer.dst.S, P),
-                               compose_functors(P, inner.src.S), phi))
+                      NatTrans._typed(compose_functors(outer.dst.S, P),
+                                      compose_functors(P, inner.src.S), phi))
 
 
 def mnd2_identity(cell: MndOneCell) -> MndTwoCell:
@@ -290,8 +289,8 @@ def _push_compose(outer, inner):
                    whisker_left_at(outer.P, inner.nat.components),
                    whisker_right_at(outer.nat.components, inner.P))
     return type(outer)(inner.src, outer.dst, P,
-                       NatTrans(compose_functors(P, inner.src.endo),
-                                compose_functors(outer.dst.endo, P), nat))
+                       NatTrans._typed(compose_functors(P, inner.src.endo),
+                                       compose_functors(outer.dst.endo, P), nat))
 
 
 # ---------------------------------------------------------------------------
@@ -1146,8 +1145,14 @@ def enumerate_adjr_endocells(em: EmAlgebraCategory,
 
 def enumerate_mnd_two_cells(src_cell: MndOneCell, dst_cell: MndOneCell,
                             cap: int = DEFAULT_CAP) -> list:
+    return _mnd_two_cells(src_cell, dst_cell,
+                          enumerate_nat_trans(src_cell.P, dst_cell.P, cap=cap))
+
+
+def _mnd_two_cells(src_cell: MndOneCell, dst_cell: MndOneCell, thetas) -> list:
+    """The Mnd 2-cells among ``thetas``, the transformations P → Q."""
     out = []
-    for theta in enumerate_nat_trans(src_cell.P, dst_cell.P, cap=cap):
+    for theta in thetas:
         t = MndTwoCell(src_cell, dst_cell, theta)
         if not t.check():
             out.append(t)
@@ -1165,6 +1170,19 @@ def enumerate_adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell,
     leaves at most one beta. A candidate is kept if it is natural and the
     AdjRTwoCell constructor accepts it, which checks (a) and (b).
     """
+    if (src_cell.square.dom != dst_cell.square.dom
+            or src_cell.square.cod != dst_cell.square.cod):
+        raise TypeMismatch("2-cell between non-parallel 1-cells")
+    return _adjr_two_cells(src_cell, dst_cell,
+                           enumerate_nat_trans(src_cell.J, dst_cell.J, cap=cap))
+
+
+def _adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell, alphas) -> list:
+    """The AdjR 2-cells between two parallel 1-cells whose alpha is one of
+    ``alphas``, the transformations J → J'. Each beta is drawn from the
+    hom-sets of K → K', so it is built unchecked."""
+    if not alphas:
+        return []
     sq = src_cell.square
     R, Rbar, upper = sq.dom.R, sq.cod.R, sq.cod.upper
     K, K2 = src_cell.K, dst_cell.K
@@ -1176,11 +1194,11 @@ def enumerate_adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell,
             by_image.setdefault(Rbar.mor(g), []).append(g)
         over.append(by_image)
     out = []
-    for alpha in enumerate_nat_trans(src_cell.J, dst_cell.J, cap=cap):
+    for alpha in alphas:
         choices = [by_image.get(alpha.at(R.ob(a)), ())
                    for a, by_image in zip(objs, over)]
         for combo in product(*choices):
-            beta = NatTrans(K, K2, dict(zip(objs, combo)))
+            beta = NatTrans._typed(K, K2, dict(zip(objs, combo)))
             if check_naturality(beta):
                 continue
             try:
@@ -1217,9 +1235,12 @@ def adjr_two_cell_agreement(cells, cap: int = DEFAULT_CAP) -> dict:
 # ordered pair of positions, every pair present; map1 and map2, the 1-cell
 # and 2-cell actions into the other side, map2(t, src_image, dst_image)
 # taking the images of t's ends; key1 and key2, hashable keys that decide
-# equality among the side's 1-cells and among the 2-cells of one pair; and
-# compose_key, vcomp_key and identity_key, the keys of a 1-cell composite,
-# a vertical composite and an identity 2-cell, computed from components.
+# equality among the side's 1-cells and among the 2-cells of one pair;
+# compose_key(c, c2), the key of a 1-cell composite computed from
+# components; vcomp_key(k, k2), the key of the vertical composite of the
+# 2-cells keyed k and k2; and identity_key(c), the key of the identity
+# 2-cell on c. A 2-cell key holds the indices of its components' morphisms,
+# so a vertical composite is keyed by table lookups.
 _Side = namedtuple("_Side", "cells two map1 map2 key1 key2 compose_key "
                    "vcomp_key identity_key")
 
@@ -1248,21 +1269,23 @@ class _Found:
             self.at1.setdefault(side.key1(c), p)
         self.comp1 = [[self.at1.get(side.compose_key(c, c2)) for c2 in side.cells]
                       for c in side.cells]
-        self.cells2, self.ends, self.at2 = [], [], {}
+        self.cells2, self.ends, keys2, self.at2 = [], [], [], {}
         for (i, j), row in side.two.items():
             for t in row:
-                self.at2.setdefault((i, j, side.key2(t)), len(self.cells2))
+                k = side.key2(t)
+                self.at2.setdefault((i, j, k), len(self.cells2))
                 self.cells2.append(t)
                 self.ends.append((i, j))
+                keys2.append(k)
         self.out, self.out_at = [[] for _ in side.cells], []
         for g, (i, _) in enumerate(self.ends):
             self.out_at.append(len(self.out[i]))
             self.out[i].append(g)
         self.ident = [self.at2.get((i, i, side.identity_key(c)))
                       for i, c in enumerate(side.cells)]
-        key, cells2, ends, at2 = side.vcomp_key, self.cells2, self.ends, self.at2
-        self.vcomp = [[at2.get((i, ends[g][1], key(t, cells2[g]))) for g in self.out[j]]
-                      for t, (i, j) in zip(cells2, ends)]
+        key, ends, at2 = side.vcomp_key, self.ends, self.at2
+        self.vcomp = [[at2.get((i, ends[g][1], key(k, keys2[g]))) for g in self.out[j]]
+                      for k, (i, j) in zip(keys2, ends)]
 
     def map_into(self, o: _Found) -> None:
         """Map each cell into the other side ``o`` once; land1 and land2
@@ -1343,6 +1366,18 @@ def _map_sides(a: _Side, b: _Side) -> tuple:
     return found_a.flags(found_b), found_b.flags(found_a)
 
 
+def _index_keys(D) -> tuple:
+    """For transformations into ``D``: the key of one from its components,
+    the key of the vertical composite of two keyed ones, and the key of
+    the identity on a functor, each the tuple of its components' morphism
+    indices in base-object order."""
+    index, table = D._index, D._table
+    ident = {x: index[f] for x, f in D.identities.items()}
+    return (lambda components: tuple(map(index.__getitem__, components.values())),
+            lambda k, k2: tuple(map(list.__getitem__, map(table.__getitem__, k), k2)),
+            lambda F: tuple(map(ident.__getitem__, F.object_map.values())))
+
+
 def _hom_iso_sides(S: Monad, cap: int = DEFAULT_CAP) -> tuple:
     """The two sides of the hom-isomorphism, as :data:`_Side` records: the
     Mnd side at (C, S), mapped by psi_E, and the AdjR side at the algebra
@@ -1352,41 +1387,58 @@ def _hom_iso_sides(S: Monad, cap: int = DEFAULT_CAP) -> tuple:
     em = em_category(S)
     mnd_cells = enumerate_mnd_endocells(S, cap=cap)
     adjr_cells = enumerate_adjr_endocells(em, cap=cap)
-
-    def two_cells(cells, enumerate_two):
-        return {(i, j): enumerate_two(c, c2, cap=cap)
-                for i, c in enumerate(cells) for j, c2 in enumerate(cells)}
-
-    # A transformation's components in base-object order, the order in
-    # which every NatTrans and every fincat pasting lists them, key it.
     C, A, values = S.base, em.category, lambda d: tuple(d.values())
+    hom = C.index_hom()  # keyed by the inhabited hom-sets only
+    found = {}
+
+    def transformations(F, G):
+        """enumerate_nat_trans(F, G), searched once per call: the Mnd
+        side's P and the AdjR side's J are the same interned endofunctors,
+        which the cells keep alive. A pair with an empty hom(F x, G x) has
+        none and is not searched."""
+        key = (id(F), id(G))
+        ts = found.get(key)
+        if ts is None:
+            inhabited = all(map(hom.__contains__, zip(F.object_map.values(),
+                                                      G.object_map.values())))
+            ts = found[key] = enumerate_nat_trans(F, G, cap=cap) if inhabited else []
+        return ts
+
+    def two_cells(cells, functor, two):
+        out = {}
+        for i, c in enumerate(cells):
+            for j, c2 in enumerate(cells):
+                ts = transformations(functor(c), functor(c2))
+                out[i, j] = two(c, c2, ts) if ts else []
+        return out
 
     def mnd_compose_key(c, c2):
         P, phi = _mnd_composite(c, c2)
         return P, values(phi)
 
+    # A transformation's components in base-object order, the order in
+    # which every NatTrans and every fincat pasting lists them, key it.
+    key_c, vcomp_c, identity_c = _index_keys(C)
+    key_a, vcomp_a, identity_a = _index_keys(A)
     mnd = _Side(
-        mnd_cells, two_cells(mnd_cells, enumerate_mnd_two_cells),
+        mnd_cells, two_cells(mnd_cells, lambda c: c.P, _mnd_two_cells),
         lambda c: psi_e_1cell(c, em, em),
         lambda t, src, dst: psi_e_2cell(t, em, em, src, dst),
         key1=lambda c: (c.P, values(c.phi.components)),
-        key2=lambda t: values(t.theta.components),
+        key2=lambda t: key_c(t.theta.components),
         compose_key=mnd_compose_key,
-        vcomp_key=lambda t, t2: values(vcomp_at(C, t.theta.components,
-                                                t2.theta.components)),
-        identity_key=lambda c: values(identity_at(c.P)))
+        vcomp_key=vcomp_c,
+        identity_key=lambda c: identity_c(c.P))
     # functors are interned, so the keys (J, K) compare by identity
     adjr = _Side(
-        adjr_cells, two_cells(adjr_cells, enumerate_adjr_two_cells),
+        adjr_cells, two_cells(adjr_cells, lambda c: c.J, _adjr_two_cells),
         lambda c: phi_e_1cell(c, S, S), phi_e_2cell,
         key1=lambda c: (c.J, c.K),
-        key2=lambda t: (values(t.alpha.components), values(t.beta.components)),
+        key2=lambda t: (key_c(t.alpha.components), key_a(t.beta.components)),
         compose_key=lambda c, c2: (compose_functors(c.J, c2.J),
                                    compose_functors(c.K, c2.K)),
-        vcomp_key=lambda t, t2: (
-            values(vcomp_at(C, t.alpha.components, t2.alpha.components)),
-            values(vcomp_at(A, t.beta.components, t2.beta.components))),
-        identity_key=lambda c: (values(identity_at(c.J)), values(identity_at(c.K))))
+        vcomp_key=lambda k, k2: (vcomp_c(k[0], k2[0]), vcomp_a(k[1], k2[1])),
+        identity_key=lambda c: (identity_c(c.J), identity_a(c.K)))
     return mnd, adjr
 
 

@@ -38,6 +38,9 @@ BAD_IDS = ["nonstring_morphism_id", "nonstring_composition_id"]
 # is refused, not read with the value turned into a string.
 BAD_MAPS = [(["em"], "nonstring_functor_image"), (["em"], "list_unit_component"),
             (["distlaw", "check"], "nonstring_law_component")]
+# A monad file whose maps and a law file whose phi have keys that name no
+# object or morphism: each is refused, not read with the extra keys dropped.
+BAD_MAPS += [(["em"], "unknown_keys_monad"), (["distlaw", "check"], "unknown_key_law")]
 
 
 def fx(name: str) -> str:

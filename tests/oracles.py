@@ -214,6 +214,13 @@ def codiscrete(n: int):
                   lambda f, g: f"u{f[1]}{g[2]}")
 
 
+def discrete(n: int):
+    """The category with n objects and their identities only."""
+    objects = [str(i) for i in range(n)]
+    return _table(objects, [{"id": f"i{a}", "src": a, "tgt": a} for a in objects],
+                  {a: f"i{a}" for a in objects}, lambda f, g: f)
+
+
 def split_idempotent():
     """The idempotent e on a split through b: u: a → b and v: b → a with
     v ∘ u = e and u ∘ v = id_b. Not thin, and u;v is not an identity."""

@@ -242,11 +242,16 @@ def test_functor_with_dangling_image_raises(cor):
      "morphism 'f' has no valid image"),
     ({"a": "a", "b": "b"}, {"f": "f", "id_a": "id_a", "id_b": "nope"},
      "morphism 'id_b' has no valid image"),
+    ({"a": "a", "b": "b", "c": "a"}, {"f": "f", "id_a": "id_a", "id_b": "id_b"},
+     "object map key 'c' is no object of the source"),
+    ({"a": "a", "b": "b"}, {"f": "f", "g": "f", "id_a": "id_a", "id_b": "id_b"},
+     "morphism map key 'g' is no morphism of the source"),
 ], ids=["missing-object", "dangling-object", "missing-morphism",
-        "dangling-morphism"])
+        "dangling-morphism", "unknown-object-key", "unknown-morphism-key"])
 def test_functor_names_its_first_bad_image(cor, object_map, morphism_map,
                                            message):
-    """Objects are checked before morphisms, each in the source's order."""
+    """Objects are checked before morphisms, each in the source's order,
+    and a key that names nothing in the source is refused after them."""
     with pytest.raises(ComponentMistyped) as exc:
         Functor(cor.c2, cor.c2, object_map, morphism_map)
     assert str(exc.value) == message
@@ -468,7 +473,9 @@ def test_component_outside_hom_raises(cor):
     ({"0": "id_0", "1": "nope", "2": "f01"}, "component at '1' missing"),
     ({"0": "id_0", "1": "f01", "2": "f01"},
      "component at '1' must lie in hom(1,1), got 'f01'"),
-], ids=["missing", "dangling", "mistyped"])
+    ({"0": "id_0", "1": "id_1", "2": "id_2", "3": "id_0"},
+     "component key '3' is no object of the base"),
+], ids=["missing", "dangling", "mistyped", "unknown-key"])
 def test_transformation_names_its_first_bad_component(cor, components, message):
     Id = identity_functor(cor.c3)
     with pytest.raises(ComponentMistyped) as exc:

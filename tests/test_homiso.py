@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from oracles import (
     chain2_times_z2,
     cyclic,
+    discrete,
     finset_subcategories,
     ref_adjr_two_cell_conditions,
     ref_enumerate_adjr_endocells,
@@ -31,6 +32,7 @@ from oracles import (
 )
 
 from finmonad.construct import em_category
+from finmonad.errors import EnumerationCapExceeded, TypeMismatch
 from finmonad.fincat import (
     NatTrans,
     compose_functors,
@@ -50,6 +52,7 @@ from finmonad.twofunctors import (
     adjr_two_cell_conditions,
     enumerate_adjr_endocells,
     enumerate_adjr_two_cells,
+    enumerate_mnd_two_cells,
     hom_iso_roundtrip,
     mnd2_identity,
     mnd2_vcomp,
@@ -124,6 +127,60 @@ def test_round_trip_on_the_identity_monad_of_the_4_chain():
     assert counts(entries, "homiso/two-cell-count") == {"mnd": 490, "adjr": 490}
 
 
+def test_round_trip_on_the_identity_monad_of_the_discrete_3_category():
+    """Every endofunctor is a 1-cell; only pairs of equal ones have a
+    transformation, so every other pair is skipped and holds no 2-cell."""
+    entries = hom_iso_roundtrip(identity_monad(discrete(3)))
+    assert all(e.status == "pass" for e in entries), entries
+    assert counts(entries, "homiso/object-count") == {"mnd": 27, "adjr": 27}
+    assert counts(entries, "homiso/two-cell-count") == {"mnd": 27, "adjr": 27}
+
+
+# The corpus monads and two identity monads with many 1-cells.
+SWEEP = MONADS[:8] + [("chain4-id", identity_monad(chain_category("abcd"))),
+                      ("discrete3-id", identity_monad(discrete(3)))]
+
+
+@pytest.mark.parametrize("m", [m for _, m in SWEEP], ids=[label for label, _ in SWEEP])
+def test_each_side_holds_the_2_cells_of_every_ordered_pair(m):
+    """The sweep searches the transformations of each pair of functors once
+    for both sides, and skips a pair with an empty hom-set; each side must
+    still hold what the two enumerators give on every ordered pair, with
+    the same keys and the same lists in the same order."""
+    for side, enumerate_two in zip(_hom_iso_sides(m), (enumerate_mnd_two_cells,
+                                                       enumerate_adjr_two_cells)):
+        dense = {(i, j): enumerate_two(c, c2)
+                 for i, c in enumerate(side.cells) for j, c2 in enumerate(side.cells)}
+        assert list(side.two.items()) == list(dense.items())
+
+
+def test_adjr_2_cells_between_non_parallel_1_cells_are_refused():
+    """Each beta is built unchecked from the hom-sets of K → K', so the
+    public enumerator refuses 1-cells over two different adjunctions."""
+    c, c2 = (enumerate_adjr_endocells(em_category(dict(MONADS)[label]))[0]
+             for label in ("C3-id", "C3-c1"))
+    with pytest.raises(TypeMismatch, match="non-parallel"):
+        enumerate_adjr_two_cells(c, c2)
+
+
+# Each cap below the least that passes on C3/id, with the count it raises
+# with, measured before the sweep searched each pair's transformations once.
+C3_ID_CAPS = [(0, 1), (1, 4), (5, 7), (10, 13), (89, 90)]
+
+
+@pytest.mark.parametrize("cap, counted", C3_ID_CAPS)
+def test_the_cap_verdicts_on_c3_id_are_pinned(cap, counted):
+    m = dict(MONADS)["C3-id"]
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        hom_iso_roundtrip(m, cap=cap)
+    assert str(exc.value) == f"enumeration counted {counted} candidates, cap is {cap}"
+
+
+def test_the_least_passing_cap_on_c3_id_is_pinned():
+    entries = hom_iso_roundtrip(dict(MONADS)["C3-id"], cap=90)
+    assert all(e.status == "pass" for e in entries)
+
+
 # The checked constructors of each side's 1-cell composite, vertical
 # composite and identity 2-cell, in the order _hom_iso_sides gives the sides.
 CHECKED_CONSTRUCTORS = [(mnd_compose, mnd2_vcomp, mnd2_identity),
@@ -146,7 +203,7 @@ def test_side_keys_agree_with_equality_and_the_checked_constructors(m):
                 assert (key2(t) == key2(t2)) == (t == t2)
             for k in range(len(cells)):
                 for t, t2 in product(row, side.two[j, k]):
-                    assert side.vcomp_key(t, t2) == key2(vcomp(t, t2))
+                    assert side.vcomp_key(key2(t), key2(t2)) == key2(vcomp(t, t2))
 
 
 @pytest.mark.parametrize("m", [m for _, m in MONADS],

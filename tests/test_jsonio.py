@@ -173,6 +173,46 @@ def test_a_map_entry_that_is_not_a_string_id_raises(cor, parse, to_raw, name,
     assert str(exc.value) == message + " (keys and values must be string ids)"
 
 
+@pytest.mark.parametrize("parse, to_raw, name, path, message", [
+    ("parse_monad", "monad_to_raw", "c1", ("endofunctor", "objects", "phantom"),
+     "object map key 'phantom' is no object of the source"),
+    ("parse_monad", "monad_to_raw", "c1", ("endofunctor", "morphisms", "nomorph"),
+     "morphism map key 'nomorph' is no morphism of the source"),
+    ("parse_monad", "monad_to_raw", "c1", ("mu", "nonexistent"),
+     "component key 'nonexistent' is no object of the base"),
+    ("parse_monad", "monad_to_raw", "c1", ("eta", "ghost"),
+     "component key 'ghost' is no object of the base"),
+    ("parse_comonad", "comonad_to_raw", "i1", ("delta", "ghost"),
+     "component key 'ghost' is no object of the base"),
+    ("parse_comonad", "comonad_to_raw", "i1", ("epsilon", "ghost"),
+     "component key 'ghost' is no object of the base"),
+    ("parse_dist_law", "dist_law_to_raw", "law_c2_c1", ("phi", "ghost"),
+     "component key 'ghost' is no object of the base"),
+    ("parse_mixed_law", "mixed_law_to_raw", "c1/i1", ("psi", "ghost"),
+     "component key 'ghost' is no object of the base"),
+], ids=["functor-object", "functor-morphism", "mu", "eta", "delta", "epsilon",
+        "law", "mixed-law"])
+def test_a_map_key_that_names_nothing_raises(cor, parse, to_raw, name, path,
+                                             message):
+    """A key of a structure or law map that names no object or morphism is
+    refused, as a missing one is, rather than dropped."""
+    from finmonad.distlaw import enumerate_mixed_laws
+
+    value_of = {**cor.monads_c3, **cor.comonads_c3, "law_c2_c1": cor.law_c2_c1}
+    if name == "c1/i1":
+        value_of[name] = enumerate_mixed_laws(cor.monads_c3["c1"],
+                                              cor.comonads_c3["i1"])[0]
+    raw = getattr(jsonio, to_raw)(value_of[name])
+    *fields, key = path
+    target = raw
+    for field in fields:
+        target = target[field]
+    target[key] = next(iter(target.values()))
+    with pytest.raises(ComponentMistyped) as exc:
+        getattr(jsonio, parse)(raw)
+    assert str(exc.value) == message
+
+
 def test_loading_broken_category_raises(tmp_path):
     path = tmp_path / "broken.json"
     with open(path, "w", encoding="utf-8") as fh:
