@@ -530,6 +530,23 @@ def _drop_entry(entry: _WeakEntry) -> None:
     _remove_dead_weakref(entry.table, entry.key)
 
 
+class _Composite(weakref.ref):
+    """``G._composed[id(F)]``: a weak reference to F that carries F∘G as
+    ``value``. It holds F∘G strongly, unless F∘G is F or G itself, which
+    it holds by a weak reference: held strongly, G would keep F alive or
+    itself in a cycle. Once F dies, :func:`_forget_composite` removes the
+    entry; ``owner`` refers to G weakly, so an entry keeps nothing alive
+    but F∘G."""
+
+    __slots__ = ("owner", "key", "value")
+
+
+def _forget_composite(entry: _Composite) -> None:
+    G = entry.owner()
+    if G is not None:
+        _remove_dead_weakref(G._composed, entry.key)
+
+
 class Functor:
     """A functor between finite categories, as explicit total maps.
 
@@ -592,7 +609,7 @@ class Functor:
         F.morphism_map = dict(zip(source._by_id, mimages))
         F._key = key[1:]
         F._op = None
-        F._composed = None  # compose_functors(H, F): id(H) -> (ref H, ref H∘F)
+        F._composed = None  # compose_functors(H, F): id(H) -> _Composite(H, H∘F)
         entry = _WeakEntry(F, _drop_entry)
         entry.table = table
         entry.key = key
@@ -691,31 +708,29 @@ def opposite_functor(F: Functor) -> Functor:
 def compose_functors(F: Functor, G: Functor) -> Functor:
     """F∘G: apply G first, then F.
 
-    Memoised on G by the identity of F. The memo holds F and the composite
-    weakly, so it keeps no functor or category alive, and each time it
-    reaches a power of two in size it drops the entries whose functors
-    have died.
+    Memoised on G by the identity of F, so each composite is built once
+    while both factors live. The memo holds F weakly and F∘G strongly,
+    unless F∘G is F or G, and drops the entry as soon as F dies: it keeps
+    F∘G, and so F's target, alive exactly while F and G are.
     """
     memo = G._composed
     if memo is None:
         memo = G._composed = {}
-    hit = memo.get(id(F))
-    if hit is not None and hit[0]() is F:
-        FG = hit[1]()
-        if FG is not None:
-            return FG
+    entry = memo.get(id(F))
+    if entry is not None and entry() is F:
+        FG = entry.value
+        return FG() if type(FG) is weakref.ref else FG
     if G.target is not F.source and G.target != F.source:
         raise CompositionTypeMismatch("functor composition: target/source differ")
     fob, fmor = F.object_map, F.morphism_map
     FG = Functor(G.source, F.target,
                  {x: fob[y] for x, y in G.object_map.items()},
                  {m: fmor[n] for m, n in G.morphism_map.items()})
-    n = len(memo)
-    if n >= 8 and n & (n - 1) == 0:
-        for k, (f, fg) in list(memo.items()):
-            if f() is None or fg() is None:
-                memo.pop(k, None)
-    memo[id(F)] = (weakref.ref(F), weakref.ref(FG))
+    entry = _Composite(F, _forget_composite)
+    entry.owner = weakref.ref(G)
+    entry.key = id(F)
+    entry.value = weakref.ref(FG) if FG is F or FG is G else FG
+    memo[id(F)] = entry
     return FG
 
 

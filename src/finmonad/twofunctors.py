@@ -197,19 +197,18 @@ def mnd_identity_cell(m: Monad) -> MndOneCell:
     return MndOneCell(m, m, identity_functor(m.base), identity_nat(m.S))
 
 
-def _mnd_composite(outer: MndOneCell, inner: MndOneCell) -> tuple:
-    """The functor and the components of the structure of outer ∘ inner."""
-    return (compose_functors(outer.P, inner.P),
-            vcomp_at(outer.dst.base,
-                     whisker_right_at(outer.phi.components, inner.P),
-                     whisker_left_at(outer.P, inner.phi.components)))
+def _mnd_composite_phi(outer: MndOneCell, inner: MndOneCell) -> dict:
+    """The components of the structure of outer ∘ inner."""
+    return vcomp_at(outer.dst.base,
+                    whisker_right_at(outer.phi.components, inner.P),
+                    whisker_left_at(outer.P, inner.phi.components))
 
 
 def mnd_compose(outer: MndOneCell, inner: MndOneCell) -> MndOneCell:
     """outer ∘ inner; inner first."""
     if inner.dst != outer.src:
         raise TypeMismatch("Mnd 1-cells not composable")
-    P, phi = _mnd_composite(outer, inner)
+    P, phi = compose_functors(outer.P, inner.P), _mnd_composite_phi(outer, inner)
     return MndOneCell(inner.src, outer.dst, P,
                       NatTrans._typed(compose_functors(outer.dst.S, P),
                                       compose_functors(P, inner.src.S), phi))
@@ -1236,11 +1235,12 @@ def adjr_two_cell_agreement(cells, cap: int = DEFAULT_CAP) -> dict:
 # and 2-cell actions into the other side, map2(t, src_image, dst_image)
 # taking the images of t's ends; key1 and key2, hashable keys that decide
 # equality among the side's 1-cells and among the 2-cells of one pair;
-# compose_key(c, c2), the key of a 1-cell composite computed from
-# components; vcomp_key(k, k2), the key of the vertical composite of the
-# 2-cells keyed k and k2; and identity_key(c), the key of the identity
-# 2-cell on c. A 2-cell key holds the indices of its components' morphisms,
-# so a vertical composite is keyed by table lookups.
+# compose_key(c, c2), the key of a 1-cell composite computed from the
+# factors' images and components, building no composite; vcomp_key(k,
+# k2), the key of the vertical composite of the 2-cells keyed k and k2;
+# and identity_key(c), the key of the identity 2-cell on c. A 2-cell key
+# holds the indices of its components' morphisms, so a vertical composite
+# is keyed by table lookups.
 _Side = namedtuple("_Side", "cells two map1 map2 key1 key2 compose_key "
                    "vcomp_key identity_key")
 
@@ -1412,9 +1412,13 @@ def _hom_iso_sides(S: Monad, cap: int = DEFAULT_CAP) -> tuple:
                 out[i, j] = two(c, c2, ts) if ts else []
         return out
 
-    def mnd_compose_key(c, c2):
-        P, phi = _mnd_composite(c, c2)
-        return P, values(phi)
+    # The functors of a side's 1-cells are all endofunctors of one
+    # category, C or A, so their images key them, and a composite is
+    # keyed by reading its factors' images: no composite is built.
+    def image_key(F, G):
+        """The canonical key of F∘G, from the images of F and G."""
+        return (tuple(map(F.object_map.__getitem__, G._key[0])),
+                tuple(map(F.morphism_map.__getitem__, G._key[1])))
 
     # A transformation's components in base-object order, the order in
     # which every NatTrans and every fincat pasting lists them, key it.
@@ -1424,19 +1428,18 @@ def _hom_iso_sides(S: Monad, cap: int = DEFAULT_CAP) -> tuple:
         mnd_cells, two_cells(mnd_cells, lambda c: c.P, _mnd_two_cells),
         lambda c: psi_e_1cell(c, em, em),
         lambda t, src, dst: psi_e_2cell(t, em, em, src, dst),
-        key1=lambda c: (c.P, values(c.phi.components)),
+        key1=lambda c: (c.P._key, values(c.phi.components)),
         key2=lambda t: key_c(t.theta.components),
-        compose_key=mnd_compose_key,
+        compose_key=lambda c, c2: (image_key(c.P, c2.P),
+                                   values(_mnd_composite_phi(c, c2))),
         vcomp_key=vcomp_c,
         identity_key=lambda c: identity_c(c.P))
-    # functors are interned, so the keys (J, K) compare by identity
     adjr = _Side(
         adjr_cells, two_cells(adjr_cells, lambda c: c.J, _adjr_two_cells),
         lambda c: phi_e_1cell(c, S, S), phi_e_2cell,
-        key1=lambda c: (c.J, c.K),
+        key1=lambda c: (c.J._key, c.K._key),
         key2=lambda t: (key_c(t.alpha.components), key_a(t.beta.components)),
-        compose_key=lambda c, c2: (compose_functors(c.J, c2.J),
-                                   compose_functors(c.K, c2.K)),
+        compose_key=lambda c, c2: (image_key(c.J, c2.J), image_key(c.K, c2.K)),
         vcomp_key=lambda k, k2: (vcomp_c(k[0], k2[0]), vcomp_a(k[1], k2[1])),
         identity_key=lambda c: (identity_c(c.J), identity_a(c.K)))
     return mnd, adjr

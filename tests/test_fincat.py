@@ -40,7 +40,7 @@ from finmonad.fincat import (
     whisker_left,
     whisker_right,
 )
-from finmonad.fixtures import thin_nat
+from finmonad.fixtures import chain_category, thin_nat
 from finmonad.jsonio import category_to_raw
 
 
@@ -331,6 +331,74 @@ def test_composition_is_memoised(cor):
     assert compose_functors(c2, c1) is not compose_functors(c1, c2)
 
 
+def _fresh_chain(n: int):
+    """A chain on n objects that no other test holds."""
+    return chain_category([str(i) for i in range(n)])
+
+
+def test_a_composite_lives_while_both_factors_live(monkeypatch):
+    """The memo keeps F∘G while F and G live: a caller that drops it gets
+    the same object back, and nothing is built again."""
+    C = _fresh_chain(3)
+    endos = enumerate_functors(C, C)
+    # F∘G is neither factor and, once the list is dropped, held by no one
+    F, G = next((F, G) for F, G in product(endos, repeat=2)
+                if tuple(F.ob(G.ob(x)) for x in C.objects)
+                not in (F._key[0], G._key[0]))
+    del endos
+    composite = weakref.ref(compose_functors(F, G))
+    assert composite() is not F and composite() is not G
+    gc.collect()
+    assert composite() is not None
+    built = []
+    monkeypatch.setattr(Functor, "__init__", lambda self, *args: built.append(args))
+    assert compose_functors(F, G) is composite()
+    assert built == []
+
+
+def test_idempotent_and_identity_composites_keep_no_factor_alive():
+    """On a chain every monad is idempotent, S∘S = S, and S∘Id = Id∘S = S.
+    A composite that is one of its factors is held weakly, so once the
+    caller drops them the three non-identity monad functors are freed by
+    reference counting alone; held strongly, each stayed alive through its
+    own memo or the identity's."""
+    from finmonad.monad import enumerate_monads
+
+    C = _fresh_chain(3)
+    Id = identity_functor(C)
+    endos = [m.S for m in enumerate_monads(C)]
+    assert len(endos) == 4 and sum(S is Id for S in endos) == 1
+    refs = [weakref.ref(S) for S in endos if S is not Id]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for S in endos:
+            assert compose_functors(S, S) is S
+            assert compose_functors(S, Id) is S and compose_functors(Id, S) is S
+        del endos, S
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_dead_factor_leaves_the_memo_and_frees_its_target():
+    """G's memo keeps F∘G, and so F's target, only while F lives: once the
+    five functors F into per-run categories die, their targets are freed
+    and G's memo is empty at once, with no sweep."""
+    C = _fresh_chain(2)
+    G = Functor(C, C, {"0": "1", "1": "1"}, {m: "id_1" for m in C._by_id})
+    categories = _live(FinCategory)
+    Fs = [Functor(C, _fresh_chain(2), {x: x for x in C.objects},
+                  {m: m for m in C._by_id}) for _ in range(5)]
+    for F in Fs:
+        compose_functors(F, G)
+    assert len(G._composed) == 5
+    del Fs, F
+    assert _live(FinCategory) == categories
+    assert G._composed == {}
+
+
 def test_mistyped_composition_still_raises(cor):
     Id2, Id3 = identity_functor(cor.c2), identity_functor(cor.c3)
     compose_functors(Id3, Id3)
@@ -384,9 +452,9 @@ def test_interning_and_the_composition_memo_keep_nothing_alive(cor):
     """Twenty more runs of the C3/id round trip and of one law op leave as
     many functors and categories alive as the first run did: neither the
     intern tables nor the composition memo hold a per-run value, and the
-    memo does not grow with the runs. A memo that held its functors
-    strongly kept each run's algebra categories alive through the corpus
-    functors."""
+    memo does not grow with the runs. A memo that kept a composite after
+    one of its factors died kept each run's algebra categories alive
+    through the corpus functors."""
     from finmonad.construct import em_category, kleisli_category
     from finmonad.distlaw import enumerate_dist_laws
     from finmonad.twofunctors import (
