@@ -4,10 +4,11 @@ Exit codes: 0 all checks pass; 1 a law or round-trip check failed (report
 emitted); 2 parse/validation/typability error; 3 enumeration cap exceeded.
 
 Global flags: ``--format json|text``, ``--jobs N`` (a positive integer;
-accepted; has no effect, as every search runs serially), ``--seed``
-(affects sampled checks only, never enumeration order). JSON reports are
-byte-stable across runs and ``--jobs`` values; the wall-clock duration
-appears only in text output.
+accepted; has no effect, as every search runs serially), ``--seed K``
+(accepted; has no effect, as every check is exact; the report echoes it).
+JSON reports are byte-stable across runs, ``--jobs`` and ``--seed``
+values apart from the echoed seed; the wall-clock duration appears only
+in text output.
 """
 
 from __future__ import annotations
@@ -44,20 +45,15 @@ def _report(args, name, positional) -> VerificationReport:
 def _cmd_validate(args) -> VerificationReport:
     rep = _report(args, "validate", [args.file])
     try:
-        cat = jsonio.load_category(args.file, seed=args.seed)
+        cat = jsonio.load_category(args.file)
     except CategoryValidationError as exc:
         for v in exc.violations:
             rep.add(entry(f"validate/{v.kind}", v.tag, False,
                           witness=v.as_witness()))
         raise _ValidationFailure(rep)
-    detail = ""
-    if cat.assoc_sample is not None:
-        checked, triples, seed = cat.assoc_sample
-        detail = (f"associativity sampled: {checked} of {triples} "
-                  f"composable triples, seed {seed}")
     rep.add(entry("validate/category", "chk-validation", True,
                   witness={"objects": len(cat.objects),
-                           "morphisms": len(cat.morphisms)}, detail=detail))
+                           "morphisms": len(cat.morphisms)}))
     return rep
 
 
@@ -65,7 +61,7 @@ def _cmd_structures(args) -> VerificationReport:
     from . import monad
 
     rep = _report(args, args.command, [args.file])
-    cat = jsonio.load_category(args.file, seed=args.seed)
+    cat = jsonio.load_category(args.file)
     found = getattr(monad, args.search)(cat, cap=args.cap)
     rep.add(entry(f"{args.command}/enumerate", "chk-enumeration", True,
                   witness={"count": len(found),
@@ -79,7 +75,7 @@ def _cmd_em(args) -> VerificationReport:
     from .construct import em_category
 
     rep = _report(args, "em", [args.file])
-    m = jsonio.load_monad(args.file, seed=args.seed)
+    m = jsonio.load_monad(args.file)
     em = em_category(m, cap=args.cap)
     rep.add(entry("em/construction", "chk-construction", True,
                   witness={"algebras": len(em.category.objects),
@@ -100,7 +96,7 @@ def _cmd_coem(args) -> VerificationReport:
     from .construct import em_coalgebra_category
 
     rep = _report(args, "coem", [args.file])
-    c = jsonio.load_comonad(args.file, seed=args.seed)
+    c = jsonio.load_comonad(args.file)
     co = em_coalgebra_category(c, cap=args.cap)
     rep.add(entry("coem/construction", "chk-construction", True,
                   witness={"coalgebras": len(co.category.objects),
@@ -117,7 +113,7 @@ def _cmd_kleisli(args) -> VerificationReport:
     from .construct import kleisli_category
 
     rep = _report(args, "kleisli", [args.file])
-    m = jsonio.load_monad(args.file, seed=args.seed)
+    m = jsonio.load_monad(args.file)
     kl = kleisli_category(m)
     rep.add(entry("kleisli/construction", "chk-construction", True,
                   witness={"objects": len(kl.category.objects),
@@ -136,7 +132,7 @@ def _cmd_law(args) -> VerificationReport:
     if args.law_command == "check":
         rep = _report(args, f"{args.command} check", [args.file])
         by_tag = {}
-        for v in load_law(args.file, seed=args.seed).check():
+        for v in load_law(args.file).check():
             by_tag.setdefault(v.tag, []).append(v)
         for tag in tags:
             rep.add(entry_from_violations(f"{args.command}/{tag}", tag,
@@ -144,8 +140,8 @@ def _cmd_law(args) -> VerificationReport:
         return rep
     rep = _report(args, f"{args.command} enumerate",
                   [args.s_file, args.second_file])
-    S = jsonio.load_monad(args.s_file, seed=args.seed)
-    second = load_second(args.second_file, seed=args.seed)
+    S = jsonio.load_monad(args.s_file)
+    second = load_second(args.second_file)
     laws = getattr(distlaw, enumerate_laws)(S, second, cap=args.cap)
     rep.add(entry(f"{args.command}/enumerate", "chk-enumeration", True,
                   witness={"count": len(laws),
@@ -186,7 +182,7 @@ def _cmd_build_from_law(args) -> VerificationReport:
     (axioms_tag, build, extract, (built_check, built_tag),
      (recovered_check, recovered_tag), (key, read)) = _BUILD_FROM_LAW[args.command]
     rep = _report(args, args.command, [args.file])
-    dl = jsonio.load_dist_law(args.file, seed=args.seed)
+    dl = jsonio.load_dist_law(args.file)
     violations = dl.check()
     rep.add(entry_from_violations(f"{args.command}/law-axioms", axioms_tag,
                                   violations))
@@ -205,8 +201,8 @@ def _cmd_roundtrip(args) -> VerificationReport:
     from .twofunctors import law_round_trips
 
     rep = _report(args, "roundtrip", [args.s_file, args.t_file])
-    S = jsonio.load_monad(args.s_file, seed=args.seed)
-    T = jsonio.load_monad(args.t_file, seed=args.seed)
+    S = jsonio.load_monad(args.s_file)
+    T = jsonio.load_monad(args.t_file)
     r = law_round_trips(S, T, cap=args.cap)
     rep.add(entry("roundtrip/count-equality", "Thm-1705201918",
                   r["laws"] == r["liftings"],
@@ -230,8 +226,8 @@ def _cmd_roundtrip_mixed(args) -> VerificationReport:
     from .twofunctors import mixed_round_trips
 
     rep = _report(args, "roundtrip-mixed", [args.s_file, args.g_file])
-    S = jsonio.load_monad(args.s_file, seed=args.seed)
-    G = jsonio.load_comonad(args.g_file, seed=args.seed)
+    S = jsonio.load_monad(args.s_file)
+    G = jsonio.load_comonad(args.g_file)
     r = mixed_round_trips(S, G, cap=args.cap)
     rep.add(entry("roundtrip-mixed/count-equality", "Thm-1705222141",
                   r["laws"] == r["liftings"],
@@ -247,7 +243,7 @@ def _cmd_homiso(args) -> VerificationReport:
     from .twofunctors import hom_iso_roundtrip
 
     rep = _report(args, "homiso", [args.file])
-    m = jsonio.load_monad(args.file, seed=args.seed)
+    m = jsonio.load_monad(args.file)
     rep.add(*hom_iso_roundtrip(m, cap=args.cap))
     return rep
 
@@ -279,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="accepted; has no effect")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for sampled checks (never affects "
-                             "enumeration order)")
+                        help="accepted; has no effect")
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument("--cap", type=_at_least(0, "non-negative"),
                         default=DEFAULT_CAP,

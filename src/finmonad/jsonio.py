@@ -99,12 +99,12 @@ def category_to_raw(cat: FinCategory) -> dict:
     }
 
 
-def parse_category(raw: dict, *, seed: int = 0) -> FinCategory:
-    return validate_category(raw, seed=seed)
+def parse_category(raw: dict) -> FinCategory:
+    return validate_category(raw)
 
 
-def load_category(path: str, *, seed: int = 0) -> FinCategory:
-    return parse_category(_load_json(path), seed=seed)
+def load_category(path: str) -> FinCategory:
+    return parse_category(_load_json(path))
 
 
 def dump_category(cat: FinCategory, path: str) -> None:
@@ -139,12 +139,12 @@ def functor_to_raw(F: Functor) -> dict:
 # -- monads and comonads ------------------------------------------------------
 
 
-def _parse_structure(kind, raw: dict, base_dir: str, seed: int):
+def _parse_structure(kind, raw: dict, base_dir: str):
     """A valid ``kind`` (Monad or Comonad) read from its file."""
     _require_shape(raw, kind.CONTEXT)
     category, endofunctor, mult, unit = _FIELDS[kind.CONTEXT]
     cat_raw, _ = _resolve(raw[category], base_dir)
-    cat = parse_category(cat_raw, seed=seed)
+    cat = parse_category(cat_raw)
     E = parse_endofunctor(cat, raw[endofunctor], kind.CONTEXT)
     maps = [_id_map(raw[field], field, kind.CONTEXT) for field in (mult, unit)]
     return kind.from_components(cat, E, *maps).require_valid()
@@ -160,27 +160,26 @@ def _structure_to_raw(s) -> dict:
     }
 
 
-def parse_monad(raw: dict, base_dir: str = ".", *, seed: int = 0) -> Monad:
+def parse_monad(raw: dict, base_dir: str = ".") -> Monad:
     # imported here, so that loading a category never loads it
     from .monad import Monad
 
-    return _parse_structure(Monad, raw, base_dir, seed)
+    return _parse_structure(Monad, raw, base_dir)
 
 
-def load_monad(path: str, *, seed: int = 0) -> Monad:
-    return parse_monad(_load_json(path), os.path.dirname(os.path.abspath(path)),
-                       seed=seed)
+def load_monad(path: str) -> Monad:
+    return parse_monad(_load_json(path), os.path.dirname(os.path.abspath(path)))
 
 
-def parse_comonad(raw: dict, base_dir: str = ".", *, seed: int = 0) -> Comonad:
+def parse_comonad(raw: dict, base_dir: str = ".") -> Comonad:
     from .monad import Comonad
 
-    return _parse_structure(Comonad, raw, base_dir, seed)
+    return _parse_structure(Comonad, raw, base_dir)
 
 
-def load_comonad(path: str, *, seed: int = 0) -> Comonad:
+def load_comonad(path: str) -> Comonad:
     return parse_comonad(_load_json(path),
-                         os.path.dirname(os.path.abspath(path)), seed=seed)
+                         os.path.dirname(os.path.abspath(path)))
 
 
 monad_to_raw = comonad_to_raw = _structure_to_raw
@@ -189,7 +188,7 @@ monad_to_raw = comonad_to_raw = _structure_to_raw
 # -- laws ---------------------------------------------------------------------
 
 
-def _parse_law(kind: str, raw: dict, base_dir: str, seed: int):
+def _parse_law(kind: str, raw: dict, base_dir: str):
     """The law of ``kind``, "law" or "mixed law", read from its file."""
     # imported here, so that loading a category or a monad never loads it
     from .distlaw import DistributiveLaw, MixedDistributiveLaw, require_typable
@@ -198,12 +197,12 @@ def _parse_law(kind: str, raw: dict, base_dir: str, seed: int):
     first, second, nat = _FIELDS[kind]
     s_raw, s_dir = _resolve(raw[first], base_dir)
     e_raw, e_dir = _resolve(raw[second], base_dir)
-    S = parse_monad(s_raw, s_dir, seed=seed)
+    S = parse_monad(s_raw, s_dir)
     if kind == "law":
-        law, E = DistributiveLaw, parse_monad(e_raw, e_dir, seed=seed)
+        law, E = DistributiveLaw, parse_monad(e_raw, e_dir)
         bases = "S and T are monads on different categories"
     else:
-        law, E = MixedDistributiveLaw, parse_comonad(e_raw, e_dir, seed=seed)
+        law, E = MixedDistributiveLaw, parse_comonad(e_raw, e_dir)
         bases = "S and G live on different categories"
     if S.base != E.base:
         raise BaseMismatch(bases)
@@ -213,22 +212,22 @@ def _parse_law(kind: str, raw: dict, base_dir: str, seed: int):
                               _id_map(raw[nat], nat, kind)))
 
 
-def parse_dist_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> DistributiveLaw:
-    return _parse_law("law", raw, base_dir, seed)
+def parse_dist_law(raw: dict, base_dir: str = ".") -> DistributiveLaw:
+    return _parse_law("law", raw, base_dir)
 
 
-def load_dist_law(path: str, *, seed: int = 0) -> DistributiveLaw:
+def load_dist_law(path: str) -> DistributiveLaw:
     return parse_dist_law(_load_json(path),
-                          os.path.dirname(os.path.abspath(path)), seed=seed)
+                          os.path.dirname(os.path.abspath(path)))
 
 
-def parse_mixed_law(raw: dict, base_dir: str = ".", *, seed: int = 0) -> MixedDistributiveLaw:
-    return _parse_law("mixed law", raw, base_dir, seed)
+def parse_mixed_law(raw: dict, base_dir: str = ".") -> MixedDistributiveLaw:
+    return _parse_law("mixed law", raw, base_dir)
 
 
-def load_mixed_law(path: str, *, seed: int = 0) -> MixedDistributiveLaw:
+def load_mixed_law(path: str) -> MixedDistributiveLaw:
     return parse_mixed_law(_load_json(path),
-                           os.path.dirname(os.path.abspath(path)), seed=seed)
+                           os.path.dirname(os.path.abspath(path)))
 
 
 def _law_to_raw(law) -> dict:

@@ -133,6 +133,23 @@ def brute_nat_trans(F, G) -> list:
     return out
 
 
+def ref_associativity_violations(raw: dict) -> list:
+    """The triples (f, g, h) of a raw category with (f;g);h ≠ f;(g;h), as
+    ``"(f,g,h)"``, by a sweep over every triple whose composites the table
+    gives. ``raw`` lists every composite, those with an identity included."""
+    after = {}  # after[f][g] is f;g
+    for e in raw["composition"]:
+        after.setdefault(e["first"], {})[e["then"]] = e["equals"]
+    out = []
+    for f, f_then in after.items():
+        for g, fg in f_then.items():
+            fg_then = after.get(fg, {})
+            out += [f"({f},{g},{h})" for h, gh in after.get(g, {}).items()
+                    if h in fg_then and gh in f_then
+                    and fg_then[h] != f_then[gh]]
+    return out
+
+
 def brute_functors(source, target) -> list:
     """Every functor source → target: all object maps, all hom products."""
     ids = [m.id for m in source.morphisms]

@@ -8,9 +8,13 @@ import weakref
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     chain2_times_z2,
     cyclic,
+    finset_subcategories,
+    ref_associativity_violations,
     ref_check_naturality,
     transformation_monoid,
 )
@@ -649,13 +653,71 @@ def _cyclic_monoid_raw(n):
             "composition": comp}
 
 
-def test_large_monoid_takes_the_sampled_associativity_path():
-    # 60 endomorphisms produce 216000 composable triples, above the
-    # exhaustive limit, so validation samples associativity
-    from finmonad.fincat import ASSOC_EXHAUSTIVE_LIMIT
+def _changed(raw, i, equals):
+    """``raw`` with the i-th entry of its composition table changed."""
+    comp = [dict(e) for e in raw["composition"]]
+    comp[i]["equals"] = equals
+    return {**raw, "composition": comp}
 
-    n = 60
-    assert n ** 3 > ASSOC_EXHAUSTIVE_LIMIT
-    cat = validate_category(_cyclic_monoid_raw(n), seed=7)
-    assert len(cat.morphisms) == n
+
+def _next_id(raw, m):
+    """The morphism after ``m`` in ``raw``'s list, the first after the last."""
+    ids = [x["id"] for x in raw["morphisms"]]
+    return ids[(ids.index(m) + 1) % len(ids)]
+
+
+def test_associativity_is_decided_exactly_on_large_monoids():
+    # Z60 has 216,000 composable triples and validates
+    cat = validate_category(_cyclic_monoid_raw(60))
+    assert len(cat.morphisms) == 60
     assert cat.compose("r01", "r59") == "r00"
+    # T4, every map of a 4-element set, has 256³ composable triples; one
+    # product changed (the 4-cycle squared) breaks 408 of them
+    raw = category_to_raw(transformation_monoid(4))
+    (i,) = [i for i, e in enumerate(raw["composition"])
+            if (e["first"], e["then"]) == ("t1230", "t1230")]
+    with pytest.raises(CategoryValidationError) as excinfo:
+        validate_category(_changed(raw, i, _next_id(raw, "t2301")))
+    assert _kinds(excinfo) == {"NonAssociative"}
+
+
+def _assert_light_agrees(raw):
+    """Validation refuses ``raw`` as non-associative iff some triple fails,
+    and every triple it names fails."""
+    failing = ref_associativity_violations(raw)
+    try:
+        validate_category(raw)
+        named = []
+    except CategoryValidationError as exc:
+        named = [v.where for v in exc.violations if v.kind == "NonAssociative"]
+    assert bool(named) == bool(failing), (named, failing)
+    assert set(named) <= set(failing)
+
+
+def test_light_agrees_with_every_triple_on_each_changed_product_of_t3():
+    raw = category_to_raw(transformation_monoid(3))
+    for i, e in enumerate(raw["composition"]):
+        _assert_light_agrees(_changed(raw, i, _next_id(raw, e["equals"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([chain_category("abcd"), chain2_times_z2()]), st.data())
+def test_light_agrees_with_every_triple_on_random_changed_products(cat, data):
+    # any morphism, so the change may also break a unit law or a type
+    raw = category_to_raw(cat)
+    i = data.draw(st.integers(0, len(raw["composition"]) - 1))
+    m = data.draw(st.sampled_from([m.id for m in cat.morphisms]))
+    _assert_light_agrees(_changed(raw, i, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(finset_subcategories(), st.data())
+def test_light_agrees_with_every_triple_on_finset_subcategories(cat, data):
+    # the category itself, then with one product changed within its hom-set
+    raw = category_to_raw(cat)
+    assert ref_associativity_violations(raw) == []
+    _assert_light_agrees(raw)
+    i = data.draw(st.integers(0, len(raw["composition"]) - 1))
+    h = cat.morphism(raw["composition"][i]["equals"])
+    m = data.draw(st.sampled_from(cat.hom(h.src, h.tgt)))
+    _assert_light_agrees(_changed(raw, i, m))
