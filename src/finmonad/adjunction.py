@@ -15,7 +15,10 @@ A left-commuting square demands K∘L = L̄∘J; its mate is
 
     ρ: J∘R → R̄∘K,   ρ = (R̄ K ε) ∘ (η̄ J R).
 
-Mates are always computed from the square, never stored independently.
+A square is itself a 1-cell of the AdjR (right) or AdjL (left)
+2-category. It computes its mate once, on construction, by
+:func:`mate_right` or :func:`mate_left`, and carries it as ``mate``; the
+mate is never given independently, and equality ignores it.
 """
 
 from __future__ import annotations
@@ -120,10 +123,12 @@ def induced_comonad(a: Adjunction) -> Comonad:
 
 class _Square(_Value):
     """A square J between bases and K between upper categories, from the
-    adjunction ``dom`` to ``cod``; each kind checks that it commutes."""
+    adjunction ``dom`` to ``cod``; each kind checks that it commutes and
+    computes its ``mate`` from it. The square is the AdjR or AdjL 1-cell
+    (J, K, mate) that NAME names."""
 
-    __slots__ = ("dom", "cod", "J", "K")
-    EQUAL = __slots__
+    __slots__ = ("dom", "cod", "J", "K", "mate")
+    EQUAL = ("dom", "cod", "J", "K")
     KEY = ("J", "K")
 
     def __init__(self, dom: Adjunction, cod: Adjunction, J: Functor, K: Functor):
@@ -136,12 +141,18 @@ class _Square(_Value):
         self.cod = cod
         self.J = J
         self.K = K
+        self.mate = self._mate()
 
 
 class CommutingSquareR(_Square):
-    """A strictly commuting square of right adjoints: R̄∘K = J∘R."""
+    """A strictly commuting square of right adjoints: R̄∘K = J∘R, with its
+    mate lambda."""
 
     __slots__ = ()
+    NAME = "AdjR"
+
+    def _mate(self) -> NatTrans:
+        return mate_right(self)
 
     @staticmethod
     def _check_commutes(dom, cod, J, K):
@@ -150,9 +161,14 @@ class CommutingSquareR(_Square):
 
 
 class CommutingSquareL(_Square):
-    """A strictly commuting square of left adjoints: K∘L = L̄∘J."""
+    """A strictly commuting square of left adjoints: K∘L = L̄∘J, with its
+    mate rho."""
 
     __slots__ = ()
+    NAME = "AdjL"
+
+    def _mate(self) -> NatTrans:
+        return mate_left(self)
 
     @staticmethod
     def _check_commutes(dom, cod, J, K):

@@ -16,8 +16,6 @@ from .adjunction import (
     identity_adjunction,
     induced_comonad,
     induced_monad,
-    mate_left,
-    mate_right,
 )
 from .construct import em_category, em_coalgebra_category, kleisli_category
 from .distlaw import enumerate_mixed_laws, untypable_objects
@@ -167,14 +165,11 @@ def criterion_6_two_adjunction_sanity(cor: FixtureCorpus) -> list:
             if (left.components != identity_nat(adj.L).components
                     or right.components != identity_nat(adj.R).components):
                 ok_triangles = False
-            sq_r = CommutingSquareR(adj, adj, identity_functor(adj.base),
-                                    identity_functor(adj.upper))
-            if mate_right(sq_r).components != identity_nat(adj.L).components:
-                ok_mates = False
-            sq_l = CommutingSquareL(adj, adj, identity_functor(adj.base),
-                                    identity_functor(adj.upper))
-            if mate_left(sq_l).components != identity_nat(adj.R).components:
-                ok_mates = False
+            for square, side in ((CommutingSquareR, adj.L), (CommutingSquareL, adj.R)):
+                sq = square(adj, adj, identity_functor(adj.base),
+                            identity_functor(adj.upper))
+                if sq.mate.components != identity_nat(side).components:
+                    ok_mates = False
     entries.append(entry("criterion-6/induced-monad-of-algebra-adjunction",
                          "Eq-1510131206", ok_em))
     entries.append(entry("criterion-6/induced-monad-of-kleisli-adjunction",

@@ -15,9 +15,11 @@ Cell dictionary (src monad (C,S), dst monad (D,T), comonads (X,G), (Y,H)):
 * CoMnd 1-cell (P, pi): pi: P∘G → H∘P with
       delta^H P ∘ pi = H pi ∘ pi G ∘ P delta^G   and   epsilon^H P ∘ pi = P epsilon^G
 * CoMnd 2-cell theta with  H theta ∘ pi^P = pi^Q ∘ theta G
-* AdjR/AdjL 1-cells are strictly commuting squares carrying their mate;
-  their 2-cells are pairs (alpha, beta) subject to two equivalent
-  conditions, both checked.
+* AdjR 1-cell (J, K, lambda): a CommutingSquareR, R̄∘K = J∘R, with its
+  mate lambda: L̄∘J → K∘L; AdjL 1-cell (J, K, rho): a CommutingSquareL,
+  K∘L = L̄∘J, with its mate rho: J∘R → R̄∘K, which the square computes
+  once. AdjR/AdjL 2-cells are pairs (alpha, beta) subject to two
+  equivalent conditions, both checked.
 
 An endo Mnd 1-cell (T, phi) on (C, S) carries exactly the S-side axioms of
 a distributive law phi: ST → TS, and the Mnd• 1-cell (S, phi) on (C, T)
@@ -48,8 +50,6 @@ from .adjunction import (
     CommutingSquareR,
     induced_comonad,
     induced_monad,
-    mate_left,
-    mate_right,
 )
 from .construct import (
     EmAlgebraCategory,
@@ -87,7 +87,6 @@ from .fincat import (
     identity_nat,
     opposite_functor,
     opposite_nat,
-    vcomp,
     vcomp_at,
     whisker_left,
     whisker_left_at,
@@ -214,16 +213,6 @@ def mnd_compose(outer: MndOneCell, inner: MndOneCell) -> MndOneCell:
                                       compose_functors(P, inner.src.S), phi))
 
 
-def mnd2_identity(cell: MndOneCell) -> MndTwoCell:
-    return MndTwoCell(cell, cell, identity_nat(cell.P))
-
-
-def mnd2_vcomp(a: MndTwoCell, b: MndTwoCell) -> MndTwoCell:
-    if a.dst_cell != b.src_cell:
-        raise TypeMismatch("Mnd 2-cells not composable")
-    return MndTwoCell(a.src_cell, b.dst_cell, vcomp(a.theta, b.theta))
-
-
 class _PushOneCell(_OneCell):
     """(P, nat) with nat: P∘E → E'∘P (Mnd• and CoMnd), typed as TYPING says."""
 
@@ -274,10 +263,6 @@ def bullet_identity_cell(m: Monad) -> MndBulletOneCell:
     return MndBulletOneCell(m, m, identity_functor(m.base), identity_nat(m.S))
 
 
-def bullet_compose(outer: MndBulletOneCell, inner: MndBulletOneCell) -> MndBulletOneCell:
-    return _push_compose(outer, inner)
-
-
 def _push_compose(outer, inner):
     """outer ∘ inner for the 1-cells (P, nat) with nat: P∘E → E'∘P (Mnd•
     and CoMnd): nat is (outer.nat inner.P) ∘ (outer.P inner.nat)."""
@@ -290,6 +275,9 @@ def _push_compose(outer, inner):
     return type(outer)(inner.src, outer.dst, P,
                        NatTrans._typed(compose_functors(P, inner.src.endo),
                                        compose_functors(outer.dst.endo, P), nat))
+
+
+bullet_compose = _push_compose
 
 
 # ---------------------------------------------------------------------------
@@ -327,79 +315,36 @@ def comnd_identity_cell(c: Comonad) -> CoMndOneCell:
     return CoMndOneCell(c, c, identity_functor(c.base), identity_nat(c.G))
 
 
-def comnd_compose(outer: CoMndOneCell, inner: CoMndOneCell) -> CoMndOneCell:
-    return _push_compose(outer, inner)
+comnd_compose = _push_compose
 
 
 # ---------------------------------------------------------------------------
 # Adjunction-square cells
 
 
-class _AdjOneCell(_Value):
-    """(J, K, mate) over a commuting square; the mate is computed from the
-    square by :meth:`_mate`."""
-
-    __slots__ = ("square", "mate")
-    EQUAL = __slots__
-    KEY = ("J", "K")
-
-    def __init__(self, square):
-        self.square = square
-        self.mate = self._mate(square)
-
-    @property
-    def J(self) -> Functor:
-        return self.square.J
-
-    @property
-    def K(self) -> Functor:
-        return self.square.K
-
-
-class AdjROneCell(_AdjOneCell):
-    """(J, K, lambda) over a right-commuting square."""
-
-    __slots__ = ()
-
-    def _mate(self, square: CommutingSquareR) -> NatTrans:
-        return mate_right(square)
-
-
-class AdjLOneCell(_AdjOneCell):
-    """(J, K, rho) over a left-commuting square."""
-
-    __slots__ = ()
-
-    def _mate(self, square: CommutingSquareL) -> NatTrans:
-        return mate_left(square)
+# An AdjR (AdjL) 1-cell is its right (left) commuting square, which
+# carries its mate.
+AdjROneCell = CommutingSquareR
+AdjLOneCell = CommutingSquareL
 
 
 def adjr_identity_cell(a: Adjunction) -> AdjROneCell:
-    return AdjROneCell(CommutingSquareR(a, a, identity_functor(a.base),
-                                        identity_functor(a.upper)))
+    return AdjROneCell(a, a, identity_functor(a.base), identity_functor(a.upper))
 
 
 def adjl_identity_cell(a: Adjunction) -> AdjLOneCell:
-    return AdjLOneCell(CommutingSquareL(a, a, identity_functor(a.base),
-                                        identity_functor(a.upper)))
+    return AdjLOneCell(a, a, identity_functor(a.base), identity_functor(a.upper))
 
 
-def adjr_compose(outer: AdjROneCell, inner: AdjROneCell) -> AdjROneCell:
-    if inner.square.cod != outer.square.dom:
-        raise TypeMismatch("AdjR 1-cells not composable")
-    sq = CommutingSquareR(inner.square.dom, outer.square.cod,
-                          compose_functors(outer.J, inner.J),
-                          compose_functors(outer.K, inner.K))
-    return AdjROneCell(sq)
+def adjr_compose(outer, inner):
+    """outer ∘ inner for AdjR or AdjL 1-cells; inner first."""
+    if inner.cod != outer.dom:
+        raise TypeMismatch(f"{outer.NAME} 1-cells not composable")
+    return type(outer)(inner.dom, outer.cod, compose_functors(outer.J, inner.J),
+                       compose_functors(outer.K, inner.K))
 
 
-def adjl_compose(outer: AdjLOneCell, inner: AdjLOneCell) -> AdjLOneCell:
-    if inner.square.cod != outer.square.dom:
-        raise TypeMismatch("AdjL 1-cells not composable")
-    sq = CommutingSquareL(inner.square.dom, outer.square.cod,
-                          compose_functors(outer.J, inner.J),
-                          compose_functors(outer.K, inner.K))
-    return AdjLOneCell(sq)
+adjl_compose = adjr_compose
 
 
 def adjr_two_cell_conditions(src_cell: AdjROneCell, dst_cell: AdjROneCell,
@@ -410,15 +355,15 @@ def adjr_two_cell_conditions(src_cell: AdjROneCell, dst_cell: AdjROneCell,
     (a) beta L ∘ lambda = lambda' ∘ L̄ alpha
     (b) R̄ beta = alpha R
     """
-    sq = src_cell.square
-    L, R, Lbar, Rbar = sq.dom.L, sq.dom.R, sq.cod.L, sq.cod.R
-    upper = sq.cod.upper
+    dom, cod = src_cell.dom, src_cell.cod
+    L, R, Lbar, Rbar = dom.L, dom.R, cod.L, cod.R
+    upper = cod.upper
     lam, lam2 = src_cell.mate, dst_cell.mate
     cond_a = all(upper.compose(lam.at(x), beta.at(L.ob(x)))
                  == upper.compose(Lbar.mor(alpha.at(x)), lam2.at(x))
-                 for x in sq.dom.base.objects)
+                 for x in dom.base.objects)
     cond_b = all(Rbar.mor(beta.at(a)) == alpha.at(R.ob(a))
-                 for a in sq.dom.upper.objects)
+                 for a in dom.upper.objects)
     return cond_a, cond_b
 
 
@@ -429,13 +374,13 @@ def adjl_two_cell_conditions(src_cell: AdjLOneCell, dst_cell: AdjLOneCell,
     (a) R̄ beta ∘ rho = rho' ∘ alpha R
     (b) beta L = L̄ alpha
     """
-    sq, sq2 = src_cell.square, dst_cell.square
-    base = sq.cod.base
+    dom, cod = src_cell.dom, src_cell.cod
+    base = cod.base
     alpha, beta = alpha.components, beta.components
-    cond_a = (vcomp_at(base, src_cell.mate.components, whisker_left_at(sq.cod.R, beta))
-              == vcomp_at(base, whisker_right_at(alpha, sq.dom.R),
+    cond_a = (vcomp_at(base, src_cell.mate.components, whisker_left_at(cod.R, beta))
+              == vcomp_at(base, whisker_right_at(alpha, dom.R),
                           dst_cell.mate.components))
-    cond_b = whisker_right_at(beta, sq.dom.L) == whisker_left_at(sq2.cod.L, alpha)
+    cond_b = whisker_right_at(beta, dom.L) == whisker_left_at(dst_cell.cod.L, alpha)
     return cond_a, cond_b
 
 
@@ -448,8 +393,7 @@ class _AdjTwoCell(_Value):
     KEY = ("alpha", "beta")
 
     def __init__(self, src_cell, dst_cell, alpha: NatTrans, beta: NatTrans):
-        if (src_cell.square.dom != dst_cell.square.dom
-                or src_cell.square.cod != dst_cell.square.cod):
+        if src_cell.dom != dst_cell.dom or src_cell.cod != dst_cell.cod:
             raise TypeMismatch("2-cell between non-parallel 1-cells")
         if alpha.source != src_cell.J or alpha.target != dst_cell.J:
             raise TypeMismatch("alpha must be typed J -> J'")
@@ -483,17 +427,6 @@ class AdjLTwoCell(_AdjTwoCell):
     _conditions = staticmethod(adjl_two_cell_conditions)
 
 
-def adjr2_identity(cell: AdjROneCell) -> AdjRTwoCell:
-    return AdjRTwoCell(cell, cell, identity_nat(cell.J), identity_nat(cell.K))
-
-
-def adjr2_vcomp(a: AdjRTwoCell, b: AdjRTwoCell) -> AdjRTwoCell:
-    if a.dst_cell != b.src_cell:
-        raise TypeMismatch("AdjR 2-cells not composable")
-    return AdjRTwoCell(a.src_cell, b.dst_cell,
-                       vcomp(a.alpha, b.alpha), vcomp(a.beta, b.beta))
-
-
 # ---------------------------------------------------------------------------
 # The six 2-functor actions
 
@@ -505,11 +438,10 @@ def phi_e_1cell(cell: AdjROneCell, src_monad: Monad = None,
     A caller that already holds the monads the two adjunctions induce
     passes them as ``src_monad`` and ``dst_monad``.
     """
-    sq = cell.square
-    src_monad = src_monad if src_monad is not None else induced_monad(sq.dom)
-    dst_monad = dst_monad if dst_monad is not None else induced_monad(sq.cod)
-    out = MndOneCell(src_monad, dst_monad, sq.J,
-                     whisker_left(sq.cod.R, cell.mate))
+    src_monad = src_monad if src_monad is not None else induced_monad(cell.dom)
+    dst_monad = dst_monad if dst_monad is not None else induced_monad(cell.cod)
+    out = MndOneCell(src_monad, dst_monad, cell.J,
+                     whisker_left(cell.cod.R, cell.mate))
     return out.require_valid()
 
 
@@ -539,7 +471,7 @@ def psi_e_1cell(cell: MndOneCell, src_em: EmAlgebraCategory = None,
                for a, carrier, chi in src_em.algebra_objects()}
     Pphi = dst_em.functor_over(src_em.category, obj_map,
                                lambda m: cell.P.mor(src_em.underlying(m)))
-    return AdjROneCell(CommutingSquareR(src_em.adj, dst_em.adj, cell.P, Pphi))
+    return AdjROneCell(src_em.adj, dst_em.adj, cell.P, Pphi)
 
 
 def phi_e_2cell(c2: AdjRTwoCell, src_mcell: MndOneCell = None,
@@ -585,14 +517,13 @@ def psi_k_1cell(cell: MndBulletOneCell) -> AdjLOneCell:
         source, {x: cell.P.ob(x) for x in source.objects},
         lambda m: base.compose(cell.P.mor(src_kl.underlying(m)),
                                cell.psi.at(source.tgt(m))))
-    return AdjLOneCell(CommutingSquareL(src_kl.adj, dst_kl.adj, cell.P, Ppsi))
+    return AdjLOneCell(src_kl.adj, dst_kl.adj, cell.P, Ppsi)
 
 
 def phi_k_1cell(cell: AdjLOneCell) -> MndBulletOneCell:
     """(J, K, rho) ↦ (J, rho L) on induced monads."""
-    sq = cell.square
-    out = MndBulletOneCell(induced_monad(sq.dom), induced_monad(sq.cod),
-                           sq.J, whisker_right(cell.mate, sq.dom.L))
+    out = MndBulletOneCell(induced_monad(cell.dom), induced_monad(cell.cod),
+                           cell.J, whisker_right(cell.mate, cell.dom.L))
     return out.require_valid()
 
 
@@ -624,9 +555,8 @@ def psi_k_2cell(t: MndBulletTwoCell, src_acell: AdjLOneCell = None,
 
 def vec_phi_e_1cell(cell: AdjLOneCell) -> CoMndOneCell:
     """(J, K, rho) ↦ (K, L̄ rho) on induced comonads."""
-    sq = cell.square
-    out = CoMndOneCell(induced_comonad(sq.dom), induced_comonad(sq.cod),
-                       sq.K, whisker_left(sq.cod.L, cell.mate))
+    out = CoMndOneCell(induced_comonad(cell.dom), induced_comonad(cell.cod),
+                       cell.K, whisker_left(cell.cod.L, cell.mate))
     return out.require_valid()
 
 
@@ -641,8 +571,7 @@ def vec_psi_e_1cell(cell: CoMndOneCell) -> AdjLOneCell:
     """
     src_co, dst_co = em_coalgebra_category(cell.src), em_coalgebra_category(cell.dst)
     K = psi_e_1cell(cell._op(), src_co.on_opposite, dst_co.on_opposite).K
-    return AdjLOneCell(CommutingSquareL(src_co.adj, dst_co.adj,
-                                        opposite_functor(K), cell.P))
+    return AdjLOneCell(src_co.adj, dst_co.adj, opposite_functor(K), cell.P)
 
 
 def vec_phi_e_2cell(c2: AdjLTwoCell) -> CoMndTwoCell:
@@ -871,8 +800,7 @@ def extend_monad(dl: DistributiveLaw, kl: KleisliCategory = None) -> KleisliExte
 def extract_from_extension(ke: KleisliExtension) -> DistributiveLaw:
     """Recover phi = rho_S D from an extension, where rho_S is the mate of
     the extension square."""
-    sq = CommutingSquareL(ke.kl.adj, ke.kl.adj, ke.base_s.S, ke.stilde)
-    rho = mate_left(sq)
+    rho = AdjLOneCell(ke.kl.adj, ke.kl.adj, ke.base_s.S, ke.stilde).mate
     phi = whisker_right(rho, ke.kl.D)
     return DistributiveLaw(ke.base_s, ke.base_t, phi).require_valid()
 
@@ -915,8 +843,8 @@ def colift_monad(ml: MixedDistributiveLaw) -> CoalgebraLifting:
 
 def _lifting_mate(lifted) -> NatTrans:
     """U lambda, lambda the mate of the square of a lifting; unchecked."""
-    sq = CommutingSquareR(lifted.em.adj, lifted.em.adj, lifted.below.endo, lifted.endo)
-    return whisker_left(lifted.em.U, mate_right(sq))
+    cell = AdjROneCell(lifted.em.adj, lifted.em.adj, lifted.below.endo, lifted.endo)
+    return whisker_left(lifted.em.U, cell.mate)
 
 
 def extract_mixed_from_lifting(lc: LiftedComonad) -> MixedDistributiveLaw:
@@ -928,7 +856,7 @@ def extract_mixed_from_lifting(lc: LiftedComonad) -> MixedDistributiveLaw:
 def extract_mixed_from_colifting(cl: CoalgebraLifting) -> MixedDistributiveLaw:
     """Recover psi = U rho_S from a monad lifting to coalgebras, where rho_S
     is the mate of the lifting square: psi = (U F S epsilon) ∘ (U eta Shat F)."""
-    rho = mate_left(CommutingSquareL(cl.co.adj, cl.co.adj, cl.shat, cl.below.S))
+    rho = AdjLOneCell(cl.co.adj, cl.co.adj, cl.shat, cl.below.S).mate
     return MixedDistributiveLaw(cl.below, cl.base,
                                 whisker_left(cl.co.U, rho)).require_valid()
 
@@ -1135,7 +1063,7 @@ def enumerate_adjr_endocells(em: EmAlgebraCategory,
     """
     C = em.monad.base
     budget = _Budget(cap)
-    cells = [AdjROneCell(CommutingSquareR(em.adj, em.adj, J, K))
+    cells = [AdjROneCell(em.adj, em.adj, J, K)
              for J in enumerate_functors(C, C, cap=cap)
              for K in _lifts(em, J, budget)]
     cells.sort(key=lambda c: c.canonical_key())
@@ -1144,6 +1072,10 @@ def enumerate_adjr_endocells(em: EmAlgebraCategory,
 
 def enumerate_mnd_two_cells(src_cell: MndOneCell, dst_cell: MndOneCell,
                             cap: int = DEFAULT_CAP) -> list:
+    """All Mnd 2-cells theta between the two 1-cells, in the order of
+    :func:`enumerate_nat_trans` on theta."""
+    if src_cell.src != dst_cell.src or src_cell.dst != dst_cell.dst:
+        raise TypeMismatch("2-cell between non-parallel 1-cells")
     return _mnd_two_cells(src_cell, dst_cell,
                           enumerate_nat_trans(src_cell.P, dst_cell.P, cap=cap))
 
@@ -1169,8 +1101,7 @@ def enumerate_adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell,
     leaves at most one beta. A candidate is kept if it is natural and the
     AdjRTwoCell constructor accepts it, which checks (a) and (b).
     """
-    if (src_cell.square.dom != dst_cell.square.dom
-            or src_cell.square.cod != dst_cell.square.cod):
+    if src_cell.dom != dst_cell.dom or src_cell.cod != dst_cell.cod:
         raise TypeMismatch("2-cell between non-parallel 1-cells")
     return _adjr_two_cells(src_cell, dst_cell,
                            enumerate_nat_trans(src_cell.J, dst_cell.J, cap=cap))
@@ -1182,10 +1113,9 @@ def _adjr_two_cells(src_cell: AdjROneCell, dst_cell: AdjROneCell, alphas) -> lis
     hom-sets of K → K', so it is built unchecked."""
     if not alphas:
         return []
-    sq = src_cell.square
-    R, Rbar, upper = sq.dom.R, sq.cod.R, sq.cod.upper
+    R, Rbar, upper = src_cell.dom.R, src_cell.cod.R, src_cell.cod.upper
     K, K2 = src_cell.K, dst_cell.K
-    objs = sq.dom.upper.objects
+    objs = src_cell.dom.upper.objects
     over = []  # per object A, hom(K A, K' A) grouped by image under R̄
     for a in objs:
         by_image = {}

@@ -38,7 +38,6 @@ from finmonad.adjunction import (
     CommutingSquareL,
     CommutingSquareR,
     induced_monad,
-    mate_left,
 )
 from finmonad.construct import (
     EmAlgebraCategory,
@@ -99,8 +98,6 @@ from finmonad.twofunctors import (
     MndOneCell,
     MndTwoCell,
     _Flags,
-    adjr2_identity,
-    adjr2_vcomp,
     adjr_compose,
     bullet_compose,
     bullet_identity_cell,
@@ -108,8 +105,6 @@ from finmonad.twofunctors import (
     comnd_identity_cell,
     enumerate_mnd_endocells,
     enumerate_mnd_two_cells,
-    mnd2_identity,
-    mnd2_vcomp,
     mnd_compose,
     mnd_identity_cell,
     phi_e_1cell,
@@ -594,8 +589,7 @@ def ref_vec_psi_e_1cell(cell: CoMndOneCell, src_co: RefCoalgebraCategory = None,
                 where=mm.id)], context="vec_psi_e_1cell")
         mor_map[mm.id] = image
     Ppi = Functor(src_co.category, dst_co.category, obj_map, mor_map)
-    sq = CommutingSquareL(src_co.adj, dst_co.adj, Ppi, cell.P)
-    return AdjLOneCell(sq)
+    return AdjLOneCell(src_co.adj, dst_co.adj, Ppi, cell.P)
 
 
 def ref_vec_psi_e_2cell(t: CoMndTwoCell, src_co: RefCoalgebraCategory = None,
@@ -642,7 +636,7 @@ def ref_coalgebra_lifting_violations(co, below, shat, mu_hat, eta_hat) -> list:
 def ref_extract_mixed_from_colifting(co, below, shat) -> NatTrans:
     """psi = U rho_S, rho_S the mate of the colifting square."""
     sq = CommutingSquareL(co.adj, co.adj, shat, below.S)
-    return whisker_left(co.U, mate_left(sq))
+    return whisker_left(co.U, ref_mate_left(sq))
 
 
 # ---------------------------------------------------------------------------
@@ -886,9 +880,32 @@ def ref_enumerate_comonad_liftings(S: Monad, G: Comonad, cap: int = DEFAULT_CAP,
 # This version maps every cell again wherever it is used, finds AdjR
 # 2-cells by testing every (alpha, beta) pair and AdjR endocells by
 # filtering every pair of endofunctors; the hom-iso tests hold the
-# library's round trip and its two enumerators to it. The AdjR 2-cell
-# conditions come first, built from whiskered transformations where the
-# library compares components.
+# library's round trip and its two enumerators to it. The checked identity
+# and vertical composite of Mnd and AdjR 2-cells come first, which the
+# library's round trip finds by key instead, then the AdjR 2-cell
+# conditions, built from whiskered transformations where the library
+# compares components.
+
+
+def mnd2_identity(cell: MndOneCell) -> MndTwoCell:
+    return MndTwoCell(cell, cell, identity_nat(cell.P))
+
+
+def mnd2_vcomp(a: MndTwoCell, b: MndTwoCell) -> MndTwoCell:
+    if a.dst_cell != b.src_cell:
+        raise TypeMismatch("Mnd 2-cells not composable")
+    return MndTwoCell(a.src_cell, b.dst_cell, vcomp(a.theta, b.theta))
+
+
+def adjr2_identity(cell: AdjROneCell) -> AdjRTwoCell:
+    return AdjRTwoCell(cell, cell, identity_nat(cell.J), identity_nat(cell.K))
+
+
+def adjr2_vcomp(a: AdjRTwoCell, b: AdjRTwoCell) -> AdjRTwoCell:
+    if a.dst_cell != b.src_cell:
+        raise TypeMismatch("AdjR 2-cells not composable")
+    return AdjRTwoCell(a.src_cell, b.dst_cell,
+                       vcomp(a.alpha, b.alpha), vcomp(a.beta, b.beta))
 
 
 def ref_adjr_two_cell_conditions(src_cell: AdjROneCell, dst_cell: AdjROneCell,
@@ -898,12 +915,11 @@ def ref_adjr_two_cell_conditions(src_cell: AdjROneCell, dst_cell: AdjROneCell,
     (a) beta L ∘ lambda = lambda' ∘ L̄ alpha
     (b) R̄ beta = alpha R
     """
-    sq, sq2 = src_cell.square, dst_cell.square
-    a_lhs = vcomp(src_cell.mate, whisker_right(beta, sq.dom.L))
-    a_rhs = vcomp(whisker_left(sq2.cod.L, alpha), dst_cell.mate)
+    a_lhs = vcomp(src_cell.mate, whisker_right(beta, src_cell.dom.L))
+    a_rhs = vcomp(whisker_left(dst_cell.cod.L, alpha), dst_cell.mate)
     cond_a = a_lhs.components == a_rhs.components
-    b_lhs = whisker_left(sq.cod.R, beta)
-    b_rhs = whisker_right(alpha, sq.dom.R)
+    b_lhs = whisker_left(src_cell.cod.R, beta)
+    b_rhs = whisker_right(alpha, src_cell.dom.R)
     cond_b = b_lhs.components == b_rhs.components
     return cond_a, cond_b
 
@@ -919,7 +935,7 @@ def ref_enumerate_adjr_endocells(em: EmAlgebraCategory,
         JU = compose_functors(J, em.U)
         for K in Ks:
             if compose_functors(em.U, K) == JU:
-                cells.append(AdjROneCell(CommutingSquareR(em.adj, em.adj, J, K)))
+                cells.append(AdjROneCell(em.adj, em.adj, J, K))
     cells.sort(key=lambda c: (c.J.canonical_key(), c.K.canonical_key()))
     return cells
 
@@ -1414,12 +1430,11 @@ def ref_mate_left(sq: CommutingSquareL) -> NatTrans:
 def ref_adjl_two_cell_conditions(src_cell, dst_cell, alpha: NatTrans,
                                  beta: NatTrans):
     """(a) R̄ beta ∘ rho = rho' ∘ alpha R and (b) beta L = L̄ alpha."""
-    sq, sq2 = src_cell.square, dst_cell.square
-    a_lhs = vcomp(src_cell.mate, whisker_left(sq.cod.R, beta))
-    a_rhs = vcomp(whisker_right(alpha, sq.dom.R), dst_cell.mate)
+    a_lhs = vcomp(src_cell.mate, whisker_left(src_cell.cod.R, beta))
+    a_rhs = vcomp(whisker_right(alpha, src_cell.dom.R), dst_cell.mate)
     cond_a = a_lhs.components == a_rhs.components
-    b_lhs = whisker_right(beta, sq.dom.L)
-    b_rhs = whisker_left(sq2.cod.L, alpha)
+    b_lhs = whisker_right(beta, src_cell.dom.L)
+    b_rhs = whisker_left(dst_cell.cod.L, alpha)
     cond_b = b_lhs.components == b_rhs.components
     return cond_a, cond_b
 
@@ -1699,8 +1714,7 @@ def ref_psi_k_1cell(cell: MndBulletOneCell, src_kl: RefKleisliCategory = None,
         mor_map[mm.id] = dst_kl.kleisli_id(under, cell.P.ob(x_src),
                                            cell.P.ob(y_tgt))
     Ppsi = Functor(src_kl.category, dst_kl.category, obj_map, mor_map)
-    sq = CommutingSquareL(src_kl.adj, dst_kl.adj, cell.P, Ppsi)
-    return AdjLOneCell(sq)
+    return AdjLOneCell(src_kl.adj, dst_kl.adj, cell.P, Ppsi)
 
 
 def ref_psi_k_2cell(t: MndBulletTwoCell, src_kl: RefKleisliCategory = None,

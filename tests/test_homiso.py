@@ -20,10 +20,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from oracles import (
+    adjr2_identity,
+    adjr2_vcomp,
     chain2_times_z2,
     cyclic,
     discrete,
     finset_subcategories,
+    mnd2_identity,
+    mnd2_vcomp,
     ref_adjr_two_cell_conditions,
     ref_enumerate_adjr_endocells,
     ref_enumerate_adjr_two_cells,
@@ -46,16 +50,13 @@ from finmonad.twofunctors import (
     _Found,
     _hom_iso_sides,
     _map_sides,
-    adjr2_identity,
-    adjr2_vcomp,
     adjr_compose,
     adjr_two_cell_conditions,
     enumerate_adjr_endocells,
     enumerate_adjr_two_cells,
+    enumerate_mnd_endocells,
     enumerate_mnd_two_cells,
     hom_iso_roundtrip,
-    mnd2_identity,
-    mnd2_vcomp,
     mnd_compose,
 )
 
@@ -161,6 +162,17 @@ def test_adjr_2_cells_between_non_parallel_1_cells_are_refused():
              for label in ("C3-id", "C3-c1"))
     with pytest.raises(TypeMismatch, match="non-parallel"):
         enumerate_adjr_two_cells(c, c2)
+
+
+def test_mnd_2_cells_between_non_parallel_1_cells_are_refused():
+    """An endocell of C3/c1 and one of C3/c2, either way round, are refused
+    up front, whether or not some transformation P → Q exists."""
+    c1, c2 = (enumerate_mnd_endocells(dict(MONADS)[label])
+              for label in ("C3-c1", "C3-c2"))
+    assert (len(c1), len(c2)) == (5, 7)
+    for c, c2 in list(product(c1, c2)) + list(product(c2, c1)):
+        with pytest.raises(TypeMismatch, match="non-parallel"):
+            enumerate_mnd_two_cells(c, c2)
 
 
 # Each cap below the least that passes on C3/id, with the count it raises

@@ -286,9 +286,11 @@ def test_mates_equal_the_oracles_on_the_squares_of_the_c3_id_hom_iso():
     adjl += [vec_psi_e_1cell(cell) for cell in comnd_endocells(c)]
     assert (len(adjr), len(adjl)) == (10, 20)
     for cell in adjr:
-        assert mate_right(cell.square) == ref_mate_right(cell.square)
+        assert cell.mate is cell.mate
+        assert cell.mate == mate_right(cell) == ref_mate_right(cell)
     for cell in adjl:
-        assert mate_left(cell.square) == ref_mate_left(cell.square)
+        assert cell.mate is cell.mate
+        assert cell.mate == mate_left(cell) == ref_mate_left(cell)
 
 
 @pytest.mark.parametrize("S, T", [(S, T) for _, S, T in LAW_PAIRS],
@@ -301,14 +303,14 @@ def test_mates_equal_the_oracles_between_two_monads(S, T):
                                        compose_functors(P, S.S)):
             cell = MndOneCell(S, T, P, phi)
             if not cell.check():
-                sq = psi_e_1cell(cell).square
-                assert mate_right(sq) == ref_mate_right(sq)
+                acell = psi_e_1cell(cell)
+                assert acell.mate == ref_mate_right(acell)
         for psi in enumerate_nat_trans(compose_functors(P, S.S),
                                        compose_functors(T.S, P)):
             cell = MndBulletOneCell(S, T, P, psi)
             if not cell.check():
-                sq = psi_k_1cell(cell).square
-                assert mate_left(sq) == ref_mate_left(sq)
+                acell = psi_k_1cell(cell)
+                assert acell.mate == ref_mate_left(acell)
 
 
 NON_POSET = [(label, m) for label, m in MONADS if not label.startswith("C2-")]
@@ -319,7 +321,7 @@ NON_POSET = [(label, m) for label, m in MONADS if not label.startswith("C2-")]
 def test_adjl_conditions_equal_the_oracles_on_kleisli_endocells(m):
     cells = [psi_k_1cell(cell) for cell in bullet_endocells(m)]
     for cell in cells:
-        assert mate_left(cell.square) == ref_mate_left(cell.square)
+        assert cell.mate == ref_mate_left(cell)
     for c, c2 in product(cells, repeat=2):
         for alpha in enumerate_nat_trans(c.J, c2.J):
             for beta in enumerate_nat_trans(c.K, c2.K):

@@ -7,6 +7,7 @@ that a copy of one with any single EQUAL field replaced compares unequal.
 """
 
 import pytest
+from oracles import adjr2_identity, mnd2_identity
 
 from finmonad.adjunction import (
     Adjunction,
@@ -42,7 +43,6 @@ from finmonad.twofunctors import (
     MndOneCell,
     MndTwoCell,
     adjl_identity_cell,
-    adjr2_identity,
     adjr_identity_cell,
     bullet_identity_cell,
     colift_monad,
@@ -53,7 +53,6 @@ from finmonad.twofunctors import (
     extract_mixed_from_lifting,
     lift_comonad,
     lift_monad,
-    mnd2_identity,
     mnd_identity_cell,
     phi_e_1cell,
     phi_e_2cell,
@@ -69,7 +68,6 @@ from finmonad.twofunctors import (
     vec_psi_e_2cell,
 )
 from finmonad.twofunctors import (
-    _AdjOneCell,
     _AdjTwoCell,
     _Lifting,
     _OneCell,
@@ -118,13 +116,13 @@ def _adjunction(cor):
 
 def _square_r(cor):
     em = em_category(_S(cor))
-    return (psi_e_1cell(mnd_identity_cell(_S(cor)), em, em).square,
-            adjr_identity_cell(em.adj).square)
+    return (psi_e_1cell(mnd_identity_cell(_S(cor)), em, em),
+            adjr_identity_cell(em.adj))
 
 
 def _square_l(cor):
-    return (psi_k_1cell(bullet_identity_cell(_S(cor))).square,
-            adjl_identity_cell(kleisli_category(_S(cor)).adj).square)
+    return (psi_k_1cell(bullet_identity_cell(_S(cor))),
+            adjl_identity_cell(kleisli_category(_S(cor)).adj))
 
 
 def _adjr_two_cell(cor):
@@ -167,10 +165,6 @@ ROUTES = {
     CoMndTwoCell: lambda cor: _round_trip(
         vec_psi_e_2cell, vec_phi_e_2cell,
         _identity_two_cell(CoMndTwoCell, _comnd_cell(cor))),
-    AdjROneCell: lambda cor: _round_trip(phi_e_1cell, psi_e_1cell,
-                                         psi_e_1cell(_mnd_cell(cor))),
-    AdjLOneCell: lambda cor: _round_trip(phi_k_1cell, psi_k_1cell,
-                                         psi_k_1cell(_bullet_cell(cor))),
     AdjRTwoCell: _adjr_two_cell,
     AdjLTwoCell: _adjl_two_cell,
     LiftedMonad: lambda cor: _round_trip(extract_dist_law, lift_monad,
@@ -213,7 +207,6 @@ FIELDS = {
     _Law: (("S", "second", "nat"), ("nat",)),
     _OneCell: (("src", "dst", "P", "nat"), ("P", "nat")),
     _TwoCell: (("src_cell", "dst_cell", "nat"), ("nat",)),
-    _AdjOneCell: (("square", "mate"), ("J", "K")),
     _AdjTwoCell: (("src_cell", "dst_cell", "alpha", "beta"), ("alpha", "beta")),
     _Lifting: (("base", "below", "endo", "mult", "unit"),
                ("endo", "mult", "unit")),
@@ -236,6 +229,18 @@ def test_every_declared_owner_owns_the_equality_of_some_kind():
 def test_each_value_kind_is_equal_by_its_declared_fields(kind):
     owner = _equal_owner(kind)
     assert (owner.EQUAL, vars(owner).get("KEY")) == FIELDS[owner]
+
+
+@pytest.mark.parametrize("kind, one_cell", [(CommutingSquareR, AdjROneCell),
+                                            (CommutingSquareL, AdjLOneCell)],
+                         ids=["AdjR", "AdjL"])
+def test_each_adjunction_one_cell_is_its_commuting_square(kind, one_cell, cor):
+    """The 1-cell is the square itself, and its mate, left out of EQUAL, is
+    a function of the square: the two routes' equal squares have equal
+    mates."""
+    assert one_cell is kind
+    a, b = ROUTES[kind](cor)
+    assert a.mate == b.mate
 
 
 @pytest.mark.parametrize("kind", list(ROUTES), ids=lambda kind: kind.__name__)
